@@ -6,17 +6,14 @@ goes to stdout; one-line human summaries go to stderr.  Exit codes: 0 on
 success, 1 on a domain error (reported as a JSON object on stdout), 2 on
 usage or input-syntax errors.  Stochastic commands require an explicit seed
 (no wall-clock default) and all outputs echo the resolved configuration.
-
-`--jobs` is accepted for interface compatibility; execution is sequential,
-which yields identical results by the no-shared-state aggregation contract.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from fractions import Fraction
 
 from . import diophantine, presentation, randwalk
 from .nilpotent2 import MalcevElement, from_word, format_element
@@ -66,16 +63,8 @@ def _element_jsonable(el: MalcevElement) -> dict:
 
 
 def _infer_m(text: str) -> int:
-    m = 1
-    digits = ""
-    for ch in text + " ":
-        if ch.isdigit():
-            digits += ch
-        else:
-            if digits:
-                m = max(m, int(digits))
-            digits = ""
-    return m
+    """Largest generator index a<k> in the word (exponents do not count)."""
+    return max([1] + [int(k) for k in re.findall(r"a(\d+)", text)])
 
 
 def _cmd_classify(args) -> int:
@@ -87,8 +76,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_normalize(args) -> int:
     np_ = _load_presentation(args.file)
-    from .words import format_word
-
     out = {
         "m": np_.m,
         "s": np_.s,
@@ -102,7 +89,7 @@ def _cmd_normalize(args) -> int:
             _element_jsonable(h) for h in np_.extra_commutator_relators
         ],
         "closure_lattice": [list(v) for v in np_.closure_lattice],
-        "rewritten_relators": [format_word(w) for w in np_.rewritten.relators],
+        "rewritten_relators": [format_element(h) for h in np_.rewritten],
         "nielsen_log": np_.nielsen_log.to_jsonable(),
     }
     _emit_json(out, f"normalized {np_.r} relators over m={np_.m}, rank {np_.snf.rank}")
@@ -320,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nilq",
         description="2-step nilpotent groups: presentations, walks, equation compilation.",
     )
-    ap.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; runs sequentially")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="regime report for a presentation file")

@@ -134,6 +134,20 @@ def power(x: MalcevElement, k: int) -> MalcevElement:
     return acc
 
 
+def apply_hom(x: MalcevElement, images) -> MalcevElement:
+    """Image of x under the endomorphism of N_{2,m} sending a_k to images[k-1]."""
+    if len(images) != x.m:
+        raise ValueError("need one image per generator")
+    acc = identity(x.m)
+    for img, a in zip(images, x.alpha):
+        acc = multiply(acc, power(img, a))
+    gamma = list(acc.gamma)
+    for (i, j), g in zip(pair_list(x.m), x.gamma):
+        for t, v in enumerate(commutator(images[i - 1], images[j - 1]).gamma):
+            gamma[t] += g * v
+    return MalcevElement(x.m, acc.alpha, tuple(gamma))
+
+
 def from_word(w: Word) -> MalcevElement:
     """Evaluate a word letter by letter with the closed-form product."""
     acc = identity(w.m)

@@ -28,33 +28,29 @@ leftovers) have zero exponent row after rewriting, hence live in the derived
 subgroup; their gamma parts are folded into the closure lattice.  This is a
 natural extension beyond the r <= m normal form and is only exercised when
 such relators exist.
+
+The Nielsen moves act on Malcev coordinates, never on words.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from . import zmatrix
 from .nilpotent2 import (
     MalcevElement,
+    apply_hom,
     commutator,
+    from_word,
     generator,
     inverse,
     multiply,
     pair_list,
     power,
 )
-from .words import (
-    NielsenLog,
-    RelatorSet,
-    Word,
-    nielsen_normalize,
-    parse_word,
-    rewrite_through_generator_moves,
-)
+from .words import NielsenLog, RelatorSet, Word, nielsen_moves, parse_word
 from .zmatrix import (
     IntMatrix,
     SmithDecomposition,
@@ -115,8 +111,8 @@ class NormalizedPresentation:
     ``closure_lattice`` spans the gamma coordinates of the central part of the
     normal closure: alpha_i * [a_i, a_k] for each normalized relator i and
     k != i, together with the gamma parts of extra_commutator_relators.
-    ``rewritten`` keeps the relators as words over the new basis and
-    ``nielsen_log`` the moves that got there.
+    ``rewritten`` and ``basis_images`` are the relators and the original
+    generators over the new basis; ``nielsen_log`` holds the moves.
     """
 
     m: int
@@ -128,28 +124,43 @@ class NormalizedPresentation:
     nielsen_log: NielsenLog
     snf: SmithDecomposition
     closure_lattice: Tuple[Tuple[int, ...], ...]
-    rewritten: RelatorSet
+    rewritten: Tuple[MalcevElement, ...]
+    basis_images: Tuple[MalcevElement, ...]
 
     @property
     def rank_full(self) -> bool:
         return self.snf.rank == min(self.r, self.m)
 
-    @cached_property
+    @property
     def normalized_relators(self) -> Tuple[MalcevElement, ...]:
-        """Malcev images h_i = a_i^alphas[i] * c_parts[i] of the rewritten
-        relators, one per normalized index."""
-        out = []
-        for i, (a, c) in enumerate(zip(self.alphas, self.c_parts)):
-            out.append(multiply(power(generator(self.m, i + 1), a), c))
-        return tuple(out)
+        """The rewritten relators a_i^alphas[i] * c_parts[i], i < rank."""
+        return self.rewritten[: len(self.alphas)]
 
 
 def normalize(p: NilPresentation) -> NormalizedPresentation:
-    from .nilpotent2 import from_word
-
-    rewritten, log, snf = nielsen_normalize(p.relators)
+    log, snf = nielsen_moves(p.relators)
     m = p.m
-    images = [from_word(w) for w in rewritten.relators]
+    relators = [from_word(w) for w in p.relators.relators]
+    basis = [generator(m, k) for k in range(1, m + 1)]
+    for mv in log.moves:
+        i, j = mv.i - 1, mv.j - 1
+        if mv.kind == "relator_mult":
+            relators[j] = multiply(power(relators[i], mv.k), relators[j])
+        elif mv.kind == "relator_swap":
+            relators[i], relators[j] = relators[j], relators[i]
+        elif mv.kind == "relator_invert":
+            relators[i] = inverse(relators[i])
+    # Generator moves substitute letters (a_j -> a_i^-k a_j): walking the log
+    # backwards composes the substitutions in replay order, one image at a time.
+    for mv in reversed(log.moves):
+        i, j = mv.i - 1, mv.j - 1
+        if mv.kind == "generator_mult":
+            basis[j] = multiply(power(basis[i], -mv.k), basis[j])
+        elif mv.kind == "generator_swap":
+            basis[i], basis[j] = basis[j], basis[i]
+        elif mv.kind == "generator_invert":
+            basis[i] = inverse(basis[i])
+    images = tuple(apply_hom(h, basis) for h in relators)
     k = snf.rank
     alphas = snf.invariant_factors
     c_parts = []
@@ -186,7 +197,8 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
         nielsen_log=log,
         snf=snf,
         closure_lattice=tuple(vectors),
-        rewritten=rewritten,
+        rewritten=images,
+        basis_images=tuple(basis),
     )
 
 
@@ -203,12 +215,10 @@ def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevE
     Normalization may substitute generators (the column moves of the Smith
     reduction), so a word meant relative to the input presentation has to go
     through the same substitutions before the coordinate-level deciders see
-    it.  Words already phrased in the rewritten basis can skip this and call
-    from_word directly.
+    it: each original generator a_k becomes basis_images[k-1].  Words already
+    phrased in the rewritten basis can skip this and call from_word directly.
     """
-    from .nilpotent2 import from_word
-
-    return from_word(rewrite_through_generator_moves(w, np_.nielsen_log))
+    return apply_hom(from_word(w), np_.basis_images)
 
 
 def is_trivial_in_G(h: MalcevElement, np_: NormalizedPresentation) -> bool:

@@ -6,18 +6,18 @@ tokens ``a<k>`` with an optional ``^<int>`` exponent (nonzero), plus
 ``[u, v]`` for the commutator ``u^-1 v^-1 u v``; the empty string is the
 identity.
 
-``nielsen_normalize`` reduces the exponent-sum matrix of a relator set to
-Smith normal form and mirrors every elementary operation as a Nielsen
-transformation, so the rewritten relators have exponent matrix exactly D.
-The move log suffices to replay the old-to-new generator mapping
-(``generator_words``).
+``nielsen_moves`` reduces the exponent-sum matrix of a relator set to Smith
+normal form and mirrors every elementary operation as a Nielsen
+transformation.  Replaying the log on words (``nielsen_normalize``,
+``rewrite_through_generator_moves``) is the test oracle for the coordinate
+replay in ``presentation.normalize``: the words grow exponentially.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .zmatrix import ElementaryOp, IntMatrix, SmithDecomposition, smith_normal_form
 
@@ -317,21 +317,6 @@ def apply_move_to_relators(relators: List[Word], move: NielsenMove) -> None:
         raise ValueError(f"unknown move kind {move.kind}")
 
 
-def generator_words(log: NielsenLog, m: int) -> List[Word]:
-    """Replay only the generator moves of the log: the k-th entry expresses
-    the k-th new generator as a word in the original basis."""
-    gens = [Word((k,), m) for k in range(1, m + 1)]
-    for mv in log.moves:
-        if mv.kind == "generator_mult":
-            gens[mv.j - 1] = free_reduce(concat(word_power(gens[mv.i - 1], mv.k), gens[mv.j - 1]))
-        elif mv.kind == "generator_swap":
-            a, b = mv.i - 1, mv.j - 1
-            gens[a], gens[b] = gens[b], gens[a]
-        elif mv.kind == "generator_invert":
-            gens[mv.i - 1] = gens[mv.i - 1].inverse()
-    return gens
-
-
 def rewrite_through_generator_moves(w: Word, log: NielsenLog) -> Word:
     """Express a word over the original basis as a word over the final basis
     by applying the log's generator substitutions (relator moves do not
@@ -343,6 +328,12 @@ def rewrite_through_generator_moves(w: Word, log: NielsenLog) -> Word:
     return out[0]
 
 
+def nielsen_moves(rs: RelatorSet) -> Tuple[NielsenLog, SmithDecomposition]:
+    """Smith form of the exponent-sum matrix and its operations as Nielsen moves."""
+    snf = smith_normal_form(exponent_sum_matrix(rs))
+    return NielsenLog(tuple(_move_for(op) for op in snf.ops)), snf
+
+
 def nielsen_normalize(
     rs: RelatorSet,
 ) -> Tuple[RelatorSet, NielsenLog, SmithDecomposition]:
@@ -351,12 +342,11 @@ def nielsen_normalize(
     Returns (rewritten relators, move log, Smith decomposition); the
     exponent-sum matrix of the rewritten set equals the diagonal D exactly.
     """
-    snf = smith_normal_form(exponent_sum_matrix(rs))
-    moves = tuple(_move_for(op) for op in snf.ops)
+    log, snf = nielsen_moves(rs)
     relators = list(rs.relators)
-    for mv in moves:
+    for mv in log.moves:
         apply_move_to_relators(relators, mv)
     out = RelatorSet(tuple(relators), rs.m)
     if exponent_sum_matrix(out).entries != snf.D.entries:
         raise AssertionError("Nielsen replay does not match Smith diagonal")
-    return out, NielsenLog(moves), snf
+    return out, log, snf

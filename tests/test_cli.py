@@ -46,7 +46,7 @@ def test_normalize_output(capsys, pres):
     data = json.loads(out)
     assert data["alphas"] == [2, 2]
     assert data["rank_full"] is True
-    assert data["rewritten_relators"]
+    assert data["rewritten_relators"] == ["a1^2", "a2^2"]
 
 
 def test_is_trivial(capsys, pres):
@@ -74,6 +74,12 @@ def test_word_eval_infers_rank(capsys):
     assert data["m"] == 2
     assert data["alpha"] == [1, 1]
     assert data["gamma"] == [-1]
+    # exponents are not generator indices
+    code, out, _ = _run(capsys, "word-eval", "a1^5")
+    assert code == 0 and json.loads(out)["m"] == 1
+    code, out, _ = _run(capsys, "word-eval", "[a1,a2]^12")
+    data = json.loads(out)
+    assert code == 0 and data["m"] == 2 and data["gamma"] == [12]
 
 
 def test_word_eval_explicit_rank(capsys):
@@ -197,9 +203,3 @@ def test_usage_errors_exit_2(capsys, tmp_path):
 def test_bad_word_argument_exit_2(capsys, pres):
     code, _, _ = _run(capsys, "is-trivial", pres, "a1^")
     assert code == 2
-
-
-def test_jobs_flag_accepted(capsys):
-    code, out, _ = _run(capsys, "--jobs", "4", "word-eval", "a1", "--m", "2")
-    assert code == 0
-    assert json.loads(out)["alpha"] == [1, 0]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilq.nilpotent2 import (
     MalcevElement,
+    apply_hom,
     collection_oracle,
     commutator,
     format_element,
@@ -94,6 +95,29 @@ def test_power_matches_repeated_multiplication(x, k):
     for _ in range(abs(k)):
         expected = multiply(expected, step)
     assert power(x, k) == expected
+
+
+def _hom_inputs(m):
+    """(x, y, images, letters) for rank m: two elements, the generator
+    images of an endomorphism, and a word's letters."""
+    alphabet = [k for k in range(-m, m + 1) if k]
+    images = st.tuples(*([_elements(m)] * m))
+    letters = st.lists(st.sampled_from(alphabet), max_size=12)
+    return st.tuples(_elements(m), _elements(m), images, letters)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(_hom_inputs))
+def test_apply_hom_is_homomorphism_and_evaluates_letters(inputs):
+    x, y, images, letters = inputs
+    hom = lambda el: apply_hom(el, images)
+    assert hom(multiply(x, y)) == multiply(hom(x), hom(y))
+    m = x.m
+    expected = identity(m)
+    for l in letters:
+        img = images[abs(l) - 1]
+        expected = multiply(expected, img if l > 0 else inverse(img))
+    assert hom(collection_oracle(Word(tuple(letters), m))) == expected
 
 
 def test_power_known_square():

@@ -1,6 +1,7 @@
 """Presentation normalization, word-problem deciders, c-smallness, regimes."""
 
 import json
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from nilq.presentation import (
     InconclusiveError,
     NilPresentation,
     classify,
+    express_in_normalized_basis,
     is_c_small,
     is_central_mod_torsion,
     is_trivial_in_G,
@@ -16,7 +18,13 @@ from nilq.presentation import (
     normalize,
     parse_presentation,
 )
-from nilq.words import parse_word
+from nilq.words import (
+    RelatorSet,
+    nielsen_normalize,
+    parse_word,
+    random_word,
+    rewrite_through_generator_moves,
+)
 
 
 def _norm(text):
@@ -90,8 +98,6 @@ def test_word_problem_off_support():
 def test_word_problem_across_basis_change():
     # the Smith reduction substitutes generators here, so queries over the
     # original basis must be rewritten before the coordinate deciders run
-    from nilq.presentation import express_in_normalized_basis
-
     np_ = _norm("2 2\na1 a2\n")
     ask = lambda text: is_trivial_in_G(
         express_in_normalized_basis(parse_word(text, 2), np_), np_
@@ -111,8 +117,6 @@ def test_word_problem_across_basis_change():
 
 
 def test_original_relators_die_after_rewrite():
-    from nilq.presentation import express_in_normalized_basis
-
     for text in ("2 2\na1 a2\n", "3 2\na1 a2 a3\na2^2\n", "2 2\na1^2 a2^4\n"):
         p = parse_presentation(text)
         np_ = normalize(p)
@@ -120,6 +124,36 @@ def test_original_relators_die_after_rewrite():
             continue
         for rel in p.relators.relators:
             assert is_trivial_in_G(express_in_normalized_basis(rel, np_), np_)
+
+
+def test_normalize_matches_word_replay():
+    # letter-by-letter Nielsen replay is the reference; its words grow
+    # exponentially with the generator moves, hence the short relators
+    rng = random.Random(2)
+    for _ in range(100):
+        m = rng.randrange(2, 6)
+        r = rng.randrange(1, m + 2)
+        rels = tuple(random_word(rng.randrange(13), m, rng) for _ in range(r))
+        p = NilPresentation(m, 2, RelatorSet(rels, m))
+        np_ = normalize(p)
+        words, log, _ = nielsen_normalize(p.relators)
+        assert np_.nielsen_log == log
+        assert np_.rewritten == tuple(from_word(w) for w in words.relators)
+        for _ in range(3):
+            w = random_word(rng.randrange(16), m, rng)
+            expected = from_word(rewrite_through_generator_moves(w, log))
+            assert express_in_normalized_basis(w, np_) == expected
+
+
+def test_normalize_long_relators():
+    # word-level replay of this presentation's moves exhausts memory
+    rng = random.Random(1)
+    p = NilPresentation(5, 2, RelatorSet(tuple(random_word(200, 5, rng) for _ in range(3)), 5))
+    np_ = normalize(p)
+    assert np_.rank_full and len(np_.alphas) == 3
+    for rel in p.relators.relators:
+        assert is_trivial_in_G(express_in_normalized_basis(rel, np_), np_)
+    assert not is_trivial_in_G(express_in_normalized_basis(parse_word("a5", 5), np_), np_)
 
 
 def test_word_problem_requires_full_rank():
