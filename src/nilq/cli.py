@@ -191,10 +191,7 @@ def _cmd_escape(args) -> int:
 
 
 def _cmd_return_prob(args) -> int:
-    exact = None
-    if args.float:
-        exact = False
-    table = randwalk.return_probability_exact(args.m, args.n_max, exact=exact)
+    table = randwalk.return_probability_exact(args.m, args.n_max)
     _emit(
         randwalk.return_table_csv(table),
         f"m={table.m} n_max={table.n_max} exact={table.exact}",
@@ -349,10 +346,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_escape)
 
-    p = sub.add_parser("return-prob", help="exact return-probability table (CSV)")
+    p = sub.add_parser(
+        "return-prob",
+        help=f"exact return-probability table (CSV), n_max <= {randwalk.RETURN_N_MAX_LIMIT}",
+    )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--float", action="store_true", help="force the float engine")
     p.set_defaults(fn=_cmd_return_prob)
 
     p = sub.add_parser("slope", help="log-log decay slope of the return probability")

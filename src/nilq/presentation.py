@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from . import zmatrix
@@ -135,6 +136,33 @@ class NormalizedPresentation:
     def normalized_relators(self) -> Tuple[MalcevElement, ...]:
         """The rewritten relators a_i^alphas[i] * c_parts[i], i < rank."""
         return self.rewritten[: len(self.alphas)]
+
+    # Computed on first use only: is_c_small needs them, and normalize should
+    # not pay for them where it is never decided.
+    @cached_property
+    def closure_lattice_rank(self) -> int:
+        lat = self.closure_lattice
+        return zrank(IntMatrix.from_rows(lat)) if lat else 0
+
+    @cached_property
+    def center_profile_dim(self) -> int:
+        """Dimension over Q of the alpha profiles central modulo torsion."""
+        m = self.m
+        npairs = m * (m - 1) // 2
+        lat = [list(v) for v in self.closure_lattice]
+        L = len(lat)
+        rows = []
+        for g in range(m):
+            w = [1 if t == g else 0 for t in range(m)]
+            B = _bilinear_matrix(m, w)
+            for t in range(npairs):
+                row = B[t] + [0] * (m * L)
+                for s in range(L):
+                    row[m + g * L + s] = -lat[s][t]
+                rows.append(row)
+        K = IntMatrix.from_rows(rows) if rows else IntMatrix(0, m + m * L, ())
+        dim_solutions = (m + m * L) - zrank(K)
+        return dim_solutions - m * (L - self.closure_lattice_rank)
 
 
 def normalize(p: NilPresentation) -> NormalizedPresentation:
@@ -320,29 +348,7 @@ def _commuting_profile_dim(np_: NormalizedPresentation, w: Sequence[int]) -> int
         rows.append(B[t] + [-lat[s][t] for s in range(L)])
     K = IntMatrix.from_rows(rows) if rows else IntMatrix(0, m + L, ())
     dim_solutions = (m + L) - zrank(K)
-    lat_rank = zrank(IntMatrix.from_rows(lat)) if lat else 0
-    return dim_solutions - (L - lat_rank)
-
-
-def _center_profile_dim(np_: NormalizedPresentation) -> int:
-    """Dimension over Q of the alpha profiles central modulo torsion."""
-    m = np_.m
-    npairs = m * (m - 1) // 2
-    lat = [list(v) for v in np_.closure_lattice]
-    L = len(lat)
-    rows = []
-    for g in range(m):
-        w = [1 if t == g else 0 for t in range(m)]
-        B = _bilinear_matrix(m, w)
-        for t in range(npairs):
-            row = B[t] + [0] * (m * L)
-            for s in range(L):
-                row[m + g * L + s] = -lat[s][t]
-            rows.append(row)
-    K = IntMatrix.from_rows(rows) if rows else IntMatrix(0, m + m * L, ())
-    dim_solutions = (m + m * L) - zrank(K)
-    lat_rank = zrank(IntMatrix.from_rows(lat)) if lat else 0
-    return dim_solutions - m * (L - lat_rank)
+    return dim_solutions - (L - np_.closure_lattice_rank)
 
 
 def is_c_small(g: MalcevElement, np_: NormalizedPresentation) -> bool:
@@ -364,7 +370,7 @@ def is_c_small(g: MalcevElement, np_: NormalizedPresentation) -> bool:
         raise InconclusiveError(
             "centralizer-smallness is only decided for r <= m - 2"
         )
-    center_dim = _center_profile_dim(np_)
+    center_dim = np_.center_profile_dim
     if is_central_mod_torsion(g, np_):
         return center_dim == np_.m
     return _commuting_profile_dim(np_, g.alpha) == center_dim + 1

@@ -95,7 +95,7 @@ def _clt_csvs():
 
 def _return_csvs():
     out = {}
-    for m in (1, 2):
+    for m in (1, 2, 3):
         t = return_probability_exact(m, 200)
         out[m] = (t, return_table_csv(t))
     return out
@@ -373,9 +373,8 @@ def test_criterion_08_return_decay():
         fit = decay_slope(m, (50, 200), table=table)
         if abs(fit.slope + m / 2.0) > 0.15:
             failures.append(f"m={m}: slope {fit.slope} outside +-0.15 of {-m/2}")
-    # the exact engine checked conservation internally at every step; cross
-    # check against closed forms as independent evidence (odd-step return
-    # probability is 0, so values[n] = p_n(0) at even n)
+    # cross check against closed forms as independent evidence (odd-step
+    # return probability is 0, so values[n] = p_n(0) at even n)
     if not failures:
         for n in range(0, 201, 2):
             p1 = Fraction(math.comb(n, n // 2), 2**n)

@@ -6,6 +6,7 @@ import pytest
 
 from nilq.cli import main
 from nilq.randwalk import (
+    RETURN_N_MAX_LIMIT,
     ExperimentConfig,
     coordinate_clt_stats,
     clt_csv,
@@ -120,6 +121,18 @@ def test_return_prob_csv(capsys):
     code, out, _ = _run(capsys, "return-prob", "--m", "1", "--n-max", "6")
     assert code == 0
     assert out == return_table_csv(return_probability_exact(1, 6))
+    code, out, _ = _run(capsys, "return-prob", "--m", "3", "--n-max", "120")
+    assert code == 0
+    assert out == return_table_csv(return_probability_exact(3, 120))
+
+
+def test_return_prob_limits(capsys):
+    over = str(RETURN_N_MAX_LIMIT + 1)
+    code, out, _ = _run(capsys, "return-prob", "--m", "1", "--n-max", over)
+    assert code == 1
+    assert json.loads(out)["error"] == "ResourceLimitError"
+    code, _, _ = _run(capsys, "return-prob", "--m", "1", "--n-max", "6", "--float")
+    assert code == 2
 
 
 def test_slope_csv(capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from nilq import presentation, zmatrix
 from nilq.nilpotent2 import from_word, generator, identity, power
 from nilq.presentation import (
     InconclusiveError,
@@ -193,6 +194,23 @@ def test_c_small_free_group():
     assert is_c_small(generator(2, 2), np_)
     assert not is_c_small(identity(2), np_)
     assert not is_c_small(from_word(parse_word("[a1,a2]", 2)), np_)
+
+
+def test_c_small_caches_per_presentation_ranks(monkeypatch):
+    calls = []
+
+    def counting_rank(M):
+        calls.append(M)
+        return zmatrix.rank(M)
+
+    monkeypatch.setattr(presentation, "zrank", counting_rank)
+    np_ = _norm("4 2\na1^2 a2^3\n")
+    assert not calls  # normalize leaves the profile ranks to is_c_small
+    g = generator(4, 3)
+    first = is_c_small(g, np_)
+    calls.clear()
+    assert is_c_small(g, np_) == first
+    assert len(calls) <= 1
 
 
 def test_c_small_precondition():

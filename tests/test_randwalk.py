@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nilq.randwalk import (
+    RETURN_N_MAX_LIMIT,
     DecayFit,
     EnumerationLimitError,
     ExperimentConfig,
@@ -158,22 +159,50 @@ def test_return_probabilities_match_multinomial_m3():
         assert table.values[n] == p0(n)
 
 
-def test_return_float_engine_close_to_exact():
-    exact = return_probability_exact(2, 40)
-    approx = return_probability_exact(2, 40, exact=False)
-    assert not approx.exact
-    for a, b in zip(exact.values, approx.values):
-        assert abs(float(a) - b) < 1e-10
+def _walk_return_counts(m, n_total):
+    """Closed-walk counts N_0..N_{n_total} by stepping a dict of lattice-point
+    counts one step at a time."""
+    steps = [tuple(s if t == i else 0 for t in range(m)) for i in range(m) for s in (1, -1)]
+    origin = (0,) * m
+    counts = {origin: 1}
+    out = [1]
+    for _ in range(n_total):
+        nxt = {}
+        for point, c in counts.items():
+            for step in steps:
+                q = tuple(a + b for a, b in zip(point, step))
+                nxt[q] = nxt.get(q, 0) + c
+        counts = nxt
+        out.append(counts.get(origin, 0))
+    return out
 
 
-def test_return_default_flips_to_float_past_200():
-    t = return_probability_exact(1, 201)
-    assert not t.exact
+@pytest.mark.parametrize("m,n_max", [(1, 40), (2, 40), (3, 24)])
+def test_return_table_matches_stepwise_walk(m, n_max):
+    counts = _walk_return_counts(m, n_max + 1)
+    table = return_probability_exact(m, n_max)
+    assert table.exact
+    expected = tuple(
+        Fraction(counts[n], (2 * m) ** n) + Fraction(counts[n + 1], (2 * m) ** (n + 1))
+        for n in range(n_max + 1)
+    )
+    assert table.values == expected
+
+
+def test_return_exact_past_200():
+    table = return_probability_exact(1, 201)
+    assert table.exact
+    for n in range(202):
+        p_n = Fraction(_binom(n, n // 2), 2**n) if n % 2 == 0 else Fraction(0)
+        np1 = n + 1
+        p_n1 = Fraction(_binom(np1, np1 // 2), 2**np1) if np1 % 2 == 0 else Fraction(0)
+        assert table.values[n] == p_n + p_n1
 
 
 def test_return_resource_limit():
     with pytest.raises(ResourceLimitError):
-        return_probability_exact(3, 200, exact=True, state_bits_limit=10**6)
+        return_probability_exact(1, RETURN_N_MAX_LIMIT + 1)
+    assert return_probability_exact(1, RETURN_N_MAX_LIMIT).n_max == RETURN_N_MAX_LIMIT
 
 
 def test_return_table_csv_rows():
