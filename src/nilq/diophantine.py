@@ -29,16 +29,26 @@ The bounded solvers are testing oracles.  They never claim unsolvability:
 backtracks over variables instead of scanning the full product box: at every
 level it first checks all fully-determined equations, then assigns variables
 forced by an equation of the shape x = (determined word), and only then
-scans one variable's coordinate box, smallest coordinates first.  The work
-limit therefore caps actual evaluations, not the nominal box volume (the
-nominal volume of the gadget systems is astronomically larger than the work
-the scheduler does).
+scans one variable's coordinate box, smallest coordinates first.  Every
+gadget equation is linear in the scanned variable's alpha coordinates
+(Duchin, Liang & Shapiro, "Equations in nilpotent groups", Proc. AMS 2015):
+once y is the only unknown of u = v and occurs only inside brackets, u v^-1
+has a fixed alpha part and gamma part g0 + sum_k alpha_y[k] L_k.  The solver
+reads g0 and L off m + 1 probe evaluations (when y's box has more alpha
+values than that) and rejects each alpha value whose form is not trivial in
+the ambient, with all its gamma values, before recursing; the candidate order, and so the solutions and their order, stay
+those of the plain scan.  The work limit counts word evaluations (probes
+included) and candidates (rejected ones included), not the nominal box
+volume (the nominal volume of the gadget systems is astronomically larger
+than the work the scheduler does).  The per-equation analysis is computed
+once per GroupSystem.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .nilpotent2 import (
@@ -211,17 +221,20 @@ def gword_names(w: GroupWord) -> set:
 
 
 def eval_gword(w: GroupWord, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
-    acc = identity(m)
+    acc = None
     for f in w:
         if f[0] == "gen":
-            acc = multiply(acc, power(env[f[1]], f[2]))
+            x, e = env[f[1]], f[2]
         elif f[0] == "comm":
-            u = eval_gword(f[1], env, m)
-            v = eval_gword(f[2], env, m)
-            acc = multiply(acc, power(commutator(u, v), f[3]))
+            x, e = commutator(eval_gword(f[1], env, m), eval_gword(f[2], env, m)), f[3]
         else:
             raise ValueError(f"unknown factor {f!r}")
-    return acc
+        if e == -1:
+            x = inverse(x)
+        elif e != 1:
+            x = power(x, e)
+        acc = x if acc is None else multiply(acc, x)
+    return identity(m) if acc is None else acc
 
 
 def gword_to_json(w: GroupWord) -> list:
@@ -286,6 +299,23 @@ class GroupSystem:
             (gword_from_json(pair[0]), gword_from_json(pair[1])) for pair in data["equations"]
         )
         return GroupSystem(tuple(data["variables"]), tuple(data["constants"]), eqs)
+
+    # the solver's per-system analysis, computed on first use
+    @cached_property
+    def _shapes(self) -> Tuple["_EquationShape", ...]:
+        variables = frozenset(self.variables)
+        return tuple(_equation_shape(lhs, rhs, variables) for lhs, rhs in self.equations)
+
+    @cached_property
+    def _commutator_only(self) -> frozenset:
+        """Variables whose every occurrence sits inside a bracket.  A class-2
+        bracket sees only alpha coordinates, so such a variable's gamma part
+        never influences any equation: if an assignment satisfies the
+        system, so does the one with that gamma part zeroed."""
+        shapes = self._shapes
+        return frozenset().union(*(s.names for s in shapes)) - frozenset().union(
+            *(s.bare for s in shapes)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -552,43 +582,34 @@ def _coordinate_candidates(dim: int, bound: int):
     return itertools.product(seq, repeat=dim)
 
 
-def _bare_names(w: GroupWord) -> set:
-    # names occurring as a direct generator factor, not inside a commutator
-    return {f[1] for f in w if f[0] == "gen"}
+@dataclass(frozen=True)
+class _EquationShape:
+    """What the solver needs to know about one equation u = v.
+
+    ``names``: the variables in it.  ``bare``: those occurring as a top-level
+    factor; the others occur only inside brackets.  ``forced``: one
+    (x, e, w, names of w) per side that is a single factor x^e, e = +-1, with
+    w the other side; once w is determined, x = w^e.
+    """
+
+    names: frozenset
+    bare: frozenset
+    forced: Tuple[Tuple[str, int, GroupWord, frozenset], ...]
 
 
-def _commutator_only_variables(S: GroupSystem) -> set:
-    """Variables whose every occurrence sits inside a commutator bracket.
-
-    A class-2 commutator only sees alpha coordinates, so such a variable's
-    central part never influences any equation: if an assignment satisfies
-    the system, so does the one with that variable's gamma part zeroed.
-    Existence searches may therefore fix the gamma part to zero."""
-    appearing = set()
-    bare = set()
-    for lhs, rhs in S.equations:
-        for w in (lhs, rhs):
-            appearing |= gword_names(w)
-            bare |= _bare_names(w)
-    return (appearing - bare) & set(S.variables)
+def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _EquationShape:
+    names = (gword_names(lhs) | gword_names(rhs)) & variables
+    bare = {f[1] for w in (lhs, rhs) for f in w if f[0] == "gen"} & variables
+    forced = tuple(
+        (a[0][1], a[0][2], b, frozenset(gword_names(b)))
+        for a, b in ((lhs, rhs), (rhs, lhs))
+        if len(a) == 1 and a[0][0] == "gen" and abs(a[0][2]) == 1
+    )
+    return _EquationShape(frozenset(names), frozenset(bare), forced)
 
 
 def _element_in_box(el: MalcevElement, bound: int) -> bool:
     return all(abs(v) <= bound for v in el.alpha + el.gamma)
-
-
-def _forced_value(
-    lhs: GroupWord, rhs: GroupWord, env: Mapping, m: int
-) -> Optional[Tuple[str, MalcevElement]]:
-    # x = w or w = x with w fully determined and x free, exponent +-1
-    for a, b in ((lhs, rhs), (rhs, lhs)):
-        if len(a) == 1 and a[0][0] == "gen" and a[0][1] not in env and abs(a[0][2]) == 1:
-            if gword_names(b) <= env.keys():
-                val = eval_gword(b, env, m)
-                if a[0][2] == -1:
-                    val = inverse(val)
-                return a[0][1], val
-    return None
 
 
 def bounded_solve_group(
@@ -606,8 +627,24 @@ def bounded_solve_group(
     mapping (key "*" as default).  ``pinned`` pre-assigns variables (their
     values need not lie in any box).  With find_all=False the search stops at
     the first solution.  An equation u = v holds when u v^-1 is trivial in
-    the ambient.  The limit counts word evaluations and candidate elements,
-    not nominal box volume; exceeding it raises SearchSpaceError.
+    the ambient.
+
+    Before scanning a variable y, every remaining equation whose only
+    unassigned name is y, and in which y occurs only inside brackets, is
+    reduced to its integer form: a class-2 bracket sees only alpha
+    coordinates and is alternating bilinear in them, so u v^-1 has a fixed
+    alpha part and gamma part g0 + sum_k alpha_y[k] L_k, blind to y's gamma
+    (a bracket with y in both arguments too, as alpha_y ^ alpha_y = 0).
+    g0 and L come from m + 1 probe evaluations (y = 1, y = a_k), made only
+    when y's box has more than m + 1 alpha values.  A value of
+    alpha_y whose form is not trivial in the ambient (the same
+    ``ambient.is_trivial`` on the same element the equation would give)
+    rejects all its candidates without recursing.  The candidate order, the
+    solutions and their order are those of the plain scan.
+
+    ``eval_limit`` counts word evaluations (equation checks, forced values
+    and probes) and candidate elements, rejected ones included, not nominal
+    box volume; exceeding it raises SearchSpaceError.
     """
     m = ambient.m
     if isinstance(bound, int):
@@ -632,25 +669,49 @@ def bounded_solve_group(
         if budget[0] < 0:
             raise SearchSpaceError("evaluation limit exceeded")
 
-    def holds(lhs: GroupWord, rhs: GroupWord) -> bool:
+    def residual(idx: int) -> MalcevElement:
         spend()
-        u = eval_gword(lhs, env, m)
-        v = eval_gword(rhs, env, m)
-        return ambient.is_trivial(multiply(u, inverse(v)))
+        lhs, rhs = S.equations[idx]
+        return multiply(eval_gword(lhs, env, m), inverse(eval_gword(rhs, env, m)))
 
-    eq_names = [
-        (gword_names(lhs) | gword_names(rhs)) & set(S.variables)
-        for lhs, rhs in S.equations
-    ]
+    shapes = S._shapes
     n_pairs = m * (m - 1) // 2
-    dim = m + n_pairs
     # in existence mode the central part of a commutator-only variable is
-    # irrelevant (see _commutator_only_variables), so scan it as zero
-    collapsed = _commutator_only_variables(S) if not find_all else set()
+    # irrelevant (see GroupSystem._commutator_only), so scan it as zero
+    collapsed = S._commutator_only if not find_all else frozenset()
     solutions: List[Dict[str, MalcevElement]] = []
 
     def record():
         solutions.append({v: env[v] for v in S.variables})
+
+    def affine_forms(target: str, rem: List[int]):
+        """(alpha, g0, L) of each equation in rem whose only unassigned
+        name is target, occurring only inside brackets."""
+        forms = []
+        for idx in rem:
+            shape = shapes[idx]
+            if target in shape.bare or shape.names - env.keys() != {target}:
+                continue
+            env[target] = identity(m)
+            r0 = residual(idx)
+            rows = []
+            for k in range(1, m + 1):
+                env[target] = generator(m, k)
+                rows.append(tuple(g - g0 for g, g0 in zip(residual(idx).gamma, r0.gamma)))
+            del env[target]
+            forms.append((r0.alpha, r0.gamma, rows))
+        return forms
+
+    def admissible(alpha, forms) -> bool:
+        for a0, g0, rows in forms:
+            gamma = list(g0)
+            for ak, row in zip(alpha, rows):
+                if ak:
+                    for t, v in enumerate(row):
+                        gamma[t] += ak * v
+            if not ambient.is_trivial(MalcevElement(m, a0, tuple(gamma))):
+                return False
+        return True
 
     def recurse(remaining: Tuple[int, ...]) -> bool:
         """Returns True if the search should stop (find_all=False and found)."""
@@ -663,22 +724,24 @@ def bounded_solve_group(
                 progress = False
                 next_rem = []
                 for idx in rem:
-                    lhs, rhs = S.equations[idx]
-                    missing = eq_names[idx] - env.keys()
-                    if not missing:
-                        if not holds(lhs, rhs):
+                    shape = shapes[idx]
+                    if shape.names <= env.keys():
+                        if not ambient.is_trivial(residual(idx)):
                             return False
                         progress = True
                         continue
-                    forced = _forced_value(lhs, rhs, env, m)
-                    if forced is not None:
-                        name, val = forced
-                        spend()
-                        if not _element_in_box(val, boxes[name]):
-                            return False
-                        env[name] = val
-                        assigned_here.append(name)
-                        progress = True
+                    for name, e, w, w_names in shape.forced:
+                        if name not in env and w_names <= env.keys():
+                            val = eval_gword(w, env, m)
+                            if e == -1:
+                                val = inverse(val)
+                            spend()
+                            if not _element_in_box(val, boxes[name]):
+                                return False
+                            env[name] = val
+                            assigned_here.append(name)
+                            progress = True
+                            break
                     next_rem.append(idx)
                 rem = next_rem
             free = [v for v in S.variables if v not in env]
@@ -694,7 +757,7 @@ def bounded_solve_group(
             candidates: set = set()
             occurrences: Dict[str, int] = {}
             for idx in rem:
-                missing = eq_names[idx] - env.keys()
+                missing = shapes[idx].names - env.keys()
                 if not missing:
                     continue
                 for v in missing:
@@ -708,24 +771,28 @@ def bounded_solve_group(
                 target = min(candidates, key=lambda v: (-occurrences[v], v))
             else:
                 target = free[0]
-            zero_gamma = (0,) * n_pairs
-            if target in collapsed:
-                candidates_iter = (
-                    (alpha, zero_gamma)
-                    for alpha in _coordinate_candidates(m, boxes[target])
-                )
+            # candidates run alpha-major, gamma fastest; the affine forms see
+            # only alpha, so they judge a whole gamma block at once.  With no
+            # more alpha values than the m + 1 probes, probing cannot pay.
+            if (2 * boxes[target] + 1) ** m > m + 1:
+                forms = affine_forms(target, rem)
             else:
-                candidates_iter = (
-                    (coords[:m], coords[m:])
-                    for coords in _coordinate_candidates(dim, boxes[target])
-                )
-            for alpha, gamma in candidates_iter:
-                spend()
-                env[target] = MalcevElement(m, alpha, gamma)
-                stop = recurse(tuple(rem))
-                del env[target]
-                if stop:
-                    return True
+                forms = []
+            if target in collapsed:
+                gammas = [(0,) * n_pairs]
+            else:
+                gammas = list(_coordinate_candidates(n_pairs, boxes[target]))
+            for alpha in _coordinate_candidates(m, boxes[target]):
+                if not admissible(alpha, forms):
+                    spend(len(gammas))
+                    continue
+                for gamma in gammas:
+                    spend()
+                    env[target] = MalcevElement(m, alpha, gamma)
+                    stop = recurse(tuple(rem))
+                    del env[target]
+                    if stop:
+                        return True
             return False
         finally:
             for name in assigned_here:
@@ -792,7 +859,15 @@ def verify_correspondence(
     satisfy the ring system.  Because the domain gadget confines tuple
     variables to powers of c whose exponent is a gamma coordinate (bounded by
     the box), this grid covers every group solution within bound_group.
+
+    A grid of more than eval_limit points raises SearchSpaceError before any
+    search.  This is a sanity cap on the number of points, in the units of
+    eval_limit, not a bound on the total work: each point's search gets its
+    own eval_limit budget.
     """
+    grid_size = (2 * bound_group + 1) ** len(S.variables)
+    if grid_size > eval_limit:
+        raise SearchSpaceError(f"{grid_size} grid points exceed the limit {eval_limit}")
     compiled = compile_system(edef, S)
     consts = ambient.constants()
     c = commutator(consts["a"], consts["b"])

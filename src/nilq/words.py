@@ -4,7 +4,8 @@ A letter is a nonzero int: ``+k`` is the generator ``a_k``, ``-k`` its
 inverse, ``1 <= k <= m``.  The text grammar accepts whitespace-separated
 tokens ``a<k>`` with an optional ``^<int>`` exponent (nonzero), plus
 ``[u, v]`` for the commutator ``u^-1 v^-1 u v``; the empty string is the
-identity.
+identity.  Parsing expands powers and commutators into letters, at most
+``MAX_WORD_LETTERS`` of them.
 
 ``nielsen_moves`` reduces the exponent-sum matrix of a relator set to Smith
 normal form and mirrors every elementary operation as a Nielsen
@@ -72,8 +73,22 @@ def free_reduce(w: Word) -> Word:
     return Word(tuple(stack), w.m)
 
 
+MAX_WORD_LETTERS = 10**6
+"""Most letters ``parse_word`` expands a text into (a million letters already
+take seconds to evaluate letter by letter)."""
+
+
+def _check_word_length(n: int) -> None:
+    if n > MAX_WORD_LETTERS:
+        raise ValueError(f"word expands to {n} letters, over the limit of {MAX_WORD_LETTERS}")
+
+
 def parse_word(text: str, m: int) -> Word:
-    """Parse the word grammar; raises WordSyntaxError with a position."""
+    """Parse the word grammar; raises WordSyntaxError with a position.
+
+    Powers and commutators are expanded into letters; a text whose expansion
+    would exceed MAX_WORD_LETTERS raises a plain ValueError before expanding.
+    """
     pos = 0
     n = len(text)
 
@@ -100,7 +115,9 @@ def parse_word(text: str, m: int) -> Word:
             skip_ws()
             if pos >= n or text[pos] in stops:
                 return letters
-            letters.extend(parse_item())
+            item = parse_item()
+            _check_word_length(len(letters) + len(item))
+            letters.extend(item)
 
     def parse_item() -> List[int]:
         nonlocal pos
@@ -128,6 +145,7 @@ def parse_word(text: str, m: int) -> Word:
             if pos >= n or text[pos] != "]":
                 raise WordSyntaxError("expected ']' closing commutator", pos)
             pos += 1
+            _check_word_length(2 * (len(u) + len(v)))
             inv_u = [-l for l in reversed(u)]
             inv_v = [-l for l in reversed(v)]
             base = inv_u + inv_v + u + v
@@ -142,6 +160,7 @@ def parse_word(text: str, m: int) -> Word:
             if e < 0:
                 base = [-l for l in reversed(base)]
                 e = -e
+            _check_word_length(len(base) * e)
             base = base * e
         return base
 

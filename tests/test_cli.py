@@ -191,6 +191,27 @@ def test_verify_small(capsys, tmp_path):
     assert data["ok"] is True
 
 
+def test_verify_grid_over_limit_exit_1(capsys, tmp_path):
+    # (2*1000+1)^3 grid points: refused before any search, not run for hours
+    ring = tmp_path / "ring.json"
+    x, y, z = (["var", v] for v in "xyz")
+    ring.write_text(json.dumps({"variables": ["x", "y", "z"], "equations": [[["+", x, y], z]]}))
+    code, out, _ = _run(capsys, "verify", str(ring), "--box-ring", "1", "--box-group", "1000")
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "SearchSpaceError"
+    assert "8012006001 grid points" in data["message"]
+
+
+def test_oversized_word_exit_1(capsys, pres):
+    for argv in (("word-eval", "a1^1000000000"), ("is-trivial", pres, "a2^-1000000000 a1")):
+        code, out, _ = _run(capsys, *argv)
+        assert code == 1
+        data = json.loads(out)
+        assert data["error"] == "ValueError"
+        assert "over the limit" in data["message"]
+
+
 def test_domain_error_exit_1(capsys, tmp_path):
     p = tmp_path / "weak.txt"
     p.write_text(DEFICIENT)

@@ -1,6 +1,8 @@
 """Ring systems, the group-equation compiler, and the bounded solvers."""
 
+import itertools
 import json
+import random
 
 import pytest
 
@@ -28,7 +30,7 @@ from nilq.diophantine import (
     verify_correspondence,
     z_in_g_templates,
 )
-from nilq.nilpotent2 import commutator, generator, power
+from nilq.nilpotent2 import MalcevElement, commutator, generator, inverse, multiply, power
 from nilq.presentation import normalize, parse_presentation
 
 
@@ -233,6 +235,21 @@ def test_solve_group_eval_budget():
         bounded_solve_group(S, amb, 2, eval_limit=5)
 
 
+def test_solve_group_budget_counts_probes_only_on_wide_boxes():
+    # [a, y] = 1 in rank 2 holds iff alpha_y[2] = 0
+    amb = FreeNilpotentAmbient(2)
+    S = GroupSystem(("y",), ("a", "b"), (((comm(gword(gen("a")), gword(gen("y"))),), ()),))
+    # box 0: one alpha value, no probes; one candidate plus one check
+    assert len(bounded_solve_group(S, amb, 0, eval_limit=2)) == 1
+    with pytest.raises(SearchSpaceError):
+        bounded_solve_group(S, amb, 0, eval_limit=1)
+    # box 1: 3 probes, 6 rejected alpha values x 3 gammas, 9 candidates
+    # each with one check: 39, against 54 for the plain scan
+    assert len(bounded_solve_group(S, amb, 1, eval_limit=39)) == 9
+    with pytest.raises(SearchSpaceError):
+        bounded_solve_group(S, amb, 1, eval_limit=38)
+
+
 def test_solve_group_per_variable_boxes():
     amb = FreeNilpotentAmbient(2)
     S = GroupSystem(
@@ -294,3 +311,92 @@ def test_odot_law_small_range():
     edef = z_in_g_templates()
     amb = FreeNilpotentAmbient(2)
     assert odot_law_failures(edef, amb, t_max=2, aux_bound=3, eval_limit=10**7) == []
+
+
+def _random_word(rng, names, depth=0):
+    factors = []
+    for _ in range(rng.randrange(3)):
+        if depth < 2 and rng.random() < 0.4:
+            u = _random_word(rng, names, depth + 1)
+            v = _random_word(rng, names, depth + 1)
+            factors.append(comm(u, v, rng.choice((1, 1, -1, 2))))
+        else:
+            factors.append(gen(rng.choice(names), rng.choice((1, 1, -1, 2, -2))))
+    return tuple(factors)
+
+
+def _random_system(rng, dim, max_volume):
+    """Tiny system: 1-3 variables, 1-3 equations, boxes 0-2 with at most
+    max_volume joint candidates.  An equation is a gadget-shaped
+    [g, v] = c^k or v = g c^k (v a variable, g any name, c = [a, b]), or a
+    pair of random words mixing bare factors and nested brackets."""
+    variables = ("x", "y", "z")[: rng.randrange(1, 4)]
+    names = list(variables) + ["a", "b"]
+    equations = []
+    for _ in range(rng.randrange(1, 4)):
+        v, g = gword(gen(rng.choice(variables))), gword(gen(rng.choice(names)))
+        k = rng.choice((-1, 0, 1, 2))
+        c_k = (comm(gword(gen("a")), gword(gen("b")), k),) if k else ()
+        kind = rng.random()
+        if kind < 0.4:
+            equations.append(((comm(g, v) if rng.random() < 0.5 else comm(v, g),), c_k))
+        elif kind < 0.6:
+            equations.append((v, g + c_k))
+        else:
+            equations.append((_random_word(rng, names), _random_word(rng, names)))
+    while True:
+        boxes = {v: rng.randrange(3) for v in variables}
+        volume = 1
+        for b in boxes.values():
+            volume *= (2 * b + 1) ** dim
+        if volume <= max_volume:
+            return GroupSystem(variables, ("a", "b"), tuple(equations)), boxes
+
+
+def _brute_force(S, amb, boxes):
+    """Every assignment in the product of the boxes that satisfies S."""
+    m = amb.m
+    dim = m + m * (m - 1) // 2
+    per_variable = []
+    for v in S.variables:
+        coords = itertools.product(range(-boxes[v], boxes[v] + 1), repeat=dim)
+        per_variable.append([MalcevElement(m, c[:m], c[m:]) for c in coords])
+    out = []
+    for values in itertools.product(*per_variable):
+        env = dict(amb.constants())
+        env.update(zip(S.variables, values))
+        if all(
+            amb.is_trivial(multiply(eval_gword(u, env, m), inverse(eval_gword(v, env, m))))
+            for u, v in S.equations
+        ):
+            out.append(dict(zip(S.variables, values)))
+    return out
+
+
+def _key(S, sol):
+    return tuple((sol[v].alpha, sol[v].gamma) for v in S.variables)
+
+
+@pytest.mark.parametrize("ambient,systems", [("free2", 40), ("free3", 30), ("quotient", 30)])
+def test_solve_group_matches_brute_force(ambient, systems):
+    amb = {
+        "free2": lambda: FreeNilpotentAmbient(2),
+        "free3": lambda: FreeNilpotentAmbient(3),
+        "quotient": lambda: QuotientAmbient(normalize(parse_presentation("3 2\na1^2\n"))),
+    }[ambient]()
+    m = amb.m
+    rng = random.Random(f"solver-oracle-{ambient}")
+    nonempty = 0
+    for _ in range(systems):
+        S, boxes = _random_system(rng, m + m * (m - 1) // 2, 800)
+        expected = _brute_force(S, amb, boxes)
+        found = bounded_solve_group(S, amb, boxes)
+        assert sorted(_key(S, s) for s in found) == sorted(_key(S, s) for s in expected)
+        first = bounded_solve_group(S, amb, boxes, find_all=False)
+        assert bool(first) == bool(expected)
+        if first:
+            assert len(first) == 1
+            assert _key(S, first[0]) in {_key(S, s) for s in expected}
+            nonempty += 1
+    # the draws must exercise both outcomes
+    assert 0 < nonempty < systems

@@ -87,14 +87,33 @@ def test_commutator_is_central_and_skew(x, y):
     assert c == multiply(multiply(inverse(x), inverse(y)), multiply(x, y))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_elements(2), st.integers(-6, 6))
-def test_power_matches_repeated_multiplication(x, k):
-    expected = identity(2)
+def _repeated_product(x, k):
+    """x^k as |k| multiplications by x or its inverse: the oracle for power."""
+    acc = identity(x.m)
     step = x if k >= 0 else inverse(x)
     for _ in range(abs(k)):
-        expected = multiply(expected, step)
-    assert power(x, k) == expected
+        acc = multiply(acc, step)
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(_elements), st.integers(-50, 50))
+def test_power_matches_repeated_multiplication(x, k):
+    assert power(x, k) == _repeated_product(x, k)
+    assert power(x, -k) == inverse(power(x, k))
+    assert power(x, 0) == identity(x.m)
+
+
+def test_power_extreme_exponents():
+    # the class-2 power polynomial x^k = (k alpha, k gamma_ij - C(k,2) alpha_i alpha_j)
+    x = MalcevElement(3, (2, -3, 5), (1, -4, 7))
+    pairs = ((0, 1), (0, 2), (1, 2))
+    for k in (10**12, -(10**12)):
+        c = k * (k - 1) // 2
+        alpha = tuple(k * a for a in x.alpha)
+        gamma = tuple(k * g - c * x.alpha[i] * x.alpha[j] for g, (i, j) in zip(x.gamma, pairs))
+        assert power(x, k) == MalcevElement(3, alpha, gamma)
+    assert power(x, 10**12) == multiply(power(x, 10**12 - 1), x)
 
 
 def _hom_inputs(m):

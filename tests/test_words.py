@@ -1,11 +1,13 @@
 """Word grammar, free reduction, and the Nielsen move dictionary."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilq.words import (
+    MAX_WORD_LETTERS,
     NielsenLog,
     RelatorSet,
     Word,
@@ -45,6 +47,32 @@ def test_parse_brackets_and_groups():
     assert w.letters == (-2, -1, 2, 1)
     w = parse_word("[a1, a2^2]", 2)
     assert w.letters == (-1, -2, -2, 1, 2, 2)
+
+
+def test_parse_rejects_oversized_expansion_before_expanding():
+    n = MAX_WORD_LETTERS
+    assert len(parse_word(f"a1^{n}", 1)) == n
+    # (text, bytes it may allocate): an expansion past the limit is refused
+    # before its list exists; only the sequence case legitimately builds a
+    # word of n letters first (a list of n pointers, twice over)
+    cases = (
+        (f"a1^{10 * n}", n),
+        (f"a1^-{10 * n}", n),
+        (f"[a1,a2]^{n // 4 + 1}", n),
+        (f"[a1^{n // 2}, a2]", 20 * n),
+        (f"a1^{n} a2", 20 * n),
+    )
+    for text, budget in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the limit") as ei:
+                parse_word(text, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a domain error, not a syntax error: the text itself is well formed
+        assert not isinstance(ei.value, WordSyntaxError)
+        assert peak < budget, (text, peak)
 
 
 def test_parse_error_positions():
