@@ -149,12 +149,23 @@ def apply_hom(x: MalcevElement, images) -> MalcevElement:
 
 
 def from_word(w: Word) -> MalcevElement:
-    """Evaluate a word letter by letter with the closed-form product."""
-    acc = identity(w.m)
+    """Evaluate a word on plain coordinate lists.
+
+    Appending a_k^s (s = +-1) moves it left past the a_j blocks with j > k,
+    which adds -s * alpha_j to gamma_(k,j); then alpha_k gains s.
+    """
+    m = w.m
+    alpha = [0] * m
+    gamma = [0] * (m * (m - 1) // 2)
     for l in w.letters:
-        g = generator(w.m, abs(l))
-        acc = multiply(acc, g if l > 0 else inverse(g))
-    return acc
+        k = abs(l) - 1
+        s = 1 if l > 0 else -1
+        t = k * (2 * m - k - 1) // 2  # index of the pair (k, k + 1), 0-based
+        for j in range(k + 1, m):
+            gamma[t] -= s * alpha[j]
+            t += 1
+        alpha[k] += s
+    return MalcevElement(m, tuple(alpha), tuple(gamma))
 
 
 def collection_oracle(w: Word) -> MalcevElement:

@@ -37,9 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from . import zmatrix
 from .nilpotent2 import (
     MalcevElement,
     apply_hom,
@@ -48,17 +47,10 @@ from .nilpotent2 import (
     generator,
     inverse,
     multiply,
-    pair_list,
     power,
 )
 from .words import NielsenLog, RelatorSet, Word, nielsen_moves, parse_word
-from .zmatrix import (
-    IntMatrix,
-    SmithDecomposition,
-    lattice_membership,
-    rank as zrank,
-    rational_membership,
-)
+from .zmatrix import Echelon, IntMatrix, SmithDecomposition, rank as zrank
 
 
 class InconclusiveError(Exception):
@@ -137,32 +129,24 @@ class NormalizedPresentation:
         """The rewritten relators a_i^alphas[i] * c_parts[i], i < rank."""
         return self.rewritten[: len(self.alphas)]
 
-    # Computed on first use only: is_c_small needs them, and normalize should
-    # not pay for them where it is never decided.
+    # Computed on first use only: the deciders need them, and normalize
+    # should not pay for them where nothing is decided.
     @cached_property
-    def closure_lattice_rank(self) -> int:
-        lat = self.closure_lattice
-        return zrank(IntMatrix.from_rows(lat)) if lat else 0
+    def closure_echelon(self) -> Echelon:
+        """Echelon form of closure_lattice, which every decider reduces against."""
+        return Echelon.of(self.closure_lattice)
 
     @cached_property
     def center_profile_dim(self) -> int:
-        """Dimension over Q of the alpha profiles central modulo torsion."""
+        """Dimension over Q of the alpha profiles central modulo torsion: the
+        v with gamma([a_g, v]) in the Q-span of the lattice for every g."""
         m = self.m
-        npairs = m * (m - 1) // 2
-        lat = [list(v) for v in self.closure_lattice]
-        L = len(lat)
-        rows = []
-        for g in range(m):
-            w = [1 if t == g else 0 for t in range(m)]
-            B = _bilinear_matrix(m, w)
-            for t in range(npairs):
-                row = B[t] + [0] * (m * L)
-                for s in range(L):
-                    row[m + g * L + s] = -lat[s][t]
-                rows.append(row)
-        K = IntMatrix.from_rows(rows) if rows else IntMatrix(0, m + m * L, ())
-        dim_solutions = (m + m * L) - zrank(K)
-        return dim_solutions - m * (L - self.closure_lattice_rank)
+        residue = self.closure_echelon.rational_residue
+        gens = [generator(m, g) for g in range(1, m + 1)]
+        columns = [
+            [x for g in gens for x in residue(commutator(g, c).gamma)] for c in gens
+        ]
+        return m - zrank(IntMatrix.from_rows(columns))
 
 
 def normalize(p: NilPresentation) -> NormalizedPresentation:
@@ -276,7 +260,7 @@ def is_trivial_in_G(h: MalcevElement, np_: NormalizedPresentation) -> bool:
             t = multiply(t, power(rels[i], -q))
     if any(t.alpha):
         raise AssertionError("alpha failed to cancel")
-    return lattice_membership(np_.closure_lattice, t.gamma) is not None
+    return np_.closure_echelon.in_lattice(t.gamma)
 
 
 def is_trivial_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> bool:
@@ -306,7 +290,7 @@ def is_trivial_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> boo
             t = multiply(t, power(rels[i], -q))
     if any(t.alpha):
         raise AssertionError("alpha failed to cancel")
-    return rational_membership(np_.closure_lattice, t.gamma)
+    return np_.closure_echelon.in_rational_span(t.gamma)
 
 
 def is_central_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> bool:
@@ -321,34 +305,13 @@ def is_central_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> boo
     return True
 
 
-def _bilinear_matrix(m: int, w: Sequence[int]) -> list:
-    """Matrix of v -> gamma([x, v]) on alpha coordinates, where x has alpha w.
-
-    Row t for the pair (i, j) carries w_i at column j and -w_j at column i.
-    """
-    rows = []
-    for (i, j) in pair_list(m):
-        row = [0] * m
-        row[j - 1] += w[i - 1]
-        row[i - 1] -= w[j - 1]
-        rows.append(row)
-    return rows
-
-
-def _commuting_profile_dim(np_: NormalizedPresentation, w: Sequence[int]) -> int:
-    """Dimension over Q of {v : gamma-form(w, v) lies in the Q-span of the
-    closure lattice}; the alpha profiles commuting with w modulo torsion."""
+def _commuting_profile_dim(np_: NormalizedPresentation, g: MalcevElement) -> int:
+    """Dimension over Q of {v : gamma([g, v]) lies in the Q-span of the
+    closure lattice}; the alpha profiles commuting with g modulo torsion."""
     m = np_.m
-    npairs = m * (m - 1) // 2
-    lat = [list(v) for v in np_.closure_lattice]
-    L = len(lat)
-    B = _bilinear_matrix(m, w)
-    rows = []
-    for t in range(npairs):
-        rows.append(B[t] + [-lat[s][t] for s in range(L)])
-    K = IntMatrix.from_rows(rows) if rows else IntMatrix(0, m + L, ())
-    dim_solutions = (m + L) - zrank(K)
-    return dim_solutions - (L - np_.closure_lattice_rank)
+    residue = np_.closure_echelon.rational_residue
+    columns = [residue(commutator(g, generator(m, c)).gamma) for c in range(1, m + 1)]
+    return m - zrank(IntMatrix.from_rows(columns))
 
 
 def is_c_small(g: MalcevElement, np_: NormalizedPresentation) -> bool:
@@ -373,7 +336,7 @@ def is_c_small(g: MalcevElement, np_: NormalizedPresentation) -> bool:
     center_dim = np_.center_profile_dim
     if is_central_mod_torsion(g, np_):
         return center_dim == np_.m
-    return _commuting_profile_dim(np_, g.alpha) == center_dim + 1
+    return _commuting_profile_dim(np_, g) == center_dim + 1
 
 
 REGIME_UNDECIDABLE = "UNDECIDABLE_REGULAR"

@@ -1,5 +1,5 @@
 """Exact integer matrix algebra: Smith and Hermite normal forms, rank,
-the maximal-minor polynomial, and lattice membership.
+the maximal-minor polynomial, and lattice and Q-span membership.
 
 Everything works over arbitrary-precision Python ints.  Entries grow without
 bound during elimination, so none of this is allowed anywhere near fixed-width
@@ -423,6 +423,55 @@ def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, Tuple[int, 
     H = IntMatrix.from_rows(A) if r else IntMatrix(0, m, ())
     Wm = IntMatrix.from_rows(W) if r else IntMatrix(0, 0, ())
     return H, Wm, tuple(pivots)
+
+
+@dataclass(frozen=True)
+class Echelon:
+    """The nonzero rows of a row Hermite normal form and their pivot columns.
+
+    Built once per basis, it decides span membership for many vectors by
+    reduction alone.  ``lattice_membership`` and ``rational_membership`` do
+    the same from scratch and serve as its test oracles.
+    """
+
+    rows: Tuple[Tuple[int, ...], ...]
+    pivots: Tuple[int, ...]
+
+    @classmethod
+    def of(cls, basis: Sequence[Sequence[int]]) -> "Echelon":
+        H, _, pivots = hermite_normal_form(IntMatrix.from_rows(basis))
+        return cls(tuple(H.row(k) for k in range(len(pivots))), pivots)
+
+    def in_lattice(self, target: Sequence[int]) -> bool:
+        """True iff target lies in the Z-span of the rows: each pivot must
+        divide what is left in its column."""
+        resid = list(target)
+        for row, col in zip(self.rows, self.pivots):
+            q, rem = divmod(resid[col], row[col])
+            if rem:
+                return False
+            if q:
+                for j in range(col, len(resid)):
+                    resid[j] -= q * row[j]
+        return not any(resid)
+
+    def rational_residue(self, target: Sequence[int]) -> list:
+        """Fraction-free reduction of target modulo the Q-span of the rows.
+
+        Every step scales by its pivot whether or not the column needs
+        clearing, so the result is P * target minus a span element with the
+        same P (the product of the pivots) for every target: the map is
+        linear, its kernel is the Q-span, and ranks of residues, stacked or
+        not, are ranks modulo the span.
+        """
+        resid = list(target)
+        for row, col in zip(self.rows, self.pivots):
+            p, f = row[col], resid[col]
+            resid = [p * a - f * b for a, b in zip(resid, row)]
+        return resid
+
+    def in_rational_span(self, target: Sequence[int]) -> bool:
+        return not any(self.rational_residue(target))
 
 
 def lattice_membership(

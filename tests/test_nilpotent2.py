@@ -55,6 +55,22 @@ def test_from_word_matches_collection_exhaustively():
                 assert from_word(w) == collection_oracle(w)
 
 
+def _run_words(m):
+    """Words of at most 40 letters over m generators, built from runs of one
+    letter up to 12 long."""
+    run = st.tuples(st.integers(1, m), st.sampled_from((1, -1)), st.integers(1, 12))
+    return st.lists(run, max_size=10).map(
+        lambda runs: Word(tuple(s * k for k, s, n in runs for _ in range(n))[:40], m)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 4, 5, 6)).flatmap(_run_words))
+def test_from_word_matches_collection_in_higher_ranks(w):
+    # rank 1 and ranks past 3, where gamma rows 3 and later start
+    assert from_word(w) == collection_oracle(w)
+
+
 def test_commutator_word_pinned_sign():
     # a1 a2 a1^-1 a2^-1 collects to [a1,a2]^{+1} under [g,h]=g^-1 h^-1 g h
     w = Word((1, 2, -1, -2), 2)

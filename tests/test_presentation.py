@@ -1,12 +1,22 @@
 """Presentation normalization, word-problem deciders, c-smallness, regimes."""
 
 import json
+import math
 import random
 
 import pytest
 
 from nilq import presentation, zmatrix
-from nilq.nilpotent2 import from_word, generator, identity, power
+from nilq.nilpotent2 import (
+    MalcevElement,
+    commutator,
+    from_word,
+    generator,
+    identity,
+    multiply,
+    pair_list,
+    power,
+)
 from nilq.presentation import (
     InconclusiveError,
     NilPresentation,
@@ -262,3 +272,169 @@ def test_higher_class_presentation_accepted():
     assert np_.s == 3
     report = classify(np_)
     assert "2-step" in report.notes or "class-2" in report.notes
+
+
+# --- the cached echelon form against independent oracles -------------------
+
+
+def _reference_trivial(h, np_, in_span):
+    """The deciders' alpha bookkeeping, ending in a from-scratch membership
+    test of the gamma residue; is_trivial_in_G with lattice_membership, and
+    is_trivial_mod_torsion on h^n0 with rational_membership."""
+    lam = []
+    for i, a in enumerate(np_.alphas):
+        q, rem = divmod(h.alpha[i], a)
+        if rem:
+            return False
+        lam.append(q)
+    if any(h.alpha[len(np_.alphas):]):
+        return False
+    t = h
+    for rel, q in zip(np_.normalized_relators, lam):
+        t = multiply(t, power(rel, -q))
+    assert not any(t.alpha)
+    return in_span(np_.closure_lattice, t.gamma)
+
+
+def _bilinear_matrix(m, w):
+    rows = []
+    for (i, j) in pair_list(m):
+        row = [0] * m
+        row[j - 1] += w[i - 1]
+        row[i - 1] -= w[j - 1]
+        rows.append(row)
+    return rows
+
+
+def _kernel_dim(rows, cols):
+    M = zmatrix.IntMatrix.from_rows(rows) if rows else zmatrix.IntMatrix(0, cols, ())
+    return cols - zmatrix.rank(M)
+
+
+def _lattice_rank(lat):
+    return zmatrix.rank(zmatrix.IntMatrix.from_rows(lat)) if lat else 0
+
+
+# The Bareiss rank formulas the deciders used before the echelon form: the
+# profile spaces as kernels of [B | -lattice] systems, less the lattice's own
+# kernel.
+
+
+def _bareiss_center_dim(np_):
+    m = np_.m
+    lat = [list(v) for v in np_.closure_lattice]
+    L = len(lat)
+    rows = []
+    for g in range(m):
+        B = _bilinear_matrix(m, [1 if t == g else 0 for t in range(m)])
+        for t, brow in enumerate(B):
+            row = brow + [0] * (m * L)
+            for s in range(L):
+                row[m + g * L + s] = -lat[s][t]
+            rows.append(row)
+    return _kernel_dim(rows, m + m * L) - m * (L - _lattice_rank(lat))
+
+
+def _bareiss_commuting_dim(np_, w):
+    lat = np_.closure_lattice
+    L = len(lat)
+    B = _bilinear_matrix(np_.m, w)
+    rows = [brow + [-lat[s][t] for s in range(L)] for t, brow in enumerate(B)]
+    return _kernel_dim(rows, np_.m + L) - (L - _lattice_rank(lat))
+
+
+def _seeded_presentations(rng):
+    """m 1-6, r 0..m+1 random relators, plus a copied relator (rank-deficient)
+    and relators with zero exponent sums."""
+    for _ in range(90):
+        m = rng.randrange(1, 7)
+        r = rng.randrange(0, m + 2)
+        rels = [random_word(rng.randrange(1, 12), m, rng) for _ in range(r)]
+        shape = rng.random()
+        if rels and shape < 0.15:
+            rels.append(rels[0])
+        elif m >= 2 and shape < 0.3:
+            rels.append(parse_word(f"[a1,a{m}]^{rng.randint(1, 4)}", m))
+        yield NilPresentation(m, 2, RelatorSet(tuple(rels), m))
+
+
+def _seeded_queries(rng, np_):
+    """Elements built from relator powers and central parts that land in the
+    lattice, in its Q-span only, or off it, sometimes with a stray alpha."""
+    m, lat = np_.m, np_.closure_lattice
+    npairs = m * (m - 1) // 2
+    for _ in range(12):
+        h = identity(m)
+        for rel in np_.normalized_relators:
+            h = multiply(h, power(rel, rng.randint(-2, 2)))
+        gamma = [0] * npairs
+        for v in lat:
+            c = rng.randint(-3, 3)
+            gamma = [a + c * b for a, b in zip(gamma, v)]
+        kind = rng.random()
+        if kind < 0.3 and any(gamma):
+            g = math.gcd(*gamma)
+            gamma = [a // g for a in gamma]
+        elif kind < 0.55 and npairs:
+            gamma[rng.randrange(npairs)] += rng.choice((-1, 1))
+        h = multiply(h, MalcevElement(m, (0,) * m, tuple(gamma)))
+        if rng.random() < 0.2:
+            h = multiply(h, generator(m, rng.randrange(1, m + 1)))
+        yield h
+
+
+def test_cached_reductions_match_membership_oracles():
+    rng = random.Random(5)
+    seen = {"empty lattice": 0, "rank-deficient": 0, "in G": 0, "torsion only": 0, "c-small": 0}
+    for p in _seeded_presentations(rng):
+        np_ = normalize(p)
+        seen["empty lattice"] += not np_.closure_lattice
+        assert np_.center_profile_dim == _bareiss_center_dim(np_)
+        for h in _seeded_queries(rng, np_):
+            # the echelon reductions alone, rank-deficient presentations included
+            assert np_.closure_echelon.in_lattice(h.gamma) == (
+                zmatrix.lattice_membership(np_.closure_lattice, h.gamma) is not None)
+            assert np_.closure_echelon.in_rational_span(h.gamma) == zmatrix.rational_membership(
+                np_.closure_lattice, h.gamma)
+            assert presentation._commuting_profile_dim(np_, h) == _bareiss_commuting_dim(
+                np_, h.alpha)
+            if not np_.rank_full:
+                seen["rank-deficient"] += 1
+                with pytest.raises(InconclusiveError):
+                    is_trivial_in_G(h, np_)
+                continue
+            in_G = is_trivial_in_G(h, np_)
+            assert in_G == _reference_trivial(
+                h, np_, lambda lat, v: zmatrix.lattice_membership(lat, v) is not None)
+            n0 = math.lcm(*np_.alphas) if np_.alphas else 1
+            mod_torsion = is_trivial_mod_torsion(h, np_)
+            assert mod_torsion == _reference_trivial(
+                power(h, n0), np_, zmatrix.rational_membership)
+            seen["in G"] += in_G
+            seen["torsion only"] += mod_torsion and not in_G
+            if np_.r <= np_.m - 2:
+                seen["c-small"] += is_c_small(h, np_)
+    assert all(seen.values()), seen
+
+
+def test_deciders_run_one_hnf_per_presentation(monkeypatch):
+    calls = []
+    hnf = zmatrix.hermite_normal_form
+
+    def counting_hnf(M):
+        calls.append(M)
+        return hnf(M)
+
+    monkeypatch.setattr(zmatrix, "hermite_normal_form", counting_hnf)
+    np_ = _norm("4 2\na1^2 a2^3\na2^4 [a1,a3]^2\n")
+    assert np_.closure_lattice and not calls
+    rng = random.Random(8)
+    rel = np_.normalized_relators[0]
+    for k in range(10):
+        # alpha in the relators' span, so every call reaches the lattice test
+        x, y = (from_word(random_word(6, 4, rng)) for _ in range(2))
+        h = multiply(power(rel, k), commutator(x, y))
+        is_trivial_in_G(h, np_)
+        is_trivial_mod_torsion(h, np_)
+        is_central_mod_torsion(h, np_)
+    assert len(calls) <= 1

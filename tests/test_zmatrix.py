@@ -1,5 +1,6 @@
 """Exact integer matrix layer: Smith form, Hermite form, rank, membership."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilq.zmatrix import (
+    Echelon,
     IntMatrix,
     apply_op,
     determinant,
@@ -167,6 +169,34 @@ def test_lattice_membership_rejects():
     assert list(lattice_membership(basis, [2, 2])) == [1, 1]
     assert lattice_membership([], [0, 0]) is not None
     assert lattice_membership([], [1, 0]) is None
+
+
+def test_echelon_reductions_match_membership_oracles():
+    rng = random.Random(41)
+    for _ in range(300):
+        dim = rng.randrange(1, 6)
+        basis = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(rng.randrange(4))]
+        if basis and rng.random() < 0.3:  # a dependent row
+            basis.append([2 * a - b for a, b in zip(basis[0], basis[-1])])
+        ech = Echelon.of(basis)
+        for _ in range(6):
+            coeffs = [rng.randint(-3, 3) for _ in basis]
+            target = [sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(dim)]
+            if rng.random() < 0.5:
+                target[rng.randrange(dim)] += rng.randint(-2, 2)
+            if any(target) and rng.random() < 0.3:  # in the Q-span, maybe not the lattice
+                g = math.gcd(*target)
+                target = [v // g for v in target]
+            assert ech.in_lattice(target) == (lattice_membership(basis, target) is not None)
+            assert ech.in_rational_span(target) == rational_membership(basis, target)
+            # one scale for every vector: the residue map is linear, so ranks
+            # of residues (stacked blocks included) are ranks modulo the span
+            other = [rng.randint(-3, 3) for _ in range(dim)]
+            k = rng.randint(-3, 3)
+            combined = ech.rational_residue([a + k * b for a, b in zip(target, other)])
+            expected = [a + k * b for a, b in zip(ech.rational_residue(target),
+                                                  ech.rational_residue(other))]
+            assert combined == expected
 
 
 def test_rational_membership():
