@@ -18,7 +18,6 @@ import sys
 from . import diophantine, presentation, randwalk
 from .nilpotent2 import MalcevElement, from_word, format_element
 from .words import WordSyntaxError, parse_word
-from .presentation import InconclusiveError
 
 
 class _UsageError(Exception):
@@ -394,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DOMAIN_ERRORS = (
-    InconclusiveError,
     randwalk.ResourceLimitError,
     randwalk.EnumerationLimitError,
     diophantine.SearchSpaceError,

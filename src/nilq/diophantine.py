@@ -19,7 +19,7 @@ system
 
 transcribed literally; its sign consistency under this commutator orientation
 is validated by the gadget-law check rather than re-derived.  compile_system
-performs the standard structural recursion: one group-variable tuple per
+performs the standard structural recursion: one group variable per
 distinct subterm (shared by structural identity), a domain gadget per ring
 variable, constants as explicit powers c^n, one operation gadget per
 composite subterm, and an equality per ring equation.
@@ -338,15 +338,14 @@ class FreeNilpotentAmbient:
 
 
 class QuotientAmbient:
-    """Quotient of N_{2,m} by a normalized full-rank presentation.
+    """Quotient of N_{2,m} by a normalized presentation of any rank.
 
     Constants pick the last two generators: in the regime r <= m - 2 they are
-    centralizer-small modulo torsion, which is what the encoding needs.
+    asymptotically almost surely centralizer-small modulo torsion, which is
+    what the encoding needs.
     """
 
     def __init__(self, np_: NormalizedPresentation):
-        if not np_.rank_full:
-            raise ValueError("quotient ambient needs a full-rank presentation")
         if np_.m < 2:
             raise ValueError("need m >= 2 for non-commuting constants")
         self.np_ = np_
@@ -401,14 +400,11 @@ def instantiate_template(
 
 @dataclass(frozen=True)
 class EDefinition:
-    """Encoding of the ring of integers by k-tuples in a group with constants.
+    """Encoding of the ring of integers in a group with constants.
 
-    Only k = 1 is shipped (t encoded as c^t for c = [a, b]); the compiler is
-    written against the declared arity so nothing hardcodes 1 except the
-    encoding itself.
+    The integer t is encoded by one group element, c^t for c = [a, b].
     """
 
-    arity: int
     constants: Tuple[str, ...]
     domain: Template
     add: Template
@@ -462,7 +458,6 @@ def z_in_g_templates() -> EDefinition:
         equations=(((gen("x1"),), (gen("x2"),)),),
     )
     return EDefinition(
-        arity=1,
         constants=("a", "b"),
         domain=domain,
         add=add,
@@ -495,13 +490,11 @@ def compile_system(edef: EDefinition, S: RingSystem) -> CompiledSystem:
 
     One group variable per distinct subterm (structural identity), a domain
     gadget per ring variable, constants as explicit c^n words, operation
-    gadgets joining argument tuples to result tuples, and the equality
+    gadgets joining argument variables to result variables, and the equality
     template at every ring-equation root.  Fresh names come from
     deterministic counters, so identical inputs compile to syntactically
     identical outputs.
     """
-    if edef.arity != 1:
-        raise ValueError("only arity-1 encodings are implemented")
     term_name: Dict[Term, str] = {}
     order: List[Term] = []
     variables: List[str] = []

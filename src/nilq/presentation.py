@@ -20,14 +20,13 @@ generated, modulo the relators themselves, by the central elements
 generators span everything.  That reduces membership in the normal closure to
 (1) divisibility of alpha coordinates by the alphas, (2) vanishing of alpha
 off the normalized range, and (3) an integer lattice membership for the
-leftover gamma part.  Rank-deficient exponent matrices fall outside this
-normal form; all decision procedures then refuse with InconclusiveError.
+leftover gamma part.
 
-Relators beyond the rank (extra relators when r > m, or the rank-deficient
-leftovers) have zero exponent row after rewriting, hence live in the derived
-subgroup; their gamma parts are folded into the closure lattice.  This is a
-natural extension beyond the r <= m normal form and is only exercised when
-such relators exist.
+Relators beyond the rank of the exponent-sum matrix (the extra relators when
+r > m, and the leftovers of a rank-deficient matrix alike) have zero exponent
+row after rewriting, hence are central; their gamma parts join the closure
+lattice.  The closure is still <g_i> * L, so the same reductions decide the
+word problem for every presentation, whatever its rank.
 
 The Nielsen moves act on Malcev coordinates, never on words.
 """
@@ -214,13 +213,6 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
     )
 
 
-def _require_rank_full(np_: NormalizedPresentation):
-    if not np_.rank_full:
-        raise InconclusiveError(
-            "exponent-sum matrix is rank-deficient; the normal form does not decide"
-        )
-
-
 def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevElement:
     """Evaluate a word written over the original presentation's generators.
 
@@ -243,7 +235,6 @@ def is_trivial_in_G(h: MalcevElement, np_: NormalizedPresentation) -> bool:
     """
     if h.m != np_.m:
         raise ValueError("rank mismatch")
-    _require_rank_full(np_)
     lam = []
     for i, a in enumerate(np_.alphas):
         q, rem = divmod(h.alpha[i], a)
@@ -274,7 +265,6 @@ def is_trivial_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> boo
     """
     if h.m != np_.m:
         raise ValueError("rank mismatch")
-    _require_rank_full(np_)
     n0 = math.lcm(*np_.alphas) if np_.alphas else 1
     u = power(h, n0)
     for idx in range(len(np_.alphas), np_.m):
@@ -298,7 +288,6 @@ def is_central_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> boo
     central in the quotient by the torsion subgroup."""
     if h.m != np_.m:
         raise ValueError("rank mismatch")
-    _require_rank_full(np_)
     for g in range(1, np_.m + 1):
         if not is_trivial_mod_torsion(commutator(h, generator(np_.m, g)), np_):
             return False
@@ -328,7 +317,6 @@ def is_c_small(g: MalcevElement, np_: NormalizedPresentation) -> bool:
     """
     if g.m != np_.m:
         raise ValueError("rank mismatch")
-    _require_rank_full(np_)
     if np_.r > np_.m - 2:
         raise InconclusiveError(
             "centralizer-smallness is only decided for r <= m - 2"

@@ -280,6 +280,72 @@ def test_criterion_04_word_problem_small_scale():
              failures, time.monotonic() - t0, 120.0)
 
 
+def _conjugate_product(rels, m, rng):
+    """A product of 1-4 conjugates of relators or their inverses."""
+    prod = Word((), m)
+    for _ in range(rng.randrange(1, 5)):
+        u = random_word(rng.randrange(0, 5), m, rng)
+        g = word_power(rels[rng.randrange(len(rels))], rng.choice((1, -1)))
+        prod = concat(prod, concat(u, concat(g, u.inverse())))
+    return free_reduce(prod)
+
+
+def _random_rank_deficient_presentation(rng, max_m=4):
+    """Random relators plus one that adds no rank: a product of conjugates of
+    the others, a commutator power (central, and new to the closure) or a
+    repeat of another relator."""
+    from nilq.presentation import NilPresentation
+
+    while True:
+        m = rng.randrange(2, max_m + 1)
+        r = rng.randrange(1, m + 1)
+        rels = [random_word(rng.randrange(2, 9), m, rng) for _ in range(r)]
+        shape = rng.randrange(3)
+        if shape == 0:
+            extra = _conjugate_product(rels, m, rng)
+        elif shape == 1:
+            u, v = (random_word(rng.randrange(1, 4), m, rng) for _ in range(2))
+            extra = word_power(concat(concat(u, v), concat(u.inverse(), v.inverse())),
+                               rng.randint(1, 3))
+        else:
+            extra = rels[rng.randrange(r)]
+        rels.insert(rng.randrange(r + 1), free_reduce(extra))
+        p = NilPresentation(m, 2, RelatorSet(tuple(rels), m))
+        np_ = normalize(p)
+        if not np_.rank_full:
+            return p, np_
+
+
+def test_word_problem_closure_enumeration_rank_deficient():
+    # A4's soundness, completeness and SNF cross-check on presentations whose
+    # exponent-sum matrix is rank-deficient
+    rng = random.Random(SEED + 4)
+    for pres_idx in range(20):
+        p, np_ = _random_rank_deficient_presentation(rng)
+        m = p.m
+        rels = p.relators.relators
+        for _ in range(10):
+            h = express_in_normalized_basis(_conjugate_product(rels, m, rng), np_)
+            assert is_trivial_in_G(h, np_), f"presentation {pres_idx}: conjugate product rejected"
+        factors = []
+        for g in np_.normalized_relators:
+            factors.extend((g, inverse(g)))
+        for vec in np_.closure_lattice:
+            el = MalcevElement(m, (0,) * m, tuple(vec))
+            factors.extend((el, inverse(el)))
+        products = frontier = {identity(m)}
+        for _ in range(3):
+            frontier = {multiply(a, f) for a in frontier for f in factors}
+            products = products | frontier
+        for el in products:
+            assert is_trivial_in_G(el, np_), f"presentation {pres_idx}: closure element rejected"
+        npairs = m * (m - 1) // 2
+        for _ in range(30):
+            v = tuple(rng.randint(-6, 6) for _ in range(npairs))
+            got = is_trivial_in_G(MalcevElement(m, (0,) * m, v), np_)
+            assert got == _snf_lattice_member(np_.closure_lattice, v), (pres_idx, v)
+
+
 def test_criterion_05_support_lemmas():
     t0 = time.monotonic()
     failures = []

@@ -212,13 +212,36 @@ def test_oversized_word_exit_1(capsys, pres):
         assert "over the limit" in data["message"]
 
 
-def test_domain_error_exit_1(capsys, tmp_path):
+def test_rank_deficient_is_trivial_exit_0(capsys, tmp_path):
+    # the deficient presentation is Z, generated by a1
     p = tmp_path / "weak.txt"
     p.write_text(DEFICIENT)
     code, out, _ = _run(capsys, "is-trivial", str(p), "a1")
-    assert code == 1
+    assert code == 0
     data = json.loads(out)
-    assert data["error"] == "InconclusiveError"
+    assert data["trivial_in_G"] is False and data["trivial_mod_torsion"] is False
+    # <a1, a2 | [a1, a2]> is Z^2
+    p.write_text("2 2\n[a1,a2]\n")
+    code, out, _ = _run(capsys, "is-trivial", str(p), "a1 a2 a1^-1 a2^-1")
+    assert code == 0
+    assert json.loads(out) == {
+        "word": "a1 a2 a1^-1 a2^-1", "trivial_in_G": True, "trivial_mod_torsion": True}
+
+
+def test_solve_bounded_rank_deficient_presentation(capsys, tmp_path):
+    # a repeated relator leaves the quotient of <a1, a2, a3 | a1^2> unchanged
+    pres = tmp_path / "pres.txt"
+    pres.write_text("3 2\na1^2\na1^2\n")
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({
+        "variables": ["x"],
+        "constants": ["a", "b"],
+        "equations": [[[["x", 1]], [["comm", [["a", 1]], [["b", 1]]]]]],
+    }))
+    code, out, _ = _run(capsys, "solve-bounded", str(group), "--box", "1",
+                        "--presentation", str(pres))
+    assert code == 0
+    assert len(json.loads(out)["solutions"]) == 1
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):

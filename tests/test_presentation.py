@@ -31,10 +31,14 @@ from nilq.presentation import (
 )
 from nilq.words import (
     RelatorSet,
+    Word,
+    concat,
+    free_reduce,
     nielsen_normalize,
     parse_word,
     random_word,
     rewrite_through_generator_moves,
+    word_power,
 )
 
 
@@ -167,13 +171,108 @@ def test_normalize_long_relators():
     assert not is_trivial_in_G(express_in_normalized_basis(parse_word("a5", 5), np_), np_)
 
 
-def test_word_problem_requires_full_rank():
+def test_word_problem_rank_deficient():
+    # a1 a2 = 1 makes a2 = a1^-1, and then a1^2 a2^2 = 1 holds already: G = Z
     np_ = _norm("2 2\na1^2 a2^2\na1 a2\n")
     assert not np_.rank_full
-    with pytest.raises(InconclusiveError):
-        is_trivial_in_G(identity(2), np_)
-    with pytest.raises(InconclusiveError):
-        is_trivial_mod_torsion(identity(2), np_)
+    ask = lambda text: express_in_normalized_basis(parse_word(text, 2), np_)
+    for text in ("[a1,a2]", "a1 a2", "a1^2 a2^2", "a2 a1"):
+        assert is_trivial_in_G(ask(text), np_)
+    for text in ("a1", "a2^-3", "a1^2"):
+        assert not is_trivial_in_G(ask(text), np_)
+        assert not is_trivial_mod_torsion(ask(text), np_)
+        assert is_central_mod_torsion(ask(text), np_)
+
+
+def _conjugate_product(rels, m, rng):
+    """A product of 1-3 conjugates of relators or their inverses: an element
+    of the normal closure of rels."""
+    prod = Word((), m)
+    for _ in range(rng.randrange(1, 4)):
+        u = random_word(rng.randrange(0, 5), m, rng)
+        g = word_power(rels[rng.randrange(len(rels))], rng.choice((1, -1)))
+        prod = concat(prod, concat(u, concat(g, u.inverse())))
+    return free_reduce(prod)
+
+
+def _metamorphic_queries(rels, m, rng):
+    """Random words, closure elements, and closure elements times a random
+    word, a commutator or a power of a random word."""
+    for _ in range(16):
+        w = random_word(rng.randrange(0, 8), m, rng)
+        kind = rng.randrange(5)
+        if kind == 0:
+            yield w
+        elif kind == 1:
+            yield _conjugate_product(rels, m, rng)
+        elif kind == 2:
+            v = random_word(rng.randrange(1, 5), m, rng)
+            comm = concat(concat(w, v), concat(w.inverse(), v.inverse()))
+            yield concat(_conjugate_product(rels, m, rng), word_power(comm, rng.randint(1, 3)))
+        else:
+            yield concat(word_power(w, rng.randint(1, 4)), _conjugate_product(rels, m, rng))
+
+
+def test_redundant_relator_changes_no_decision():
+    # R is full-rank with r < m; R plus one product of conjugates of R is
+    # rank-deficient and presents the same group
+    rng = random.Random(11)
+    seen = {"in G": 0, "not in G": 0, "torsion only": 0, "central": 0, "c-small": 0,
+            "not c-small": 0}
+    presentations = 0
+    while presentations < 40:
+        m = rng.randrange(2, 6)
+        r = rng.randrange(1, m)
+        rels = [random_word(rng.randrange(1, 10), m, rng) for _ in range(r)]
+        base = normalize(NilPresentation(m, 2, RelatorSet(tuple(rels), m)))
+        if not base.rank_full:
+            continue
+        presentations += 1
+        grown_rels = list(rels)
+        grown_rels.insert(rng.randrange(r + 1), _conjugate_product(rels, m, rng))
+        grown = normalize(NilPresentation(m, 2, RelatorSet(tuple(grown_rels), m)))
+        assert not grown.rank_full
+        for w in _metamorphic_queries(rels, m, rng):
+            h, hg = (express_in_normalized_basis(w, np_) for np_ in (base, grown))
+            in_G = is_trivial_in_G(h, base)
+            assert is_trivial_in_G(hg, grown) == in_G
+            mod_torsion = is_trivial_mod_torsion(h, base)
+            assert is_trivial_mod_torsion(hg, grown) == mod_torsion
+            central = is_central_mod_torsion(h, base)
+            assert is_central_mod_torsion(hg, grown) == central
+            seen["in G" if in_G else "not in G"] += 1
+            seen["torsion only"] += mod_torsion and not in_G
+            seen["central"] += central and not mod_torsion
+            if r + 1 <= m - 2:
+                small = is_c_small(h, base)
+                assert is_c_small(hg, grown) == small
+                seen["c-small" if small else "not c-small"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_all_commutator_relators_present_free_abelian(m):
+    # the relators [a_i, a_j] have rank 0 and present Z^m: a word is trivial
+    # iff its exponent sums vanish
+    text = f"{m} 2\n" + "".join(f"[a{i},a{j}]\n" for i, j in pair_list(m))
+    np_ = _norm(text)
+    assert np_.snf.rank == 0 and not np_.rank_full
+    rng = random.Random(m)
+    trivial = 0
+    for _ in range(120):
+        w = random_word(rng.randrange(0, 12), m, rng)
+        if rng.random() < 0.5:
+            # append w's letters inverted in shuffled order: exponent sums 0
+            letters = [-l for l in w.letters]
+            rng.shuffle(letters)
+            w = concat(w, Word(tuple(letters), m))
+        h = express_in_normalized_basis(w, np_)
+        expected = not any(from_word(w).alpha)
+        trivial += expected
+        assert is_trivial_in_G(h, np_) == expected
+        assert is_trivial_mod_torsion(h, np_) == expected
+        assert is_central_mod_torsion(h, np_)
+    assert 0 < trivial < 120
 
 
 def test_central_mod_torsion():
@@ -391,18 +490,14 @@ def test_cached_reductions_match_membership_oracles():
         seen["empty lattice"] += not np_.closure_lattice
         assert np_.center_profile_dim == _bareiss_center_dim(np_)
         for h in _seeded_queries(rng, np_):
-            # the echelon reductions alone, rank-deficient presentations included
+            # the echelon reductions alone
             assert np_.closure_echelon.in_lattice(h.gamma) == (
                 zmatrix.lattice_membership(np_.closure_lattice, h.gamma) is not None)
             assert np_.closure_echelon.in_rational_span(h.gamma) == zmatrix.rational_membership(
                 np_.closure_lattice, h.gamma)
             assert presentation._commuting_profile_dim(np_, h) == _bareiss_commuting_dim(
                 np_, h.alpha)
-            if not np_.rank_full:
-                seen["rank-deficient"] += 1
-                with pytest.raises(InconclusiveError):
-                    is_trivial_in_G(h, np_)
-                continue
+            seen["rank-deficient"] += not np_.rank_full
             in_G = is_trivial_in_G(h, np_)
             assert in_G == _reference_trivial(
                 h, np_, lambda lat, v: zmatrix.lattice_membership(lat, v) is not None)
