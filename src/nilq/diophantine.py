@@ -477,10 +477,6 @@ class CompiledSystem:
     ring_system: RingSystem
     term_names: Tuple[Tuple[Term, str], ...]
 
-    @property
-    def term_variable(self) -> Dict[Term, str]:
-        return dict(self.term_names)
-
     def ring_variable_names(self) -> Dict[str, str]:
         return {t[1]: name for t, name in self.term_names if t[0] == "var"}
 
@@ -864,7 +860,6 @@ def verify_correspondence(
     compiled = compile_system(edef, S)
     consts = ambient.constants()
     c = commutator(consts["a"], consts["b"])
-    term_var = compiled.term_variable
 
     ring_solutions = bounded_solve_ring(S, bound_ring)
     missing = []

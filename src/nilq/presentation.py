@@ -17,23 +17,25 @@ with c_i in the derived subgroup.  The normal closure of the relators is then
 generated, modulo the relators themselves, by the central elements
 [g_i, a_k]: conjugation in a 2-step group obeys w^-1 g w = g [g, w], and
 [g, w] is bilinear in the exponent vector of w, so the commutators with the
-generators span everything.  That reduces membership in the normal closure to
-(1) divisibility of alpha coordinates by the alphas, (2) vanishing of alpha
-off the normalized range, and (3) an integer lattice membership for the
-leftover gamma part.
+generators span everything.  Their gamma parts span the closure lattice L,
+which holds alpha_i [a_i, a_k] for every k != i.
 
 Relators beyond the rank of the exponent-sum matrix (the extra relators when
 r > m, and the leftovers of a rank-deficient matrix alike) have zero exponent
-row after rewriting, hence are central; their gamma parts join the closure
-lattice.  The closure is still <g_i> * L, so the same reductions decide the
-word problem for every presentation, whatever its rank.
+row after rewriting, hence are central; their gamma parts join L too.  The
+closure is <g_i> * L for every presentation, whatever its rank.
+
+A product or inverse of closure elements differs from the sum of their Malcev
+coordinates (alpha | gamma) only by multiples of alpha_i [a_i, a_j], which lie
+in L.  So the coordinates of the closure form one lattice, spanned by the
+rows (alpha_i e_i | c_i) and (0 | L): the word problem is a membership test
+in that lattice, and "some power of h is trivial" is membership in its Q-span.
 
 The Nielsen moves act on Malcev coordinates, never on words.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
@@ -132,8 +134,22 @@ class NormalizedPresentation:
     # should not pay for them where nothing is decided.
     @cached_property
     def closure_echelon(self) -> Echelon:
-        """Echelon form of closure_lattice, which every decider reduces against."""
+        """Echelon form of closure_lattice: the gamma block of
+        coordinate_echelon, and what is_c_small projects modulo."""
         return Echelon.of(self.closure_lattice)
+
+    @cached_property
+    def coordinate_echelon(self) -> Echelon:
+        """Row-echelon basis of the Malcev coordinates (alpha | gamma) of the
+        normal closure: each normalized relator (alpha_i e_i | c_i), pivot i,
+        then (0 | row) for each row of closure_echelon.  No second HNF."""
+        zeros = (0,) * self.m
+        lattice = self.closure_echelon
+        return Echelon(
+            tuple(g.alpha + g.gamma for g in self.normalized_relators)
+            + tuple(zeros + row for row in lattice.rows),
+            tuple(range(len(self.alphas))) + tuple(self.m + c for c in lattice.pivots),
+        )
 
     @cached_property
     def center_profile_dim(self) -> int:
@@ -180,8 +196,8 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
         expected = tuple(alphas[i] if t == i else 0 for t in range(m))
         if h.alpha != expected:
             raise AssertionError("rewritten relator alpha does not match diagonal")
-        c = multiply(inverse(power(generator(m, i + 1), alphas[i])), h)
-        c_parts.append(c)
+        # a_i^-alpha_i * h: with one nonzero alpha, no gamma coordinate moves
+        c_parts.append(MalcevElement(m, (0,) * m, h.gamma))
     extras = []
     for h in images[k:]:
         if any(h.alpha):
@@ -229,58 +245,27 @@ def is_trivial_in_G(h: MalcevElement, np_: NormalizedPresentation) -> bool:
     """Membership of h in the normal closure of the relators inside N_{2,m}.
 
     h is taken in the rewritten basis; use express_in_normalized_basis for
-    words over the original generators.  Solves a_i exponents by exact
-    divisibility, requires alpha to vanish off the normalized range, then
-    tests the leftover gamma part against the closure lattice.
+    words over the original generators.  The closure's Malcev coordinates
+    are exactly the lattice coordinate_echelon, so this is one membership
+    test of h's coordinates.
     """
     if h.m != np_.m:
         raise ValueError("rank mismatch")
-    lam = []
-    for i, a in enumerate(np_.alphas):
-        q, rem = divmod(h.alpha[i], a)
-        if rem:
-            return False
-        lam.append(q)
-    for idx in range(len(np_.alphas), np_.m):
-        if h.alpha[idx]:
-            return False
-    t = h
-    rels = np_.normalized_relators
-    for i, q in enumerate(lam):
-        if q:
-            t = multiply(t, power(rels[i], -q))
-    if any(t.alpha):
-        raise AssertionError("alpha failed to cancel")
-    return np_.closure_echelon.in_lattice(t.gamma)
+    return np_.coordinate_echelon.in_lattice(h.alpha + h.gamma)
 
 
 def is_trivial_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> bool:
     """True iff some positive power of h lies in the normal closure.
 
-    Rational analogue of is_trivial_in_G: divisibility turns into rational
-    solvability (cleared by passing to h^n0 with n0 = lcm of the alphas) and
-    the lattice test into Q-span membership.  Valid because modulo the
-    closure lattice the relators commute with everything in sight, so the
-    gamma residue of h^j is j times the residue of h up to lattice elements.
+    Rational analogue of is_trivial_in_G: Q-span membership of h's
+    coordinates in coordinate_echelon.  The coordinates of h^n are n times
+    those of h minus binom(n, 2) alpha_i alpha_j at each pair (i, j); once
+    alpha lies in the span of the alpha_i e_i, that term lies in the Q-span
+    of the closure lattice.
     """
     if h.m != np_.m:
         raise ValueError("rank mismatch")
-    n0 = math.lcm(*np_.alphas) if np_.alphas else 1
-    u = power(h, n0)
-    for idx in range(len(np_.alphas), np_.m):
-        if u.alpha[idx]:
-            return False
-    t = u
-    rels = np_.normalized_relators
-    for i, a in enumerate(np_.alphas):
-        q, rem = divmod(u.alpha[i], a)
-        if rem:
-            raise AssertionError("lcm clearing failed")
-        if q:
-            t = multiply(t, power(rels[i], -q))
-    if any(t.alpha):
-        raise AssertionError("alpha failed to cancel")
-    return np_.closure_echelon.in_rational_span(t.gamma)
+    return np_.coordinate_echelon.in_rational_span(h.alpha + h.gamma)
 
 
 def is_central_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> bool:
@@ -313,13 +298,15 @@ def is_c_small(g: MalcevElement, np_: NormalizedPresentation) -> bool:
     automatic) is a dimension comparison.  This is the rational criterion:
     the centralizer equals <g> * Z(G0) up to finite index.  Degenerate case:
     for g central modulo torsion (the identity included) the answer is true
-    iff G0 is abelian.
+    iff G0 is abelian.  Decided where the exponent-sum matrix has rank
+    <= m - 2, so a redundant relator leaves the answer as it was; raises
+    InconclusiveError otherwise.
     """
     if g.m != np_.m:
         raise ValueError("rank mismatch")
-    if np_.r > np_.m - 2:
+    if np_.snf.rank > np_.m - 2:
         raise InconclusiveError(
-            "centralizer-smallness is only decided for r <= m - 2"
+            "centralizer-smallness is only decided for relator rank <= m - 2"
         )
     center_dim = np_.center_profile_dim
     if is_central_mod_torsion(g, np_):

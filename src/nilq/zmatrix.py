@@ -420,11 +420,14 @@ def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, Tuple[int, 
 
 @dataclass(frozen=True)
 class Echelon:
-    """The nonzero rows of a row Hermite normal form and their pivot columns.
+    """A row-echelon basis and its pivot columns.
 
-    Built once per basis, it decides span membership for many vectors by
-    reduction alone.  ``lattice_membership`` and ``rational_membership`` do
-    the same from scratch and serve as its test oracles.
+    Each row is zero left of its pivot, and the pivots increase strictly.
+    ``of`` takes the nonzero rows of a row Hermite normal form, but any such
+    basis will do.  Built once per basis, it decides span membership for
+    many vectors by reduction alone.  ``lattice_membership`` and
+    ``rational_membership`` do the same from scratch and serve as its test
+    oracles.
     """
 
     rows: Tuple[Tuple[int, ...], ...]

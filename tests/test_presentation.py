@@ -243,7 +243,7 @@ def test_redundant_relator_changes_no_decision():
             seen["in G" if in_G else "not in G"] += 1
             seen["torsion only"] += mod_torsion and not in_G
             seen["central"] += central and not mod_torsion
-            if r + 1 <= m - 2:
+            if r <= m - 2:
                 small = is_c_small(h, base)
                 assert is_c_small(hg, grown) == small
                 seen["c-small" if small else "not c-small"] += 1
@@ -328,6 +328,14 @@ def test_c_small_precondition():
         is_c_small(generator(2, 2), np_)
 
 
+def test_c_small_precondition_counts_rank_not_relators():
+    # a repeated relator presents the same group: r = 2 > m - 2, rank 1
+    np_ = _norm("3 2\na1^2\na1^2\n")
+    assert np_.r == 2 and np_.snf.rank == 1
+    assert is_c_small(generator(3, 3), np_)
+    assert is_c_small(generator(3, 3), _norm("3 2\na1^2\n"))
+
+
 @pytest.mark.parametrize(
     "text,regime,dioph,corank",
     [
@@ -377,8 +385,9 @@ def test_higher_class_presentation_accepted():
 
 
 def _reference_trivial(h, np_, in_span):
-    """The deciders' alpha bookkeeping, ending in a from-scratch membership
-    test of the gamma residue; is_trivial_in_G with lattice_membership, and
+    """Group-arithmetic bookkeeping that cancels alpha with relator powers,
+    ending in a from-scratch membership test of the gamma residue: the
+    oracle of is_trivial_in_G with lattice_membership, and of
     is_trivial_mod_torsion on h^n0 with rational_membership."""
     lam = []
     for i, a in enumerate(np_.alphas):
@@ -489,8 +498,16 @@ def test_cached_reductions_match_membership_oracles():
         np_ = normalize(p)
         seen["empty lattice"] += not np_.closure_lattice
         assert np_.center_profile_dim == _bareiss_center_dim(np_)
+        zeros = (0,) * np_.m
+        stacked = [g.alpha + g.gamma for g in np_.normalized_relators] + [
+            zeros + v for v in np_.closure_lattice]
         for h in _seeded_queries(rng, np_):
             # the echelon reductions alone
+            coords = h.alpha + h.gamma
+            assert np_.coordinate_echelon.in_lattice(coords) == (
+                zmatrix.lattice_membership(stacked, coords) is not None)
+            assert np_.coordinate_echelon.in_rational_span(coords) == (
+                zmatrix.rational_membership(stacked, coords))
             assert np_.closure_echelon.in_lattice(h.gamma) == (
                 zmatrix.lattice_membership(np_.closure_lattice, h.gamma) is not None)
             assert np_.closure_echelon.in_rational_span(h.gamma) == zmatrix.rational_membership(
