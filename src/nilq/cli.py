@@ -11,9 +11,11 @@ usage or input-syntax errors.  Stochastic commands require an explicit seed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
+from fractions import Fraction
 
 from . import diophantine, presentation, randwalk
 from .nilpotent2 import MalcevElement, from_word, format_element
@@ -53,8 +55,18 @@ def _emit(text: str, summary: str):
     print(summary, file=sys.stderr)
 
 
+def _jsonable(obj):
+    """json.dumps fallback: a dataclass by its fields, a Fraction as
+    [numerator, denominator]."""
+    if isinstance(obj, Fraction):
+        return [obj.numerator, obj.denominator]
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit_json(obj, summary: str):
-    _emit(json.dumps(obj, sort_keys=True, indent=2), summary)
+    _emit(json.dumps(obj, sort_keys=True, indent=2, default=_jsonable), summary)
 
 
 def _element_jsonable(el: MalcevElement) -> dict:
@@ -147,30 +159,18 @@ def _experiment_config(path: str) -> randwalk.ExperimentConfig:
 def _cmd_rank_exp(args) -> int:
     cfg = _experiment_config(args.config)
     rows = randwalk.rank_experiment(cfg)
+    summary = f"{len(rows)} lengths, seed {cfg.seed}"
     if args.format == "json":
-        payload = {
-            "config": cfg.to_jsonable(),
-            "rows": [
-                {
-                    "length": r.length,
-                    "trials": r.trials,
-                    "full_rank_count": r.full_rank_count,
-                    "p_hat": [r.p_hat.numerator, r.p_hat.denominator],
-                    "stderr": r.stderr,
-                }
-                for r in rows
-            ],
-        }
-        _emit_json(payload, f"{len(rows)} lengths, seed {cfg.seed}")
+        _emit_json({"config": cfg, "rows": rows}, summary)
     else:
-        _emit(randwalk.rank_experiment_csv(cfg, rows), f"{len(rows)} lengths, seed {cfg.seed}")
+        _emit(randwalk.rank_experiment_csv(cfg, rows), summary)
     return 0
 
 
 def _cmd_clt(args) -> int:
     summary = randwalk.coordinate_clt_stats(args.m, args.n, args.trials, args.seed)
     if args.format == "json":
-        _emit_json(summary.to_jsonable(), f"variances {summary.variances}")
+        _emit_json(summary, f"variances {summary.variances}")
     else:
         _emit(randwalk.clt_csv(summary), f"variances {summary.variances}")
     return 0
@@ -183,7 +183,7 @@ def _cmd_escape(args) -> int:
         for n in ns
     ]
     if args.format == "json":
-        _emit_json([e.to_jsonable() for e in estimates], f"{len(estimates)} grid points")
+        _emit_json(estimates, f"{len(estimates)} grid points")
     else:
         _emit(randwalk.escape_csv(estimates), f"{len(estimates)} grid points")
     return 0
@@ -201,31 +201,19 @@ def _cmd_return_prob(args) -> int:
 def _cmd_slope(args) -> int:
     fit = randwalk.decay_slope(args.m, (args.n_lo, args.n_hi))
     if args.format == "json":
-        _emit_json(fit.to_jsonable(), f"slope {fit.slope:.4f}")
+        _emit_json(fit, f"slope {fit.slope:.4f}")
     else:
-        cfg = {"m": fit.m, "n_lo": fit.n_lo, "n_hi": fit.n_hi}
-        lines = [
-            "# config: " + json.dumps(cfg, sort_keys=True),
-            "m,n_lo,n_hi,slope,intercept",
-            f"{fit.m},{fit.n_lo},{fit.n_hi},{fit.slope!r},{fit.intercept!r}",
-        ]
-        _emit("\n".join(lines), f"slope {fit.slope:.4f}")
+        _emit(randwalk.decay_fit_csv(fit), f"slope {fit.slope:.4f}")
     return 0
 
 
 def _cmd_sz_check(args) -> int:
     res = randwalk.schwartz_zippel_check(args.r, args.m, args.b)
+    summary = f"zeros {res.zero_count} <= bound {res.bound}"
     if args.format == "json":
-        _emit_json(res.to_jsonable(), f"zeros {res.zero_count} <= bound {res.bound}")
+        _emit_json(res, summary)
     else:
-        cfg = {"b": res.box_halfwidth, "m": res.m, "r": res.r}
-        lines = [
-            "# config: " + json.dumps(cfg, sort_keys=True),
-            "r,m,b,total,degree,zero_count,bound,holds",
-            f"{res.r},{res.m},{res.box_halfwidth},{res.total},{res.degree},"
-            f"{res.zero_count},{res.bound},{str(res.holds).lower()}",
-        ]
-        _emit("\n".join(lines), f"zeros {res.zero_count} <= bound {res.bound}")
+        _emit(randwalk.schwartz_zippel_csv(res), summary)
     return 0
 
 
@@ -277,7 +265,7 @@ def _cmd_solve_bounded(args) -> int:
             S = diophantine.RingSystem.from_jsonable(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"bad ring system: {exc}") from exc
-        ring_sols = diophantine.bounded_solve_ring(S, args.box)
+        ring_sols = diophantine.bounded_solve_ring(S, args.box, args.limit)
         payload = {"kind": "ring", "box": args.box, "solutions": ring_sols}
     _emit_json(payload, f"{len(payload['solutions'])} solutions within box {args.box}")
     return 0

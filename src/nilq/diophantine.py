@@ -613,10 +613,10 @@ def bounded_solve_group(
     """Solutions with every variable's Malcev coordinates inside its box.
 
     ``bound`` is one box half-width for all variables or a per-variable
-    mapping (key "*" as default).  ``pinned`` pre-assigns variables (their
-    values need not lie in any box).  With find_all=False the search stops at
-    the first solution.  An equation u = v holds when u v^-1 is trivial in
-    the ambient.
+    mapping (key "*" as default); a negative half-width raises ValueError.
+    ``pinned`` pre-assigns variables (their values need not lie in any box).
+    With find_all=False the search stops at the first solution.  An equation
+    u = v holds when u v^-1 is trivial in the ambient.
 
     Before scanning a variable y, every remaining equation whose only
     unassigned name is y, and in which y occurs only inside brackets, is
@@ -637,15 +637,15 @@ def bounded_solve_group(
     """
     m = ambient.m
     if isinstance(bound, int):
-        boxes = {v: bound for v in S.variables}
-    else:
-        default = bound.get("*")
-        boxes = {}
-        for v in S.variables:
-            bv = bound.get(v, default)
-            if bv is None:
-                raise ValueError(f"no box for variable {v!r}")
-            boxes[v] = bv
+        bound = {"*": bound}
+    if any(b < 0 for b in bound.values()):
+        raise ValueError("bound must be nonnegative")
+    boxes = {}
+    for v in S.variables:
+        bv = bound.get(v, bound.get("*"))
+        if bv is None:
+            raise ValueError(f"no box for variable {v!r}")
+        boxes[v] = bv
     env: Dict[str, MalcevElement] = dict(ambient.constants())
     for name, val in (pinned or {}).items():
         if name not in S.variables:
@@ -849,11 +849,14 @@ def verify_correspondence(
     variables to powers of c whose exponent is a gamma coordinate (bounded by
     the box), this grid covers every group solution within bound_group.
 
-    A grid of more than eval_limit points raises SearchSpaceError before any
-    search.  This is a sanity cap on the number of points, in the units of
-    eval_limit, not a bound on the total work: each point's search gets its
-    own eval_limit budget.
+    A negative bound raises ValueError.  A grid of more than eval_limit points
+    raises SearchSpaceError before any search, and so does a ring box of
+    more than eval_limit assignments.  The grid cap is a sanity cap on the
+    number of points, in the units of eval_limit, not a bound on the total
+    work: each point's search gets its own eval_limit budget.
     """
+    if min(bound_ring, bound_group) < 0:
+        raise ValueError("bound must be nonnegative")
     grid_size = (2 * bound_group + 1) ** len(S.variables)
     if grid_size > eval_limit:
         raise SearchSpaceError(f"{grid_size} grid points exceed the limit {eval_limit}")
@@ -861,7 +864,7 @@ def verify_correspondence(
     consts = ambient.constants()
     c = commutator(consts["a"], consts["b"])
 
-    ring_solutions = bounded_solve_ring(S, bound_ring)
+    ring_solutions = bounded_solve_ring(S, bound_ring, eval_limit)
     missing = []
     for sol in ring_solutions:
         pin = {

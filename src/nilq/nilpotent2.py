@@ -143,6 +143,8 @@ def apply_hom(x: MalcevElement, images) -> MalcevElement:
         acc = multiply(acc, power(img, a))
     gamma = list(acc.gamma)
     for (i, j), g in zip(pair_list(x.m), x.gamma):
+        if not g:
+            continue
         for t, v in enumerate(commutator(images[i - 1], images[j - 1]).gamma):
             gamma[t] += g * v
     return MalcevElement(x.m, acc.alpha, tuple(gamma))

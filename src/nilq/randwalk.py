@@ -29,7 +29,7 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -74,6 +74,9 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
+        values = (self.m, self.r, self.trials, self.seed, *self.lengths)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+            raise TypeError("m, r, trials, seed and lengths must be integers")
         if self.m < 1:
             raise ValueError("m must be positive")
         if self.r < 0:
@@ -84,15 +87,6 @@ class ExperimentConfig:
             raise ValueError("lengths must be positive")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "m": self.m,
-            "r": self.r,
-            "lengths": list(self.lengths),
-            "trials": self.trials,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -130,17 +124,21 @@ def rank_experiment(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def _config_header(d: dict) -> str:
-    return "# config: " + json.dumps(d, sort_keys=True)
+def csv_table(config: dict, columns: Sequence[str], rows) -> str:
+    """The CSV text of every experiment: a comment line holding config as
+    sorted-key JSON, the column line, then one line per row, each cell
+    written with str() and bools as true/false."""
+    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def rank_experiment_csv(cfg: ExperimentConfig, rows: Optional[Sequence[RankExperimentRow]] = None) -> str:
     if rows is None:
         rows = rank_experiment(cfg)
-    out = [_config_header(cfg.to_jsonable()), "length,trials,full_rank_count,p_hat,stderr"]
-    for row in rows:
-        out.append(f"{row.length},{row.trials},{row.full_rank_count},{row.p_hat},{row.stderr!r}")
-    return "\n".join(out) + "\n"
+    columns = ("length", "trials", "full_rank_count", "p_hat", "stderr")
+    return csv_table(asdict(cfg), columns, map(astuple, rows))
 
 
 def _coordinate_sums(m: int, n: int, rng: np.random.Generator) -> list:
@@ -160,18 +158,6 @@ class CltSummary:
     variances: Tuple[float, ...]
     variance_stderrs: Tuple[float, ...]
     sup_distances: Tuple[float, ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "means": list(self.means),
-            "variances": list(self.variances),
-            "variance_stderrs": list(self.variance_stderrs),
-            "sup_distances": list(self.sup_distances),
-        }
 
 
 def _normal_cdf(x: float, m: int) -> float:
@@ -224,15 +210,11 @@ def coordinate_clt_stats(m: int, n: int, trials: int, seed: int) -> CltSummary:
     return CltSummary(m, n, trials, seed, means, tuple(variances), var_se, tuple(sups))
 
 
-def clt_csv(summary: CltSummary) -> str:
-    cfg = {"m": summary.m, "n": summary.n, "trials": summary.trials, "seed": summary.seed}
-    out = [_config_header(cfg), "coordinate,mean,variance,variance_stderr,sup_distance"]
-    for i in range(summary.m):
-        out.append(
-            f"{i + 1},{summary.means[i]!r},{summary.variances[i]!r},"
-            f"{summary.variance_stderrs[i]!r},{summary.sup_distances[i]!r}"
-        )
-    return "\n".join(out) + "\n"
+def clt_csv(s: CltSummary) -> str:
+    cfg = {"m": s.m, "n": s.n, "trials": s.trials, "seed": s.seed}
+    columns = ("coordinate", "mean", "variance", "variance_stderr", "sup_distance")
+    rows = zip(range(1, s.m + 1), s.means, s.variances, s.variance_stderrs, s.sup_distances)
+    return csv_table(cfg, columns, rows)
 
 
 @dataclass(frozen=True)
@@ -245,18 +227,6 @@ class EscapeEstimate:
     count: int
     p_hat: Fraction
     stderr: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "count": self.count,
-            "p_hat": [self.p_hat.numerator, self.p_hat.denominator],
-            "stderr": self.stderr,
-        }
 
 
 def escape_probability(
@@ -288,10 +258,8 @@ def escape_csv(estimates: Sequence[EscapeEstimate]) -> str:
         raise ValueError("need at least one estimate")
     first = estimates[0]
     cfg = {"m": first.m, "seed": first.seed, "trials": first.trials}
-    out = [_config_header(cfg), "n,epsilon,count,p_hat,stderr"]
-    for e in estimates:
-        out.append(f"{e.n},{e.epsilon!r},{e.count},{e.p_hat},{e.stderr!r}")
-    return "\n".join(out) + "\n"
+    rows = ((e.n, e.epsilon, e.count, e.p_hat, e.stderr) for e in estimates)
+    return csv_table(cfg, ("n", "epsilon", "count", "p_hat", "stderr"), rows)
 
 
 # Largest n_max that return_probability_exact accepts.
@@ -349,10 +317,7 @@ def return_probability_exact(m: int, n_max: int) -> ReturnTable:
 
 def return_table_csv(table: ReturnTable) -> str:
     cfg = {"exact": table.exact, "m": table.m, "n_max": table.n_max}
-    out = [_config_header(cfg), "n,return_prob_sum"]
-    for n, v in enumerate(table.values):
-        out.append(f"{n},{v}")
-    return "\n".join(out) + "\n"
+    return csv_table(cfg, ("n", "return_prob_sum"), enumerate(table.values))
 
 
 @dataclass(frozen=True)
@@ -363,16 +328,6 @@ class DecayFit:
     slope: float
     intercept: float
     points: Tuple[Tuple[int, float], ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "m": self.m,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "points": [[n, v] for n, v in self.points],
-        }
 
 
 def decay_slope(m: int, n_range: Tuple[int, int], table: Optional[ReturnTable] = None) -> DecayFit:
@@ -409,6 +364,12 @@ def decay_slope(m: int, n_range: Tuple[int, int], table: Optional[ReturnTable] =
     return DecayFit(m, lo, hi, slope, intercept, tuple(zip(ns, vals)))
 
 
+def decay_fit_csv(fit: DecayFit) -> str:
+    cfg = {"m": fit.m, "n_lo": fit.n_lo, "n_hi": fit.n_hi}
+    row = (fit.m, fit.n_lo, fit.n_hi, fit.slope, fit.intercept)
+    return csv_table(cfg, ("m", "n_lo", "n_hi", "slope", "intercept"), [row])
+
+
 @dataclass(frozen=True)
 class SchwartzZippelResult:
     r: int
@@ -419,18 +380,6 @@ class SchwartzZippelResult:
     zero_count: int
     bound: int
     holds: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "r": self.r,
-            "m": self.m,
-            "box_halfwidth": self.box_halfwidth,
-            "total": self.total,
-            "degree": self.degree,
-            "zero_count": self.zero_count,
-            "bound": self.bound,
-            "holds": self.holds,
-        }
 
 
 def schwartz_zippel_check(
@@ -460,3 +409,9 @@ def schwartz_zippel_check(
     return SchwartzZippelResult(
         r, m, box_halfwidth, total, degree, zero_count, bound, zero_count <= bound
     )
+
+
+def schwartz_zippel_csv(res: SchwartzZippelResult) -> str:
+    cfg = {"b": res.box_halfwidth, "m": res.m, "r": res.r}
+    columns = ("r", "m", "b", "total", "degree", "zero_count", "bound", "holds")
+    return csv_table(cfg, columns, [astuple(res)])

@@ -249,6 +249,25 @@ def test_solve_group_budget_counts_probes_only_on_wide_boxes():
         bounded_solve_group(S, amb, 1, eval_limit=38)
 
 
+def test_negative_boxes_rejected():
+    amb = FreeNilpotentAmbient(2)
+    S = GroupSystem(("x",), ("a", "b"), (((gen("x"),), ()),))
+    for bound in (-1, {"*": -1}, {"x": 1, "*": -1}, {"x": -2}):
+        with pytest.raises(ValueError, match="bound must be nonnegative"):
+            bounded_solve_group(S, amb, bound)
+    R = _ring(["x"], [(V("x"), C(0))])
+    for boxes in ((-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="bound must be nonnegative"):
+            verify_correspondence(R, z_in_g_templates(), amb, *boxes)
+
+
+def test_verify_correspondence_ring_search_obeys_eval_limit():
+    # 7^2 ring assignments against a limit of 20; the 3^2 grid fits
+    R = _ring(["x", "y"], [(ADD(V("x"), V("y")), C(0))])
+    with pytest.raises(SearchSpaceError, match="49 assignments exceed the limit 20"):
+        verify_correspondence(R, z_in_g_templates(), FreeNilpotentAmbient(2), 3, 1, eval_limit=20)
+
+
 def test_solve_group_per_variable_boxes():
     amb = FreeNilpotentAmbient(2)
     S = GroupSystem(

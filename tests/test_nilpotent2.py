@@ -155,6 +155,22 @@ def test_apply_hom_is_homomorphism_and_evaluates_letters(inputs):
     assert hom(collection_oracle(Word(tuple(letters), m))) == expected
 
 
+def test_apply_hom_skips_zero_gamma_coordinates(monkeypatch):
+    from nilq import nilpotent2
+
+    calls = []
+    real = nilpotent2.commutator
+    monkeypatch.setattr(nilpotent2, "commutator", lambda x, y: calls.append(1) or real(x, y))
+    m = 6
+    images = tuple(power(generator(m, k), k + 1) for k in range(1, m + 1))
+    x = from_word(Word((1, 2, 3, 3), m))
+    assert apply_hom(x, images) == MalcevElement(m, (2, 3, 8, 0, 0, 0), (0,) * 15)
+    assert calls == []
+    # one nonzero gamma coordinate, one commutator
+    apply_hom(from_word(Word((-1, -2, 1, 2), m)), images)
+    assert len(calls) == 1
+
+
 def test_power_known_square():
     # (a1 a2)^2 = a1^2 a2^2 [a2,a1] in coordinates
     x = from_word(Word((1, 2), 2))

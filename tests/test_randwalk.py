@@ -1,5 +1,6 @@
 """Random walk experiments: determinism, exact tables, frozen oracle values."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -239,7 +240,7 @@ def test_schwartz_zippel_frozen_counts():
     assert (res.total, res.zero_count, res.bound, res.holds) == (9, 1, 6, True)
     res = schwartz_zippel_check(2, 2, 1)
     assert (res.total, res.zero_count, res.bound, res.holds) == (81, 33, 108, True)
-    data = res.to_jsonable()
+    data = dataclasses.asdict(res)
     assert data["degree"] == 4
 
 
