@@ -202,6 +202,76 @@ def test_experiment_output_bytes_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+# sha256 of the exact stdout of the equation and classifier commands; the
+# ring, group and presentation inputs are below, "{name}" is a path to one
+_SYSTEM_FILES = {
+    "ring.json": {"variables": ["x"],
+                  "equations": [[["*", ["var", "x"], ["var", "x"]], ["const", 4]]]},
+    "ring2.json": {"variables": ["x", "y"], "equations": [
+        [["-", ["var", "x"], ["var", "y"]], ["const", 1]],
+        [["*", ["var", "x"], ["var", "y"]], ["const", 2]]]},
+    "group.json": {"variables": ["x", "y"], "constants": ["a", "b"], "equations": [
+        [[["x", 1]], [["comm", [["a", 1]], [["y", 1]], -1]]],
+        [[["comm", [["y", 1]], [["b", 1]]]], []]]},
+    "quot.txt": "4 2\na1^2 a2\n[a1,a2]^3\n",
+    "undecidable.txt": "4 2\na1 a2^2 a3\na2 a4^-1 a1\n",
+    "virt.txt": "3 2\na1^2 a2\na2 a3^3\n",
+    "class3.txt": "3 3\na1^2 a2\na2 a3^3\n",
+    "finite.txt": "2 2\na1^2\na2^3 a1\n",
+    "finab.txt": "2 3\na1^2\na2^2\na1 a2 a1\n",
+    "deficient.txt": DEFICIENT,
+}
+_PINNED_SYSTEM_OUTPUTS = [
+    (("compile", "{ring.json}"),
+     "345c5905098615d512013f7861c0a5c79bf242f459c7210b23011001e841bf49"),
+    (("compile", "{ring2.json}"),
+     "bbfbdc6948ff2b023b0b342b3b6fa5f702b539460fd66d37991124978b2d6027"),
+    (("solve-bounded", "{ring.json}", "--box", "5"),
+     "43babd752b85c6a743f547bac71c9b5ba930895939b7f94f87e150408981275f"),
+    (("solve-bounded", "{ring2.json}", "--box", "3"),
+     "3405c0c70a7d12105fb02d198c927cc4d927761b772131400ea35d94b76282cf"),
+    (("solve-bounded", "{group.json}", "--box", "1"),
+     "1789728f899be255b7bf9f493b32b507b93182f5588b5e49a318966bc8c4c9ba"),
+    (("solve-bounded", "{group.json}", "--box", "1", "--m", "3", "--first"),
+     "26e929c9b70596b04767b11d39b738e76d714e1a7e140055b994ac5877bd2a95"),
+    (("solve-bounded", "{group.json}", "--box", "1", "--presentation", "{quot.txt}"),
+     "7f572d324c0b72d9760deb6e49bb06f5e779c2ea1362b66d49f3db71c50bacff"),
+    (("verify", "{ring.json}", "--box-ring", "3", "--box-group", "3"),
+     "8249a8bac082ae8f52884acf2e5812a0c146b7840d898bbb3471762cbfd888b3"),
+    (("verify", "{ring2.json}", "--box-ring", "2", "--box-group", "2", "--m", "3"),
+     "a68115c80f3c3abfa0620a5d0eede1e6391a877d1028939dc584e400bf5db8e3"),
+    (("verify", "{ring.json}", "--box-ring", "2", "--box-group", "2",
+      "--presentation", "{quot.txt}"),
+     "e07154edc21b6d110754a8f4072a266cc8234e8e71cfdba8ea8837efb8fbc24b"),
+    (("classify", "{undecidable.txt}"),
+     "27277ad4964962b9ee5e69effe25e49cfc55e6fb6ac8218a4ef7cd7f927e20a4"),
+    (("classify", "{virt.txt}"),
+     "4688665ccc294c5076cc82e4f332233f7b98fe2618a676ca6374e094bc2b7aaa"),
+    (("classify", "{class3.txt}"),
+     "d604003d5548ad82a409a23505f5f9fbbb898d6a379127765726658b260ef999"),
+    (("classify", "{finite.txt}"),
+     "57598d68f3670e6c2ca0c6ce7aeee802cbf350b07f5ac3564e28ef2a269ef338"),
+    (("classify", "{finab.txt}"),
+     "ff96ffba6fc2895518ddfc3fba3ebdb121fd08abcd78f60218c53acee1e42fa9"),
+    (("classify", "{deficient.txt}"),
+     "b0e574ca22a166411a5595cbdae48a199f0d317b17208942c639d1863dde976d"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    _PINNED_SYSTEM_OUTPUTS,
+    ids=[" ".join(a).replace("{", "").replace("}", "") for a, _ in _PINNED_SYSTEM_OUTPUTS],
+)
+def test_system_output_bytes_pinned(capsys, tmp_path, argv, digest):
+    for name, content in _SYSTEM_FILES.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    code, out, _ = _run(capsys, *(
+        str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 def test_compile_then_solve(capsys, tmp_path):
     ring = tmp_path / "ring.json"
     ring.write_text(json.dumps({
