@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from . import diophantine, presentation, randwalk
 from .nilpotent2 import MalcevElement, from_word, format_element
-from .words import WordSyntaxError, parse_word
+from .words import RankLimitError, WordSyntaxError, parse_word
 
 
 class _UsageError(Exception):
@@ -81,7 +82,7 @@ def _infer_m(text: str) -> int:
 def _cmd_classify(args) -> int:
     np_ = _load_presentation(args.file)
     report = presentation.classify(np_)
-    _emit_json(report.to_jsonable(), f"regime {report.regime} (rank {report.rank})")
+    _emit_json(report, f"regime {report.regime} (rank {report.rank})")
     return 0
 
 
@@ -235,7 +236,7 @@ def _cmd_compile(args) -> int:
     S = _ring_system(args.ring)
     compiled = diophantine.compile_system(diophantine.z_in_g_templates(), S)
     _emit_json(
-        compiled.system.to_jsonable(),
+        compiled.system,
         f"{len(compiled.system.variables)} group variables, "
         f"{len(compiled.system.equations)} equations",
     )
@@ -266,6 +267,8 @@ def _cmd_solve_bounded(args) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"bad ring system: {exc}") from exc
         ring_sols = diophantine.bounded_solve_ring(S, args.box, args.limit)
+        if args.first:
+            ring_sols = ring_sols[:1]
         payload = {"kind": "ring", "box": args.box, "solutions": ring_sols}
     _emit_json(payload, f"{len(payload['solutions'])} solutions within box {args.box}")
     return 0
@@ -282,10 +285,11 @@ def _cmd_verify(args) -> int:
         args.box_group,
         eval_limit=args.limit,
     )
-    _emit_json(report.to_jsonable(), "correspondence ok" if report.ok else "COUNTEREXAMPLES")
+    _emit_json(report, "correspondence ok" if report.ok else "COUNTEREXAMPLES")
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nilq",
@@ -384,6 +388,7 @@ _DOMAIN_ERRORS = (
     randwalk.ResourceLimitError,
     randwalk.EnumerationLimitError,
     diophantine.SearchSpaceError,
+    RankLimitError,
 )
 
 

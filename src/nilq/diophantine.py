@@ -1,10 +1,13 @@
 """Equation systems over the integers and over 2-step nilpotent groups.
 
-Ring systems are polynomial equalities in an IR of nested tuples:
-("const", n), ("var", name), ("add", t1, t2), ("neg", t), ("mul", t1, t2).
-Binary subtraction normalizes to add-of-neg on input.  Group systems equate
-words over declared variables and constants, with factors ("gen", name, exp)
-and ("comm", u, v, exp).
+Ring systems are polynomial equalities between terms, and group systems
+equate words over declared variables and constants.  In memory both are the
+JSON file format with tuples for lists, so they print as they were read.  A
+term is ("const", n), ("var", name), ("+", t1, t2), ("*", t1, t2) or
+("-", t); binary subtraction ("-", t1, t2) becomes ("+", t1, ("-", t2)) on
+input.  A word is a tuple of factors: (name, exp), or ("comm", u, v) for the
+bracket [u, v], with a fourth entry exp when exp != 1.  The name "comm" is
+reserved.
 
 The bridge is an equation-definability encoding of the integers inside a
 group with two non-commuting centralizer-small constants a, b: writing
@@ -61,6 +64,7 @@ from .nilpotent2 import (
     power,
 )
 from .presentation import NormalizedPresentation, is_trivial_in_G
+from .words import check_rank
 
 
 class SearchSpaceError(Exception):
@@ -86,36 +90,17 @@ def term_from_json(node) -> Term:
         if len(node) != 2 or not isinstance(node[1], str):
             raise ValueError(f"bad var: {node!r}")
         return ("var", node[1])
-    if head == "+":
+    if head in ("+", "*"):
         if len(node) != 3:
-            raise ValueError(f"+ takes two arguments: {node!r}")
-        return ("add", term_from_json(node[1]), term_from_json(node[2]))
-    if head == "*":
-        if len(node) != 3:
-            raise ValueError(f"* takes two arguments: {node!r}")
-        return ("mul", term_from_json(node[1]), term_from_json(node[2]))
+            raise ValueError(f"{head} takes two arguments: {node!r}")
+        return (head, term_from_json(node[1]), term_from_json(node[2]))
     if head == "-":
         if len(node) == 2:
-            return ("neg", term_from_json(node[1]))
+            return ("-", term_from_json(node[1]))
         if len(node) == 3:
-            return ("add", term_from_json(node[1]), ("neg", term_from_json(node[2])))
+            return ("+", term_from_json(node[1]), ("-", term_from_json(node[2])))
         raise ValueError(f"- takes one or two arguments: {node!r}")
     raise ValueError(f"unknown term head: {head!r}")
-
-
-def term_to_json(t: Term) -> list:
-    kind = t[0]
-    if kind == "const":
-        return ["const", t[1]]
-    if kind == "var":
-        return ["var", t[1]]
-    if kind == "add":
-        return ["+", term_to_json(t[1]), term_to_json(t[2])]
-    if kind == "mul":
-        return ["*", term_to_json(t[1]), term_to_json(t[2])]
-    if kind == "neg":
-        return ["-", term_to_json(t[1])]
-    raise ValueError(f"unknown term kind: {kind!r}")
 
 
 def term_vars(t: Term) -> set:
@@ -133,11 +118,11 @@ def eval_term(t: Term, assignment: Mapping[str, int]) -> int:
         return t[1]
     if kind == "var":
         return assignment[t[1]]
-    if kind == "add":
+    if kind == "+":
         return eval_term(t[1], assignment) + eval_term(t[2], assignment)
-    if kind == "mul":
+    if kind == "*":
         return eval_term(t[1], assignment) * eval_term(t[2], assignment)
-    if kind == "neg":
+    if kind == "-":
         return -eval_term(t[1], assignment)
     raise ValueError(f"unknown term kind: {kind!r}")
 
@@ -155,12 +140,6 @@ class RingSystem:
             undeclared = (term_vars(lhs) | term_vars(rhs)) - declared
             if undeclared:
                 raise ValueError(f"undeclared variables: {sorted(undeclared)}")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "equations": [[term_to_json(a), term_to_json(b)] for a, b in self.equations],
-        }
 
     @staticmethod
     def from_jsonable(data: Mapping) -> "RingSystem":
@@ -203,32 +182,31 @@ def gword(*factors) -> GroupWord:
 
 
 def gen(name: str, exp: int = 1):
-    return ("gen", name, exp)
+    return (name, exp)
 
 
 def comm(u: GroupWord, v: GroupWord, exp: int = 1):
-    return ("comm", u, v, exp)
+    return ("comm", u, v) if exp == 1 else ("comm", u, v, exp)
 
 
 def gword_names(w: GroupWord) -> set:
     names = set()
     for f in w:
-        if f[0] == "gen":
-            names.add(f[1])
-        else:
+        if f[0] == "comm":
             names |= gword_names(f[1]) | gword_names(f[2])
+        else:
+            names.add(f[0])
     return names
 
 
 def eval_gword(w: GroupWord, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
     acc = None
     for f in w:
-        if f[0] == "gen":
-            x, e = env[f[1]], f[2]
-        elif f[0] == "comm":
-            x, e = commutator(eval_gword(f[1], env, m), eval_gword(f[2], env, m)), f[3]
+        if f[0] == "comm":
+            x = commutator(eval_gword(f[1], env, m), eval_gword(f[2], env, m))
+            e = f[3] if len(f) == 4 else 1
         else:
-            raise ValueError(f"unknown factor {f!r}")
+            x, e = env[f[0]], f[1]
         if e == -1:
             x = inverse(x)
         elif e != 1:
@@ -237,33 +215,15 @@ def eval_gword(w: GroupWord, env: Mapping[str, MalcevElement], m: int) -> Malcev
     return identity(m) if acc is None else acc
 
 
-def gword_to_json(w: GroupWord) -> list:
-    out = []
-    for f in w:
-        if f[0] == "gen":
-            out.append([f[1], f[2]])
-        else:
-            node = ["comm", gword_to_json(f[1]), gword_to_json(f[2])]
-            if f[3] != 1:
-                node.append(f[3])
-            out.append(node)
-    return out
-
-
 def gword_from_json(nodes) -> GroupWord:
     factors = []
     for node in nodes:
         if not isinstance(node, (list, tuple)) or not node:
             raise ValueError(f"bad word factor: {node!r}")
         if node[0] == "comm":
-            if len(node) == 3:
-                factors.append(comm(gword_from_json(node[1]), gword_from_json(node[2])))
-            elif len(node) == 4:
-                factors.append(
-                    comm(gword_from_json(node[1]), gword_from_json(node[2]), node[3])
-                )
-            else:
+            if len(node) not in (3, 4):
                 raise ValueError(f"bad comm node: {node!r}")
+            factors.append(comm(gword_from_json(node[1]), gword_from_json(node[2]), *node[3:]))
         else:
             if len(node) != 2 or not isinstance(node[0], str) or not isinstance(node[1], int):
                 raise ValueError(f"bad generator factor: {node!r}")
@@ -281,17 +241,12 @@ class GroupSystem:
         names = set(self.variables) | set(self.constants)
         if len(names) != len(self.variables) + len(self.constants):
             raise ValueError("name collision between variables and constants")
+        if "comm" in names:
+            raise ValueError("the name 'comm' is reserved for brackets")
         for lhs, rhs in self.equations:
             undeclared = (gword_names(lhs) | gword_names(rhs)) - names
             if undeclared:
                 raise ValueError(f"undeclared names: {sorted(undeclared)}")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "constants": list(self.constants),
-            "equations": [[gword_to_json(a), gword_to_json(b)] for a, b in self.equations],
-        }
 
     @staticmethod
     def from_jsonable(data: Mapping) -> "GroupSystem":
@@ -326,6 +281,7 @@ class FreeNilpotentAmbient:
     """Free 2-step nilpotent group of rank m; constants a = a_1, b = a_2."""
 
     def __init__(self, m: int):
+        check_rank(m)
         if m < 2:
             raise ValueError("need m >= 2 for non-commuting constants")
         self.m = m
@@ -375,15 +331,12 @@ class Template:
 
 
 def _rename_word(w: GroupWord, mapping: Mapping[str, str]) -> GroupWord:
-    out = []
-    for f in w:
-        if f[0] == "gen":
-            out.append(("gen", mapping.get(f[1], f[1]), f[2]))
-        else:
-            out.append(
-                ("comm", _rename_word(f[1], mapping), _rename_word(f[2], mapping), f[3])
-            )
-    return tuple(out)
+    return tuple(
+        ("comm", _rename_word(f[1], mapping), _rename_word(f[2], mapping)) + f[3:]
+        if f[0] == "comm"
+        else (mapping.get(f[0], f[0]), f[1])
+        for f in w
+    )
 
 
 def instantiate_template(
@@ -533,14 +486,10 @@ def compile_system(edef: EDefinition, S: RingSystem) -> CompiledSystem:
         term_name[t] = name
         order.append(t)
         variables.append(name)
-        if kind == "add":
-            emit(edef.add, (args[0], args[1], name))
-        elif kind == "neg":
-            emit(edef.neg, (args[0], name))
-        elif kind == "mul":
-            emit(edef.mul, (args[0], args[1], name))
-        else:
+        gadget = {"+": edef.add, "-": edef.neg, "*": edef.mul}.get(kind)
+        if gadget is None:
             raise ValueError(f"unknown term kind {kind!r}")
+        emit(gadget, (*args, name))
         return name
 
     for name in S.variables:
@@ -588,11 +537,11 @@ class _EquationShape:
 
 def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _EquationShape:
     names = (gword_names(lhs) | gword_names(rhs)) & variables
-    bare = {f[1] for w in (lhs, rhs) for f in w if f[0] == "gen"} & variables
+    bare = {f[0] for w in (lhs, rhs) for f in w if f[0] != "comm"} & variables
     forced = tuple(
-        (a[0][1], a[0][2], b, frozenset(gword_names(b)))
+        (a[0][0], a[0][1], b, frozenset(gword_names(b)))
         for a, b in ((lhs, rhs), (rhs, lhs))
-        if len(a) == 1 and a[0][0] == "gen" and abs(a[0][2]) == 1
+        if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1
     )
     return _EquationShape(frozenset(names), frozenset(bare), forced)
 
@@ -802,9 +751,9 @@ class CorrespondenceReport:
     missing_extensions: ring solutions (within B_ring) whose mapped tuples
     admit no auxiliary witness within the group box.  bad_projections:
     ring-variable exponent tuples that the compiled system accepts within the
-    group box but the ring system rejects.  Both lists must stay empty; the
-    bounded searches never prove unsolvability, so nothing beyond the boxes
-    is claimed.
+    group box but the ring system rejects.  Both lists must stay empty, and
+    ok says whether they are; the bounded searches never prove
+    unsolvability, so nothing beyond the boxes is claimed.
     """
 
     ring_solutions: int
@@ -812,20 +761,7 @@ class CorrespondenceReport:
     grid_points: int
     solvable_points: int
     bad_projections: Tuple[dict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing_extensions and not self.bad_projections
-
-    def to_jsonable(self) -> dict:
-        return {
-            "ring_solutions": self.ring_solutions,
-            "missing_extensions": list(self.missing_extensions),
-            "grid_points": self.grid_points,
-            "solvable_points": self.solvable_points,
-            "bad_projections": list(self.bad_projections),
-            "ok": self.ok,
-        }
+    ok: bool
 
 
 def verify_correspondence(
@@ -920,6 +856,7 @@ def verify_correspondence(
         grid_points=grid,
         solvable_points=solvable,
         bad_projections=tuple(bad),
+        ok=not missing and not bad,
     )
 
 

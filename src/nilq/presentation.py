@@ -50,7 +50,7 @@ from .nilpotent2 import (
     multiply,
     power,
 )
-from .words import NielsenLog, RelatorSet, Word, nielsen_moves, parse_word
+from .words import NielsenLog, RelatorSet, Word, check_rank, nielsen_moves, parse_word
 from .zmatrix import Echelon, IntMatrix, SmithDecomposition, rank as zrank
 
 
@@ -90,6 +90,7 @@ def parse_presentation(text: str) -> NilPresentation:
                 m, s = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ValueError(f"line {lineno}: header must be two integers") from None
+            check_rank(m)
             header = (m, s)
         else:
             relator_words.append(parse_word(line, m))
@@ -331,26 +332,17 @@ class RegimeReport:
     """
 
     regime: str
-    free_nilpotent_corank: Optional[int]
+    corank: Optional[int]
     diophantine: str
     notes: str
     rank: int
     invariant_factors: Tuple[int, ...]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "regime": self.regime,
-            "corank": self.free_nilpotent_corank,
-            "diophantine": self.diophantine,
-            "notes": self.notes,
-            "rank": self.rank,
-            "invariant_factors": list(self.invariant_factors),
-        }
-
 
 def classify(np_: NormalizedPresentation) -> RegimeReport:
     m, r = np_.m, np_.r
     notes: list[str] = []
+    corank = None
     if np_.s > 2:
         notes.append(
             f"declared nilpotency class {np_.s}; all computations use the "
@@ -361,15 +353,8 @@ def classify(np_: NormalizedPresentation) -> RegimeReport:
             "exponent-sum matrix is rank-deficient, which happens with "
             "vanishing probability for random relators; no regime assigned."
         )
-        return RegimeReport(
-            regime=REGIME_INCONCLUSIVE,
-            free_nilpotent_corank=None,
-            diophantine="UNKNOWN",
-            notes=" ".join(notes),
-            rank=np_.snf.rank,
-            invariant_factors=np_.snf.invariant_factors,
-        )
-    if r <= m - 2:
+        regime, dio = REGIME_INCONCLUSIVE, "UNKNOWN"
+    elif r <= m - 2:
         notes.append(
             f"quotient by the third lower central subgroup is virtually free "
             f"nilpotent of rank {m - r} (class 2). Asymptotically almost "
@@ -379,15 +364,8 @@ def classify(np_: NormalizedPresentation) -> RegimeReport:
             "the integers are definable by systems of equations, so "
             "Diophantine solvability over the group is undecidable."
         )
-        return RegimeReport(
-            regime=REGIME_UNDECIDABLE,
-            free_nilpotent_corank=m - r,
-            diophantine="UNDECIDABLE",
-            notes=" ".join(notes),
-            rank=np_.snf.rank,
-            invariant_factors=np_.snf.invariant_factors,
-        )
-    if r == m - 1:
+        regime, dio, corank = REGIME_UNDECIDABLE, "UNDECIDABLE", m - r
+    elif r == m - 1:
         notes.append(
             "one generator survives rationally: asymptotically almost surely "
             "the group is virtually abelian (finite-by-cyclic up to finite "
@@ -410,7 +388,7 @@ def classify(np_: NormalizedPresentation) -> RegimeReport:
         regime, dio = REGIME_FINITE_ABELIAN, "DECIDABLE"
     return RegimeReport(
         regime=regime,
-        free_nilpotent_corank=None,
+        corank=corank,
         diophantine=dio,
         notes=" ".join(notes),
         rank=np_.snf.rank,

@@ -31,12 +31,13 @@ import random
 from bisect import bisect_right
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .words import RelatorSet, exponent_sum_matrix, random_word
 from .zmatrix import IntMatrix, minor_polynomial, rank as zrank
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ResourceLimitError(Exception):
@@ -58,6 +59,9 @@ def trial_rng(seed: int, scale: int, trial: int) -> random.Random:
 
 
 def _np_rng(seed: int, scale: int, trial: int) -> np.random.Generator:
+    # importing numpy costs more than most commands; only clt and escape sample with it
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(stream_seed(seed, scale, trial)))
 
 

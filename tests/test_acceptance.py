@@ -481,14 +481,14 @@ def test_criterion_10_classifier_table():
     ]
     for text, regime, dioph, corank in table:
         rep = classify(normalize(parse_presentation(text)))
-        if (rep.regime, rep.diophantine, rep.free_nilpotent_corank) != (
+        if (rep.regime, rep.diophantine, rep.corank) != (
             regime,
             dioph,
             corank,
         ):
             failures.append(
                 f"{text!r}: got ({rep.regime}, {rep.diophantine}, "
-                f"{rep.free_nilpotent_corank}), want ({regime}, {dioph}, {corank})"
+                f"{rep.corank}), want ({regime}, {dioph}, {corank})"
             )
     _verdict(10, "regime table matches expected verdicts and coranks", failures,
              time.monotonic() - t0, 60.0)
@@ -503,19 +503,19 @@ def _corpus():
             "x1+x2=x3",
             RingSystem(
                 ("x1", "x2", "x3"),
-                ((("add", V("x1"), V("x2")), V("x3")),),
+                ((("+", V("x1"), V("x2")), V("x3")),),
             ),
             91,
         ),
-        ("x*x=4", RingSystem(("x",), ((("mul", V("x"), V("x")), C(4)),)), 2),
-        ("x*x=2", RingSystem(("x",), ((("mul", V("x"), V("x")), C(2)),)), 0),
+        ("x*x=4", RingSystem(("x",), ((("*", V("x"), V("x")), C(4)),)), 2),
+        ("x*x=2", RingSystem(("x",), ((("*", V("x"), V("x")), C(2)),)), 0),
         (
             "x*y=6,x+y=5",
             RingSystem(
                 ("x", "y"),
                 (
-                    (("mul", V("x"), V("y")), C(6)),
-                    (("add", V("x"), V("y")), C(5)),
+                    (("*", V("x"), V("y")), C(6)),
+                    (("+", V("x"), V("y")), C(5)),
                 ),
             ),
             2,
@@ -531,7 +531,7 @@ def test_criterion_11_compiler_correspondence():
     for name, S, expected_solutions in _corpus():
         rep = verify_correspondence(S, edef, amb, 5, 8, eval_limit=2 * 10**7)
         if not rep.ok:
-            failures.append(f"{name}: counterexamples {rep.to_jsonable()}")
+            failures.append(f"{name}: counterexamples {rep}")
             break
         if rep.ring_solutions != expected_solutions:
             failures.append(

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nilq
 from nilq.cli import main
 from nilq.randwalk import (
     RETURN_N_MAX_LIMIT,
@@ -220,6 +224,7 @@ _SYSTEM_FILES = {
     "finite.txt": "2 2\na1^2\na2^3 a1\n",
     "finab.txt": "2 3\na1^2\na2^2\na1 a2 a1\n",
     "deficient.txt": DEFICIENT,
+    "big.txt": "65 2\na1 a2\n",
 }
 _PINNED_SYSTEM_OUTPUTS = [
     (("compile", "{ring.json}"),
@@ -258,16 +263,20 @@ _PINNED_SYSTEM_OUTPUTS = [
 ]
 
 
+def _with_system_files(tmp_path, argv):
+    """argv with each "{name}" replaced by the path of _SYSTEM_FILES[name]."""
+    for name, content in _SYSTEM_FILES.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    return [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+
+
 @pytest.mark.parametrize(
     "argv,digest",
     _PINNED_SYSTEM_OUTPUTS,
     ids=[" ".join(a).replace("{", "").replace("}", "") for a, _ in _PINNED_SYSTEM_OUTPUTS],
 )
 def test_system_output_bytes_pinned(capsys, tmp_path, argv, digest):
-    for name, content in _SYSTEM_FILES.items():
-        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
-    code, out, _ = _run(capsys, *(
-        str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv))
+    code, out, _ = _run(capsys, *_with_system_files(tmp_path, argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
@@ -300,6 +309,9 @@ def test_solve_bounded_ring(capsys, tmp_path):
     data = json.loads(out)
     assert data["kind"] == "ring"
     assert data["solutions"] == [{"x": -2}, {"x": 2}]
+    code, out, _ = _run(capsys, "solve-bounded", str(ring), "--box", "5", "--first")
+    assert code == 0
+    assert json.loads(out)["solutions"] == [{"x": -2}]
 
 
 def test_solve_bounded_ring_obeys_limit(capsys, tmp_path):
@@ -414,6 +426,49 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, _ = _run(capsys, "no-such-command")
     assert code == 2
+
+
+def _run_process(*args):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nilq.__file__)))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_main_twice_in_one_process_matches_separate_processes(capsys, tmp_path):
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(_SYSTEM_FILES["group.json"]))
+    calls = [("solve-bounded", str(group), "--box", "1", "--first"),
+             ("solve-bounded", str(group), "--box", "1")]
+    in_process = [_run(capsys, *argv) for argv in calls]
+    separate = [_run_process("-m", "nilq.cli", *argv) for argv in calls]
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in separate]
+    assert in_process[0][1] != in_process[1][1]
+
+
+def test_import_cli_leaves_numpy_unloaded():
+    proc = _run_process("-c", "import sys, nilq.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+# m = 65 is one past words.MAX_RANK; test_words checks that a far larger m
+# is refused before anything of that size is built
+@pytest.mark.parametrize("argv", [
+    ("classify", "{big.txt}"),
+    ("normalize", "{big.txt}"),
+    ("is-trivial", "{big.txt}", "a1"),
+    ("word-eval", "a1", "--m", "65"),
+    ("word-eval", "a1 a65"),
+    ("solve-bounded", "{group.json}", "--box", "0", "--m", "65"),
+    ("solve-bounded", "{group.json}", "--box", "0", "--presentation", "{big.txt}"),
+    ("verify", "{ring.json}", "--box-ring", "0", "--box-group", "0", "--m", "65"),
+    ("verify", "{ring.json}", "--box-ring", "0", "--box-group", "0",
+     "--presentation", "{big.txt}"),
+], ids=lambda argv: " ".join(argv).replace("{", "").replace("}", ""))
+def test_rank_over_limit_exit_1(capsys, tmp_path, argv):
+    code, out, _ = _run(capsys, *_with_system_files(tmp_path, argv))
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "RankLimitError"
+    assert "over the limit of 64" in data["message"]
 
 
 def test_bad_word_argument_exit_2(capsys, pres):

@@ -1,5 +1,6 @@
 """Ring systems, the group-equation compiler, and the bounded solvers."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -12,6 +13,7 @@ from nilq.diophantine import (
     QuotientAmbient,
     RingSystem,
     SearchSpaceError,
+    Template,
     bounded_solve_group,
     bounded_solve_ring,
     comm,
@@ -21,12 +23,10 @@ from nilq.diophantine import (
     gen,
     gword,
     gword_from_json,
-    gword_to_json,
     instantiate_template,
     odot_law_failures,
     ring_satisfies,
     term_from_json,
-    term_to_json,
     verify_correspondence,
     z_in_g_templates,
 )
@@ -40,26 +40,31 @@ def _ring(variables, equations):
 
 V = lambda name: ("var", name)
 C = lambda n: ("const", n)
-ADD = lambda a, b: ("add", a, b)
-MUL = lambda a, b: ("mul", a, b)
+ADD = lambda a, b: ("+", a, b)
+MUL = lambda a, b: ("*", a, b)
+
+
+def _json_roundtrip(obj):
+    """obj as a file holds it: a dataclass by its fields."""
+    return json.loads(json.dumps(obj, default=dataclasses.asdict))
 
 
 def test_term_json_roundtrip():
     t = ADD(MUL(V("x"), V("y")), C(-3))
-    assert term_from_json(term_to_json(t)) == t
-    # unary and binary minus both land on add/neg trees
-    assert term_from_json(["-", ["var", "x"]]) == ("neg", V("x"))
+    assert term_from_json(_json_roundtrip(t)) == t
+    # unary and binary minus both land on +/unary - trees
+    assert term_from_json(["-", ["var", "x"]]) == ("-", V("x"))
     assert term_from_json(["-", ["var", "x"], ["var", "y"]]) == (
-        "add",
+        "+",
         V("x"),
-        ("neg", V("y")),
+        ("-", V("y")),
     )
     with pytest.raises(ValueError):
         term_from_json(["&", ["var", "x"]])
 
 
 def test_eval_term():
-    t = ADD(MUL(V("x"), V("x")), ("neg", C(4)))
+    t = ADD(MUL(V("x"), V("x")), ("-", C(4)))
     assert eval_term(t, {"x": 3}) == 5
     assert eval_term(t, {"x": -2}) == 0
 
@@ -68,7 +73,7 @@ def test_ring_system_validation_and_json():
     with pytest.raises(ValueError):
         _ring(["x"], [(V("x"), V("y"))])
     S = _ring(["x", "y"], [(ADD(V("x"), V("y")), C(1))])
-    assert RingSystem.from_jsonable(S.to_jsonable()) == S
+    assert RingSystem.from_jsonable(_json_roundtrip(S)) == S
     assert ring_satisfies(S, {"x": 3, "y": -2})
     assert not ring_satisfies(S, {"x": 0, "y": 0})
 
@@ -93,7 +98,10 @@ def test_bounded_solve_ring_static_limit():
 
 def test_gword_json_roundtrip():
     w = gword(gen("x", 2), comm(gword(gen("a")), gword(gen("b")), -3))
-    assert gword_from_json(gword_to_json(w)) == w
+    assert gword_from_json(_json_roundtrip(w)) == w
+    # an explicit bracket exponent 1 is dropped, as the output drops it
+    a_b = [["a", 1]], [["b", 1]]
+    assert gword_from_json([["comm", *a_b, 1]]) == gword_from_json([["comm", *a_b]])
 
 
 def test_eval_gword():
@@ -108,6 +116,10 @@ def test_group_system_validation():
         GroupSystem(("x",), ("x",), ())  # variable/constant collision
     with pytest.raises(ValueError):
         GroupSystem(("x",), (), (((gen("y"),), (gen("x"),)),))
+    # a factor ["comm", ...] in a file is a bracket, never a name
+    for variables, constants in ((("comm",), ()), (("x",), ("comm",))):
+        with pytest.raises(ValueError, match="reserved"):
+            GroupSystem(variables, constants, ())
 
 
 def test_group_system_json_roundtrip():
@@ -116,7 +128,7 @@ def test_group_system_json_roundtrip():
         ("a", "b"),
         (((gen("x"),), (comm(gword(gen("a")), gword(gen("b"))),)),),
     )
-    assert GroupSystem.from_jsonable(S.to_jsonable()) == S
+    assert GroupSystem.from_jsonable(_json_roundtrip(S)) == S
 
 
 def test_templates_shape():
@@ -158,8 +170,8 @@ def test_compile_shares_repeated_subterms():
 def test_compile_deterministic_bytes():
     edef = z_in_g_templates()
     S = _ring(["x"], [(MUL(V("x"), V("x")), C(4))])
-    a = json.dumps(compile_system(edef, S).system.to_jsonable(), sort_keys=True)
-    b = json.dumps(compile_system(edef, S).system.to_jsonable(), sort_keys=True)
+    a = json.dumps(compile_system(edef, S).system, sort_keys=True, default=dataclasses.asdict)
+    b = json.dumps(compile_system(edef, S).system, sort_keys=True, default=dataclasses.asdict)
     assert a == b
 
 
@@ -312,7 +324,7 @@ def test_verify_correspondence_known_reports():
     assert rep2.ring_solutions == 0
     assert rep2.solvable_points == 0
 
-    data = rep.to_jsonable()
+    data = dataclasses.asdict(rep)
     assert data["ok"] and "missing_extensions" in data
 
 
@@ -325,6 +337,14 @@ def test_verify_correspondence_addition_counts():
     assert rep.ring_solutions == 19
     assert rep.grid_points == 343
     assert rep.solvable_points == 37
+
+
+def test_verify_correspondence_reports_a_broken_encoding():
+    # an equality gadget that equates nothing accepts every grid point
+    edef = dataclasses.replace(z_in_g_templates(), equal=Template(("x1", "x2"), (), ()))
+    rep = verify_correspondence(_ring(["x"], [(V("x"), C(0))]), edef, FreeNilpotentAmbient(2), 1, 1)
+    assert rep.bad_projections == ({"x": -1}, {"x": 1}) and not rep.missing_extensions
+    assert rep.ok is False
 
 
 def test_odot_law_small_range():

@@ -1,5 +1,6 @@
 """Presentation normalization, word-problem deciders, c-smallness, regimes."""
 
+import dataclasses
 import json
 import math
 import random
@@ -350,7 +351,7 @@ def test_classify_regimes(text, regime, dioph, corank):
     report = classify(_norm(text))
     assert report.regime == regime
     assert report.diophantine == dioph
-    assert report.free_nilpotent_corank == corank
+    assert report.corank == corank
 
 
 def test_classify_rank_deficient():
@@ -361,7 +362,7 @@ def test_classify_rank_deficient():
 
 def test_regime_report_json():
     report = classify(_norm("3 2\na1^2\n"))
-    data = report.to_jsonable()
+    data = dataclasses.asdict(report)
     json.dumps(data)
     assert data["corank"] == 2
     assert data["regime"] == "UNDECIDABLE_REGULAR"

@@ -6,9 +6,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilq.diophantine import FreeNilpotentAmbient
+from nilq.presentation import parse_presentation
 from nilq.words import (
+    MAX_RANK,
     MAX_WORD_LETTERS,
     NielsenLog,
+    RankLimitError,
     RelatorSet,
     Word,
     WordSyntaxError,
@@ -47,6 +51,24 @@ def test_parse_brackets_and_groups():
     assert w.letters == (-2, -1, 2, 1)
     w = parse_word("[a1, a2^2]", 2)
     assert w.letters == (-1, -2, -2, 1, 2, 2)
+
+
+def test_rank_over_limit_refused_before_allocating():
+    assert parse_word(f"a{MAX_RANK}", MAX_RANK).m == MAX_RANK
+    m = 10**9  # one element of this rank would hold 5e17 gamma coordinates
+    for make in (
+        lambda: parse_word("a1", m),
+        lambda: parse_presentation(f"{m} 2\n"),
+        lambda: FreeNilpotentAmbient(m),
+        lambda: parse_word("a1", MAX_RANK + 1),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RankLimitError):
+                make()
+            assert tracemalloc.get_traced_memory()[1] < 10**6
+        finally:
+            tracemalloc.stop()
 
 
 def test_parse_rejects_oversized_expansion_before_expanding():
