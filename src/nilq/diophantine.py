@@ -427,7 +427,6 @@ def z_in_g_templates() -> EDefinition:
 @dataclass(frozen=True)
 class CompiledSystem:
     system: GroupSystem
-    ring_system: RingSystem
     term_names: Tuple[Tuple[Term, str], ...]
 
     def ring_variable_names(self) -> Dict[str, str]:
@@ -502,7 +501,6 @@ def compile_system(edef: EDefinition, S: RingSystem) -> CompiledSystem:
     system = GroupSystem(tuple(variables), edef.constants, tuple(equations))
     return CompiledSystem(
         system=system,
-        ring_system=S,
         term_names=tuple((t, term_name[t]) for t in order),
     )
 

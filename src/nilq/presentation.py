@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .nilpotent2 import (
     MalcevElement,
@@ -50,7 +50,8 @@ from .nilpotent2 import (
     multiply,
     power,
 )
-from .words import NielsenLog, RelatorSet, Word, check_rank, nielsen_moves, parse_word
+from .words import MAX_RELATORS, NielsenLog, RankLimitError, RelatorSet, Word
+from .words import check_rank, nielsen_moves, parse_word
 from .zmatrix import Echelon, IntMatrix, SmithDecomposition, rank as zrank
 
 
@@ -76,9 +77,8 @@ class NilPresentation:
 def parse_presentation(text: str) -> NilPresentation:
     header = None
     relator_words: list[Word] = []
-    lines = text.splitlines()
     m = s = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -92,6 +92,8 @@ def parse_presentation(text: str) -> NilPresentation:
                 raise ValueError(f"line {lineno}: header must be two integers") from None
             check_rank(m)
             header = (m, s)
+        elif len(relator_words) == MAX_RELATORS:
+            raise RankLimitError(f"line {lineno}: relators over the limit of {MAX_RELATORS}")
         else:
             relator_words.append(parse_word(line, m))
     if header is None:
@@ -107,15 +109,13 @@ class NormalizedPresentation:
     normal closure: alpha_i * [a_i, a_k] for each normalized relator i and
     k != i, together with the gamma parts of extra_commutator_relators.
     ``rewritten`` and ``basis_images`` are the relators and the original
-    generators over the new basis; ``nielsen_log`` holds the moves.
+    generators over the new basis; ``nielsen_log`` holds the moves.  The
+    other parts are views of ``snf`` and ``rewritten``.
     """
 
     m: int
     r: int
     s: int
-    alphas: Tuple[int, ...]
-    c_parts: Tuple[MalcevElement, ...]
-    extra_commutator_relators: Tuple[MalcevElement, ...]
     nielsen_log: NielsenLog
     snf: SmithDecomposition
     closure_lattice: Tuple[Tuple[int, ...], ...]
@@ -127,16 +127,29 @@ class NormalizedPresentation:
         return self.snf.rank == min(self.r, self.m)
 
     @property
+    def alphas(self) -> Tuple[int, ...]:
+        return self.snf.invariant_factors
+
+    @property
     def normalized_relators(self) -> Tuple[MalcevElement, ...]:
         """The rewritten relators a_i^alphas[i] * c_parts[i], i < rank."""
-        return self.rewritten[: len(self.alphas)]
+        return self.rewritten[: self.snf.rank]
+
+    @property
+    def c_parts(self) -> Tuple[MalcevElement, ...]:
+        # a_i^-alpha_i * h: with one nonzero alpha, no gamma coordinate moves
+        return tuple(MalcevElement(self.m, (0,) * self.m, h.gamma) for h in self.normalized_relators)
+
+    @property
+    def extra_commutator_relators(self) -> Tuple[MalcevElement, ...]:
+        return self.rewritten[self.snf.rank :]  # zero alpha, so central
 
     # Computed on first use only: the deciders need them, and normalize
     # should not pay for them where nothing is decided.
     @cached_property
     def closure_echelon(self) -> Echelon:
         """Echelon form of closure_lattice: the gamma block of
-        coordinate_echelon, and what is_c_small projects modulo."""
+        coordinate_echelon, and what the bracket residues reduce modulo."""
         return Echelon.of(self.closure_lattice)
 
     @cached_property
@@ -149,20 +162,24 @@ class NormalizedPresentation:
         return Echelon(
             tuple(g.alpha + g.gamma for g in self.normalized_relators)
             + tuple(zeros + row for row in lattice.rows),
-            tuple(range(len(self.alphas))) + tuple(self.m + c for c in lattice.pivots),
+            tuple(range(self.snf.rank)) + tuple(self.m + c for c in lattice.pivots),
         )
 
     @cached_property
     def center_profile_dim(self) -> int:
         """Dimension over Q of the alpha profiles central modulo torsion: the
-        v with gamma([a_g, v]) in the Q-span of the lattice for every g."""
-        m = self.m
-        residue = self.closure_echelon.rational_residue
-        gens = [generator(m, g) for g in range(1, m + 1)]
-        columns = [
-            [x for g in gens for x in residue(commutator(g, c).gamma)] for c in gens
-        ]
-        return m - zrank(IntMatrix.from_rows(columns))
+        kernel of the map whose row c is the bracket residues of a_c."""
+        gens = [generator(self.m, c) for c in range(1, self.m + 1)]
+        rows = [[x for res in _bracket_residues(self, g) for x in res] for g in gens]
+        return self.m - zrank(IntMatrix.from_rows(rows))
+
+
+def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator[list]:
+    """gamma([g, a_c]) modulo the Q-span of the closure lattice, c = 1..m, one
+    at a time: the columns of the bracket map v -> [g, v] modulo torsion."""
+    residue = np_.closure_echelon.rational_residue
+    for c in range(1, np_.m + 1):
+        yield residue(commutator(g, generator(np_.m, c)).gamma)
 
 
 def normalize(p: NilPresentation) -> NormalizedPresentation:
@@ -190,38 +207,22 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
             basis[i] = inverse(basis[i])
     images = tuple(apply_hom(h, basis) for h in relators)
     k = snf.rank
-    alphas = snf.invariant_factors
-    c_parts = []
-    for i in range(k):
-        h = images[i]
-        expected = tuple(alphas[i] if t == i else 0 for t in range(m))
-        if h.alpha != expected:
-            raise AssertionError("rewritten relator alpha does not match diagonal")
-        # a_i^-alpha_i * h: with one nonzero alpha, no gamma coordinate moves
-        c_parts.append(MalcevElement(m, (0,) * m, h.gamma))
-    extras = []
-    for h in images[k:]:
-        if any(h.alpha):
-            raise AssertionError("relator beyond rank must be central")
-        extras.append(h)
-    vectors: list[Tuple[int, ...]] = []
-    for i in range(k):
-        for g in range(1, m + 1):
-            if g == i + 1:
-                continue
-            vec = commutator(images[i], generator(m, g)).gamma
-            if any(vec):
-                vectors.append(vec)
-    for h in extras:
-        if any(h.gamma):
-            vectors.append(h.gamma)
+    if any(h.alpha != snf.D.row(i) for i, h in enumerate(images[:k])):
+        raise AssertionError("rewritten relator alpha does not match diagonal")
+    if any(any(h.alpha) for h in images[k:]):
+        raise AssertionError("relator beyond rank must be central")
+    # [images[i], a_g] is +-alpha_i at the pair (i+1, g), never zero
+    vectors = [
+        commutator(images[i], generator(m, g)).gamma
+        for i in range(k)
+        for g in range(1, m + 1)
+        if g != i + 1
+    ]
+    vectors += [h.gamma for h in images[k:] if any(h.gamma)]
     return NormalizedPresentation(
         m=m,
         r=len(p.relators.relators),
         s=p.s,
-        alphas=alphas,
-        c_parts=tuple(c_parts),
-        extra_commutator_relators=tuple(extras),
         nielsen_log=log,
         snf=snf,
         closure_lattice=tuple(vectors),
@@ -271,22 +272,17 @@ def is_trivial_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> boo
 
 def is_central_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> bool:
     """True iff h commutes with every generator modulo torsion, i.e. h is
-    central in the quotient by the torsion subgroup."""
+    central in the quotient by the torsion subgroup; stops at the first
+    generator that h does not commute with."""
     if h.m != np_.m:
         raise ValueError("rank mismatch")
-    for g in range(1, np_.m + 1):
-        if not is_trivial_mod_torsion(commutator(h, generator(np_.m, g)), np_):
-            return False
-    return True
+    return not any(any(res) for res in _bracket_residues(np_, h))
 
 
 def _commuting_profile_dim(np_: NormalizedPresentation, g: MalcevElement) -> int:
     """Dimension over Q of {v : gamma([g, v]) lies in the Q-span of the
     closure lattice}; the alpha profiles commuting with g modulo torsion."""
-    m = np_.m
-    residue = np_.closure_echelon.rational_residue
-    columns = [residue(commutator(g, generator(m, c)).gamma) for c in range(1, m + 1)]
-    return m - zrank(IntMatrix.from_rows(columns))
+    return np_.m - zrank(IntMatrix.from_rows(_bracket_residues(np_, g)))
 
 
 def is_c_small(g: MalcevElement, np_: NormalizedPresentation) -> bool:
@@ -309,10 +305,10 @@ def is_c_small(g: MalcevElement, np_: NormalizedPresentation) -> bool:
         raise InconclusiveError(
             "centralizer-smallness is only decided for relator rank <= m - 2"
         )
-    center_dim = np_.center_profile_dim
-    if is_central_mod_torsion(g, np_):
-        return center_dim == np_.m
-    return _commuting_profile_dim(np_, g) == center_dim + 1
+    commuting_dim = _commuting_profile_dim(np_, g)
+    if commuting_dim == np_.m:  # g is central modulo torsion
+        return np_.center_profile_dim == np_.m
+    return commuting_dim == np_.center_profile_dim + 1
 
 
 REGIME_UNDECIDABLE = "UNDECIDABLE_REGULAR"

@@ -107,8 +107,8 @@ def rank_experiment(cfg: ExperimentConfig) -> list:
     random words, per length.
 
     Each trial checks the rank two independent ways (fraction-free
-    elimination and the sum of squared maximal minors) and insists they
-    agree.
+    elimination, and the sum of squared maximal minors, which is the
+    determinant of the Gram matrix) and insists they agree.
     """
     rows = []
     for length in cfg.lengths:

@@ -21,7 +21,6 @@ repetitions of the unit operation; replay code may apply it in one step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Sequence, Tuple
 
 
@@ -208,15 +207,7 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
             # re-pivot on it
             continue
         p = A[t][t]
-        stuck = None
-        for i in range(t + 1, r):
-            Ai = A[i]
-            for j in range(t + 1, m):
-                if Ai[j] % p:
-                    stuck = i
-                    break
-            if stuck is not None:
-                break
+        stuck = next((i for i in range(t + 1, r) if any(v % p for v in A[i][t + 1 :])), None)
         if stuck is not None:
             # drag a row with a non-multiple into the pivot row and re-reduce;
             # the next pivot becomes gcd(p, offender) < p
@@ -265,97 +256,73 @@ def apply_op(M: IntMatrix, op: ElementaryOp) -> IntMatrix:
     return IntMatrix.from_rows(A) if A else M
 
 
-def rank(M: IntMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
-
-    Deliberately independent of smith_normal_form so the two can check each
-    other.
-    """
-    A = M.to_rows()
-    r, m = M.rows, M.cols
-    prev = 1
+def _bareiss(A: list, cols: int) -> Tuple[int, int]:
+    """(rank, det) of the rows A, consumed, by fraction-free elimination with
+    full pivoting.  Each step divides exactly by the previous pivot, so the
+    last pivot, signed by the swaps, is det; det is 0 unless A is square of
+    full rank, and 1 when A is empty."""
+    r = len(A)
+    sign = prev = 1
     t = 0
-    while True:
+    while t < r and t < cols:
         piv = None
         for i in range(t, r):
-            for j in range(t, m):
+            for j in range(t, cols):
                 if A[i][j]:
                     piv = (i, j)
                     break
             if piv:
                 break
         if piv is None:
-            return t
+            break
         pi, pj = piv
         if pi != t:
             A[t], A[pi] = A[pi], A[t]
+            sign = -sign
         if pj != t:
             for row in A:
                 row[t], row[pj] = row[pj], row[t]
-        p = A[t][t]
+            sign = -sign
+        At = A[t]
+        p = At[t]
         for i in range(t + 1, r):
-            Ai, At = A[i], A[t]
+            Ai = A[i]
             f = Ai[t]
-            for j in range(t, m):
+            for j in range(t, cols):
                 Ai[j] = (Ai[j] * p - f * At[j]) // prev
         prev = p
         t += 1
-        if t == r or t == m:
-            return t
+    return t, sign * prev if t == r == cols else 0
+
+
+def rank(M: IntMatrix) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination.
+
+    Deliberately independent of smith_normal_form so the two can check each
+    other.
+    """
+    return _bareiss(M.to_rows(), M.cols)[0]
 
 
 def determinant(M: IntMatrix) -> int:
-    """Exact determinant by Bareiss elimination with row pivoting."""
+    """Exact determinant by fraction-free (Bareiss) elimination."""
     if M.rows != M.cols:
         raise ValueError("determinant needs a square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    A = M.to_rows()
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if A[t][t] == 0:
-            for i in range(t + 1, n):
-                if A[i][t]:
-                    A[t], A[i] = A[i], A[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        p = A[t][t]
-        for i in range(t + 1, n):
-            Ai, At = A[i], A[t]
-            f = Ai[t]
-            for j in range(t, n):
-                Ai[j] = (Ai[j] * p - f * At[j]) // prev
-        prev = p
-    return sign * A[n - 1][n - 1]
+    return _bareiss(M.to_rows(), M.cols)[1]
 
 
 def minor_polynomial(M: IntMatrix) -> int:
-    """Sum of squared maximal minors.
+    """Sum of squared maximal minors: det(M)^2, or by Cauchy-Binet
+    det(M M^T) for a wide M and det(M^T M) for a tall one.
 
     Zero iff the matrix has less than full rank min(rows, cols).  For an
     empty matrix the single empty minor has determinant 1, so the value is 1.
     """
-    r, m = M.rows, M.cols
-    k = min(r, m)
-    if k == 0:
-        return 1
-    rows_list = M.to_rows()
-    total = 0
-    if r <= m:
-        for cols in combinations(range(m), k):
-            sub = IntMatrix.from_rows([[rows_list[i][j] for j in cols] for i in range(r)])
-            d = determinant(sub)
-            total += d * d
-    else:
-        for rws in combinations(range(r), k):
-            sub = IntMatrix.from_rows([[rows_list[i][j] for j in range(m)] for i in rws])
-            d = determinant(sub)
-            total += d * d
-    return total
+    if M.rows == M.cols:
+        return determinant(M) ** 2
+    lines = M.to_rows() if M.rows < M.cols else list(zip(*M.to_rows()))
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in lines] for u in lines]
+    return _bareiss(gram, len(gram))[1]
 
 
 def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, Tuple[int, ...]]:
@@ -399,7 +366,6 @@ def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, Tuple[int, 
                     q = A[i][col] // A[piv][col]
                     if q:
                         row_add(piv, i, -q)
-        nz = [i for i in range(prow, r) if A[i][col]]
         if not nz:
             continue
         if nz[0] != prow:

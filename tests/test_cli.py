@@ -10,6 +10,7 @@ import pytest
 
 import nilq
 from nilq.cli import main
+from nilq.words import MAX_RELATORS
 from nilq.randwalk import (
     RETURN_N_MAX_LIMIT,
     ExperimentConfig,
@@ -281,6 +282,126 @@ def test_system_output_bytes_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+# sha256 of the exact stdout of normalize and is-trivial on the presentations
+# of _SYSTEM_FILES within the rank limit.  The three words are a relator
+# (trivial), a word trivial only modulo torsion where the group has torsion
+# (finite.txt, finab.txt; a generator or its square elsewhere), and a
+# commutator (central)
+_PINNED_PRESENTATION_OUTPUTS = [
+    (("normalize", "{quot.txt}"),
+     "afa33428f0155c2342f7b6a0c7caf8ae614f73316e1ca9a4fb7333217f8d6bb7"),
+    (("is-trivial", "{quot.txt}", "a1^2 a2"),
+     "73ea5c19967b324537250a0610d06f24efeef18cc356d1187b8b24290c728280"),
+    (("is-trivial", "{quot.txt}", "a3^2"),
+     "f3e3cc3c8df1ac1282ef39d4fd8ee83b854539ac1101d97fe15bd7709c66dc92"),
+    (("is-trivial", "{quot.txt}", "[a1,a3]"),
+     "f7e4fb9691f220a2157c02ed329e487957156a19de23f865951314f36526609a"),
+    (("normalize", "{undecidable.txt}"),
+     "974265a85f2e7ceb064603b68a9abe5f1d83290e878dc844a63e9fb8a0900151"),
+    (("is-trivial", "{undecidable.txt}", "a1 a2^2 a3"),
+     "32c4da8f80d4bd0a628d91dec766717b85fe22afe84c98b1d9398f4237aa559c"),
+    (("is-trivial", "{undecidable.txt}", "a3"),
+     "c1281d82ae57053cc45d1224022f738326aa26414e8fc3de4f6d7d1b13888045"),
+    (("is-trivial", "{undecidable.txt}", "[a3,a4]"),
+     "58c6d3eac56d1e19717a80a3abd0676ece1f0789f0dd29e65bc7c9418631e739"),
+    (("normalize", "{virt.txt}"),
+     "1353b7ef59ae38ce748567b540f44d862c1c22e1863b1a3248747e0b92548453"),
+    (("is-trivial", "{virt.txt}", "a2 a3^3"),
+     "e1a3988a583bc3d0bc898bffd06ec8ef84fccf5762930bc984a9eb26f4f00915"),
+    (("is-trivial", "{virt.txt}", "a1"),
+     "fc8c796d8232b4c0d12a0f3ad70b5e8415f7833119dd5da7ac3d769262f520cb"),
+    (("is-trivial", "{virt.txt}", "[a1,a2]"),
+     "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
+    (("normalize", "{class3.txt}"),
+     "00324086c46fa960e84e6c1a6e235af9d10dcc3ae6867fe4774bbf3e7a38e203"),
+    (("is-trivial", "{class3.txt}", "a2 a3^3"),
+     "e1a3988a583bc3d0bc898bffd06ec8ef84fccf5762930bc984a9eb26f4f00915"),
+    (("is-trivial", "{class3.txt}", "a1"),
+     "fc8c796d8232b4c0d12a0f3ad70b5e8415f7833119dd5da7ac3d769262f520cb"),
+    (("is-trivial", "{class3.txt}", "[a1,a2]"),
+     "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
+    (("normalize", "{finite.txt}"),
+     "99b6599d145ea84553102e928db8fbcc12692a693d56b8a07a9ede0e0cd4f0c6"),
+    (("is-trivial", "{finite.txt}", "a2^3 a1"),
+     "8e701f03f76cdbb314471cd26953a818539ffa5e40ab53978ba85af2da0bac2a"),
+    (("is-trivial", "{finite.txt}", "a1"),
+     "cfb1a115f913e6b577737cfeff39180b7d486e60ee94faea3d054646ee6ef14e"),
+    (("is-trivial", "{finite.txt}", "[a1,a2]"),
+     "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
+    (("normalize", "{finab.txt}"),
+     "1b310d28f5df8e3e165ea308467967e7124d61d2dde979ef528d9fc164d9b16a"),
+    (("is-trivial", "{finab.txt}", "a1 a2 a1"),
+     "d7dc09f90ee72375d7b1ea1e525ba26260ba7fbe0394bf2054fa303d1619428d"),
+    (("is-trivial", "{finab.txt}", "a1"),
+     "cfb1a115f913e6b577737cfeff39180b7d486e60ee94faea3d054646ee6ef14e"),
+    (("is-trivial", "{finab.txt}", "[a1,a2]"),
+     "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
+    (("normalize", "{deficient.txt}"),
+     "0f023490293d8961b08be3f80eca04606220b3800148f3126f418dab9133cda3"),
+    (("is-trivial", "{deficient.txt}", "a1 a2"),
+     "87409c03a44cce81e1889c8c9e3645810a3bfbde6fb2b5cf5e8cc41d0d1693cb"),
+    (("is-trivial", "{deficient.txt}", "a1^2"),
+     "5ac380a15073c8499aa3b9c954785404590a146ca7d07a5c0f6ddf7c4b2610f7"),
+    (("is-trivial", "{deficient.txt}", "[a1,a2]"),
+     "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    _PINNED_PRESENTATION_OUTPUTS,
+    ids=[" ".join(a).replace("{", "").replace("}", "") for a, _ in _PINNED_PRESENTATION_OUTPUTS],
+)
+def test_presentation_output_bytes_pinned(capsys, tmp_path, argv, digest):
+    code, out, _ = _run(capsys, *_with_system_files(tmp_path, argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+# sha256 of the exact stdout of sz-check on square, wide and tall shapes and of
+# rank-exp with r < m ("{wide.json}") and r > m ("{tall.json}")
+_RANK_EXP_CONFIGS = {
+    "wide.json": {"m": 4, "r": 2, "lengths": [4, 9], "trials": 25, "seed": 12},
+    "tall.json": {"m": 2, "r": 3, "lengths": [4, 9], "trials": 25, "seed": 12},
+}
+_PINNED_SHAPE_OUTPUTS = [
+    (("sz-check", "--r", "2", "--m", "2", "--b", "1", "--format", "csv"),
+     "de667290da7325138ba694a62075be59359f395bbe7be0deaca0aaff27d5c8f7"),
+    (("sz-check", "--r", "2", "--m", "2", "--b", "1", "--format", "json"),
+     "b1444a72755fda19d07aa4fcc3ff06b4329e51657ee8516b77736da779a8a53d"),
+    (("sz-check", "--r", "2", "--m", "3", "--b", "1", "--format", "csv"),
+     "8f67e7966f8f4b731bf13db3f7eec95de683af351fb988e078873319a9d7a79b"),
+    (("sz-check", "--r", "2", "--m", "3", "--b", "1", "--format", "json"),
+     "de3c7fc2c9d7ef52e26075732d270fb313b0a0533bdff84acabd0e6ce075aa13"),
+    (("sz-check", "--r", "3", "--m", "2", "--b", "1", "--format", "csv"),
+     "99435c9b3d07fcb9d4b2db402f1fccf4392e7fda56179de58efb7e1231ea1acd"),
+    (("sz-check", "--r", "3", "--m", "2", "--b", "1", "--format", "json"),
+     "cbbd6f511060cb59669f86e05184637ceaeaf250885e7841c0f09af51a551987"),
+    (("rank-exp", "{wide.json}", "--format", "csv"),
+     "106e3be49bddc8bf5401ea25eb7786f66851ba5e99dd83495c39a12cad14b66a"),
+    (("rank-exp", "{wide.json}", "--format", "json"),
+     "7ba5e7db16c10dba6b44811ac9006d80b0fb70cfe01530fe9a25c6bc2a4ad326"),
+    (("rank-exp", "{tall.json}", "--format", "csv"),
+     "0a94c6d6605ae2058ca65a469ae9e51bdc0b7b913433ef73a2a13c230d6e37be"),
+    (("rank-exp", "{tall.json}", "--format", "json"),
+     "65807db249610184191d7099ede641ef497acd5b982134fbf2713b9d9ef5f11d"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    _PINNED_SHAPE_OUTPUTS,
+    ids=[" ".join(a).replace("{", "").replace("}", "") for a, _ in _PINNED_SHAPE_OUTPUTS],
+)
+def test_shape_output_bytes_pinned(capsys, tmp_path, argv, digest):
+    for name, cfg in _RANK_EXP_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(cfg))
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 def test_compile_then_solve(capsys, tmp_path):
     ring = tmp_path / "ring.json"
     ring.write_text(json.dumps({
@@ -469,6 +590,24 @@ def test_rank_over_limit_exit_1(capsys, tmp_path, argv):
     data = json.loads(out)
     assert data["error"] == "RankLimitError"
     assert "over the limit of 64" in data["message"]
+
+
+# one relator over words.MAX_RELATORS, refused before it is parsed
+@pytest.mark.parametrize("argv", [
+    ("classify", "{many.txt}"),
+    ("normalize", "{many.txt}"),
+    ("is-trivial", "{many.txt}", "a1"),
+    ("solve-bounded", "{group.json}", "--box", "0", "--presentation", "{many.txt}"),
+    ("verify", "{ring.json}", "--box-ring", "0", "--box-group", "0",
+     "--presentation", "{many.txt}"),
+], ids=lambda argv: " ".join(argv).replace("{", "").replace("}", ""))
+def test_relator_count_over_limit_exit_1(capsys, tmp_path, argv):
+    (tmp_path / "many.txt").write_text("2 2\n" + "a1 a2^2\n" * (MAX_RELATORS + 1))
+    code, out, _ = _run(capsys, *_with_system_files(tmp_path, argv))
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "RankLimitError"
+    assert f"over the limit of {MAX_RELATORS}" in data["message"]
 
 
 def test_bad_word_argument_exit_2(capsys, pres):

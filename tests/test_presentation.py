@@ -31,6 +31,8 @@ from nilq.presentation import (
     parse_presentation,
 )
 from nilq.words import (
+    MAX_RELATORS,
+    RankLimitError,
     RelatorSet,
     Word,
     concat,
@@ -551,3 +553,41 @@ def test_deciders_run_one_hnf_per_presentation(monkeypatch):
         is_trivial_mod_torsion(h, np_)
         is_central_mod_torsion(h, np_)
     assert len(calls) <= 1
+
+
+def test_central_mod_torsion_matches_commutator_loop():
+    # the loop the bracket residues replaced: h is central modulo torsion iff
+    # [h, a_g] is trivial modulo torsion for every generator a_g
+    rng = random.Random(12)
+    seen = {True: 0, False: 0}
+    for p in _seeded_presentations(rng):
+        np_ = normalize(p)
+        for h in _seeded_queries(rng, np_):
+            expected = all(
+                is_trivial_mod_torsion(commutator(h, generator(np_.m, g)), np_)
+                for g in range(1, np_.m + 1)
+            )
+            assert is_central_mod_torsion(h, np_) == expected
+            seen[expected] += 1
+    assert all(seen.values()), seen
+
+
+def test_relator_count_limit():
+    at_limit = "2 2\n" + "a1 a2^2\n" * MAX_RELATORS
+    assert len(parse_presentation(at_limit + "# a comment\n").relators.relators) == MAX_RELATORS
+    # the count is checked before the next word is parsed
+    for extra in ("a1\n", "b9\n"):
+        with pytest.raises(RankLimitError, match=f"over the limit of {MAX_RELATORS}"):
+            parse_presentation(at_limit + extra)
+
+
+def test_central_mod_torsion_stops_at_first_noncommuting_generator(monkeypatch):
+    calls = []
+
+    def counting_commutator(x, y):
+        calls.append(y)
+        return commutator(x, y)
+
+    monkeypatch.setattr(presentation, "commutator", counting_commutator)
+    assert not is_central_mod_torsion(generator(4, 1), _norm("4 2\n"))
+    assert len(calls) == 2  # a1 commutes with a1, not with a2

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,6 +127,32 @@ def test_minor_polynomial_edge_cases():
     wide = IntMatrix.from_rows([[1, 0, 2]])
     assert minor_polynomial(wide) == 1 + 0 + 4
     assert minor_polynomial(IntMatrix.zeros(2, 3)) == 0
+
+
+def _squared_minor_sum(rows, r, m):
+    """The sum of squared maximal minors, one cofactor expansion each."""
+    if min(r, m) == 0:
+        return 1
+    if r <= m:
+        return sum(_cofactor_det([[row[j] for j in cols] for row in rows]) ** 2
+                   for cols in combinations(range(m), r))
+    return sum(_cofactor_det([rows[i] for i in rws]) ** 2 for rws in combinations(range(r), m))
+
+
+def test_minor_polynomial_matches_squared_minor_sum():
+    rng = random.Random(29)
+    shapes = {"empty": 0, "square": 0, "wide": 0, "tall": 0, "deficient": 0}
+    for _ in range(400):
+        r, m = rng.randrange(0, 5), rng.randrange(0, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(r)]
+        if r >= 2 and rng.random() < 0.2:
+            rows[-1] = list(rows[0])
+        M = IntMatrix(r, m, tuple(v for row in rows for v in row))
+        value = minor_polynomial(M)
+        assert value == _squared_minor_sum(rows, r, m), rows
+        shapes["empty" if min(r, m) == 0 else "square" if r == m else "wide" if r < m else "tall"] += 1
+        shapes["deficient"] += value == 0
+    assert all(shapes.values()), shapes
 
 
 def test_hermite_form_properties():
