@@ -871,7 +871,8 @@ def odot_law_failures(
 
     For each pair, x1 and x2 are pinned to c^t1, c^t2 and all witnesses
     (auxiliaries within aux_bound, x3 within t_max^2) are enumerated; a pair
-    fails if no witness exists or some witness yields a different x3.
+    fails if no witness exists or some witness yields an x3 that differs
+    from c^(t1*t2) in the ambient group, not merely as an element of N.
     """
     consts = ambient.constants()
     c = commutator(consts["a"], consts["b"])
@@ -893,7 +894,7 @@ def odot_law_failures(
             sols = bounded_solve_group(
                 system, ambient, boxes, pinned=pin, find_all=True, eval_limit=eval_limit
             )
-            expected = power(c, t1 * t2)
-            if not sols or any(s["x3"] != expected for s in sols):
+            undo = power(c, -t1 * t2)  # x3 must equal c^(t1*t2) in G
+            if not sols or any(not ambient.is_trivial(multiply(s["x3"], undo)) for s in sols):
                 failures.append((t1, t2))
     return failures

@@ -15,6 +15,20 @@ The ground truth for the product is the collection identity
 applied letter by letter (``collection_oracle``).  The closed forms below were
 read off from it and the test suite pins them against the oracle; if you
 change a sign here, the oracle will catch you.
+
+An endomorphism sending a_k to y_k is, in class 2, a polynomial map on
+coordinates (Sims, *Computation with Finitely Presented Groups*, 1994, the
+chapter on polycyclic groups).  With A the m x m matrix whose column k is
+y_k.alpha and beta_k = y_k.gamma, the image of x = (a | g) is
+
+    alpha' = A a
+    gamma'_pq = sum_k a_k beta_k[pq] + (A X A^T)_pq        (p < q)
+
+where X[k][l] = g_kl above the diagonal, X[l][k] = -g_kl - a_k a_l below it
+and X[k][k] = -C(a_k, 2).  The a_k beta_k and diagonal terms are the powers
+y_k^(a_k), the terms below the diagonal collect those powers in order, and
+g_kl (A_pk A_ql - A_pl A_qk) is [y_k, y_l]^(g_kl).  ``Endomorphism`` holds A
+and beta and evaluates this with no group multiplication.
 """
 
 from __future__ import annotations
@@ -134,20 +148,71 @@ def power(x: MalcevElement, k: int) -> MalcevElement:
     return acc
 
 
-def apply_hom(x: MalcevElement, images) -> MalcevElement:
-    """Image of x under the endomorphism of N_{2,m} sending a_k to images[k-1]."""
-    if len(images) != x.m:
-        raise ValueError("need one image per generator")
-    acc = identity(x.m)
-    for img, a in zip(images, x.alpha):
-        acc = multiply(acc, power(img, a))
-    gamma = list(acc.gamma)
-    for (i, j), g in zip(pair_list(x.m), x.gamma):
-        if not g:
-            continue
-        for t, v in enumerate(commutator(images[i - 1], images[j - 1]).gamma):
-            gamma[t] += g * v
-    return MalcevElement(x.m, acc.alpha, tuple(gamma))
+class Endomorphism:
+    """The endomorphism of N_{2,m} sending a_k to images[k-1], as the class-2
+    polynomial map on Malcev coordinates (see the module docstring).
+
+    Built once from the images, it holds A (column k is images[k].alpha) and
+    beta (row k is images[k].gamma), O(m * C(m, 2)) integers; a call runs no
+    multiply, power or commutator.
+    """
+
+    __slots__ = ("m", "columns", "betas")
+
+    def __init__(self, images):
+        self.m = len(images)
+        if any(img.m != self.m for img in images):
+            raise ValueError("need one image per generator")
+        self.columns = tuple(img.alpha for img in images)
+        self.betas = tuple(img.gamma for img in images)
+
+    def __call__(self, x: MalcevElement) -> MalcevElement:
+        m = self.m
+        if x.m != m:
+            raise ValueError("rank mismatch")
+        a, g = x.alpha, x.gamma
+        # the rows of X, sparse: X[k][k] = -C(a_k, 2), and for k < l
+        # X[k][l] = g_kl, X[l][k] = -g_kl - a_k a_l
+        rows = [{k: -(ak * (ak - 1) // 2)} if ak not in (0, 1) else {} for k, ak in enumerate(a)]
+        t = 0
+        for k in range(m):
+            ak, row_k = a[k], rows[k]
+            for l in range(k + 1, m):
+                gkl = g[t]
+                t += 1
+                if gkl:
+                    row_k[l] = gkl
+                v = -gkl - ak * a[l]
+                if v:
+                    rows[l][k] = v
+        cols, betas = self.columns, self.betas
+        alpha = [0] * m
+        gamma = [0] * len(g)
+        for k, ak in enumerate(a):
+            if ak:
+                for p, v in enumerate(cols[k]):
+                    alpha[p] += ak * v
+                for t, v in enumerate(betas[k]):
+                    gamma[t] += ak * v
+        # (A X A^T)_pq = sum_k A_pk w_q with w = (X A^T)_k, for p < q
+        for k, row_k in enumerate(rows):
+            if not row_k:
+                continue
+            w = [0] * m
+            for l, x_kl in row_k.items():
+                for q, v in enumerate(cols[l]):
+                    w[q] += x_kl * v
+            col = cols[k]
+            t = 0
+            for p in range(m):
+                u = col[p]
+                if u:
+                    for q in range(p + 1, m):
+                        gamma[t] += u * w[q]
+                        t += 1
+                else:
+                    t += m - p - 1
+        return MalcevElement(m, tuple(alpha), tuple(gamma))
 
 
 def from_word(w: Word) -> MalcevElement:

@@ -41,8 +41,8 @@ from functools import cached_property
 from typing import Iterator, Optional, Tuple
 
 from .nilpotent2 import (
+    Endomorphism,
     MalcevElement,
-    apply_hom,
     commutator,
     from_word,
     generator,
@@ -144,8 +144,14 @@ class NormalizedPresentation:
     def extra_commutator_relators(self) -> Tuple[MalcevElement, ...]:
         return self.rewritten[self.snf.rank :]  # zero alpha, so central
 
-    # Computed on first use only: the deciders need them, and normalize
-    # should not pay for them where nothing is decided.
+    # Computed on first use only: queries and deciders need them, and
+    # normalize should not pay for them where nothing is asked.
+    @cached_property
+    def basis_map(self) -> Endomorphism:
+        """The substitution a_k -> basis_images[k-1] as one polynomial map,
+        what express_in_normalized_basis evaluates."""
+        return Endomorphism(self.basis_images)
+
     @cached_property
     def closure_echelon(self) -> Echelon:
         """Echelon form of closure_lattice: the gamma block of
@@ -205,7 +211,8 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
             basis[i], basis[j] = basis[j], basis[i]
         elif mv.kind == "generator_invert":
             basis[i] = inverse(basis[i])
-    images = tuple(apply_hom(h, basis) for h in relators)
+    substitute = Endomorphism(basis)
+    images = tuple(substitute(h) for h in relators)
     k = snf.rank
     if any(h.alpha != snf.D.row(i) for i, h in enumerate(images[:k])):
         raise AssertionError("rewritten relator alpha does not match diagonal")
@@ -239,8 +246,15 @@ def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevE
     through the same substitutions before the coordinate-level deciders see
     it: each original generator a_k becomes basis_images[k-1].  Words already
     phrased in the rewritten basis can skip this and call from_word directly.
+
+    The substitution is the cached ``basis_map``: with A the matrix whose
+    column k is basis_images[k].alpha and beta_k = basis_images[k].gamma, the
+    word's coordinates (a | g) go to alpha' = A a and
+    gamma'_pq = sum_k a_k beta_k[pq] + (A X A^T)_pq (p < q), where X[k][l] =
+    g_kl above the diagonal, -g_kl - a_k a_l below it and -C(a_k, 2) on it.
+    No group multiplication runs.
     """
-    return apply_hom(from_word(w), np_.basis_images)
+    return np_.basis_map(from_word(w))
 
 
 def is_trivial_in_G(h: MalcevElement, np_: NormalizedPresentation) -> bool:

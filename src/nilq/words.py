@@ -86,15 +86,16 @@ def _check_word_length(n: int) -> None:
 MAX_RANK = 64
 """Most generators m that ``parse_word``, a presentation header and a free
 ambient accept.  An element has m(m-1)/2 gamma coordinates, and the closure
-lattice of m relators about m^4/2 integers: ``is-trivial`` on m two-letter
-relators took 7 s and 0.7 GB at m = 64 (2.4 s and 0.23 GB at m = 48); with
-two relators it took 0.55 s and 82 MB at m = 128."""
+lattice of m relators about m^4/2 integers: ``is-trivial`` on m seeded
+two-letter relators took 3.7 s and 0.29 GB at m = 64 (2.0 s and 0.11 GB at
+m = 48), on a 2-vCPU VM with Python 3.11."""
 
 
 MAX_RELATORS = 128
 """Most relators a presentation file holds, so r >= m + 1 stays reachable at
-every m: at m = MAX_RANK with four-letter relators, ``is-trivial`` took 9.5 s
-and 0.60 GB at r = 64, and 42 s and 0.69 GB at r = 128."""
+every m: at m = MAX_RANK with seeded four-letter relators, ``is-trivial``
+took 8.0 s and 0.33 GB at r = 64, and 28 s and 0.36 GB at r = 128 (same
+machine; about half of it in the HNF of the closure lattice)."""
 
 
 class RankLimitError(Exception):

@@ -325,31 +325,21 @@ def minor_polynomial(M: IntMatrix) -> int:
     return _bareiss(gram, len(gram))[1]
 
 
-def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, Tuple[int, ...]]:
+def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, Tuple[int, ...]]:
     """Row-style Hermite normal form.
 
-    Returns (H, W, pivot_cols) with W unimodular, W @ M == H, pivots positive,
-    entries above each pivot reduced into [0, pivot), and zero rows last.
+    Returns (H, pivot_cols): H = W @ M for some unimodular W, which is not
+    built (``lattice_membership`` recovers it from the form of [M | I]).
+    Pivots are positive, entries above each pivot reduced into [0, pivot),
+    and zero rows last.
     """
     r, m = M.rows, M.cols
     A = M.to_rows()
-    W = IntMatrix.identity(r).to_rows()
 
     def row_add(src, dst, mult):
         As, Ad = A[src], A[dst]
         for j in range(m):
             Ad[j] += mult * As[j]
-        Ws, Wd = W[src], W[dst]
-        for j in range(r):
-            Wd[j] += mult * Ws[j]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        W[i], W[j] = W[j], W[i]
-
-    def row_negate(i):
-        A[i] = [-v for v in A[i]]
-        W[i] = [-v for v in W[i]]
 
     pivots: list[int] = []
     prow = 0
@@ -369,9 +359,9 @@ def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, Tuple[int, 
         if not nz:
             continue
         if nz[0] != prow:
-            row_swap(prow, nz[0])
+            A[prow], A[nz[0]] = A[nz[0]], A[prow]
         if A[prow][col] < 0:
-            row_negate(prow)
+            A[prow] = [-v for v in A[prow]]
         p = A[prow][col]
         for i in range(prow):
             q = A[i][col] // p
@@ -380,8 +370,26 @@ def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, Tuple[int, 
         pivots.append(col)
         prow += 1
     H = IntMatrix.from_rows(A) if r else IntMatrix(0, m, ())
-    Wm = IntMatrix.from_rows(W) if r else IntMatrix(0, 0, ())
-    return H, Wm, tuple(pivots)
+    return H, tuple(pivots)
+
+
+def hermite_transform(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, Tuple[int, ...]]:
+    """(H, W, pivot_cols) with W unimodular and W @ M == H, H the Hermite
+    normal form of M.
+
+    Runs ``hermite_normal_form`` on [M | I]: its steps on the first M.cols
+    columns are those on M alone, and every later step adds, swaps or
+    negates rows whose M part is zero, so the left block is H and the right
+    block a unimodular W.  A test oracle: the production path needs no W.
+    """
+    r, m = M.rows, M.cols
+    eye = IntMatrix.identity(r)
+    HW, pivots = hermite_normal_form(
+        IntMatrix(r, m + r, tuple(v for i in range(r) for v in M.row(i) + eye.row(i)))
+    )
+    H = IntMatrix(r, m, tuple(v for i in range(r) for v in HW.row(i)[:m]))
+    W = IntMatrix(r, r, tuple(v for i in range(r) for v in HW.row(i)[m:]))
+    return H, W, tuple(c for c in pivots if c < m)
 
 
 @dataclass(frozen=True)
@@ -401,7 +409,7 @@ class Echelon:
 
     @classmethod
     def of(cls, basis: Sequence[Sequence[int]]) -> "Echelon":
-        H, _, pivots = hermite_normal_form(IntMatrix.from_rows(basis))
+        H, pivots = hermite_normal_form(IntMatrix.from_rows(basis))
         return cls(tuple(H.row(k) for k in range(len(pivots))), pivots)
 
     def in_lattice(self, target: Sequence[int]) -> bool:
@@ -442,8 +450,8 @@ def lattice_membership(
     """Integer coefficients expressing target in the Z-span of basis, or None.
 
     Decided via the Hermite normal form of the basis matrix; coefficients are
-    pulled back through the recorded unimodular transform, so the returned x
-    satisfies sum_i x[i] * basis[i] == target exactly.
+    pulled back through its unimodular transform (``hermite_transform``), so
+    the returned x satisfies sum_i x[i] * basis[i] == target exactly.
     """
     basis = [list(v) for v in basis]
     target = list(target)
@@ -454,7 +462,7 @@ def lattice_membership(
     if not basis:
         return [] if all(v == 0 for v in target) else None
     B = IntMatrix.from_rows(basis)
-    H, W, pivots = hermite_normal_form(B)
+    H, W, pivots = hermite_transform(B)
     n = len(basis)
     resid = list(target)
     y = [0] * n

@@ -353,6 +353,18 @@ def test_odot_law_small_range():
     assert odot_law_failures(edef, amb, t_max=2, aux_bound=3, eval_limit=10**7) == []
 
 
+@pytest.mark.parametrize("relator", [
+    "a2 a1^-1 a3 a1^-1 a1^-1 a1 a1 a3^-1",
+    "a2 a1 a3 a1 a1 a3 a3^-1 a2^-1",
+    "a1^-1 a2^-1 a2^-1 a3^-1 a2^-1 a3^-1 a1 a3",
+])
+def test_odot_law_compares_in_the_quotient(relator):
+    # x3 is one representative of its class in G; comparing it with
+    # c^(t1*t2) as elements of N failed 8 of these 9 pairs
+    amb = QuotientAmbient(normalize(parse_presentation(f"3 2\n{relator}\n")))
+    assert odot_law_failures(z_in_g_templates(), amb, t_max=1, aux_bound=1) == []
+
+
 def _random_word(rng, names, depth=0):
     factors = []
     for _ in range(rng.randrange(3)):

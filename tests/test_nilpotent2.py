@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilq.nilpotent2 import (
+    Endomorphism,
     MalcevElement,
-    apply_hom,
     collection_oracle,
     commutator,
     format_element,
@@ -132,6 +132,20 @@ def test_power_extreme_exponents():
     assert power(x, 10**12) == multiply(power(x, 10**12 - 1), x)
 
 
+def apply_hom(x, images):
+    """Image of x under a_k -> images[k-1] by group arithmetic: each image
+    raised to its exponent and multiplied in order, then one commutator per
+    nonzero gamma coordinate.  The oracle for Endomorphism."""
+    acc = identity(x.m)
+    for img, a in zip(images, x.alpha):
+        acc = multiply(acc, power(img, a))
+    gamma = list(acc.gamma)
+    for (i, j), g in zip(pair_list(x.m), x.gamma):
+        for t, v in enumerate(commutator(images[i - 1], images[j - 1]).gamma):
+            gamma[t] += g * v
+    return MalcevElement(x.m, acc.alpha, tuple(gamma))
+
+
 def _hom_inputs(m):
     """(x, y, images, letters) for rank m: two elements, the generator
     images of an endomorphism, and a word's letters."""
@@ -155,20 +169,27 @@ def test_apply_hom_is_homomorphism_and_evaluates_letters(inputs):
     assert hom(collection_oracle(Word(tuple(letters), m))) == expected
 
 
-def test_apply_hom_skips_zero_gamma_coordinates(monkeypatch):
-    from nilq import nilpotent2
+def _map_inputs(m):
+    """(x, images) for rank m: x with coordinates up to 10^12 in absolute
+    value, often zero, and small generator images."""
+    big = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**12, 10**12))
+    x = st.builds(lambda a, g: MalcevElement(m, a, g),
+                  st.tuples(*([big] * m)), st.tuples(*([big] * (m * (m - 1) // 2))))
+    return st.tuples(x, st.tuples(*([_elements(m)] * m)))
 
-    calls = []
-    real = nilpotent2.commutator
-    monkeypatch.setattr(nilpotent2, "commutator", lambda x, y: calls.append(1) or real(x, y))
-    m = 6
-    images = tuple(power(generator(m, k), k + 1) for k in range(1, m + 1))
-    x = from_word(Word((1, 2, 3, 3), m))
-    assert apply_hom(x, images) == MalcevElement(m, (2, 3, 8, 0, 0, 0), (0,) * 15)
-    assert calls == []
-    # one nonzero gamma coordinate, one commutator
-    apply_hom(from_word(Word((-1, -2, 1, 2), m)), images)
-    assert len(calls) == 1
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(_map_inputs))
+def test_endomorphism_matches_group_arithmetic(inputs):
+    x, images = inputs
+    assert Endomorphism(images)(x) == apply_hom(x, images)
+
+
+def test_endomorphism_rejects_mixed_ranks():
+    with pytest.raises(ValueError):
+        Endomorphism((generator(2, 1), identity(3)))
+    with pytest.raises(ValueError):
+        Endomorphism((generator(2, 1), generator(2, 2)))(identity(3))
 
 
 def test_power_known_square():

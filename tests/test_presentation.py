@@ -1,13 +1,14 @@
 """Presentation normalization, word-problem deciders, c-smallness, regimes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
 
 import pytest
 
-from nilq import presentation, zmatrix
+from nilq import nilpotent2, presentation, zmatrix
 from nilq.nilpotent2 import (
     MalcevElement,
     commutator,
@@ -161,6 +162,45 @@ def test_normalize_matches_word_replay():
             w = random_word(rng.randrange(16), m, rng)
             expected = from_word(rewrite_through_generator_moves(w, log))
             assert express_in_normalized_basis(w, np_) == expected
+
+
+def test_normalize_outputs_pinned():
+    # rewritten, closure_lattice and basis_images of 60 seeded presentations
+    # with m <= 8, as the square-and-multiply substitution computed them
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    moved = 0
+    for _ in range(60):
+        m = rng.randrange(2, 9)
+        r = rng.randrange(1, m + 3)
+        rels = tuple(random_word(rng.randrange(1, 13), m, rng) for _ in range(r))
+        np_ = normalize(NilPresentation(m, 2, RelatorSet(rels, m)))
+        moved += np_.basis_images != tuple(generator(m, k) for k in range(1, m + 1))
+        coords = lambda els: [el.alpha + el.gamma for el in els]
+        digest.update(json.dumps([coords(np_.rewritten), np_.closure_lattice,
+                                  coords(np_.basis_images)]).encode())
+    assert moved >= 30
+    assert digest.hexdigest() == "c072c7ab04ec6d659cb5a000fc6cd679051346deebc755ee7d953c2a527a6b79"
+
+
+def test_cached_map_query_runs_no_group_arithmetic(monkeypatch):
+    rng = random.Random(5)
+    rels = tuple(random_word(10, 4, rng) for _ in range(2))
+    np_ = normalize(NilPresentation(4, 2, RelatorSet(rels, 4)))
+    assert np_.basis_images != tuple(generator(4, k) for k in range(1, 5))
+    words = [random_word(30, 4, rng) for _ in range(20)] + list(rels)
+    expected = [from_word(rewrite_through_generator_moves(w, np_.nielsen_log)) for w in words]
+
+    def forbidden(*args):
+        raise AssertionError("group arithmetic on the query path")
+
+    for module in (nilpotent2, presentation):
+        for name in ("multiply", "inverse", "power", "commutator"):
+            monkeypatch.setattr(module, name, forbidden)
+    for w, want in zip(words, expected):
+        h = express_in_normalized_basis(w, np_)
+        assert h == want
+        assert is_trivial_in_G(h, np_) == is_trivial_mod_torsion(h, np_) == (w in rels)
 
 
 def test_normalize_long_relators():

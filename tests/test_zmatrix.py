@@ -14,6 +14,7 @@ from nilq.zmatrix import (
     apply_op,
     determinant,
     hermite_normal_form,
+    hermite_transform,
     lattice_membership,
     minor_polynomial,
     rank,
@@ -159,7 +160,9 @@ def test_hermite_form_properties():
     rng = random.Random(23)
     for _ in range(100):
         M = _random_matrix(rng)
-        H, W, pivots = hermite_normal_form(M)
+        H, pivots = hermite_normal_form(M)
+        H_aug, W, pivots_aug = hermite_transform(M)
+        assert (H_aug, pivots_aug) == (H, pivots)
         assert W @ M == H
         assert abs(determinant(W)) == 1
         assert len(pivots) == rank(M)
