@@ -251,6 +251,10 @@ def _cmd_solve_bounded(args) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"bad group system: {exc}") from exc
         ambient = _ambient(args)
+        try:
+            diophantine.ambient_constants(S, ambient)
+        except ValueError as exc:
+            raise _UsageError(f"bad group system: {exc}") from exc
         sols = diophantine.bounded_solve_group(
             S, ambient, args.box, find_all=not args.first, eval_limit=args.limit
         )

@@ -39,19 +39,35 @@ once y is the only unknown of u = v and occurs only inside brackets, u v^-1
 has a fixed alpha part and gamma part g0 + sum_k alpha_y[k] L_k.  The solver
 reads g0 and L off m + 1 probe evaluations (when y's box has more alpha
 values than that) and rejects each alpha value whose form is not trivial in
-the ambient, with all its gamma values, before recursing; the candidate order, and so the solutions and their order, stay
-those of the plain scan.  The work limit counts word evaluations (probes
-included) and candidates (rejected ones included), not the nominal box
-volume (the nominal volume of the gadget systems is astronomically larger
-than the work the scheduler does).  The per-equation analysis is computed
-once per GroupSystem.
+the ambient, with all its gamma values, before recursing; the candidate
+order, and so the solutions and their order, stay those of the plain scan.
+The work limit counts word evaluations (probes included) and candidates
+(rejected ones included), not the nominal box volume (the nominal volume of
+the gadget systems is astronomically larger than the work the scheduler
+does).
+
+In class 2 every group word is a polynomial in its names' coordinates
+(Duchin, Liang & Shapiro), so the solver never walks a word through group
+arithmetic.  ``compile_gword`` turns a word into a ``WordForm``: integer maps
+A, D (name -> int) and B ((p, q) -> int) with
+
+    alpha = sum_n A[n] alpha_n
+    gamma_ij = sum_n D[n] gamma_n,ij + sum_pq B[p, q] alpha_p[j] alpha_q[i]
+
+for i < j.  A name n is ({n: 1}, {n: 1}, {}); a product X Y adds the maps and
+subtracts A_X[p] A_Y[q] from B[p, q]; X^e scales them by e and subtracts
+C(e, 2) A[p] A[q] from B[p, q]; [X, Y] has A = D = 0 and moves A_X[p] A_Y[q]
+from B[p, q] to B[q, p].  Each rule is a closed form of ``nilpotent2``
+(multiply, power, commutator).  The per-equation analysis, with the form of
+u v^-1 for each equation and of w^e for each forced assignment x^e = w, is
+computed once per GroupSystem.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .nilpotent2 import (
@@ -59,8 +75,8 @@ from .nilpotent2 import (
     commutator,
     generator,
     identity,
-    inverse,
     multiply,
+    pair_list,
     power,
 )
 from .presentation import NormalizedPresentation, is_trivial_in_G
@@ -199,20 +215,98 @@ def gword_names(w: GroupWord) -> set:
     return names
 
 
-def eval_gword(w: GroupWord, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
-    acc = None
+class WordForm:
+    """A group word as its class-2 polynomial, the maps A, D and B of the
+    module docstring with only their nonzero coefficients.
+
+    ``compile_gword`` builds it; a call evaluates it on an environment of
+    rank-m elements with no multiply, inverse, power or commutator.
+    """
+
+    __slots__ = ("linear", "central", "quadratic")
+
+    def __init__(self, A: Mapping[str, int], D: Mapping[str, int], B: Mapping[Tuple[str, str], int]):
+        self.linear = tuple((n, c) for n, c in A.items() if c)
+        self.central = tuple((n, c) for n, c in D.items() if c)
+        self.quadratic = tuple((p, q, c) for (p, q), c in B.items() if c)
+
+    def __call__(self, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
+        alpha = [0] * m
+        for n, c in self.linear:
+            alpha = [s + c * v for s, v in zip(alpha, env[n].alpha)]
+        gamma = [0] * (m * (m - 1) // 2)
+        for n, c in self.central:
+            gamma = [s + c * v for s, v in zip(gamma, env[n].gamma)]
+        if self.quadratic:
+            pairs = _zero_based_pairs(m)
+            for p, q, c in self.quadratic:
+                ap, aq = env[p].alpha, env[q].alpha
+                gamma = [s + c * ap[j] * aq[i] for s, (i, j) in zip(gamma, pairs)]
+        return MalcevElement(m, tuple(alpha), tuple(gamma))
+
+
+@lru_cache(maxsize=None)
+def _zero_based_pairs(m: int) -> Tuple[Tuple[int, int], ...]:
+    return tuple((i - 1, j - 1) for i, j in pair_list(m))
+
+
+# The maps (A, D, B) of a word, as plain dicts, by the rules of the module
+# docstring.
+
+
+def _scaled(form, e: int):
+    """The maps of X^e."""
+    A, D, B = ({k: e * v for k, v in d.items()} for d in form)
+    c2 = e * (e - 1) // 2
+    if c2:
+        for p, ap in form[0].items():
+            for q, aq in form[0].items():
+                B[p, q] = B.get((p, q), 0) - c2 * ap * aq
+    return A, D, B
+
+
+def _times(x, y):
+    """The maps of X Y."""
+    A, D, B = ({**dx} for dx in x)
+    for d, dy in zip((A, D, B), y):
+        for k, v in dy.items():
+            d[k] = d.get(k, 0) + v
+    for p, ap in x[0].items():
+        for q, aq in y[0].items():
+            B[p, q] = B.get((p, q), 0) - ap * aq
+    return A, D, B
+
+
+def _bracket(x, y):
+    """The maps of [X, Y]: central, so A = D = 0."""
+    B: Dict[Tuple[str, str], int] = {}
+    for p, ap in x[0].items():
+        for q, aq in y[0].items():
+            B[q, p] = B.get((q, p), 0) + ap * aq
+            B[p, q] = B.get((p, q), 0) - ap * aq
+    return {}, {}, B
+
+
+def _word_maps(w: GroupWord):
+    acc = ({}, {}, {})
     for f in w:
         if f[0] == "comm":
-            x = commutator(eval_gword(f[1], env, m), eval_gword(f[2], env, m))
+            x = _bracket(_word_maps(f[1]), _word_maps(f[2]))
             e = f[3] if len(f) == 4 else 1
         else:
-            x, e = env[f[0]], f[1]
-        if e == -1:
-            x = inverse(x)
-        elif e != 1:
-            x = power(x, e)
-        acc = x if acc is None else multiply(acc, x)
-    return identity(m) if acc is None else acc
+            x, e = ({f[0]: 1}, {f[0]: 1}, {}), f[1]
+        acc = _times(acc, _scaled(x, e))
+    return acc
+
+
+def compile_gword(w: GroupWord, e: int = 1) -> WordForm:
+    """The class-2 polynomial of w^e."""
+    return WordForm(*_scaled(_word_maps(w), e))
+
+
+def eval_gword(w: GroupWord, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
+    """The value of w: compiled, then evaluated on env."""
+    return compile_gword(w)(env, m)
 
 
 def gword_from_json(nodes) -> GroupWord:
@@ -315,6 +409,21 @@ class QuotientAmbient:
 
 
 Ambient = Union[FreeNilpotentAmbient, QuotientAmbient]
+
+
+def ambient_constants(S: GroupSystem, ambient: Ambient) -> Dict[str, MalcevElement]:
+    """A fresh dict of the ambient's constants; ValueError naming those
+    constants of S that the ambient does not bind."""
+    consts = ambient.constants()
+    missing = [c for c in S.constants if c not in consts]
+    if missing:
+        raise ValueError(f"constants not in the ambient: {missing}")
+    return consts
+
+
+def _satisfied(S: GroupSystem, env: Mapping[str, MalcevElement], ambient: Ambient) -> bool:
+    """Every equation of S holds in the ambient under env."""
+    return all(ambient.is_trivial(shape.residual(env, ambient.m)) for shape in S._shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -523,25 +632,28 @@ class _EquationShape:
     """What the solver needs to know about one equation u = v.
 
     ``names``: the variables in it.  ``bare``: those occurring as a top-level
-    factor; the others occur only inside brackets.  ``forced``: one
-    (x, e, w, names of w) per side that is a single factor x^e, e = +-1, with
-    w the other side; once w is determined, x = w^e.
+    factor; the others occur only inside brackets.  ``residual``: the form of
+    u v^-1.  ``forced``: one (x, form of w^e, names of w) per side that is a
+    single factor x^e, e = +-1, with w the other side; once w is determined,
+    x = w^e.
     """
 
     names: frozenset
     bare: frozenset
-    forced: Tuple[Tuple[str, int, GroupWord, frozenset], ...]
+    residual: WordForm
+    forced: Tuple[Tuple[str, WordForm, frozenset], ...]
 
 
 def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _EquationShape:
     names = (gword_names(lhs) | gword_names(rhs)) & variables
     bare = {f[0] for w in (lhs, rhs) for f in w if f[0] != "comm"} & variables
+    residual = WordForm(*_times(_word_maps(lhs), _scaled(_word_maps(rhs), -1)))
     forced = tuple(
-        (a[0][0], a[0][1], b, frozenset(gword_names(b)))
+        (a[0][0], compile_gword(b, a[0][1]), frozenset(gword_names(b)))
         for a, b in ((lhs, rhs), (rhs, lhs))
         if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1
     )
-    return _EquationShape(frozenset(names), frozenset(bare), forced)
+    return _EquationShape(frozenset(names), frozenset(bare), residual, forced)
 
 
 def _element_in_box(el: MalcevElement, bound: int) -> bool:
@@ -561,9 +673,12 @@ def bounded_solve_group(
 
     ``bound`` is one box half-width for all variables or a per-variable
     mapping (key "*" as default); a negative half-width raises ValueError.
-    ``pinned`` pre-assigns variables (their values need not lie in any box).
-    With find_all=False the search stops at the first solution.  An equation
-    u = v holds when u v^-1 is trivial in the ambient.
+    ``pinned`` pre-assigns variables (their values need not lie in any box,
+    and they need no box).  With find_all=False the search stops at the
+    first solution.  An equation u = v holds when u v^-1 is trivial in the
+    ambient, which must bind every constant of S (ValueError otherwise).
+    Each equation is evaluated through its compiled WordForm, so the search
+    runs no multiply, inverse, power or commutator.
 
     Before scanning a variable y, every remaining equation whose only
     unassigned name is y, and in which y occurs only inside brackets, is
@@ -578,6 +693,14 @@ def bounded_solve_group(
     rejects all its candidates without recursing.  The candidate order, the
     solutions and their order are those of the plain scan.
 
+    Known gap: an equation x^e = w (e = +-1, on either side) forces x to the
+    one element w^e evaluates to in N, and the box is checked against that
+    representative only.  In a QuotientAmbient other representatives of the
+    same class may lie in the box and be missed: over <a1, a2 | a1^2>, with
+    a = a1, the system x = a^2 has no solution within box 1, although x = 1
+    is one, and the same equation written x a^-2 = 1 finds it.  The free
+    ambient is unaffected (there w has one representative).
+
     ``eval_limit`` counts word evaluations (equation checks, forced values
     and probes) and candidate elements, rejected ones included, not nominal
     box volume; exceeding it raises SearchSpaceError.
@@ -587,17 +710,19 @@ def bounded_solve_group(
         bound = {"*": bound}
     if any(b < 0 for b in bound.values()):
         raise ValueError("bound must be nonnegative")
-    boxes = {}
-    for v in S.variables:
-        bv = bound.get(v, bound.get("*"))
-        if bv is None:
-            raise ValueError(f"no box for variable {v!r}")
-        boxes[v] = bv
-    env: Dict[str, MalcevElement] = dict(ambient.constants())
+    env: Dict[str, MalcevElement] = ambient_constants(S, ambient)
     for name, val in (pinned or {}).items():
         if name not in S.variables:
             raise ValueError(f"pinned name {name!r} is not a variable")
         env[name] = val
+    boxes = {}
+    for v in S.variables:
+        if v in env:
+            continue
+        bv = bound.get(v, bound.get("*"))
+        if bv is None:
+            raise ValueError(f"no box for variable {v!r}")
+        boxes[v] = bv
     budget = [eval_limit]
 
     def spend(k: int = 1):
@@ -605,12 +730,12 @@ def bounded_solve_group(
         if budget[0] < 0:
             raise SearchSpaceError("evaluation limit exceeded")
 
+    shapes = S._shapes
+
     def residual(idx: int) -> MalcevElement:
         spend()
-        lhs, rhs = S.equations[idx]
-        return multiply(eval_gword(lhs, env, m), inverse(eval_gword(rhs, env, m)))
+        return shapes[idx].residual(env, m)
 
-    shapes = S._shapes
     n_pairs = m * (m - 1) // 2
     # in existence mode the central part of a commutator-only variable is
     # irrelevant (see GroupSystem._commutator_only), so scan it as zero
@@ -666,11 +791,9 @@ def bounded_solve_group(
                             return False
                         progress = True
                         continue
-                    for name, e, w, w_names in shape.forced:
+                    for name, form, w_names in shape.forced:
                         if name not in env and w_names <= env.keys():
-                            val = eval_gword(w, env, m)
-                            if e == -1:
-                                val = inverse(val)
+                            val = form(env, m)
                             spend()
                             if not _element_in_box(val, boxes[name]):
                                 return False
@@ -762,6 +885,11 @@ class CorrespondenceReport:
     ok: bool
 
 
+def _power_table(c: MalcevElement):
+    """t -> c^t, each power built once."""
+    return lru_cache(maxsize=None)(lambda t: power(c, t))
+
+
 def verify_correspondence(
     S: RingSystem,
     edef: EDefinition,
@@ -796,14 +924,12 @@ def verify_correspondence(
         raise SearchSpaceError(f"{grid_size} grid points exceed the limit {eval_limit}")
     compiled = compile_system(edef, S)
     consts = ambient.constants()
-    c = commutator(consts["a"], consts["b"])
+    c_power = _power_table(commutator(consts["a"], consts["b"]))
 
     ring_solutions = bounded_solve_ring(S, bound_ring, eval_limit)
     missing = []
     for sol in ring_solutions:
-        pin = {
-            name: power(c, eval_term(t, sol)) for t, name in compiled.term_names
-        }
+        pin = {name: c_power(eval_term(t, sol)) for t, name in compiled.term_names}
         found = bounded_solve_group(
             compiled.system,
             ambient,
@@ -812,17 +938,7 @@ def verify_correspondence(
             find_all=False,
             eval_limit=eval_limit,
         )
-        ok_here = False
-        if found:
-            env = dict(consts)
-            env.update(found[0])
-            ok_here = all(
-                ambient.is_trivial(
-                    multiply(eval_gword(a, env, ambient.m), inverse(eval_gword(b, env, ambient.m)))
-                )
-                for a, b in compiled.system.equations
-            )
-        if not ok_here:
+        if not (found and _satisfied(compiled.system, {**consts, **found[0]}, ambient)):
             missing.append(sol)
 
     ring_vars = S.variables
@@ -834,7 +950,7 @@ def verify_correspondence(
         range(-bound_group, bound_group + 1), repeat=len(ring_vars)
     ):
         grid += 1
-        pin = {var_names[v]: power(c, t) for v, t in zip(ring_vars, combo)}
+        pin = {var_names[v]: c_power(t) for v, t in zip(ring_vars, combo)}
         found = bounded_solve_group(
             compiled.system,
             ambient,
@@ -875,7 +991,7 @@ def odot_law_failures(
     from c^(t1*t2) in the ambient group, not merely as an element of N.
     """
     consts = ambient.constants()
-    c = commutator(consts["a"], consts["b"])
+    c_power = _power_table(commutator(consts["a"], consts["b"]))
     tpl = edef.mul
     mapping = {"x1": "x1", "x2": "x2", "x3": "x3"}
     for i, aux in enumerate(tpl.aux, start=1):
@@ -890,11 +1006,11 @@ def odot_law_failures(
     boxes = {"x3": t_max * t_max, "*": aux_bound}
     for t1 in range(-t_max, t_max + 1):
         for t2 in range(-t_max, t_max + 1):
-            pin = {"x1": power(c, t1), "x2": power(c, t2)}
+            pin = {"x1": c_power(t1), "x2": c_power(t2)}
             sols = bounded_solve_group(
                 system, ambient, boxes, pinned=pin, find_all=True, eval_limit=eval_limit
             )
-            undo = power(c, -t1 * t2)  # x3 must equal c^(t1*t2) in G
+            undo = c_power(-t1 * t2)  # x3 must equal c^(t1*t2) in G
             if not sols or any(not ambient.is_trivial(multiply(s["x3"], undo)) for s in sols):
                 failures.append((t1, t2))
     return failures

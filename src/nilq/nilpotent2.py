@@ -76,6 +76,7 @@ def identity(m: int) -> MalcevElement:
     return MalcevElement(m, (0,) * m, (0,) * (m * (m - 1) // 2))
 
 
+@lru_cache(maxsize=None)
 def generator(m: int, k: int) -> MalcevElement:
     if not (1 <= k <= m):
         raise ValueError(f"generator index {k} out of range 1..{m}")

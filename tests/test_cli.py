@@ -520,6 +520,15 @@ def test_rank_deficient_is_trivial_exit_0(capsys, tmp_path):
         "word": "a1 a2 a1^-1 a2^-1", "trivial_in_G": True, "trivial_mod_torsion": True}
 
 
+def test_solve_bounded_undeclared_ambient_constant_exit_2(capsys, tmp_path):
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({
+        "variables": ["x"], "constants": ["c"], "equations": [[[["x", 1]], [["c", 1]]]]}))
+    code, out, err = _run(capsys, "solve-bounded", str(group), "--box", "1")
+    assert code == 2 and out == ""
+    assert err == "error: bad group system: constants not in the ambient: ['c']\n"
+
+
 def test_solve_bounded_rank_deficient_presentation(capsys, tmp_path):
     # a repeated relator leaves the quotient of <a1, a2, a3 | a1^2> unchanged
     pres = tmp_path / "pres.txt"

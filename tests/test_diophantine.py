@@ -6,7 +6,10 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nilq import diophantine, nilpotent2
 from nilq.diophantine import (
     FreeNilpotentAmbient,
     GroupSystem,
@@ -17,6 +20,7 @@ from nilq.diophantine import (
     bounded_solve_group,
     bounded_solve_ring,
     comm,
+    compile_gword,
     compile_system,
     eval_gword,
     eval_term,
@@ -30,8 +34,22 @@ from nilq.diophantine import (
     verify_correspondence,
     z_in_g_templates,
 )
-from nilq.nilpotent2 import MalcevElement, commutator, generator, inverse, multiply, power
+from nilq.nilpotent2 import MalcevElement, commutator, generator, identity, inverse, multiply, power
 from nilq.presentation import normalize, parse_presentation
+
+
+def _walk_gword(w, env, m):
+    """The value of w by group arithmetic, factor by factor: the oracle
+    for the compiled forms."""
+    acc = identity(m)
+    for f in w:
+        if f[0] == "comm":
+            x = commutator(_walk_gword(f[1], env, m), _walk_gword(f[2], env, m))
+            e = f[3] if len(f) == 4 else 1
+        else:
+            x, e = env[f[0]], f[1]
+        acc = multiply(acc, power(x, e))
+    return acc
 
 
 def _ring(variables, equations):
@@ -109,6 +127,49 @@ def test_eval_gword():
     a, b = generator(m, 1), generator(m, 2)
     w = gword(comm(gword(gen("a")), gword(gen("b")), 2))
     assert eval_gword(w, {"a": a, "b": b}, m) == power(commutator(a, b), 2)
+    assert eval_gword((), {}, m) == identity(m)
+
+
+_NAMES = ("x", "y", "z")
+_EXPONENTS = st.sampled_from((1, -1, 2, -2, 0)) | st.integers(-10**12, 10**12)
+
+
+def _factors(words):
+    return st.tuples(st.sampled_from(_NAMES), _EXPONENTS) | st.builds(comm, words, words, _EXPONENTS)
+
+
+_WORDS = st.recursive(
+    st.just(()), lambda words: st.lists(_factors(words), max_size=4).map(tuple), max_leaves=10
+)
+
+
+@st.composite
+def _elements(draw, m):
+    coords = st.integers(-10**6, 10**6)
+    alpha = tuple(draw(coords) for _ in range(m))
+    gamma = tuple(draw(coords) for _ in range(m * (m - 1) // 2))
+    return MalcevElement(m, alpha, gamma)
+
+
+@st.composite
+def _word_and_env(draw):
+    m = draw(st.integers(1, 5))
+    return draw(_WORDS), {n: draw(_elements(m)) for n in _NAMES}, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_word_and_env(), st.sampled_from((1, -1, 2, -3)))
+@example(((), {n: identity(3) for n in _NAMES}, 3), -1)  # the empty word
+@example(  # a bracket of a bracket, names repeated, a large exponent
+    ((gen("x", 10**12), comm((comm((gen("x"),), (gen("y"),)),), (gen("x"), gen("z")), -7),
+      gen("x", -3), gen("z")),
+     {n: MalcevElement(3, (k, -2 * k, 5), (k, 0, -k)) for k, n in enumerate(_NAMES, 1)}, 3),
+    -3,
+)
+def test_compiled_form_matches_word_walker(case, e):
+    w, env, m = case
+    assert compile_gword(w)(env, m) == _walk_gword(w, env, m)
+    assert compile_gword(w, e)(env, m) == power(_walk_gword(w, env, m), e)
 
 
 def test_group_system_validation():
@@ -219,6 +280,54 @@ def test_solve_group_find_first():
     )
     sols = bounded_solve_group(S, amb, 1, find_all=False)
     assert len(sols) == 1
+
+
+def test_solve_group_pinned_variables_need_no_box():
+    amb = FreeNilpotentAmbient(2)
+    g = generator(2, 1)
+    S = GroupSystem(("x", "y"), ("a", "b"), (((gen("x"),), (gen("y"),)),))
+    assert bounded_solve_group(S, amb, {"x": 1}, pinned={"y": g}) == [{"x": g, "y": g}]
+
+
+def test_solve_group_names_constants_the_ambient_lacks():
+    S = GroupSystem.from_jsonable(
+        {"variables": ["x"], "constants": ["c"], "equations": [[[["x", 1]], [["c", 1]]]]}
+    )
+    with pytest.raises(ValueError, match=r"constants not in the ambient: \['c'\]"):
+        bounded_solve_group(S, FreeNilpotentAmbient(2), 1)
+
+
+def test_solver_runs_no_group_arithmetic(monkeypatch):
+    # x*y = z compiled, with its ring-variable tuples pinned to c^t
+    edef = z_in_g_templates()
+    compiled = compile_system(edef, _ring(["x", "y", "z"], [(MUL(V("x"), V("y")), V("z"))]))
+    amb = FreeNilpotentAmbient(2)
+    c = commutator(generator(2, 1), generator(2, 2))
+    names = compiled.ring_variable_names()
+    pin = {names[v]: power(c, t) for v, t in (("x", 2), ("y", -1), ("z", -2))}
+
+    def boom(*args):
+        raise AssertionError("group arithmetic on the search path")
+
+    for mod in (nilpotent2, diophantine):
+        for name in ("multiply", "inverse", "power", "commutator"):
+            monkeypatch.setattr(mod, name, boom, raising=False)
+    (found,) = bounded_solve_group(compiled.system, amb, 2, pinned=pin, find_all=False)
+    monkeypatch.undo()
+    env = {**amb.constants(), **found}
+    for u, v in compiled.system.equations:
+        assert amb.is_trivial(multiply(_walk_gword(u, env, 2), inverse(_walk_gword(v, env, 2))))
+
+
+@pytest.mark.xfail(strict=True, reason="forcing checks the box against one representative of w")
+def test_forced_variable_misses_other_representatives_in_a_quotient():
+    # over <a1, a2 | a1^2> with a = a1, x = 1 equals a^2 in G; the forced
+    # x = a^2 lies outside box 1, the unforced x a^-2 = 1 finds x = 1
+    amb = QuotientAmbient(normalize(parse_presentation("2 2\na1^2\n")))
+    forced = GroupSystem(("x",), ("a", "b"), (((gen("x"),), (gen("a", 2),)),))
+    unforced = GroupSystem(("x",), ("a", "b"), (((gen("x"), gen("a", -2)), ()),))
+    assert {"x": identity(2)} in bounded_solve_group(unforced, amb, 1)
+    assert bounded_solve_group(forced, amb, 1) == bounded_solve_group(unforced, amb, 1)
 
 
 def test_solve_group_pinned_escapes_box():
@@ -418,7 +527,7 @@ def _brute_force(S, amb, boxes):
         env = dict(amb.constants())
         env.update(zip(S.variables, values))
         if all(
-            amb.is_trivial(multiply(eval_gword(u, env, m), inverse(eval_gword(v, env, m))))
+            amb.is_trivial(multiply(_walk_gword(u, env, m), inverse(_walk_gword(v, env, m))))
             for u, v in S.equations
         ):
             out.append(dict(zip(S.variables, values)))
