@@ -32,35 +32,30 @@ The bounded solvers are testing oracles.  They never claim unsolvability:
 backtracks over variables instead of scanning the full product box: at every
 level it first checks all fully-determined equations, then assigns variables
 forced by an equation of the shape x = (determined word), and only then
-scans one variable's coordinate box, smallest coordinates first.  Every
-gadget equation is linear in the scanned variable's alpha coordinates
-(Duchin, Liang & Shapiro, "Equations in nilpotent groups", Proc. AMS 2015):
-once y is the only unknown of u = v and occurs only inside brackets, u v^-1
-has a fixed alpha part and gamma part g0 + sum_k alpha_y[k] L_k.  The solver
-reads g0 and L off m + 1 probe evaluations (when y's box has more alpha
-values than that) and rejects each alpha value whose form is not trivial in
-the ambient, with all its gamma values, before recursing; the candidate
-order, and so the solutions and their order, stay those of the plain scan.
-The work limit counts word evaluations (probes included) and candidates
-(rejected ones included), not the nominal box volume (the nominal volume of
-the gadget systems is astronomically larger than the work the scheduler
-does).
+scans one variable's coordinate box, smallest coordinates first, pruning
+it by the blindness rule below.  The work limit counts the work done, not
+the nominal box volume (the nominal volume of the gadget systems is
+astronomically larger than the work the scheduler does).
 
 In class 2 every group word is a polynomial in its names' coordinates
-(Duchin, Liang & Shapiro), so the solver never walks a word through group
-arithmetic.  ``compile_gword`` turns a word into a ``WordForm``: integer maps
-A, D (name -> int) and B ((p, q) -> int) with
+(Duchin, Liang & Shapiro, "Equations in nilpotent groups", Proc. AMS 2015),
+so the solver never walks a word through group arithmetic.
+``compile_gword`` turns a word into a ``WordForm``: integer maps A
+(name -> int) and B ((p, q) -> int) with
 
     alpha = sum_n A[n] alpha_n
-    gamma_ij = sum_n D[n] gamma_n,ij + sum_pq B[p, q] alpha_p[j] alpha_q[i]
+    gamma_ij = sum_n A[n] gamma_n,ij + sum_pq B[p, q] alpha_p[j] alpha_q[i]
 
-for i < j.  A name n is ({n: 1}, {n: 1}, {}); a product X Y adds the maps and
+for i < j.  A name n is ({n: 1}, {}); a product X Y adds the maps and
 subtracts A_X[p] A_Y[q] from B[p, q]; X^e scales them by e and subtracts
-C(e, 2) A[p] A[q] from B[p, q]; [X, Y] has A = D = 0 and moves A_X[p] A_Y[q]
+C(e, 2) A[p] A[q] from B[p, q]; [X, Y] has A = 0 and moves A_X[p] A_Y[q]
 from B[p, q] to B[q, p].  Each rule is a closed form of ``nilpotent2``
-(multiply, power, commutator).  The per-equation analysis, with the form of
-u v^-1 for each equation and of w^e for each forced assignment x^e = w, is
-computed once per GroupSystem.
+(multiply, power, commutator).  A[n] is n's net exponent outside brackets,
+and the rules keep B[n, n] = -C(A[n], 2).  Hence the blindness rule: a word
+reads n's gamma iff A[n] != 0, and when A[n] = 0 it is affine in alpha_n
+(every gadget equation is, in its scanned variable).  The per-equation
+analysis, with the form of u v^-1 for each equation and of w^e for each
+forced assignment x^e = w, is computed once per GroupSystem.
 """
 
 from __future__ import annotations
@@ -216,27 +211,26 @@ def gword_names(w: GroupWord) -> set:
 
 
 class WordForm:
-    """A group word as its class-2 polynomial, the maps A, D and B of the
+    """A group word as its class-2 polynomial, the maps A and B of the
     module docstring with only their nonzero coefficients.
 
     ``compile_gword`` builds it; a call evaluates it on an environment of
     rank-m elements with no multiply, inverse, power or commutator.
     """
 
-    __slots__ = ("linear", "central", "quadratic")
+    __slots__ = ("linear", "quadratic")
 
-    def __init__(self, A: Mapping[str, int], D: Mapping[str, int], B: Mapping[Tuple[str, str], int]):
+    def __init__(self, A: Mapping[str, int], B: Mapping[Tuple[str, str], int]):
         self.linear = tuple((n, c) for n, c in A.items() if c)
-        self.central = tuple((n, c) for n, c in D.items() if c)
         self.quadratic = tuple((p, q, c) for (p, q), c in B.items() if c)
 
     def __call__(self, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
         alpha = [0] * m
-        for n, c in self.linear:
-            alpha = [s + c * v for s, v in zip(alpha, env[n].alpha)]
         gamma = [0] * (m * (m - 1) // 2)
-        for n, c in self.central:
-            gamma = [s + c * v for s, v in zip(gamma, env[n].gamma)]
+        for n, c in self.linear:
+            el = env[n]
+            alpha = [s + c * v for s, v in zip(alpha, el.alpha)]
+            gamma = [s + c * v for s, v in zip(gamma, el.gamma)]
         if self.quadratic:
             pairs = _zero_based_pairs(m)
             for p, q, c in self.quadratic:
@@ -250,51 +244,51 @@ def _zero_based_pairs(m: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((i - 1, j - 1) for i, j in pair_list(m))
 
 
-# The maps (A, D, B) of a word, as plain dicts, by the rules of the module
+# The maps (A, B) of a word, as plain dicts, by the rules of the module
 # docstring.
 
 
 def _scaled(form, e: int):
     """The maps of X^e."""
-    A, D, B = ({k: e * v for k, v in d.items()} for d in form)
+    A, B = ({k: e * v for k, v in d.items()} for d in form)
     c2 = e * (e - 1) // 2
     if c2:
         for p, ap in form[0].items():
             for q, aq in form[0].items():
                 B[p, q] = B.get((p, q), 0) - c2 * ap * aq
-    return A, D, B
+    return A, B
 
 
 def _times(x, y):
     """The maps of X Y."""
-    A, D, B = ({**dx} for dx in x)
-    for d, dy in zip((A, D, B), y):
+    A, B = ({**dx} for dx in x)
+    for d, dy in zip((A, B), y):
         for k, v in dy.items():
             d[k] = d.get(k, 0) + v
     for p, ap in x[0].items():
         for q, aq in y[0].items():
             B[p, q] = B.get((p, q), 0) - ap * aq
-    return A, D, B
+    return A, B
 
 
 def _bracket(x, y):
-    """The maps of [X, Y]: central, so A = D = 0."""
+    """The maps of [X, Y]: central, so A = 0."""
     B: Dict[Tuple[str, str], int] = {}
     for p, ap in x[0].items():
         for q, aq in y[0].items():
             B[q, p] = B.get((q, p), 0) + ap * aq
             B[p, q] = B.get((p, q), 0) - ap * aq
-    return {}, {}, B
+    return {}, B
 
 
 def _word_maps(w: GroupWord):
-    acc = ({}, {}, {})
+    acc = ({}, {})
     for f in w:
         if f[0] == "comm":
             x = _bracket(_word_maps(f[1]), _word_maps(f[2]))
             e = f[3] if len(f) == 4 else 1
         else:
-            x, e = ({f[0]: 1}, {f[0]: 1}, {}), f[1]
+            x, e = ({f[0]: 1}, {}), f[1]
         acc = _times(acc, _scaled(x, e))
     return acc
 
@@ -354,17 +348,6 @@ class GroupSystem:
     def _shapes(self) -> Tuple["_EquationShape", ...]:
         variables = frozenset(self.variables)
         return tuple(_equation_shape(lhs, rhs, variables) for lhs, rhs in self.equations)
-
-    @cached_property
-    def _commutator_only(self) -> frozenset:
-        """Variables whose every occurrence sits inside a bracket.  A class-2
-        bracket sees only alpha coordinates, so such a variable's gamma part
-        never influences any equation: if an assignment satisfies the
-        system, so does the one with that gamma part zeroed."""
-        shapes = self._shapes
-        return frozenset().union(*(s.names for s in shapes)) - frozenset().union(
-            *(s.bare for s in shapes)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -631,29 +614,29 @@ def _coordinate_candidates(dim: int, bound: int):
 class _EquationShape:
     """What the solver needs to know about one equation u = v.
 
-    ``names``: the variables in it.  ``bare``: those occurring as a top-level
-    factor; the others occur only inside brackets.  ``residual``: the form of
-    u v^-1.  ``forced``: one (x, form of w^e, names of w) per side that is a
-    single factor x^e, e = +-1, with w the other side; once w is determined,
-    x = w^e.
+    ``names``: the variables in it.  ``residual``: the form of u v^-1.
+    ``reads_gamma``: the variables with a nonzero net exponent in the
+    residual, the only ones whose gamma coordinates it reads.  ``forced``:
+    one (x, form of w^e, names of w) per side that is a single factor x^e,
+    e = +-1, with w the other side; once w is determined, x = w^e.
     """
 
     names: frozenset
-    bare: frozenset
     residual: WordForm
+    reads_gamma: frozenset
     forced: Tuple[Tuple[str, WordForm, frozenset], ...]
 
 
 def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _EquationShape:
     names = (gword_names(lhs) | gword_names(rhs)) & variables
-    bare = {f[0] for w in (lhs, rhs) for f in w if f[0] != "comm"} & variables
     residual = WordForm(*_times(_word_maps(lhs), _scaled(_word_maps(rhs), -1)))
     forced = tuple(
         (a[0][0], compile_gword(b, a[0][1]), frozenset(gword_names(b)))
         for a, b in ((lhs, rhs), (rhs, lhs))
         if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1
     )
-    return _EquationShape(frozenset(names), frozenset(bare), residual, forced)
+    reads_gamma = frozenset(n for n, _ in residual.linear) & variables
+    return _EquationShape(frozenset(names), residual, reads_gamma, forced)
 
 
 def _element_in_box(el: MalcevElement, bound: int) -> bool:
@@ -680,18 +663,20 @@ def bounded_solve_group(
     Each equation is evaluated through its compiled WordForm, so the search
     runs no multiply, inverse, power or commutator.
 
-    Before scanning a variable y, every remaining equation whose only
-    unassigned name is y, and in which y occurs only inside brackets, is
-    reduced to its integer form: a class-2 bracket sees only alpha
-    coordinates and is alternating bilinear in them, so u v^-1 has a fixed
-    alpha part and gamma part g0 + sum_k alpha_y[k] L_k, blind to y's gamma
-    (a bracket with y in both arguments too, as alpha_y ^ alpha_y = 0).
-    g0 and L come from m + 1 probe evaluations (y = 1, y = a_k), made only
-    when y's box has more than m + 1 alpha values.  A value of
-    alpha_y whose form is not trivial in the ambient (the same
-    ``ambient.is_trivial`` on the same element the equation would give)
-    rejects all its candidates without recursing.  The candidate order, the
-    solutions and their order are those of the plain scan.
+    Before scanning a variable y, each remaining equation whose only
+    unassigned name is y, with net exponent 0 in u v^-1, is affine in
+    alpha_y by the blindness rule of the module docstring: u v^-1 has a
+    fixed alpha part and gamma part g0 + sum_k alpha_y[k] L_k.  When y's box
+    has more than m + 1 alpha values, m + 1 probe evaluations (y = 1,
+    y = a_k) give g0 and L.  An alpha_y whose form is not trivial in the
+    ambient (the same ``ambient.is_trivial`` on the same element the
+    equation would give) rejects all its candidates without recursing; an
+    admitted one settles the equation, which the search below y does not
+    check again.  The candidate order, the solutions and their order are
+    those of the plain scan.  With find_all=False, a y whose net exponent is
+    0 in every remaining u v^-1 is scanned at gamma = 0 only: nothing below
+    reads y's gamma, and 0 is the first gamma the full scan tries, so the
+    first solution is the same.
 
     Known gap: an equation x^e = w (e = +-1, on either side) forces x to the
     one element w^e evaluates to in N, and the box is checked against that
@@ -702,8 +687,10 @@ def bounded_solve_group(
     ambient is unaffected (there w has one representative).
 
     ``eval_limit`` counts word evaluations (equation checks, forced values
-    and probes) and candidate elements, rejected ones included, not nominal
-    box volume; exceeding it raises SearchSpaceError.
+    and probes) and candidate elements, not box volume: a rejected alpha
+    counts its gamma block, (2b+1)^(m(m-1)/2) elements in box b (1 when
+    scanned at gamma = 0 only), by arithmetic, so the limit bounds memory
+    too.  Exceeding it raises SearchSpaceError.
     """
     m = ambient.m
     if isinstance(bound, int):
@@ -737,9 +724,6 @@ def bounded_solve_group(
         return shapes[idx].residual(env, m)
 
     n_pairs = m * (m - 1) // 2
-    # in existence mode the central part of a commutator-only variable is
-    # irrelevant (see GroupSystem._commutator_only), so scan it as zero
-    collapsed = S._commutator_only if not find_all else frozenset()
     solutions: List[Dict[str, MalcevElement]] = []
 
     def record():
@@ -747,11 +731,13 @@ def bounded_solve_group(
 
     def affine_forms(target: str, rem: List[int]):
         """(alpha, g0, L) of each equation in rem whose only unassigned
-        name is target, occurring only inside brackets."""
-        forms = []
+        name is target and which is blind to target's gamma, and the list
+        of the other equations in rem."""
+        forms, rest = [], []
         for idx in rem:
             shape = shapes[idx]
-            if target in shape.bare or shape.names - env.keys() != {target}:
+            if target in shape.reads_gamma or shape.names - env.keys() != {target}:
+                rest.append(idx)
                 continue
             env[target] = identity(m)
             r0 = residual(idx)
@@ -761,7 +747,7 @@ def bounded_solve_group(
                 rows.append(tuple(g - g0 for g, g0 in zip(residual(idx).gamma, r0.gamma)))
             del env[target]
             forms.append((r0.alpha, r0.gamma, rows))
-        return forms
+        return forms, rest
 
     def admissible(alpha, forms) -> bool:
         for a0, g0, rows in forms:
@@ -830,22 +816,21 @@ def bounded_solve_group(
                 target = min(candidates, key=lambda v: (-occurrences[v], v))
             else:
                 target = free[0]
+            # existence mode: scan gamma = 0 only where nothing reads it
+            blind = not find_all and all(target not in shapes[idx].reads_gamma for idx in rem)
+            gamma_box = 0 if blind else boxes[target]
             # candidates run alpha-major, gamma fastest; the affine forms see
             # only alpha, so they judge a whole gamma block at once.  With no
             # more alpha values than the m + 1 probes, probing cannot pay.
             if (2 * boxes[target] + 1) ** m > m + 1:
-                forms = affine_forms(target, rem)
+                forms, rem = affine_forms(target, rem)
             else:
                 forms = []
-            if target in collapsed:
-                gammas = [(0,) * n_pairs]
-            else:
-                gammas = list(_coordinate_candidates(n_pairs, boxes[target]))
             for alpha in _coordinate_candidates(m, boxes[target]):
                 if not admissible(alpha, forms):
-                    spend(len(gammas))
+                    spend((2 * gamma_box + 1) ** n_pairs)
                     continue
-                for gamma in gammas:
+                for gamma in _coordinate_candidates(n_pairs, gamma_box):
                     spend()
                     env[target] = MalcevElement(m, alpha, gamma)
                     stop = recurse(tuple(rem))

@@ -33,7 +33,15 @@ from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from .words import RelatorSet, exponent_sum_matrix, random_word
+from .words import (
+    MAX_RELATORS,
+    MAX_WORD_LETTERS,
+    RankLimitError,
+    RelatorSet,
+    check_rank,
+    exponent_sum_matrix,
+    random_word,
+)
 from .zmatrix import IntMatrix, minor_polynomial, rank as zrank
 
 if TYPE_CHECKING:
@@ -69,6 +77,12 @@ def _binomial_stderr(p: Fraction, trials: int) -> float:
     return math.sqrt(float(p) * (1.0 - float(p)) / trials)
 
 
+def _check_walk_rank(m: int) -> None:
+    if m < 1:
+        raise ValueError("m must be positive")
+    check_rank(m)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     m: int
@@ -81,8 +95,7 @@ class ExperimentConfig:
         values = (self.m, self.r, self.trials, self.seed, *self.lengths)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
             raise TypeError("m, r, trials, seed and lengths must be integers")
-        if self.m < 1:
-            raise ValueError("m must be positive")
+        _check_walk_rank(self.m)
         if self.r < 0:
             raise ValueError("r must be nonnegative")
         if not self.lengths:
@@ -91,6 +104,12 @@ class ExperimentConfig:
             raise ValueError("lengths must be positive")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.r > MAX_RELATORS:
+            raise RankLimitError(f"{self.r} relators, over the limit of {MAX_RELATORS}")
+        if max(self.lengths) > MAX_WORD_LETTERS:
+            raise RankLimitError(
+                f"length {max(self.lengths)}, over the limit of {MAX_WORD_LETTERS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -177,8 +196,10 @@ def coordinate_clt_stats(m: int, n: int, trials: int, seed: int) -> CltSummary:
     at the end.  Its reported standard error uses the normal approximation
     var * sqrt(2/(trials-1)).  sup_distances compares the empirical CDF with
     the N(0, 1/m) one on a fixed 41-point grid spanning [-4, 4] standard
-    deviations.
+    deviations.  An m below 1 raises ValueError, one over MAX_RANK
+    RankLimitError.
     """
+    _check_walk_rank(m)
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be at least 1")
     sums = [0] * m
@@ -241,8 +262,10 @@ def escape_probability(
     The first coordinate stands for all by symmetry.  Since |s_{n,1}| <= n,
     any epsilon > sqrt(n) makes the probability exactly zero; the default
     ln n never does (ln n < sqrt(n) for all n >= 1), so the zero regime is
-    only reachable through the override.
+    only reachable through the override.  An m below 1 raises ValueError,
+    one over MAX_RANK RankLimitError.
     """
+    _check_walk_rank(m)
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be at least 1")
     eps = math.log(n) if epsilon is None else float(epsilon)

@@ -99,7 +99,8 @@ machine; about half of it in the HNF of the closure lattice)."""
 
 
 class RankLimitError(Exception):
-    """A rank m over MAX_RANK, or more than MAX_RELATORS relators."""
+    """A rank m over MAX_RANK, more than MAX_RELATORS relators, or a random
+    relator longer than MAX_WORD_LETTERS."""
 
 
 def check_rank(m: int) -> None:

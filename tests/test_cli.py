@@ -10,7 +10,7 @@ import pytest
 
 import nilq
 from nilq.cli import main
-from nilq.words import MAX_RELATORS
+from nilq.words import MAX_RELATORS, MAX_WORD_LETTERS
 from nilq.randwalk import (
     RETURN_N_MAX_LIMIT,
     ExperimentConfig,
@@ -226,6 +226,7 @@ _SYSTEM_FILES = {
     "finab.txt": "2 3\na1^2\na2^2\na1 a2 a1\n",
     "deficient.txt": DEFICIENT,
     "big.txt": "65 2\na1 a2\n",
+    "big.json": {"m": 65, "r": 1, "lengths": [4], "trials": 1, "seed": 1},
 }
 _PINNED_SYSTEM_OUTPUTS = [
     (("compile", "{ring.json}"),
@@ -592,6 +593,9 @@ def test_import_cli_leaves_numpy_unloaded():
     ("verify", "{ring.json}", "--box-ring", "0", "--box-group", "0", "--m", "65"),
     ("verify", "{ring.json}", "--box-ring", "0", "--box-group", "0",
      "--presentation", "{big.txt}"),
+    ("rank-exp", "{big.json}"),
+    ("clt", "--m", "65", "--n", "5", "--trials", "1", "--seed", "1"),
+    ("escape", "--m", "65", "--n", "5", "--trials", "1", "--seed", "1"),
 ], ids=lambda argv: " ".join(argv).replace("{", "").replace("}", ""))
 def test_rank_over_limit_exit_1(capsys, tmp_path, argv):
     code, out, _ = _run(capsys, *_with_system_files(tmp_path, argv))
@@ -609,9 +613,12 @@ def test_rank_over_limit_exit_1(capsys, tmp_path, argv):
     ("solve-bounded", "{group.json}", "--box", "0", "--presentation", "{many.txt}"),
     ("verify", "{ring.json}", "--box-ring", "0", "--box-group", "0",
      "--presentation", "{many.txt}"),
+    ("rank-exp", "{many.json}"),
 ], ids=lambda argv: " ".join(argv).replace("{", "").replace("}", ""))
 def test_relator_count_over_limit_exit_1(capsys, tmp_path, argv):
     (tmp_path / "many.txt").write_text("2 2\n" + "a1 a2^2\n" * (MAX_RELATORS + 1))
+    (tmp_path / "many.json").write_text(json.dumps(
+        {"m": 2, "r": MAX_RELATORS + 1, "lengths": [4], "trials": 1, "seed": 1}))
     code, out, _ = _run(capsys, *_with_system_files(tmp_path, argv))
     assert code == 1
     data = json.loads(out)
@@ -622,3 +629,41 @@ def test_relator_count_over_limit_exit_1(capsys, tmp_path, argv):
 def test_bad_word_argument_exit_2(capsys, pres):
     code, _, _ = _run(capsys, "is-trivial", pres, "a1^")
     assert code == 2
+
+
+def test_rank_exp_length_over_limit_exit_1(capsys, tmp_path):
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(
+        {"m": 2, "r": 1, "lengths": [4, MAX_WORD_LETTERS + 1], "trials": 1, "seed": 1}))
+    code, out, _ = _run(capsys, "rank-exp", str(cfg))
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "RankLimitError"
+    assert f"over the limit of {MAX_WORD_LETTERS}" in data["message"]
+
+
+# m = 0 divided by zero and m = -1 reached numpy's multinomial
+@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize("command", ["clt", "escape"])
+def test_walk_rank_below_one_exit_1(capsys, command, m):
+    code, out, _ = _run(capsys, command, "--m", m, "--n", "5", "--trials", "3", "--seed", "1")
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": "m must be positive"}
+
+
+def test_wide_gamma_box_is_counted_not_listed(tmp_path):
+    # at m = 12 a box-1 gamma block has 3^66 points; listing it ran out of
+    # memory, counting it hits the work limit.  The address-space cap keeps a
+    # regression from taking the machine's memory with it.
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"variables": ["x", "y"], "constants": ["a", "b"],
+                                 "equations": [[[["x", 1], ["y", 1]], [["a", 1]]]]}))
+    argv = ["solve-bounded", str(group), "--box", "1", "--m", "12", "--limit", "1000"]
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))\n"
+              "from nilq.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    proc = _run_process("-c", script)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": "SearchSpaceError", "message": "evaluation limit exceeded"}
