@@ -39,23 +39,26 @@ astronomically larger than the work the scheduler does).
 
 In class 2 every group word is a polynomial in its names' coordinates
 (Duchin, Liang & Shapiro, "Equations in nilpotent groups", Proc. AMS 2015),
-so the solver never walks a word through group arithmetic.
-``compile_gword`` turns a word into a ``WordForm``: integer maps A
-(name -> int) and B ((p, q) -> int) with
+so the solver never walks a word through group arithmetic.  A word over n
+sorted names is an element x = (a | g) of N_{2,n}, the k-th name standing for
+a_k: its generator factors collect by ``nilpotent2.from_syllables``, and a
+bracket [s, t]^e adds e times the gamma of ``commutator(s, t)``, which is
+central.  Evaluating the word at env is substituting env for the names, the
+class-2 polynomial map of ``nilpotent2``.  ``compile_gword`` turns a word
+into a ``WordForm`` read off x: integer maps A (name -> int) and B
+((p, q) -> int) with
 
     alpha = sum_n A[n] alpha_n
     gamma_ij = sum_n A[n] gamma_n,ij + sum_pq B[p, q] alpha_p[j] alpha_q[i]
 
-for i < j.  A name n is ({n: 1}, {}); a product X Y adds the maps and
-subtracts A_X[p] A_Y[q] from B[p, q]; X^e scales them by e and subtracts
-C(e, 2) A[p] A[q] from B[p, q]; [X, Y] has A = 0 and moves A_X[p] A_Y[q]
-from B[p, q] to B[q, p].  Each rule is a closed form of ``nilpotent2``
-(multiply, power, commutator).  A[n] is n's net exponent outside brackets,
-and the rules keep B[n, n] = -C(A[n], 2).  Hence the blindness rule: a word
-reads n's gamma iff A[n] != 0, and when A[n] = 0 it is affine in alpha_n
-(every gadget equation is, in its scanned variable).  The per-equation
-analysis, with the form of u v^-1 for each equation and of w^e for each
-forced assignment x^e = w, is computed once per GroupSystem.
+for i < j, where A = a and B[l, k] = X[k][l] for X = quadratic_rows(x).
+A[n] is n's net exponent outside brackets, and the diagonal B[n, n] =
+-C(A[n], 2).  Hence the blindness rule: a word reads n's gamma iff
+A[n] != 0, and when A[n] = 0 it is affine in alpha_n (every gadget equation
+is, in its scanned variable).  Each equation u = v is compiled over its own
+names; its two sides are collected once, and the form of u v^-1 and, for
+each forced assignment x^e = w, the form of w^e are built from those two
+elements, once per GroupSystem.
 """
 
 from __future__ import annotations
@@ -68,11 +71,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .nilpotent2 import (
     MalcevElement,
     commutator,
+    from_syllables,
     generator,
     identity,
+    inverse,
     multiply,
     pair_list,
     power,
+    quadratic_rows,
 )
 from .presentation import NormalizedPresentation, is_trivial_in_G
 from .words import check_rank
@@ -214,15 +220,18 @@ class WordForm:
     """A group word as its class-2 polynomial, the maps A and B of the
     module docstring with only their nonzero coefficients.
 
-    ``compile_gword`` builds it; a call evaluates it on an environment of
-    rank-m elements with no multiply, inverse, power or commutator.
+    Built from the word's element x of N_{2,n} and its n names in order; a
+    call evaluates it on an environment of rank-m elements with no multiply,
+    inverse, power or commutator.
     """
 
     __slots__ = ("linear", "quadratic")
 
-    def __init__(self, A: Mapping[str, int], B: Mapping[Tuple[str, str], int]):
-        self.linear = tuple((n, c) for n, c in A.items() if c)
-        self.quadratic = tuple((p, q, c) for (p, q), c in B.items() if c)
+    def __init__(self, names: Sequence[str], x: MalcevElement):
+        self.linear = tuple((n, c) for n, c in zip(names, x.alpha) if c)
+        self.quadratic = tuple(
+            (names[l], names[k], c) for k, row in enumerate(quadratic_rows(x)) for l, c in row.items()
+        )
 
     def __call__(self, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
         alpha = [0] * m
@@ -244,58 +253,30 @@ def _zero_based_pairs(m: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((i - 1, j - 1) for i, j in pair_list(m))
 
 
-# The maps (A, B) of a word, as plain dicts, by the rules of the module
-# docstring.
+def _element(w: GroupWord, index: Mapping[str, int], n: int) -> MalcevElement:
+    """w as an element of N_{2,n}, the name x standing for a_(index[x])."""
+    x = from_syllables(n, [(index[f[0]], f[1]) for f in w if f[0] != "comm"])
+    brackets = [f for f in w if f[0] == "comm"]
+    if not brackets:
+        return x
+    gamma = list(x.gamma)
+    for f in brackets:
+        e = f[3] if len(f) == 4 else 1
+        c = commutator(_element(f[1], index, n), _element(f[2], index, n))
+        gamma = [s + e * v for s, v in zip(gamma, c.gamma)]
+    return MalcevElement(n, x.alpha, tuple(gamma))
 
 
-def _scaled(form, e: int):
-    """The maps of X^e."""
-    A, B = ({k: e * v for k, v in d.items()} for d in form)
-    c2 = e * (e - 1) // 2
-    if c2:
-        for p, ap in form[0].items():
-            for q, aq in form[0].items():
-                B[p, q] = B.get((p, q), 0) - c2 * ap * aq
-    return A, B
-
-
-def _times(x, y):
-    """The maps of X Y."""
-    A, B = ({**dx} for dx in x)
-    for d, dy in zip((A, B), y):
-        for k, v in dy.items():
-            d[k] = d.get(k, 0) + v
-    for p, ap in x[0].items():
-        for q, aq in y[0].items():
-            B[p, q] = B.get((p, q), 0) - ap * aq
-    return A, B
-
-
-def _bracket(x, y):
-    """The maps of [X, Y]: central, so A = 0."""
-    B: Dict[Tuple[str, str], int] = {}
-    for p, ap in x[0].items():
-        for q, aq in y[0].items():
-            B[q, p] = B.get((q, p), 0) + ap * aq
-            B[p, q] = B.get((p, q), 0) - ap * aq
-    return {}, B
-
-
-def _word_maps(w: GroupWord):
-    acc = ({}, {})
-    for f in w:
-        if f[0] == "comm":
-            x = _bracket(_word_maps(f[1]), _word_maps(f[2]))
-            e = f[3] if len(f) == 4 else 1
-        else:
-            x, e = ({f[0]: 1}, {}), f[1]
-        acc = _times(acc, _scaled(x, e))
-    return acc
+def _name_index(names) -> Tuple[Tuple[str, ...], Dict[str, int]]:
+    """The names sorted, and each name's 1-based generator index."""
+    names = tuple(sorted(names))
+    return names, {x: k for k, x in enumerate(names, 1)}
 
 
 def compile_gword(w: GroupWord, e: int = 1) -> WordForm:
     """The class-2 polynomial of w^e."""
-    return WordForm(*_scaled(_word_maps(w), e))
+    names, index = _name_index(gword_names(w))
+    return WordForm(names, power(_element(w, index, len(names)), e))
 
 
 def eval_gword(w: GroupWord, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
@@ -628,15 +609,16 @@ class _EquationShape:
 
 
 def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _EquationShape:
-    names = (gword_names(lhs) | gword_names(rhs)) & variables
-    residual = WordForm(*_times(_word_maps(lhs), _scaled(_word_maps(rhs), -1)))
+    names, index = _name_index(gword_names(lhs) | gword_names(rhs))
+    u, v = (_element(w, index, len(names)) for w in (lhs, rhs))
+    residual = WordForm(names, multiply(u, inverse(v)))
     forced = tuple(
-        (a[0][0], compile_gword(b, a[0][1]), frozenset(gword_names(b)))
-        for a, b in ((lhs, rhs), (rhs, lhs))
+        (a[0][0], WordForm(names, w if a[0][1] == 1 else inverse(w)), frozenset(gword_names(b)))
+        for a, b, w in ((lhs, rhs, v), (rhs, lhs, u))
         if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1
     )
     reads_gamma = frozenset(n for n, _ in residual.linear) & variables
-    return _EquationShape(frozenset(names), residual, reads_gamma, forced)
+    return _EquationShape(frozenset(names) & variables, residual, reads_gamma, forced)
 
 
 def _element_in_box(el: MalcevElement, bound: int) -> bool:

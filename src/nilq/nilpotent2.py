@@ -12,9 +12,9 @@ The ground truth for the product is the collection identity
 
     a_s a_t = a_t a_s [a_s, a_t]        (any s, t)
 
-applied letter by letter (``collection_oracle``).  The closed forms below were
-read off from it and the test suite pins them against the oracle; if you
-change a sign here, the oracle will catch you.
+applied letter by letter.  The closed forms below were read off from it, and
+the test suite pins them against a letter-by-letter collection oracle; if
+you change a sign here, the oracle will catch you.
 
 An endomorphism sending a_k to y_k is, in class 2, a polynomial map on
 coordinates (Sims, *Computation with Finitely Presented Groups*, 1994, the
@@ -27,8 +27,9 @@ y_k.alpha and beta_k = y_k.gamma, the image of x = (a | g) is
 where X[k][l] = g_kl above the diagonal, X[l][k] = -g_kl - a_k a_l below it
 and X[k][k] = -C(a_k, 2).  The a_k beta_k and diagonal terms are the powers
 y_k^(a_k), the terms below the diagonal collect those powers in order, and
-g_kl (A_pk A_ql - A_pl A_qk) is [y_k, y_l]^(g_kl).  ``Endomorphism`` holds A
-and beta and evaluates this with no group multiplication.
+g_kl (A_pk A_ql - A_pl A_qk) is [y_k, y_l]^(g_kl).  ``quadratic_rows`` gives
+X; ``Endomorphism`` holds A and beta and evaluates this with no group
+multiplication.
 """
 
 from __future__ import annotations
@@ -149,6 +150,26 @@ def power(x: MalcevElement, k: int) -> MalcevElement:
     return acc
 
 
+def quadratic_rows(x: MalcevElement) -> list:
+    """The rows of X(a, g) of the module docstring, sparse: row k maps l to
+    X[k][l] for the nonzero entries only.  X[k][k] = -C(a_k, 2), and for
+    k < l, X[k][l] = g_kl and X[l][k] = -g_kl - a_k a_l (indices 0-based)."""
+    m, a, g = x.m, x.alpha, x.gamma
+    rows = [{k: -(ak * (ak - 1) // 2)} if ak not in (0, 1) else {} for k, ak in enumerate(a)]
+    t = 0
+    for k in range(m):
+        ak, row_k = a[k], rows[k]
+        for l in range(k + 1, m):
+            gkl = g[t]
+            t += 1
+            if gkl:
+                row_k[l] = gkl
+            v = -gkl - ak * a[l]
+            if v:
+                rows[l][k] = v
+    return rows
+
+
 class Endomorphism:
     """The endomorphism of N_{2,m} sending a_k to images[k-1], as the class-2
     polynomial map on Malcev coordinates (see the module docstring).
@@ -172,20 +193,7 @@ class Endomorphism:
         if x.m != m:
             raise ValueError("rank mismatch")
         a, g = x.alpha, x.gamma
-        # the rows of X, sparse: X[k][k] = -C(a_k, 2), and for k < l
-        # X[k][l] = g_kl, X[l][k] = -g_kl - a_k a_l
-        rows = [{k: -(ak * (ak - 1) // 2)} if ak not in (0, 1) else {} for k, ak in enumerate(a)]
-        t = 0
-        for k in range(m):
-            ak, row_k = a[k], rows[k]
-            for l in range(k + 1, m):
-                gkl = g[t]
-                t += 1
-                if gkl:
-                    row_k[l] = gkl
-                v = -gkl - ak * a[l]
-                if v:
-                    rows[l][k] = v
+        rows = quadratic_rows(x)
         cols, betas = self.columns, self.betas
         alpha = [0] * m
         gamma = [0] * len(g)
@@ -236,32 +244,25 @@ def from_word(w: Word) -> MalcevElement:
     return MalcevElement(m, tuple(alpha), tuple(gamma))
 
 
-def collection_oracle(w: Word) -> MalcevElement:
-    """Collect a letter sequence by literal rewriting; deliberately naive.
+def from_syllables(m: int, syllables) -> MalcevElement:
+    """The product of the runs a_k^e, given as (k, e) pairs with k 1-based,
+    in one step per run.
 
-    Repeatedly applies a_t^e a_s^d -> a_s^d a_t^e [a_s, a_t]^(-e*d) for
-    adjacent letters with t > s until the sequence is sorted by generator
-    index, tracking the central commutator letters on the side, then merges
-    exponents.  Quadratic and slow; exists to check from_word and multiply.
+    Appending a_k^e moves it left past the a_j blocks with j > k, which adds
+    -e * alpha_j to gamma_(k,j); then alpha_k gains e.  This is
+    ``from_word``'s letter step with any exponent.
     """
-    m = w.m
-    letters = list(w.letters)
-    gamma = [0] * (m * (m - 1) // 2)
-    pidx = _pair_index_map(m)
-    changed = True
-    while changed:
-        changed = False
-        for p in range(len(letters) - 1):
-            l1, l2 = letters[p], letters[p + 1]
-            if abs(l1) > abs(l2):
-                letters[p], letters[p + 1] = l2, l1
-                e = 1 if l1 > 0 else -1
-                d = 1 if l2 > 0 else -1
-                gamma[pidx[(abs(l2), abs(l1))]] -= e * d
-                changed = True
     alpha = [0] * m
-    for l in letters:
-        alpha[abs(l) - 1] += 1 if l > 0 else -1
+    gamma = [0] * (m * (m - 1) // 2)
+    for k, e in syllables:
+        if not (1 <= k <= m):
+            raise ValueError(f"generator index {k} out of range 1..{m}")
+        k -= 1
+        t = k * (2 * m - k - 1) // 2  # index of the pair (k, k + 1), 0-based
+        for j in range(k + 1, m):
+            gamma[t] -= e * alpha[j]
+            t += 1
+        alpha[k] += e
     return MalcevElement(m, tuple(alpha), tuple(gamma))
 
 

@@ -231,31 +231,6 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
     )
 
 
-def apply_op(M: IntMatrix, op: ElementaryOp) -> IntMatrix:
-    """Apply one logged elementary operation to a fresh copy of M."""
-    A = M.to_rows()
-    k = op.kind
-    if k == "row_add":
-        for j in range(M.cols):
-            A[op.dst][j] += op.mult * A[op.src][j]
-    elif k == "col_add":
-        for row in A:
-            row[op.dst] += op.mult * row[op.src]
-    elif k == "row_swap":
-        A[op.src], A[op.dst] = A[op.dst], A[op.src]
-    elif k == "col_swap":
-        for row in A:
-            row[op.src], row[op.dst] = row[op.dst], row[op.src]
-    elif k == "row_negate":
-        A[op.src] = [-v for v in A[op.src]]
-    elif k == "col_negate":
-        for row in A:
-            row[op.src] = -row[op.src]
-    else:
-        raise ValueError(f"unknown op kind {k!r}")
-    return IntMatrix.from_rows(A) if A else M
-
-
 def _bareiss(A: list, cols: int) -> Tuple[int, int]:
     """(rank, det) of the rows A, consumed, by fraction-free elimination with
     full pivoting.  Each step divides exactly by the previous pivot, so the
@@ -399,9 +374,8 @@ class Echelon:
     Each row is zero left of its pivot, and the pivots increase strictly.
     ``of`` takes the nonzero rows of a row Hermite normal form, but any such
     basis will do.  Built once per basis, it decides span membership for
-    many vectors by reduction alone.  ``lattice_membership`` and
-    ``rational_membership`` do the same from scratch and serve as its test
-    oracles.
+    many vectors by reduction alone.  ``lattice_membership`` does the same
+    from scratch and serves as a test oracle.
     """
 
     rows: Tuple[Tuple[int, ...], ...]
@@ -479,21 +453,3 @@ def lattice_membership(
     if any(resid):
         return None
     return [sum(y[k] * W[k, j] for k in range(n)) for j in range(n)]
-
-
-def rational_membership(basis: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """True iff target lies in the Q-span of basis.
-
-    Equivalently, some nonzero integer multiple of target lies in the Z-span.
-    Decided by a rank comparison (Bareiss), independent of the HNF path.
-    """
-    basis = [list(v) for v in basis]
-    target = list(target)
-    for v in basis:
-        if len(v) != len(target):
-            raise ValueError("basis vector dimension mismatch")
-    if not basis:
-        return all(v == 0 for v in target)
-    B = IntMatrix.from_rows(basis)
-    E = IntMatrix.from_rows(basis + [target])
-    return rank(E) == rank(B)

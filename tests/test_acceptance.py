@@ -15,7 +15,6 @@ import pytest
 
 from nilq.nilpotent2 import (
     MalcevElement,
-    collection_oracle,
     commutator,
     from_word,
     generator,
@@ -59,6 +58,8 @@ from nilq.diophantine import (
     verify_correspondence,
     z_in_g_templates,
 )
+
+from naive_oracles import collection_oracle
 
 
 SEED = 20260822

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from nilq.nilpotent2 import (
     Endomorphism,
     MalcevElement,
-    collection_oracle,
     commutator,
     format_element,
+    from_syllables,
     from_word,
     generator,
     identity,
@@ -22,6 +22,8 @@ from nilq.nilpotent2 import (
     power,
 )
 from nilq.words import Word, parse_word
+
+from naive_oracles import collection_oracle
 
 
 def _elements(m):
@@ -69,6 +71,37 @@ def _run_words(m):
 def test_from_word_matches_collection_in_higher_ranks(w):
     # rank 1 and ranks past 3, where gamma rows 3 and later start
     assert from_word(w) == collection_oracle(w)
+
+
+def _syllables(m, e_max):
+    """(m, runs): up to 8 runs (k, e) over rank m with 1 <= |e| <= e_max."""
+    exps = st.integers(1, e_max).flatmap(lambda e: st.sampled_from((e, -e)))
+    return st.tuples(st.just(m), st.lists(st.tuples(st.integers(1, m), exps), max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: _syllables(m, 6)))
+def test_from_syllables_matches_collection(case):
+    m, runs = case
+    letters = tuple((k if e > 0 else -k) for k, e in runs for _ in range(abs(e)))
+    assert from_syllables(m, runs) == collection_oracle(Word(letters, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: _syllables(m, 10**12)))
+def test_from_syllables_matches_products_of_powers(case):
+    m, runs = case
+    expected = identity(m)
+    for k, e in runs:
+        expected = multiply(expected, power(generator(m, k), e))
+    assert from_syllables(m, runs) == expected
+
+
+def test_from_syllables_rejects_an_index_out_of_range():
+    with pytest.raises(ValueError):
+        from_syllables(2, [(3, 1)])
+    with pytest.raises(ValueError):
+        from_syllables(2, [(0, 1)])
 
 
 def test_commutator_word_pinned_sign():

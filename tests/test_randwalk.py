@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from nilq import randwalk
 from nilq.randwalk import (
     RETURN_N_MAX_LIMIT,
     DecayFit,
@@ -69,6 +71,24 @@ def test_rank_experiment_r_zero_always_full():
     cfg = ExperimentConfig(m=2, r=0, lengths=(5,), trials=10, seed=1)
     (row,) = rank_experiment(cfg)
     assert row.p_hat == 1
+
+
+def test_rank_experiment_holds_one_word_at_a_time(monkeypatch):
+    # weak references to the words drawn so far; a word still alive when
+    # the next one is drawn is held by the experiment
+    drawn = []
+    original = randwalk.random_word
+
+    def tracked(*args):
+        assert sum(ref() is not None for ref in drawn) <= 1
+        w = original(*args)
+        drawn.append(weakref.ref(w))
+        return w
+
+    monkeypatch.setattr(randwalk, "random_word", tracked)
+    cfg = ExperimentConfig(m=3, r=6, lengths=(50,), trials=2, seed=5)
+    rank_experiment(cfg)
+    assert len(drawn) == 12
 
 
 def test_rank_experiment_csv_shape():
