@@ -225,23 +225,9 @@ class Endomorphism:
 
 
 def from_word(w: Word) -> MalcevElement:
-    """Evaluate a word on plain coordinate lists.
-
-    Appending a_k^s (s = +-1) moves it left past the a_j blocks with j > k,
-    which adds -s * alpha_j to gamma_(k,j); then alpha_k gains s.
-    """
-    m = w.m
-    alpha = [0] * m
-    gamma = [0] * (m * (m - 1) // 2)
-    for l in w.letters:
-        k = abs(l) - 1
-        s = 1 if l > 0 else -1
-        t = k * (2 * m - k - 1) // 2  # index of the pair (k, k + 1), 0-based
-        for j in range(k + 1, m):
-            gamma[t] -= s * alpha[j]
-            t += 1
-        alpha[k] += s
-    return MalcevElement(m, tuple(alpha), tuple(gamma))
+    """Evaluate a word on plain coordinate lists: each letter is a run of
+    length one for ``from_syllables``."""
+    return from_syllables(w.m, ((abs(l), 1 if l > 0 else -1) for l in w.letters))
 
 
 def from_syllables(m: int, syllables) -> MalcevElement:
@@ -249,8 +235,7 @@ def from_syllables(m: int, syllables) -> MalcevElement:
     in one step per run.
 
     Appending a_k^e moves it left past the a_j blocks with j > k, which adds
-    -e * alpha_j to gamma_(k,j); then alpha_k gains e.  This is
-    ``from_word``'s letter step with any exponent.
+    -e * alpha_j to gamma_(k,j); then alpha_k gains e.
     """
     alpha = [0] * m
     gamma = [0] * (m * (m - 1) // 2)

@@ -38,7 +38,7 @@ from .words import (
     MAX_WORD_LETTERS,
     RankLimitError,
     check_rank,
-    exponent_sums,
+    exponent_sum_matrix,
     random_word,
 )
 from .zmatrix import IntMatrix, minor_polynomial, rank as zrank
@@ -126,17 +126,17 @@ def rank_experiment(cfg: ExperimentConfig) -> list:
 
     Each trial checks the rank two independent ways (fraction-free
     elimination, and the sum of squared maximal minors, which is the
-    determinant of the Gram matrix) and insists they agree.  Each word is
-    reduced to its exponent-sum row as it is drawn, so a trial holds one word
-    at a time.
+    determinant of the Gram matrix) and insists they agree.  The words are
+    drawn lazily into ``exponent_sum_matrix``, so a trial holds one word at a
+    time.
     """
     rows = []
     for length in cfg.lengths:
         full = 0
         for t in range(cfg.trials):
             rng = trial_rng(cfg.seed, length, t)
-            sums = [exponent_sums(random_word(length, cfg.m, rng)) for _ in range(cfg.r)]
-            M = IntMatrix(cfg.r, cfg.m, tuple(v for row in sums for v in row))
+            ws = (random_word(length, cfg.m, rng) for _ in range(cfg.r))
+            M = exponent_sum_matrix(ws, cfg.m)
             is_full = zrank(M) == min(cfg.r, cfg.m)
             if is_full != (minor_polynomial(M) != 0):
                 raise AssertionError("rank routes disagree")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .zmatrix import ElementaryOp, IntMatrix, SmithDecomposition, smith_normal_form
 
@@ -231,13 +231,11 @@ class RelatorSet:
                 raise ValueError("relator alphabet mismatch")
 
 
-def exponent_sum_matrix(rs: RelatorSet) -> IntMatrix:
-    """r x m matrix of letter exponent sums; invariant under free reduction."""
-    return IntMatrix(
-        len(rs.relators),
-        rs.m,
-        tuple(v for w in rs.relators for v in exponent_sums(w)),
-    )
+def exponent_sum_matrix(words: Iterable[Word], m: int) -> IntMatrix:
+    """len(words) x m matrix of letter exponent sums; invariant under free
+    reduction.  ``words`` is read one word at a time."""
+    rows = [exponent_sums(w) for w in words]
+    return IntMatrix(len(rows), m, tuple(v for row in rows for v in row))
 
 
 def random_word(length: int, m: int, rng) -> Word:
@@ -376,7 +374,7 @@ def rewrite_through_generator_moves(w: Word, log: NielsenLog) -> Word:
 
 def nielsen_moves(rs: RelatorSet) -> Tuple[NielsenLog, SmithDecomposition]:
     """Smith form of the exponent-sum matrix and its operations as Nielsen moves."""
-    snf = smith_normal_form(exponent_sum_matrix(rs))
+    snf = smith_normal_form(exponent_sum_matrix(rs.relators, rs.m))
     return NielsenLog(tuple(_move_for(op) for op in snf.ops)), snf
 
 
@@ -393,6 +391,6 @@ def nielsen_normalize(
     for mv in log.moves:
         apply_move_to_relators(relators, mv)
     out = RelatorSet(tuple(relators), rs.m)
-    if exponent_sum_matrix(out).entries != snf.D.entries:
+    if exponent_sum_matrix(out.relators, out.m).entries != snf.D.entries:
         raise AssertionError("Nielsen replay does not match Smith diagonal")
     return out, log, snf
