@@ -70,6 +70,14 @@ def _emit_json(obj, summary: str):
     _emit(json.dumps(obj, sort_keys=True, indent=2, default=_jsonable), summary)
 
 
+def _emit_format(args, obj, csv, summary: str):
+    """Emit obj as JSON under --format json, else the CSV text csv(obj)."""
+    if args.format == "json":
+        _emit_json(obj, summary)
+    else:
+        _emit(csv(obj), summary)
+
+
 def _element_jsonable(el: MalcevElement) -> dict:
     return {"alpha": list(el.alpha), "gamma": list(el.gamma)}
 
@@ -160,33 +168,24 @@ def _experiment_config(path: str) -> randwalk.ExperimentConfig:
 def _cmd_rank_exp(args) -> int:
     cfg = _experiment_config(args.config)
     rows = randwalk.rank_experiment(cfg)
-    summary = f"{len(rows)} lengths, seed {cfg.seed}"
-    if args.format == "json":
-        _emit_json({"config": cfg, "rows": rows}, summary)
-    else:
-        _emit(randwalk.rank_experiment_csv(cfg, rows), summary)
+    _emit_format(args, {"config": cfg, "rows": rows},
+                 lambda d: randwalk.rank_experiment_csv(d["config"], d["rows"]),
+                 f"{len(rows)} lengths, seed {cfg.seed}")
     return 0
 
 
 def _cmd_clt(args) -> int:
     summary = randwalk.coordinate_clt_stats(args.m, args.n, args.trials, args.seed)
-    if args.format == "json":
-        _emit_json(summary, f"variances {summary.variances}")
-    else:
-        _emit(randwalk.clt_csv(summary), f"variances {summary.variances}")
+    _emit_format(args, summary, randwalk.clt_csv, f"variances {summary.variances}")
     return 0
 
 
 def _cmd_escape(args) -> int:
-    ns = args.n
     estimates = [
         randwalk.escape_probability(args.m, n, args.trials, args.seed, args.epsilon)
-        for n in ns
+        for n in args.n
     ]
-    if args.format == "json":
-        _emit_json(estimates, f"{len(estimates)} grid points")
-    else:
-        _emit(randwalk.escape_csv(estimates), f"{len(estimates)} grid points")
+    _emit_format(args, estimates, randwalk.escape_csv, f"{len(estimates)} grid points")
     return 0
 
 
@@ -201,20 +200,14 @@ def _cmd_return_prob(args) -> int:
 
 def _cmd_slope(args) -> int:
     fit = randwalk.decay_slope(args.m, (args.n_lo, args.n_hi))
-    if args.format == "json":
-        _emit_json(fit, f"slope {fit.slope:.4f}")
-    else:
-        _emit(randwalk.decay_fit_csv(fit), f"slope {fit.slope:.4f}")
+    _emit_format(args, fit, randwalk.decay_fit_csv, f"slope {fit.slope:.4f}")
     return 0
 
 
 def _cmd_sz_check(args) -> int:
     res = randwalk.schwartz_zippel_check(args.r, args.m, args.b)
-    summary = f"zeros {res.zero_count} <= bound {res.bound}"
-    if args.format == "json":
-        _emit_json(res, summary)
-    else:
-        _emit(randwalk.schwartz_zippel_csv(res), summary)
+    _emit_format(args, res, randwalk.schwartz_zippel_csv,
+                 f"zeros {res.zero_count} <= bound {res.bound}")
     return 0
 
 

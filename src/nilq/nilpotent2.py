@@ -225,9 +225,8 @@ class Endomorphism:
 
 
 def from_word(w: Word) -> MalcevElement:
-    """Evaluate a word on plain coordinate lists: each letter is a run of
-    length one for ``from_syllables``."""
-    return from_syllables(w.m, ((abs(l), 1 if l > 0 else -1) for l in w.letters))
+    """Evaluate a word: the product of its syllables."""
+    return from_syllables(w.m, w.syllables)
 
 
 def from_syllables(m: int, syllables) -> MalcevElement:

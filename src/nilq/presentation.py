@@ -95,7 +95,10 @@ def parse_presentation(text: str) -> NilPresentation:
         elif len(relator_words) == MAX_RELATORS:
             raise RankLimitError(f"line {lineno}: relators over the limit of {MAX_RELATORS}")
         else:
-            relator_words.append(parse_word(line, m))
+            try:
+                relator_words.append(parse_word(line, m))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     if header is None:
         raise ValueError("empty presentation file")
     return NilPresentation(m, s, RelatorSet(tuple(relator_words), m))

@@ -1,11 +1,11 @@
-"""Words over a signed generator alphabet, relator sets, and Nielsen moves.
+"""Words over generators a_1..a_m, relator sets, and Nielsen moves.
 
-A letter is a nonzero int: ``+k`` is the generator ``a_k``, ``-k`` its
-inverse, ``1 <= k <= m``.  The text grammar accepts whitespace-separated
+A word is a sequence of syllables a_k^e, stored as pairs ``(k, e)`` with
+``1 <= k <= m`` and ``e != 0``.  The text grammar accepts whitespace-separated
 tokens ``a<k>`` with an optional ``^<int>`` exponent (nonzero), plus
 ``[u, v]`` for the commutator ``u^-1 v^-1 u v``; the empty string is the
-identity.  Parsing expands powers and commutators into letters, at most
-``MAX_WORD_LETTERS`` of them.
+identity.  Each token is one syllable; commutators are expanded, to at most
+``MAX_WORD_LETTERS`` letters (the sum of |e|).
 
 ``nielsen_moves`` reduces the exponent-sum matrix of a relator set to Smith
 normal form and mirrors every elementary operation as a Nielsen
@@ -16,11 +16,12 @@ replay in ``presentation.normalize``: the words grow exponentially.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .zmatrix import ElementaryOp, IntMatrix, SmithDecomposition, smith_normal_form
+
+Syllable = Tuple[int, int]
 
 
 class WordSyntaxError(ValueError):
@@ -33,49 +34,61 @@ class WordSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Word:
-    """Freely reducible word; not reduced automatically on construction."""
+    """The word a_k1^e1 ... a_kn^en as its syllables (k, e); not reduced on
+    construction.  ``len`` counts letters, the sum of |e|."""
 
-    letters: Tuple[int, ...]
+    syllables: Tuple[Syllable, ...]
     m: int
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("alphabet size must be at least 1")
-        for l in self.letters:
-            if l == 0 or abs(l) > self.m:
-                raise ValueError(f"letter {l} outside alphabet of size {self.m}")
+        for k, e in self.syllables:
+            if e == 0 or not 1 <= k <= self.m:
+                raise ValueError(f"syllable a{k}^{e} outside alphabet of size {self.m}")
 
     def __len__(self):
-        return len(self.letters)
+        return sum(abs(e) for _, e in self.syllables)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)), self.m)
+        return Word(_inverted(self.syllables), self.m)
+
+
+def _inverted(syllables) -> Tuple[Syllable, ...]:
+    return tuple((k, -e) for k, e in reversed(syllables))
 
 
 def concat(u: Word, v: Word) -> Word:
     if u.m != v.m:
         raise ValueError("alphabet mismatch")
-    return Word(u.letters + v.letters, u.m)
+    return Word(u.syllables + v.syllables, u.m)
 
 
 def word_power(w: Word, k: int) -> Word:
     base = w if k >= 0 else w.inverse()
-    return Word(base.letters * abs(k), w.m)
+    return Word(base.syllables * abs(k), w.m)
 
 
 def free_reduce(w: Word) -> Word:
-    stack: List[int] = []
-    for l in w.letters:
-        if stack and stack[-1] == -l:
-            stack.pop()
-        else:
-            stack.append(l)
+    """Merge neighbouring syllables of one generator, dropping those that
+    cancel: no two neighbours of the result share a generator."""
+    stack: List[Syllable] = []
+    for k, e in w.syllables:
+        if stack and stack[-1][0] == k:
+            e += stack.pop()[1]
+            if not e:
+                continue
+        stack.append((k, e))
     return Word(tuple(stack), w.m)
 
 
 MAX_WORD_LETTERS = 10**6
-"""Most letters ``parse_word`` expands a text into (a million letters take
-about 16 MB as a letter tuple and most of a second in ``from_word``)."""
+"""Most letters (the sum of |e| over the syllables) in a word ``parse_word``
+reads, checked from the counts before anything is built.  A power a_k^e is
+one syllable whatever e is; the costliest words at the cap hold a million
+syllables.  A text of a million tokens ``a1 a2 a1 ...`` took 1.9 s to parse
+with a 17 MB peak, ``[a1,a2]^250000`` 0.1 s and 16 MB, and ``from_word`` on
+either 0.5 s at m = 2 and 5 to 7 s at m = 64 (2-vCPU VM, Python 3.11)."""
 
 
 def _check_word_length(n: int) -> None:
@@ -111,42 +124,56 @@ def check_rank(m: int) -> None:
 def parse_word(text: str, m: int) -> Word:
     """Parse the word grammar; raises WordSyntaxError with a position.
 
-    Powers and commutators are expanded into letters; a text whose expansion
-    would exceed MAX_WORD_LETTERS raises a plain ValueError before expanding.
-    An m over MAX_RANK raises RankLimitError.
+    A token a<k>^<e> is the syllable (k, e); commutators and their powers
+    are expanded into syllables.  A text of more than MAX_WORD_LETTERS
+    letters raises a plain ValueError before it is expanded.  An m over
+    MAX_RANK raises RankLimitError.
     """
     check_rank(m)
     pos = 0
     n = len(text)
+    # one tuple per distinct syllable: a long text repeats few of them, and a
+    # tuple each would cost 64 bytes a token against 8 for a reference
+    interned: dict = {}
 
     def skip_ws():
         nonlocal pos
         while pos < n and text[pos].isspace():
             pos += 1
 
-    def parse_int() -> int:
+    def parse_exponent() -> int:
+        """The nonzero integer after a '^', or 1 without one."""
         nonlocal pos
+        if pos >= n or text[pos] != "^":
+            return 1
+        pos += 1
         start = pos
         if pos < n and text[pos] in "+-":
             pos += 1
         while pos < n and text[pos].isdigit():
             pos += 1
-        if pos == start or not text[start:pos].lstrip("+-"):
+        if not text[start:pos].lstrip("+-"):
             raise WordSyntaxError("expected integer", start)
-        return int(text[start:pos])
+        e = int(text[start:pos])
+        if e == 0:
+            raise WordSyntaxError("zero exponent not allowed", start)
+        return e
 
-    def parse_sequence(stops: str) -> List[int]:
+    def parse_sequence(stops: str) -> Tuple[List[Syllable], int]:
+        """The syllables up to a stop character, and their letter count."""
         nonlocal pos
-        letters: List[int] = []
+        syllables: List[Syllable] = []
+        count = 0
         while True:
             skip_ws()
             if pos >= n or text[pos] in stops:
-                return letters
-            item = parse_item()
-            _check_word_length(len(letters) + len(item))
-            letters.extend(item)
+                return syllables, count
+            item, item_count = parse_item()
+            count += item_count
+            _check_word_length(count)
+            syllables.extend(item)
 
-    def parse_item() -> List[int]:
+    def parse_item() -> Tuple[Tuple[Syllable, ...], int]:
         nonlocal pos
         start = pos
         if text[pos] == "a":
@@ -159,65 +186,47 @@ def parse_word(text: str, m: int) -> Word:
             k = int(text[dstart:pos])
             if not (1 <= k <= m):
                 raise WordSyntaxError(f"generator index {k} out of range 1..{m}", start)
-            base = [k]
-        elif text[pos] == "[":
+            e = parse_exponent()
+            _check_word_length(abs(e))
+            return (interned.setdefault((k, e), (k, e)),), abs(e)
+        if text[pos] == "[":
             pos += 1
-            u = parse_sequence(",")
+            u, u_count = parse_sequence(",")
             skip_ws()
             if pos >= n or text[pos] != ",":
                 raise WordSyntaxError("expected ',' in commutator", pos)
             pos += 1
-            v = parse_sequence("]")
+            v, v_count = parse_sequence("]")
             skip_ws()
             if pos >= n or text[pos] != "]":
                 raise WordSyntaxError("expected ']' closing commutator", pos)
             pos += 1
-            _check_word_length(2 * (len(u) + len(v)))
-            inv_u = [-l for l in reversed(u)]
-            inv_v = [-l for l in reversed(v)]
-            base = inv_u + inv_v + u + v
-        else:
-            raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if pos < n and text[pos] == "^":
-            pos += 1
-            estart = pos
-            e = parse_int()
-            if e == 0:
-                raise WordSyntaxError("zero exponent not allowed", estart)
-            if e < 0:
-                base = [-l for l in reversed(base)]
-                e = -e
-            _check_word_length(len(base) * e)
-            base = base * e
-        return base
+            count = 2 * (u_count + v_count)
+            _check_word_length(count)
+            base = _inverted(u) + _inverted(v) + tuple(u + v)
+            e = parse_exponent()
+            _check_word_length(count * abs(e))
+            return (base if e > 0 else _inverted(base)) * abs(e), count * abs(e)
+        raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
 
-    letters = parse_sequence("")
+    syllables, _ = parse_sequence("")
     skip_ws()
     if pos < n:
         raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
-    return Word(tuple(letters), m)
+    return Word(tuple(syllables), m)
 
 
 def format_word(w: Word) -> str:
-    """Inverse of parse_word up to run merging: a1 a1 prints as a1^2."""
-    parts = []
-    i = 0
-    ls = w.letters
-    while i < len(ls):
-        j = i
-        while j < len(ls) and ls[j] == ls[i]:
-            j += 1
-        count = j - i
-        k = abs(ls[i])
-        e = count if ls[i] > 0 else -count
-        parts.append(f"a{k}" if e == 1 else f"a{k}^{e}")
-        i = j
-    return " ".join(parts)
+    """The text of w, one token per syllable (a<k> for e = 1, else a<k>^<e>);
+    ``parse_word`` reads it back to w exactly."""
+    return " ".join(f"a{k}" if e == 1 else f"a{k}^{e}" for k, e in w.syllables)
 
 
 def exponent_sums(w: Word) -> Tuple[int, ...]:
-    c = Counter(w.letters)
-    return tuple(c[k] - c[-k] for k in range(1, w.m + 1))
+    sums = [0] * w.m
+    for k, e in w.syllables:
+        sums[k - 1] += e
+    return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -232,21 +241,22 @@ class RelatorSet:
 
 
 def exponent_sum_matrix(words: Iterable[Word], m: int) -> IntMatrix:
-    """len(words) x m matrix of letter exponent sums; invariant under free
+    """len(words) x m matrix of generator exponent sums; invariant under free
     reduction.  ``words`` is read one word at a time."""
     rows = [exponent_sums(w) for w in words]
     return IntMatrix(len(rows), m, tuple(v for row in rows for v in row))
 
 
 def random_word(length: int, m: int, rng) -> Word:
-    """Uniform word over the 2m signed letters, each step independent.
+    """Uniform word of ``length`` letters over the 2m signed generators, as
+    unit syllables (k, +-1), each step independent.
 
     Deterministic given a seeded random.Random; the draw is a single
     rng.choices call so the stream consumption per word is fixed.
     """
     if length < 0:
         raise ValueError("negative length")
-    alphabet = list(range(1, m + 1)) + [-k for k in range(1, m + 1)]
+    alphabet = [(k, 1) for k in range(1, m + 1)] + [(k, -1) for k in range(1, m + 1)]
     return Word(tuple(rng.choices(alphabet, k=length)), m)
 
 
@@ -309,25 +319,22 @@ def _move_for(op: ElementaryOp) -> NielsenMove:
     raise ValueError(f"unknown op kind {op.kind}")
 
 
-def _substitute(w: Word, j: int, image: Sequence[int]) -> Word:
-    """Replace every letter +-j by the image word (occurrences of -j get the
-    inverse image); other letters pass through."""
-    inv = [-l for l in reversed(image)]
-    out: List[int] = []
-    for l in w.letters:
-        if l == j:
-            out.extend(image)
-        elif l == -j:
-            out.extend(inv)
+def _substitute(w: Word, j: int, image: Tuple[Syllable, ...]) -> Word:
+    """Replace every syllable a_j^e by the image word to the power e; other
+    syllables pass through."""
+    inv = _inverted(image)
+    out: List[Syllable] = []
+    for k, e in w.syllables:
+        if k != j:
+            out.append((k, e))
         else:
-            out.append(l)
+            out.extend((image if e > 0 else inv) * abs(e))
     return free_reduce(Word(tuple(out), w.m))
 
 
 def apply_move_to_relators(relators: List[Word], move: NielsenMove) -> None:
     """Apply one Nielsen move to a relator list in place (words re-reduced
     eagerly after every substitution)."""
-    m = relators[0].m if relators else 0
     if move.kind == "relator_mult":
         gi = relators[move.i - 1]
         relators[move.j - 1] = free_reduce(concat(word_power(gi, move.k), relators[move.j - 1]))
@@ -338,24 +345,17 @@ def apply_move_to_relators(relators: List[Word], move: NielsenMove) -> None:
         relators[move.i - 1] = relators[move.i - 1].inverse()
     elif move.kind == "generator_mult":
         # a_j <- a_i^k a_j means old a_j = a_i^-k (new a_j)
-        image = [-move.i if move.k > 0 else move.i] * abs(move.k) + [move.j]
+        image = ((move.i, -move.k), (move.j, 1))
         for idx, w in enumerate(relators):
             relators[idx] = _substitute(w, move.j, image)
     elif move.kind == "generator_swap":
+        swap = {move.i: move.j, move.j: move.i}
         for idx, w in enumerate(relators):
-            out = []
-            for l in w.letters:
-                if abs(l) == move.i:
-                    out.append(move.j if l > 0 else -move.j)
-                elif abs(l) == move.j:
-                    out.append(move.i if l > 0 else -move.i)
-                else:
-                    out.append(l)
-            relators[idx] = Word(tuple(out), w.m)
+            relators[idx] = Word(tuple((swap.get(k, k), e) for k, e in w.syllables), w.m)
     elif move.kind == "generator_invert":
         for idx, w in enumerate(relators):
             relators[idx] = Word(
-                tuple(-l if abs(l) == move.i else l for l in w.letters), w.m
+                tuple((k, -e if k == move.i else e) for k, e in w.syllables), w.m
             )
     else:
         raise ValueError(f"unknown move kind {move.kind}")
@@ -364,7 +364,7 @@ def apply_move_to_relators(relators: List[Word], move: NielsenMove) -> None:
 def rewrite_through_generator_moves(w: Word, log: NielsenLog) -> Word:
     """Express a word over the original basis as a word over the final basis
     by applying the log's generator substitutions (relator moves do not
-    change what letters mean)."""
+    change what a generator means)."""
     out = [w]
     for mv in log.moves:
         if mv.kind.startswith("generator"):

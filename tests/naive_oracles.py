@@ -13,16 +13,22 @@ from nilq.words import Word
 from nilq.zmatrix import ElementaryOp, IntMatrix, rank
 
 
-def collection_oracle(w: Word) -> MalcevElement:
-    """Collect a letter sequence by literal rewriting; deliberately naive.
+def letter_word(letters, m: int) -> Word:
+    """The word of a signed letter sequence (+k is a_k, -k its inverse), one
+    unit syllable per letter."""
+    return Word(tuple((abs(l), 1 if l > 0 else -1) for l in letters), m)
 
-    Repeatedly applies a_t^e a_s^d -> a_s^d a_t^e [a_s, a_t]^(-e*d) for
+
+def collection_oracle(w: Word) -> MalcevElement:
+    """Collect a word letter by letter by literal rewriting; deliberately naive.
+
+    Expands each syllable a_k^e into |e| letters, then repeatedly applies a_t^e a_s^d -> a_s^d a_t^e [a_s, a_t]^(-e*d) for
     adjacent letters with t > s until the sequence is sorted by generator
     index, tracking the central commutator letters on the side, then merges
     exponents.  Quadratic and slow.
     """
     m = w.m
-    letters = list(w.letters)
+    letters = [k if e > 0 else -k for k, e in w.syllables for _ in range(abs(e))]
     gamma = [0] * (m * (m - 1) // 2)
     changed = True
     while changed:

@@ -59,7 +59,7 @@ from nilq.diophantine import (
     z_in_g_templates,
 )
 
-from naive_oracles import collection_oracle
+from naive_oracles import collection_oracle, letter_word
 
 
 SEED = 20260822
@@ -136,7 +136,7 @@ def test_criterion_02_malcev_oracle():
         alphabet = [k for k in range(1, m + 1)] + [-k for k in range(1, m + 1)]
         for length in range(1, 7):
             for ls in itertools.product(alphabet, repeat=length):
-                w = Word(ls, m)
+                w = letter_word(ls, m)
                 if from_word(w) != collection_oracle(w):
                     failures.append(f"mismatch at m={m}, word={ls}")
                     break

@@ -559,6 +559,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_relator_syntax_error_names_its_line(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 2\na1 a2\na1 !\n")
+    code, out, err = _run(capsys, "classify", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: line 3: unexpected character '!' (position 3)\n"
+
+
 def _run_process(*args):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nilq.__file__)))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)

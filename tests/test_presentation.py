@@ -56,7 +56,7 @@ def test_parse_presentation():
     p = parse_presentation("# demo\n2 2\na1^2\n\na2^2  # inline\n")
     assert p.m == 2 and p.s == 2
     assert len(p.relators.relators) == 2
-    assert p.relators.relators[0].letters == (1, 1)
+    assert p.relators.relators[0].syllables == ((1, 2),)
 
 
 def test_parse_presentation_errors():
@@ -68,6 +68,11 @@ def test_parse_presentation_errors():
         parse_presentation("2 1\na1\n")
     with pytest.raises(ValueError):
         parse_presentation("2 2\na1 a9\n")
+    # a relator's error names its line, counted with blank and comment lines
+    with pytest.raises(ValueError, match=r"^line 4: unexpected character '!' \(position 3\)$"):
+        parse_presentation("2 2\na1 a2\n# note\na1 !\n")
+    with pytest.raises(ValueError, match=r"^line 2: word expands to"):
+        parse_presentation("2 2\na1^2000000\n")
 
 
 def test_normalize_single_relator():
@@ -308,7 +313,7 @@ def test_all_commutator_relators_present_free_abelian(m):
         w = random_word(rng.randrange(0, 12), m, rng)
         if rng.random() < 0.5:
             # append w's letters inverted in shuffled order: exponent sums 0
-            letters = [-l for l in w.letters]
+            letters = [(k, -e) for k, e in w.syllables]
             rng.shuffle(letters)
             w = concat(w, Word(tuple(letters), m))
         h = express_in_normalized_basis(w, np_)

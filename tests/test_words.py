@@ -30,27 +30,46 @@ from nilq.words import (
 from nilq.zmatrix import IntMatrix
 from nilq.nilpotent2 import from_word
 
+from naive_oracles import collection_oracle
 
-letters = st.lists(
-    st.integers(-3, 3).filter(lambda k: k != 0), min_size=0, max_size=12
-)
+
+# words over a1..a3 of up to 12 syllables (k, e), 1 <= |e| <= 4
+syllable_words = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(-4, 4).filter(lambda e: e != 0)), max_size=12
+).map(lambda syllables: Word(tuple(syllables), 3))
+
+
+def _letters(w):
+    """The signed letters of w: a_k^e is |e| copies of +-k."""
+    return [k if e > 0 else -k for k, e in w.syllables for _ in range(abs(e))]
 
 
 def test_parse_basic_forms():
-    assert parse_word("a1 a2", 2).letters == (1, 2)
-    assert parse_word("a1^3", 2).letters == (1, 1, 1)
-    assert parse_word("a2^-2", 2).letters == (-2, -2)
-    assert parse_word("", 2).letters == ()
-    assert parse_word("   ", 2).letters == ()
+    assert parse_word("a1 a2", 2).syllables == ((1, 1), (2, 1))
+    assert parse_word("a1^3", 2).syllables == ((1, 3),)
+    assert parse_word("a2^-2", 2).syllables == ((2, -2),)
+    assert parse_word("", 2).syllables == ()
+    assert parse_word("   ", 2).syllables == ()
+    w = parse_word("a3^-7 a1", 3)
+    assert w.syllables == ((3, -7), (1, 1))
+    assert len(w) == 8
 
 
 def test_parse_brackets_and_groups():
     w = parse_word("[a1,a2]", 2)
-    assert w.letters == (-1, -2, 1, 2)
+    assert w.syllables == ((1, -1), (2, -1), (1, 1), (2, 1))
     w = parse_word("[a1,a2]^-1", 2)
-    assert w.letters == (-2, -1, 2, 1)
+    assert w.syllables == ((2, -1), (1, -1), (2, 1), (1, 1))
     w = parse_word("[a1, a2^2]", 2)
-    assert w.letters == (-1, -2, -2, 1, 2, 2)
+    assert w.syllables == ((1, -1), (2, -2), (1, 1), (2, 2))
+    w = parse_word("[a1,a2]^2", 2)
+    assert w.syllables == ((1, -1), (2, -1), (1, 1), (2, 1)) * 2
+
+
+def test_word_rejects_syllables_outside_the_alphabet():
+    for syllables in (((4, 1),), ((0, 1),), ((1, 0),), ((1, 2), (2, 0))):
+        with pytest.raises(ValueError):
+            Word(syllables, 3)
 
 
 def test_rank_over_limit_refused_before_allocating():
@@ -73,18 +92,25 @@ def test_rank_over_limit_refused_before_allocating():
 
 def test_parse_rejects_oversized_expansion_before_expanding():
     n = MAX_WORD_LETTERS
-    assert len(parse_word(f"a1^{n}", 1)) == n
-    # (text, bytes it may allocate): an expansion past the limit is refused
-    # before its list exists; only the sequence case legitimately builds a
-    # word of n letters first (a list of n pointers, twice over)
+    # a power at the cap is one syllable
+    tracemalloc.start()
+    try:
+        w = parse_word(f"a1^{n}", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.syllables == ((1, n),) and len(w) == n
+    assert peak < 10**6, peak
+    # an expansion past the limit is refused from the letter counts, before
+    # any syllable list of its size exists
     cases = (
-        (f"a1^{10 * n}", n),
-        (f"a1^-{10 * n}", n),
-        (f"[a1,a2]^{n // 4 + 1}", n),
-        (f"[a1^{n // 2}, a2]", 20 * n),
-        (f"a1^{n} a2", 20 * n),
+        f"a1^{10 * n}",
+        f"a1^-{10 * n}",
+        f"[a1,a2]^{n // 4 + 1}",
+        f"[a1^{n // 2}, a2]",
+        f"a1^{n} a2",
     )
-    for text, budget in cases:
+    for text in cases:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="over the limit") as ei:
@@ -94,7 +120,7 @@ def test_parse_rejects_oversized_expansion_before_expanding():
             tracemalloc.stop()
         # a domain error, not a syntax error: the text itself is well formed
         assert not isinstance(ei.value, WordSyntaxError)
-        assert peak < budget, (text, peak)
+        assert peak < 10**6, (text, peak)
 
 
 def test_parse_error_positions():
@@ -111,32 +137,48 @@ def test_parse_error_positions():
         parse_word("b1", 2)
 
 
-@given(letters)
-def test_format_parse_roundtrip(ls):
-    w = Word(tuple(ls), 3)
-    assert parse_word(format_word(w), 3).letters == w.letters
+@given(syllable_words)
+def test_format_parse_roundtrip(w):
+    assert parse_word(format_word(w), 3) == w
 
 
-@given(letters)
-def test_free_reduce_is_reduced_and_equivalent(ls):
-    w = free_reduce(Word(tuple(ls), 3))
-    for a, b in zip(w.letters, w.letters[1:]):
-        assert a != -b
+def test_format_word_prints_one_token_per_syllable():
+    assert format_word(parse_word("a1 a1^2 [a1,a2]", 2)) == "a1 a1^2 a1^-1 a2^-1 a1 a2"
+
+
+@given(syllable_words)
+def test_from_word_matches_collection(w):
+    assert from_word(w) == collection_oracle(w)
+
+
+@given(syllable_words)
+def test_free_reduce_is_reduced_and_equivalent(w):
+    r = free_reduce(w)
+    for (k, e), (k2, _) in zip(r.syllables, r.syllables[1:]):
+        assert k != k2
+    assert all(e for _, e in r.syllables)
+    # the free reduction of w's letters, one letter at a time
+    stack = []
+    for l in _letters(w):
+        if stack and stack[-1] == -l:
+            stack.pop()
+        else:
+            stack.append(l)
+    assert _letters(r) == stack
     # same element of the free nilpotent quotient
-    assert from_word(w) == from_word(Word(tuple(ls), 3))
+    assert from_word(r) == from_word(w)
 
 
-@given(letters)
-def test_inverse_cancels(ls):
-    w = Word(tuple(ls), 3)
-    assert free_reduce(concat(w, w.inverse())).letters == ()
+@given(syllable_words)
+def test_inverse_cancels(w):
+    assert free_reduce(concat(w, w.inverse())).syllables == ()
 
 
 def test_word_power():
     w = parse_word("a1 a2", 2)
-    assert word_power(w, 3).letters == (1, 2) * 3
-    assert word_power(w, 0).letters == ()
-    assert word_power(w, -2).letters == (-2, -1) * 2
+    assert word_power(w, 3).syllables == ((1, 1), (2, 1)) * 3
+    assert word_power(w, 0).syllables == ()
+    assert word_power(w, -2).syllables == ((2, -1), (1, -1)) * 2
 
 
 def test_exponent_sums():
@@ -151,7 +193,9 @@ def test_random_word_deterministic():
     b = random_word(40, 3, random.Random(9))
     assert a == b
     assert len(a) == 40
-    assert all(1 <= abs(k) <= 3 for k in a.letters)
+    assert all(1 <= k <= 3 and e in (1, -1) for k, e in a.syllables)
+    # one rng.choices draw over a1..a3 then their inverses
+    assert _letters(a) == random.Random(9).choices([1, 2, 3, -1, -2, -3], k=40)
     assert a != random_word(40, 3, random.Random(10))
 
 
@@ -194,4 +238,4 @@ def test_nielsen_log_jsonable():
 
 def test_relator_set_validates_alphabet():
     with pytest.raises(ValueError):
-        RelatorSet(m=2, relators=(Word((1, 2), 3),))
+        RelatorSet(m=2, relators=(Word(((1, 1), (2, 1)), 3),))
