@@ -22,10 +22,11 @@ def letter_word(letters, m: int) -> Word:
 def collection_oracle(w: Word) -> MalcevElement:
     """Collect a word letter by letter by literal rewriting; deliberately naive.
 
-    Expands each syllable a_k^e into |e| letters, then repeatedly applies a_t^e a_s^d -> a_s^d a_t^e [a_s, a_t]^(-e*d) for
-    adjacent letters with t > s until the sequence is sorted by generator
-    index, tracking the central commutator letters on the side, then merges
-    exponents.  Quadratic and slow.
+    Expands each syllable a_k^e into |e| letters, then repeatedly applies
+    a_t^e a_s^d -> a_s^d a_t^e [a_s, a_t]^(-e*d) for adjacent letters with
+    t > s until the sequence is sorted by generator index, tracking the
+    central commutator letters on the side, then merges exponents.
+    Quadratic and slow.
     """
     m = w.m
     letters = [k if e > 0 else -k for k, e in w.syllables for _ in range(abs(e))]
