@@ -4,8 +4,10 @@ A word is a sequence of syllables a_k^e, stored as pairs ``(k, e)`` with
 ``1 <= k <= m`` and ``e != 0``.  The text grammar accepts whitespace-separated
 tokens ``a<k>`` with an optional ``^<int>`` exponent (nonzero), plus
 ``[u, v]`` for the commutator ``u^-1 v^-1 u v``; the empty string is the
-identity.  Each token is one syllable; commutators are expanded, to at most
-``MAX_WORD_LETTERS`` letters (the sum of |e|).
+identity.  Digits are Unicode decimal digits (``str.isdecimal``) and
+whitespace is ``str.isspace``.  ``parse_word`` splits the text with one
+compiled pattern, ``_TOKEN``.  Each token is one syllable; commutators are
+expanded, to at most ``MAX_WORD_LETTERS`` letters (the sum of |e|).
 
 ``nielsen_moves`` reduces the exponent-sum matrix of a relator set to Smith
 normal form and mirrors every elementary operation as a Nielsen
@@ -16,6 +18,7 @@ replay in ``presentation.normalize``: the words grow exponentially.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
@@ -86,9 +89,10 @@ MAX_WORD_LETTERS = 10**6
 """Most letters (the sum of |e| over the syllables) in a word ``parse_word``
 reads, checked from the counts before anything is built.  A power a_k^e is
 one syllable whatever e is; the costliest words at the cap hold a million
-syllables.  A text of a million tokens ``a1 a2 a1 ...`` took 1.9 s to parse
-with a 17 MB peak, ``[a1,a2]^250000`` 0.1 s and 16 MB, and ``from_word`` on
-either 0.5 s at m = 2 and 5 to 7 s at m = 64 (2-vCPU VM, Python 3.11)."""
+syllables.  A text of a million tokens ``a1 a2 a1 ...`` took 0.9 s to parse
+with a 16 MB traced peak, ``[a1,a2]^250000`` 0.05 s and 16 MB, and
+``from_word`` on either 0.5 s at m = 2 and 4 to 5 s at m = 64 (2-vCPU VM,
+Python 3.11)."""
 
 
 def _check_word_length(n: int) -> None:
@@ -121,6 +125,29 @@ def check_rank(m: int) -> None:
         raise RankLimitError(f"{m} generators, over the limit of {MAX_RANK}")
 
 
+_TOKEN = re.compile(
+    r"\s*(?:(?:a(?P<index>\d*)|(?P<close>\]))(?:\^(?P<exponent>[+-]?\d*))?|(?P<char>.)|\Z)",
+    re.DOTALL,
+)
+"""One token of the word grammar with the whitespace before it: a<k> (group
+``index``) or ] (``close``) with an optional ^<e> (``exponent``), any other
+single character (``char``, [ and , among them), or the end of the text."""
+
+
+def _exponent(match: re.Match) -> int:
+    """The exponent of an a<k> or ] token: 1 without a '^', else the nonzero
+    integer after it."""
+    digits = match["exponent"]
+    if digits is None:
+        return 1
+    if not digits.lstrip("+-"):
+        raise WordSyntaxError("expected integer", match.start("exponent"))
+    e = int(digits)
+    if e == 0:
+        raise WordSyntaxError("zero exponent not allowed", match.start("exponent"))
+    return e
+
+
 def parse_word(text: str, m: int) -> Word:
     """Parse the word grammar; raises WordSyntaxError with a position.
 
@@ -130,89 +157,58 @@ def parse_word(text: str, m: int) -> Word:
     MAX_RANK raises RankLimitError.
     """
     check_rank(m)
-    pos = 0
-    n = len(text)
-    # one tuple per distinct syllable: a long text repeats few of them, and a
-    # tuple each would cost 64 bytes a token against 8 for a reference
-    interned: dict = {}
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_exponent() -> int:
-        """The nonzero integer after a '^', or 1 without one."""
-        nonlocal pos
-        if pos >= n or text[pos] != "^":
-            return 1
-        pos += 1
-        start = pos
-        if pos < n and text[pos] in "+-":
-            pos += 1
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if not text[start:pos].lstrip("+-"):
-            raise WordSyntaxError("expected integer", start)
-        e = int(text[start:pos])
-        if e == 0:
-            raise WordSyntaxError("zero exponent not allowed", start)
-        return e
-
-    def parse_sequence(stops: str) -> Tuple[List[Syllable], int]:
-        """The syllables up to a stop character, and their letter count."""
-        nonlocal pos
-        syllables: List[Syllable] = []
-        count = 0
-        while True:
-            skip_ws()
-            if pos >= n or text[pos] in stops:
-                return syllables, count
-            item, item_count = parse_item()
-            count += item_count
+    syllables: List[Syllable] = []  # the innermost open sequence
+    count = 0  # its letters
+    # per open bracket: the enclosing sequence and its count, then the first
+    # part and its count once the ',' is read
+    brackets: List[list] = []
+    # token text -> (syllables, letters): a long text repeats few tokens, so
+    # each distinct one is converted once and the word holds one tuple per
+    # distinct syllable, 8 bytes a token instead of 64
+    known: dict = {}
+    # matches one at a time: a list of all tokens would cost some 60 bytes a
+    # token, 2 GB for a 100 MB line, before the length checks could refuse it
+    for match in _TOKEN.finditer(text):
+        token = match[0]
+        item = known.get(token)
+        if item is None:
+            index, char, close = match["index"], match["char"], match["close"]
+            if index is not None:
+                at = match.start("index")
+                if not index:
+                    raise WordSyntaxError("expected generator index after 'a'", at)
+                k = int(index)
+                if not 1 <= k <= m:
+                    raise WordSyntaxError(f"generator index {k} out of range 1..{m}", at - 1)
+                e = _exponent(match)
+                _check_word_length(abs(e))
+                item = known[token] = ((k, e),), abs(e)
+            elif char == "[":
+                brackets.append([syllables, count, None, 0])
+                syllables, count = [], 0
+            elif char == "," and brackets and brackets[-1][2] is None:
+                brackets[-1][2:] = syllables, count
+                syllables, count = [], 0
+            elif close and brackets and brackets[-1][2] is not None:
+                outer, outer_count, u, u_count = brackets.pop()
+                n = 2 * (u_count + count)
+                _check_word_length(n)
+                base = _inverted(u) + _inverted(syllables) + tuple(u + syllables)
+                e = _exponent(match)
+                _check_word_length(n * abs(e))
+                item = (base if e > 0 else _inverted(base)) * abs(e), n * abs(e)
+                syllables, count = outer, outer_count
+            elif char or close:
+                at = match.start("char" if char else "close")
+                raise WordSyntaxError(f"unexpected character {char or close!r}", at)
+            elif brackets:
+                if brackets[-1][2] is None:
+                    raise WordSyntaxError("expected ',' in commutator", match.end())
+                raise WordSyntaxError("expected ']' closing commutator", match.end())
+        if item is not None:
+            syllables.extend(item[0])
+            count += item[1]
             _check_word_length(count)
-            syllables.extend(item)
-
-    def parse_item() -> Tuple[Tuple[Syllable, ...], int]:
-        nonlocal pos
-        start = pos
-        if text[pos] == "a":
-            pos += 1
-            dstart = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if pos == dstart:
-                raise WordSyntaxError("expected generator index after 'a'", dstart)
-            k = int(text[dstart:pos])
-            if not (1 <= k <= m):
-                raise WordSyntaxError(f"generator index {k} out of range 1..{m}", start)
-            e = parse_exponent()
-            _check_word_length(abs(e))
-            return (interned.setdefault((k, e), (k, e)),), abs(e)
-        if text[pos] == "[":
-            pos += 1
-            u, u_count = parse_sequence(",")
-            skip_ws()
-            if pos >= n or text[pos] != ",":
-                raise WordSyntaxError("expected ',' in commutator", pos)
-            pos += 1
-            v, v_count = parse_sequence("]")
-            skip_ws()
-            if pos >= n or text[pos] != "]":
-                raise WordSyntaxError("expected ']' closing commutator", pos)
-            pos += 1
-            count = 2 * (u_count + v_count)
-            _check_word_length(count)
-            base = _inverted(u) + _inverted(v) + tuple(u + v)
-            e = parse_exponent()
-            _check_word_length(count * abs(e))
-            return (base if e > 0 else _inverted(base)) * abs(e), count * abs(e)
-        raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
-
-    syllables, _ = parse_sequence("")
-    skip_ws()
-    if pos < n:
-        raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
     return Word(tuple(syllables), m)
 
 

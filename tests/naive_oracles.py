@@ -2,14 +2,17 @@
 
 Each one recomputes a result the slow, literal way and shares no code path
 with the routine it checks: collection of a letter sequence by adjacent
-swaps (for ``from_word``, ``from_syllables`` and ``multiply``), Q-span
-membership by a rank comparison (for ``Echelon.in_rational_span``), and the
-elementary operations of a Smith log applied one at a time (for
+swaps (for ``from_word``, ``from_syllables`` and ``multiply``), a
+character-by-character scanner of the word grammar (for ``parse_word``),
+Q-span membership by a rank comparison (for ``Echelon.in_rational_span``),
+and the elementary operations of a Smith log applied one at a time (for
 ``smith_normal_form``).
 """
 
+from typing import List, Tuple
+
 from nilq.nilpotent2 import MalcevElement, pair_index
-from nilq.words import Word
+from nilq.words import MAX_WORD_LETTERS, Word, WordSyntaxError, check_rank
 from nilq.zmatrix import ElementaryOp, IntMatrix, rank
 
 
@@ -46,6 +49,112 @@ def collection_oracle(w: Word) -> MalcevElement:
     for l in letters:
         alpha[abs(l) - 1] += 1 if l > 0 else -1
     return MalcevElement(m, tuple(alpha), tuple(gamma))
+
+
+Syllable = Tuple[int, int]
+
+
+def _inverted(syllables) -> Tuple[Syllable, ...]:
+    return tuple((k, -e) for k, e in reversed(syllables))
+
+
+def _check_word_length(n: int) -> None:
+    if n > MAX_WORD_LETTERS:
+        raise ValueError(f"word expands to {n} letters, over the limit of {MAX_WORD_LETTERS}")
+
+
+def scanner_parse_word(text: str, m: int) -> Word:
+    """``parse_word`` by a recursive-descent scan, one character at a time.
+
+    Digits are ``str.isdigit`` characters, so a superscript digit such as
+    '²' reaches ``int()`` and raises its bare ValueError where ``parse_word``
+    raises a WordSyntaxError.
+    """
+    check_rank(m)
+    pos = 0
+    n = len(text)
+    # one tuple per distinct syllable: a long text repeats few of them, and a
+    # tuple each would cost 64 bytes a token against 8 for a reference
+    interned: dict = {}
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def parse_exponent() -> int:
+        """The nonzero integer after a '^', or 1 without one."""
+        nonlocal pos
+        if pos >= n or text[pos] != "^":
+            return 1
+        pos += 1
+        start = pos
+        if pos < n and text[pos] in "+-":
+            pos += 1
+        while pos < n and text[pos].isdigit():
+            pos += 1
+        if not text[start:pos].lstrip("+-"):
+            raise WordSyntaxError("expected integer", start)
+        e = int(text[start:pos])
+        if e == 0:
+            raise WordSyntaxError("zero exponent not allowed", start)
+        return e
+
+    def parse_sequence(stops: str) -> Tuple[List[Syllable], int]:
+        """The syllables up to a stop character, and their letter count."""
+        nonlocal pos
+        syllables: List[Syllable] = []
+        count = 0
+        while True:
+            skip_ws()
+            if pos >= n or text[pos] in stops:
+                return syllables, count
+            item, item_count = parse_item()
+            count += item_count
+            _check_word_length(count)
+            syllables.extend(item)
+
+    def parse_item() -> Tuple[Tuple[Syllable, ...], int]:
+        nonlocal pos
+        start = pos
+        if text[pos] == "a":
+            pos += 1
+            dstart = pos
+            while pos < n and text[pos].isdigit():
+                pos += 1
+            if pos == dstart:
+                raise WordSyntaxError("expected generator index after 'a'", dstart)
+            k = int(text[dstart:pos])
+            if not (1 <= k <= m):
+                raise WordSyntaxError(f"generator index {k} out of range 1..{m}", start)
+            e = parse_exponent()
+            _check_word_length(abs(e))
+            return (interned.setdefault((k, e), (k, e)),), abs(e)
+        if text[pos] == "[":
+            pos += 1
+            u, u_count = parse_sequence(",")
+            skip_ws()
+            if pos >= n or text[pos] != ",":
+                raise WordSyntaxError("expected ',' in commutator", pos)
+            pos += 1
+            v, v_count = parse_sequence("]")
+            skip_ws()
+            if pos >= n or text[pos] != "]":
+                raise WordSyntaxError("expected ']' closing commutator", pos)
+            pos += 1
+            count = 2 * (u_count + v_count)
+            _check_word_length(count)
+            base = _inverted(u) + _inverted(v) + tuple(u + v)
+            e = parse_exponent()
+            _check_word_length(count * abs(e))
+            return (base if e > 0 else _inverted(base)) * abs(e), count * abs(e)
+        raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
+
+    syllables, _ = parse_sequence("")
+    skip_ws()
+    if pos < n:
+        raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    return Word(tuple(syllables), m)
 
 
 def rational_membership(basis, target) -> bool:

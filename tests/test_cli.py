@@ -565,6 +565,11 @@ def test_relator_syntax_error_names_its_line(capsys, tmp_path):
     code, out, err = _run(capsys, "classify", str(bad))
     assert code == 2 and out == ""
     assert err == f"error: {bad}: line 3: unexpected character '!' (position 3)\n"
+    # a superscript digit is no digit of the grammar
+    bad.write_text("2 2\na1\u00b2\n", encoding="utf-8")
+    code, out, err = _run(capsys, "classify", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: line 2: unexpected character '\u00b2' (position 2)\n"
 
 
 def _run_process(*args):
@@ -637,6 +642,9 @@ def test_relator_count_over_limit_exit_1(capsys, tmp_path, argv):
 def test_bad_word_argument_exit_2(capsys, pres):
     code, _, _ = _run(capsys, "is-trivial", pres, "a1^")
     assert code == 2
+    code, out, err = _run(capsys, "word-eval", "a\u00b2")
+    assert code == 2 and out == ""
+    assert err == "error: word: expected generator index after 'a' (position 1)\n"
 
 
 def test_rank_exp_length_over_limit_exit_1(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Word grammar, free reduction, and the Nielsen move dictionary."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -30,7 +31,7 @@ from nilq.words import (
 from nilq.zmatrix import IntMatrix
 from nilq.nilpotent2 import from_word
 
-from naive_oracles import collection_oracle
+from naive_oracles import collection_oracle, scanner_parse_word
 
 
 # words over a1..a3 of up to 12 syllables (k, e), 1 <= |e| <= 4
@@ -124,17 +125,114 @@ def test_parse_rejects_oversized_expansion_before_expanding():
 
 
 def test_parse_error_positions():
+    cases = [
+        ("a", "expected generator index after 'a'", 1),
+        ("a0", "generator index 0 out of range 1..2", 0),
+        ("a1 a9", "generator index 9 out of range 1..2", 3),
+        ("a1^", "expected integer", 3),
+        ("a1^-", "expected integer", 3),
+        ("a1^0", "zero exponent not allowed", 3),
+        ("[a1", "expected ',' in commutator", 3),
+        ("[a1,a2", "expected ']' closing commutator", 6),
+        ("[a1,a2,a3]", "unexpected character ','", 6),
+        ("a1 ]", "unexpected character ']'", 3),
+        ("b1", "unexpected character 'b'", 0),
+        # superscript digits are digits to str.isdigit, not to int()
+        ("a\u00b2", "expected generator index after 'a'", 1),
+        ("a1\u00b2", "unexpected character '\u00b2'", 2),
+    ]
+    for text, message, position in cases:
+        with pytest.raises(WordSyntaxError) as ei:
+            parse_word(text, 2)
+        assert str(ei.value) == f"{message} (position {position})", text
+        assert ei.value.position == position, text
+
+
+def test_deep_brackets_are_not_parsed_by_recursion():
+    depth = 10**5
     with pytest.raises(WordSyntaxError) as ei:
-        parse_word("a1 a9", 2)
-    assert ei.value.position == 3
-    with pytest.raises(WordSyntaxError):
-        parse_word("a0", 2)
-    with pytest.raises(WordSyntaxError):
-        parse_word("[a1,a2", 2)
-    with pytest.raises(WordSyntaxError):
-        parse_word("a1^", 2)
-    with pytest.raises(WordSyntaxError):
-        parse_word("b1", 2)
+        parse_word("[" * depth, 2)
+    assert str(ei.value) == f"expected ',' in commutator (position {depth})"
+    # each level doubles the letters, so the cap stops the expansion
+    with pytest.raises(ValueError, match="over the limit"):
+        parse_word("[" * depth + "a1" + ",a2]" * depth, 2)
+
+
+def _fuzz_text(rng: random.Random, m: int, depth: int = 0) -> str:
+    """A word text over a1..am with mixed whitespace, signed and zero-padded
+    exponents, nested brackets and exponents near MAX_WORD_LETTERS."""
+    n = MAX_WORD_LETTERS
+    space = lambda: rng.choice(["", " ", "  ", "\t", "\n", "\u00a0", "\u2003"])
+    parts = []
+    for _ in range(rng.randrange(4)):
+        if depth < 3 and rng.random() < 0.3:
+            u, v = _fuzz_text(rng, m, depth + 1), _fuzz_text(rng, m, depth + 1)
+            parts.append(f"[{u},{v}]")
+            if rng.random() < 0.5:
+                # a bracket power below the cap stays small, so no case expands far
+                parts[-1] += "^" + rng.choice(["-", ""]) + rng.choice(["1", "3", "0", str(n)])
+            continue
+        k = rng.choice([str(rng.randrange(1, m + 1))] * 30 + ["0", "02", str(m + 1)])
+        if rng.random() < 0.5:
+            e = rng.choice(["1", "2", "07", "\u0663"] * 5
+                           + ["0", "00", str(n // 2), str(n), str(n + 1)])
+            k += "^" + rng.choice(["", "+", "-"]) + e
+        parts.append(f"a{k}")
+    return space() + "".join(p + space() for p in parts)
+
+
+def _corrupt(rng: random.Random, text: str) -> str:
+    """Insert, replace or delete a character, or cut the text, up to three times."""
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice("aa1[[]],,^+-0 \t\u00b2\u0663b!")
+        text = rng.choice([text[:i] + c + text[i:], text[:i] + c + text[i + 1:],
+                           text[:i] + text[i + 1:], text[:i]])
+    return text
+
+
+def test_parse_matches_scanner_oracle():
+    """parse_word against the character scanner: the same Word, or the same
+    exception type, message and position."""
+    rng = random.Random(2016)
+    outcomes = set()
+    for case in range(4000):
+        m = rng.randrange(1, 5)
+        text = _fuzz_text(rng, m)
+        if case % 2:
+            text = _corrupt(rng, text)
+        try:
+            expected = scanner_parse_word(text, m)
+        except WordSyntaxError as exc:
+            expected = exc
+        except ValueError as exc:
+            if str(exc).startswith("invalid literal for int()"):
+                continue  # the scanner's crash on superscript digits
+            expected = exc
+        try:
+            got = parse_word(text, m)
+        except ValueError as exc:
+            got = exc
+        if isinstance(expected, Word):
+            assert got == expected, text
+            outcomes.add("word")
+        else:
+            assert type(got) is type(expected), text
+            assert str(got) == str(expected), text
+            assert getattr(got, "position", None) == getattr(expected, "position", None), text
+            outcomes.add(re.sub(r"\d+|'.*'", "", str(got)))
+    # every kind of outcome occurred
+    assert outcomes == {
+        "word",
+        "expected generator index after  (position )",
+        "generator index  out of range .. (position )",
+        "expected integer (position )",
+        "zero exponent not allowed (position )",
+        "expected  in commutator (position )",
+        "expected  closing commutator (position )",
+        "unexpected character  (position )",
+        "word expands to  letters, over the limit of ",
+    }
 
 
 @given(syllable_words)
