@@ -25,6 +25,25 @@ r > m, and the leftovers of a rank-deficient matrix alike) have zero exponent
 row after rewriting, hence are central; their gamma parts join L too.  The
 closure is <g_i> * L for every presentation, whatever its rank.
 
+L has a closed form.  As alpha_p | alpha_q for p < q, L is spanned by
+d_pq e_pq at each pair p < q, with d_pq = alpha_p for p <= rank and 0
+otherwise, plus the gamma parts of the relators beyond the rank, which may be
+reduced modulo every nonzero d_pq.  ``closure_echelon`` is the Hermite form of
+these at most C(m, 2) + r - rank rows.
+
+So the paper's claims 1-3 hold exactly, in the rewritten basis, whenever the
+exponent-sum matrix has full rank.  Modulo torsion every [a_i, a_k] with
+i <= rank vanishes, and G is the free 2-step nilpotent group on
+a_(rank+1) ... a_m modulo the extra relators, which exist only for r > m:
+- r <= m - 2: at least two free generators remain, so a profile is central
+  modulo torsion iff it is zero beyond the rank (``center_profile_dim`` is
+  the rank), and each a_k with k > rank commutes modulo torsion only with
+  those profiles and itself: it is c-small;
+- r = m - 1: every pair has p <= rank, so each [a_i, a_j] is trivial modulo
+  torsion, while a_m is not (no alpha row reaches coordinate m);
+- r >= m: the alpha rows and L both span everything over Q, so each a_k is
+  trivial modulo torsion.
+
 A product or inverse of closure elements differs from the sum of their Malcev
 coordinates (alpha | gamma) only by multiples of alpha_i [a_i, a_j], which lie
 in L.  So the coordinates of the closure form one lattice, spanned by the
@@ -48,6 +67,7 @@ from .nilpotent2 import (
     generator,
     inverse,
     multiply,
+    pair_list,
     power,
 )
 from .words import MAX_RELATORS, NielsenLog, RankLimitError, RelatorSet, Word
@@ -108,9 +128,6 @@ def parse_presentation(text: str) -> NilPresentation:
 class NormalizedPresentation:
     """Presentation in normal form: relator i reads a_i^alphas[i] * c_parts[i].
 
-    ``closure_lattice`` spans the gamma coordinates of the central part of the
-    normal closure: alpha_i * [a_i, a_k] for each normalized relator i and
-    k != i, together with the gamma parts of extra_commutator_relators.
     ``rewritten`` and ``basis_images`` are the relators and the original
     generators over the new basis; ``nielsen_log`` holds the moves.  The
     other parts are views of ``snf`` and ``rewritten``.
@@ -121,7 +138,6 @@ class NormalizedPresentation:
     s: int
     nielsen_log: NielsenLog
     snf: SmithDecomposition
-    closure_lattice: Tuple[Tuple[int, ...], ...]
     rewritten: Tuple[MalcevElement, ...]
     basis_images: Tuple[MalcevElement, ...]
 
@@ -147,6 +163,20 @@ class NormalizedPresentation:
     def extra_commutator_relators(self) -> Tuple[MalcevElement, ...]:
         return self.rewritten[self.snf.rank :]  # zero alpha, so central
 
+    @property
+    def closure_lattice(self) -> Tuple[Tuple[int, ...], ...]:
+        """Vectors spanning the gamma coordinates of the central part of the
+        normal closure: alpha_i * [a_i, a_k] for each normalized relator i
+        and k != i, then the nonzero gammas of extra_commutator_relators."""
+        m = self.m
+        # [a_i^alpha_i c_i, a_g] is +-alpha_i at the pair (i+1, g), never zero
+        return tuple(
+            commutator(h, generator(m, g)).gamma
+            for i, h in enumerate(self.normalized_relators)
+            for g in range(1, m + 1)
+            if g != i + 1
+        ) + tuple(h.gamma for h in self.extra_commutator_relators if any(h.gamma))
+
     # Computed on first use only: queries and deciders need them, and
     # normalize should not pay for them where nothing is asked.
     @cached_property
@@ -158,8 +188,15 @@ class NormalizedPresentation:
     @cached_property
     def closure_echelon(self) -> Echelon:
         """Echelon form of closure_lattice: the gamma block of
-        coordinate_echelon, and what the bracket residues reduce modulo."""
-        return Echelon.of(self.closure_lattice)
+        coordinate_echelon, and what the bracket residues reduce modulo;
+        built from the closed form of L (see the module docstring)."""
+        k = self.snf.rank
+        d = [self.alphas[p - 1] if p <= k else 0 for p, _ in pair_list(self.m)]
+        n = len(d)
+        rows = [(0,) * t + (x,) + (0,) * (n - t - 1) for t, x in enumerate(d) if x]
+        extras = self.extra_commutator_relators
+        rows += [tuple(g % x if x else g for g, x in zip(h.gamma, d)) for h in extras]
+        return Echelon.of(rows)
 
     @cached_property
     def coordinate_echelon(self) -> Echelon:
@@ -221,21 +258,12 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
         raise AssertionError("rewritten relator alpha does not match diagonal")
     if any(any(h.alpha) for h in images[k:]):
         raise AssertionError("relator beyond rank must be central")
-    # [images[i], a_g] is +-alpha_i at the pair (i+1, g), never zero
-    vectors = [
-        commutator(images[i], generator(m, g)).gamma
-        for i in range(k)
-        for g in range(1, m + 1)
-        if g != i + 1
-    ]
-    vectors += [h.gamma for h in images[k:] if any(h.gamma)]
     return NormalizedPresentation(
         m=m,
         r=len(p.relators.relators),
         s=p.s,
         nielsen_log=log,
         snf=snf,
-        closure_lattice=tuple(vectors),
         rewritten=images,
         basis_images=tuple(basis),
     )

@@ -102,17 +102,19 @@ def _check_word_length(n: int) -> None:
 
 MAX_RANK = 64
 """Most generators m that ``parse_word``, a presentation header and a free
-ambient accept.  An element has m(m-1)/2 gamma coordinates, and the closure
-lattice of m relators about m^4/2 integers: ``is-trivial`` on m seeded
-two-letter relators took 3.7 s and 0.29 GB at m = 64 (2.0 s and 0.11 GB at
-m = 48), on a 2-vCPU VM with Python 3.11."""
+ambient accept.  An element has m(m-1)/2 gamma coordinates, and the Hermite
+form of the closure lattice up to that many rows of them, about m^4/4
+integers: ``is-trivial`` on m seeded two-letter relators took 2-3 s and a
+185 MB peak of address space at m = 64 (1 s and 77 MB at m = 48), on a
+2-vCPU VM with Python 3.11."""
 
 
 MAX_RELATORS = 128
 """Most relators a presentation file holds, so r >= m + 1 stays reachable at
 every m: at m = MAX_RANK with seeded four-letter relators, ``is-trivial``
-took 8.0 s and 0.33 GB at r = 64, and 28 s and 0.36 GB at r = 128 (same
-machine; about half of it in the HNF of the closure lattice)."""
+took 4-5 s and 185 MB at r = 64, and 8-9 s and 202 MB at r = 128 (same
+machine and measure; at r = 128, 1.9 s in the HNF of the closure lattice and
+5.8 s in normalize's Nielsen replay)."""
 
 
 class RankLimitError(Exception):

@@ -588,18 +588,105 @@ def test_deciders_run_one_hnf_per_presentation(monkeypatch):
         return hnf(M)
 
     monkeypatch.setattr(zmatrix, "hermite_normal_form", counting_hnf)
-    np_ = _norm("4 2\na1^2 a2^3\na2^4 [a1,a3]^2\n")
-    assert np_.closure_lattice and not calls
-    rng = random.Random(8)
-    rel = np_.normalized_relators[0]
-    for k in range(10):
-        # alpha in the relators' span, so every call reaches the lattice test
-        x, y = (from_word(random_word(6, 4, rng)) for _ in range(2))
-        h = multiply(power(rel, k), commutator(x, y))
-        is_trivial_in_G(h, np_)
-        is_trivial_mod_torsion(h, np_)
-        is_central_mod_torsion(h, np_)
-    assert len(calls) <= 1
+    # the second has full rank at r = m: its m(m-1) generated vectors
+    # exceed the C(m, 2) + r - rank rows of the closed form
+    for text in ("4 2\na1^2 a2^3\na2^4 [a1,a3]^2\n",
+                 "3 2\na1^2 a2\na2^3 a3\na3^2 a1 [a1,a2]\n[a2,a3]^4\n"):
+        calls.clear()
+        np_ = _norm(text)
+        m = np_.m
+        assert np_.closure_lattice and not calls
+        rng = random.Random(8)
+        rel = np_.normalized_relators[0]
+        for k in range(10):
+            # alpha in the relators' span, so every call reaches the lattice test
+            x, y = (from_word(random_word(6, m, rng)) for _ in range(2))
+            h = multiply(power(rel, k), commutator(x, y))
+            is_trivial_in_G(h, np_)
+            is_trivial_mod_torsion(h, np_)
+            is_central_mod_torsion(h, np_)
+        assert len(calls) <= 1
+        assert all(M.rows <= math.comb(m, 2) + np_.r - np_.snf.rank for M in calls)
+
+
+def test_normalize_runs_no_commutator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("normalize called commutator")
+
+    monkeypatch.setattr(nilpotent2, "commutator", refuse)
+    monkeypatch.setattr(presentation, "commutator", refuse)
+    np_ = _norm("3 2\na1^2 a2 [a1,a3]\na2^2 a3^-1\na3^4 a1\n[a1,a2]^3\n")
+    assert np_.snf.rank == 3 and np_.extra_commutator_relators
+    with pytest.raises(AssertionError, match="commutator"):
+        np_.closure_lattice
+
+
+def _closure_draws(rng):
+    """The seeded presentations, one with m = 1 and no relators, some whose
+    relators are all proper powers (alphas > 1) and one at m = 12-16."""
+    for _ in range(3):
+        yield from _seeded_presentations(rng)
+    yield NilPresentation(1, 2, RelatorSet((), 1))
+    for _ in range(100):
+        m = rng.randrange(1, 7)
+        rels = [word_power(random_word(rng.randrange(1, 8), m, rng), rng.randint(2, 4))
+                for _ in range(rng.randrange(1, m + 4))]
+        yield NilPresentation(m, 2, RelatorSet(tuple(rels), m))
+    m = rng.randrange(12, 17)
+    rels = [random_word(rng.randrange(1, 12), m, rng) for _ in range(rng.randrange(m - 2, m + 3))]
+    yield NilPresentation(m, 2, RelatorSet(tuple(rels), m))
+
+
+def test_closure_echelon_is_the_hermite_form_of_the_closure_lattice():
+    rng = random.Random(17)
+    seen = {"no pairs": 0, "r > m": 0, "repeated relator": 0, "bracket relator": 0,
+            "rank-deficient": 0, "extra gamma": 0, "alpha > 1": 0, "m >= 12": 0}
+    for p in _closure_draws(rng):
+        np_ = normalize(p)
+        assert np_.closure_echelon == zmatrix.Echelon.of(np_.closure_lattice)
+        rels = p.relators.relators
+        seen["no pairs"] += p.m == 1 and not rels
+        seen["r > m"] += np_.r > np_.m
+        seen["repeated relator"] += len(set(rels)) < len(rels)
+        seen["bracket relator"] += any(not any(from_word(w).alpha) for w in rels)
+        seen["rank-deficient"] += not np_.rank_full
+        seen["extra gamma"] += any(any(h.gamma) for h in np_.extra_commutator_relators)
+        seen["alpha > 1"] += any(a > 1 for a in np_.alphas)
+        seen["m >= 12"] += np_.m >= 12
+    assert all(seen.values()), seen
+
+
+def _full_rank_draws(rng, regime):
+    """Seeded full-rank presentations with r <= m - 2, r = m - 1 or r >= m."""
+    while True:
+        if regime == "r <= m-2":
+            m = rng.randrange(2, 7)
+            r = rng.randrange(0, m - 1)
+        else:
+            m = rng.randrange(1, 7)
+            r = m - 1 if regime == "r = m-1" else rng.randrange(m, m + 4)
+        rels = [random_word(rng.randrange(1, 12), m, rng) for _ in range(r)]
+        np_ = normalize(NilPresentation(m, 2, RelatorSet(tuple(rels), m)))
+        if np_.rank_full:
+            yield np_
+
+
+@pytest.mark.parametrize("regime", ["r <= m-2", "r = m-1", "r >= m"])
+def test_paper_claims_1_to_3_hold_for_every_full_rank_draw(regime):
+    # the argument is in the presentation module docstring
+    draws = _full_rank_draws(random.Random(23), regime)
+    for _ in range(300):
+        np_ = next(draws)
+        m, k = np_.m, np_.snf.rank
+        a = [generator(m, c) for c in range(1, m + 1)]
+        if regime == "r <= m-2":
+            assert np_.center_profile_dim == k
+            assert all(is_c_small(a[c], np_) for c in range(k, m))
+        elif regime == "r = m-1":
+            assert all(is_trivial_mod_torsion(commutator(x, y), np_) for x in a for y in a)
+            assert not is_trivial_mod_torsion(a[-1], np_)
+        else:
+            assert all(is_trivial_mod_torsion(x, np_) for x in a)
 
 
 def test_central_mod_torsion_matches_commutator_loop():
