@@ -24,7 +24,7 @@ from .presentation import (
     normalize,
     parse_presentation,
 )
-from .words import NielsenLog, NielsenMove, RelatorSet, Word, format_word, parse_word
+from .words import NielsenLog, NielsenMove, Word, format_word, parse_word
 from .zmatrix import IntMatrix, SmithDecomposition, smith_normal_form
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "NilPresentation",
     "NormalizedPresentation",
     "RegimeReport",
-    "RelatorSet",
     "SmithDecomposition",
     "Word",
     "classify",

@@ -9,16 +9,19 @@ A presentation file looks like
 
 with m generators, declared nilpotency class s >= 2, and one relator word per
 line.  Classes above 2 are projected to the 2-step image; every report states
-that explicitly.
+that explicitly.  G is N_{2,m} modulo the normal closure of the relators, so
+all that is decided here reads only a relator's Malcev coordinates:
+``parse_presentation`` turns each line into its element as it reads it, and
+a ``NilPresentation`` holds those elements, not words.
 
 ``normalize`` rewrites the relators through Nielsen moves mirroring the Smith
-reduction of the exponent-sum matrix, so relator i becomes a_i^alpha_i * c_i
-with c_i in the derived subgroup.  The normal closure of the relators is then
-generated, modulo the relators themselves, by the central elements
-[g_i, a_k]: conjugation in a 2-step group obeys w^-1 g w = g [g, w], and
-[g, w] is bilinear in the exponent vector of w, so the commutators with the
-generators span everything.  Their gamma parts span the closure lattice L,
-which holds alpha_i [a_i, a_k] for every k != i.
+reduction of the exponent-sum matrix (the relators' alpha rows), so relator
+i becomes a_i^alpha_i * c_i with c_i in the derived subgroup.  The normal
+closure of the relators is then generated, modulo the relators themselves,
+by the central elements [g_i, a_k]: conjugation in a 2-step group obeys
+w^-1 g w = g [g, w], and [g, w] is bilinear in the exponent vector of w, so
+the commutators with the generators span everything.  Their gamma parts
+span the closure lattice L, which holds alpha_i [a_i, a_k] for every k != i.
 
 Relators beyond the rank of the exponent-sum matrix (the extra relators when
 r > m, and the leftovers of a rank-deficient matrix alike) have zero exponent
@@ -70,7 +73,7 @@ from .nilpotent2 import (
     pair_list,
     power,
 )
-from .words import MAX_RELATORS, NielsenLog, RankLimitError, RelatorSet, Word
+from .words import MAX_RELATORS, NielsenLog, RankLimitError, Word, WordSyntaxError
 from .words import check_rank, nielsen_moves, parse_word
 from .zmatrix import Echelon, IntMatrix, SmithDecomposition, rank as zrank
 
@@ -81,22 +84,31 @@ class InconclusiveError(Exception):
 
 @dataclass(frozen=True)
 class NilPresentation:
+    """m generators, declared class s, and the relators as elements of
+    N_{2,m}, each of rank m: their coordinates are all that is decided."""
+
     m: int
     s: int
-    relators: RelatorSet
+    relators: Tuple[MalcevElement, ...]
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("need at least one generator")
         if self.s < 2:
             raise ValueError("nilpotency class must be at least 2")
-        if self.relators.m != self.m:
-            raise ValueError("relator alphabet does not match m")
+        if any(h.m != self.m for h in self.relators):
+            raise ValueError("relator rank does not match m")
 
 
 def parse_presentation(text: str) -> NilPresentation:
+    """Read a presentation file, each relator line straight into its element.
+
+    A malformed line raises ValueError; a relator over MAX_WORD_LETTERS
+    letters, or one relator more than MAX_RELATORS, raises RankLimitError.
+    Either message starts with the number of the line at fault.
+    """
     header = None
-    relator_words: list[Word] = []
+    relators: list[MalcevElement] = []
     m = s = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -112,16 +124,18 @@ def parse_presentation(text: str) -> NilPresentation:
                 raise ValueError(f"line {lineno}: header must be two integers") from None
             check_rank(m)
             header = (m, s)
-        elif len(relator_words) == MAX_RELATORS:
+        elif len(relators) == MAX_RELATORS:
             raise RankLimitError(f"line {lineno}: relators over the limit of {MAX_RELATORS}")
         else:
             try:
-                relator_words.append(parse_word(line, m))
-            except ValueError as exc:
+                relators.append(from_word(parse_word(line, m)))
+            except WordSyntaxError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+            except ValueError as exc:  # the letter cap; from_word of a parsed word raises none
+                raise RankLimitError(f"line {lineno}: {exc}") from None
     if header is None:
         raise ValueError("empty presentation file")
-    return NilPresentation(m, s, RelatorSet(tuple(relator_words), m))
+    return NilPresentation(m, s, tuple(relators))
 
 
 @dataclass(frozen=True)
@@ -229,9 +243,10 @@ def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator
 
 
 def normalize(p: NilPresentation) -> NormalizedPresentation:
-    log, snf = nielsen_moves(p.relators)
     m = p.m
-    relators = [from_word(w) for w in p.relators.relators]
+    relators = list(p.relators)
+    sums = IntMatrix(len(relators), m, tuple(a for h in relators for a in h.alpha))
+    log, snf = nielsen_moves(sums)
     basis = [generator(m, k) for k in range(1, m + 1)]
     for mv in log.moves:
         i, j = mv.i - 1, mv.j - 1
@@ -260,7 +275,7 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
         raise AssertionError("relator beyond rank must be central")
     return NormalizedPresentation(
         m=m,
-        r=len(p.relators.relators),
+        r=len(relators),
         s=p.s,
         nielsen_log=log,
         snf=snf,

@@ -1,19 +1,22 @@
-"""Words over generators a_1..a_m, relator sets, and Nielsen moves.
+"""Words over generators a_1..a_m, and Nielsen moves.
 
 A word is a sequence of syllables a_k^e, stored as pairs ``(k, e)`` with
 ``1 <= k <= m`` and ``e != 0``.  The text grammar accepts whitespace-separated
 tokens ``a<k>`` with an optional ``^<int>`` exponent (nonzero), plus
-``[u, v]`` for the commutator ``u^-1 v^-1 u v``; the empty string is the
-identity.  Digits are Unicode decimal digits (``str.isdecimal``) and
-whitespace is ``str.isspace``.  ``parse_word`` splits the text with one
-compiled pattern, ``_TOKEN``.  Each token is one syllable; commutators are
-expanded, to at most ``MAX_WORD_LETTERS`` letters (the sum of |e|).
+``[u, v]`` for the commutator ``u^-1 v^-1 u v``, with an optional exponent
+too; the empty string is the identity.  Digits are Unicode decimal digits
+(``str.isdecimal``) and whitespace is ``str.isspace``.  ``parse_word`` splits
+the text with one compiled pattern, ``_TOKEN``.  Each token a<k>^<e> is one
+syllable.  A commutator power [u, v]^E becomes a word equal to it in every
+2-step nilpotent group, at most 4m syllables whatever E is (see
+``parse_word``).  A text may expand to at most ``MAX_WORD_LETTERS``
+letters, brackets written out, each syllable a_k^e counting |e|.
 
-``nielsen_moves`` reduces the exponent-sum matrix of a relator set to Smith
-normal form and mirrors every elementary operation as a Nielsen
-transformation.  Replaying the log on words (``nielsen_normalize``,
-``rewrite_through_generator_moves``) is the test oracle for the coordinate
-replay in ``presentation.normalize``: the words grow exponentially.
+``nielsen_moves`` reduces an exponent-sum matrix to Smith normal form and
+mirrors every elementary operation as a Nielsen transformation.  Replaying
+the log on words (``nielsen_normalize``, ``rewrite_through_generator_moves``)
+is the test oracle for the coordinate replay in ``presentation.normalize``:
+the words grow exponentially.
 """
 
 from __future__ import annotations
@@ -86,13 +89,14 @@ def free_reduce(w: Word) -> Word:
 
 
 MAX_WORD_LETTERS = 10**6
-"""Most letters (the sum of |e| over the syllables) in a word ``parse_word``
-reads, checked from the counts before anything is built.  A power a_k^e is
-one syllable whatever e is; the costliest words at the cap hold a million
-syllables.  A text of a million tokens ``a1 a2 a1 ...`` took 0.9 s to parse
-with a 16 MB traced peak, ``[a1,a2]^250000`` 0.05 s and 16 MB, and
-``from_word`` on either 0.5 s at m = 2 and 4 to 5 s at m = 64 (2-vCPU VM,
-Python 3.11)."""
+"""Most letters in a word ``parse_word`` reads, counted with every bracket
+expanded and each a_k^e counting |e|, and checked from the counts before
+anything is built.  A power a_k^e is one syllable whatever e is, and a
+bracket power at most 4m; the costliest words at the cap are flat texts of
+a million syllables.  A text of a million tokens ``a1 a2 a1 ...`` took 0.9 s
+to parse with a 16 MB traced peak, and ``from_word`` on it 0.5 s at m = 2
+and 4 to 5 s at m = 64; ``[a1,a2]^250000`` parses to 4 syllables in under a
+millisecond with a 3 KB peak (2-vCPU VM, Python 3.11)."""
 
 
 def _check_word_length(n: int) -> None:
@@ -150,13 +154,26 @@ def _exponent(match: re.Match) -> int:
     return e
 
 
+def _collected(syllables, m: int, e: int) -> Tuple[Syllable, ...]:
+    """a_1^(e s_1) ... a_m^(e s_m), s the exponent sums of the syllables."""
+    sums = [0] * (m + 1)
+    for k, x in syllables:
+        sums[k] += x
+    return tuple((k, e * s) for k, s in enumerate(sums) if s)
+
+
 def parse_word(text: str, m: int) -> Word:
     """Parse the word grammar; raises WordSyntaxError with a position.
 
-    A token a<k>^<e> is the syllable (k, e); commutators and their powers
-    are expanded into syllables.  A text of more than MAX_WORD_LETTERS
-    letters raises a plain ValueError before it is expanded.  An m over
-    MAX_RANK raises RankLimitError.
+    A token a<k>^<e> is the syllable (k, e).  A commutator power [u, v]^E
+    becomes (u_E)^-1 w^-1 u_E w, where u_E is a_1^(E s_1) ... a_m^(E s_m)
+    for the exponent sums s of u, and w the same for v with E = 1.  In class
+    2 a commutator is central and bilinear, and depends only on the exponent
+    sums of its arguments, so this word equals [u, v]^E in N_{2,m}, in at
+    most 4m syllables.  A bracket inside a bracket has zero exponent sums and
+    adds nothing to them.  Letters are still counted as if every bracket
+    were expanded: a text of more than MAX_WORD_LETTERS of them raises a
+    plain ValueError.  An m over MAX_RANK raises RankLimitError.
     """
     check_rank(m)
     syllables: List[Syllable] = []  # the innermost open sequence
@@ -195,10 +212,12 @@ def parse_word(text: str, m: int) -> Word:
                 outer, outer_count, u, u_count = brackets.pop()
                 n = 2 * (u_count + count)
                 _check_word_length(n)
-                base = _inverted(u) + _inverted(syllables) + tuple(u + syllables)
                 e = _exponent(match)
                 _check_word_length(n * abs(e))
-                item = (base if e > 0 else _inverted(base)) * abs(e), n * abs(e)
+                # in class 2, [u, v]^e = [u^e, v] = [u_e, w] with u_e and w
+                # the collected exponent sums of u^e and v
+                u_e, w = _collected(u, m, e), _collected(syllables, m, 1)
+                item = _inverted(u_e) + _inverted(w) + u_e + w, n * abs(e)
                 syllables, count = outer, outer_count
             elif char or close:
                 at = match.start("char" if char else "close")
@@ -225,17 +244,6 @@ def exponent_sums(w: Word) -> Tuple[int, ...]:
     for k, e in w.syllables:
         sums[k - 1] += e
     return tuple(sums)
-
-
-@dataclass(frozen=True)
-class RelatorSet:
-    relators: Tuple[Word, ...]
-    m: int
-
-    def __post_init__(self):
-        for w in self.relators:
-            if w.m != self.m:
-                raise ValueError("relator alphabet mismatch")
 
 
 def exponent_sum_matrix(words: Iterable[Word], m: int) -> IntMatrix:
@@ -370,25 +378,24 @@ def rewrite_through_generator_moves(w: Word, log: NielsenLog) -> Word:
     return out[0]
 
 
-def nielsen_moves(rs: RelatorSet) -> Tuple[NielsenLog, SmithDecomposition]:
-    """Smith form of the exponent-sum matrix and its operations as Nielsen moves."""
-    snf = smith_normal_form(exponent_sum_matrix(rs.relators, rs.m))
+def nielsen_moves(M: IntMatrix) -> Tuple[NielsenLog, SmithDecomposition]:
+    """Smith form of an exponent-sum matrix and its operations as Nielsen moves."""
+    snf = smith_normal_form(M)
     return NielsenLog(tuple(_move_for(op) for op in snf.ops)), snf
 
 
 def nielsen_normalize(
-    rs: RelatorSet,
-) -> Tuple[RelatorSet, NielsenLog, SmithDecomposition]:
-    """Mirror the Smith reduction of the exponent-sum matrix on the relators.
+    words: Iterable[Word], m: int
+) -> Tuple[Tuple[Word, ...], NielsenLog, SmithDecomposition]:
+    """Mirror the Smith reduction of the exponent-sum matrix on relator words.
 
-    Returns (rewritten relators, move log, Smith decomposition); the
-    exponent-sum matrix of the rewritten set equals the diagonal D exactly.
+    Returns (rewritten words, move log, Smith decomposition); the
+    exponent-sum matrix of the rewritten words equals the diagonal D exactly.
     """
-    log, snf = nielsen_moves(rs)
-    relators = list(rs.relators)
+    relators = list(words)
+    log, snf = nielsen_moves(exponent_sum_matrix(relators, m))
     for mv in log.moves:
         apply_move_to_relators(relators, mv)
-    out = RelatorSet(tuple(relators), rs.m)
-    if exponent_sum_matrix(out.relators, out.m).entries != snf.D.entries:
+    if exponent_sum_matrix(relators, m).entries != snf.D.entries:
         raise AssertionError("Nielsen replay does not match Smith diagonal")
-    return out, log, snf
+    return tuple(relators), log, snf

@@ -43,7 +43,6 @@ from nilq.randwalk import (
     schwartz_zippel_check,
 )
 from nilq.words import (
-    RelatorSet,
     Word,
     concat,
     free_reduce,
@@ -195,13 +194,11 @@ def _random_full_rank_presentation(rng, max_m=3):
         m = rng.randrange(2, max_m + 1)
         r = rng.randrange(1, m + 1)
         rels = tuple(random_word(rng.randrange(2, 9), m, rng) for _ in range(r))
-        p_rs = RelatorSet(rels, m)
         from nilq.presentation import NilPresentation
 
-        p = NilPresentation(m, 2, p_rs)
-        np_ = normalize(p)
+        np_ = normalize(NilPresentation(m, 2, tuple(from_word(w) for w in rels)))
         if np_.rank_full:
-            return p, np_
+            return rels, np_
 
 
 def _snf_lattice_member(lattice, v):
@@ -228,9 +225,8 @@ def test_criterion_04_word_problem_small_scale():
     failures = []
     rng = random.Random(SEED)
     for pres_idx in range(20):
-        p, np_ = _random_full_rank_presentation(rng)
-        m = p.m
-        rels = p.relators.relators
+        rels, np_ = _random_full_rank_presentation(rng)
+        m = np_.m
         # soundness: products of <= 4 random conjugates of original relators
         for _ in range(10):
             k = rng.randrange(1, 5)
@@ -311,10 +307,9 @@ def _random_rank_deficient_presentation(rng, max_m=4):
         else:
             extra = rels[rng.randrange(r)]
         rels.insert(rng.randrange(r + 1), free_reduce(extra))
-        p = NilPresentation(m, 2, RelatorSet(tuple(rels), m))
-        np_ = normalize(p)
+        np_ = normalize(NilPresentation(m, 2, tuple(from_word(w) for w in rels)))
         if not np_.rank_full:
-            return p, np_
+            return rels, np_
 
 
 def test_word_problem_closure_enumeration_rank_deficient():
@@ -322,9 +317,8 @@ def test_word_problem_closure_enumeration_rank_deficient():
     # exponent-sum matrix is rank-deficient
     rng = random.Random(SEED + 4)
     for pres_idx in range(20):
-        p, np_ = _random_rank_deficient_presentation(rng)
-        m = p.m
-        rels = p.relators.relators
+        rels, np_ = _random_rank_deficient_presentation(rng)
+        m = np_.m
         for _ in range(10):
             h = express_in_normalized_basis(_conjugate_product(rels, m, rng), np_)
             assert is_trivial_in_G(h, np_), f"presentation {pres_idx}: conjugate product rejected"
@@ -353,8 +347,8 @@ def test_criterion_05_support_lemmas():
     rng = random.Random(SEED)
     pairs = 0
     while pairs < 200 and not failures:
-        p, np_ = _random_full_rank_presentation(rng)
-        m, r = p.m, np_.snf.rank
+        _, np_ = _random_full_rank_presentation(rng)
+        m, r = np_.m, np_.snf.rank
         npairs = m * (m - 1) // 2
         pairs += 1
         # support lemma: trivial h with alpha supported past r has alpha = 0

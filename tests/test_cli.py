@@ -639,6 +639,22 @@ def test_relator_count_over_limit_exit_1(capsys, tmp_path, argv):
     assert f"over the limit of {MAX_RELATORS}" in data["message"]
 
 
+# a relator line over words.MAX_WORD_LETTERS is a resource limit, as the same
+# word given as an argument is, not a usage error
+@pytest.mark.parametrize("argv", [
+    ("classify", "{long.txt}"),
+    ("is-trivial", "{long.txt}", "a1"),
+], ids=lambda argv: " ".join(argv).replace("{", "").replace("}", ""))
+def test_relator_letters_over_limit_exit_1(capsys, tmp_path, argv):
+    (tmp_path / "long.txt").write_text(f"2 2\na1^{MAX_WORD_LETTERS + 1}\n")
+    code, out, _ = _run(capsys, *_with_system_files(tmp_path, argv))
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "RankLimitError"
+    assert data["message"].startswith("line 2: word expands to")
+    assert f"over the limit of {MAX_WORD_LETTERS}" in data["message"]
+
+
 def test_bad_word_argument_exit_2(capsys, pres):
     code, _, _ = _run(capsys, "is-trivial", pres, "a1^")
     assert code == 2

@@ -34,7 +34,6 @@ from nilq.presentation import (
 from nilq.words import (
     MAX_RELATORS,
     RankLimitError,
-    RelatorSet,
     Word,
     concat,
     free_reduce,
@@ -52,11 +51,32 @@ def _norm(text):
     return normalize(parse_presentation(text))
 
 
+def _presentation(rels, m):
+    """The presentation of the relator words rels over a1..am, class 2."""
+    return NilPresentation(m, 2, tuple(from_word(w) for w in rels))
+
+
 def test_parse_presentation():
     p = parse_presentation("# demo\n2 2\na1^2\n\na2^2  # inline\n")
     assert p.m == 2 and p.s == 2
-    assert len(p.relators.relators) == 2
-    assert p.relators.relators[0].syllables == ((1, 2),)
+    assert p.relators == (power(generator(2, 1), 2), power(generator(2, 2), 2))
+
+
+def test_presentation_rejects_relator_of_another_rank():
+    with pytest.raises(ValueError, match="rank"):
+        NilPresentation(2, 2, (generator(2, 1), generator(3, 1)))
+
+
+def test_normalize_reads_elements_without_from_word(monkeypatch):
+    p = parse_presentation("3 2\na1^2 a2 [a1,a3]\na2^2 a3^-1\na3^4 a1\n[a1,a2]^3\n")
+
+    def refuse(*args):
+        raise AssertionError("normalize called from_word")
+
+    monkeypatch.setattr(nilpotent2, "from_word", refuse)
+    monkeypatch.setattr(presentation, "from_word", refuse)
+    np_ = normalize(p)
+    assert np_.snf.rank == 3 and np_.extra_commutator_relators
 
 
 def test_parse_presentation_errors():
@@ -71,7 +91,8 @@ def test_parse_presentation_errors():
     # a relator's error names its line, counted with blank and comment lines
     with pytest.raises(ValueError, match=r"^line 4: unexpected character '!' \(position 3\)$"):
         parse_presentation("2 2\na1 a2\n# note\na1 !\n")
-    with pytest.raises(ValueError, match=r"^line 2: word expands to"):
+    # the letter cap is a resource limit, not a syntax error
+    with pytest.raises(RankLimitError, match=r"^line 2: word expands to"):
         parse_presentation("2 2\na1^2000000\n")
 
 
@@ -148,8 +169,8 @@ def test_original_relators_die_after_rewrite():
         np_ = normalize(p)
         if not np_.rank_full:
             continue
-        for rel in p.relators.relators:
-            assert is_trivial_in_G(express_in_normalized_basis(rel, np_), np_)
+        for rel in p.relators:
+            assert is_trivial_in_G(np_.basis_map(rel), np_)
 
 
 def test_normalize_matches_word_replay():
@@ -160,11 +181,10 @@ def test_normalize_matches_word_replay():
         m = rng.randrange(2, 6)
         r = rng.randrange(1, m + 2)
         rels = tuple(random_word(rng.randrange(13), m, rng) for _ in range(r))
-        p = NilPresentation(m, 2, RelatorSet(rels, m))
-        np_ = normalize(p)
-        words, log, _ = nielsen_normalize(p.relators)
+        np_ = normalize(_presentation(rels, m))
+        words, log, _ = nielsen_normalize(rels, m)
         assert np_.nielsen_log == log
-        assert np_.rewritten == tuple(from_word(w) for w in words.relators)
+        assert np_.rewritten == tuple(from_word(w) for w in words)
         for _ in range(3):
             w = random_word(rng.randrange(16), m, rng)
             expected = from_word(rewrite_through_generator_moves(w, log))
@@ -181,7 +201,7 @@ def test_normalize_outputs_pinned():
         m = rng.randrange(2, 9)
         r = rng.randrange(1, m + 3)
         rels = tuple(random_word(rng.randrange(1, 13), m, rng) for _ in range(r))
-        np_ = normalize(NilPresentation(m, 2, RelatorSet(rels, m)))
+        np_ = normalize(_presentation(rels, m))
         moved += np_.basis_images != tuple(generator(m, k) for k in range(1, m + 1))
         coords = lambda els: [el.alpha + el.gamma for el in els]
         digest.update(json.dumps([coords(np_.rewritten), np_.closure_lattice,
@@ -193,7 +213,7 @@ def test_normalize_outputs_pinned():
 def test_cached_map_query_runs_no_group_arithmetic(monkeypatch):
     rng = random.Random(5)
     rels = tuple(random_word(10, 4, rng) for _ in range(2))
-    np_ = normalize(NilPresentation(4, 2, RelatorSet(rels, 4)))
+    np_ = normalize(_presentation(rels, 4))
     assert np_.basis_images != tuple(generator(4, k) for k in range(1, 5))
     words = [random_word(30, 4, rng) for _ in range(20)] + list(rels)
     expected = [from_word(rewrite_through_generator_moves(w, np_.nielsen_log)) for w in words]
@@ -213,10 +233,10 @@ def test_cached_map_query_runs_no_group_arithmetic(monkeypatch):
 def test_normalize_long_relators():
     # word-level replay of this presentation's moves exhausts memory
     rng = random.Random(1)
-    p = NilPresentation(5, 2, RelatorSet(tuple(random_word(200, 5, rng) for _ in range(3)), 5))
-    np_ = normalize(p)
+    rels = [random_word(200, 5, rng) for _ in range(3)]
+    np_ = normalize(_presentation(rels, 5))
     assert np_.rank_full and len(np_.alphas) == 3
-    for rel in p.relators.relators:
+    for rel in rels:
         assert is_trivial_in_G(express_in_normalized_basis(rel, np_), np_)
     assert not is_trivial_in_G(express_in_normalized_basis(parse_word("a5", 5), np_), np_)
 
@@ -274,13 +294,13 @@ def test_redundant_relator_changes_no_decision():
         m = rng.randrange(2, 6)
         r = rng.randrange(1, m)
         rels = [random_word(rng.randrange(1, 10), m, rng) for _ in range(r)]
-        base = normalize(NilPresentation(m, 2, RelatorSet(tuple(rels), m)))
+        base = normalize(_presentation(rels, m))
         if not base.rank_full:
             continue
         presentations += 1
         grown_rels = list(rels)
         grown_rels.insert(rng.randrange(r + 1), _conjugate_product(rels, m, rng))
-        grown = normalize(NilPresentation(m, 2, RelatorSet(tuple(grown_rels), m)))
+        grown = normalize(_presentation(grown_rels, m))
         assert not grown.rank_full
         for w in _metamorphic_queries(rels, m, rng):
             h, hg = (express_in_normalized_basis(w, np_) for np_ in (base, grown))
@@ -513,7 +533,7 @@ def _seeded_presentations(rng):
             rels.append(rels[0])
         elif m >= 2 and shape < 0.3:
             rels.append(parse_word(f"[a1,a{m}]^{rng.randint(1, 4)}", m))
-        yield NilPresentation(m, 2, RelatorSet(tuple(rels), m))
+        yield _presentation(rels, m)
 
 
 def _seeded_queries(rng, np_):
@@ -626,15 +646,15 @@ def _closure_draws(rng):
     relators are all proper powers (alphas > 1) and one at m = 12-16."""
     for _ in range(3):
         yield from _seeded_presentations(rng)
-    yield NilPresentation(1, 2, RelatorSet((), 1))
+    yield NilPresentation(1, 2, ())
     for _ in range(100):
         m = rng.randrange(1, 7)
         rels = [word_power(random_word(rng.randrange(1, 8), m, rng), rng.randint(2, 4))
                 for _ in range(rng.randrange(1, m + 4))]
-        yield NilPresentation(m, 2, RelatorSet(tuple(rels), m))
+        yield _presentation(rels, m)
     m = rng.randrange(12, 17)
     rels = [random_word(rng.randrange(1, 12), m, rng) for _ in range(rng.randrange(m - 2, m + 3))]
-    yield NilPresentation(m, 2, RelatorSet(tuple(rels), m))
+    yield _presentation(rels, m)
 
 
 def test_closure_echelon_is_the_hermite_form_of_the_closure_lattice():
@@ -644,11 +664,11 @@ def test_closure_echelon_is_the_hermite_form_of_the_closure_lattice():
     for p in _closure_draws(rng):
         np_ = normalize(p)
         assert np_.closure_echelon == zmatrix.Echelon.of(np_.closure_lattice)
-        rels = p.relators.relators
+        rels = p.relators
         seen["no pairs"] += p.m == 1 and not rels
         seen["r > m"] += np_.r > np_.m
         seen["repeated relator"] += len(set(rels)) < len(rels)
-        seen["bracket relator"] += any(not any(from_word(w).alpha) for w in rels)
+        seen["bracket relator"] += any(not any(h.alpha) for h in rels)
         seen["rank-deficient"] += not np_.rank_full
         seen["extra gamma"] += any(any(h.gamma) for h in np_.extra_commutator_relators)
         seen["alpha > 1"] += any(a > 1 for a in np_.alphas)
@@ -666,7 +686,7 @@ def _full_rank_draws(rng, regime):
             m = rng.randrange(1, 7)
             r = m - 1 if regime == "r = m-1" else rng.randrange(m, m + 4)
         rels = [random_word(rng.randrange(1, 12), m, rng) for _ in range(r)]
-        np_ = normalize(NilPresentation(m, 2, RelatorSet(tuple(rels), m)))
+        np_ = normalize(_presentation(rels, m))
         if np_.rank_full:
             yield np_
 
@@ -708,7 +728,7 @@ def test_central_mod_torsion_matches_commutator_loop():
 
 def test_relator_count_limit():
     at_limit = "2 2\n" + "a1 a2^2\n" * MAX_RELATORS
-    assert len(parse_presentation(at_limit + "# a comment\n").relators.relators) == MAX_RELATORS
+    assert len(parse_presentation(at_limit + "# a comment\n").relators) == MAX_RELATORS
     # the count is checked before the next word is parsed
     for extra in ("a1\n", "b9\n"):
         with pytest.raises(RankLimitError, match=f"over the limit of {MAX_RELATORS}"):

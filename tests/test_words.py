@@ -14,7 +14,6 @@ from nilq.words import (
     MAX_WORD_LETTERS,
     NielsenLog,
     RankLimitError,
-    RelatorSet,
     Word,
     WordSyntaxError,
     apply_move_to_relators,
@@ -29,7 +28,7 @@ from nilq.words import (
     word_power,
 )
 from nilq.zmatrix import IntMatrix
-from nilq.nilpotent2 import from_word
+from nilq.nilpotent2 import commutator, from_word, power
 
 from naive_oracles import collection_oracle, scanner_parse_word
 
@@ -57,14 +56,29 @@ def test_parse_basic_forms():
 
 
 def test_parse_brackets_and_groups():
-    w = parse_word("[a1,a2]", 2)
-    assert w.syllables == ((1, -1), (2, -1), (1, 1), (2, 1))
-    w = parse_word("[a1,a2]^-1", 2)
-    assert w.syllables == ((2, -1), (1, -1), (2, 1), (1, 1))
-    w = parse_word("[a1, a2^2]", 2)
-    assert w.syllables == ((1, -1), (2, -2), (1, 1), (2, 2))
-    w = parse_word("[a1,a2]^2", 2)
-    assert w.syllables == ((1, -1), (2, -1), (1, 1), (2, 1)) * 2
+    # [u, v]^E is written (u_E)^-1 w^-1 u_E w from the exponent sums of u^E
+    # and v, equal to the expanded commutator power in N_{2,m}
+    cases = {
+        "[a1,a2]": ((1, -1), (2, -1), (1, 1), (2, 1)),
+        "[a1,a2]^-1": ((1, 1), (2, -1), (1, -1), (2, 1)),
+        "[a1, a2^2]": ((1, -1), (2, -2), (1, 1), (2, 2)),
+        "[a1,a2]^2": ((1, -2), (2, -1), (1, 2), (2, 1)),
+    }
+    for text, syllables in cases.items():
+        w = parse_word(text, 2)
+        assert w.syllables == syllables, text
+        assert from_word(w) == from_word(scanner_parse_word(text, 2)), text
+
+
+def test_bracket_power_is_collected_from_exponent_sums():
+    # about 10^6 letters expanded, at most 4m syllables written
+    m = 64
+    text = "[a1 a2 a3 a4 a5 a6 a7 a8, a64 a63]^49999"
+    w = parse_word(text, m)
+    assert len(w.syllables) <= 4 * m
+    u = from_word(parse_word("a1 a2 a3 a4 a5 a6 a7 a8", m))
+    v = from_word(parse_word("a64 a63", m))
+    assert from_word(w) == power(commutator(u, v), 49999)
 
 
 def test_word_rejects_syllables_outside_the_alphabet():
@@ -192,8 +206,9 @@ def _corrupt(rng: random.Random, text: str) -> str:
 
 
 def test_parse_matches_scanner_oracle():
-    """parse_word against the character scanner: the same Word, or the same
-    exception type, message and position."""
+    """parse_word against the character scanner, which expands brackets: the
+    same element, no more letters and, without brackets, the same syllables;
+    or the same exception type, message and position."""
     rng = random.Random(2016)
     outcomes = set()
     for case in range(4000):
@@ -214,7 +229,11 @@ def test_parse_matches_scanner_oracle():
         except ValueError as exc:
             got = exc
         if isinstance(expected, Word):
-            assert got == expected, text
+            assert isinstance(got, Word), text
+            assert from_word(got) == from_word(expected), text
+            assert len(got) <= len(expected), text
+            if "[" not in text:
+                assert got == expected, text
             outcomes.add("word")
         else:
             assert type(got) is type(expected), text
@@ -281,8 +300,7 @@ def test_word_power():
 
 def test_exponent_sums():
     assert exponent_sums(parse_word("a1^2 a3 a1^-1", 3)) == (1, 0, 1)
-    rs = RelatorSet(m=2, relators=(parse_word("a1^2", 2), parse_word("a1 a2^3", 2)))
-    M = exponent_sum_matrix(rs.relators, rs.m)
+    M = exponent_sum_matrix([parse_word("a1^2", 2), parse_word("a1 a2^3", 2)], 2)
     assert M.to_rows() == [[2, 0], [1, 3]]
 
 
@@ -298,16 +316,14 @@ def test_random_word_deterministic():
 
 
 def test_nielsen_normalize_known_diagonal():
-    rs = RelatorSet(m=2, relators=(parse_word("a1^2", 2), parse_word("a2^3", 2)))
-    newrs, log, snf = nielsen_normalize(rs)
+    words, log, snf = nielsen_normalize((parse_word("a1^2", 2), parse_word("a2^3", 2)), 2)
     assert snf.invariant_factors == (1, 6)
-    assert exponent_sum_matrix(newrs.relators, newrs.m) == snf.D
+    assert exponent_sum_matrix(words, 2) == snf.D
     assert isinstance(log, NielsenLog)
 
 
-def _random_relator_set(rng, m, r):
-    rels = tuple(random_word(rng.randrange(1, 9), m, rng) for _ in range(r))
-    return RelatorSet(m=m, relators=rels)
+def _random_relators(rng, m, r):
+    return tuple(random_word(rng.randrange(1, 9), m, rng) for _ in range(r))
 
 
 def test_nielsen_normalize_matches_smith_diagonal():
@@ -315,25 +331,20 @@ def test_nielsen_normalize_matches_smith_diagonal():
     for _ in range(40):
         m = rng.randrange(2, 4)
         r = rng.randrange(1, m + 2)
-        rs = _random_relator_set(rng, m, r)
-        newrs, log, snf = nielsen_normalize(rs)
-        assert exponent_sum_matrix(newrs.relators, newrs.m) == snf.D
+        rels = _random_relators(rng, m, r)
+        words, log, snf = nielsen_normalize(rels, m)
+        assert exponent_sum_matrix(words, m) == snf.D
         # moves replayed against the original relators land on the output
-        rel = [w for w in rs.relators]
+        rel = list(rels)
         for mv in log.moves:
             apply_move_to_relators(rel, mv)
-        assert [free_reduce(w) for w in rel] == [free_reduce(w) for w in newrs.relators]
+        assert [free_reduce(w) for w in rel] == [free_reduce(w) for w in words]
 
 
 def test_nielsen_log_jsonable():
-    rs = RelatorSet(m=2, relators=(parse_word("a1^2 a2^2", 2), parse_word("a2^4", 2)))
-    _, log, _ = nielsen_normalize(rs)
+    _, log, _ = nielsen_normalize((parse_word("a1^2 a2^2", 2), parse_word("a2^4", 2)), 2)
     data = log.to_jsonable()
     assert isinstance(data, list)
     for entry in data:
         assert "kind" in entry
 
-
-def test_relator_set_validates_alphabet():
-    with pytest.raises(ValueError):
-        RelatorSet(m=2, relators=(Word(((1, 1), (2, 1)), 3),))
