@@ -44,20 +44,16 @@ sorted names is an element x = (a | g) of N_{2,n}, the k-th name standing for
 a_k: its generator factors collect by ``nilpotent2.from_syllables``, and a
 bracket [s, t]^e adds e times the gamma of ``commutator(s, t)``, which is
 central.  Evaluating the word at env is substituting env for the names, the
-class-2 polynomial map of ``nilpotent2``.  ``compile_gword`` turns a word
-into a ``WordForm`` read off x: integer maps A (name -> int) and B
-((p, q) -> int) with
-
-    alpha = sum_n A[n] alpha_n
-    gamma_ij = sum_n A[n] gamma_n,ij + sum_pq B[p, q] alpha_p[j] alpha_q[i]
-
-for i < j, where A = a and B[l, k] = X[k][l] for X = quadratic_rows(x).
-A[n] is n's net exponent outside brackets, and the diagonal B[n, n] =
--C(A[n], 2).  Hence the blindness rule: a word reads n's gamma iff
-A[n] != 0, and when A[n] = 0 it is affine in alpha_n (every gadget equation
+class-2 polynomial map of ``nilpotent2``: ``compile_gword`` turns a word into
+the ``nilpotent2.Polynomial`` of x keyed by the names, which is evaluated on
+env as it stands, reading only the names the word uses.  The polynomial's
+linear terms are a, a_n being n's net exponent outside brackets, and its
+quadratic terms are the matrix X of ``nilpotent2`` with diagonal
+X[n][n] = -C(a_n, 2).  Hence the blindness rule: a word reads n's gamma iff
+a_n != 0, and when a_n = 0 it is affine in alpha_n (every gadget equation
 is, in its scanned variable).  Each equation u = v is compiled over its own
-names; its two sides are collected once, and the form of u v^-1 and, for
-each forced assignment x^e = w, the form of w^e are built from those two
+names; its two sides are collected once, and the polynomial of u v^-1 and,
+for each forced assignment x^e = w, that of w^e are built from those two
 elements, once per GroupSystem.
 """
 
@@ -70,15 +66,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .nilpotent2 import (
     MalcevElement,
+    Polynomial,
     commutator,
     from_syllables,
     generator,
     identity,
     inverse,
     multiply,
-    pair_list,
     power,
-    quadratic_rows,
 )
 from .presentation import NormalizedPresentation, is_trivial_in_G
 from .words import check_rank
@@ -216,43 +211,6 @@ def gword_names(w: GroupWord) -> set:
     return names
 
 
-class WordForm:
-    """A group word as its class-2 polynomial, the maps A and B of the
-    module docstring with only their nonzero coefficients.
-
-    Built from the word's element x of N_{2,n} and its n names in order; a
-    call evaluates it on an environment of rank-m elements with no multiply,
-    inverse, power or commutator.
-    """
-
-    __slots__ = ("linear", "quadratic")
-
-    def __init__(self, names: Sequence[str], x: MalcevElement):
-        self.linear = tuple((n, c) for n, c in zip(names, x.alpha) if c)
-        self.quadratic = tuple(
-            (names[l], names[k], c) for k, row in enumerate(quadratic_rows(x)) for l, c in row.items()
-        )
-
-    def __call__(self, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
-        alpha = [0] * m
-        gamma = [0] * (m * (m - 1) // 2)
-        for n, c in self.linear:
-            el = env[n]
-            alpha = [s + c * v for s, v in zip(alpha, el.alpha)]
-            gamma = [s + c * v for s, v in zip(gamma, el.gamma)]
-        if self.quadratic:
-            pairs = _zero_based_pairs(m)
-            for p, q, c in self.quadratic:
-                ap, aq = env[p].alpha, env[q].alpha
-                gamma = [s + c * ap[j] * aq[i] for s, (i, j) in zip(gamma, pairs)]
-        return MalcevElement(m, tuple(alpha), tuple(gamma))
-
-
-@lru_cache(maxsize=None)
-def _zero_based_pairs(m: int) -> Tuple[Tuple[int, int], ...]:
-    return tuple((i - 1, j - 1) for i, j in pair_list(m))
-
-
 def _element(w: GroupWord, index: Mapping[str, int], n: int) -> MalcevElement:
     """w as an element of N_{2,n}, the name x standing for a_(index[x])."""
     x = from_syllables(n, [(index[f[0]], f[1]) for f in w if f[0] != "comm"])
@@ -273,10 +231,10 @@ def _name_index(names) -> Tuple[Tuple[str, ...], Dict[str, int]]:
     return names, {x: k for k, x in enumerate(names, 1)}
 
 
-def compile_gword(w: GroupWord, e: int = 1) -> WordForm:
-    """The class-2 polynomial of w^e."""
+def compile_gword(w: GroupWord, e: int = 1) -> Polynomial:
+    """The class-2 polynomial of w^e, keyed by w's names."""
     names, index = _name_index(gword_names(w))
-    return WordForm(names, power(_element(w, index, len(names)), e))
+    return Polynomial(power(_element(w, index, len(names)), e), names)
 
 
 def eval_gword(w: GroupWord, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
@@ -595,25 +553,26 @@ def _coordinate_candidates(dim: int, bound: int):
 class _EquationShape:
     """What the solver needs to know about one equation u = v.
 
-    ``names``: the variables in it.  ``residual``: the form of u v^-1.
-    ``reads_gamma``: the variables with a nonzero net exponent in the
-    residual, the only ones whose gamma coordinates it reads.  ``forced``:
-    one (x, form of w^e, names of w) per side that is a single factor x^e,
-    e = +-1, with w the other side; once w is determined, x = w^e.
+    ``names``: the variables in it.  ``residual``: the polynomial of
+    u v^-1.  ``reads_gamma``: the variables with a nonzero net exponent in
+    the residual, the only ones whose gamma coordinates it reads.
+    ``forced``: one (x, polynomial of w^e, names of w) per side that is a
+    single factor x^e, e = +-1, with w the other side; once w is
+    determined, x = w^e.
     """
 
     names: frozenset
-    residual: WordForm
+    residual: Polynomial
     reads_gamma: frozenset
-    forced: Tuple[Tuple[str, WordForm, frozenset], ...]
+    forced: Tuple[Tuple[str, Polynomial, frozenset], ...]
 
 
 def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _EquationShape:
     names, index = _name_index(gword_names(lhs) | gword_names(rhs))
     u, v = (_element(w, index, len(names)) for w in (lhs, rhs))
-    residual = WordForm(names, multiply(u, inverse(v)))
+    residual = Polynomial(multiply(u, inverse(v)), names)
     forced = tuple(
-        (a[0][0], WordForm(names, w if a[0][1] == 1 else inverse(w)), frozenset(gword_names(b)))
+        (a[0][0], Polynomial(w if a[0][1] == 1 else inverse(w), names), frozenset(gword_names(b)))
         for a, b, w in ((lhs, rhs, v), (rhs, lhs, u))
         if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1
     )
@@ -642,7 +601,7 @@ def bounded_solve_group(
     and they need no box).  With find_all=False the search stops at the
     first solution.  An equation u = v holds when u v^-1 is trivial in the
     ambient, which must bind every constant of S (ValueError otherwise).
-    Each equation is evaluated through its compiled WordForm, so the search
+    Each equation is evaluated through its compiled Polynomial, so the search
     runs no multiply, inverse, power or commutator.
 
     Before scanning a variable y, each remaining equation whose only
@@ -683,6 +642,8 @@ def bounded_solve_group(
     for name, val in (pinned or {}).items():
         if name not in S.variables:
             raise ValueError(f"pinned name {name!r} is not a variable")
+        if val.m != m:
+            raise ValueError(f"pinned value of {name!r} has rank {val.m}, not {m}")
         env[name] = val
     boxes = {}
     for v in S.variables:

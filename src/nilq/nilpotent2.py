@@ -16,10 +16,11 @@ applied letter by letter.  The closed forms below were read off from it, and
 the test suite pins them against a letter-by-letter collection oracle; if
 you change a sign here, the oracle will catch you.
 
-An endomorphism sending a_k to y_k is, in class 2, a polynomial map on
-coordinates (Sims, *Computation with Finitely Presented Groups*, 1994, the
-chapter on polycyclic groups).  With A the m x m matrix whose column k is
-y_k.alpha and beta_k = y_k.gamma, the image of x = (a | g) is
+Substituting y_1 ... y_n in N_{2,m} for the generators of x = (a | g) in
+N_{2,n} is, in class 2, a polynomial map on coordinates (Sims, *Computation
+with Finitely Presented Groups*, 1994, the chapter on polycyclic groups).
+With A the m x n matrix whose column k is y_k.alpha and beta_k = y_k.gamma,
+the image x(y) is
 
     alpha' = A a
     gamma'_pq = sum_k a_k beta_k[pq] + (A X A^T)_pq        (p < q)
@@ -27,8 +28,10 @@ y_k.alpha and beta_k = y_k.gamma, the image of x = (a | g) is
 where X[k][l] = g_kl above the diagonal, X[l][k] = -g_kl - a_k a_l below it
 and X[k][k] = -C(a_k, 2).  The a_k beta_k and diagonal terms are the powers
 y_k^(a_k), the terms below the diagonal collect those powers in order, and
-g_kl (A_pk A_ql - A_pl A_qk) is [y_k, y_l]^(g_kl).  ``quadratic_rows`` gives
-X; ``Endomorphism`` holds A and beta and evaluates this with no group
+g_kl (A_pk A_ql - A_pl A_qk) is [y_k, y_l]^(g_kl).  ``Polynomial`` holds x as
+this map, and it is the one evaluator of a word at given elements: the
+relator images and the word-problem queries of ``presentation`` and the
+group-system words of ``diophantine`` all run through it, with no group
 multiplication.
 """
 
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 from .words import Word
 
@@ -150,68 +153,60 @@ def power(x: MalcevElement, k: int) -> MalcevElement:
     return acc
 
 
-def quadratic_rows(x: MalcevElement) -> list:
-    """The rows of X(a, g) of the module docstring, sparse: row k maps l to
-    X[k][l] for the nonzero entries only.  X[k][k] = -C(a_k, 2), and for
-    k < l, X[k][l] = g_kl and X[l][k] = -g_kl - a_k a_l (indices 0-based)."""
-    m, a, g = x.m, x.alpha, x.gamma
-    rows = [{k: -(ak * (ak - 1) // 2)} if ak not in (0, 1) else {} for k, ak in enumerate(a)]
-    t = 0
-    for k in range(m):
-        ak, row_k = a[k], rows[k]
-        for l in range(k + 1, m):
-            gkl = g[t]
-            t += 1
-            if gkl:
-                row_k[l] = gkl
-            v = -gkl - ak * a[l]
-            if v:
-                rows[l][k] = v
-    return rows
+class Polynomial:
+    """An element x of N_{2,n} as the class-2 polynomial map
+    (y_1 ... y_n) -> x(y), the image of x under a_k -> y_k (see the module
+    docstring).
 
-
-class Endomorphism:
-    """The endomorphism of N_{2,m} sending a_k to images[k-1], as the class-2
-    polynomial map on Malcev coordinates (see the module docstring).
-
-    Built once from the images, it holds A (column k is images[k].alpha) and
-    beta (row k is images[k].gamma), O(m * C(m, 2)) integers; a call runs no
-    multiply, power or commutator.
+    Built once from x, it keeps x's nonzero a_k and the nonzero entries of
+    the rows of X, each keyed by its generator's label: labels[k - 1] for
+    a_k, or the 0-based position k - 1 when no labels are given.  A call
+    takes ``images``, indexed by those labels, and their rank m; it reads an
+    image only where x uses that generator and runs no multiply, power or
+    commutator.
     """
 
-    __slots__ = ("m", "columns", "betas")
+    __slots__ = ("linear", "rows")
 
-    def __init__(self, images):
-        self.m = len(images)
-        if any(img.m != self.m for img in images):
-            raise ValueError("need one image per generator")
-        self.columns = tuple(img.alpha for img in images)
-        self.betas = tuple(img.gamma for img in images)
+    def __init__(self, x: MalcevElement, labels: Optional[Sequence] = None):
+        n, a, g = x.m, x.alpha, x.gamma
+        # row k maps l to X[k][l]: X[k][k] = -C(a_k, 2), and for k < l,
+        # X[k][l] = g_kl and X[l][k] = -g_kl - a_k a_l (indices 0-based)
+        rows = [{k: -(ak * (ak - 1) // 2)} if ak not in (0, 1) else {} for k, ak in enumerate(a)]
+        t = 0
+        for k in range(n):
+            ak, row_k = a[k], rows[k]
+            for l in range(k + 1, n):
+                gkl = g[t]
+                t += 1
+                if gkl:
+                    row_k[l] = gkl
+                v = -gkl - ak * a[l]
+                if v:
+                    rows[l][k] = v
+        if labels is None:
+            labels = range(n)
+        else:
+            rows = [{labels[l]: v for l, v in row.items()} for row in rows]
+        self.linear = tuple((labels[k], ak) for k, ak in enumerate(a) if ak)
+        self.rows = tuple((labels[k], row) for k, row in enumerate(rows) if row)
 
-    def __call__(self, x: MalcevElement) -> MalcevElement:
-        m = self.m
-        if x.m != m:
-            raise ValueError("rank mismatch")
-        a, g = x.alpha, x.gamma
-        rows = quadratic_rows(x)
-        cols, betas = self.columns, self.betas
+    def __call__(self, images, m: int) -> MalcevElement:
         alpha = [0] * m
-        gamma = [0] * len(g)
-        for k, ak in enumerate(a):
-            if ak:
-                for p, v in enumerate(cols[k]):
-                    alpha[p] += ak * v
-                for t, v in enumerate(betas[k]):
-                    gamma[t] += ak * v
+        gamma = [0] * (m * (m - 1) // 2)
+        for k, ak in self.linear:
+            y = images[k]
+            for p, v in enumerate(y.alpha):
+                alpha[p] += ak * v
+            for t, v in enumerate(y.gamma):
+                gamma[t] += ak * v
         # (A X A^T)_pq = sum_k A_pk w_q with w = (X A^T)_k, for p < q
-        for k, row_k in enumerate(rows):
-            if not row_k:
-                continue
+        for k, row in self.rows:
             w = [0] * m
-            for l, x_kl in row_k.items():
-                for q, v in enumerate(cols[l]):
+            for l, x_kl in row.items():
+                for q, v in enumerate(images[l].alpha):
                     w[q] += x_kl * v
-            col = cols[k]
+            col = images[k].alpha
             t = 0
             for p in range(m):
                 u = col[p]

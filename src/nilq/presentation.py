@@ -63,8 +63,8 @@ from functools import cached_property
 from typing import Iterator, Optional, Tuple
 
 from .nilpotent2 import (
-    Endomorphism,
     MalcevElement,
+    Polynomial,
     commutator,
     from_word,
     generator,
@@ -191,14 +191,8 @@ class NormalizedPresentation:
             if g != i + 1
         ) + tuple(h.gamma for h in self.extra_commutator_relators if any(h.gamma))
 
-    # Computed on first use only: queries and deciders need them, and
-    # normalize should not pay for them where nothing is asked.
-    @cached_property
-    def basis_map(self) -> Endomorphism:
-        """The substitution a_k -> basis_images[k-1] as one polynomial map,
-        what express_in_normalized_basis evaluates."""
-        return Endomorphism(self.basis_images)
-
+    # Computed on first use only: the deciders need them, and normalize
+    # should not pay for them where nothing is asked.
     @cached_property
     def closure_echelon(self) -> Echelon:
         """Echelon form of closure_lattice: the gamma block of
@@ -266,8 +260,7 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
             basis[i], basis[j] = basis[j], basis[i]
         elif mv.kind == "generator_invert":
             basis[i] = inverse(basis[i])
-    substitute = Endomorphism(basis)
-    images = tuple(substitute(h) for h in relators)
+    images = tuple(Polynomial(h)(basis, m) for h in relators)
     k = snf.rank
     if any(h.alpha != snf.D.row(i) for i, h in enumerate(images[:k])):
         raise AssertionError("rewritten relator alpha does not match diagonal")
@@ -293,14 +286,13 @@ def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevE
     it: each original generator a_k becomes basis_images[k-1].  Words already
     phrased in the rewritten basis can skip this and call from_word directly.
 
-    The substitution is the cached ``basis_map``: with A the matrix whose
-    column k is basis_images[k].alpha and beta_k = basis_images[k].gamma, the
-    word's coordinates (a | g) go to alpha' = A a and
-    gamma'_pq = sum_k a_k beta_k[pq] + (A X A^T)_pq (p < q), where X[k][l] =
-    g_kl above the diagonal, -g_kl - a_k a_l below it and -C(a_k, 2) on it.
-    No group multiplication runs.
+    The substitution is the class-2 polynomial map of ``nilpotent2``: the
+    word's element as a ``Polynomial``, evaluated at basis_images.  No group
+    multiplication runs.
     """
-    return np_.basis_map(from_word(w))
+    if w.m != np_.m:
+        raise ValueError("rank mismatch")
+    return Polynomial(from_word(w))(np_.basis_images, np_.m)
 
 
 def is_trivial_in_G(h: MalcevElement, np_: NormalizedPresentation) -> bool:

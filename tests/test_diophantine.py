@@ -289,6 +289,15 @@ def test_solve_group_pinned_variables_need_no_box():
     assert bounded_solve_group(S, amb, {"x": 1}, pinned={"y": g}) == [{"x": g, "y": g}]
 
 
+def test_solve_group_rejects_pinned_values_of_another_rank():
+    # x y = a over rank 2: a rank-3 pin must not lose its third coordinate
+    S = GroupSystem(("x", "y"), ("a", "b"), (((gen("x"), gen("y")), (gen("a"),)),))
+    amb = FreeNilpotentAmbient(2)
+    for pin in (MalcevElement(3, (1, 0, 5), (0, 0, 0)), generator(1, 1)):
+        with pytest.raises(ValueError, match="pinned value of 'x' has rank"):
+            bounded_solve_group(S, amb, 1, pinned={"x": pin})
+
+
 def test_solve_group_names_constants_the_ambient_lacks():
     S = GroupSystem.from_jsonable(
         {"variables": ["x"], "constants": ["c"], "equations": [[[["x", 1]], [["c", 1]]]]}

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilq.nilpotent2 import (
-    Endomorphism,
     MalcevElement,
+    Polynomial,
     commutator,
     format_element,
     from_syllables,
@@ -164,18 +164,19 @@ def test_power_extreme_exponents():
     assert power(x, 10**12) == multiply(power(x, 10**12 - 1), x)
 
 
-def apply_hom(x, images):
-    """Image of x under a_k -> images[k-1] by group arithmetic: each image
-    raised to its exponent and multiplied in order, then one commutator per
-    nonzero gamma coordinate.  The oracle for Endomorphism."""
-    acc = identity(x.m)
+def apply_hom(x, images, m):
+    """Image of x in N_{2,n} under a_k -> images[k-1], n images of rank m,
+    by group arithmetic: each image raised to its exponent and multiplied in
+    order, then one commutator per nonzero gamma coordinate.  The oracle for
+    Polynomial."""
+    acc = identity(m)
     for img, a in zip(images, x.alpha):
         acc = multiply(acc, power(img, a))
     gamma = list(acc.gamma)
     for (i, j), g in zip(pair_list(x.m), x.gamma):
         for t, v in enumerate(commutator(images[i - 1], images[j - 1]).gamma):
             gamma[t] += g * v
-    return MalcevElement(x.m, acc.alpha, tuple(gamma))
+    return MalcevElement(m, acc.alpha, tuple(gamma))
 
 
 def _hom_inputs(m):
@@ -191,7 +192,7 @@ def _hom_inputs(m):
 @given(st.integers(1, 5).flatmap(_hom_inputs))
 def test_apply_hom_is_homomorphism_and_evaluates_letters(inputs):
     x, y, images, letters = inputs
-    hom = lambda el: apply_hom(el, images)
+    hom = lambda el: apply_hom(el, images, x.m)
     assert hom(multiply(x, y)) == multiply(hom(x), hom(y))
     m = x.m
     expected = identity(m)
@@ -201,27 +202,24 @@ def test_apply_hom_is_homomorphism_and_evaluates_letters(inputs):
     assert hom(collection_oracle(letter_word(letters, m))) == expected
 
 
-def _map_inputs(m):
-    """(x, images) for rank m: x with coordinates up to 10^12 in absolute
-    value, often zero, and small generator images."""
+def _map_inputs(n, m):
+    """(x, images) for x in N_{2,n} with coordinates up to 10^12 in absolute
+    value, often zero, and n small images of rank m."""
     big = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**12, 10**12))
-    x = st.builds(lambda a, g: MalcevElement(m, a, g),
-                  st.tuples(*([big] * m)), st.tuples(*([big] * (m * (m - 1) // 2))))
-    return st.tuples(x, st.tuples(*([_elements(m)] * m)))
+    x = st.builds(lambda a, g: MalcevElement(n, a, g),
+                  st.tuples(*([big] * n)), st.tuples(*([big] * (n * (n - 1) // 2))))
+    return st.tuples(x, st.tuples(*([_elements(m)] * n)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 6).flatmap(_map_inputs))
-def test_endomorphism_matches_group_arithmetic(inputs):
+@given(st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(lambda nm: _map_inputs(*nm)))
+def test_polynomial_matches_group_arithmetic(inputs):
     x, images = inputs
-    assert Endomorphism(images)(x) == apply_hom(x, images)
-
-
-def test_endomorphism_rejects_mixed_ranks():
-    with pytest.raises(ValueError):
-        Endomorphism((generator(2, 1), identity(3)))
-    with pytest.raises(ValueError):
-        Endomorphism((generator(2, 1), generator(2, 2)))(identity(3))
+    m = images[0].m
+    assert Polynomial(x)(images, m) == apply_hom(x, images, m)
+    # keyed by labels, it reads the images from a mapping just the same
+    labels = [f"y{k}" for k in range(x.m)]
+    assert Polynomial(x, labels)(dict(zip(labels, images)), m) == apply_hom(x, images, m)
 
 
 def test_power_known_square():

@@ -169,8 +169,16 @@ def test_original_relators_die_after_rewrite():
         np_ = normalize(p)
         if not np_.rank_full:
             continue
-        for rel in p.relators:
-            assert is_trivial_in_G(np_.basis_map(rel), np_)
+        for line in text.splitlines()[1:]:
+            rel = express_in_normalized_basis(parse_word(line, p.m), np_)
+            assert is_trivial_in_G(rel, np_)
+
+
+def test_express_in_normalized_basis_rejects_other_ranks():
+    np_ = _norm("3 2\na1 a2\n")
+    for m in (2, 4):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            express_in_normalized_basis(parse_word("a1 a2", m), np_)
 
 
 def test_normalize_matches_word_replay():
