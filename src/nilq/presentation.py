@@ -53,11 +53,23 @@ in L.  So the coordinates of the closure form one lattice, spanned by the
 rows (alpha_i e_i | c_i) and (0 | L): the word problem is a membership test
 in that lattice, and "some power of h is trivial" is membership in its Q-span.
 
+Over Q the free block is enough.  Every d_pq with p <= rank is nonzero, so
+the Q-span of L holds each such pair, and the rest of it is the span of the
+extra relators' gammas at the free pairs rank < p < q.  These pairs are the
+tail of gamma, laid out as the gamma of N_{2,m-rank}.  Dropping the other
+pairs therefore maps Q^C(m,2) modulo the Q-span of L isomorphically onto the
+free pairs modulo the extras there, and every zero test and rank modulo L
+over Q can be read in the free block (``free_block``).  A bracket [g, a_c]
+with c <= rank has no free coordinate, and h is trivial modulo torsion iff
+its alpha vanishes beyond the rank and, once the normalized relators clear
+its alpha, its free coordinates lie in the span of the extras there.
+
 The Nielsen moves act on Malcev coordinates, never on words.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Tuple
@@ -196,8 +208,8 @@ class NormalizedPresentation:
     @cached_property
     def closure_echelon(self) -> Echelon:
         """Echelon form of closure_lattice: the gamma block of
-        coordinate_echelon, and what the bracket residues reduce modulo;
-        built from the closed form of L (see the module docstring)."""
+        coordinate_echelon, built from the closed form of L (see the module
+        docstring)."""
         k = self.snf.rank
         d = [self.alphas[p - 1] if p <= k else 0 for p, _ in pair_list(self.m)]
         n = len(d)
@@ -220,20 +232,43 @@ class NormalizedPresentation:
         )
 
     @cached_property
+    def free_block(self) -> Tuple[int, Echelon]:
+        """Where the free pairs (p, q), rank < p < q, start in gamma, of which
+        they are the tail, and the echelon form of the extra relators' gammas
+        there, with no rows when those are all zero.  Over Q, L is every pair
+        with p <= rank plus these rows (see the module docstring)."""
+        n = self.m - self.snf.rank
+        start = len(pair_list(self.m)) - n * (n - 1) // 2
+        rows = [h.gamma[start:] for h in self.extra_commutator_relators if any(h.gamma[start:])]
+        return start, Echelon.of(rows) if rows else Echelon((), ())
+
+    @cached_property
     def center_profile_dim(self) -> int:
         """Dimension over Q of the alpha profiles central modulo torsion: the
-        kernel of the map whose row c is the bracket residues of a_c."""
-        gens = [generator(self.m, c) for c in range(1, self.m + 1)]
+        kernel of the map whose row c is the bracket residues of a_c.  Rows
+        c <= rank are zero, as a_c has no free coordinate."""
+        gens = [generator(self.m, c) for c in range(self.snf.rank + 1, self.m + 1)]
         rows = [[x for res in _bracket_residues(self, g) for x in res] for g in gens]
         return self.m - zrank(IntMatrix.from_rows(rows))
 
 
 def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator[list]:
-    """gamma([g, a_c]) modulo the Q-span of the closure lattice, c = 1..m, one
-    at a time: the columns of the bracket map v -> [g, v] modulo torsion."""
-    residue = np_.closure_echelon.rational_residue
-    for c in range(1, np_.m + 1):
-        yield residue(commutator(g, generator(np_.m, c)).gamma)
+    """gamma([g, a_c]) modulo the Q-span of the closure lattice, read in the
+    free block, for c = rank+1..m one at a time: the columns of the bracket
+    map v -> [g, v] modulo torsion that can be nonzero.  For c <= rank the
+    residue is 0, as [g, a_c] has no free coordinate."""
+    _, echelon = np_.free_block
+    a = g.alpha[np_.snf.rank :]
+    n = len(a)
+    for c in range(n):
+        # gamma_pq([g, a_c]) is a_p at q = c and -a_q at p = c (0-based, in
+        # N_{2,n}); the pair (p, q) sits at p (2n - p - 1) / 2 + q - p - 1
+        v = [0] * (n * (n - 1) // 2)
+        for p in range(c):
+            v[p * (2 * n - p - 1) // 2 + c - p - 1] = a[p]
+        t = c * (2 * n - c - 1) // 2
+        v[t : t + n - c - 1] = [-x for x in a[c + 1 :]]
+        yield echelon.rational_residue(v)
 
 
 def normalize(p: NilPresentation) -> NormalizedPresentation:
@@ -312,14 +347,26 @@ def is_trivial_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> boo
     """True iff some positive power of h lies in the normal closure.
 
     Rational analogue of is_trivial_in_G: Q-span membership of h's
-    coordinates in coordinate_echelon.  The coordinates of h^n are n times
-    those of h minus binom(n, 2) alpha_i alpha_j at each pair (i, j); once
-    alpha lies in the span of the alpha_i e_i, that term lies in the Q-span
-    of the closure lattice.
+    coordinates in the closure's lattice, read in the free block (see the
+    module docstring).  The coordinates of h^n are n times those of h minus
+    binom(n, 2) alpha_i alpha_j at each pair (i, j); once alpha lies in the
+    span of the alpha_i e_i, that term lies in the Q-span of the closure
+    lattice.  So alpha must vanish beyond the rank.  Then N h, N the lcm of
+    the alphas, less N h_i / alpha_i times each normalized relator has zero
+    alpha, and its free coordinates must lie in the span of the extras.
     """
     if h.m != np_.m:
         raise ValueError("rank mismatch")
-    return np_.coordinate_echelon.in_rational_span(h.alpha + h.gamma)
+    if any(h.alpha[np_.snf.rank :]):
+        return False
+    start, echelon = np_.free_block
+    scale = math.lcm(*np_.alphas)
+    rest = [scale * x for x in h.gamma[start:]]
+    for a, x, rel in zip(np_.alphas, h.alpha, np_.normalized_relators):
+        if x:
+            f = scale // a * x
+            rest = [u - f * v for u, v in zip(rest, rel.gamma[start:])]
+    return not any(echelon.rational_residue(rest))
 
 
 def is_central_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> bool:

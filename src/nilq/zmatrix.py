@@ -414,9 +414,6 @@ class Echelon:
             resid = [p * a - f * b for a, b in zip(resid, row)]
         return resid
 
-    def in_rational_span(self, target: Sequence[int]) -> bool:
-        return not any(self.rational_residue(target))
-
 
 def lattice_membership(
     basis: Sequence[Sequence[int]], target: Sequence[int]

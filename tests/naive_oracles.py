@@ -4,7 +4,7 @@ Each one recomputes a result the slow, literal way and shares no code path
 with the routine it checks: collection of a letter sequence by adjacent
 swaps (for ``from_word``, ``from_syllables`` and ``multiply``), a
 character-by-character scanner of the word grammar (for ``parse_word``),
-Q-span membership by a rank comparison (for ``Echelon.in_rational_span``),
+Q-span membership by a rank comparison (for ``Echelon.rational_residue``),
 and the elementary operations of a Smith log applied one at a time (for
 ``smith_normal_form``).
 """

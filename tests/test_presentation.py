@@ -584,12 +584,12 @@ def test_cached_reductions_match_membership_oracles():
             coords = h.alpha + h.gamma
             assert np_.coordinate_echelon.in_lattice(coords) == (
                 zmatrix.lattice_membership(stacked, coords) is not None)
-            assert np_.coordinate_echelon.in_rational_span(coords) == (
+            assert (not any(np_.coordinate_echelon.rational_residue(coords))) == (
                 rational_membership(stacked, coords))
             assert np_.closure_echelon.in_lattice(h.gamma) == (
                 zmatrix.lattice_membership(np_.closure_lattice, h.gamma) is not None)
-            assert np_.closure_echelon.in_rational_span(h.gamma) == rational_membership(
-                np_.closure_lattice, h.gamma)
+            assert (not any(np_.closure_echelon.rational_residue(h.gamma))) == (
+                rational_membership(np_.closure_lattice, h.gamma))
             assert presentation._commuting_profile_dim(np_, h) == _bareiss_commuting_dim(
                 np_, h.alpha)
             seen["rank-deficient"] += not np_.rank_full
@@ -604,6 +604,67 @@ def test_cached_reductions_match_membership_oracles():
             seen["torsion only"] += mod_torsion and not in_G
             if np_.r <= np_.m - 2:
                 seen["c-small"] += is_c_small(h, np_)
+    assert all(seen.values()), seen
+
+
+def _free_block_presentations(rng):
+    """m 1-6 with a few random relators, sometimes one repeated, and brackets
+    [a_i, a_j]^e with i, j beyond them, so that extra relators reach the free
+    pairs rank < p < q; then the edge cases rank = m and m = 1."""
+    for _ in range(80):
+        m = rng.randrange(1, 7)
+        r = rng.randrange(0, max(1, m - 1))
+        rels = [random_word(rng.randrange(1, 12), m, rng) for _ in range(r)]
+        if rels and rng.random() < 0.3:
+            rels.append(rels[0])
+        if m - r >= 2:
+            for _ in range(rng.randrange(1, 4)):
+                i, j = sorted(rng.sample(range(r + 1, m + 1), 2))
+                rels.append(parse_word(f"[a{i},a{j}]^{rng.randint(1, 4)}", m))
+        yield _presentation(rels, m)
+    for m in range(2, 6):
+        rels = [random_word(rng.randrange(1, 12), m, rng) for _ in range(m)]
+        yield _presentation(rels + [parse_word(f"[a1,a{m}]^3", m)], m)
+    yield NilPresentation(1, 2, ())
+    yield _presentation([parse_word("a1^3", 1)], 1)
+
+
+def test_free_block_deciders_match_whole_lattice_oracles():
+    rng = random.Random(29)
+    seen = {"free echelon rows": 0, "rank = m": 0, "m = 1": 0, "rank-deficient": 0,
+            "torsion only": 0, "central": 0, "c-small": 0, "not c-small": 0}
+    for p in _free_block_presentations(rng):
+        np_ = normalize(p)
+        m, k = np_.m, np_.snf.rank
+        seen["free echelon rows"] += bool(np_.free_block[1].rows)
+        seen["rank = m"] += k == m
+        seen["m = 1"] += m == 1
+        seen["rank-deficient"] += not np_.rank_full
+        center_dim = _bareiss_center_dim(np_)
+        assert np_.center_profile_dim == center_dim
+        n0 = math.lcm(*np_.alphas)
+        queries = list(_seeded_queries(rng, np_))
+        queries += [from_word(random_word(rng.randrange(1, 8), m, rng)) for _ in range(4)]
+        queries += [generator(m, c) for c in range(1, m + 1)]
+        for h in queries:
+            in_G = is_trivial_in_G(h, np_)
+            assert in_G == _reference_trivial(
+                h, np_, lambda lat, v: zmatrix.lattice_membership(lat, v) is not None)
+            mod_torsion = is_trivial_mod_torsion(h, np_)
+            assert mod_torsion == _reference_trivial(power(h, n0), np_, rational_membership)
+            commuting_dim = _bareiss_commuting_dim(np_, h.alpha)
+            assert presentation._commuting_profile_dim(np_, h) == commuting_dim
+            central = is_central_mod_torsion(h, np_)
+            assert central == (commuting_dim == m)
+            seen["torsion only"] += mod_torsion and not in_G
+            seen["central"] += central
+            if k <= m - 2:
+                expected = center_dim == m if central else commuting_dim == center_dim + 1
+                assert is_c_small(h, np_) == expected
+                seen["c-small" if expected else "not c-small"] += 1
+            else:
+                with pytest.raises(InconclusiveError):
+                    is_c_small(h, np_)
     assert all(seen.values()), seen
 
 
@@ -744,12 +805,14 @@ def test_relator_count_limit():
 
 
 def test_central_mod_torsion_stops_at_first_noncommuting_generator(monkeypatch):
-    calls = []
+    consumed = []
+    residues = presentation._bracket_residues
 
-    def counting_commutator(x, y):
-        calls.append(y)
-        return commutator(x, y)
+    def counting_residues(np_, g):
+        for res in residues(np_, g):
+            consumed.append(res)
+            yield res
 
-    monkeypatch.setattr(presentation, "commutator", counting_commutator)
+    monkeypatch.setattr(presentation, "_bracket_residues", counting_residues)
     assert not is_central_mod_torsion(generator(4, 1), _norm("4 2\n"))
-    assert len(calls) == 2  # a1 commutes with a1, not with a2
+    assert len(consumed) == 2  # a1 commutes with a1, not with a2
