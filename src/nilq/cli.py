@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import diophantine, presentation, randwalk
-from .nilpotent2 import MalcevElement, from_word, format_element
+from .nilpotent2 import MalcevElement, format_element, from_word, pair_list
 from .words import RankLimitError, WordSyntaxError, parse_word
 
 
@@ -96,6 +96,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_normalize(args) -> int:
     np_ = _load_presentation(args.file)
+    pairs = pair_list(np_.m)
+    columns = [f"a{k}" for k in range(1, np_.m + 1)]
+    columns += ["[a%d,a%d]" % pairs[t] for t in np_.kept_pairs]
     out = {
         "m": np_.m,
         "s": np_.s,
@@ -104,22 +107,32 @@ def _cmd_normalize(args) -> int:
         "rank_full": np_.rank_full,
         "alphas": list(np_.alphas),
         "invariant_factors": list(np_.snf.invariant_factors),
-        "c_parts": [_element_jsonable(c) for c in np_.c_parts],
-        "extra_commutator_relators": [
-            _element_jsonable(h) for h in np_.extra_commutator_relators
-        ],
-        "closure_lattice": [list(v) for v in np_.closure_lattice],
-        "rewritten_relators": [format_element(h) for h in np_.rewritten],
+        "d_pq": list(np_.d_pq),
+        "echelon": {
+            "columns": columns,
+            "rows": [list(row) for row in np_.echelon.rows],
+            "pivots": list(np_.echelon.pivots),
+        },
         "nielsen_log": np_.nielsen_log.to_jsonable(),
     }
     _emit_json(out, f"normalized {np_.r} relators over m={np_.m}, rank {np_.snf.rank}")
     return 0
 
 
+def _word_text(arg: str) -> str:
+    """A word argument's text: stdin for '-', the file's text for '@path',
+    else the argument itself (neither is valid word text)."""
+    if arg == "-":
+        return sys.stdin.read()
+    if arg.startswith("@"):
+        return _read_text(arg[1:])
+    return arg
+
+
 def _cmd_is_trivial(args) -> int:
     np_ = _load_presentation(args.file)
     try:
-        w = parse_word(args.word, np_.m)
+        w = parse_word(_word_text(args.word), np_.m)
     except WordSyntaxError as exc:
         raise _UsageError(f"word: {exc}") from exc
     # the word is over the original generators; the deciders work in the
@@ -135,9 +148,10 @@ def _cmd_is_trivial(args) -> int:
 
 
 def _cmd_word_eval(args) -> int:
-    m = args.m if args.m is not None else _infer_m(args.word)
+    text = _word_text(args.word)
+    m = args.m if args.m is not None else _infer_m(text)
     try:
-        w = parse_word(args.word, m)
+        w = parse_word(text, m)
     except WordSyntaxError as exc:
         raise _UsageError(f"word: {exc}") from exc
     el = from_word(w)
@@ -286,6 +300,9 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+_WORD_HELP = "word text, or - to read it from stdin, or @path to read it from a file"
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -298,17 +315,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("normalize", help="normal form, Nielsen log, closure lattice")
+    p = sub.add_parser("normalize", help="Smith form, Nielsen log, closure echelon")
     p.add_argument("file")
     p.set_defaults(fn=_cmd_normalize)
 
     p = sub.add_parser("is-trivial", help="word-problem query against a presentation")
     p.add_argument("file")
-    p.add_argument("word")
+    p.add_argument("word", help=_WORD_HELP)
     p.set_defaults(fn=_cmd_is_trivial)
 
     p = sub.add_parser("word-eval", help="Malcev coordinates and normal form of a word")
-    p.add_argument("word")
+    p.add_argument("word", help=_WORD_HELP)
     p.add_argument("--m", type=int, default=None, help="rank (default: inferred from the word)")
     p.set_defaults(fn=_cmd_word_eval)
 

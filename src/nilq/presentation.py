@@ -14,30 +14,46 @@ all that is decided here reads only a relator's Malcev coordinates:
 ``parse_presentation`` turns each line into its element as it reads it, and
 a ``NilPresentation`` holds those elements, not words.
 
-``normalize`` rewrites the relators through Nielsen moves mirroring the Smith
-reduction of the exponent-sum matrix (the relators' alpha rows), so relator
-i becomes a_i^alpha_i * c_i with c_i in the derived subgroup.  The normal
-closure of the relators is then generated, modulo the relators themselves,
-by the central elements [g_i, a_k]: conjugation in a 2-step group obeys
-w^-1 g w = g [g, w], and [g, w] is bilinear in the exponent vector of w, so
-the commutators with the generators span everything.  Their gamma parts
-span the closure lattice L, which holds alpha_i [a_i, a_k] for every k != i.
+``normalize`` reduces the exponent-sum matrix (the relators' alpha rows)
+to Smith form D = U S V and carries out its column operations as generator
+moves: a basis change phi, with ``basis_images`` the original generators
+over the new basis.  Mapped through phi, the relators have alpha rows S V,
+whose Z-span is that of D: the rows alpha_i e_i, i <= rank, with alpha_i the
+invariant factors.  The row operations, which only combine relators, are
+not carried out at all.
 
-Relators beyond the rank of the exponent-sum matrix (the extra relators when
-r > m, and the leftovers of a rank-deficient matrix alike) have zero exponent
-row after rewriting, hence are central; their gamma parts join L too.  The
-closure is <g_i> * L for every presentation, whatever its rank.
+The normal closure of the relators is generated, modulo the relators
+themselves, by the central elements [g, a_k]: conjugation in a 2-step group
+obeys w^-1 g w = g [g, w], and [g, w] is bilinear in the exponent vector of
+w, so the commutators with the generators span everything.  As the alphas
+of the images span the alpha_i e_i, these brackets span the pairs
+d_pq e_pq, with d_pq = alpha_p for p <= rank and 0 otherwise (as
+alpha_p | alpha_q for p < q).
 
-L has a closed form.  As alpha_p | alpha_q for p < q, L is spanned by
-d_pq e_pq at each pair p < q, with d_pq = alpha_p for p <= rank and 0
-otherwise, plus the gamma parts of the relators beyond the rank, which may be
-reduced modulo every nonzero d_pq.  ``closure_echelon`` is the Hermite form of
-these at most C(m, 2) + r - rank rows.
+A product or inverse of closure elements differs from the sum of their
+Malcev coordinates (alpha | gamma) only by multiples of alpha_i [a_i, a_j],
+which are multiples of d_ij e_ij.  So the coordinates of the closure form
+one lattice, spanned by the images of the original relators and the rows
+(0 | d_pq e_pq): the word problem is a membership test in that lattice, and
+"some power of h is trivial" is membership in its Q-span.  Its elements
+with zero alpha are the closure lattice L: the d_pq e_pq, plus the gammas
+of the integer combinations of images whose alphas cancel (there are such
+combinations only when r exceeds the rank).
 
-So the paper's claims 1-3 hold exactly, in the rewritten basis, whenever the
+A pair with d_pq = 1 has (0 | e_pq) in the lattice, so its coordinate says
+nothing and is dropped.  ``echelon`` is the Hermite form of the images and
+the rows d_pq e_pq, d_pq >= 2, over the alpha coordinates and the pairs
+left (``kept_pairs``), with each gamma reduced modulo its nonzero d_pq.  Its
+alpha block is diag(alpha_i) whatever the presentation, which ``normalize``
+checks, and its rows with a gamma pivot span L at the kept pairs.  At
+MAX_RANK generators and MAX_RELATORS relators of full rank nearly every
+d_pq is 1, and the form has no more columns than generators.
+
+So the paper's claims 1-3 hold exactly, in the new basis, whenever the
 exponent-sum matrix has full rank.  Modulo torsion every [a_i, a_k] with
 i <= rank vanishes, and G is the free 2-step nilpotent group on
-a_(rank+1) ... a_m modulo the extra relators, which exist only for r > m:
+a_(rank+1) ... a_m modulo the central combinations of the relators, which
+exist only for r > m:
 - r <= m - 2: at least two free generators remain, so a profile is central
   modulo torsion iff it is zero beyond the rank (``center_profile_dim`` is
   the rank), and each a_k with k > rank commutes modulo torsion only with
@@ -47,24 +63,20 @@ a_(rank+1) ... a_m modulo the extra relators, which exist only for r > m:
 - r >= m: the alpha rows and L both span everything over Q, so each a_k is
   trivial modulo torsion.
 
-A product or inverse of closure elements differs from the sum of their Malcev
-coordinates (alpha | gamma) only by multiples of alpha_i [a_i, a_j], which lie
-in L.  So the coordinates of the closure form one lattice, spanned by the
-rows (alpha_i e_i | c_i) and (0 | L): the word problem is a membership test
-in that lattice, and "some power of h is trivial" is membership in its Q-span.
-
 Over Q the free block is enough.  Every d_pq with p <= rank is nonzero, so
 the Q-span of L holds each such pair, and the rest of it is the span of the
-extra relators' gammas at the free pairs rank < p < q.  These pairs are the
-tail of gamma, laid out as the gamma of N_{2,m-rank}.  Dropping the other
-pairs therefore maps Q^C(m,2) modulo the Q-span of L isomorphically onto the
-free pairs modulo the extras there, and every zero test and rank modulo L
-over Q can be read in the free block (``free_block``).  A bracket [g, a_c]
-with c <= rank has no free coordinate, and h is trivial modulo torsion iff
-its alpha vanishes beyond the rank and, once the normalized relators clear
-its alpha, its free coordinates lie in the span of the extras there.
+echelon rows with a gamma pivot at the free pairs rank < p < q.  These
+pairs, all with d_pq = 0, are the tail of gamma and of the echelon's
+columns, laid out as the gamma of N_{2,m-rank}.  Dropping the other pairs
+therefore maps Q^C(m,2) modulo the Q-span of L isomorphically onto the free
+pairs modulo those rows there, and every zero test and rank modulo L over Q
+can be read in the free block (``free_block``).  A bracket [g, a_c] with
+c <= rank has no free coordinate, and h is trivial modulo torsion iff its
+alpha vanishes beyond the rank and, once the echelon rows with an alpha
+pivot clear its alpha, its free coordinates lie in the span of the free
+block.
 
-The Nielsen moves act on Malcev coordinates, never on words.
+The generator moves act on Malcev coordinates, never on words.
 """
 
 from __future__ import annotations
@@ -74,17 +86,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Tuple
 
-from .nilpotent2 import (
-    MalcevElement,
-    Polynomial,
-    commutator,
-    from_word,
-    generator,
-    inverse,
-    multiply,
-    pair_list,
-    power,
-)
+from .nilpotent2 import MalcevElement, Polynomial, from_word, generator, inverse, pair_list
 from .words import MAX_RELATORS, NielsenLog, RankLimitError, Word, WordSyntaxError
 from .words import check_rank, nielsen_moves, parse_word
 from .zmatrix import Echelon, IntMatrix, SmithDecomposition, rank as zrank
@@ -152,11 +154,14 @@ def parse_presentation(text: str) -> NilPresentation:
 
 @dataclass(frozen=True)
 class NormalizedPresentation:
-    """Presentation in normal form: relator i reads a_i^alphas[i] * c_parts[i].
+    """A presentation over the basis of its Smith reduction.
 
-    ``rewritten`` and ``basis_images`` are the relators and the original
-    generators over the new basis; ``nielsen_log`` holds the moves.  The
-    other parts are views of ``snf`` and ``rewritten``.
+    ``basis_images`` are the original generators over the new basis, and
+    ``nielsen_log`` holds the moves.  ``d_pq`` is d_pq at each pair in gamma
+    order, and ``kept_pairs`` the gamma indices where it is not 1.
+    ``echelon`` is the Hermite form of the closure's coordinates at the alpha
+    columns, then those pairs (see the module docstring); its first rank rows
+    are (alpha_i e_i | c_i), the rest have zero alpha.
     """
 
     m: int
@@ -164,8 +169,10 @@ class NormalizedPresentation:
     s: int
     nielsen_log: NielsenLog
     snf: SmithDecomposition
-    rewritten: Tuple[MalcevElement, ...]
     basis_images: Tuple[MalcevElement, ...]
+    d_pq: Tuple[int, ...]
+    kept_pairs: Tuple[int, ...]
+    echelon: Echelon
 
     @property
     def rank_full(self) -> bool:
@@ -176,71 +183,31 @@ class NormalizedPresentation:
         return self.snf.invariant_factors
 
     @property
-    def normalized_relators(self) -> Tuple[MalcevElement, ...]:
-        """The rewritten relators a_i^alphas[i] * c_parts[i], i < rank."""
-        return self.rewritten[: self.snf.rank]
-
-    @property
-    def c_parts(self) -> Tuple[MalcevElement, ...]:
-        # a_i^-alpha_i * h: with one nonzero alpha, no gamma coordinate moves
-        return tuple(MalcevElement(self.m, (0,) * self.m, h.gamma) for h in self.normalized_relators)
-
-    @property
-    def extra_commutator_relators(self) -> Tuple[MalcevElement, ...]:
-        return self.rewritten[self.snf.rank :]  # zero alpha, so central
-
-    @property
     def closure_lattice(self) -> Tuple[Tuple[int, ...], ...]:
-        """Vectors spanning the gamma coordinates of the central part of the
-        normal closure: alpha_i * [a_i, a_k] for each normalized relator i
-        and k != i, then the nonzero gammas of extra_commutator_relators."""
-        m = self.m
-        # [a_i^alpha_i c_i, a_g] is +-alpha_i at the pair (i+1, g), never zero
-        return tuple(
-            commutator(h, generator(m, g)).gamma
-            for i, h in enumerate(self.normalized_relators)
-            for g in range(1, m + 1)
-            if g != i + 1
-        ) + tuple(h.gamma for h in self.extra_commutator_relators if any(h.gamma))
-
-    # Computed on first use only: the deciders need them, and normalize
-    # should not pay for them where nothing is asked.
-    @cached_property
-    def closure_echelon(self) -> Echelon:
-        """Echelon form of closure_lattice: the gamma block of
-        coordinate_echelon, built from the closed form of L (see the module
-        docstring)."""
-        k = self.snf.rank
-        d = [self.alphas[p - 1] if p <= k else 0 for p, _ in pair_list(self.m)]
-        n = len(d)
-        rows = [(0,) * t + (x,) + (0,) * (n - t - 1) for t, x in enumerate(d) if x]
-        extras = self.extra_commutator_relators
-        rows += [tuple(g % x if x else g for g, x in zip(h.gamma, d)) for h in extras]
-        return Echelon.of(rows)
-
-    @cached_property
-    def coordinate_echelon(self) -> Echelon:
-        """Row-echelon basis of the Malcev coordinates (alpha | gamma) of the
-        normal closure: each normalized relator (alpha_i e_i | c_i), pivot i,
-        then (0 | row) for each row of closure_echelon.  No second HNF."""
-        zeros = (0,) * self.m
-        lattice = self.closure_echelon
-        return Echelon(
-            tuple(g.alpha + g.gamma for g in self.normalized_relators)
-            + tuple(zeros + row for row in lattice.rows),
-            tuple(range(self.snf.rank)) + tuple(self.m + c for c in lattice.pivots),
-        )
+        """A generating set of the closure lattice L, built on each read: e_pq
+        at each pair with d_pq = 1, then the echelon rows with a gamma pivot,
+        zero at those pairs."""
+        n, m = len(self.d_pq), self.m
+        units = [(0,) * t + (1,) + (0,) * (n - t - 1) for t, d in enumerate(self.d_pq) if d == 1]
+        rows = []
+        for row in self.echelon.rows[self.snf.rank :]:
+            v = [0] * n
+            for t, x in zip(self.kept_pairs, row[m:]):
+                v[t] = x
+            rows.append(tuple(v))
+        return tuple(units + rows)
 
     @cached_property
     def free_block(self) -> Tuple[int, Echelon]:
         """Where the free pairs (p, q), rank < p < q, start in gamma, of which
-        they are the tail, and the echelon form of the extra relators' gammas
-        there, with no rows when those are all zero.  Over Q, L is every pair
-        with p <= rank plus these rows (see the module docstring)."""
+        they are the tail, and the echelon form of the echelon rows with a
+        gamma pivot there, with no rows when those are all zero.  Over Q, L is
+        every pair with p <= rank plus these rows (see the module docstring)."""
         n = self.m - self.snf.rank
-        start = len(pair_list(self.m)) - n * (n - 1) // 2
-        rows = [h.gamma[start:] for h in self.extra_commutator_relators if any(h.gamma[start:])]
-        return start, Echelon.of(rows) if rows else Echelon((), ())
+        tail = n * (n - 1) // 2
+        rows = [row[len(row) - tail :] for row in self.echelon.rows[self.snf.rank :]]
+        rows = [v for v in rows if any(v)]
+        return len(self.d_pq) - tail, Echelon.of(rows)
 
     @cached_property
     def center_profile_dim(self) -> int:
@@ -271,45 +238,49 @@ def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator
         yield echelon.rational_residue(v)
 
 
+def _power_times(x: MalcevElement, k: int, y: MalcevElement) -> MalcevElement:
+    """x^k y in one step: with x = (a | g) and y = (b | h), it is
+    (k a + b | k g - C(k, 2) a_p a_q + h - k a_q b_p) at each pair p < q."""
+    m, a, b, g, h = x.m, x.alpha, y.alpha, x.gamma, y.gamma
+    c = k * (k - 1) // 2
+    gamma = []
+    t = 0
+    for p in range(m):
+        s = c * a[p] + k * b[p]
+        for q in range(p + 1, m):
+            gamma.append(k * g[t] + h[t] - s * a[q])
+            t += 1
+    return MalcevElement(m, tuple(k * u + v for u, v in zip(a, b)), tuple(gamma))
+
+
 def normalize(p: NilPresentation) -> NormalizedPresentation:
     m = p.m
-    relators = list(p.relators)
-    sums = IntMatrix(len(relators), m, tuple(a for h in relators for a in h.alpha))
+    sums = IntMatrix(len(p.relators), m, tuple(a for h in p.relators for a in h.alpha))
     log, snf = nielsen_moves(sums)
     basis = [generator(m, k) for k in range(1, m + 1)]
-    for mv in log.moves:
-        i, j = mv.i - 1, mv.j - 1
-        if mv.kind == "relator_mult":
-            relators[j] = multiply(power(relators[i], mv.k), relators[j])
-        elif mv.kind == "relator_swap":
-            relators[i], relators[j] = relators[j], relators[i]
-        elif mv.kind == "relator_invert":
-            relators[i] = inverse(relators[i])
     # Generator moves substitute letters (a_j -> a_i^-k a_j): walking the log
     # backwards composes the substitutions in replay order, one image at a time.
     for mv in reversed(log.moves):
         i, j = mv.i - 1, mv.j - 1
         if mv.kind == "generator_mult":
-            basis[j] = multiply(power(basis[i], -mv.k), basis[j])
+            basis[j] = _power_times(basis[i], -mv.k, basis[j])
         elif mv.kind == "generator_swap":
             basis[i], basis[j] = basis[j], basis[i]
         elif mv.kind == "generator_invert":
             basis[i] = inverse(basis[i])
-    images = tuple(Polynomial(h)(basis, m) for h in relators)
     k = snf.rank
-    if any(h.alpha != snf.D.row(i) for i, h in enumerate(images[:k])):
-        raise AssertionError("rewritten relator alpha does not match diagonal")
-    if any(any(h.alpha) for h in images[k:]):
-        raise AssertionError("relator beyond rank must be central")
-    return NormalizedPresentation(
-        m=m,
-        r=len(relators),
-        s=p.s,
-        nielsen_log=log,
-        snf=snf,
-        rewritten=images,
-        basis_images=tuple(basis),
-    )
+    d = tuple(snf.invariant_factors[i - 1] if i <= k else 0 for i, _ in pair_list(m))
+    kept = tuple(t for t, x in enumerate(d) if x != 1)
+    rows = []
+    for h in p.relators:
+        g = Polynomial(h)(basis, m)
+        rows.append(g.alpha + tuple(g.gamma[t] % d[t] if d[t] else g.gamma[t] for t in kept))
+    n = len(kept)
+    rows += [(0,) * (m + c) + (d[t],) + (0,) * (n - c - 1) for c, t in enumerate(kept) if d[t]]
+    echelon = Echelon.of(rows)
+    if [row[:m] for row in echelon.rows if any(row[:m])] != [snf.D.row(i) for i in range(k)]:
+        raise AssertionError("relator images do not span the Smith diagonal")
+    return NormalizedPresentation(m, len(p.relators), p.s, log, snf, tuple(basis), d, kept, echelon)
 
 
 def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevElement:
@@ -335,12 +306,13 @@ def is_trivial_in_G(h: MalcevElement, np_: NormalizedPresentation) -> bool:
 
     h is taken in the rewritten basis; use express_in_normalized_basis for
     words over the original generators.  The closure's Malcev coordinates
-    are exactly the lattice coordinate_echelon, so this is one membership
-    test of h's coordinates.
+    are exactly the lattice of ``echelon`` and the unit pairs it drops, so
+    this is one membership test of h's coordinates at the kept pairs.
     """
     if h.m != np_.m:
         raise ValueError("rank mismatch")
-    return np_.coordinate_echelon.in_lattice(h.alpha + h.gamma)
+    g = h.gamma
+    return np_.echelon.in_lattice(h.alpha + tuple(g[t] for t in np_.kept_pairs))
 
 
 def is_trivial_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> bool:
@@ -352,20 +324,22 @@ def is_trivial_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> boo
     binom(n, 2) alpha_i alpha_j at each pair (i, j); once alpha lies in the
     span of the alpha_i e_i, that term lies in the Q-span of the closure
     lattice.  So alpha must vanish beyond the rank.  Then N h, N the lcm of
-    the alphas, less N h_i / alpha_i times each normalized relator has zero
-    alpha, and its free coordinates must lie in the span of the extras.
+    the alphas, less N h_i / alpha_i times each echelon row with an alpha
+    pivot has zero alpha, and its free coordinates must lie in the span of
+    the free block.
     """
     if h.m != np_.m:
         raise ValueError("rank mismatch")
     if any(h.alpha[np_.snf.rank :]):
         return False
     start, echelon = np_.free_block
+    tail = len(h.gamma) - start
     scale = math.lcm(*np_.alphas)
     rest = [scale * x for x in h.gamma[start:]]
-    for a, x, rel in zip(np_.alphas, h.alpha, np_.normalized_relators):
+    for a, x, row in zip(np_.alphas, h.alpha, np_.echelon.rows):
         if x:
             f = scale // a * x
-            rest = [u - f * v for u, v in zip(rest, rel.gamma[start:])]
+            rest = [u - f * v for u, v in zip(rest, row[len(row) - tail :])]
     return not any(echelon.rational_residue(rest))
 
 

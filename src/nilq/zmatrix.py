@@ -21,6 +21,7 @@ repetitions of the unit operation; replay code may apply it in one step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 
@@ -103,16 +104,39 @@ class SmithDecomposition:
 
     ``rank`` is the number of nonzero diagonal entries and
     ``invariant_factors`` the nonzero diagonal, all positive.  ``ops`` is the
-    ordered elementary-operation log that transforms M into D (row ops were
-    also applied to U, column ops to V).
+    ordered elementary-operation log that transforms M into D.  U and V are
+    not kept during the reduction: each is rebuilt on first read by replaying
+    the row ops, or the column ops, on an identity matrix.
     """
 
-    U: IntMatrix
     D: IntMatrix
-    V: IntMatrix
     rank: int
     invariant_factors: Tuple[int, ...]
     ops: Tuple[ElementaryOp, ...]
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return IntMatrix.from_rows(_replayed_identity(self.D.rows, self.ops, "row"))
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        # column ops on V are row ops on its transpose
+        T = _replayed_identity(self.D.cols, self.ops, "col")
+        return IntMatrix.from_rows(zip(*T))
+
+
+def _replayed_identity(n: int, ops: Sequence[ElementaryOp], prefix: str) -> list:
+    """The n x n identity, as rows, with the ops of kind prefix_add,
+    prefix_swap and prefix_negate applied to its rows in order."""
+    A = IntMatrix.identity(n).to_rows()
+    for op in ops:
+        if op.kind == prefix + "_add":
+            A[op.dst] = [a + op.mult * b for a, b in zip(A[op.dst], A[op.src])]
+        elif op.kind == prefix + "_swap":
+            A[op.src], A[op.dst] = A[op.dst], A[op.src]
+        elif op.kind == prefix + "_negate":
+            A[op.src] = [-a for a in A[op.src]]
+    return A
 
 
 def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
@@ -120,52 +144,39 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
 
     Pivot selection always takes a smallest-magnitude nonzero entry of the
     working submatrix, which keeps intermediate growth modest.  Signs are
-    normalized with explicit negation ops so they land in U/V and the
+    normalized with explicit negation ops so they land in the log and the
     invariant factors come out positive.
     """
     r, m = M.rows, M.cols
     A = M.to_rows()
-    U = IntMatrix.identity(r).to_rows()
-    V = IntMatrix.identity(m).to_rows()
     ops: list[ElementaryOp] = []
 
     def row_add(src, dst, mult):
         Asrc, Adst = A[src], A[dst]
         for j in range(m):
             Adst[j] += mult * Asrc[j]
-        Us, Ud = U[src], U[dst]
-        for j in range(r):
-            Ud[j] += mult * Us[j]
         ops.append(ElementaryOp("row_add", src, dst, mult))
 
     def col_add(src, dst, mult):
         for i in range(r):
             A[i][dst] += mult * A[i][src]
-        for i in range(m):
-            V[i][dst] += mult * V[i][src]
         ops.append(ElementaryOp("col_add", src, dst, mult))
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
         ops.append(ElementaryOp("row_swap", i, j))
 
     def col_swap(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
         ops.append(ElementaryOp("col_swap", i, j))
 
     def row_negate(i):
         A[i] = [-v for v in A[i]]
-        U[i] = [-v for v in U[i]]
         ops.append(ElementaryOp("row_negate", i))
 
     def col_negate(j):
         for row in A:
-            row[j] = -row[j]
-        for row in V:
             row[j] = -row[j]
         ops.append(ElementaryOp("col_negate", j))
 
@@ -222,9 +233,7 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
         if b % a:
             raise AssertionError("invariant factor chain violated")
     return SmithDecomposition(
-        U=IntMatrix.from_rows(U) if r else IntMatrix(0, 0, ()),
         D=IntMatrix.from_rows(A) if r else IntMatrix(0, m, ()),
-        V=IntMatrix.from_rows(V) if m else IntMatrix(m, m, ()),
         rank=rank,
         invariant_factors=inv,
         ops=tuple(ops),
@@ -344,8 +353,7 @@ def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, Tuple[int, ...]]:
                 row_add(prow, i, -q)
         pivots.append(col)
         prow += 1
-    H = IntMatrix.from_rows(A) if r else IntMatrix(0, m, ())
-    return H, tuple(pivots)
+    return IntMatrix(r, m, tuple(v for row in A for v in row)), tuple(pivots)
 
 
 def hermite_transform(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, Tuple[int, ...]]:

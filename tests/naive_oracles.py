@@ -5,13 +5,23 @@ with the routine it checks: collection of a letter sequence by adjacent
 swaps (for ``from_word``, ``from_syllables`` and ``multiply``), a
 character-by-character scanner of the word grammar (for ``parse_word``),
 Q-span membership by a rank comparison (for ``Echelon.rational_residue``),
-and the elementary operations of a Smith log applied one at a time (for
-``smith_normal_form``).
+the elementary operations of a Smith log applied one at a time (for
+``smith_normal_form``), and the Nielsen replay of a whole Smith log on
+relator elements by group multiplication (for ``normalize``).
 """
 
 from typing import List, Tuple
 
-from nilq.nilpotent2 import MalcevElement, pair_index
+from nilq.nilpotent2 import (
+    MalcevElement,
+    Polynomial,
+    commutator,
+    generator,
+    inverse,
+    multiply,
+    pair_index,
+    power,
+)
 from nilq.words import MAX_WORD_LETTERS, Word, WordSyntaxError, check_rank
 from nilq.zmatrix import ElementaryOp, IntMatrix, rank
 
@@ -196,3 +206,43 @@ def apply_op(M: IntMatrix, op: ElementaryOp) -> IntMatrix:
     else:
         raise ValueError(f"unknown op kind {k!r}")
     return IntMatrix.from_rows(A) if A else M
+
+
+def relator_replay(p, np_):
+    """(basis images, rewritten relators, closure lattice) of the
+    presentation p by replaying every move of np_'s Nielsen log with
+    multiply(power(...)).
+
+    Relator moves act on the relators as elements; generator moves build the
+    basis images, the log walked backwards.  The rewritten relators are the
+    replayed ones over the new basis: a_i^alpha_i c_i for i < rank, then the
+    central ones.  The closure lattice holds [h_i, a_g] for each of the
+    first rank of them and g != i, then the nonzero gammas of the rest.
+    """
+    m, k = np_.m, np_.snf.rank
+    relators = list(p.relators)
+    basis = [generator(m, g) for g in range(1, m + 1)]
+    for mv in np_.nielsen_log.moves:
+        i, j = mv.i - 1, mv.j - 1
+        if mv.kind == "relator_mult":
+            relators[j] = multiply(power(relators[i], mv.k), relators[j])
+        elif mv.kind == "relator_swap":
+            relators[i], relators[j] = relators[j], relators[i]
+        elif mv.kind == "relator_invert":
+            relators[i] = inverse(relators[i])
+    for mv in reversed(np_.nielsen_log.moves):
+        i, j = mv.i - 1, mv.j - 1
+        if mv.kind == "generator_mult":
+            basis[j] = multiply(power(basis[i], -mv.k), basis[j])
+        elif mv.kind == "generator_swap":
+            basis[i], basis[j] = basis[j], basis[i]
+        elif mv.kind == "generator_invert":
+            basis[i] = inverse(basis[i])
+    rewritten = tuple(Polynomial(h)(basis, m) for h in relators)
+    lattice = tuple(
+        commutator(h, generator(m, g)).gamma
+        for i, h in enumerate(rewritten[:k])
+        for g in range(1, m + 1)
+        if g != i + 1
+    ) + tuple(h.gamma for h in rewritten[k:] if any(h.gamma))
+    return tuple(basis), rewritten, lattice

@@ -24,6 +24,7 @@ from nilq.nilpotent2 import (
     power,
 )
 from nilq.presentation import (
+    NilPresentation,
     classify,
     express_in_normalized_basis,
     is_trivial_in_G,
@@ -58,7 +59,7 @@ from nilq.diophantine import (
     z_in_g_templates,
 )
 
-from naive_oracles import collection_oracle, letter_word
+from naive_oracles import collection_oracle, letter_word, relator_replay
 
 
 SEED = 20260822
@@ -194,11 +195,17 @@ def _random_full_rank_presentation(rng, max_m=3):
         m = rng.randrange(2, max_m + 1)
         r = rng.randrange(1, m + 1)
         rels = tuple(random_word(rng.randrange(2, 9), m, rng) for _ in range(r))
-        from nilq.presentation import NilPresentation
-
         np_ = normalize(NilPresentation(m, 2, tuple(from_word(w) for w in rels)))
         if np_.rank_full:
             return rels, np_
+
+
+def _closure_generators(rels, np_):
+    """The normalized relators and the closure lattice of the relator words
+    rels, from the Nielsen replay oracle."""
+    p = NilPresentation(np_.m, 2, tuple(from_word(w) for w in rels))
+    _, rewritten, lattice = relator_replay(p, np_)
+    return rewritten[: np_.snf.rank], lattice
 
 
 def _snf_lattice_member(lattice, v):
@@ -243,11 +250,12 @@ def test_criterion_04_word_problem_small_scale():
             break
         # completeness at small scale: all products of <= 3 closure
         # generators (normalized relators and lattice vectors) are accepted
+        normalized, lattice = _closure_generators(rels, np_)
         factors = []
-        for g in np_.normalized_relators:
+        for g in normalized:
             factors.extend((g, inverse(g)))
         npairs = m * (m - 1) // 2
-        for vec in np_.closure_lattice:
+        for vec in lattice:
             el = MalcevElement(m, (0,) * m, tuple(vec))
             factors.extend((el, inverse(el)))
         products = {identity(m)}
@@ -265,7 +273,7 @@ def test_criterion_04_word_problem_small_scale():
         for _ in range(30):
             v = tuple(rng.randint(-6, 6) for _ in range(npairs))
             got = is_trivial_in_G(MalcevElement(m, (0,) * m, v), np_)
-            want = _snf_lattice_member(np_.closure_lattice, v)
+            want = _snf_lattice_member(lattice, v)
             if got != want:
                 failures.append(
                     f"presentation {pres_idx}: central {v} decided {got}, oracle {want}"
@@ -291,8 +299,6 @@ def _random_rank_deficient_presentation(rng, max_m=4):
     """Random relators plus one that adds no rank: a product of conjugates of
     the others, a commutator power (central, and new to the closure) or a
     repeat of another relator."""
-    from nilq.presentation import NilPresentation
-
     while True:
         m = rng.randrange(2, max_m + 1)
         r = rng.randrange(1, m + 1)
@@ -322,10 +328,11 @@ def test_word_problem_closure_enumeration_rank_deficient():
         for _ in range(10):
             h = express_in_normalized_basis(_conjugate_product(rels, m, rng), np_)
             assert is_trivial_in_G(h, np_), f"presentation {pres_idx}: conjugate product rejected"
+        normalized, lattice = _closure_generators(rels, np_)
         factors = []
-        for g in np_.normalized_relators:
+        for g in normalized:
             factors.extend((g, inverse(g)))
-        for vec in np_.closure_lattice:
+        for vec in lattice:
             el = MalcevElement(m, (0,) * m, tuple(vec))
             factors.extend((el, inverse(el)))
         products = frontier = {identity(m)}
@@ -338,7 +345,7 @@ def test_word_problem_closure_enumeration_rank_deficient():
         for _ in range(30):
             v = tuple(rng.randint(-6, 6) for _ in range(npairs))
             got = is_trivial_in_G(MalcevElement(m, (0,) * m, v), np_)
-            assert got == _snf_lattice_member(np_.closure_lattice, v), (pres_idx, v)
+            assert got == _snf_lattice_member(lattice, v), (pres_idx, v)
 
 
 def test_criterion_05_support_lemmas():

@@ -1,6 +1,7 @@
 """Exit codes, stream discipline, and adapter faithfulness of the CLI."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -53,7 +54,11 @@ def test_normalize_output(capsys, pres):
     data = json.loads(out)
     assert data["alphas"] == [2, 2]
     assert data["rank_full"] is True
-    assert data["rewritten_relators"] == ["a1^2", "a2^2"]
+    assert data["d_pq"] == [2]
+    # columns a1, a2 and [a1,a2], which d_12 = 2 keeps
+    assert data["echelon"] == {"columns": ["a1", "a2", "[a1,a2]"],
+                               "rows": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+                               "pivots": [0, 1, 2]}
 
 
 def test_is_trivial(capsys, pres):
@@ -290,7 +295,7 @@ def test_system_output_bytes_pinned(capsys, tmp_path, argv, digest):
 # commutator (central)
 _PINNED_PRESENTATION_OUTPUTS = [
     (("normalize", "{quot.txt}"),
-     "afa33428f0155c2342f7b6a0c7caf8ae614f73316e1ca9a4fb7333217f8d6bb7"),
+     "57c723b3b8b24ce597aabc0acb6b5de4174b3f2d0565950e6552506fb2381f84"),
     (("is-trivial", "{quot.txt}", "a1^2 a2"),
      "73ea5c19967b324537250a0610d06f24efeef18cc356d1187b8b24290c728280"),
     (("is-trivial", "{quot.txt}", "a3^2"),
@@ -298,7 +303,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{quot.txt}", "[a1,a3]"),
      "f7e4fb9691f220a2157c02ed329e487957156a19de23f865951314f36526609a"),
     (("normalize", "{undecidable.txt}"),
-     "974265a85f2e7ceb064603b68a9abe5f1d83290e878dc844a63e9fb8a0900151"),
+     "e775696e95b1dd9ea95538503f7fd056f887915ca7d6782d7b93ae674a0df2e2"),
     (("is-trivial", "{undecidable.txt}", "a1 a2^2 a3"),
      "32c4da8f80d4bd0a628d91dec766717b85fe22afe84c98b1d9398f4237aa559c"),
     (("is-trivial", "{undecidable.txt}", "a3"),
@@ -306,7 +311,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{undecidable.txt}", "[a3,a4]"),
      "58c6d3eac56d1e19717a80a3abd0676ece1f0789f0dd29e65bc7c9418631e739"),
     (("normalize", "{virt.txt}"),
-     "1353b7ef59ae38ce748567b540f44d862c1c22e1863b1a3248747e0b92548453"),
+     "2464ff9a66cc143c1048cab0f8dc1a49eddcaafd7a4a50ce8b6ef62049bb3c5c"),
     (("is-trivial", "{virt.txt}", "a2 a3^3"),
      "e1a3988a583bc3d0bc898bffd06ec8ef84fccf5762930bc984a9eb26f4f00915"),
     (("is-trivial", "{virt.txt}", "a1"),
@@ -314,7 +319,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{virt.txt}", "[a1,a2]"),
      "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
     (("normalize", "{class3.txt}"),
-     "00324086c46fa960e84e6c1a6e235af9d10dcc3ae6867fe4774bbf3e7a38e203"),
+     "1a7f5bb95f2e299209f0744bc77be8ac19e091e3f8093070473ff96b9b71ba28"),
     (("is-trivial", "{class3.txt}", "a2 a3^3"),
      "e1a3988a583bc3d0bc898bffd06ec8ef84fccf5762930bc984a9eb26f4f00915"),
     (("is-trivial", "{class3.txt}", "a1"),
@@ -322,7 +327,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{class3.txt}", "[a1,a2]"),
      "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
     (("normalize", "{finite.txt}"),
-     "99b6599d145ea84553102e928db8fbcc12692a693d56b8a07a9ede0e0cd4f0c6"),
+     "63392407e4dc7ed8669dbce26ae63979662d7f4cefa72aee15df5983bc88c6b1"),
     (("is-trivial", "{finite.txt}", "a2^3 a1"),
      "8e701f03f76cdbb314471cd26953a818539ffa5e40ab53978ba85af2da0bac2a"),
     (("is-trivial", "{finite.txt}", "a1"),
@@ -330,7 +335,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{finite.txt}", "[a1,a2]"),
      "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
     (("normalize", "{finab.txt}"),
-     "1b310d28f5df8e3e165ea308467967e7124d61d2dde979ef528d9fc164d9b16a"),
+     "a699765f8acb81f6fd4d2d362c33c99a4530e1e1c02ac4f3de8bd381f300b29f"),
     (("is-trivial", "{finab.txt}", "a1 a2 a1"),
      "d7dc09f90ee72375d7b1ea1e525ba26260ba7fbe0394bf2054fa303d1619428d"),
     (("is-trivial", "{finab.txt}", "a1"),
@@ -338,7 +343,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{finab.txt}", "[a1,a2]"),
      "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
     (("normalize", "{deficient.txt}"),
-     "0f023490293d8961b08be3f80eca04606220b3800148f3126f418dab9133cda3"),
+     "6ce5dfa051cbf5d31f23d8208cfc37650e4c893e56305083bb6ec1c037aa8040"),
     (("is-trivial", "{deficient.txt}", "a1 a2"),
      "87409c03a44cce81e1889c8c9e3645810a3bfbde6fb2b5cf5e8cc41d0d1693cb"),
     (("is-trivial", "{deficient.txt}", "a1^2"),
@@ -661,6 +666,43 @@ def test_bad_word_argument_exit_2(capsys, pres):
     code, out, err = _run(capsys, "word-eval", "a\u00b2")
     assert code == 2 and out == ""
     assert err == "error: word: expected generator index after 'a' (position 1)\n"
+
+
+def test_word_argument_from_stdin_or_file(capsys, monkeypatch, pres, tmp_path):
+    # '-' reads the word from stdin and @path from a file; the "word" field
+    # echoes the argument as given
+    path = tmp_path / "word.txt"
+    path.write_text("[a1,a2]^2\n")
+    code, out, _ = _run(capsys, "is-trivial", pres, "[a1,a2]^2")
+    direct = json.loads(out)
+    assert code == 0 and direct["trivial_in_G"] is True
+    code, out, _ = _run(capsys, "is-trivial", pres, f"@{path}")
+    assert code == 0 and json.loads(out) == dict(direct, word=f"@{path}")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[a1,a2]^2"))
+    code, out, _ = _run(capsys, "is-trivial", pres, "-")
+    assert code == 0 and json.loads(out) == dict(direct, word="-")
+    # word-eval infers the rank from the text it read
+    path.write_text("a3 a1\n")
+    code, out, _ = _run(capsys, "word-eval", f"@{path}")
+    assert code == 0 and json.loads(out)["alpha"] == [1, 0, 1]
+    code, _, err = _run(capsys, "word-eval", f"@{tmp_path / 'missing.txt'}")
+    assert code == 2 and err.startswith("error: cannot read")
+
+
+def test_word_over_the_argv_limit_reaches_the_console(tmp_path):
+    # one argv string is capped at 128 KiB on Linux; 60,000 tokens (360 KB)
+    # reach word-eval through stdin and through a file
+    text = " ".join(("a1", "a2")[i % 2] for i in range(60_000))
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nilq.__file__)))
+    outs = [subprocess.run([sys.executable, "-m", "nilq.cli", "word-eval", "--m", "2", arg],
+                           env=env, input=stdin, capture_output=True, text=True)
+            for arg, stdin in (("-", text), (f"@{path}", None))]
+    for proc in outs:
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["alpha"] == [30_000, 30_000] and data["gamma"] == [-(30_000 * 29_999 // 2)]
 
 
 def test_rank_exp_length_over_limit_exit_1(capsys, tmp_path):

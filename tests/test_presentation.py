@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -44,7 +45,7 @@ from nilq.words import (
     word_power,
 )
 
-from naive_oracles import rational_membership
+from naive_oracles import rational_membership, relator_replay
 
 
 def _norm(text):
@@ -76,7 +77,7 @@ def test_normalize_reads_elements_without_from_word(monkeypatch):
     monkeypatch.setattr(nilpotent2, "from_word", refuse)
     monkeypatch.setattr(presentation, "from_word", refuse)
     np_ = normalize(p)
-    assert np_.snf.rank == 3 and np_.extra_commutator_relators
+    assert np_.snf.rank == 3 and np_.r == 4
 
 
 def test_parse_presentation_errors():
@@ -108,16 +109,18 @@ def test_normalize_single_relator():
 def test_normalize_carries_central_parts():
     np_ = _norm("2 2\na1^2 [a1,a2]^3\n")
     assert np_.alphas == (2,)
-    assert np_.c_parts[0].gamma == (3,)
+    # d_12 = 2, so the relator's [a1,a2]^3 is kept modulo 2
+    assert np_.d_pq == (2,) and np_.kept_pairs == (0,)
+    assert np_.echelon.rows == ((2, 0, 1), (0, 0, 2))
 
 
 def test_normalize_extra_relators_must_reduce():
     # full row rank with r > m folds surplus relators into central ones
     np_ = _norm("2 2\na1^2\na2^2\n[a1,a2]^5\n")
     assert np_.r == 3
-    assert len(np_.extra_commutator_relators) == 1
-    assert np_.extra_commutator_relators[0].gamma == (5,)
-    assert (5,) in set(np_.closure_lattice)
+    # [a1,a2]^5 and [a1,a2]^2 = [a1^2, a2] leave [a1,a2] in the closure
+    assert np_.closure_lattice == ((1,),)
+    assert is_trivial_in_G(from_word(parse_word("[a1,a2]", 2)), np_)
 
 
 def test_word_problem_triple():
@@ -189,10 +192,13 @@ def test_normalize_matches_word_replay():
         m = rng.randrange(2, 6)
         r = rng.randrange(1, m + 2)
         rels = tuple(random_word(rng.randrange(13), m, rng) for _ in range(r))
-        np_ = normalize(_presentation(rels, m))
+        p = _presentation(rels, m)
+        np_ = normalize(p)
         words, log, _ = nielsen_normalize(rels, m)
         assert np_.nielsen_log == log
-        assert np_.rewritten == tuple(from_word(w) for w in words)
+        basis, rewritten, _ = relator_replay(p, np_)
+        assert np_.basis_images == basis
+        assert rewritten == tuple(from_word(w) for w in words)
         for _ in range(3):
             w = random_word(rng.randrange(16), m, rng)
             expected = from_word(rewrite_through_generator_moves(w, log))
@@ -200,8 +206,10 @@ def test_normalize_matches_word_replay():
 
 
 def test_normalize_outputs_pinned():
-    # rewritten, closure_lattice and basis_images of 60 seeded presentations
-    # with m <= 8, as the square-and-multiply substitution computed them
+    # the replayed relators and closure lattice, and basis_images, of 60
+    # seeded presentations with m <= 8, as the square-and-multiply
+    # substitution computed them; the closed-form generator moves must give
+    # the same basis_images, and normalize the same lattice
     rng = random.Random(11)
     digest = hashlib.sha256()
     moved = 0
@@ -209,10 +217,14 @@ def test_normalize_outputs_pinned():
         m = rng.randrange(2, 9)
         r = rng.randrange(1, m + 3)
         rels = tuple(random_word(rng.randrange(1, 13), m, rng) for _ in range(r))
-        np_ = normalize(_presentation(rels, m))
+        p = _presentation(rels, m)
+        np_ = normalize(p)
+        basis, rewritten, lattice = relator_replay(p, np_)
+        assert np_.basis_images == basis
+        assert zmatrix.Echelon.of(np_.closure_lattice) == zmatrix.Echelon.of(lattice)
         moved += np_.basis_images != tuple(generator(m, k) for k in range(1, m + 1))
         coords = lambda els: [el.alpha + el.gamma for el in els]
-        digest.update(json.dumps([coords(np_.rewritten), np_.closure_lattice,
+        digest.update(json.dumps([coords(rewritten), lattice,
                                   coords(np_.basis_images)]).encode())
     assert moved >= 30
     assert digest.hexdigest() == "c072c7ab04ec6d659cb5a000fc6cd679051346deebc755ee7d953c2a527a6b79"
@@ -231,7 +243,7 @@ def test_cached_map_query_runs_no_group_arithmetic(monkeypatch):
 
     for module in (nilpotent2, presentation):
         for name in ("multiply", "inverse", "power", "commutator"):
-            monkeypatch.setattr(module, name, forbidden)
+            monkeypatch.setattr(module, name, forbidden, raising=False)
     for w, want in zip(words, expected):
         h = express_in_normalized_basis(w, np_)
         assert h == want
@@ -459,10 +471,22 @@ def test_higher_class_presentation_accepted():
     assert "2-step" in report.notes or "class-2" in report.notes
 
 
-# --- the cached echelon form against independent oracles -------------------
+# --- the echelon form against the Nielsen replay oracle ----------------------
 
 
-def _reference_trivial(h, np_, in_span):
+def _replayed_closure(p, np_):
+    """The normalized relators and the closure lattice of p, from the
+    replay of every Nielsen move by group multiplication."""
+    _, rewritten, lattice = relator_replay(p, np_)
+    return rewritten[: np_.snf.rank], lattice
+
+
+def _kept(np_, h):
+    """h's coordinates at the echelon's columns: alpha, then the kept pairs."""
+    return h.alpha + tuple(h.gamma[t] for t in np_.kept_pairs)
+
+
+def _reference_trivial(h, np_, normalized, lattice, in_span):
     """Group-arithmetic bookkeeping that cancels alpha with relator powers,
     ending in a from-scratch membership test of the gamma residue: the
     oracle of is_trivial_in_G with lattice_membership, and of
@@ -476,10 +500,10 @@ def _reference_trivial(h, np_, in_span):
     if any(h.alpha[len(np_.alphas):]):
         return False
     t = h
-    for rel, q in zip(np_.normalized_relators, lam):
+    for rel, q in zip(normalized, lam):
         t = multiply(t, power(rel, -q))
     assert not any(t.alpha)
-    return in_span(np_.closure_lattice, t.gamma)
+    return in_span(lattice, t.gamma)
 
 
 def _bilinear_matrix(m, w):
@@ -506,9 +530,8 @@ def _lattice_rank(lat):
 # kernel.
 
 
-def _bareiss_center_dim(np_):
-    m = np_.m
-    lat = [list(v) for v in np_.closure_lattice]
+def _bareiss_center_dim(m, lattice):
+    lat = [list(v) for v in lattice]
     L = len(lat)
     rows = []
     for g in range(m):
@@ -521,12 +544,11 @@ def _bareiss_center_dim(np_):
     return _kernel_dim(rows, m + m * L) - m * (L - _lattice_rank(lat))
 
 
-def _bareiss_commuting_dim(np_, w):
-    lat = np_.closure_lattice
+def _bareiss_commuting_dim(m, lat, w):
     L = len(lat)
-    B = _bilinear_matrix(np_.m, w)
+    B = _bilinear_matrix(m, w)
     rows = [brow + [-lat[s][t] for s in range(L)] for t, brow in enumerate(B)]
-    return _kernel_dim(rows, np_.m + L) - (L - _lattice_rank(lat))
+    return _kernel_dim(rows, m + L) - (L - _lattice_rank(lat))
 
 
 def _seeded_presentations(rng):
@@ -544,14 +566,13 @@ def _seeded_presentations(rng):
         yield _presentation(rels, m)
 
 
-def _seeded_queries(rng, np_):
+def _seeded_queries(rng, m, normalized, lat):
     """Elements built from relator powers and central parts that land in the
     lattice, in its Q-span only, or off it, sometimes with a stray alpha."""
-    m, lat = np_.m, np_.closure_lattice
     npairs = m * (m - 1) // 2
     for _ in range(12):
         h = identity(m)
-        for rel in np_.normalized_relators:
+        for rel in normalized:
             h = multiply(h, power(rel, rng.randint(-2, 2)))
         gamma = [0] * npairs
         for v in lat:
@@ -574,32 +595,34 @@ def test_cached_reductions_match_membership_oracles():
     seen = {"empty lattice": 0, "rank-deficient": 0, "in G": 0, "torsion only": 0, "c-small": 0}
     for p in _seeded_presentations(rng):
         np_ = normalize(p)
-        seen["empty lattice"] += not np_.closure_lattice
-        assert np_.center_profile_dim == _bareiss_center_dim(np_)
+        normalized, lat = _replayed_closure(p, np_)
+        seen["empty lattice"] += not lat
+        assert np_.center_profile_dim == _bareiss_center_dim(np_.m, lat)
         zeros = (0,) * np_.m
-        stacked = [g.alpha + g.gamma for g in np_.normalized_relators] + [
-            zeros + v for v in np_.closure_lattice]
-        for h in _seeded_queries(rng, np_):
+        stacked = [g.alpha + g.gamma for g in normalized] + [zeros + v for v in lat]
+        gamma_echelon = zmatrix.Echelon.of(np_.closure_lattice)
+        for h in _seeded_queries(rng, np_.m, normalized, lat):
             # the echelon reductions alone
             coords = h.alpha + h.gamma
-            assert np_.coordinate_echelon.in_lattice(coords) == (
+            assert np_.echelon.in_lattice(_kept(np_, h)) == (
                 zmatrix.lattice_membership(stacked, coords) is not None)
-            assert (not any(np_.coordinate_echelon.rational_residue(coords))) == (
+            assert (not any(np_.echelon.rational_residue(_kept(np_, h)))) == (
                 rational_membership(stacked, coords))
-            assert np_.closure_echelon.in_lattice(h.gamma) == (
-                zmatrix.lattice_membership(np_.closure_lattice, h.gamma) is not None)
-            assert (not any(np_.closure_echelon.rational_residue(h.gamma))) == (
-                rational_membership(np_.closure_lattice, h.gamma))
+            assert gamma_echelon.in_lattice(h.gamma) == (
+                zmatrix.lattice_membership(lat, h.gamma) is not None)
+            assert (not any(gamma_echelon.rational_residue(h.gamma))) == (
+                rational_membership(lat, h.gamma))
             assert presentation._commuting_profile_dim(np_, h) == _bareiss_commuting_dim(
-                np_, h.alpha)
+                np_.m, lat, h.alpha)
             seen["rank-deficient"] += not np_.rank_full
             in_G = is_trivial_in_G(h, np_)
             assert in_G == _reference_trivial(
-                h, np_, lambda lat, v: zmatrix.lattice_membership(lat, v) is not None)
+                h, np_, normalized, lat,
+                lambda lat, v: zmatrix.lattice_membership(lat, v) is not None)
             n0 = math.lcm(*np_.alphas) if np_.alphas else 1
             mod_torsion = is_trivial_mod_torsion(h, np_)
             assert mod_torsion == _reference_trivial(
-                power(h, n0), np_, rational_membership)
+                power(h, n0), np_, normalized, lat, rational_membership)
             seen["in G"] += in_G
             seen["torsion only"] += mod_torsion and not in_G
             if np_.r <= np_.m - 2:
@@ -635,24 +658,27 @@ def test_free_block_deciders_match_whole_lattice_oracles():
             "torsion only": 0, "central": 0, "c-small": 0, "not c-small": 0}
     for p in _free_block_presentations(rng):
         np_ = normalize(p)
+        normalized, lat = _replayed_closure(p, np_)
         m, k = np_.m, np_.snf.rank
         seen["free echelon rows"] += bool(np_.free_block[1].rows)
         seen["rank = m"] += k == m
         seen["m = 1"] += m == 1
         seen["rank-deficient"] += not np_.rank_full
-        center_dim = _bareiss_center_dim(np_)
+        center_dim = _bareiss_center_dim(m, lat)
         assert np_.center_profile_dim == center_dim
         n0 = math.lcm(*np_.alphas)
-        queries = list(_seeded_queries(rng, np_))
+        queries = list(_seeded_queries(rng, m, normalized, lat))
         queries += [from_word(random_word(rng.randrange(1, 8), m, rng)) for _ in range(4)]
         queries += [generator(m, c) for c in range(1, m + 1)]
         for h in queries:
             in_G = is_trivial_in_G(h, np_)
             assert in_G == _reference_trivial(
-                h, np_, lambda lat, v: zmatrix.lattice_membership(lat, v) is not None)
+                h, np_, normalized, lat,
+                lambda lat, v: zmatrix.lattice_membership(lat, v) is not None)
             mod_torsion = is_trivial_mod_torsion(h, np_)
-            assert mod_torsion == _reference_trivial(power(h, n0), np_, rational_membership)
-            commuting_dim = _bareiss_commuting_dim(np_, h.alpha)
+            assert mod_torsion == _reference_trivial(
+                power(h, n0), np_, normalized, lat, rational_membership)
+            commuting_dim = _bareiss_commuting_dim(m, lat, h.alpha)
             assert presentation._commuting_profile_dim(np_, h) == commuting_dim
             central = is_central_mod_torsion(h, np_)
             assert central == (commuting_dim == m)
@@ -668,6 +694,90 @@ def test_free_block_deciders_match_whole_lattice_oracles():
     assert all(seen.values()), seen
 
 
+def _differential_presentations(rng, count):
+    """count seeded presentations: m 1-6 and r 0..m+3 random relators, some
+    with a repeated relator, a bracket relator [a_i, a_j]^e or a power of
+    another relator (the last two rank-deficient whenever r <= m)."""
+    for _ in range(count):
+        m = rng.randrange(1, 7)
+        rels = [random_word(rng.randrange(1, 10), m, rng) for _ in range(rng.randrange(0, m + 4))]
+        shape = rng.random()
+        if rels and shape < 0.2:
+            rels.insert(rng.randrange(len(rels) + 1), rels[rng.randrange(len(rels))])
+        elif m >= 2 and shape < 0.4:
+            i, j = sorted(rng.sample(range(1, m + 1), 2))
+            rels.append(parse_word(f"[a{i},a{j}]^{rng.randint(1, 4)}", m))
+        elif rels and shape < 0.5:
+            rels.append(word_power(rels[0], rng.randint(2, 3)))
+        yield rels, _presentation(rels, m)
+
+
+def test_deciders_match_the_replayed_closure_on_3000_presentations():
+    # the lattice built from the replayed relators decides every query as
+    # the echelon of the relators' images does
+    rng = random.Random(2021)
+    seen = {"r > m": 0, "rank-deficient": 0, "bracket relator": 0, "repeated relator": 0,
+            "in G": 0, "torsion only": 0, "central": 0, "c-small": 0, "not c-small": 0}
+    for rels, p in _differential_presentations(rng, 3000):
+        np_ = normalize(p)
+        m, k = np_.m, np_.snf.rank
+        normalized, lat = _replayed_closure(p, np_)
+        coordinate_echelon = zmatrix.Echelon.of(
+            [g.alpha + g.gamma for g in normalized] + [(0,) * m + v for v in lat])
+        gamma_echelon = zmatrix.Echelon.of(lat)
+
+        def residues(h):
+            return [gamma_echelon.rational_residue(commutator(h, generator(m, c)).gamma)
+                    for c in range(1, m + 1)]
+
+        def rank_of(rows):
+            return zmatrix.rank(zmatrix.IntMatrix.from_rows(rows))
+
+        center_dim = m - rank_of([sum(residues(generator(m, c)), []) for c in range(1, m + 1)])
+        assert np_.center_profile_dim == center_dim
+        seen["r > m"] += np_.r > m
+        seen["rank-deficient"] += not np_.rank_full
+        seen["bracket relator"] += any(not any(h.alpha) for h in p.relators)
+        seen["repeated relator"] += len(set(p.relators)) < len(p.relators)
+        n0 = math.lcm(*np_.alphas)
+        queries = _metamorphic_queries(rels, m, rng) if rels else (
+            random_word(rng.randrange(0, 8), m, rng) for _ in range(4))
+        for w in itertools.islice(queries, 4):
+            h = express_in_normalized_basis(w, np_)
+            in_G = coordinate_echelon.in_lattice(h.alpha + h.gamma)
+            hn = power(h, n0)
+            mod_torsion = not any(coordinate_echelon.rational_residue(hn.alpha + hn.gamma))
+            commuting_dim = m - rank_of(residues(h))
+            central = commuting_dim == m
+            assert is_trivial_in_G(h, np_) == in_G
+            assert is_trivial_mod_torsion(h, np_) == mod_torsion
+            assert is_central_mod_torsion(h, np_) == central
+            assert presentation._commuting_profile_dim(np_, h) == commuting_dim
+            seen["in G"] += in_G
+            seen["torsion only"] += mod_torsion and not in_G
+            seen["central"] += central
+            if k <= m - 2:
+                expected = center_dim == m if central else commuting_dim == center_dim + 1
+                assert is_c_small(h, np_) == expected
+                seen["c-small" if expected else "not c-small"] += 1
+            else:
+                with pytest.raises(InconclusiveError):
+                    is_c_small(h, np_)
+    assert all(seen.values()), seen
+
+
+def test_power_times_matches_multiply_of_power():
+    rng = random.Random(13)
+    big = 10**12
+    for m in range(1, 7):
+        n = m * (m - 1) // 2
+        for k in range(-50, 51):
+            x, y = (MalcevElement(m, tuple(rng.randint(-big, big) for _ in range(m)),
+                                  tuple(rng.randint(-big, big) for _ in range(n)))
+                    for _ in range(2))
+            assert presentation._power_times(x, k, y) == multiply(power(x, k), y)
+
+
 def test_deciders_run_one_hnf_per_presentation(monkeypatch):
     calls = []
     hnf = zmatrix.hermite_normal_form
@@ -677,16 +787,19 @@ def test_deciders_run_one_hnf_per_presentation(monkeypatch):
         return hnf(M)
 
     monkeypatch.setattr(zmatrix, "hermite_normal_form", counting_hnf)
-    # the second has full rank at r = m: its m(m-1) generated vectors
-    # exceed the C(m, 2) + r - rank rows of the closed form
-    for text in ("4 2\na1^2 a2^3\na2^4 [a1,a3]^2\n",
+    # normalize runs one HNF, over the alpha columns and the pairs with
+    # d_pq != 1; every query together runs at most one more, the free block's
+    for text in ("4 2\na1^2 a2^3\na2^4 [a1,a3]^2\n[a3,a4]^2\n",
                  "3 2\na1^2 a2\na2^3 a3\na3^2 a1 [a1,a2]\n[a2,a3]^4\n"):
         calls.clear()
         np_ = _norm(text)
         m = np_.m
-        assert np_.closure_lattice and not calls
+        assert len(calls) == 1
+        assert calls[0].cols == m + len(np_.kept_pairs) < m + math.comb(m, 2)
+        assert calls[0].rows <= np_.r + len(np_.kept_pairs)
+        assert np_.closure_lattice and len(calls) == 1
         rng = random.Random(8)
-        rel = np_.normalized_relators[0]
+        rel = express_in_normalized_basis(parse_word(text.splitlines()[1], m), np_)
         for k in range(10):
             # alpha in the relators' span, so every call reaches the lattice test
             x, y = (from_word(random_word(6, m, rng)) for _ in range(2))
@@ -694,8 +807,8 @@ def test_deciders_run_one_hnf_per_presentation(monkeypatch):
             is_trivial_in_G(h, np_)
             is_trivial_mod_torsion(h, np_)
             is_central_mod_torsion(h, np_)
-        assert len(calls) <= 1
-        assert all(M.rows <= math.comb(m, 2) + np_.r - np_.snf.rank for M in calls)
+        assert len(calls) <= 2
+        assert all(M.rows <= np_.r + len(np_.kept_pairs) for M in calls)
 
 
 def test_normalize_runs_no_commutator(monkeypatch):
@@ -703,11 +816,11 @@ def test_normalize_runs_no_commutator(monkeypatch):
         raise AssertionError("normalize called commutator")
 
     monkeypatch.setattr(nilpotent2, "commutator", refuse)
-    monkeypatch.setattr(presentation, "commutator", refuse)
+    monkeypatch.setattr(presentation, "commutator", refuse, raising=False)
     np_ = _norm("3 2\na1^2 a2 [a1,a3]\na2^2 a3^-1\na3^4 a1\n[a1,a2]^3\n")
-    assert np_.snf.rank == 3 and np_.extra_commutator_relators
-    with pytest.raises(AssertionError, match="commutator"):
-        np_.closure_lattice
+    assert np_.snf.rank == 3 and np_.r == 4
+    # the closure lattice is read off the echelon, with no brackets either
+    assert np_.closure_lattice
 
 
 def _closure_draws(rng):
@@ -727,21 +840,31 @@ def _closure_draws(rng):
 
 
 def test_closure_echelon_is_the_hermite_form_of_the_closure_lattice():
+    # a lattice has one Hermite form: the echelon of the relators' images
+    # and the d_pq is that of the replayed closure at the kept pairs, and the
+    # closure lattice read off it spans the replayed one
     rng = random.Random(17)
     seen = {"no pairs": 0, "r > m": 0, "repeated relator": 0, "bracket relator": 0,
-            "rank-deficient": 0, "extra gamma": 0, "alpha > 1": 0, "m >= 12": 0}
+            "rank-deficient": 0, "extra gamma": 0, "alpha > 1": 0, "m >= 12": 0,
+            "dropped pairs": 0}
     for p in _closure_draws(rng):
         np_ = normalize(p)
-        assert np_.closure_echelon == zmatrix.Echelon.of(np_.closure_lattice)
+        _, rewritten, lat = relator_replay(p, np_)
+        k = np_.snf.rank
+        stacked = list(rewritten[:k]) + [MalcevElement(np_.m, (0,) * np_.m, v) for v in lat]
+        assert np_.echelon == zmatrix.Echelon.of([_kept(np_, g) for g in stacked])
+        assert zmatrix.Echelon.of(np_.closure_lattice) == zmatrix.Echelon.of(lat)
+        assert np_.d_pq == tuple(np_.alphas[i - 1] if i <= k else 0 for i, _ in pair_list(np_.m))
         rels = p.relators
         seen["no pairs"] += p.m == 1 and not rels
         seen["r > m"] += np_.r > np_.m
         seen["repeated relator"] += len(set(rels)) < len(rels)
         seen["bracket relator"] += any(not any(h.alpha) for h in rels)
         seen["rank-deficient"] += not np_.rank_full
-        seen["extra gamma"] += any(any(h.gamma) for h in np_.extra_commutator_relators)
+        seen["extra gamma"] += any(any(h.gamma) for h in rewritten[k:])
         seen["alpha > 1"] += any(a > 1 for a in np_.alphas)
         seen["m >= 12"] += np_.m >= 12
+        seen["dropped pairs"] += len(np_.kept_pairs) < len(np_.d_pq)
     assert all(seen.values()), seen
 
 
@@ -785,7 +908,7 @@ def test_central_mod_torsion_matches_commutator_loop():
     seen = {True: 0, False: 0}
     for p in _seeded_presentations(rng):
         np_ = normalize(p)
-        for h in _seeded_queries(rng, np_):
+        for h in _seeded_queries(rng, np_.m, *_replayed_closure(p, np_)):
             expected = all(
                 is_trivial_mod_torsion(commutator(h, generator(np_.m, g)), np_)
                 for g in range(1, np_.m + 1)
