@@ -24,15 +24,13 @@ from .presentation import (
     normalize,
     parse_presentation,
 )
-from .words import NielsenLog, NielsenMove, Word, format_word, parse_word
+from .words import Word, format_word, parse_word
 from .zmatrix import IntMatrix, SmithDecomposition, smith_normal_form
 
 __all__ = [
     "IntMatrix",
     "InconclusiveError",
     "MalcevElement",
-    "NielsenLog",
-    "NielsenMove",
     "NilPresentation",
     "NormalizedPresentation",
     "RegimeReport",

@@ -113,7 +113,7 @@ def _cmd_normalize(args) -> int:
             "rows": [list(row) for row in np_.echelon.rows],
             "pivots": list(np_.echelon.pivots),
         },
-        "nielsen_log": np_.nielsen_log.to_jsonable(),
+        "smith_ops": np_.snf.ops,
     }
     _emit_json(out, f"normalized {np_.r} relators over m={np_.m}, rank {np_.snf.rank}")
     return 0
@@ -315,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("normalize", help="Smith form, Nielsen log, closure echelon")
+    p = sub.add_parser("normalize", help="Smith form and its ops, closure echelon")
     p.add_argument("file")
     p.set_defaults(fn=_cmd_normalize)
 

@@ -165,17 +165,25 @@ def ring_satisfies(S: RingSystem, assignment: Mapping[str, int]) -> bool:
     return all(eval_term(a, assignment) == eval_term(b, assignment) for a, b in S.equations)
 
 
+def _check_box_size(side: int, n: int, limit: int, what: str) -> None:
+    """Raise SearchSpaceError if side^n points exceed limit.  For side >= 2,
+    side^n >= 2^n is over the limit once n reaches the limit's bit length:
+    that is decided before a count of perhaps millions of digits is built,
+    and the count is written side^n."""
+    if side > 1 and n >= limit.bit_length():
+        raise SearchSpaceError(f"{side}^{n} {what} exceed the limit {limit}")
+    total = side ** n
+    if total > limit:
+        raise SearchSpaceError(f"{total} {what} exceed the limit {limit}")
+
+
 def bounded_solve_ring(S: RingSystem, bound: int, limit: int = 2_000_000) -> List[Dict[str, int]]:
     """All integer solutions with every variable in [-bound, bound]."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    n = len(S.variables)
-    if (2 * bound + 1) ** n > limit:
-        raise SearchSpaceError(
-            f"{(2 * bound + 1) ** n} assignments exceed the limit {limit}"
-        )
+    _check_box_size(2 * bound + 1, len(S.variables), limit, "assignments")
     out = []
-    for combo in itertools.product(range(-bound, bound + 1), repeat=n):
+    for combo in itertools.product(range(-bound, bound + 1), repeat=len(S.variables)):
         assignment = dict(zip(S.variables, combo))
         if ring_satisfies(S, assignment):
             out.append(assignment)
@@ -847,9 +855,7 @@ def verify_correspondence(
     """
     if min(bound_ring, bound_group) < 0:
         raise ValueError("bound must be nonnegative")
-    grid_size = (2 * bound_group + 1) ** len(S.variables)
-    if grid_size > eval_limit:
-        raise SearchSpaceError(f"{grid_size} grid points exceed the limit {eval_limit}")
+    _check_box_size(2 * bound_group + 1, len(S.variables), eval_limit, "grid points")
     compiled = compile_system(edef, S)
     consts = ambient.constants()
     c_power = _power_table(commutator(consts["a"], consts["b"]))

@@ -50,15 +50,6 @@ def pair_list(m: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))
 
 
-@lru_cache(maxsize=None)
-def _pair_index_map(m: int):
-    return {p: t for t, p in enumerate(pair_list(m))}
-
-
-def pair_index(m: int, i: int, j: int) -> int:
-    return _pair_index_map(m)[(i, j)]
-
-
 @dataclass(frozen=True)
 class MalcevElement:
     m: int

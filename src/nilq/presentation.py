@@ -87,9 +87,8 @@ from functools import cached_property
 from typing import Iterator, Optional, Tuple
 
 from .nilpotent2 import MalcevElement, Polynomial, from_word, generator, inverse, pair_list
-from .words import MAX_RELATORS, NielsenLog, RankLimitError, Word, WordSyntaxError
-from .words import check_rank, nielsen_moves, parse_word
-from .zmatrix import Echelon, IntMatrix, SmithDecomposition, rank as zrank
+from .words import MAX_RELATORS, RankLimitError, Word, WordSyntaxError, check_rank, parse_word
+from .zmatrix import Echelon, IntMatrix, SmithDecomposition, rank as zrank, smith_normal_form
 
 
 class InconclusiveError(Exception):
@@ -156,9 +155,10 @@ def parse_presentation(text: str) -> NilPresentation:
 class NormalizedPresentation:
     """A presentation over the basis of its Smith reduction.
 
-    ``basis_images`` are the original generators over the new basis, and
-    ``nielsen_log`` holds the moves.  ``d_pq`` is d_pq at each pair in gamma
-    order, and ``kept_pairs`` the gamma indices where it is not 1.
+    ``snf`` is the Smith reduction of the exponent-sum matrix, whose ``ops``
+    are the moves, and ``basis_images`` the original generators over the new
+    basis.  ``d_pq`` is d_pq at each pair in gamma order, and ``kept_pairs``
+    the gamma indices where it is not 1.
     ``echelon`` is the Hermite form of the closure's coordinates at the alpha
     columns, then those pairs (see the module docstring); its first rank rows
     are (alpha_i e_i | c_i), the rest have zero alpha.
@@ -167,7 +167,6 @@ class NormalizedPresentation:
     m: int
     r: int
     s: int
-    nielsen_log: NielsenLog
     snf: SmithDecomposition
     basis_images: Tuple[MalcevElement, ...]
     d_pq: Tuple[int, ...]
@@ -256,18 +255,18 @@ def _power_times(x: MalcevElement, k: int, y: MalcevElement) -> MalcevElement:
 def normalize(p: NilPresentation) -> NormalizedPresentation:
     m = p.m
     sums = IntMatrix(len(p.relators), m, tuple(a for h in p.relators for a in h.alpha))
-    log, snf = nielsen_moves(sums)
+    snf = smith_normal_form(sums)
     basis = [generator(m, k) for k in range(1, m + 1)]
-    # Generator moves substitute letters (a_j -> a_i^-k a_j): walking the log
-    # backwards composes the substitutions in replay order, one image at a time.
-    for mv in reversed(log.moves):
-        i, j = mv.i - 1, mv.j - 1
-        if mv.kind == "generator_mult":
-            basis[j] = _power_times(basis[i], -mv.k, basis[j])
-        elif mv.kind == "generator_swap":
-            basis[i], basis[j] = basis[j], basis[i]
-        elif mv.kind == "generator_invert":
-            basis[i] = inverse(basis[i])
+    # Column ops substitute letters (col_add(src, dst, k): a_src -> a_dst^k
+    # a_src): walking the log backwards composes the substitutions in replay
+    # order, one image at a time.
+    for op in reversed(snf.ops):
+        if op.kind == "col_add":
+            basis[op.src] = _power_times(basis[op.dst], op.mult, basis[op.src])
+        elif op.kind == "col_swap":
+            basis[op.src], basis[op.dst] = basis[op.dst], basis[op.src]
+        elif op.kind == "col_negate":
+            basis[op.src] = inverse(basis[op.src])
     k = snf.rank
     d = tuple(snf.invariant_factors[i - 1] if i <= k else 0 for i, _ in pair_list(m))
     kept = tuple(t for t, x in enumerate(d) if x != 1)
@@ -280,7 +279,7 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
     echelon = Echelon.of(rows)
     if [row[:m] for row in echelon.rows if any(row[:m])] != [snf.D.row(i) for i in range(k)]:
         raise AssertionError("relator images do not span the Smith diagonal")
-    return NormalizedPresentation(m, len(p.relators), p.s, log, snf, tuple(basis), d, kept, echelon)
+    return NormalizedPresentation(m, len(p.relators), p.s, snf, tuple(basis), d, kept, echelon)
 
 
 def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevElement:

@@ -82,6 +82,20 @@ def _check_walk_rank(m: int) -> None:
     check_rank(m)
 
 
+MAX_SAMPLED_STEPS = 2**63 - 1
+"""Most steps n of a walk that ``coordinate_clt_stats`` and
+``escape_probability`` sample: numpy's multinomial draws the letter counts
+as 64-bit integers."""
+
+
+def _check_sampled_walk(m: int, n: int, trials: int) -> None:
+    _check_walk_rank(m)
+    if n < 1 or trials < 1:
+        raise ValueError("n and trials must be at least 1")
+    if n > MAX_SAMPLED_STEPS:
+        raise ValueError(f"n over {MAX_SAMPLED_STEPS}, the most steps the sampler draws")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     m: int
@@ -200,9 +214,7 @@ def coordinate_clt_stats(m: int, n: int, trials: int, seed: int) -> CltSummary:
     deviations.  An m below 1 raises ValueError, one over MAX_RANK
     RankLimitError.
     """
-    _check_walk_rank(m)
-    if n < 1 or trials < 1:
-        raise ValueError("n and trials must be at least 1")
+    _check_sampled_walk(m, n, trials)
     sums = [0] * m
     squares = [0] * m
     samples = [list() for _ in range(m)]
@@ -266,9 +278,7 @@ def escape_probability(
     only reachable through the override.  An m below 1 raises ValueError,
     one over MAX_RANK RankLimitError.
     """
-    _check_walk_rank(m)
-    if n < 1 or trials < 1:
-        raise ValueError("n and trials must be at least 1")
+    _check_sampled_walk(m, n, trials)
     eps = math.log(n) if epsilon is None else float(epsilon)
     threshold = eps * math.sqrt(n)
     count = 0
@@ -422,6 +432,10 @@ def schwartz_zippel_check(
     if r < 1 or m < 1 or box_halfwidth < 1:
         raise ValueError("r, m, box_halfwidth must be positive")
     side = 2 * box_halfwidth + 1
+    # side^(rm) > 2^(rm) is over the limit once rm reaches the limit's bit
+    # length: decided before a count of perhaps millions of digits is built
+    if r * m >= limit.bit_length():
+        raise EnumerationLimitError(f"{side}^{r * m} matrices exceed the limit {limit}")
     total = side ** (r * m)
     if total > limit:
         raise EnumerationLimitError(f"{total} matrices exceed the limit {limit}")

@@ -1,4 +1,4 @@
-"""Words over generators a_1..a_m, and Nielsen moves.
+"""Words over generators a_1..a_m, and the Nielsen replay of a Smith log.
 
 A word is a sequence of syllables a_k^e, stored as pairs ``(k, e)`` with
 ``1 <= k <= m`` and ``e != 0``.  The text grammar accepts whitespace-separated
@@ -12,13 +12,13 @@ syllable.  A commutator power [u, v]^E becomes a word equal to it in every
 ``parse_word``).  A text may expand to at most ``MAX_WORD_LETTERS``
 letters, brackets written out, each syllable a_k^e counting |e|.
 
-``nielsen_moves`` reduces an exponent-sum matrix to Smith normal form and
-mirrors every elementary operation as a Nielsen transformation.
-``presentation.normalize`` carries out only the generator moves, on Malcev
-coordinates, and no relator move at all.  Replaying the whole log on words
+Every operation in the log of ``zmatrix.smith_normal_form`` is a Nielsen
+transformation: a row op combines relators, a column op substitutes
+generators.  ``presentation.normalize`` carries out only the column ops, on
+Malcev coordinates, and no row op at all.  Replaying the whole log on words
 (``nielsen_normalize``, ``rewrite_through_generator_moves``) serves the
 tests, as an oracle for the basis images and for the relators rewritten
-by every move; the words grow exponentially.
+by every op; the words grow exponentially.
 """
 
 from __future__ import annotations
@@ -270,63 +270,14 @@ def random_word(length: int, m: int, rng) -> Word:
     return Word(tuple(rng.choices(alphabet, k=length)), m)
 
 
-# --- Nielsen transformations -------------------------------------------------
-
-# Move kinds and their meaning (generator/relator indices are 1-based):
-#   relator_mult(i, j, k):    g_j <- g_i^k g_j
-#   relator_swap(i, j)
-#   relator_invert(i):        g_i <- g_i^-1
-#   generator_mult(i, j, k):  a_j <- a_i^k a_j, relators rewritten by
-#                             a_j -> a_i^-k a_j
-#   generator_swap(i, j)
-#   generator_invert(i):      a_i <- a_i^-1, relators rewritten by a_i -> a_i^-1
-
-
-@dataclass(frozen=True)
-class NielsenMove:
-    kind: str
-    i: int
-    j: int = 0
-    k: int = 0
-
-    def to_jsonable(self) -> dict:
-        d = {"kind": self.kind, "i": self.i}
-        if self.kind in ("relator_mult", "relator_swap", "generator_mult", "generator_swap"):
-            d["j"] = self.j
-        if self.kind in ("relator_mult", "generator_mult"):
-            d["k"] = self.k
-        return d
-
-
-@dataclass(frozen=True)
-class NielsenLog:
-    moves: Tuple[NielsenMove, ...]
-
-    def to_jsonable(self) -> list:
-        return [mv.to_jsonable() for mv in self.moves]
-
-
-def _move_for(op: ElementaryOp) -> NielsenMove:
-    """Translate one matrix operation into the Nielsen move that induces it.
-
-    Row operations act on relators directly.  A generator move
-    a_j <- a_i^k a_j changes relator coordinates by col_i -= k * col_j, so
-    the matrix op col_add(src, dst, mult) mirrors as
-    generator_mult(i=dst, j=src, k=-mult).
-    """
-    if op.kind == "row_add":
-        return NielsenMove("relator_mult", op.src + 1, op.dst + 1, op.mult)
-    if op.kind == "row_swap":
-        return NielsenMove("relator_swap", op.src + 1, op.dst + 1)
-    if op.kind == "row_negate":
-        return NielsenMove("relator_invert", op.src + 1)
-    if op.kind == "col_add":
-        return NielsenMove("generator_mult", op.dst + 1, op.src + 1, -op.mult)
-    if op.kind == "col_swap":
-        return NielsenMove("generator_swap", op.src + 1, op.dst + 1)
-    if op.kind == "col_negate":
-        return NielsenMove("generator_invert", op.src + 1)
-    raise ValueError(f"unknown op kind {op.kind}")
+# --- Nielsen replay on words ------------------------------------------------
+#
+# The log is the Smith reduction's own (``zmatrix``, 0-based).  A row op acts
+# on the relators: row_add(src, dst, k) is g_dst <- g_src^k g_dst.  A column
+# op is a generator move, which the relators see as a substitution:
+# col_add(src, dst, k) is a_src <- a_dst^-k a_src, relators rewritten by
+# a_src -> a_dst^k a_src, as that changes their coordinates by
+# col_dst += k * col_src.  col_negate(i) rewrites a_i -> a_i^-1.
 
 
 def _substitute(w: Word, j: int, image: Tuple[Syllable, ...]) -> Word:
@@ -342,64 +293,56 @@ def _substitute(w: Word, j: int, image: Tuple[Syllable, ...]) -> Word:
     return free_reduce(Word(tuple(out), w.m))
 
 
-def apply_move_to_relators(relators: List[Word], move: NielsenMove) -> None:
-    """Apply one Nielsen move to a relator list in place (words re-reduced
-    eagerly after every substitution)."""
-    if move.kind == "relator_mult":
-        gi = relators[move.i - 1]
-        relators[move.j - 1] = free_reduce(concat(word_power(gi, move.k), relators[move.j - 1]))
-    elif move.kind == "relator_swap":
-        a, b = move.i - 1, move.j - 1
-        relators[a], relators[b] = relators[b], relators[a]
-    elif move.kind == "relator_invert":
-        relators[move.i - 1] = relators[move.i - 1].inverse()
-    elif move.kind == "generator_mult":
-        # a_j <- a_i^k a_j means old a_j = a_i^-k (new a_j)
-        image = ((move.i, -move.k), (move.j, 1))
+def apply_move_to_relators(relators: List[Word], op: ElementaryOp) -> None:
+    """Apply one Smith operation to a relator list in place as a Nielsen
+    move (words re-reduced eagerly after every substitution)."""
+    if op.kind == "row_add":
+        gi = relators[op.src]
+        relators[op.dst] = free_reduce(concat(word_power(gi, op.mult), relators[op.dst]))
+    elif op.kind == "row_swap":
+        relators[op.src], relators[op.dst] = relators[op.dst], relators[op.src]
+    elif op.kind == "row_negate":
+        relators[op.src] = relators[op.src].inverse()
+    elif op.kind == "col_add":
+        image = ((op.dst + 1, op.mult), (op.src + 1, 1))
         for idx, w in enumerate(relators):
-            relators[idx] = _substitute(w, move.j, image)
-    elif move.kind == "generator_swap":
-        swap = {move.i: move.j, move.j: move.i}
+            relators[idx] = _substitute(w, op.src + 1, image)
+    elif op.kind == "col_swap":
+        swap = {op.src + 1: op.dst + 1, op.dst + 1: op.src + 1}
         for idx, w in enumerate(relators):
             relators[idx] = Word(tuple((swap.get(k, k), e) for k, e in w.syllables), w.m)
-    elif move.kind == "generator_invert":
+    elif op.kind == "col_negate":
         for idx, w in enumerate(relators):
             relators[idx] = Word(
-                tuple((k, -e if k == move.i else e) for k, e in w.syllables), w.m
+                tuple((k, -e if k == op.src + 1 else e) for k, e in w.syllables), w.m
             )
     else:
-        raise ValueError(f"unknown move kind {move.kind}")
+        raise ValueError(f"unknown op kind {op.kind}")
 
 
-def rewrite_through_generator_moves(w: Word, log: NielsenLog) -> Word:
+def rewrite_through_generator_moves(w: Word, ops: Iterable[ElementaryOp]) -> Word:
     """Express a word over the original basis as a word over the final basis
-    by applying the log's generator substitutions (relator moves do not
-    change what a generator means)."""
+    by applying the column ops' substitutions (row ops do not change what a
+    generator means)."""
     out = [w]
-    for mv in log.moves:
-        if mv.kind.startswith("generator"):
-            apply_move_to_relators(out, mv)
+    for op in ops:
+        if op.kind.startswith("col"):
+            apply_move_to_relators(out, op)
     return out[0]
-
-
-def nielsen_moves(M: IntMatrix) -> Tuple[NielsenLog, SmithDecomposition]:
-    """Smith form of an exponent-sum matrix and its operations as Nielsen moves."""
-    snf = smith_normal_form(M)
-    return NielsenLog(tuple(_move_for(op) for op in snf.ops)), snf
 
 
 def nielsen_normalize(
     words: Iterable[Word], m: int
-) -> Tuple[Tuple[Word, ...], NielsenLog, SmithDecomposition]:
+) -> Tuple[Tuple[Word, ...], SmithDecomposition]:
     """Mirror the Smith reduction of the exponent-sum matrix on relator words.
 
-    Returns (rewritten words, move log, Smith decomposition); the
-    exponent-sum matrix of the rewritten words equals the diagonal D exactly.
+    Returns (rewritten words, Smith decomposition); the exponent-sum matrix
+    of the rewritten words equals the diagonal D exactly.
     """
     relators = list(words)
-    log, snf = nielsen_moves(exponent_sum_matrix(relators, m))
-    for mv in log.moves:
-        apply_move_to_relators(relators, mv)
+    snf = smith_normal_form(exponent_sum_matrix(relators, m))
+    for op in snf.ops:
+        apply_move_to_relators(relators, op)
     if exponent_sum_matrix(relators, m).entries != snf.D.entries:
         raise AssertionError("Nielsen replay does not match Smith diagonal")
-    return tuple(relators), log, snf
+    return tuple(relators), snf

@@ -5,9 +5,10 @@ Everything works over arbitrary-precision Python ints.  Entries grow without
 bound during elimination, so none of this is allowed anywhere near fixed-width
 arithmetic; numpy stays out of this module on purpose.
 
-The Smith routine records every elementary operation it performs.  That log is
-the single source of truth for mirroring matrix reduction as Nielsen
-transformations of group presentations (see ``nilq.words``).  Log entries:
+The Smith routine records every elementary operation it performs, and that
+log is the only record of the reduction: ``presentation.normalize`` reads its
+column ops as generator moves, and the test oracles replay it as Nielsen
+transformations of relator words (``nilq.words``).  Log entries:
 
 * ``row_add(src, dst, mult)``  --  ``row[dst] += mult * row[src]``
 * ``col_add(src, dst, mult)``  --  ``col[dst] += mult * col[src]``
@@ -70,17 +71,6 @@ class IntMatrix:
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        a, b = self, other
-        out = []
-        for i in range(a.rows):
-            arow = a.row(i)
-            for j in range(b.cols):
-                out.append(sum(arow[k] * b.entries[k * b.cols + j] for k in range(a.cols)))
-        return IntMatrix(a.rows, b.cols, tuple(out))
-
 
 @dataclass(frozen=True)
 class ElementaryOp:
@@ -100,7 +90,7 @@ class ElementaryOp:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ M @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
+    """U M V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
     ``rank`` is the number of nonzero diagonal entries and
     ``invariant_factors`` the nonzero diagonal, all positive.  ``ops`` is the
@@ -312,7 +302,7 @@ def minor_polynomial(M: IntMatrix) -> int:
 def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, Tuple[int, ...]]:
     """Row-style Hermite normal form.
 
-    Returns (H, pivot_cols): H = W @ M for some unimodular W, which is not
+    Returns (H, pivot_cols): H = W M for some unimodular W, which is not
     built (``lattice_membership`` recovers it from the form of [M | I]).
     Pivots are positive, entries above each pivot reduced into [0, pivot),
     and zero rows last.
@@ -357,7 +347,7 @@ def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, Tuple[int, ...]]:
 
 
 def hermite_transform(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, Tuple[int, ...]]:
-    """(H, W, pivot_cols) with W unimodular and W @ M == H, H the Hermite
+    """(H, W, pivot_cols) with W unimodular and W M = H, H the Hermite
     normal form of M.
 
     Runs ``hermite_normal_form`` on [M | I]: its steps on the first M.cols

@@ -5,11 +5,13 @@ with the routine it checks: collection of a letter sequence by adjacent
 swaps (for ``from_word``, ``from_syllables`` and ``multiply``), a
 character-by-character scanner of the word grammar (for ``parse_word``),
 Q-span membership by a rank comparison (for ``Echelon.rational_residue``),
-the elementary operations of a Smith log applied one at a time (for
-``smith_normal_form``), and the Nielsen replay of a whole Smith log on
-relator elements by group multiplication (for ``normalize``).
+the elementary operations of a Smith log applied one at a time and the
+schoolbook matrix product (for ``smith_normal_form`` and the Hermite
+transform), and the Nielsen replay of a whole Smith log on relator elements
+by group multiplication (for ``normalize``).
 """
 
+from functools import lru_cache
 from typing import List, Tuple
 
 from nilq.nilpotent2 import (
@@ -19,11 +21,30 @@ from nilq.nilpotent2 import (
     generator,
     inverse,
     multiply,
-    pair_index,
+    pair_list,
     power,
 )
 from nilq.words import MAX_WORD_LETTERS, Word, WordSyntaxError, check_rank
 from nilq.zmatrix import ElementaryOp, IntMatrix, rank
+
+
+@lru_cache(maxsize=None)
+def _pair_index_map(m: int):
+    return {p: t for t, p in enumerate(pair_list(m))}
+
+
+def pair_index(m: int, i: int, j: int) -> int:
+    """The gamma index of the pair (i, j), i < j, 1-based."""
+    return _pair_index_map(m)[(i, j)]
+
+
+def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """The product A B, each entry summed row by column."""
+    if A.cols != B.rows:
+        raise ValueError("dimension mismatch")
+    columns = [B.entries[j :: B.cols] for j in range(B.cols)]
+    entries = (sum(a * b for a, b in zip(A.row(i), col)) for i in range(A.rows) for col in columns)
+    return IntMatrix(A.rows, B.cols, tuple(entries))
 
 
 def letter_word(letters, m: int) -> Word:
@@ -210,11 +231,11 @@ def apply_op(M: IntMatrix, op: ElementaryOp) -> IntMatrix:
 
 def relator_replay(p, np_):
     """(basis images, rewritten relators, closure lattice) of the
-    presentation p by replaying every move of np_'s Nielsen log with
-    multiply(power(...)).
+    presentation p by replaying every op of np_'s Smith log as a Nielsen
+    move with multiply(power(...)).
 
-    Relator moves act on the relators as elements; generator moves build the
-    basis images, the log walked backwards.  The rewritten relators are the
+    Row ops act on the relators as elements; column ops build the basis
+    images, the log walked backwards.  The rewritten relators are the
     replayed ones over the new basis: a_i^alpha_i c_i for i < rank, then the
     central ones.  The closure lattice holds [h_i, a_g] for each of the
     first rank of them and g != i, then the nonzero gammas of the rest.
@@ -222,22 +243,20 @@ def relator_replay(p, np_):
     m, k = np_.m, np_.snf.rank
     relators = list(p.relators)
     basis = [generator(m, g) for g in range(1, m + 1)]
-    for mv in np_.nielsen_log.moves:
-        i, j = mv.i - 1, mv.j - 1
-        if mv.kind == "relator_mult":
-            relators[j] = multiply(power(relators[i], mv.k), relators[j])
-        elif mv.kind == "relator_swap":
-            relators[i], relators[j] = relators[j], relators[i]
-        elif mv.kind == "relator_invert":
-            relators[i] = inverse(relators[i])
-    for mv in reversed(np_.nielsen_log.moves):
-        i, j = mv.i - 1, mv.j - 1
-        if mv.kind == "generator_mult":
-            basis[j] = multiply(power(basis[i], -mv.k), basis[j])
-        elif mv.kind == "generator_swap":
-            basis[i], basis[j] = basis[j], basis[i]
-        elif mv.kind == "generator_invert":
-            basis[i] = inverse(basis[i])
+    for op in np_.snf.ops:
+        if op.kind == "row_add":
+            relators[op.dst] = multiply(power(relators[op.src], op.mult), relators[op.dst])
+        elif op.kind == "row_swap":
+            relators[op.src], relators[op.dst] = relators[op.dst], relators[op.src]
+        elif op.kind == "row_negate":
+            relators[op.src] = inverse(relators[op.src])
+    for op in reversed(np_.snf.ops):
+        if op.kind == "col_add":
+            basis[op.src] = multiply(power(basis[op.dst], op.mult), basis[op.src])
+        elif op.kind == "col_swap":
+            basis[op.src], basis[op.dst] = basis[op.dst], basis[op.src]
+        elif op.kind == "col_negate":
+            basis[op.src] = inverse(basis[op.src])
     rewritten = tuple(Polynomial(h)(basis, m) for h in relators)
     lattice = tuple(
         commutator(h, generator(m, g)).gamma

@@ -59,7 +59,7 @@ from nilq.diophantine import (
     z_in_g_templates,
 )
 
-from naive_oracles import collection_oracle, letter_word, relator_replay
+from naive_oracles import collection_oracle, letter_word, matmul, relator_replay
 
 
 SEED = 20260822
@@ -113,7 +113,7 @@ def test_criterion_01_exact_algebra():
             [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
         )
         snf = smith_normal_form(M)
-        if snf.U @ M @ snf.V != snf.D:
+        if matmul(matmul(snf.U, M), snf.V) != snf.D:
             failures.append(f"trial {trial}: U*M*V != D")
             break
         if abs(determinant(snf.U)) != 1 or abs(determinant(snf.V)) != 1:
@@ -216,7 +216,7 @@ def _snf_lattice_member(lattice, v):
         return not any(v)
     L = IntMatrix.from_rows([list(row) for row in lattice])
     snf = smith_normal_form(L)
-    w_mat = IntMatrix.from_rows([list(v)]) @ snf.V
+    w_mat = matmul(IntMatrix.from_rows([list(v)]), snf.V)
     w = w_mat.row(0)
     for i, x in enumerate(w):
         if i < snf.rank:

@@ -11,7 +11,8 @@ import pytest
 
 import nilq
 from nilq.cli import main
-from nilq.words import MAX_RELATORS, MAX_WORD_LETTERS
+from nilq.words import MAX_RELATORS, MAX_WORD_LETTERS, exponent_sums, parse_word
+from nilq.zmatrix import ElementaryOp, IntMatrix
 from nilq.randwalk import (
     RETURN_N_MAX_LIMIT,
     ExperimentConfig,
@@ -21,6 +22,8 @@ from nilq.randwalk import (
     return_probability_exact,
     return_table_csv,
 )
+
+from naive_oracles import apply_op
 
 
 FULL_RANK = "2 2\na1^2\na2^2\n"
@@ -295,7 +298,7 @@ def test_system_output_bytes_pinned(capsys, tmp_path, argv, digest):
 # commutator (central)
 _PINNED_PRESENTATION_OUTPUTS = [
     (("normalize", "{quot.txt}"),
-     "57c723b3b8b24ce597aabc0acb6b5de4174b3f2d0565950e6552506fb2381f84"),
+     "8be4e1ec257353c69b2003e8f33b4a1cedb3889cc0a3a73402e3243eeeb5c216"),
     (("is-trivial", "{quot.txt}", "a1^2 a2"),
      "73ea5c19967b324537250a0610d06f24efeef18cc356d1187b8b24290c728280"),
     (("is-trivial", "{quot.txt}", "a3^2"),
@@ -303,7 +306,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{quot.txt}", "[a1,a3]"),
      "f7e4fb9691f220a2157c02ed329e487957156a19de23f865951314f36526609a"),
     (("normalize", "{undecidable.txt}"),
-     "e775696e95b1dd9ea95538503f7fd056f887915ca7d6782d7b93ae674a0df2e2"),
+     "97efa200f4e975f96157d025756d8d362d98a4723d6075f2c72237b99beb243c"),
     (("is-trivial", "{undecidable.txt}", "a1 a2^2 a3"),
      "32c4da8f80d4bd0a628d91dec766717b85fe22afe84c98b1d9398f4237aa559c"),
     (("is-trivial", "{undecidable.txt}", "a3"),
@@ -311,7 +314,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{undecidable.txt}", "[a3,a4]"),
      "58c6d3eac56d1e19717a80a3abd0676ece1f0789f0dd29e65bc7c9418631e739"),
     (("normalize", "{virt.txt}"),
-     "2464ff9a66cc143c1048cab0f8dc1a49eddcaafd7a4a50ce8b6ef62049bb3c5c"),
+     "1cc9fd181c2c827a009cca010b0d145038d1f83eb7526d3b978bdc118b6cb693"),
     (("is-trivial", "{virt.txt}", "a2 a3^3"),
      "e1a3988a583bc3d0bc898bffd06ec8ef84fccf5762930bc984a9eb26f4f00915"),
     (("is-trivial", "{virt.txt}", "a1"),
@@ -319,7 +322,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{virt.txt}", "[a1,a2]"),
      "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
     (("normalize", "{class3.txt}"),
-     "1a7f5bb95f2e299209f0744bc77be8ac19e091e3f8093070473ff96b9b71ba28"),
+     "acbda9498f53cc200468dc0e4c6c227efbfc6cfd4606ae6e58fb8800ccee9b3c"),
     (("is-trivial", "{class3.txt}", "a2 a3^3"),
      "e1a3988a583bc3d0bc898bffd06ec8ef84fccf5762930bc984a9eb26f4f00915"),
     (("is-trivial", "{class3.txt}", "a1"),
@@ -327,7 +330,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{class3.txt}", "[a1,a2]"),
      "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
     (("normalize", "{finite.txt}"),
-     "63392407e4dc7ed8669dbce26ae63979662d7f4cefa72aee15df5983bc88c6b1"),
+     "ec291210d9a20bae33413a5a8d236df54967d85455bd348f9521c0570952a5e4"),
     (("is-trivial", "{finite.txt}", "a2^3 a1"),
      "8e701f03f76cdbb314471cd26953a818539ffa5e40ab53978ba85af2da0bac2a"),
     (("is-trivial", "{finite.txt}", "a1"),
@@ -335,7 +338,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{finite.txt}", "[a1,a2]"),
      "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
     (("normalize", "{finab.txt}"),
-     "a699765f8acb81f6fd4d2d362c33c99a4530e1e1c02ac4f3de8bd381f300b29f"),
+     "9f31879af65db93c9cebdd4fbaaf2936f525d50c0000b9aa30f1172cc600f2a1"),
     (("is-trivial", "{finab.txt}", "a1 a2 a1"),
      "d7dc09f90ee72375d7b1ea1e525ba26260ba7fbe0394bf2054fa303d1619428d"),
     (("is-trivial", "{finab.txt}", "a1"),
@@ -343,7 +346,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{finab.txt}", "[a1,a2]"),
      "e50d317325b883ac3adf5edcf45821e74d96cebb2b50dfe494be5e8c3dc38ab2"),
     (("normalize", "{deficient.txt}"),
-     "6ce5dfa051cbf5d31f23d8208cfc37650e4c893e56305083bb6ec1c037aa8040"),
+     "e120aa0cf7c2d9dcfff61dcf0131814c797995913e480ffa5aeefc76f98048c9"),
     (("is-trivial", "{deficient.txt}", "a1 a2"),
      "87409c03a44cce81e1889c8c9e3645810a3bfbde6fb2b5cf5e8cc41d0d1693cb"),
     (("is-trivial", "{deficient.txt}", "a1^2"),
@@ -362,6 +365,26 @@ def test_presentation_output_bytes_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = _run(capsys, *_with_system_files(tmp_path, argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+@pytest.mark.parametrize(
+    "name", [a[1][1:-1] for a, _ in _PINNED_PRESENTATION_OUTPUTS if a[0] == "normalize"]
+)
+def test_normalize_smith_ops_reduce_the_relators(capsys, tmp_path, name):
+    # the printed ops, replayed one at a time on the exponent-sum matrix of
+    # the file's relators, leave the printed invariant factors on a diagonal
+    code, out, _ = _run(capsys, *_with_system_files(tmp_path, ("normalize", "{%s}" % name)))
+    assert code == 0
+    data = json.loads(out)
+    m, *lines = _SYSTEM_FILES[name].splitlines()
+    m = int(m.split()[0])
+    M = IntMatrix.from_rows(exponent_sums(parse_word(line, m)) for line in lines)
+    for entry in data["smith_ops"]:
+        M = apply_op(M, ElementaryOp(**entry))
+    factors = data["invariant_factors"]
+    assert M.to_rows() == [[factors[i] if i == j and i < len(factors) else 0 for j in range(m)]
+                           for i in range(len(lines))]
+    assert data["rank"] == len(factors)
 
 
 # sha256 of the exact stdout of sz-check on square, wide and tall shapes and of
@@ -499,6 +522,18 @@ def test_verify_grid_over_limit_exit_1(capsys, tmp_path):
     data = json.loads(out)
     assert data["error"] == "SearchSpaceError"
     assert "8012006001 grid points" in data["message"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    # 3^90000 has more decimal digits than int-to-str converts
+    (("sz-check", "--r", "300", "--m", "300", "--b", "1"), "EnumerationLimitError"),
+    (("clt", "--m", "2", "--n", str(2**63), "--trials", "1", "--seed", "1"), "ValueError"),
+    (("escape", "--m", "2", "--n", str(2**63), "--trials", "1", "--seed", "1"), "ValueError"),
+])
+def test_sizes_past_the_engines_exit_1(capsys, argv, error):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == error
 
 
 def test_oversized_word_exit_1(capsys, pres):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -391,6 +392,22 @@ def test_negative_boxes_rejected():
     for boxes in ((-1, 1), (1, -1)):
         with pytest.raises(ValueError, match="bound must be nonnegative"):
             verify_correspondence(R, z_in_g_templates(), amb, *boxes)
+
+
+def test_box_size_limit_decided_before_the_count():
+    # 3^10000 points have more decimal digits than int-to-str converts: the
+    # count is refused from its exponent and written as a power
+    R = _ring([f"x{i}" for i in range(10000)], [(V("x0"), C(0))])
+    amb = FreeNilpotentAmbient(2)
+    for search, what in ((lambda: bounded_solve_ring(R, 1), "assignments"),
+                         (lambda: verify_correspondence(R, z_in_g_templates(), amb, 0, 1),
+                          "grid points")):
+        t0 = time.perf_counter()
+        with pytest.raises(SearchSpaceError, match=rf"^3\^10000 {what} exceed the limit"):
+            search()
+        assert time.perf_counter() - t0 < 1.0
+    # a box of one point is never over a nonnegative limit, however many variables
+    assert bounded_solve_ring(R, 0) == [{f"x{i}": 0 for i in range(10000)}]
 
 
 def test_verify_correspondence_ring_search_obeys_eval_limit():

@@ -17,13 +17,12 @@ from nilq.nilpotent2 import (
     identity,
     inverse,
     multiply,
-    pair_index,
     pair_list,
     power,
 )
 from nilq.words import Word, parse_word
 
-from naive_oracles import collection_oracle, letter_word
+from naive_oracles import collection_oracle, letter_word, pair_index
 
 
 def _elements(m):

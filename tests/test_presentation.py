@@ -194,14 +194,14 @@ def test_normalize_matches_word_replay():
         rels = tuple(random_word(rng.randrange(13), m, rng) for _ in range(r))
         p = _presentation(rels, m)
         np_ = normalize(p)
-        words, log, _ = nielsen_normalize(rels, m)
-        assert np_.nielsen_log == log
+        words, snf = nielsen_normalize(rels, m)
+        assert np_.snf == snf
         basis, rewritten, _ = relator_replay(p, np_)
         assert np_.basis_images == basis
         assert rewritten == tuple(from_word(w) for w in words)
         for _ in range(3):
             w = random_word(rng.randrange(16), m, rng)
-            expected = from_word(rewrite_through_generator_moves(w, log))
+            expected = from_word(rewrite_through_generator_moves(w, snf.ops))
             assert express_in_normalized_basis(w, np_) == expected
 
 
@@ -236,7 +236,7 @@ def test_cached_map_query_runs_no_group_arithmetic(monkeypatch):
     np_ = normalize(_presentation(rels, 4))
     assert np_.basis_images != tuple(generator(4, k) for k in range(1, 5))
     words = [random_word(30, 4, rng) for _ in range(20)] + list(rels)
-    expected = [from_word(rewrite_through_generator_moves(w, np_.nielsen_log)) for w in words]
+    expected = [from_word(rewrite_through_generator_moves(w, np_.snf.ops)) for w in words]
 
     def forbidden(*args):
         raise AssertionError("group arithmetic on the query path")

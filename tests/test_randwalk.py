@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 import weakref
 from fractions import Fraction
 
@@ -267,3 +268,24 @@ def test_schwartz_zippel_frozen_counts():
 def test_schwartz_zippel_enumeration_limit():
     with pytest.raises(EnumerationLimitError):
         schwartz_zippel_check(2, 3, 4, limit=1000)
+
+
+def test_schwartz_zippel_limit_decided_before_the_count():
+    # 3^(9 * 10^7) matrices: refused from the exponent, its digits never built
+    t0 = time.perf_counter()
+    message = r"^3\^90000000 matrices exceed the limit 4000000$"
+    with pytest.raises(EnumerationLimitError, match=message):
+        schwartz_zippel_check(3000, 30000, 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("sample", [
+    lambda n: coordinate_clt_stats(2, n, 1, 1),
+    lambda n: escape_probability(2, n, 1, 1),
+])
+def test_sampled_walks_refuse_steps_past_int64(sample):
+    assert randwalk.MAX_SAMPLED_STEPS == 2**63 - 1
+    sample(2**63 - 1)
+    for n in (2**63, 10**30):
+        with pytest.raises(ValueError, match="the most steps the sampler draws"):
+            sample(n)

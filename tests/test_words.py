@@ -1,5 +1,6 @@
-"""Word grammar, free reduction, and the Nielsen move dictionary."""
+"""Word grammar, free reduction, and the Smith ops replayed as Nielsen moves."""
 
+import json
 import random
 import re
 import tracemalloc
@@ -12,7 +13,6 @@ from nilq.presentation import parse_presentation
 from nilq.words import (
     MAX_RANK,
     MAX_WORD_LETTERS,
-    NielsenLog,
     RankLimitError,
     Word,
     WordSyntaxError,
@@ -27,10 +27,11 @@ from nilq.words import (
     random_word,
     word_power,
 )
-from nilq.zmatrix import IntMatrix
+from nilq.cli import _jsonable
+from nilq.zmatrix import ElementaryOp, IntMatrix
 from nilq.nilpotent2 import commutator, from_word, power
 
-from naive_oracles import collection_oracle, scanner_parse_word
+from naive_oracles import apply_op, collection_oracle, scanner_parse_word
 
 
 # words over a1..a3 of up to 12 syllables (k, e), 1 <= |e| <= 4
@@ -316,10 +317,9 @@ def test_random_word_deterministic():
 
 
 def test_nielsen_normalize_known_diagonal():
-    words, log, snf = nielsen_normalize((parse_word("a1^2", 2), parse_word("a2^3", 2)), 2)
+    words, snf = nielsen_normalize((parse_word("a1^2", 2), parse_word("a2^3", 2)), 2)
     assert snf.invariant_factors == (1, 6)
     assert exponent_sum_matrix(words, 2) == snf.D
-    assert isinstance(log, NielsenLog)
 
 
 def _random_relators(rng, m, r):
@@ -332,19 +332,22 @@ def test_nielsen_normalize_matches_smith_diagonal():
         m = rng.randrange(2, 4)
         r = rng.randrange(1, m + 2)
         rels = _random_relators(rng, m, r)
-        words, log, snf = nielsen_normalize(rels, m)
+        words, snf = nielsen_normalize(rels, m)
         assert exponent_sum_matrix(words, m) == snf.D
-        # moves replayed against the original relators land on the output
+        # ops replayed against the original relators land on the output, and
+        # each one moves the exponent sums as it moves the matrix
         rel = list(rels)
-        for mv in log.moves:
-            apply_move_to_relators(rel, mv)
+        M = exponent_sum_matrix(rels, m)
+        for op in snf.ops:
+            apply_move_to_relators(rel, op)
+            M = apply_op(M, op)
+            assert exponent_sum_matrix(rel, m) == M
         assert [free_reduce(w) for w in rel] == [free_reduce(w) for w in words]
 
 
-def test_nielsen_log_jsonable():
-    _, log, _ = nielsen_normalize((parse_word("a1^2 a2^2", 2), parse_word("a2^4", 2)), 2)
-    data = log.to_jsonable()
-    assert isinstance(data, list)
-    for entry in data:
-        assert "kind" in entry
+def test_smith_ops_jsonable():
+    # the log as ``nilq normalize`` prints it: each op by its fields
+    _, snf = nielsen_normalize((parse_word("a1^2 a2^2", 2), parse_word("a2^4", 2)), 2)
+    data = json.loads(json.dumps(snf.ops, default=_jsonable))
+    assert data and [ElementaryOp(**entry) for entry in data] == list(snf.ops)
 
