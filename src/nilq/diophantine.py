@@ -32,10 +32,14 @@ The bounded solvers are testing oracles.  They never claim unsolvability:
 backtracks over variables instead of scanning the full product box: at every
 level it first checks all fully-determined equations, then assigns variables
 forced by an equation of the shape x = (determined word), and only then
-scans one variable's coordinate box, smallest coordinates first, pruning
-it by the blindness rule below.  The work limit counts the work done, not
-the nominal box volume (the nominal volume of the gadget systems is
-astronomically larger than the work the scheduler does).
+scans one variable's coordinate box, smallest coordinates first, visiting
+only the alphas that the blindness rule below admits: those equations that
+are affine in the variable's alpha are solved together for a lattice coset
+(Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
+section 2.4), and only its points in the box are walked.  The work limit
+counts the work done as the plain scan of the box would, not the nominal
+box volume (the nominal volume of the gadget systems is astronomically
+larger than the work the scheduler does).
 
 In class 2 every group word is a polynomial in its names' coordinates
 (Duchin, Liang & Shapiro, "Equations in nilpotent groups", Proc. AMS 2015),
@@ -51,7 +55,8 @@ linear terms are a, a_n being n's net exponent outside brackets, and its
 quadratic terms are the matrix X of ``nilpotent2`` with diagonal
 X[n][n] = -C(a_n, 2).  Hence the blindness rule: a word reads n's gamma iff
 a_n != 0, and when a_n = 0 it is affine in alpha_n (every gadget equation
-is, in its scanned variable).  Each equation u = v is compiled over its own
+is, in its scanned variable), with a slope read off row and column n of X
+(``Polynomial.slope``).  Each equation u = v is compiled over its own
 names; its two sides are collected once, and the polynomial of u v^-1 and,
 for each forced assignment x^e = w, that of w^e are built from those two
 elements, once per GroupSystem.
@@ -76,7 +81,8 @@ from .nilpotent2 import (
     power,
 )
 from .presentation import NormalizedPresentation, is_trivial_in_G
-from .words import check_rank
+from .words import check_rank, count_over_limit
+from .zmatrix import Echelon
 
 
 class SearchSpaceError(Exception):
@@ -166,15 +172,11 @@ def ring_satisfies(S: RingSystem, assignment: Mapping[str, int]) -> bool:
 
 
 def _check_box_size(side: int, n: int, limit: int, what: str) -> None:
-    """Raise SearchSpaceError if side^n points exceed limit.  For side >= 2,
-    side^n >= 2^n is over the limit once n reaches the limit's bit length:
-    that is decided before a count of perhaps millions of digits is built,
-    and the count is written side^n."""
-    if side > 1 and n >= limit.bit_length():
-        raise SearchSpaceError(f"{side}^{n} {what} exceed the limit {limit}")
-    total = side ** n
-    if total > limit:
-        raise SearchSpaceError(f"{total} {what} exceed the limit {limit}")
+    """Raise SearchSpaceError if side^n points exceed limit, decided and
+    written by ``words.count_over_limit``."""
+    message = count_over_limit(side, n, limit, what)
+    if message:
+        raise SearchSpaceError(message)
 
 
 def bounded_solve_ring(S: RingSystem, bound: int, limit: int = 2_000_000) -> List[Dict[str, int]]:
@@ -302,13 +304,22 @@ class GroupSystem:
 
 
 class FreeNilpotentAmbient:
-    """Free 2-step nilpotent group of rank m; constants a = a_1, b = a_2."""
+    """Free 2-step nilpotent group of rank m; constants a = a_1, b = a_2.
+
+    Like every ambient it names the target lattice of ``is_trivial``: an
+    element is trivial iff its coordinates (alpha + gamma) at
+    ``coordinates`` lie in ``lattice``, an Echelon.  Here that is every
+    coordinate, and no rows.
+    """
 
     def __init__(self, m: int):
         check_rank(m)
         if m < 2:
             raise ValueError("need m >= 2 for non-commuting constants")
         self.m = m
+        self.coordinates = tuple(range(m + m * (m - 1) // 2))
+        self.lattice = Echelon((), ())
+        self.slope_echelons: Dict[tuple, tuple] = {}  # the group solver's, see _admissible_coset
 
     def constants(self) -> Dict[str, MalcevElement]:
         return {"a": generator(self.m, 1), "b": generator(self.m, 2)}
@@ -322,14 +333,19 @@ class QuotientAmbient:
 
     Constants pick the last two generators: in the regime r <= m - 2 they are
     asymptotically almost surely centralizer-small modulo torsion, which is
-    what the encoding needs.
+    what the encoding needs.  The target lattice of ``is_trivial`` is that of
+    ``is_trivial_in_G``: alpha and the ``kept_pairs`` of gamma, in the
+    presentation's echelon.
     """
 
     def __init__(self, np_: NormalizedPresentation):
         if np_.m < 2:
             raise ValueError("need m >= 2 for non-commuting constants")
         self.np_ = np_
-        self.m = np_.m
+        self.m = m = np_.m
+        self.coordinates = tuple(range(m)) + tuple(m + t for t in np_.kept_pairs)
+        self.lattice = np_.echelon
+        self.slope_echelons: Dict[tuple, tuple] = {}  # the group solver's, see _admissible_coset
 
     def constants(self) -> Dict[str, MalcevElement]:
         return {"a": generator(self.m, self.m - 1), "b": generator(self.m, self.m)}
@@ -548,13 +564,195 @@ def compile_system(edef: EDefinition, S: RingSystem) -> CompiledSystem:
 # bounded group solver
 
 
-def _coordinate_candidates(dim: int, bound: int):
-    # smallest-magnitude-first per coordinate: 0, 1, -1, 2, -2, ...
-    seq = [0]
-    for v in range(1, bound + 1):
-        seq.append(v)
-        seq.append(-v)
-    return itertools.product(seq, repeat=dim)
+def _coset_walk(point: Sequence[int], kernel: Sequence, bound: int):
+    """The points of point + span(kernel) inside [-bound, bound]^dim, lazily,
+    in the order of the plain box scan: 0, 1, -1, 2, -2, ... in each
+    coordinate, the first coordinate slowest.
+
+    The kernel is an echelon basis: ``kernel[j]`` is None, or the entries
+    from column j on of the basis row whose pivot d > 0 is in column j.  A
+    column with a pivot takes the values of one class mod d, and any other
+    column the one value the columns before it leave.  Yields (rank, point),
+    rank being the point's place in the box scan,
+    sum_j idx(x_j) (2b+1)^(dim-1-j) with idx(v) = 2v - 1 for v > 0 and -2v
+    otherwise; and (end, None) on leaving a stretch of ranks below end that
+    holds no point.  Each yield passes at least one rank, so a caller that
+    charges the ranks it passes bounds the walk.  The walk keeps one
+    current point and one frame per pivot column, however large the box.
+    """
+    dim, side = len(point), 2 * bound + 1
+    cur = list(point)
+    # per pivot column on the path: [column, rank before it, ranks per value,
+    # next member v >= 0, next member -s < 0 as s, shift applied, none yet]
+    frames: list = []
+    col, rank, span = 0, 0, side**dim  # the prefix cur[:col] owns [rank, rank + span)
+    while True:
+        while col < dim and kernel[col] is None and -bound <= cur[col] <= bound:
+            span //= side
+            rank += (2 * cur[col] - 1 if cur[col] > 0 else -2 * cur[col]) * span
+            col += 1
+        if col == dim:
+            yield rank, tuple(cur)
+        elif kernel[col] is None:
+            yield rank + span, None
+        else:
+            pos = cur[col] % kernel[col][0]
+            frames.append([col, rank, span // side, pos, kernel[col][0] - pos, 0, True])
+        # the next value of the deepest pivot column that has one left; the
+        # class merges its members v >= 0 and -s < 0 by idx, v first iff
+        # 2v - 1 < 2s, that is v <= s
+        while frames:
+            frame = frames[-1]
+            col, rank, span, pos, neg, shift, empty = frame
+            tail = kernel[col]
+            d = tail[0]
+            if pos <= neg:
+                v, frame[3] = pos, pos + d
+            else:
+                v, frame[4] = -neg, neg + d
+            # move cur[col] to v by a multiple of the row, or, with no member
+            # left in the box, back to where the frame found it
+            found = abs(v) <= bound
+            c = (v - cur[col]) // d if found else -shift
+            if c:
+                for i, b in enumerate(tail, col):
+                    cur[i] += c * b
+            if found:
+                frame[5:] = shift + c, False
+                rank += (2 * v - 1 if v > 0 else -2 * v) * span
+                col += 1
+                break
+            frames.pop()
+            if empty:
+                yield rank + span * side, None
+        else:
+            return
+
+
+def _lattice_blocks(width: int, lattice: Echelon) -> List[int]:
+    """Each coordinate's block, by union-find: two coordinates share a
+    block when some lattice row is nonzero at both, so every row lies
+    within one block."""
+    root = list(range(width))
+
+    def find(j):
+        while root[j] != j:
+            root[j] = root[root[j]]
+            j = root[j]
+        return j
+
+    for row, pivot in zip(lattice.rows, lattice.pivots):
+        for j in itertools.compress(range(pivot + 1, width), row[pivot + 1 :]):
+            root[find(j)] = find(pivot)
+    return [find(j) for j in range(width)]
+
+
+def _slope_echelon(slopes, ambient: Ambient):
+    """The Hermite form that solves affine forms with these slopes in the
+    ambient's target lattice (see ``_admissible_coset``).
+
+    The lattice's rows split its coordinates into blocks (each d_pq e_pq
+    row of a torsion pair is a block of its own), and the Hermite form
+    takes, per form, only the blocks that its slope reaches.  Returns the
+    (form, coordinate) pairs of its columns, each form's set of positions
+    in those blocks, and the Hermite form as an Echelon, or None if no
+    slope reaches any coordinate.
+    """
+    m, coordinates, lattice = ambient.m, ambient.coordinates, ambient.lattice
+    width = len(coordinates)
+    block = _lattice_blocks(width, lattice)
+    columns, inside, lattice_rows = [], [], []
+    slope_rows: List[list] = [[] for _ in range(m)]
+    for f, slope in enumerate(slopes):
+        slope_at = ((0,) * m,) * m + tuple(zip(*slope))  # each coordinate's column
+        hit = {block[j] for j, c in enumerate(coordinates) if any(slope_at[c])}
+        reached = [j for j in range(width) if block[j] in hit]
+        for k in range(m):
+            slope_rows[k] += [slope_at[coordinates[j]][k] for j in reached]
+        for row, pivot in zip(lattice.rows, lattice.pivots):
+            if block[pivot] in hit:
+                lattice_rows.append((len(columns), [row[j] for j in reached]))
+        columns += [(f, coordinates[j]) for j in reached]
+        inside.append(frozenset(reached))
+    if not columns:
+        return (), tuple(inside), None
+    rows = [row + [int(i == k) for i in range(m)] for k, row in enumerate(slope_rows)]
+    for offset, part in lattice_rows:
+        rows.append([0] * offset + part + [0] * (len(columns) - offset - len(part) + m))
+    return tuple(columns), tuple(inside), Echelon.of(rows)
+
+
+def _admissible_coset(forms, ambient: Ambient):
+    """The alphas at which every affine form lies in the ambient's target
+    lattice, as (particular alpha, kernel), or None if there are none;
+    ``kernel`` as ``_coset_walk`` takes it.
+
+    A form (a0, g0, L) is the element with alpha a0 and gamma
+    g0 + sum_k alpha[k] L_k.  One Hermite form over the rows (L_k at each
+    form's target coordinates | e_k), k = 1..m, plus the lattice basis in
+    each form's block, solves all forms at once.  Reducing (a0 + g0 at the
+    target coordinates | 0) by its rows that pivot in the coordinate part
+    must leave (0 | alpha): then alpha is a solution, and the rows that
+    pivot in the e-part are an echelon basis of the kernel.  Coordinates
+    that no slope reaches, even through the lattice's rows, are left out of
+    the Hermite form: there a0 + g0 must lie in the lattice by itself.
+
+    The Hermite form depends on the slopes alone, not on the constant
+    parts, and the searches of one verify grid meet the same slopes again
+    and again: each ambient keeps the ones it has built in
+    ``slope_echelons``.
+    """
+    m = ambient.m
+    slopes = tuple(slope for _, _, slope in forms)
+    built = ambient.slope_echelons.get(slopes)
+    if built is None:
+        if len(ambient.slope_echelons) >= 1024:
+            ambient.slope_echelons.clear()
+        built = ambient.slope_echelons[slopes] = _slope_echelon(slopes, ambient)
+    columns, inside, echelon = built
+    full = [a0 + g0 for a0, g0, _ in forms]
+    for values, reached in zip(full, inside):
+        rest = [0 if j in reached else values[c] for j, c in enumerate(ambient.coordinates)]
+        if not ambient.lattice.in_lattice(rest):
+            return None
+    if echelon is None:
+        return (0,) * m, ((1,),) * m
+    width = len(columns)
+    resid = [full[f][c] for f, c in columns] + [0] * m
+    kernel = [None] * m
+    for row, col in zip(echelon.rows, echelon.pivots):
+        if col >= width:
+            kernel[col - width] = row[col:]
+            continue
+        q, rem = divmod(resid[col], row[col])
+        if rem:
+            return None
+        if q:
+            resid = [a - q * b for a, b in zip(resid, row)]
+    if any(resid[:width]):
+        return None
+    return tuple(resid[width:]), kernel
+
+
+def _scan_alphas(forms, ambient: Ambient, bound: int, block: int, spend):
+    """The alphas of the box [-bound, bound]^m that every affine form
+    admits, lazily, in the plain scan's order.
+
+    Each alpha skipped is charged ``block`` (its gamma candidates) through
+    ``spend``: those before an admitted alpha just before it is yielded,
+    those in a stretch with none as the walk passes it, and the rest once
+    the walk runs out.  A caller that stops early charges no more.
+    """
+    coset = _admissible_coset(forms, ambient)
+    passed = 0
+    if coset is not None:
+        for rank, alpha in _coset_walk(*coset, bound):
+            spend((rank - passed) * block)
+            passed = rank
+            if alpha is not None:
+                passed += 1
+                yield alpha
+    spend(((2 * bound + 1) ** ambient.m - passed) * block)
 
 
 @dataclass(frozen=True)
@@ -615,17 +813,21 @@ def bounded_solve_group(
     Before scanning a variable y, each remaining equation whose only
     unassigned name is y, with net exponent 0 in u v^-1, is affine in
     alpha_y by the blindness rule of the module docstring: u v^-1 has a
-    fixed alpha part and gamma part g0 + sum_k alpha_y[k] L_k.  When y's box
-    has more than m + 1 alpha values, m + 1 probe evaluations (y = 1,
-    y = a_k) give g0 and L.  An alpha_y whose form is not trivial in the
-    ambient (the same ``ambient.is_trivial`` on the same element the
-    equation would give) rejects all its candidates without recursing; an
-    admitted one settles the equation, which the search below y does not
-    check again.  The candidate order, the solutions and their order are
-    those of the plain scan.  With find_all=False, a y whose net exponent is
-    0 in every remaining u v^-1 is scanned at gamma = 0 only: nothing below
-    reads y's gamma, and 0 is the first gamma the full scan tries, so the
-    first solution is the same.
+    fixed alpha part a0 and gamma part g0 + sum_k alpha_y[k] L_k.  When y's
+    box has more than m + 1 alpha values, one evaluation at y = 1 gives a0
+    and g0, and ``Polynomial.slope`` reads L off the polynomial.  The alphas
+    whose forms all lie in the ambient's target lattice (the coordinates
+    and lattice that ``ambient.is_trivial`` decides by) are a coset of a
+    lattice in Z^m.  One Hermite form of the forms' slopes solves for it,
+    and the scan walks only its points inside the box (``_coset_walk``):
+    an empty coset ends the scan at once, and every alpha it skips is one
+    the plain scan would reject.  An admitted alpha settles those
+    equations, which the search below y does not check again.  The
+    candidate order, the solutions and their order are those of the plain
+    scan.  With find_all=False, a y whose net exponent is 0 in every
+    remaining u v^-1 is scanned at gamma = 0 only: nothing below reads y's
+    gamma, and 0 is the first gamma the full scan tries, so the first
+    solution is the same.
 
     Known gap: an equation x^e = w (e = +-1, on either side) forces x to the
     one element w^e evaluates to in N, and the box is checked against that
@@ -635,11 +837,16 @@ def bounded_solve_group(
     is one, and the same equation written x a^-2 = 1 finds it.  The free
     ambient is unaffected (there w has one representative).
 
-    ``eval_limit`` counts word evaluations (equation checks, forced values
-    and probes) and candidate elements, not box volume: a rejected alpha
-    counts its gamma block, (2b+1)^(m(m-1)/2) elements in box b (1 when
-    scanned at gamma = 0 only), by arithmetic, so the limit bounds memory
-    too.  Exceeding it raises SearchSpaceError.
+    ``eval_limit`` counts word evaluations and candidate elements, not box
+    volume, exactly as the plain probe-and-test scan would: equation checks,
+    forced values, m + 1 per affine form (its evaluation at y = 1 and the m
+    probes y = a_k its slope stands for), and each candidate.  An alpha the
+    walk skips counts its gamma block, (2b+1)^(m(m-1)/2) elements in box b
+    (1 when scanned at gamma = 0 only), by arithmetic: the skipped alphas
+    are charged in one sum before the next admitted one, as the walk
+    passes a stretch with none, and after the last, so an unbounded walk
+    still stops at the limit.  Candidates are generated, never listed, so
+    the limit bounds memory too.  Exceeding it raises SearchSpaceError.
     """
     m = ambient.m
     if isinstance(bound, int):
@@ -683,7 +890,9 @@ def bounded_solve_group(
     def affine_forms(target: str, rem: List[int]):
         """(alpha, g0, L) of each equation in rem whose only unassigned
         name is target and which is blind to target's gamma, and the list
-        of the other equations in rem."""
+        of the other equations in rem.  One evaluation at target = 1 gives
+        alpha and g0; L is read off the polynomial, charged as the m probes
+        target = a_k that would give it."""
         forms, rest = [], []
         for idx in rem:
             shape = shapes[idx]
@@ -692,24 +901,10 @@ def bounded_solve_group(
                 continue
             env[target] = identity(m)
             r0 = residual(idx)
-            rows = []
-            for k in range(1, m + 1):
-                env[target] = generator(m, k)
-                rows.append(tuple(g - g0 for g, g0 in zip(residual(idx).gamma, r0.gamma)))
             del env[target]
-            forms.append((r0.alpha, r0.gamma, rows))
+            spend(m)
+            forms.append((r0.alpha, r0.gamma, shape.residual.slope(target, env, m)))
         return forms, rest
-
-    def admissible(alpha, forms) -> bool:
-        for a0, g0, rows in forms:
-            gamma = list(g0)
-            for ak, row in zip(alpha, rows):
-                if ak:
-                    for t, v in enumerate(row):
-                        gamma[t] += ak * v
-            if not ambient.is_trivial(MalcevElement(m, a0, tuple(gamma))):
-                return False
-        return True
 
     def recurse(remaining: Tuple[int, ...]) -> bool:
         """Returns True if the search should stop (find_all=False and found)."""
@@ -771,17 +966,17 @@ def bounded_solve_group(
             blind = not find_all and all(target not in shapes[idx].reads_gamma for idx in rem)
             gamma_box = 0 if blind else boxes[target]
             # candidates run alpha-major, gamma fastest; the affine forms see
-            # only alpha, so they judge a whole gamma block at once.  With no
-            # more alpha values than the m + 1 probes, probing cannot pay.
+            # only alpha, so the scan visits only the alphas they admit and
+            # charges each skipped alpha its gamma block.  With no more alpha
+            # values than the m + 1 evaluations a form is charged, forms
+            # cannot pay.
             if (2 * boxes[target] + 1) ** m > m + 1:
                 forms, rem = affine_forms(target, rem)
             else:
                 forms = []
-            for alpha in _coordinate_candidates(m, boxes[target]):
-                if not admissible(alpha, forms):
-                    spend((2 * gamma_box + 1) ** n_pairs)
-                    continue
-                for gamma in _coordinate_candidates(n_pairs, gamma_box):
+            block = (2 * gamma_box + 1) ** n_pairs
+            for alpha in _scan_alphas(forms, ambient, boxes[target], block, spend):
+                for _, gamma in _coset_walk((0,) * n_pairs, ((1,),) * n_pairs, gamma_box):
                     spend()
                     env[target] = MalcevElement(m, alpha, gamma)
                     stop = recurse(tuple(rem))

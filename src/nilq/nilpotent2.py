@@ -209,6 +209,34 @@ class Polynomial:
                     t += m - p - 1
         return MalcevElement(m, tuple(alpha), tuple(gamma))
 
+    def slope(self, label, images, m: int) -> Tuple[Tuple[int, ...], ...]:
+        """The gamma slope of the map in the image of ``label``, a name
+        whose linear coefficient is 0.
+
+        Then X[label][label] = 0 and the image's gamma is not read, so
+        gamma'(y) = g0 + sum_j alpha_y[j] L_j with L_j[pq] = [p = j] w_q +
+        v_p [q = j], where w = sum_l X[label][l] A_l and v = sum_k
+        X[k][label] A_k (the other images' alphas).  Returns the m rows L_j;
+        ``images`` need not hold ``label``, and no group arithmetic runs.
+        """
+        w = [0] * m
+        v = [0] * m
+        for k, row in self.rows:
+            if k == label:
+                for l, x_kl in row.items():
+                    for q, a in enumerate(images[l].alpha):
+                        w[q] += x_kl * a
+            else:
+                x_ky = row.get(label)
+                if x_ky:
+                    for p, a in enumerate(images[k].alpha):
+                        v[p] += x_ky * a
+        rows = [[0] * (m * (m - 1) // 2) for _ in range(m)]
+        for t, (p, q) in enumerate(pair_list(m)):
+            rows[p - 1][t] = w[q - 1]
+            rows[q - 1][t] = v[p - 1]
+        return tuple(map(tuple, rows))
+
 
 def from_word(w: Word) -> MalcevElement:
     """Evaluate a word: the product of its syllables."""

@@ -38,6 +38,7 @@ from .words import (
     MAX_WORD_LETTERS,
     RankLimitError,
     check_rank,
+    count_over_limit,
     exponent_sum_matrix,
     random_word,
 )
@@ -432,13 +433,11 @@ def schwartz_zippel_check(
     if r < 1 or m < 1 or box_halfwidth < 1:
         raise ValueError("r, m, box_halfwidth must be positive")
     side = 2 * box_halfwidth + 1
-    # side^(rm) > 2^(rm) is over the limit once rm reaches the limit's bit
-    # length: decided before a count of perhaps millions of digits is built
-    if r * m >= limit.bit_length():
-        raise EnumerationLimitError(f"{side}^{r * m} matrices exceed the limit {limit}")
+    # decided before a count of perhaps millions of digits is built
+    message = count_over_limit(side, r * m, limit, "matrices")
+    if message:
+        raise EnumerationLimitError(message)
     total = side ** (r * m)
-    if total > limit:
-        raise EnumerationLimitError(f"{total} matrices exceed the limit {limit}")
     import itertools
 
     zero_count = 0

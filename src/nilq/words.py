@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .zmatrix import ElementaryOp, IntMatrix, SmithDecomposition, smith_normal_form
 
@@ -133,6 +133,31 @@ class RankLimitError(Exception):
 def check_rank(m: int) -> None:
     if m > MAX_RANK:
         raise RankLimitError(f"{m} generators, over the limit of {MAX_RANK}")
+
+
+def _int_text(x: int) -> str:
+    # int-to-str refuses integers past 4300 digits; 4096 bits is 1234 digits
+    return str(x) if x.bit_length() <= 4096 else f"<{x.bit_length()}-bit integer>"
+
+
+def count_over_limit(side: int, n: int, limit: int, what: str) -> Optional[str]:
+    """The message "<count> <what> exceed the limit <limit>" when an
+    enumeration of side^n points is over limit, else None.
+
+    For side >= 2 the count is over once side > limit or n reaches the
+    limit's bit length.  That is decided before side^n is built, which
+    could take millions of digits, and the count is written side^n.
+    Otherwise side^n is built and, if over, written in decimal.  An integer
+    over 4096 bits is written by its bit length, never in decimal.
+    """
+    if side > 1 and n and (side > limit or n >= limit.bit_length()):
+        count = f"{_int_text(side)}^{n}"
+    else:
+        total = side**n
+        if total <= limit:
+            return None
+        count = str(total) if total.bit_length() <= 4096 else f"{_int_text(side)}^{n}"
+    return f"{count} {what} exceed the limit {_int_text(limit)}"
 
 
 _TOKEN = re.compile(

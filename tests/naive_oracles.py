@@ -7,10 +7,12 @@ character-by-character scanner of the word grammar (for ``parse_word``),
 Q-span membership by a rank comparison (for ``Echelon.rational_residue``),
 the elementary operations of a Smith log applied one at a time and the
 schoolbook matrix product (for ``smith_normal_form`` and the Hermite
-transform), and the Nielsen replay of a whole Smith log on relator elements
-by group multiplication (for ``normalize``).
+transform), the Nielsen replay of a whole Smith log on relator elements
+by group multiplication (for ``normalize``), and the probe-and-test scan of
+a box of alphas (for the group solver's coset walk).
 """
 
+import itertools
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -265,3 +267,23 @@ def relator_replay(p, np_):
         if g != i + 1
     ) + tuple(h.gamma for h in rewritten[k:] if any(h.gamma))
     return tuple(basis), rewritten, lattice
+
+
+def plain_alpha_scan(forms, ambient, bound: int, block: int, spend):
+    """The alphas of the box [-bound, bound]^m, in the plain scan's order
+    (0, 1, -1, 2, -2, ... per coordinate, the first slowest), at which
+    ``ambient.is_trivial`` holds for every affine form (a0, g0, L): the
+    element with alpha a0 and gamma g0 + sum_k alpha[k] L_k.  Each rejected
+    alpha is charged ``block`` through ``spend`` when it is tested."""
+    m = ambient.m
+    values = [0] + [v for k in range(1, bound + 1) for v in (k, -k)]
+    for alpha in itertools.product(values, repeat=m):
+        if all(
+            ambient.is_trivial(MalcevElement(m, a0, tuple(
+                g + sum(a * row[t] for a, row in zip(alpha, slope)) for t, g in enumerate(g0)
+            )))
+            for a0, g0, slope in forms
+        ):
+            yield alpha
+        else:
+            spend(block)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -534,6 +535,49 @@ def test_sizes_past_the_engines_exit_1(capsys, argv, error):
     code, out, _ = _run(capsys, *argv)
     assert code == 1
     assert json.loads(out)["error"] == error
+
+
+@pytest.mark.parametrize("command,error", [
+    ("sz-check", "EnumerationLimitError"), ("verify", "SearchSpaceError"),
+    ("solve-bounded", "SearchSpaceError"),
+])
+def test_huge_box_sides_exit_1(capsys, tmp_path, command, error):
+    # a side of hundreds of digits to a small power: refused from the side,
+    # with no count converted past int-to-str's 4300 digits
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"variables": ["x", "y", "z", "w"],
+                                "equations": [[["+", ["var", "x"], ["var", "y"]], ["var", "z"]]]}))
+    argv = {
+        "sz-check": ("sz-check", "--r", "4", "--m", "5", "--b", str(10**250)),
+        "verify": ("verify", str(ring), "--box-ring", "1", "--box-group", str(10**1200)),
+        "solve-bounded": ("solve-bounded", str(ring), "--box", str(10**1200)),
+    }[command]
+    t0 = time.perf_counter()
+    code, out, _ = _run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == error
+    side = 2 * int(argv[-1]) + 1
+    n = 20 if command == "sz-check" else 4
+    what = {"sz-check": "matrices", "verify": "grid points", "solve-bounded": "assignments"}[command]
+    limit = 4_000_000 if command == "sz-check" else 20_000_000
+    assert data["message"] == f"{side}^{n} {what} exceed the limit {limit}"
+
+
+def test_solve_bounded_wide_box_is_lazy(capsys, tmp_path):
+    # 2*10^7 + 1 values per coordinate are never listed
+    system = tmp_path / "comm.json"
+    system.write_text(json.dumps({"variables": ["y"], "constants": ["a", "b"],
+                                  "equations": [[[["comm", [["a", 1]], [["y", 1]]]], []]]}))
+    t0 = time.perf_counter()
+    code, out, _ = _run(capsys, "solve-bounded", str(system), "--box", "10000000", "--first")
+    assert code == 0
+    assert json.loads(out)["solutions"] == [{"y": {"alpha": [0, 0], "gamma": [0]}}]
+    code, out, _ = _run(capsys, "solve-bounded", str(system), "--box", "10000000", "--limit", "1000")
+    assert code == 1
+    assert json.loads(out) == {"error": "SearchSpaceError", "message": "evaluation limit exceeded"}
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_oversized_word_exit_1(capsys, pres):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilq import diophantine, nilpotent2
+from nilq import diophantine, nilpotent2, zmatrix
 from nilq.diophantine import (
     FreeNilpotentAmbient,
     GroupSystem,
@@ -37,6 +37,9 @@ from nilq.diophantine import (
 )
 from nilq.nilpotent2 import MalcevElement, commutator, generator, identity, inverse, multiply, power
 from nilq.presentation import normalize, parse_presentation
+from nilq.zmatrix import lattice_membership
+
+from naive_oracles import plain_alpha_scan
 
 
 def _walk_gword(w, env, m):
@@ -592,3 +595,180 @@ def test_solve_group_matches_brute_force(ambient, systems):
         nonempty += bool(first)
     # the draws must exercise both outcomes
     assert 0 < nonempty < systems
+
+
+# quotients with kept pairs, torsion in the alphas, and a free block
+_SCAN_PRESENTATIONS = (
+    "3 2\na1^2\n",
+    "3 2\na1^2 a2^3 [a1,a3]^2\n",
+    "3 2\na1 a2 a1^-1 a2 a3^2\n[a2,a3]^3\n",
+    "4 2\na1^2 a2^3\na2^4 [a1,a3]^2\n[a3,a4]^2\n",
+)
+
+
+def _scan_ambients():
+    yield FreeNilpotentAmbient(2)
+    yield FreeNilpotentAmbient(3)
+    for text in _SCAN_PRESENTATIONS:
+        yield QuotientAmbient(normalize(parse_presentation(text)))
+
+
+def _element_at(amb, coords, rng):
+    """An element whose coordinates at amb.coordinates are coords; the
+    others, which is_trivial does not read, random."""
+    m = amb.m
+    full = [rng.randint(-3, 3) for _ in range(m + m * (m - 1) // 2)]
+    for c, v in zip(amb.coordinates, coords):
+        full[c] = v
+    return MalcevElement(m, tuple(full[:m]), tuple(full[m:]))
+
+
+@pytest.mark.parametrize("amb", list(_scan_ambients()), ids=lambda a: f"m{a.m}-{len(a.lattice.rows)}rows")
+def test_ambient_lattice_decides_is_trivial(amb):
+    rng = random.Random(f"lattice-{amb.m}-{amb.lattice.rows}")
+    trivial = 0
+    for _ in range(300):
+        coords = [0] * len(amb.coordinates)
+        for row in amb.lattice.rows:
+            c = rng.randint(-3, 3)
+            coords = [u + c * v for u, v in zip(coords, row)]
+        if rng.random() < 0.5:
+            coords[rng.randrange(len(coords))] += rng.choice((-1, 1, 2))
+        el = _element_at(amb, coords, rng)
+        member = lattice_membership(amb.lattice.rows, coords) is not None
+        assert amb.is_trivial(el) == member
+        trivial += member
+    assert 0 < trivial < 300
+
+
+def _seeded_forms(rng, amb, bound, density=1.0):
+    """0-3 affine forms, most of them solvable at a common alpha in the box;
+    below density 1, each slope entry is 0 but for that share."""
+    m = amb.m
+    n = m * (m - 1) // 2
+    hit = [rng.randint(-bound, bound) for _ in range(m)]
+    forms = []
+    for _ in range(rng.randrange(4)):
+        slope = tuple(tuple(rng.choice((0, 0, 1, -1, rng.randint(-4, 4)))
+                            if density == 1.0 or rng.random() < density else 0 for _ in range(n))
+                      for _ in range(m))
+        g0 = [-sum(h * row[t] for h, row in zip(hit, slope)) for t in range(n)]
+        a0 = [0] * m
+        coords = [0] * len(amb.coordinates)
+        for row in amb.lattice.rows:
+            c = rng.randint(-2, 2)
+            coords = [u + c * v for u, v in zip(coords, row)]
+        for c, v in zip(amb.coordinates, coords):
+            if c < m:
+                a0[c] += v
+            else:
+                g0[c - m] += v
+        if rng.random() < 0.2:
+            g0[rng.randrange(n)] += rng.choice((-1, 1))
+        forms.append((tuple(a0), tuple(g0), slope))
+    return forms
+
+
+def _drive(scan, limit, block):
+    """Run an alpha scan as the solver does, spending block for the gamma
+    candidates of each alpha it admits: (the admitted alphas, the budget
+    used), or (the alphas admitted before the limit was hit, None)."""
+    budget = [limit]
+
+    def spend(k=1):
+        budget[0] -= k
+        if budget[0] < 0:
+            raise SearchSpaceError("evaluation limit exceeded")
+
+    out = []
+    try:
+        for alpha in scan(spend):
+            out.append(alpha)
+            spend(block)
+    except SearchSpaceError:
+        return out, None
+    return out, limit - budget[0]
+
+
+@pytest.mark.parametrize("amb", list(_scan_ambients()), ids=lambda a: f"m{a.m}-{len(a.lattice.rows)}rows")
+def test_coset_walk_matches_the_plain_scan(amb):
+    # the same alphas in the same order, the same budget, and the same
+    # point of failure under every smaller limit
+    rng = random.Random(f"walk-{amb.m}-{amb.lattice.rows}")
+    admitted = 0
+    for _ in range(40):
+        bound = rng.randrange(3 if amb.m == 2 else 2)
+        block = rng.choice((1, 3, 7))
+        forms = _seeded_forms(rng, amb, bound)
+        walk = lambda spend: diophantine._scan_alphas(forms, amb, bound, block, spend)
+        plain = lambda spend: plain_alpha_scan(forms, amb, bound, block, spend)
+        full = _drive(plain, 10**9, block)
+        assert _drive(walk, 10**9, block) == full
+        used = full[1]
+        for limit in sorted({0, used - 1, used, *rng.sample(range(used + 1), min(used + 1, 12))}):
+            if limit >= 0:
+                assert _drive(walk, limit, block) == _drive(plain, limit, block)
+        admitted += bool(full[0])
+    assert 0 < admitted < 40
+
+
+def test_admissible_coset_in_a_wide_quotient():
+    # m = 12 with d_pq = 2 at most pairs: 67 target coordinates, most in
+    # blocks of their own, which the Hermite form leaves out unless a slope
+    # reaches them; the coset is checked against is_trivial form by form,
+    # at random alphas and at points of the coset
+    relators = [f"a{i}^2" for i in range(1, 13)] + ["a1 a2 a3^-1 [a4,a5]^3"]
+    amb = QuotientAmbient(normalize(parse_presentation("12 2\n" + "\n".join(relators) + "\n")))
+    rng = random.Random("wide-quotient")
+    admitted_total = empty = 0
+    for _ in range(20):
+        forms = _seeded_forms(rng, amb, 3, density=0.05)
+        coset = diophantine._admissible_coset(forms, amb)
+        columns, _, _ = diophantine._slope_echelon(tuple(f[2] for f in forms), amb)
+        assert len(columns) < len(forms) * len(amb.coordinates) or not forms
+        kernel = [row for row in coset[1] if row is not None] if coset else []
+        pivots = [j for j, row in enumerate(coset[1]) if row is not None] if coset else []
+        span = zmatrix.Echelon(tuple((0,) * j + row + (0,) * (amb.m - j - len(row))
+                                     for j, row in zip(pivots, kernel)), tuple(pivots))
+        admitted_here = 0
+        for _ in range(50):
+            alpha = tuple(rng.randint(-3, 3) for _ in range(amb.m))
+            if coset and rng.random() < 0.5:  # a point of the coset itself
+                alpha = list(coset[0])
+                for row in span.rows:
+                    c = rng.randint(-2, 2)
+                    alpha = [a + c * v for a, v in zip(alpha, row)]
+            values = (MalcevElement(amb.m, a0, tuple(
+                g + sum(a * row[t] for a, row in zip(alpha, slope)) for t, g in enumerate(g0)))
+                for a0, g0, slope in forms)
+            admitted = all(amb.is_trivial(value) for value in values)
+            in_coset = coset is not None and span.in_lattice([a - p for a, p in zip(alpha, coset[0])])
+            assert admitted == in_coset
+            admitted_here += admitted
+        admitted_total += bool(forms) and admitted_here
+        empty += coset is None
+    assert admitted_total and empty
+
+
+def test_coset_walk_charges_the_stretches_it_passes():
+    # alpha_2 = alpha_1 + 10^7 has no point in the box, but each alpha_1 is
+    # a stretch the walk passes: charged as passed, a small limit stops it
+    amb = FreeNilpotentAmbient(2)
+    forms = [((0, 0), (-10**7,), ((-1,), (1,)))]
+    scan = lambda bound, block: lambda spend: diophantine._scan_alphas(forms, amb, bound, block, spend)
+    t0 = time.perf_counter()
+    assert _drive(scan(10**6, 1), 10**4, 1) == ([], None)
+    assert time.perf_counter() - t0 < 1.0
+    assert _drive(scan(50, 3), 10**9, 3) == ([], 3 * 101**2)
+
+
+def test_wide_box_scans_lazily():
+    # [a, y] = 1 over a box of 2*10^7 + 1 values per coordinate: nothing is
+    # listed, the first solution comes at once, and find-all stops at its limit
+    S = GroupSystem(("y",), ("a", "b"), (((comm(gword(gen("a")), gword(gen("y"))),), ()),))
+    amb = FreeNilpotentAmbient(2)
+    t0 = time.perf_counter()
+    assert bounded_solve_group(S, amb, 10**7, find_all=False) == [{"y": identity(2)}]
+    with pytest.raises(SearchSpaceError):
+        bounded_solve_group(S, amb, 10**7, eval_limit=1000)
+    assert time.perf_counter() - t0 < 1.0

@@ -221,6 +221,34 @@ def test_polynomial_matches_group_arithmetic(inputs):
     assert Polynomial(x, labels)(dict(zip(labels, images)), m) == apply_hom(x, images, m)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_slope_matches_probe_differences(m):
+    # with y's net exponent 0 the image is affine in y's alpha: the gamma of
+    # x at y = a_k less that at y = 1 is row k of the slope, whatever the
+    # other images, and y's own image is never read
+    rng = random.Random(f"slope-{m}")
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        y = rng.randrange(n)
+        alpha = tuple(0 if k == y else rng.choice((0, 1, -1, rng.randint(-6, 6))) for k in range(n))
+        gamma = tuple(rng.choice((0, rng.randint(-6, 6))) for _ in range(n * (n - 1) // 2))
+        labels = [f"v{k}" for k in range(n)]
+        P = Polynomial(MalcevElement(n, alpha, gamma), labels)
+        images = {
+            l: MalcevElement(m, tuple(rng.randint(-4, 4) for _ in range(m)),
+                             tuple(rng.randint(-4, 4) for _ in range(m * (m - 1) // 2)))
+            for l in labels
+        }
+        at = lambda image: P({**images, labels[y]: image}, m).gamma
+        g0 = at(identity(m))
+        probes = tuple(
+            tuple(g - h for g, h in zip(at(generator(m, k)), g0)) for k in range(1, m + 1)
+        )
+        assert P.slope(labels[y], images, m) == probes
+        del images[labels[y]]
+        assert P.slope(labels[y], images, m) == probes
+
+
 def test_power_known_square():
     # (a1 a2)^2 = a1^2 a2^2 [a2,a1] in coordinates
     x = from_word(letter_word((1, 2), 2))
