@@ -89,6 +89,11 @@ class SearchSpaceError(Exception):
     """The bounded search exceeded its work limit."""
 
 
+MAX_FOUND_SOLUTIONS = 100_000
+"""Most solutions a find-all group search keeps: its eval_limit bounds the
+work but not the list, so one more raises SearchSpaceError."""
+
+
 # ---------------------------------------------------------------------------
 # ring terms
 
@@ -846,7 +851,8 @@ def bounded_solve_group(
     are charged in one sum before the next admitted one, as the walk
     passes a stretch with none, and after the last, so an unbounded walk
     still stops at the limit.  Candidates are generated, never listed, so
-    the limit bounds memory too.  Exceeding it raises SearchSpaceError.
+    the limit bounds memory too.  Exceeding it raises SearchSpaceError, and
+    so does a find-all search that finds more than MAX_FOUND_SOLUTIONS.
     """
     m = ambient.m
     if isinstance(bound, int):
@@ -885,6 +891,8 @@ def bounded_solve_group(
     solutions: List[Dict[str, MalcevElement]] = []
 
     def record():
+        if len(solutions) == MAX_FOUND_SOLUTIONS:
+            raise SearchSpaceError(f"more than {MAX_FOUND_SOLUTIONS} solutions")
         solutions.append({v: env[v] for v in S.variables})
 
     def affine_forms(target: str, rem: List[int]):

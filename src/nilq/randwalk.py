@@ -9,29 +9,36 @@ for the sum-of-squared-minors polynomial.
 Determinism contract: every stochastic experiment derives one RNG stream per
 trial as sha256("<seed>:<scale>:<trial>") over the decimal strings, so results
 are independent of execution order and identical configs give byte-identical
-CSV tables.  Trials never share mutable state and all aggregation is
+CSV tables.  Trials never share stream state and all aggregation is
 commutative integer accumulation, so a parallel runner would reproduce the
-same counts; the built-in runner is sequential.
+same counts; the built-in runner is sequential.  rank_experiment's stream is
+random.Random seeded with the digest as an integer (``trial_rng``).  The
+samplers' stream is numpy's Generator(PCG64(that integer)); ``_trial_rngs``
+realizes it by running numpy's SeedSequence mixing and PCG64's seeding for a
+block of trials at once, and numpy's own per-trial PCG64 is the oracle the
+tests hold it to.
 
 Walk convention: one step multiplies by a uniformly chosen generator or
 inverse (2m choices, probability 1/2m each); the abelianized position after n
-steps has per-coordinate step mean 0 and variance 1/m.  Letter sequences are
-drawn when the words themselves matter (rank_experiment exercises the word
-and matrix pipeline); experiments that only need the per-coordinate sums draw
-the 2m letter counts from a multinomial instead, which is the same
+steps has per-coordinate step mean 0 and variance 1/m.  rank_experiment
+draws each word's letter sequence, as ``words.random_word`` would, and
+tallies its exponent sums; experiments that only need the per-coordinate
+sums draw the 2m letter counts from a multinomial instead, which is the same
 distribution at a fraction of the cost.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .words import (
     MAX_RELATORS,
@@ -39,8 +46,6 @@ from .words import (
     RankLimitError,
     check_rank,
     count_over_limit,
-    exponent_sum_matrix,
-    random_word,
 )
 from .zmatrix import IntMatrix, minor_polynomial, rank as zrank
 
@@ -56,21 +61,122 @@ class EnumerationLimitError(Exception):
     """The requested exhaustive enumeration is too large."""
 
 
+def _stream_digest(seed: int, scale: int, trial: int) -> bytes:
+    return hashlib.sha256(f"{seed}:{scale}:{trial}".encode("ascii")).digest()
+
+
 def stream_seed(seed: int, scale: int, trial: int) -> int:
     """256-bit per-trial seed: sha256 of the decimal string 'seed:scale:trial'."""
-    text = f"{seed}:{scale}:{trial}"
-    return int.from_bytes(hashlib.sha256(text.encode("ascii")).digest(), "big")
+    return int.from_bytes(_stream_digest(seed, scale, trial), "big")
 
 
 def trial_rng(seed: int, scale: int, trial: int) -> random.Random:
     return random.Random(stream_seed(seed, scale, trial))
 
 
-def _np_rng(seed: int, scale: int, trial: int) -> np.random.Generator:
+_SEED_BLOCK = 1024
+"""Trials whose PCG64 states ``_digest_rngs`` computes in one numpy pass."""
+
+# numpy's SeedSequence hash constants (pool of 4 words, 16-bit xorshift) and
+# the multiplier of PCG64's 128-bit LCG step
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _pcg64_seeds(words: np.ndarray) -> list:
+    """(initstate, initseq) of ``PCG64(SeedSequence(e))`` for each row e of a
+    (B, 8) uint32 array of entropy words, least significant first.
+
+    This is numpy's SeedSequence run on all rows at once: hash the first 4
+    words into the pool, mix every pool word into every other, mix in words
+    4 to 7, then draw 8 state words, read as 4 little-endian uint64s.  A row
+    is the entropy of an integer only when its top word is nonzero: numpy
+    drops leading zero words, which changes the mixing."""
+    import numpy as np
+
+    columns = np.ascontiguousarray(words.T, dtype=np.uint32)
+    shift = np.uint32(16)
+
+    def hasher(hash_const: int, mult: int):
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = hash_const * mult & _MASK32
+            value *= np.uint32(hash_const)
+            value ^= value >> shift
+            return value
+
+        return hashmix
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x
+        result -= np.uint32(_MIX_MULT_R) * y
+        result ^= result >> shift
+        return result
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(columns[i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, 8):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(columns[src]))
+    # generate_state(4, uint64): 8 words, read as little-endian uint64 pairs
+    draw = hasher(_INIT_B, _MULT_B)
+    state = np.empty((len(words), 8), dtype="<u4")
+    for i in range(8):
+        state[:, i] = draw(pool[i % 4])
+    # PCG64 takes initstate = (u0 << 64) | u1 and initseq = (u2 << 64) | u3
+    return [(u0 << 64 | u1, u2 << 64 | u3) for u0, u1, u2, u3 in state.view("<u8").tolist()]
+
+
+def _digest_rngs(digests: Iterable[bytes]) -> Iterator[np.random.Generator]:
+    """For each 32-byte digest d, a Generator whose stream is that of
+    ``Generator(PCG64(int.from_bytes(d, "big")))``.
+
+    Seeds ``_SEED_BLOCK`` digests per numpy pass (``_pcg64_seeds``), then
+    applies PCG64's seeding, O'Neill's pcg_setseq_128_srandom_r, on Python
+    ints: state 0 and inc = 2 initseq + 1, one step, add initstate, one
+    step.  The yielded Generator is one object, reseeded through its bit
+    generator's public ``state``; it is valid until the next one is drawn.
+    A digest whose top 32-bit word is 0 (probability 2^-32) is seeded by
+    numpy itself."""
     # importing numpy costs more than most commands; only clt and escape sample with it
     import numpy as np
 
-    return np.random.Generator(np.random.PCG64(stream_seed(seed, scale, trial)))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    digests = iter(digests)
+    while True:
+        block = list(itertools.islice(digests, _SEED_BLOCK))
+        if not block:
+            return
+        words = np.frombuffer(b"".join(block), dtype=">u4").reshape(-1, 8)[:, ::-1]
+        seeds = _pcg64_seeds(words)
+        for digest, (initstate, initseq) in zip(block, seeds):
+            if digest[:4] == bytes(4):
+                yield np.random.Generator(np.random.PCG64(int.from_bytes(digest, "big")))
+                continue
+            inc = (initseq << 1 | 1) & _MASK128
+            state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
+def _trial_rngs(seed: int, scale: int, trials: int) -> Iterator[np.random.Generator]:
+    """For t in range(trials), a Generator on the stream of
+    ``Generator(PCG64(stream_seed(seed, scale, t)))``, as ``_digest_rngs``."""
+    return _digest_rngs(_stream_digest(seed, scale, t) for t in range(trials))
 
 
 def _binomial_stderr(p: Fraction, trials: int) -> float:
@@ -135,23 +241,32 @@ class RankExperimentRow:
     stderr: float
 
 
+def _random_exponent_sums(length: int, m: int, rng: random.Random) -> list:
+    """The exponent sums of the word ``random_word(length, m, rng)`` draws,
+    from the same single rng.choices call and so the same stream use, with
+    no Word built: index k < m is the letter a_(k+1), index m + k its
+    inverse."""
+    counts = Counter(rng.choices(range(2 * m), k=length))
+    return [counts[k] - counts[m + k] for k in range(m)]
+
+
 def rank_experiment(cfg: ExperimentConfig) -> list:
     """Full-rank frequency of the r x m exponent-sum matrix of r independent
     random words, per length.
 
     Each trial checks the rank two independent ways (fraction-free
     elimination, and the sum of squared maximal minors, which is the
-    determinant of the Gram matrix) and insists they agree.  The words are
-    drawn lazily into ``exponent_sum_matrix``, so a trial holds one word at a
-    time.
+    determinant of the Gram matrix) and insists they agree.  Each word is
+    tallied into its exponent-sum row as it is drawn, so a trial holds one
+    word's letter indices at a time.
     """
     rows = []
     for length in cfg.lengths:
         full = 0
         for t in range(cfg.trials):
             rng = trial_rng(cfg.seed, length, t)
-            ws = (random_word(length, cfg.m, rng) for _ in range(cfg.r))
-            M = exponent_sum_matrix(ws, cfg.m)
+            entries = [v for _ in range(cfg.r) for v in _random_exponent_sums(length, cfg.m, rng)]
+            M = IntMatrix(cfg.r, cfg.m, tuple(entries))
             is_full = zrank(M) == min(cfg.r, cfg.m)
             if is_full != (minor_polynomial(M) != 0):
                 raise AssertionError("rank routes disagree")
@@ -180,11 +295,14 @@ def rank_experiment_csv(cfg: ExperimentConfig, rows: Optional[Sequence[RankExper
     return csv_table(asdict(cfg), columns, map(astuple, rows))
 
 
-def _coordinate_sums(m: int, n: int, rng: np.random.Generator) -> list:
-    # letter counts over the 2m signed generators; coordinate i sums
-    # count(+i) - count(-i)
-    counts = rng.multinomial(n, [1.0 / (2 * m)] * (2 * m))
-    return [int(counts[2 * i]) - int(counts[2 * i + 1]) for i in range(m)]
+def _coordinate_sums(m: int, n: int, seed: int, trials: int) -> Iterator[list]:
+    """Each trial's coordinate sums: the letter counts over the 2m signed
+    generators, drawn from a multinomial on the trial's stream; coordinate i
+    sums count(+i) - count(-i)."""
+    pvals = [1.0 / (2 * m)] * (2 * m)
+    for rng in _trial_rngs(seed, n, trials):
+        counts = rng.multinomial(n, pvals).tolist()
+        yield [counts[2 * i] - counts[2 * i + 1] for i in range(m)]
 
 
 @dataclass(frozen=True)
@@ -219,9 +337,7 @@ def coordinate_clt_stats(m: int, n: int, trials: int, seed: int) -> CltSummary:
     sums = [0] * m
     squares = [0] * m
     samples = [list() for _ in range(m)]
-    for t in range(trials):
-        rng = _np_rng(seed, n, t)
-        s = _coordinate_sums(m, n, rng)
+    for s in _coordinate_sums(m, n, seed, trials):
         for i, v in enumerate(s):
             sums[i] += v
             squares[i] += v * v
@@ -283,9 +399,7 @@ def escape_probability(
     eps = math.log(n) if epsilon is None else float(epsilon)
     threshold = eps * math.sqrt(n)
     count = 0
-    for t in range(trials):
-        rng = _np_rng(seed, n, t)
-        s = _coordinate_sums(m, n, rng)
+    for s in _coordinate_sums(m, n, seed, trials):
         if abs(s[0]) >= threshold:
             count += 1
     p = Fraction(count, trials)
@@ -438,8 +552,6 @@ def schwartz_zippel_check(
     if message:
         raise EnumerationLimitError(message)
     total = side ** (r * m)
-    import itertools
-
     zero_count = 0
     entries_range = range(-box_halfwidth, box_halfwidth + 1)
     for tup in itertools.product(entries_range, repeat=r * m):

@@ -8,8 +8,9 @@ Q-span membership by a rank comparison (for ``Echelon.rational_residue``),
 the elementary operations of a Smith log applied one at a time and the
 schoolbook matrix product (for ``smith_normal_form`` and the Hermite
 transform), the Nielsen replay of a whole Smith log on relator elements
-by group multiplication (for ``normalize``), and the probe-and-test scan of
-a box of alphas (for the group solver's coset walk).
+by group multiplication (for ``normalize``), the probe-and-test scan of
+a box of alphas (for the group solver's coset walk), and numpy's own
+PCG64 seeded one trial at a time (for the samplers' block seeding).
 """
 
 import itertools
@@ -26,6 +27,7 @@ from nilq.nilpotent2 import (
     pair_list,
     power,
 )
+from nilq.randwalk import stream_seed
 from nilq.words import MAX_WORD_LETTERS, Word, WordSyntaxError, check_rank
 from nilq.zmatrix import ElementaryOp, IntMatrix, rank
 
@@ -287,3 +289,11 @@ def plain_alpha_scan(forms, ambient, bound: int, block: int, spend):
             yield alpha
         else:
             spend(block)
+
+
+def np_trial_rng(seed: int, scale: int, trial: int):
+    """numpy's Generator on the trial's stream, seeded by numpy's own
+    SeedSequence and PCG64 from the 256-bit stream seed."""
+    import numpy as np
+
+    return np.random.Generator(np.random.PCG64(stream_seed(seed, scale, trial)))

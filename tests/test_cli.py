@@ -804,6 +804,23 @@ def test_walk_rank_below_one_exit_1(capsys, command, m):
     assert json.loads(out) == {"error": "ValueError", "message": "m must be positive"}
 
 
+def test_find_all_past_the_solution_cap_exit_1(tmp_path):
+    # x = x at m = 2, box 2 has 125^3 solutions; keeping them all raised
+    # MemoryError under this address-space cap
+    group = tmp_path / "xx.json"
+    group.write_text(json.dumps({"variables": ["x", "y", "z"], "constants": ["a", "b"],
+                                 "equations": [[[["x", 1]], [["x", 1]]]]}))
+    argv = ["solve-bounded", str(group), "--box", "2", "--m", "2"]
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (4 * 10**8, 4 * 10**8))\n"
+              "from nilq.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    proc = _run_process("-c", script)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": "SearchSpaceError", "message": "more than 100000 solutions"}
+
+
 def test_wide_gamma_box_is_counted_not_listed(tmp_path):
     # at m = 12 a box-1 gamma block has 3^66 points; listing it ran out of
     # memory, counting it hits the work limit.  The address-space cap keeps a

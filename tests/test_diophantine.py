@@ -286,6 +286,19 @@ def test_solve_group_find_first():
     assert len(sols) == 1
 
 
+def test_find_all_keeps_at_most_the_solution_cap(monkeypatch):
+    # x = x holds at every point: box 1 at m = 2 has 3^3 points per
+    # variable, so two variables have 729 solutions
+    amb = FreeNilpotentAmbient(2)
+    S = GroupSystem(("x", "y"), ("a", "b"), ((gword(gen("x")), gword(gen("x"))),))
+    assert diophantine.MAX_FOUND_SOLUTIONS >= 100_000
+    monkeypatch.setattr(diophantine, "MAX_FOUND_SOLUTIONS", 729)
+    assert len(bounded_solve_group(S, amb, 1)) == 729
+    monkeypatch.setattr(diophantine, "MAX_FOUND_SOLUTIONS", 728)
+    with pytest.raises(SearchSpaceError, match="more than 728 solutions"):
+        bounded_solve_group(S, amb, 1)
+
+
 def test_solve_group_pinned_variables_need_no_box():
     amb = FreeNilpotentAmbient(2)
     g = generator(2, 1)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import random
 import time
-import weakref
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nilq import randwalk
@@ -28,6 +30,9 @@ from nilq.randwalk import (
     stream_seed,
     trial_rng,
 )
+from nilq.words import Word, exponent_sums, random_word
+
+from naive_oracles import np_trial_rng
 
 
 def _binom(n, k):
@@ -74,22 +79,35 @@ def test_rank_experiment_r_zero_always_full():
     assert row.p_hat == 1
 
 
-def test_rank_experiment_holds_one_word_at_a_time(monkeypatch):
-    # weak references to the words drawn so far; a word still alive when
-    # the next one is drawn is held by the experiment
-    drawn = []
-    original = randwalk.random_word
+def test_rank_experiment_tallies_the_draws_of_random_word(monkeypatch):
+    # the same rng.choices call as random_word: equal exponent sums and the
+    # stream left in the same place
+    for m, length, seed in ((1, 0, 1), (2, 7, 2), (3, 50, 3), (5, 301, 4)):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            sums = randwalk._random_exponent_sums(length, m, rng)
+            assert tuple(sums) == exponent_sums(random_word(length, m, oracle))
+        assert rng.random() == oracle.random()
 
-    def tracked(*args):
-        assert sum(ref() is not None for ref in drawn) <= 1
-        w = original(*args)
-        drawn.append(weakref.ref(w))
-        return w
+    # no Word is built, so no letter is validated again
+    def no_words(self):
+        raise AssertionError("rank_experiment built a Word")
 
-    monkeypatch.setattr(randwalk, "random_word", tracked)
     cfg = ExperimentConfig(m=3, r=6, lengths=(50,), trials=2, seed=5)
-    rank_experiment(cfg)
-    assert len(drawn) == 12
+    expected = rank_experiment(cfg)
+    monkeypatch.setattr(Word, "__post_init__", no_words)
+    assert rank_experiment(cfg) == expected
+
+    # a trial holds one word's letter indices at a time
+    def peak(r):
+        tracemalloc.start()
+        try:
+            rank_experiment(ExperimentConfig(m=2, r=r, lengths=(20_000,), trials=1, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) < 1.5 * peak(1)
 
 
 def test_rank_experiment_csv_shape():
@@ -138,6 +156,71 @@ def test_escape_epsilon_overrides():
     assert e.p_hat == 1
     text = escape_csv([e])
     assert text.splitlines()[1] == "n,epsilon,count,p_hat,stderr"
+
+
+_B = randwalk._SEED_BLOCK
+
+
+def _draws(rng):
+    # a few kinds of draw, so the whole bit generator state is compared
+    return (rng.integers(0, 2**64, 3, dtype=np.uint64).tolist(), rng.random(),
+            rng.multinomial(10**6, [0.25] * 4).tolist())
+
+
+@pytest.mark.parametrize("seed, scale", [(0, 1), (7, 2001), (2**70 + 3, 2**63 - 1)])
+@pytest.mark.parametrize("trials", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+def test_trial_rngs_match_the_per_trial_oracle(seed, scale, trials):
+    count = 0
+    for t, rng in enumerate(randwalk._trial_rngs(seed, scale, trials)):
+        assert _draws(rng) == _draws(np_trial_rng(seed, scale, t)), t
+        count += 1
+    assert count == trials
+
+
+def test_short_digest_is_seeded_by_numpy():
+    # a digest whose top 32-bit word is 0 is a seed of fewer than 8 entropy
+    # words, which numpy mixes differently; no sha256 of a trial string with
+    # that prefix is known, so the digests are made up
+    short = [bytes(4) + bytes(range(1, 29)), bytes(31) + b"\x05", bytes(32)]
+    full = [randwalk._stream_digest(3, 4, t) for t in range(5)]
+    digests = full[:2] + short[:1] + full[2:] + short[1:]
+    for d, rng in zip(digests, randwalk._digest_rngs(digests)):
+        oracle = np.random.Generator(np.random.PCG64(int.from_bytes(d, "big")))
+        assert _draws(rng) == _draws(oracle)
+    # the block formula itself misses such a seed: the branch is needed
+    words = np.frombuffer(short[0], dtype=">u4").reshape(1, 8)[:, ::-1]
+    ((_, initseq),) = randwalk._pcg64_seeds(words)
+    inc = np.random.PCG64(int.from_bytes(short[0], "big")).state["state"]["inc"]
+    assert inc != 2 * initseq + 1
+
+
+def _per_trial_rngs(seed, scale, trials):
+    return (np_trial_rng(seed, scale, t) for t in range(trials))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_sampler_csvs_match_per_trial_streams(monkeypatch, m):
+    trials = _B + 1
+    clt = clt_csv(coordinate_clt_stats(m, 1001, trials, 11))
+    escape = escape_csv([escape_probability(m, n, trials, 11, epsilon=0.5) for n in (9, 1001)])
+    monkeypatch.setattr(randwalk, "_trial_rngs", _per_trial_rngs)
+    assert clt == clt_csv(coordinate_clt_stats(m, 1001, trials, 11))
+    assert escape == escape_csv(
+        [escape_probability(m, n, trials, 11, epsilon=0.5) for n in (9, 1001)])
+
+
+def test_escape_memory_is_per_block():
+    # --trials has no cap: the seeding holds one block, not every trial
+    def peak(trials):
+        escape_probability(2, 10, trials, 1)
+        tracemalloc.start()
+        try:
+            escape_probability(2, 10, trials, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * _B) < 1.5 * peak(_B)
 
 
 def test_return_probabilities_match_binomial_m1():
