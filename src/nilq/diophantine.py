@@ -101,12 +101,17 @@ work but not the list, so one more raises SearchSpaceError."""
 Term = tuple
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: an int, and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def term_from_json(node) -> Term:
     if not isinstance(node, (list, tuple)) or not node:
         raise ValueError(f"bad term node: {node!r}")
     head = node[0]
     if head == "const":
-        if len(node) != 2 or not isinstance(node[1], int):
+        if len(node) != 2 or not _is_int(node[1]):
             raise ValueError(f"bad const: {node!r}")
         return ("const", node[1])
     if head == "var":
@@ -204,10 +209,6 @@ def bounded_solve_ring(S: RingSystem, bound: int, limit: int = 2_000_000) -> Lis
 GroupWord = tuple
 
 
-def gword(*factors) -> GroupWord:
-    return tuple(factors)
-
-
 def gen(name: str, exp: int = 1):
     return (name, exp)
 
@@ -263,11 +264,11 @@ def gword_from_json(nodes) -> GroupWord:
         if not isinstance(node, (list, tuple)) or not node:
             raise ValueError(f"bad word factor: {node!r}")
         if node[0] == "comm":
-            if len(node) not in (3, 4):
+            if len(node) not in (3, 4) or not all(map(_is_int, node[3:])):
                 raise ValueError(f"bad comm node: {node!r}")
             factors.append(comm(gword_from_json(node[1]), gword_from_json(node[2]), *node[3:]))
         else:
-            if len(node) != 2 or not isinstance(node[0], str) or not isinstance(node[1], int):
+            if len(node) != 2 or not isinstance(node[0], str) or not _is_int(node[1]):
                 raise ValueError(f"bad generator factor: {node!r}")
             factors.append(gen(node[0], node[1]))
     return tuple(factors)

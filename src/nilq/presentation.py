@@ -15,12 +15,22 @@ all that is decided here reads only a relator's Malcev coordinates:
 a ``NilPresentation`` holds those elements, not words.
 
 ``normalize`` reduces the exponent-sum matrix (the relators' alpha rows)
-to Smith form D = U S V and carries out its column operations as generator
-moves: a basis change phi, with ``basis_images`` the original generators
-over the new basis.  Mapped through phi, the relators have alpha rows S V,
-whose Z-span is that of D: the rows alpha_i e_i, i <= rank, with alpha_i the
+to Smith form D = U S V, and its basis change phi is the lift of V: a_k
+goes to a_1^V_k1 ... a_m^V_km, with no commutator part, and
+``basis_images`` holds those images.  phi acts as V on the abelianization,
+so it is onto there, hence onto N_{2,m}; a finitely generated nilpotent
+group is Hopfian (Segal, *Polycyclic Groups*, ch. 1), so phi is an
+automorphism.  Mapped through phi, the relators have alpha rows S V, whose
+Z-span is that of D: the rows alpha_i e_i, i <= rank, with alpha_i the
 invariant factors.  The row operations, which only combine relators, are
 not carried out at all.
+
+Any other lift of V, such as the Smith log's column operations replayed
+as generator moves, is phi followed by a central automorphism
+x -> x z(x's alpha), which fixes every central element.  So the closure
+lattice L below and every decision are the same for each lift; only
+``basis_images`` and the gammas of the echelon rows with an alpha pivot
+depend on the choice.
 
 The normal closure of the relators is generated, modulo the relators
 themselves, by the central elements [g, a_k]: conjugation in a 2-step group
@@ -76,7 +86,7 @@ alpha vanishes beyond the rank and, once the echelon rows with an alpha
 pivot clear its alpha, its free coordinates lie in the span of the free
 block.
 
-The generator moves act on Malcev coordinates, never on words.
+The basis change acts on Malcev coordinates, never on words.
 """
 
 from __future__ import annotations
@@ -86,7 +96,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Tuple
 
-from .nilpotent2 import MalcevElement, Polynomial, from_word, generator, inverse, pair_list
+from .nilpotent2 import MalcevElement, Polynomial, from_word, generator, pair_list
 from .words import MAX_RELATORS, RankLimitError, Word, WordSyntaxError, check_rank, parse_word
 from .zmatrix import Echelon, IntMatrix, SmithDecomposition, rank as zrank, smith_normal_form
 
@@ -155,10 +165,10 @@ def parse_presentation(text: str) -> NilPresentation:
 class NormalizedPresentation:
     """A presentation over the basis of its Smith reduction.
 
-    ``snf`` is the Smith reduction of the exponent-sum matrix, whose ``ops``
-    are the moves, and ``basis_images`` the original generators over the new
-    basis.  ``d_pq`` is d_pq at each pair in gamma order, and ``kept_pairs``
-    the gamma indices where it is not 1.
+    ``snf`` is the Smith reduction D = U S V of the exponent-sum matrix, and
+    ``basis_images`` the original generators over the new basis: a_k is
+    a_1^V_k1 ... a_m^V_km, the lift of V.  ``d_pq`` is d_pq at each pair in
+    gamma order, and ``kept_pairs`` the gamma indices where it is not 1.
     ``echelon`` is the Hermite form of the closure's coordinates at the alpha
     columns, then those pairs (see the module docstring); its first rank rows
     are (alpha_i e_i | c_i), the rest have zero alpha.
@@ -237,38 +247,14 @@ def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator
         yield echelon.rational_residue(v)
 
 
-def _power_times(x: MalcevElement, k: int, y: MalcevElement) -> MalcevElement:
-    """x^k y in one step: with x = (a | g) and y = (b | h), it is
-    (k a + b | k g - C(k, 2) a_p a_q + h - k a_q b_p) at each pair p < q."""
-    m, a, b, g, h = x.m, x.alpha, y.alpha, x.gamma, y.gamma
-    c = k * (k - 1) // 2
-    gamma = []
-    t = 0
-    for p in range(m):
-        s = c * a[p] + k * b[p]
-        for q in range(p + 1, m):
-            gamma.append(k * g[t] + h[t] - s * a[q])
-            t += 1
-    return MalcevElement(m, tuple(k * u + v for u, v in zip(a, b)), tuple(gamma))
-
-
 def normalize(p: NilPresentation) -> NormalizedPresentation:
     m = p.m
     sums = IntMatrix(len(p.relators), m, tuple(a for h in p.relators for a in h.alpha))
     snf = smith_normal_form(sums)
-    basis = [generator(m, k) for k in range(1, m + 1)]
-    # Column ops substitute letters (col_add(src, dst, k): a_src -> a_dst^k
-    # a_src): walking the log backwards composes the substitutions in replay
-    # order, one image at a time.
-    for op in reversed(snf.ops):
-        if op.kind == "col_add":
-            basis[op.src] = _power_times(basis[op.dst], op.mult, basis[op.src])
-        elif op.kind == "col_swap":
-            basis[op.src], basis[op.dst] = basis[op.dst], basis[op.src]
-        elif op.kind == "col_negate":
-            basis[op.src] = inverse(basis[op.src])
     k = snf.rank
     d = tuple(snf.invariant_factors[i - 1] if i <= k else 0 for i, _ in pair_list(m))
+    # the lift of V: a_k goes to a_1^V_k1 ... a_m^V_km, with no gamma part
+    basis = tuple(MalcevElement(m, snf.V.row(c), (0,) * len(d)) for c in range(m))
     kept = tuple(t for t, x in enumerate(d) if x != 1)
     rows = []
     for h in p.relators:
@@ -279,17 +265,17 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
     echelon = Echelon.of(rows)
     if [row[:m] for row in echelon.rows if any(row[:m])] != [snf.D.row(i) for i in range(k)]:
         raise AssertionError("relator images do not span the Smith diagonal")
-    return NormalizedPresentation(m, len(p.relators), p.s, snf, tuple(basis), d, kept, echelon)
+    return NormalizedPresentation(m, len(p.relators), p.s, snf, basis, d, kept, echelon)
 
 
 def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevElement:
     """Evaluate a word written over the original presentation's generators.
 
-    Normalization may substitute generators (the column moves of the Smith
-    reduction), so a word meant relative to the input presentation has to go
-    through the same substitutions before the coordinate-level deciders see
-    it: each original generator a_k becomes basis_images[k-1].  Words already
-    phrased in the rewritten basis can skip this and call from_word directly.
+    Normalization changes the basis by the lift of the Smith form's V, so a
+    word meant relative to the input presentation has to be mapped through
+    it before the coordinate-level deciders see it: each original generator
+    a_k becomes basis_images[k-1], a_1^V_k1 ... a_m^V_km.  Words already
+    phrased in the new basis can skip this and call from_word directly.
 
     The substitution is the class-2 polynomial map of ``nilpotent2``: the
     word's element as a ``Polynomial``, evaluated at basis_images.  No group

@@ -288,9 +288,7 @@ def csv_table(config: dict, columns: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rank_experiment_csv(cfg: ExperimentConfig, rows: Optional[Sequence[RankExperimentRow]] = None) -> str:
-    if rows is None:
-        rows = rank_experiment(cfg)
+def rank_experiment_csv(cfg: ExperimentConfig, rows: Sequence[RankExperimentRow]) -> str:
     columns = ("length", "trials", "full_rank_count", "p_hat", "stderr")
     return csv_table(asdict(cfg), columns, map(astuple, rows))
 

@@ -14,11 +14,12 @@ letters, brackets written out, each syllable a_k^e counting |e|.
 
 Every operation in the log of ``zmatrix.smith_normal_form`` is a Nielsen
 transformation: a row op combines relators, a column op substitutes
-generators.  ``presentation.normalize`` carries out only the column ops, on
-Malcev coordinates, and no row op at all.  Replaying the whole log on words
-(``nielsen_normalize``, ``rewrite_through_generator_moves``) serves the
-tests, as an oracle for the basis images and for the relators rewritten
-by every op; the words grow exponentially.
+generators.  ``presentation.normalize`` carries out neither: its basis
+change is the lift of V, the product of the column ops.  Replaying the
+whole log on words (``nielsen_normalize``, ``rewrite_through_generator_moves``)
+serves the tests, as the oracle of the Smith log and as the generator-move
+lift of V, which decides every query as ``normalize``'s basis does; the
+words grow exponentially.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ bound during elimination, so none of this is allowed anywhere near fixed-width
 arithmetic; numpy stays out of this module on purpose.
 
 The Smith routine records every elementary operation it performs, and that
-log is the only record of the reduction: ``presentation.normalize`` reads its
-column ops as generator moves, and the test oracles replay it as Nielsen
-transformations of relator words (``nilq.words``).  Log entries:
+log is the only record of the reduction: ``SmithDecomposition.V``, which
+``presentation.normalize`` lifts to its basis change, is rebuilt from its
+column ops, and the test oracles replay it as Nielsen transformations of
+relator words (``nilq.words``).  Log entries:
 
 * ``row_add(src, dst, mult)``  --  ``row[dst] += mult * row[src]``
 * ``col_add(src, dst, mult)``  --  ``col[dst] += mult * col[src]``

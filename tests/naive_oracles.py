@@ -7,10 +7,12 @@ character-by-character scanner of the word grammar (for ``parse_word``),
 Q-span membership by a rank comparison (for ``Echelon.rational_residue``),
 the elementary operations of a Smith log applied one at a time and the
 schoolbook matrix product (for ``smith_normal_form`` and the Hermite
-transform), the Nielsen replay of a whole Smith log on relator elements
-by group multiplication (for ``normalize``), the probe-and-test scan of
-a box of alphas (for the group solver's coset walk), and numpy's own
-PCG64 seeded one trial at a time (for the samplers' block seeding).
+transform), substitution into a word and collection of the result (for
+``express_in_normalized_basis``), the lift of V collected letter by letter
+and the Nielsen replay of a whole Smith log on relator elements by group
+multiplication (for ``normalize``), the probe-and-test scan of a box of
+alphas (for the group solver's coset walk), and numpy's own PCG64 seeded
+one trial at a time (for the samplers' block seeding).
 """
 
 import itertools
@@ -84,6 +86,24 @@ def collection_oracle(w: Word) -> MalcevElement:
     for l in letters:
         alpha[abs(l) - 1] += 1 if l > 0 else -1
     return MalcevElement(m, tuple(alpha), tuple(gamma))
+
+
+def substituted_collection(w: Word, images) -> MalcevElement:
+    """w with each letter a_k^(+-1) replaced by the word of images[k-1], or
+    its inverse, then collected letter by letter.  The word of an element
+    (x | g) is a_1^x_1 ... a_m^x_m followed by [a_p, a_q]^g_pq at each pair."""
+    m = w.m
+    words = []
+    for x in images:
+        syllables = [(c + 1, e) for c, e in enumerate(x.alpha) if e]
+        for (p, q), g in zip(pair_list(m), x.gamma):
+            bracket = ((p, -1), (q, -1), (p, 1), (q, 1))
+            syllables.extend((bracket if g > 0 else _inverted(bracket)) * abs(g))
+        words.append(tuple(syllables))
+    out = []
+    for k, e in w.syllables:
+        out.extend((words[k - 1] if e > 0 else _inverted(words[k - 1])) * abs(e))
+    return collection_oracle(Word(tuple(out), m))
 
 
 Syllable = Tuple[int, int]
@@ -233,20 +253,36 @@ def apply_op(M: IntMatrix, op: ElementaryOp) -> IntMatrix:
     return IntMatrix.from_rows(A) if A else M
 
 
-def relator_replay(p, np_):
-    """(basis images, rewritten relators, closure lattice) of the
-    presentation p by replaying every op of np_'s Smith log as a Nielsen
-    move with multiply(power(...)).
+def lift_basis(np_):
+    """normalize's basis images, recomputed: V as the column ops of np_'s
+    Smith log applied one at a time to the identity, then each a_k's image,
+    the word a_1^V_k1 ... a_m^V_km, collected letter by letter."""
+    m = np_.m
+    V = IntMatrix.identity(m)
+    for op in np_.snf.ops:
+        if op.kind.startswith("col"):
+            V = apply_op(V, op)
+    return tuple(
+        collection_oracle(Word(tuple((c + 1, e) for c, e in enumerate(V.row(k)) if e), m))
+        for k in range(m)
+    )
 
-    Row ops act on the relators as elements; column ops build the basis
-    images, the log walked backwards.  The rewritten relators are the
-    replayed ones over the new basis: a_i^alpha_i c_i for i < rank, then the
-    central ones.  The closure lattice holds [h_i, a_g] for each of the
-    first rank of them and g != i, then the nonzero gammas of the rest.
+
+def relator_replay(p, np_, basis=None):
+    """(basis images, rewritten relators, closure lattice) of the
+    presentation p by replaying np_'s Smith log as Nielsen moves with
+    multiply(power(...)).
+
+    Row ops act on the relators as elements.  The basis images are
+    ``basis`` when given (``lift_basis`` for normalize's own), and
+    otherwise the column ops replayed as generator moves, the log walked
+    backwards.  The rewritten relators are the replayed ones over the new
+    basis: a_i^alpha_i c_i for i < rank, then the central ones.  The closure
+    lattice holds [h_i, a_g] for each of the first rank of them and g != i,
+    then the nonzero gammas of the rest.
     """
     m, k = np_.m, np_.snf.rank
     relators = list(p.relators)
-    basis = [generator(m, g) for g in range(1, m + 1)]
     for op in np_.snf.ops:
         if op.kind == "row_add":
             relators[op.dst] = multiply(power(relators[op.src], op.mult), relators[op.dst])
@@ -254,13 +290,15 @@ def relator_replay(p, np_):
             relators[op.src], relators[op.dst] = relators[op.dst], relators[op.src]
         elif op.kind == "row_negate":
             relators[op.src] = inverse(relators[op.src])
-    for op in reversed(np_.snf.ops):
-        if op.kind == "col_add":
-            basis[op.src] = multiply(power(basis[op.dst], op.mult), basis[op.src])
-        elif op.kind == "col_swap":
-            basis[op.src], basis[op.dst] = basis[op.dst], basis[op.src]
-        elif op.kind == "col_negate":
-            basis[op.src] = inverse(basis[op.src])
+    if basis is None:
+        basis = [generator(m, g) for g in range(1, m + 1)]
+        for op in reversed(np_.snf.ops):
+            if op.kind == "col_add":
+                basis[op.src] = multiply(power(basis[op.dst], op.mult), basis[op.src])
+            elif op.kind == "col_swap":
+                basis[op.src], basis[op.dst] = basis[op.dst], basis[op.src]
+            elif op.kind == "col_negate":
+                basis[op.src] = inverse(basis[op.src])
     rewritten = tuple(Polynomial(h)(basis, m) for h in relators)
     lattice = tuple(
         commutator(h, generator(m, g)).gamma

@@ -59,7 +59,7 @@ from nilq.diophantine import (
     z_in_g_templates,
 )
 
-from naive_oracles import collection_oracle, letter_word, matmul, relator_replay
+from naive_oracles import collection_oracle, letter_word, lift_basis, matmul, relator_replay
 
 
 SEED = 20260822
@@ -202,9 +202,12 @@ def _random_full_rank_presentation(rng, max_m=3):
 
 def _closure_generators(rels, np_):
     """The normalized relators and the closure lattice of the relator words
-    rels, from the Nielsen replay oracle."""
+    rels, from the Nielsen replay oracle over normalize's basis, the lift of
+    V."""
     p = NilPresentation(np_.m, 2, tuple(from_word(w) for w in rels))
-    _, rewritten, lattice = relator_replay(p, np_)
+    basis = lift_basis(np_)
+    assert np_.basis_images == basis
+    _, rewritten, lattice = relator_replay(p, np_, basis)
     return rewritten[: np_.snf.rank], lattice
 
 

@@ -19,6 +19,7 @@ from nilq.randwalk import (
     ExperimentConfig,
     coordinate_clt_stats,
     clt_csv,
+    rank_experiment,
     rank_experiment_csv,
     return_probability_exact,
     return_table_csv,
@@ -110,7 +111,8 @@ def test_rank_exp_matches_library(capsys, tmp_path):
     f.write_text(json.dumps(cfg))
     code, out, _ = _run(capsys, "rank-exp", str(f))
     assert code == 0
-    expected = rank_experiment_csv(ExperimentConfig(2, 1, (5, 9), 30, 12))
+    config = ExperimentConfig(2, 1, (5, 9), 30, 12)
+    expected = rank_experiment_csv(config, rank_experiment(config))
     assert out == expected
     assert '"seed": 12' in out.splitlines()[0]
 
@@ -307,7 +309,7 @@ _PINNED_PRESENTATION_OUTPUTS = [
     (("is-trivial", "{quot.txt}", "[a1,a3]"),
      "f7e4fb9691f220a2157c02ed329e487957156a19de23f865951314f36526609a"),
     (("normalize", "{undecidable.txt}"),
-     "97efa200f4e975f96157d025756d8d362d98a4723d6075f2c72237b99beb243c"),
+     "db63c3f4ba771408a06c38f1b3ccd94565f2a3f5dfbd2ed51d4d9a7582f795cc"),
     (("is-trivial", "{undecidable.txt}", "a1 a2^2 a3"),
      "32c4da8f80d4bd0a628d91dec766717b85fe22afe84c98b1d9398f4237aa559c"),
     (("is-trivial", "{undecidable.txt}", "a3"),
@@ -612,6 +614,28 @@ def test_solve_bounded_undeclared_ambient_constant_exit_2(capsys, tmp_path):
     code, out, err = _run(capsys, "solve-bounded", str(group), "--box", "1")
     assert code == 2 and out == ""
     assert err == "error: bad group system: constants not in the ambient: ['c']\n"
+
+
+_BRACKET = [["a", 1]], [["b", 1]]
+
+
+@pytest.mark.parametrize("system,kind", [
+    ({"variables": ["x"], "constants": ["a", "b"],
+      "equations": [[[["x", 1]], [["comm", *_BRACKET, "2"]]]]}, "group"),
+    ({"variables": ["x"], "constants": ["a", "b"],
+      "equations": [[[["x", 1]], [["comm", *_BRACKET, 1.5]]]]}, "group"),
+    ({"variables": ["x"], "constants": ["a", "b"],
+      "equations": [[[["x", True]], [["a", 1]]]]}, "group"),
+    ({"variables": ["x"], "equations": [[["var", "x"], ["const", True]]]}, "ring"),
+], ids=["bracket exponent string", "bracket exponent float", "generator exponent true",
+        "const true"])
+def test_solve_bounded_rejects_non_integer_numbers_exit_2(capsys, tmp_path, system, kind):
+    # a bracket exponent is checked like a generator's, and JSON true is no 1
+    f = tmp_path / "system.json"
+    f.write_text(json.dumps(system))
+    code, out, err = _run(capsys, "solve-bounded", str(f), "--box", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad {kind} system: ")
 
 
 def test_solve_bounded_rank_deficient_presentation(capsys, tmp_path):

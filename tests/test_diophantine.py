@@ -26,7 +26,6 @@ from nilq.diophantine import (
     eval_gword,
     eval_term,
     gen,
-    gword,
     gword_from_json,
     instantiate_template,
     odot_law_failures,
@@ -119,7 +118,7 @@ def test_bounded_solve_ring_static_limit():
 
 
 def test_gword_json_roundtrip():
-    w = gword(gen("x", 2), comm(gword(gen("a")), gword(gen("b")), -3))
+    w = (gen("x", 2), comm((gen("a"),), (gen("b"),), -3))
     assert gword_from_json(_json_roundtrip(w)) == w
     # an explicit bracket exponent 1 is dropped, as the output drops it
     a_b = [["a", 1]], [["b", 1]]
@@ -129,7 +128,7 @@ def test_gword_json_roundtrip():
 def test_eval_gword():
     m = 2
     a, b = generator(m, 1), generator(m, 2)
-    w = gword(comm(gword(gen("a")), gword(gen("b")), 2))
+    w = (comm((gen("a"),), (gen("b"),), 2),)
     assert eval_gword(w, {"a": a, "b": b}, m) == power(commutator(a, b), 2)
     assert eval_gword((), {}, m) == identity(m)
 
@@ -191,7 +190,7 @@ def test_group_system_json_roundtrip():
     S = GroupSystem(
         ("x",),
         ("a", "b"),
-        (((gen("x"),), (comm(gword(gen("a")), gword(gen("b"))),)),),
+        (((gen("x"),), (comm((gen("a"),), (gen("b"),)),)),),
     )
     assert GroupSystem.from_jsonable(_json_roundtrip(S)) == S
 
@@ -245,7 +244,7 @@ def test_solve_group_commutator_value():
     S = GroupSystem(
         ("x",),
         ("a", "b"),
-        (((gen("x"),), (comm(gword(gen("a")), gword(gen("b"))),)),),
+        (((gen("x"),), (comm((gen("a"),), (gen("b"),)),)),),
     )
     sols = bounded_solve_group(S, amb, 1)
     assert len(sols) == 1
@@ -258,7 +257,7 @@ def test_solve_group_centralizer_count():
     S = GroupSystem(
         ("x",),
         ("a", "b"),
-        (((comm(gword(gen("x")), gword(gen("a"))),), ()),),
+        (((comm((gen("x"),), (gen("a"),)),), ()),),
     )
     sols = bounded_solve_group(S, amb, 1)
     assert len(sols) == 9
@@ -280,7 +279,7 @@ def test_solve_group_find_first():
     S = GroupSystem(
         ("x",),
         ("a", "b"),
-        (((comm(gword(gen("x")), gword(gen("a"))),), ()),),
+        (((comm((gen("x"),), (gen("a"),)),), ()),),
     )
     sols = bounded_solve_group(S, amb, 1, find_all=False)
     assert len(sols) == 1
@@ -290,7 +289,7 @@ def test_find_all_keeps_at_most_the_solution_cap(monkeypatch):
     # x = x holds at every point: box 1 at m = 2 has 3^3 points per
     # variable, so two variables have 729 solutions
     amb = FreeNilpotentAmbient(2)
-    S = GroupSystem(("x", "y"), ("a", "b"), ((gword(gen("x")), gword(gen("x"))),))
+    S = GroupSystem(("x", "y"), ("a", "b"), (((gen("x"),), (gen("x"),)),))
     assert diophantine.MAX_FOUND_SOLUTIONS >= 100_000
     monkeypatch.setattr(diophantine, "MAX_FOUND_SOLUTIONS", 729)
     assert len(bounded_solve_group(S, amb, 1)) == 729
@@ -364,7 +363,7 @@ def test_solve_group_pinned_escapes_box():
     S = GroupSystem(
         ("x",),
         ("a", "b"),
-        (((gen("x"),), (comm(gword(gen("a")), gword(gen("b")), 10),)),),
+        (((gen("x"),), (comm((gen("a"),), (gen("b"),), 10),)),),
     )
     assert bounded_solve_group(S, amb, 1, pinned={"x": c10}) == [{"x": c10}]
     # without the pin the box rejects the only candidate
@@ -376,7 +375,7 @@ def test_solve_group_eval_budget():
     S = GroupSystem(
         ("x", "y"),
         ("a", "b"),
-        (((comm(gword(gen("x")), gword(gen("y"))),), ()),),
+        (((comm((gen("x"),), (gen("y"),)),), ()),),
     )
     with pytest.raises(SearchSpaceError):
         bounded_solve_group(S, amb, 2, eval_limit=5)
@@ -385,7 +384,7 @@ def test_solve_group_eval_budget():
 def test_solve_group_budget_counts_probes_only_on_wide_boxes():
     # [a, y] = 1 in rank 2 holds iff alpha_y[2] = 0
     amb = FreeNilpotentAmbient(2)
-    S = GroupSystem(("y",), ("a", "b"), (((comm(gword(gen("a")), gword(gen("y"))),), ()),))
+    S = GroupSystem(("y",), ("a", "b"), (((comm((gen("a"),), (gen("y"),)),), ()),))
     # box 0: one alpha value, no probes; one candidate plus one check
     assert len(bounded_solve_group(S, amb, 0, eval_limit=2)) == 1
     with pytest.raises(SearchSpaceError):
@@ -438,7 +437,7 @@ def test_solve_group_per_variable_boxes():
     S = GroupSystem(
         ("x",),
         ("a", "b"),
-        (((comm(gword(gen("x")), gword(gen("a"))),), ()),),
+        (((comm((gen("x"),), (gen("a"),)),), ()),),
     )
     sols = bounded_solve_group(S, amb, {"x": 0})
     assert len(sols) == 1  # only the identity fits a zero box
@@ -448,7 +447,7 @@ def test_quotient_ambient_solution():
     S = GroupSystem(
         ("x",),
         ("a", "b"),
-        (((gen("x"),), (comm(gword(gen("a")), gword(gen("b"))),)),),
+        (((gen("x"),), (comm((gen("a"),), (gen("b"),)),)),),
     )
     # the repeated relator makes the exponent-sum matrix rank-deficient and
     # presents the same group
@@ -541,16 +540,16 @@ def _random_system(rng, dim, max_volume):
     names = list(variables) + ["a", "b"]
     equations = []
     for _ in range(rng.randrange(1, 4)):
-        v, g = gword(gen(rng.choice(variables))), gword(gen(rng.choice(names)))
+        v, g = (gen(rng.choice(variables)),), (gen(rng.choice(names)),)
         k = rng.choice((-1, 0, 1, 2))
-        c_k = (comm(gword(gen("a")), gword(gen("b")), k),) if k else ()
+        c_k = (comm((gen("a"),), (gen("b"),), k),) if k else ()
         kind = rng.random()
         if kind < 0.4:
             equations.append(((comm(g, v) if rng.random() < 0.5 else comm(v, g),), c_k))
         elif kind < 0.5:
             equations.append((v, g + c_k))
         elif kind < 0.6:
-            h = gword(gen(rng.choice([n for n in names if n != v[0][0]])))
+            h = (gen(rng.choice([n for n in names if n != v[0][0]])),)
             equations.append((v + h + (gen(v[0][0], -1),), h + c_k))
         else:
             equations.append((_random_word(rng, names), _random_word(rng, names)))
@@ -778,7 +777,7 @@ def test_coset_walk_charges_the_stretches_it_passes():
 def test_wide_box_scans_lazily():
     # [a, y] = 1 over a box of 2*10^7 + 1 values per coordinate: nothing is
     # listed, the first solution comes at once, and find-all stops at its limit
-    S = GroupSystem(("y",), ("a", "b"), (((comm(gword(gen("a")), gword(gen("y"))),), ()),))
+    S = GroupSystem(("y",), ("a", "b"), (((comm((gen("a"),), (gen("y"),)),), ()),))
     amb = FreeNilpotentAmbient(2)
     t0 = time.perf_counter()
     assert bounded_solve_group(S, amb, 10**7, find_all=False) == [{"y": identity(2)}]

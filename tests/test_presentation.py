@@ -45,7 +45,7 @@ from nilq.words import (
     word_power,
 )
 
-from naive_oracles import rational_membership, relator_replay
+from naive_oracles import lift_basis, rational_membership, relator_replay, substituted_collection
 
 
 def _norm(text):
@@ -185,8 +185,10 @@ def test_express_in_normalized_basis_rejects_other_ranks():
 
 
 def test_normalize_matches_word_replay():
-    # letter-by-letter Nielsen replay is the reference; its words grow
-    # exponentially with the generator moves, hence the short relators
+    # letter-by-letter Nielsen replay is the reference for the Smith log; its
+    # words grow exponentially with the generator moves, hence the short
+    # relators.  normalize's basis is the lift of V, which agrees with the
+    # replayed moves in alpha only
     rng = random.Random(2)
     for _ in range(100):
         m = rng.randrange(2, 6)
@@ -196,20 +198,21 @@ def test_normalize_matches_word_replay():
         np_ = normalize(p)
         words, snf = nielsen_normalize(rels, m)
         assert np_.snf == snf
-        basis, rewritten, _ = relator_replay(p, np_)
-        assert np_.basis_images == basis
+        _, rewritten, _ = relator_replay(p, np_)
         assert rewritten == tuple(from_word(w) for w in words)
+        assert np_.basis_images == lift_basis(np_)
         for _ in range(3):
             w = random_word(rng.randrange(16), m, rng)
-            expected = from_word(rewrite_through_generator_moves(w, snf.ops))
-            assert express_in_normalized_basis(w, np_) == expected
+            h = express_in_normalized_basis(w, np_)
+            assert h == substituted_collection(w, np_.basis_images)
+            assert h.alpha == from_word(rewrite_through_generator_moves(w, snf.ops)).alpha
 
 
 def test_normalize_outputs_pinned():
-    # the replayed relators and closure lattice, and basis_images, of 60
-    # seeded presentations with m <= 8, as the square-and-multiply
-    # substitution computed them; the closed-form generator moves must give
-    # the same basis_images, and normalize the same lattice
+    # the relators and closure lattice replayed by square-and-multiply, and
+    # normalize's basis_images, of 60 seeded presentations with m <= 8;
+    # basis_images must be the collected lift of V, and normalize's lattice
+    # the replayed one
     rng = random.Random(11)
     digest = hashlib.sha256()
     moved = 0
@@ -219,15 +222,15 @@ def test_normalize_outputs_pinned():
         rels = tuple(random_word(rng.randrange(1, 13), m, rng) for _ in range(r))
         p = _presentation(rels, m)
         np_ = normalize(p)
-        basis, rewritten, lattice = relator_replay(p, np_)
-        assert np_.basis_images == basis
+        _, rewritten, lattice = relator_replay(p, np_)
+        assert np_.basis_images == lift_basis(np_)
         assert zmatrix.Echelon.of(np_.closure_lattice) == zmatrix.Echelon.of(lattice)
         moved += np_.basis_images != tuple(generator(m, k) for k in range(1, m + 1))
         coords = lambda els: [el.alpha + el.gamma for el in els]
         digest.update(json.dumps([coords(rewritten), lattice,
                                   coords(np_.basis_images)]).encode())
     assert moved >= 30
-    assert digest.hexdigest() == "c072c7ab04ec6d659cb5a000fc6cd679051346deebc755ee7d953c2a527a6b79"
+    assert digest.hexdigest() == "6074c7e902cde58cc7e57b2e87169ef10e241def14b1981094f30adeedac5ba6"
 
 
 def test_cached_map_query_runs_no_group_arithmetic(monkeypatch):
@@ -236,7 +239,8 @@ def test_cached_map_query_runs_no_group_arithmetic(monkeypatch):
     np_ = normalize(_presentation(rels, 4))
     assert np_.basis_images != tuple(generator(4, k) for k in range(1, 5))
     words = [random_word(30, 4, rng) for _ in range(20)] + list(rels)
-    expected = [from_word(rewrite_through_generator_moves(w, np_.snf.ops)) for w in words]
+    expected = [substituted_collection(w, np_.basis_images) for w in words]
+    replayed = [from_word(rewrite_through_generator_moves(w, np_.snf.ops)) for w in words]
 
     def forbidden(*args):
         raise AssertionError("group arithmetic on the query path")
@@ -244,9 +248,9 @@ def test_cached_map_query_runs_no_group_arithmetic(monkeypatch):
     for module in (nilpotent2, presentation):
         for name in ("multiply", "inverse", "power", "commutator"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
-    for w, want in zip(words, expected):
+    for w, want, moved in zip(words, expected, replayed):
         h = express_in_normalized_basis(w, np_)
-        assert h == want
+        assert h == want and h.alpha == moved.alpha
         assert is_trivial_in_G(h, np_) == is_trivial_mod_torsion(h, np_) == (w in rels)
 
 
@@ -475,9 +479,12 @@ def test_higher_class_presentation_accepted():
 
 
 def _replayed_closure(p, np_):
-    """The normalized relators and the closure lattice of p, from the
-    replay of every Nielsen move by group multiplication."""
-    _, rewritten, lattice = relator_replay(p, np_)
+    """The normalized relators and the closure lattice of p over normalize's
+    basis, the lift of V, from the replay of every row op by group
+    multiplication."""
+    basis = lift_basis(np_)
+    assert np_.basis_images == basis
+    _, rewritten, lattice = relator_replay(p, np_, basis)
     return rewritten[: np_.snf.rank], lattice
 
 
@@ -713,15 +720,18 @@ def _differential_presentations(rng, count):
 
 
 def test_deciders_match_the_replayed_closure_on_3000_presentations():
-    # the lattice built from the replayed relators decides every query as
-    # the echelon of the relators' images does
+    # the lattice built from the relators and generator moves replayed by
+    # group multiplication, asked of each query rewritten through the same
+    # moves, decides every query as normalize's echelon does in its own
+    # basis, the lift of V: both lifts of V give the same answers
     rng = random.Random(2021)
     seen = {"r > m": 0, "rank-deficient": 0, "bracket relator": 0, "repeated relator": 0,
             "in G": 0, "torsion only": 0, "central": 0, "c-small": 0, "not c-small": 0}
     for rels, p in _differential_presentations(rng, 3000):
         np_ = normalize(p)
         m, k = np_.m, np_.snf.rank
-        normalized, lat = _replayed_closure(p, np_)
+        _, rewritten, lat = relator_replay(p, np_)
+        normalized = rewritten[:k]
         coordinate_echelon = zmatrix.Echelon.of(
             [g.alpha + g.gamma for g in normalized] + [(0,) * m + v for v in lat])
         gamma_echelon = zmatrix.Echelon.of(lat)
@@ -744,10 +754,11 @@ def test_deciders_match_the_replayed_closure_on_3000_presentations():
             random_word(rng.randrange(0, 8), m, rng) for _ in range(4))
         for w in itertools.islice(queries, 4):
             h = express_in_normalized_basis(w, np_)
-            in_G = coordinate_echelon.in_lattice(h.alpha + h.gamma)
-            hn = power(h, n0)
+            moved = from_word(rewrite_through_generator_moves(w, np_.snf.ops))
+            in_G = coordinate_echelon.in_lattice(moved.alpha + moved.gamma)
+            hn = power(moved, n0)
             mod_torsion = not any(coordinate_echelon.rational_residue(hn.alpha + hn.gamma))
-            commuting_dim = m - rank_of(residues(h))
+            commuting_dim = m - rank_of(residues(moved))
             central = commuting_dim == m
             assert is_trivial_in_G(h, np_) == in_G
             assert is_trivial_mod_torsion(h, np_) == mod_torsion
@@ -764,18 +775,6 @@ def test_deciders_match_the_replayed_closure_on_3000_presentations():
                 with pytest.raises(InconclusiveError):
                     is_c_small(h, np_)
     assert all(seen.values()), seen
-
-
-def test_power_times_matches_multiply_of_power():
-    rng = random.Random(13)
-    big = 10**12
-    for m in range(1, 7):
-        n = m * (m - 1) // 2
-        for k in range(-50, 51):
-            x, y = (MalcevElement(m, tuple(rng.randint(-big, big) for _ in range(m)),
-                                  tuple(rng.randint(-big, big) for _ in range(n)))
-                    for _ in range(2))
-            assert presentation._power_times(x, k, y) == multiply(power(x, k), y)
 
 
 def test_deciders_run_one_hnf_per_presentation(monkeypatch):
@@ -849,7 +848,8 @@ def test_closure_echelon_is_the_hermite_form_of_the_closure_lattice():
             "dropped pairs": 0}
     for p in _closure_draws(rng):
         np_ = normalize(p)
-        _, rewritten, lat = relator_replay(p, np_)
+        _, rewritten, lat = relator_replay(p, np_, lift_basis(np_))
+        assert relator_replay(p, np_)[2] == lat
         k = np_.snf.rank
         stacked = list(rewritten[:k]) + [MalcevElement(np_.m, (0,) * np_.m, v) for v in lat]
         assert np_.echelon == zmatrix.Echelon.of([_kept(np_, g) for g in stacked])

@@ -70,7 +70,7 @@ def test_rank_experiment_deterministic():
     for row in rows1:
         assert 0 <= row.full_rank_count <= row.trials
         assert row.p_hat == Fraction(row.full_rank_count, row.trials)
-    assert rank_experiment_csv(cfg) == rank_experiment_csv(cfg, rows1)
+    assert rank_experiment_csv(cfg, rank_experiment(cfg)) == rank_experiment_csv(cfg, rows1)
 
 
 def test_rank_experiment_r_zero_always_full():
@@ -112,7 +112,7 @@ def test_rank_experiment_tallies_the_draws_of_random_word(monkeypatch):
 
 def test_rank_experiment_csv_shape():
     cfg = ExperimentConfig(m=2, r=1, lengths=(4,), trials=8, seed=99)
-    text = rank_experiment_csv(cfg)
+    text = rank_experiment_csv(cfg, rank_experiment(cfg))
     lines = text.strip().split("\n")
     assert lines[0].startswith("# config: ")
     assert lines[1] == "length,trials,full_rank_count,p_hat,stderr"
