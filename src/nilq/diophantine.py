@@ -36,10 +36,11 @@ scans one variable's coordinate box, smallest coordinates first, visiting
 only the alphas that the blindness rule below admits: those equations that
 are affine in the variable's alpha are solved together for a lattice coset
 (Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
-section 2.4), and only its points in the box are walked.  The work limit
-counts the work done as the plain scan of the box would, not the nominal
-box volume (the nominal volume of the gadget systems is astronomically
-larger than the work the scheduler does).
+section 2.4), and one walk visits the points of that coset times the gamma
+box.  The work limit counts the work done as the plain scan of the box
+would, 1 per candidate, not the nominal volume of the whole search (that
+of the gadget systems is astronomically larger than the work the scheduler
+does).
 
 In class 2 every group word is a polynomial in its names' coordinates
 (Duchin, Liang & Shapiro, "Equations in nilpotent groups", Proc. AMS 2015),
@@ -65,6 +66,7 @@ elements, once per GroupSystem.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -570,31 +572,31 @@ def compile_system(edef: EDefinition, S: RingSystem) -> CompiledSystem:
 # bounded group solver
 
 
-def _coset_walk(point: Sequence[int], kernel: Sequence, bound: int):
-    """The points of point + span(kernel) inside [-bound, bound]^dim, lazily,
-    in the order of the plain box scan: 0, 1, -1, 2, -2, ... in each
-    coordinate, the first coordinate slowest.
+def _coset_walk(point: Sequence[int], kernel: Sequence, bounds: Sequence[int]):
+    """The points of point + span(kernel) inside the box with half-width
+    bounds[j] in coordinate j, lazily, in the order of the plain box scan:
+    0, 1, -1, 2, -2, ... in each coordinate, the first coordinate slowest.
 
     The kernel is an echelon basis: ``kernel[j]`` is None, or the entries
     from column j on of the basis row whose pivot d > 0 is in column j.  A
     column with a pivot takes the values of one class mod d, and any other
     column the one value the columns before it leave.  Yields (rank, point),
-    rank being the point's place in the box scan,
-    sum_j idx(x_j) (2b+1)^(dim-1-j) with idx(v) = 2v - 1 for v > 0 and -2v
-    otherwise; and (end, None) on leaving a stretch of ranks below end that
-    holds no point.  Each yield passes at least one rank, so a caller that
-    charges the ranks it passes bounds the walk.  The walk keeps one
+    rank being the point's place in the box scan, the mixed-radix number
+    with digits idx(x_j) < 2 bounds[j] + 1, idx(v) = 2v - 1 for v > 0 and
+    -2v otherwise; and (end, None) on leaving a stretch of ranks below end
+    that holds no point.  Each yield passes at least one rank, so a caller
+    that charges the ranks it passes bounds the walk.  The walk keeps one
     current point and one frame per pivot column, however large the box.
     """
-    dim, side = len(point), 2 * bound + 1
+    dim, sides = len(point), [2 * b + 1 for b in bounds]
     cur = list(point)
     # per pivot column on the path: [column, rank before it, ranks per value,
     # next member v >= 0, next member -s < 0 as s, shift applied, none yet]
     frames: list = []
-    col, rank, span = 0, 0, side**dim  # the prefix cur[:col] owns [rank, rank + span)
+    col, rank, span = 0, 0, math.prod(sides)  # the prefix cur[:col] owns [rank, rank + span)
     while True:
-        while col < dim and kernel[col] is None and -bound <= cur[col] <= bound:
-            span //= side
+        while col < dim and kernel[col] is None and -bounds[col] <= cur[col] <= bounds[col]:
+            span //= sides[col]
             rank += (2 * cur[col] - 1 if cur[col] > 0 else -2 * cur[col]) * span
             col += 1
         if col == dim:
@@ -603,7 +605,7 @@ def _coset_walk(point: Sequence[int], kernel: Sequence, bound: int):
             yield rank + span, None
         else:
             pos = cur[col] % kernel[col][0]
-            frames.append([col, rank, span // side, pos, kernel[col][0] - pos, 0, True])
+            frames.append([col, rank, span // sides[col], pos, kernel[col][0] - pos, 0, True])
         # the next value of the deepest pivot column that has one left; the
         # class merges its members v >= 0 and -s < 0 by idx, v first iff
         # 2v - 1 < 2s, that is v <= s
@@ -618,7 +620,7 @@ def _coset_walk(point: Sequence[int], kernel: Sequence, bound: int):
                 v, frame[4] = -neg, neg + d
             # move cur[col] to v by a multiple of the row, or, with no member
             # left in the box, back to where the frame found it
-            found = abs(v) <= bound
+            found = abs(v) <= bounds[col]
             c = (v - cur[col]) // d if found else -shift
             if c:
                 for i, b in enumerate(tail, col):
@@ -630,7 +632,7 @@ def _coset_walk(point: Sequence[int], kernel: Sequence, bound: int):
                 break
             frames.pop()
             if empty:
-                yield rank + span * side, None
+                yield rank + span * sides[col], None
         else:
             return
 
@@ -740,25 +742,29 @@ def _admissible_coset(forms, ambient: Ambient):
     return tuple(resid[width:]), kernel
 
 
-def _scan_alphas(forms, ambient: Ambient, bound: int, block: int, spend):
-    """The alphas of the box [-bound, bound]^m that every affine form
-    admits, lazily, in the plain scan's order.
+def _candidates(forms, ambient: Ambient, bounds: Sequence[int], spend):
+    """The candidate elements of the box with half-width bounds[j] in
+    coordinate j, alpha then gamma, whose alpha every affine form admits,
+    lazily, in the plain scan's order: one walk of the admissible alpha
+    coset times the gamma box.
 
-    Each alpha skipped is charged ``block`` (its gamma candidates) through
-    ``spend``: those before an admitted alpha just before it is yielded,
-    those in a stretch with none as the walk passes it, and the rest once
-    the walk runs out.  A caller that stops early charges no more.
+    Charges 1 for every point of the box through ``spend``: the points
+    before a candidate with the candidate, just before it is yielded, a
+    stretch with none as the walk passes it, and the rest once the walk
+    runs out.  A caller that stops early charges no more.
     """
+    m, n = ambient.m, len(bounds) - ambient.m
     coset = _admissible_coset(forms, ambient)
     passed = 0
     if coset is not None:
-        for rank, alpha in _coset_walk(*coset, bound):
-            spend((rank - passed) * block)
-            passed = rank
-            if alpha is not None:
-                passed += 1
-                yield alpha
-    spend(((2 * bound + 1) ** ambient.m - passed) * block)
+        alpha, kernel = coset
+        for rank, point in _coset_walk(alpha + (0,) * n, tuple(kernel) + ((1,),) * n, bounds):
+            found = point is not None
+            spend(rank + found - passed)
+            passed = rank + found
+            if found:
+                yield MalcevElement(m, point[:m], point[m:])
+    spend(math.prod(2 * b + 1 for b in bounds) - passed)
 
 
 @dataclass(frozen=True)
@@ -825,9 +831,10 @@ def bounded_solve_group(
     whose forms all lie in the ambient's target lattice (the coordinates
     and lattice that ``ambient.is_trivial`` decides by) are a coset of a
     lattice in Z^m.  One Hermite form of the forms' slopes solves for it,
-    and the scan walks only its points inside the box (``_coset_walk``):
-    an empty coset ends the scan at once, and every alpha it skips is one
-    the plain scan would reject.  An admitted alpha settles those
+    and one walk (``_coset_walk``) visits the points of that coset times
+    the gamma box: an empty coset ends the scan at once, and every
+    candidate it skips is one the plain scan would reject.  An admitted
+    alpha settles those
     equations, which the search below y does not check again.  The
     candidate order, the solutions and their order are those of the plain
     scan.  With find_all=False, a y whose net exponent is 0 in every
@@ -846,10 +853,9 @@ def bounded_solve_group(
     ``eval_limit`` counts word evaluations and candidate elements, not box
     volume, exactly as the plain probe-and-test scan would: equation checks,
     forced values, m + 1 per affine form (its evaluation at y = 1 and the m
-    probes y = a_k its slope stands for), and each candidate.  An alpha the
-    walk skips counts its gamma block, (2b+1)^(m(m-1)/2) elements in box b
-    (1 when scanned at gamma = 0 only), by arithmetic: the skipped alphas
-    are charged in one sum before the next admitted one, as the walk
+    probes y = a_k its slope stands for), and 1 per candidate of the box,
+    whether the walk yields it or skips it.  The skipped ones are charged
+    by arithmetic, in one sum before the next yielded one, as the walk
     passes a stretch with none, and after the last, so an unbounded walk
     still stops at the limit.  Candidates are generated, never listed, so
     the limit bounds memory too.  Exceeding it raises SearchSpaceError, and
@@ -973,25 +979,20 @@ def bounded_solve_group(
                 target = free[0]
             # existence mode: scan gamma = 0 only where nothing reads it
             blind = not find_all and all(target not in shapes[idx].reads_gamma for idx in rem)
-            gamma_box = 0 if blind else boxes[target]
-            # candidates run alpha-major, gamma fastest; the affine forms see
-            # only alpha, so the scan visits only the alphas they admit and
-            # charges each skipped alpha its gamma block.  With no more alpha
-            # values than the m + 1 evaluations a form is charged, forms
-            # cannot pay.
+            bounds = (boxes[target],) * m + (0 if blind else boxes[target],) * n_pairs
+            # the affine forms see only alpha, so the walk visits only the
+            # alphas they admit.  With no more alpha values than the m + 1
+            # evaluations a form is charged, forms cannot pay.
             if (2 * boxes[target] + 1) ** m > m + 1:
                 forms, rem = affine_forms(target, rem)
             else:
                 forms = []
-            block = (2 * gamma_box + 1) ** n_pairs
-            for alpha in _scan_alphas(forms, ambient, boxes[target], block, spend):
-                for _, gamma in _coset_walk((0,) * n_pairs, ((1,),) * n_pairs, gamma_box):
-                    spend()
-                    env[target] = MalcevElement(m, alpha, gamma)
-                    stop = recurse(tuple(rem))
-                    del env[target]
-                    if stop:
-                        return True
+            for value in _candidates(forms, ambient, bounds, spend):
+                env[target] = value
+                stop = recurse(tuple(rem))
+                del env[target]
+                if stop:
+                    return True
             return False
         finally:
             for name in assigned_here:

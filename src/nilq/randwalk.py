@@ -34,7 +34,7 @@ import itertools
 import json
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
@@ -328,19 +328,25 @@ def coordinate_clt_stats(m: int, n: int, trials: int, seed: int) -> CltSummary:
     at the end.  Its reported standard error uses the normal approximation
     var * sqrt(2/(trials-1)).  sup_distances compares the empirical CDF with
     the N(0, 1/m) one on a fixed 41-point grid spanning [-4, 4] standard
-    deviations.  An m below 1 raises ValueError, one over MAX_RANK
-    RankLimitError.
+    deviations.  The trials are streamed: each coordinate keeps, per grid
+    point, the count of its sums between that threshold and the one before,
+    so memory does not grow with trials.  An m below 1 raises ValueError,
+    one over MAX_RANK RankLimitError.
     """
     _check_sampled_walk(m, n, trials)
+    sqrt_n = math.sqrt(n)
+    sigma = 1.0 / math.sqrt(m)
+    grid = [(-4.0 + 8.0 * j / 40.0) * sigma for j in range(41)]
+    thresholds = [x * sqrt_n for x in grid]
     sums = [0] * m
     squares = [0] * m
-    samples = [list() for _ in range(m)]
+    # between[i][k]: coordinate i's sums above thresholds[k - 1], at most thresholds[k]
+    between = [[0] * (len(grid) + 1) for _ in range(m)]
     for s in _coordinate_sums(m, n, seed, trials):
         for i, v in enumerate(s):
             sums[i] += v
             squares[i] += v * v
-            samples[i].append(v)
-    sqrt_n = math.sqrt(n)
+            between[i][bisect_left(thresholds, v)] += 1
     means = tuple(float(Fraction(sums[i], trials)) / sqrt_n for i in range(m))
     variances = []
     for i in range(m):
@@ -350,17 +356,13 @@ def coordinate_clt_stats(m: int, n: int, trials: int, seed: int) -> CltSummary:
         num = Fraction(squares[i]) - Fraction(sums[i] ** 2, trials)
         variances.append(float(num / ((trials - 1) * n)))
     var_se = tuple(v * math.sqrt(2.0 / (trials - 1)) if trials > 1 else float("inf") for v in variances)
-    sigma = 1.0 / math.sqrt(m)
-    grid = [(-4.0 + 8.0 * j / 40.0) * sigma for j in range(41)]
-    sups = []
-    for i in range(m):
-        xs = sorted(samples[i])
-        worst = 0.0
-        for x in grid:
-            emp = bisect_right(xs, x * sqrt_n) / trials
-            worst = max(worst, abs(emp - _normal_cdf(x, m)))
-        sups.append(worst)
-    return CltSummary(m, n, trials, seed, means, tuple(variances), var_se, tuple(sups))
+    # the empirical CDF at each threshold: the running sums of between
+    sups = tuple(
+        max(abs(at_most / trials - _normal_cdf(x, m))
+            for at_most, x in zip(itertools.accumulate(counts), grid))
+        for counts in between
+    )
+    return CltSummary(m, n, trials, seed, means, tuple(variances), var_se, sups)
 
 
 def clt_csv(s: CltSummary) -> str:
@@ -390,11 +392,14 @@ def escape_probability(
     The first coordinate stands for all by symmetry.  Since |s_{n,1}| <= n,
     any epsilon > sqrt(n) makes the probability exactly zero; the default
     ln n never does (ln n < sqrt(n) for all n >= 1), so the zero regime is
-    only reachable through the override.  An m below 1 raises ValueError,
-    one over MAX_RANK RankLimitError.
+    only reachable through the override.  An infinite epsilon gives exactly
+    0 or 1, and a NaN one raises ValueError, as does an m below 1; an m over
+    MAX_RANK raises RankLimitError.
     """
     _check_sampled_walk(m, n, trials)
     eps = math.log(n) if epsilon is None else float(epsilon)
+    if math.isnan(eps):
+        raise ValueError("epsilon must not be NaN")
     threshold = eps * math.sqrt(n)
     count = 0
     for s in _coordinate_sums(m, n, seed, trials):

@@ -303,7 +303,7 @@ def random_word(length: int, m: int, rng) -> Word:
 # op is a generator move, which the relators see as a substitution:
 # col_add(src, dst, k) is a_src <- a_dst^-k a_src, relators rewritten by
 # a_src -> a_dst^k a_src, as that changes their coordinates by
-# col_dst += k * col_src.  col_negate(i) rewrites a_i -> a_i^-1.
+# col_dst += k * col_src.
 
 
 def _substitute(w: Word, j: int, image: Tuple[Syllable, ...]) -> Word:
@@ -337,11 +337,6 @@ def apply_move_to_relators(relators: List[Word], op: ElementaryOp) -> None:
         swap = {op.src + 1: op.dst + 1, op.dst + 1: op.src + 1}
         for idx, w in enumerate(relators):
             relators[idx] = Word(tuple((swap.get(k, k), e) for k, e in w.syllables), w.m)
-    elif op.kind == "col_negate":
-        for idx, w in enumerate(relators):
-            relators[idx] = Word(
-                tuple((k, -e if k == op.src + 1 else e) for k, e in w.syllables), w.m
-            )
     else:
         raise ValueError(f"unknown op kind {op.kind}")
 

@@ -6,15 +6,17 @@ bound during elimination, so none of this is allowed anywhere near fixed-width
 arithmetic; numpy stays out of this module on purpose.
 
 The Smith routine records every elementary operation it performs, and that
-log is the only record of the reduction: ``SmithDecomposition.V``, which
-``presentation.normalize`` lifts to its basis change, is rebuilt from its
-column ops, and the test oracles replay it as Nielsen transformations of
-relator words (``nilq.words``).  Log entries:
+log is the only record of the reduction.  One routine, ``_apply``, applies
+an operation: the reduction applies each one as it records it, and
+``SmithDecomposition.U`` and ``.V`` replay the log through it on an
+identity matrix, U its row ops and V its column ops.  ``presentation.
+normalize`` lifts V to its basis change, and the test oracles replay the log
+as Nielsen transformations of relator words (``nilq.words``).  Log entries:
 
 * ``row_add(src, dst, mult)``  --  ``row[dst] += mult * row[src]``
 * ``col_add(src, dst, mult)``  --  ``col[dst] += mult * col[src]``
 * ``row_swap(i, j)``, ``col_swap(i, j)``
-* ``row_negate(i)``, ``col_negate(i)``
+* ``row_negate(i)``
 
 Indices are 0-based.  An add with ``|mult| > 1`` abbreviates ``|mult|``
 repetitions of the unit operation; replay code may apply it in one step.
@@ -77,8 +79,8 @@ class IntMatrix:
 class ElementaryOp:
     """One elementary row/column operation.
 
-    kind is one of row_add, col_add, row_swap, col_swap, row_negate,
-    col_negate.  For adds, ``src``/``dst`` name the source and destination
+    kind is one of row_add, col_add, row_swap, col_swap, row_negate.  For
+    adds, ``src``/``dst`` name the source and destination
     line and ``mult`` the integer multiplier; for swaps they are the two
     indices; for negations only ``src`` is used.
     """
@@ -107,27 +109,41 @@ class SmithDecomposition:
 
     @cached_property
     def U(self) -> IntMatrix:
-        return IntMatrix.from_rows(_replayed_identity(self.D.rows, self.ops, "row"))
+        return _replayed_identity(self.D.rows, self.ops, "row")
 
     @cached_property
     def V(self) -> IntMatrix:
-        # column ops on V are row ops on its transpose
-        T = _replayed_identity(self.D.cols, self.ops, "col")
-        return IntMatrix.from_rows(zip(*T))
+        return _replayed_identity(self.D.cols, self.ops, "col")
 
 
-def _replayed_identity(n: int, ops: Sequence[ElementaryOp], prefix: str) -> list:
-    """The n x n identity, as rows, with the ops of kind prefix_add,
-    prefix_swap and prefix_negate applied to its rows in order."""
+def _apply(A: list, op: ElementaryOp) -> None:
+    """Apply op to the matrix whose rows are the lists A, in place."""
+    kind, i, j = op.kind, op.src, op.dst
+    if kind == "row_add":
+        A[j] = [a + op.mult * b for a, b in zip(A[j], A[i])]
+    elif kind == "col_add":
+        k = op.mult
+        for row in A:
+            row[j] += k * row[i]
+    elif kind == "row_swap":
+        A[i], A[j] = A[j], A[i]
+    elif kind == "col_swap":
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+    elif kind == "row_negate":
+        A[i] = [-v for v in A[i]]
+    else:
+        raise ValueError(f"unknown op kind {kind!r}")
+
+
+def _replayed_identity(n: int, ops: Sequence[ElementaryOp], side: str) -> IntMatrix:
+    """The n x n identity with the ops on one side, "row" or "col", applied
+    in order."""
     A = IntMatrix.identity(n).to_rows()
     for op in ops:
-        if op.kind == prefix + "_add":
-            A[op.dst] = [a + op.mult * b for a, b in zip(A[op.dst], A[op.src])]
-        elif op.kind == prefix + "_swap":
-            A[op.src], A[op.dst] = A[op.dst], A[op.src]
-        elif op.kind == prefix + "_negate":
-            A[op.src] = [-a for a in A[op.src]]
-    return A
+        if op.kind.startswith(side):
+            _apply(A, op)
+    return IntMatrix.from_rows(A)
 
 
 def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
@@ -142,34 +158,10 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
     A = M.to_rows()
     ops: list[ElementaryOp] = []
 
-    def row_add(src, dst, mult):
-        Asrc, Adst = A[src], A[dst]
-        for j in range(m):
-            Adst[j] += mult * Asrc[j]
-        ops.append(ElementaryOp("row_add", src, dst, mult))
-
-    def col_add(src, dst, mult):
-        for i in range(r):
-            A[i][dst] += mult * A[i][src]
-        ops.append(ElementaryOp("col_add", src, dst, mult))
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        ops.append(ElementaryOp("row_swap", i, j))
-
-    def col_swap(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        ops.append(ElementaryOp("col_swap", i, j))
-
-    def row_negate(i):
-        A[i] = [-v for v in A[i]]
-        ops.append(ElementaryOp("row_negate", i))
-
-    def col_negate(j):
-        for row in A:
-            row[j] = -row[j]
-        ops.append(ElementaryOp("col_negate", j))
+    def record(*args):
+        op = ElementaryOp(*args)
+        _apply(A, op)
+        ops.append(op)
 
     limit = min(r, m)
     t = 0
@@ -185,23 +177,23 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
             break
         _, bi, bj = best
         if bi != t:
-            row_swap(t, bi)
+            record("row_swap", t, bi)
         if bj != t:
-            col_swap(t, bj)
+            record("col_swap", t, bj)
         if A[t][t] < 0:
-            row_negate(t)
+            record("row_negate", t)
         p = A[t][t]
         dirty = False
         for i in range(t + 1, r):
             q = A[i][t] // p
             if q:
-                row_add(t, i, -q)
+                record("row_add", t, i, -q)
             if A[i][t]:
                 dirty = True
         for j in range(t + 1, m):
             q = A[t][j] // p
             if q:
-                col_add(t, j, -q)
+                record("col_add", t, j, -q)
             if A[t][j]:
                 dirty = True
         if dirty:
@@ -213,7 +205,7 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
         if stuck is not None:
             # drag a row with a non-multiple into the pivot row and re-reduce;
             # the next pivot becomes gcd(p, offender) < p
-            row_add(stuck, t, 1)
+            record("row_add", stuck, t, 1)
             continue
         t += 1
 

@@ -11,11 +11,15 @@ transform), substitution into a word and collection of the result (for
 ``express_in_normalized_basis``), the lift of V collected letter by letter
 and the Nielsen replay of a whole Smith log on relator elements by group
 multiplication (for ``normalize``), the probe-and-test scan of a box of
-alphas (for the group solver's coset walk), and numpy's own PCG64 seeded
-one trial at a time (for the samplers' block seeding).
+alphas and gammas (for the group solver's candidate walk), numpy's own
+PCG64 seeded one trial at a time (for the samplers' block seeding), and the
+empirical CDF read off every trial's sums, kept and sorted (for the
+streamed CLT statistics).
 """
 
 import itertools
+import math
+from bisect import bisect_right
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -29,7 +33,7 @@ from nilq.nilpotent2 import (
     pair_list,
     power,
 )
-from nilq.randwalk import stream_seed
+from nilq.randwalk import _coordinate_sums, _normal_cdf, stream_seed
 from nilq.words import MAX_WORD_LETTERS, Word, WordSyntaxError, check_rank
 from nilq.zmatrix import ElementaryOp, IntMatrix, rank
 
@@ -309,24 +313,29 @@ def relator_replay(p, np_, basis=None):
     return tuple(basis), rewritten, lattice
 
 
-def plain_alpha_scan(forms, ambient, bound: int, block: int, spend):
-    """The alphas of the box [-bound, bound]^m, in the plain scan's order
-    (0, 1, -1, 2, -2, ... per coordinate, the first slowest), at which
-    ``ambient.is_trivial`` holds for every affine form (a0, g0, L): the
-    element with alpha a0 and gamma g0 + sum_k alpha[k] L_k.  Each rejected
-    alpha is charged ``block`` through ``spend`` when it is tested."""
+def plain_candidates(forms, ambient, bounds, spend):
+    """The elements of the box with half-width bounds[j] in coordinate j,
+    alpha then gamma, in the plain scan's order (0, 1, -1, 2, -2, ... per
+    coordinate, the first slowest), whose alpha makes ``ambient.is_trivial``
+    hold for every affine form (a0, g0, L): the element with alpha a0 and
+    gamma g0 + sum_k alpha[k] L_k.  Each point is charged 1 through
+    ``spend`` when it is tested."""
     m = ambient.m
-    values = [0] + [v for k in range(1, bound + 1) for v in (k, -k)]
-    for alpha in itertools.product(values, repeat=m):
-        if all(
+
+    @lru_cache(maxsize=None)
+    def admitted(alpha):
+        return all(
             ambient.is_trivial(MalcevElement(m, a0, tuple(
                 g + sum(a * row[t] for a, row in zip(alpha, slope)) for t, g in enumerate(g0)
             )))
             for a0, g0, slope in forms
-        ):
-            yield alpha
-        else:
-            spend(block)
+        )
+
+    values = [[0] + [v for k in range(1, b + 1) for v in (k, -k)] for b in bounds]
+    for point in itertools.product(*values):
+        spend()
+        if admitted(point[:m]):
+            yield MalcevElement(m, point[:m], point[m:])
 
 
 def np_trial_rng(seed: int, scale: int, trial: int):
@@ -335,3 +344,23 @@ def np_trial_rng(seed: int, scale: int, trial: int):
     import numpy as np
 
     return np.random.Generator(np.random.PCG64(stream_seed(seed, scale, trial)))
+
+
+def sorted_sample_sup_distances(m: int, n: int, trials: int, seed: int) -> Tuple[float, ...]:
+    """``coordinate_clt_stats``' sup_distances from every trial's sums, kept
+    and sorted per coordinate: at each of the 41 grid points x, the share
+    of sums at most x sqrt(n), by bisection, against the N(0, 1/m) CDF."""
+    sqrt_n = math.sqrt(n)
+    sigma = 1.0 / math.sqrt(m)
+    grid = [(-4.0 + 8.0 * j / 40.0) * sigma for j in range(41)]
+    samples = [[] for _ in range(m)]
+    for s in _coordinate_sums(m, n, seed, trials):
+        for i, v in enumerate(s):
+            samples[i].append(v)
+    sups = []
+    for xs in map(sorted, samples):
+        worst = 0.0
+        for x in grid:
+            worst = max(worst, abs(bisect_right(xs, x * sqrt_n) / trials - _normal_cdf(x, m)))
+        sups.append(worst)
+    return tuple(sups)

@@ -819,6 +819,14 @@ def test_rank_exp_length_over_limit_exit_1(capsys, tmp_path):
     assert f"over the limit of {MAX_WORD_LETTERS}" in data["message"]
 
 
+def test_escape_nan_epsilon_exit_1(capsys):
+    # NaN compared false with every sum: it printed a zero count and exited 0
+    code, out, _ = _run(capsys, "escape", "--m", "2", "--n", "1", "--trials", "1",
+                        "--seed", "1", "--epsilon", "nan")
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": "epsilon must not be NaN"}
+
+
 # m = 0 divided by zero and m = -1 reached numpy's multinomial
 @pytest.mark.parametrize("m", ["0", "-1"])
 @pytest.mark.parametrize("command", ["clt", "escape"])

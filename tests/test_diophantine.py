@@ -38,7 +38,7 @@ from nilq.nilpotent2 import MalcevElement, commutator, generator, identity, inve
 from nilq.presentation import normalize, parse_presentation
 from nilq.zmatrix import lattice_membership
 
-from naive_oracles import plain_alpha_scan
+from naive_oracles import plain_candidates
 
 
 def _walk_gword(w, env, m):
@@ -681,10 +681,9 @@ def _seeded_forms(rng, amb, bound, density=1.0):
     return forms
 
 
-def _drive(scan, limit, block):
-    """Run an alpha scan as the solver does, spending block for the gamma
-    candidates of each alpha it admits: (the admitted alphas, the budget
-    used), or (the alphas admitted before the limit was hit, None)."""
+def _drive(scan, limit):
+    """Run a candidate scan as the solver does: (the candidates, the budget
+    used), or (the candidates yielded before the limit was hit, None)."""
     budget = [limit]
 
     def spend(k=1):
@@ -694,9 +693,8 @@ def _drive(scan, limit, block):
 
     out = []
     try:
-        for alpha in scan(spend):
-            out.append(alpha)
-            spend(block)
+        for candidate in scan(spend):
+            out.append(candidate)
     except SearchSpaceError:
         return out, None
     return out, limit - budget[0]
@@ -704,22 +702,24 @@ def _drive(scan, limit, block):
 
 @pytest.mark.parametrize("amb", list(_scan_ambients()), ids=lambda a: f"m{a.m}-{len(a.lattice.rows)}rows")
 def test_coset_walk_matches_the_plain_scan(amb):
-    # the same alphas in the same order, the same budget, and the same
-    # point of failure under every smaller limit
+    # the same candidates in the same order, the same budget, and the same
+    # point of failure under every smaller limit; each gamma coordinate
+    # gets its own half-width, 0 as in existence mode or 1
     rng = random.Random(f"walk-{amb.m}-{amb.lattice.rows}")
+    n = amb.m * (amb.m - 1) // 2
     admitted = 0
     for _ in range(40):
         bound = rng.randrange(3 if amb.m == 2 else 2)
-        block = rng.choice((1, 3, 7))
+        bounds = (bound,) * amb.m + tuple(int(rng.random() < 3 / (n + 3)) for _ in range(n))
         forms = _seeded_forms(rng, amb, bound)
-        walk = lambda spend: diophantine._scan_alphas(forms, amb, bound, block, spend)
-        plain = lambda spend: plain_alpha_scan(forms, amb, bound, block, spend)
-        full = _drive(plain, 10**9, block)
-        assert _drive(walk, 10**9, block) == full
+        walk = lambda spend: diophantine._candidates(forms, amb, bounds, spend)
+        plain = lambda spend: plain_candidates(forms, amb, bounds, spend)
+        full = _drive(plain, 10**9)
+        assert _drive(walk, 10**9) == full
         used = full[1]
         for limit in sorted({0, used - 1, used, *rng.sample(range(used + 1), min(used + 1, 12))}):
             if limit >= 0:
-                assert _drive(walk, limit, block) == _drive(plain, limit, block)
+                assert _drive(walk, limit) == _drive(plain, limit)
         admitted += bool(full[0])
     assert 0 < admitted < 40
 
@@ -767,11 +767,11 @@ def test_coset_walk_charges_the_stretches_it_passes():
     # a stretch the walk passes: charged as passed, a small limit stops it
     amb = FreeNilpotentAmbient(2)
     forms = [((0, 0), (-10**7,), ((-1,), (1,)))]
-    scan = lambda bound, block: lambda spend: diophantine._scan_alphas(forms, amb, bound, block, spend)
+    scan = lambda bounds: lambda spend: diophantine._candidates(forms, amb, bounds, spend)
     t0 = time.perf_counter()
-    assert _drive(scan(10**6, 1), 10**4, 1) == ([], None)
+    assert _drive(scan((10**6, 10**6, 0)), 10**4) == ([], None)
     assert time.perf_counter() - t0 < 1.0
-    assert _drive(scan(50, 3), 10**9, 3) == ([], 3 * 101**2)
+    assert _drive(scan((50, 50, 1)), 10**9) == ([], 3 * 101**2)
 
 
 def test_wide_box_scans_lazily():

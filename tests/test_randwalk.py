@@ -32,7 +32,7 @@ from nilq.randwalk import (
 )
 from nilq.words import Word, exponent_sums, random_word
 
-from naive_oracles import np_trial_rng
+from naive_oracles import np_trial_rng, sorted_sample_sup_distances
 
 
 def _binom(n, k):
@@ -140,6 +140,16 @@ def test_clt_single_trial_variance_degenerate():
     assert all(math.isinf(v) for v in s.variance_stderrs)
 
 
+@pytest.mark.parametrize("m, n, trials, seed", [
+    # at n = 16 and m in (1, 4) grid thresholds fall on integer sums, so
+    # ties between a sum and a threshold are exercised
+    (1, 16, 500, 1), (4, 16, 300, 2), (3, 40, 200, 3), (2, 10, 1, 5), (64, 1000, 20, 6),
+    (2, 7, 50, 7)])
+def test_clt_sup_distances_match_the_sorted_samples(m, n, trials, seed):
+    s = coordinate_clt_stats(m, n, trials, seed)
+    assert s.sup_distances == sorted_sample_sup_distances(m, n, trials, seed)
+
+
 def test_escape_default_epsilon_is_log_n():
     e = escape_probability(2, 100, 50, 3)
     assert e.epsilon == pytest.approx(math.log(100))
@@ -156,6 +166,14 @@ def test_escape_epsilon_overrides():
     assert e.p_hat == 1
     text = escape_csv([e])
     assert text.splitlines()[1] == "n,epsilon,count,p_hat,stderr"
+
+
+def test_escape_epsilon_nan_raises_and_infinities_are_exact():
+    # every comparison with NaN is false, so NaN counted no escapes
+    with pytest.raises(ValueError, match="NaN"):
+        escape_probability(2, 1, 1, 1, epsilon=math.nan)
+    assert escape_probability(2, 50, 40, 3, epsilon=math.inf).p_hat == 0
+    assert escape_probability(2, 50, 40, 3, epsilon=-math.inf).p_hat == 1
 
 
 _B = randwalk._SEED_BLOCK
@@ -216,6 +234,21 @@ def test_escape_memory_is_per_block():
         tracemalloc.start()
         try:
             escape_probability(2, 10, trials, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * _B) < 1.5 * peak(_B)
+
+
+def test_clt_memory_does_not_grow_with_trials():
+    # each coordinate keeps its counts between the grid's thresholds, not
+    # every trial's sum
+    def peak(trials):
+        coordinate_clt_stats(2, 10, trials, 1)
+        tracemalloc.start()
+        try:
+            coordinate_clt_stats(2, 10, trials, 1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
