@@ -41,6 +41,8 @@ def _read_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _UsageError(f"{path} nests too deeply to read") from exc
 
 
 def _load_presentation(path: str) -> presentation.NormalizedPresentation:
@@ -252,7 +254,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_solve_bounded(args) -> int:
     data = _read_json(args.system)
-    if "constants" in data:
+    if isinstance(data, dict) and "constants" in data:
         try:
             S = diophantine.GroupSystem.from_jsonable(data)
         except (KeyError, TypeError, ValueError) as exc:

@@ -103,14 +103,44 @@ work but not the list, so one more raises SearchSpaceError."""
 Term = tuple
 
 
+MAX_NESTING = 100
+"""Deepest nesting ``term_from_json`` and ``gword_from_json`` accept: a
+term's JSON arrays, or a word's brackets.  term_vars, eval_term,
+compile_system, gword_names and _element recurse once to four times per
+level (a binary - is a + (-b)), so at this depth ``nilq verify`` and
+``solve-bounded`` need at most about 410 of Python's default 1000 frames."""
+
+
 def _is_int(x) -> bool:
     """A JSON integer: an int, and not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _json_names(data: Mapping, key: str) -> Tuple[str, ...]:
+    names = data[key]
+    if not isinstance(names, (list, tuple)) or not all(isinstance(x, str) for x in names):
+        raise ValueError(f"{key} must be a list of names")
+    return tuple(names)
+
+
+def _json_equations(data: Mapping) -> list:
+    eqs = data["equations"]
+    if not isinstance(eqs, (list, tuple)) or not all(
+            isinstance(e, (list, tuple)) and len(e) == 2 for e in eqs):
+        raise ValueError("equations must be a list of [lhs, rhs] pairs")
+    return eqs
+
+
 def term_from_json(node) -> Term:
+    """The term a JSON array tree denotes; ValueError past ``MAX_NESTING``."""
+    return _term_from_json(node, 1)
+
+
+def _term_from_json(node, depth: int) -> Term:
     if not isinstance(node, (list, tuple)) or not node:
         raise ValueError(f"bad term node: {node!r}")
+    if depth > MAX_NESTING:
+        raise ValueError(f"term nested deeper than {MAX_NESTING}")
     head = node[0]
     if head == "const":
         if len(node) != 2 or not _is_int(node[1]):
@@ -123,12 +153,13 @@ def term_from_json(node) -> Term:
     if head in ("+", "*"):
         if len(node) != 3:
             raise ValueError(f"{head} takes two arguments: {node!r}")
-        return (head, term_from_json(node[1]), term_from_json(node[2]))
+        return (head, _term_from_json(node[1], depth + 1), _term_from_json(node[2], depth + 1))
     if head == "-":
         if len(node) == 2:
-            return ("-", term_from_json(node[1]))
+            return ("-", _term_from_json(node[1], depth + 1))
         if len(node) == 3:
-            return ("+", term_from_json(node[1]), ("-", term_from_json(node[2])))
+            return ("+", _term_from_json(node[1], depth + 1),
+                    ("-", _term_from_json(node[2], depth + 1)))
         raise ValueError(f"- takes one or two arguments: {node!r}")
     raise ValueError(f"unknown term head: {head!r}")
 
@@ -173,10 +204,8 @@ class RingSystem:
 
     @staticmethod
     def from_jsonable(data: Mapping) -> "RingSystem":
-        eqs = tuple(
-            (term_from_json(pair[0]), term_from_json(pair[1])) for pair in data["equations"]
-        )
-        return RingSystem(tuple(data["variables"]), eqs)
+        eqs = tuple((term_from_json(u), term_from_json(v)) for u, v in _json_equations(data))
+        return RingSystem(_json_names(data, "variables"), eqs)
 
 
 def ring_satisfies(S: RingSystem, assignment: Mapping[str, int]) -> bool:
@@ -261,6 +290,13 @@ def eval_gword(w: GroupWord, env: Mapping[str, MalcevElement], m: int) -> Malcev
 
 
 def gword_from_json(nodes) -> GroupWord:
+    """The word a JSON factor list denotes; ValueError past ``MAX_NESTING``."""
+    return _gword_from_json(nodes, 0)
+
+
+def _gword_from_json(nodes, depth: int) -> GroupWord:
+    if depth > MAX_NESTING:
+        raise ValueError(f"brackets nested deeper than {MAX_NESTING}")
     factors = []
     for node in nodes:
         if not isinstance(node, (list, tuple)) or not node:
@@ -268,7 +304,9 @@ def gword_from_json(nodes) -> GroupWord:
         if node[0] == "comm":
             if len(node) not in (3, 4) or not all(map(_is_int, node[3:])):
                 raise ValueError(f"bad comm node: {node!r}")
-            factors.append(comm(gword_from_json(node[1]), gword_from_json(node[2]), *node[3:]))
+            u = _gword_from_json(node[1], depth + 1)
+            v = _gword_from_json(node[2], depth + 1)
+            factors.append(comm(u, v, *node[3:]))
         else:
             if len(node) != 2 or not isinstance(node[0], str) or not _is_int(node[1]):
                 raise ValueError(f"bad generator factor: {node!r}")
@@ -295,10 +333,9 @@ class GroupSystem:
 
     @staticmethod
     def from_jsonable(data: Mapping) -> "GroupSystem":
-        eqs = tuple(
-            (gword_from_json(pair[0]), gword_from_json(pair[1])) for pair in data["equations"]
-        )
-        return GroupSystem(tuple(data["variables"]), tuple(data["constants"]), eqs)
+        eqs = tuple((gword_from_json(u), gword_from_json(v)) for u, v in _json_equations(data))
+        variables, constants = _json_names(data, "variables"), _json_names(data, "constants")
+        return GroupSystem(variables, constants, eqs)
 
     # the solver's per-system analysis, computed on first use
     @cached_property

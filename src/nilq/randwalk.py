@@ -14,9 +14,9 @@ commutative integer accumulation, so a parallel runner would reproduce the
 same counts; the built-in runner is sequential.  rank_experiment's stream is
 random.Random seeded with the digest as an integer (``trial_rng``).  The
 samplers' stream is numpy's Generator(PCG64(that integer)); ``_trial_rngs``
-realizes it by running numpy's SeedSequence mixing and PCG64's seeding for a
-block of trials at once, and numpy's own per-trial PCG64 is the oracle the
-tests hold it to.
+realizes it by running numpy's SeedSequence mixing for a block of trials at
+once and letting numpy's PCG64 seed each trial from its state words, and
+numpy's own per-trial PCG64 is the oracle the tests hold it to.
 
 Walk convention: one step multiplies by a uniformly chosen generator or
 inverse (2m choices, probability 1/2m each); the abelianized position after n
@@ -75,20 +75,20 @@ def trial_rng(seed: int, scale: int, trial: int) -> random.Random:
 
 
 _SEED_BLOCK = 1024
-"""Trials whose PCG64 states ``_digest_rngs`` computes in one numpy pass."""
+"""Trials whose SeedSequence state words ``_digest_rngs`` computes in one
+numpy pass."""
 
-# numpy's SeedSequence hash constants (pool of 4 words, 16-bit xorshift) and
-# the multiplier of PCG64's 128-bit LCG step
+# numpy's SeedSequence hash constants (pool of 4 words, 16-bit xorshift)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 
-def _pcg64_seeds(words: np.ndarray) -> list:
-    """(initstate, initseq) of ``PCG64(SeedSequence(e))`` for each row e of a
-    (B, 8) uint32 array of entropy words, least significant first.
+def _seed_words(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each row e of a
+    (B, 8) uint32 array of entropy words, least significant first, as a
+    (B, 4) uint64 array.
 
     This is numpy's SeedSequence run on all rows at once: hash the first 4
     words into the pool, mix every pool word into every other, mix in words
@@ -131,46 +131,38 @@ def _pcg64_seeds(words: np.ndarray) -> list:
     state = np.empty((len(words), 8), dtype="<u4")
     for i in range(8):
         state[:, i] = draw(pool[i % 4])
-    # PCG64 takes initstate = (u0 << 64) | u1 and initseq = (u2 << 64) | u3
-    return [(u0 << 64 | u1, u2 << 64 | u3) for u0, u1, u2, u3 in state.view("<u8").tolist()]
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 def _digest_rngs(digests: Iterable[bytes]) -> Iterator[np.random.Generator]:
-    """For each 32-byte digest d, a Generator whose stream is that of
-    ``Generator(PCG64(int.from_bytes(d, "big")))``.
+    """For each 32-byte digest d, a new ``Generator(PCG64(s))`` on the stream
+    of ``Generator(PCG64(int.from_bytes(d, "big")))``.
 
-    Seeds ``_SEED_BLOCK`` digests per numpy pass (``_pcg64_seeds``), then
-    applies PCG64's seeding, O'Neill's pcg_setseq_128_srandom_r, on Python
-    ints: state 0 and inc = 2 initseq + 1, one step, add initstate, one
-    step.  The yielded Generator is one object, reseeded through its bit
-    generator's public ``state``; it is valid until the next one is drawn.
-    A digest whose top 32-bit word is 0 (probability 2^-32) is seeded by
-    numpy itself."""
+    Mixes ``_SEED_BLOCK`` digests per numpy pass (``_seed_words``); s is a
+    SeedSequence stand-in that hands PCG64 its trial's 4 state words, and
+    numpy's PCG64 seeds itself from them.  A digest whose top 32-bit word
+    is 0 (probability 2^-32) is seeded by numpy itself."""
     # importing numpy costs more than most commands; only clt and escape sample with it
     import numpy as np
 
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds exactly 4 uint64 state words")
+            return self.row
+
     digests = iter(digests)
     while True:
         block = list(itertools.islice(digests, _SEED_BLOCK))
         if not block:
             return
         words = np.frombuffer(b"".join(block), dtype=">u4").reshape(-1, 8)[:, ::-1]
-        seeds = _pcg64_seeds(words)
-        for digest, (initstate, initseq) in zip(block, seeds):
-            if digest[:4] == bytes(4):
-                yield np.random.Generator(np.random.PCG64(int.from_bytes(digest, "big")))
-                continue
-            inc = (initseq << 1 | 1) & _MASK128
-            state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+        for digest, row in zip(block, _seed_words(words)):
+            seed = int.from_bytes(digest, "big") if digest[:4] == bytes(4) else StateWords(row)
+            yield np.random.Generator(np.random.PCG64(seed))
 
 
 def _trial_rngs(seed: int, scale: int, trials: int) -> Iterator[np.random.Generator]:

@@ -12,6 +12,7 @@ import pytest
 
 import nilq
 from nilq.cli import main
+from nilq.diophantine import MAX_NESTING
 from nilq.words import MAX_RELATORS, MAX_WORD_LETTERS, exponent_sums, parse_word
 from nilq.zmatrix import ElementaryOp, IntMatrix
 from nilq.randwalk import (
@@ -627,15 +628,54 @@ _BRACKET = [["a", 1]], [["b", 1]]
     ({"variables": ["x"], "constants": ["a", "b"],
       "equations": [[[["x", True]], [["a", 1]]]]}, "group"),
     ({"variables": ["x"], "equations": [[["var", "x"], ["const", True]]]}, "ring"),
+    ({"variables": ["x"], "equations": [[["var", "x"]]]}, "ring"),
+    ({"variables": ["x"], "constants": ["a", "b"], "equations": [[[["x", 1]]]]}, "group"),
+    ({"variables": "xy", "equations": [[["var", "x"], ["var", "y"]]]}, "ring"),
+    ({"variables": ["x"], "constants": "ab", "equations": [[[["x", 1]], [["a", 1]]]]}, "group"),
+    (5, "ring"),
 ], ids=["bracket exponent string", "bracket exponent float", "generator exponent true",
-        "const true"])
+        "const true", "one-sided ring equation", "one-sided group equation",
+        "variables string", "constants string", "number"])
 def test_solve_bounded_rejects_non_integer_numbers_exit_2(capsys, tmp_path, system, kind):
-    # a bracket exponent is checked like a generator's, and JSON true is no 1
+    # a bracket exponent is checked like a generator's, and JSON true is no 1;
+    # an equation is a pair, names come in a list, and a system is an object
     f = tmp_path / "system.json"
     f.write_text(json.dumps(system))
     code, out, err = _run(capsys, "solve-bounded", str(f), "--box", "1")
     assert code == 2 and out == ""
     assert err.startswith(f"error: bad {kind} system: ")
+
+
+def _nested_minus(depth):
+    term = ["var", "x"]
+    for _ in range(depth):
+        term = ["-", term]
+    return {"variables": ["x"], "equations": [[term, ["const", 0]]]}
+
+
+@pytest.mark.parametrize("cmd", [("solve-bounded", "--box", "1"),
+                                 ("verify", "--box-ring", "1", "--box-group", "1")])
+def test_deep_ring_term_is_a_bad_ring_system_exit_2(capsys, tmp_path, cmd):
+    # 500 levels ran past the recursion limit; MAX_NESTING levels still solve
+    f = tmp_path / "ring.json"
+    f.write_text(json.dumps(_nested_minus(500)))
+    code, out, err = _run(capsys, cmd[0], str(f), *cmd[1:])
+    assert code == 2 and out == ""
+    assert err == "error: bad ring system: term nested deeper than 100\n"
+    f.write_text(json.dumps(_nested_minus(MAX_NESTING - 1)))
+    assert _run(capsys, cmd[0], str(f), *cmd[1:])[0] == 0
+
+
+def test_json_too_deep_to_read_is_a_usage_error_exit_2(capsys, tmp_path):
+    # 495 brackets are about 990 nested arrays: json.loads itself gives up
+    word = '[["x", 1]]'
+    for _ in range(495):
+        word = f'[["comm", {word}, [["a", 1]]]]'
+    f = tmp_path / "group.json"
+    f.write_text(f'{{"variables": ["x"], "constants": ["a", "b"], "equations": [[{word}, []]]}}')
+    code, out, err = _run(capsys, "solve-bounded", str(f), "--box", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {f} nests too deeply to read\n"
 
 
 def test_solve_bounded_rank_deficient_presentation(capsys, tmp_path):

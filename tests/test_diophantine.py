@@ -84,6 +84,20 @@ def test_term_json_roundtrip():
         term_from_json(["&", ["var", "x"]])
 
 
+def test_json_nesting_cap():
+    # at each step the term is one array deeper than the word has brackets
+    term, word = ["var", "x"], [["x", 1]]
+    for _ in range(diophantine.MAX_NESTING):
+        term_from_json(term)
+        gword_from_json(word)
+        term, word = ["-", term], [["comm", word, [["a", 1]]]]
+    with pytest.raises(ValueError, match="term nested deeper than 100"):
+        term_from_json(term)
+    gword_from_json(word)
+    with pytest.raises(ValueError, match="brackets nested deeper than 100"):
+        gword_from_json([["comm", word, []]])
+
+
 def test_eval_term():
     t = ADD(MUL(V("x"), V("x")), ("-", C(4)))
     assert eval_term(t, {"x": 3}) == 5

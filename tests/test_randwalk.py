@@ -207,9 +207,29 @@ def test_short_digest_is_seeded_by_numpy():
         assert _draws(rng) == _draws(oracle)
     # the block formula itself misses such a seed: the branch is needed
     words = np.frombuffer(short[0], dtype=">u4").reshape(1, 8)[:, ::-1]
-    ((_, initseq),) = randwalk._pcg64_seeds(words)
-    inc = np.random.PCG64(int.from_bytes(short[0], "big")).state["state"]["inc"]
-    assert inc != 2 * initseq + 1
+    (row,) = randwalk._seed_words(words)
+    numpy_seed = np.random.SeedSequence(int.from_bytes(short[0], "big"))
+    assert row.tolist() != numpy_seed.generate_state(4, np.uint64).tolist()
+
+
+def test_trial_rngs_are_independent_generators():
+    rngs = randwalk._trial_rngs(5, 9, 3)
+    first, second = next(rngs), next(rngs)
+    assert first is not second
+    first.random(100)
+    assert _draws(second) == _draws(np_trial_rng(5, 9, 1))
+    oracle = np_trial_rng(5, 9, 0)
+    oracle.random(100)
+    assert _draws(first) == _draws(oracle)
+
+
+def test_trial_seed_hands_out_only_pcg64_state_words():
+    seed = next(randwalk._trial_rngs(5, 9, 1)).bit_generator.seed_seq
+    assert seed.generate_state(4, np.uint64).tolist() == (
+        np.random.SeedSequence(stream_seed(5, 9, 0)).generate_state(4, np.uint64).tolist())
+    for n_words, dtype in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
+        with pytest.raises(ValueError):
+            seed.generate_state(n_words, dtype)
 
 
 def _per_trial_rngs(seed, scale, trials):
