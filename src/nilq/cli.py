@@ -39,10 +39,10 @@ def _read_json(path: str):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise _UsageError(f"{path} nests too deeply to read") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+        raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_presentation(path: str) -> presentation.NormalizedPresentation:

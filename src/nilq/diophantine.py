@@ -40,7 +40,13 @@ section 2.4), and one walk visits the points of that coset times the gamma
 box.  The work limit counts the work done as the plain scan of the box
 would, 1 per candidate, not the nominal volume of the whole search (that
 of the gadget systems is astronomically larger than the work the scheduler
-does).
+does).  Which equations a level checks, which variables they force and
+which variable it scans depend only on which names are bound, so each
+GroupSystem keeps a plan per (equations to go, bound names, mode) and a
+search replays it: the grid of one verify meets the same plans at every
+point.  An equation that forced its variable earlier in the level is
+settled: u v^-1 is the identity by construction, so its check is charged
+and not evaluated.
 
 In class 2 every group word is a polynomial in its names' coordinates
 (Duchin, Liang & Shapiro, "Equations in nilpotent groups", Proc. AMS 2015),
@@ -342,6 +348,11 @@ class GroupSystem:
     def _shapes(self) -> Tuple["_EquationShape", ...]:
         variables = frozenset(self.variables)
         return tuple(_equation_shape(lhs, rhs, variables) for lhs, rhs in self.equations)
+
+    # the solver's level plans, see _level_plan
+    @cached_property
+    def _plans(self) -> Dict[tuple, "_Plan"]:
+        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -839,6 +850,99 @@ def _element_in_box(el: MalcevElement, bound: int) -> bool:
     return all(abs(v) <= bound for v in el.alpha + el.gamma)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """One level of the group search, for a set of bound names.
+
+    ``steps`` in order, each (polynomial, name): (residual, None) checks an
+    equation, (None, None) charges the check of an equation settled by a
+    forced value earlier in the level (its u v^-1 is the identity by
+    construction), and (w^e, x) forces x := w^e.  Then, if ``target`` is
+    None, every variable is bound; otherwise ``target`` is scanned, at
+    gamma = 0 only if ``blind``.  Of the remaining equations ``rem``, the
+    scan solves ``affine`` as affine forms when the box pays for them, and
+    the level below gets ``rest``; otherwise it gets all of ``rem``.  The
+    names bound below are ``bound``.
+    """
+
+    steps: Tuple[Tuple[Optional[Polynomial], Optional[str]], ...]
+    target: Optional[str]
+    blind: bool
+    rem: Tuple[int, ...]
+    affine: Tuple[int, ...]
+    rest: Tuple[int, ...]
+    bound: frozenset
+
+
+def _make_plan(S: GroupSystem, rem: Sequence[int], bound: frozenset, find_all: bool) -> _Plan:
+    """The plan of a level that starts with equations rem to go and the
+    names in bound assigned: propagate, then choose the variable to scan."""
+    shapes = S._shapes
+    bound = set(bound)
+    steps: list = []
+    settled = set()
+    # propagate: check determined equations, assign forced variables
+    progress = True
+    while progress:
+        progress = False
+        next_rem = []
+        for idx in rem:
+            shape = shapes[idx]
+            if shape.names <= bound:
+                steps.append((None if idx in settled else shape.residual, None))
+                progress = True
+                continue
+            for name, form, w_names in shape.forced:
+                if name not in bound and w_names <= bound:
+                    steps.append((form, name))
+                    bound.add(name)
+                    settled.add(idx)
+                    progress = True
+                    break
+            next_rem.append(idx)
+        rem = next_rem
+    free = [v for v in S.variables if v not in bound]
+    if not free:
+        return _Plan(tuple(steps), None, False, (), (), (), frozenset(bound))
+    # scan one variable from an equation with the fewest unbound names;
+    # among those prefer the variable shared by the most remaining
+    # equations, so contradictions surface before unrelated auxiliaries
+    # get enumerated.  Variables in no equation are scanned last.
+    best = None
+    candidates: set = set()
+    occurrences: Dict[str, int] = {}
+    for idx in rem:
+        missing = shapes[idx].names - bound
+        for v in missing:
+            occurrences[v] = occurrences.get(v, 0) + 1
+        if best is None or len(missing) < best:
+            best = len(missing)
+            candidates = set(missing)
+        elif len(missing) == best:
+            candidates |= missing
+    target = min(candidates, key=lambda v: (-occurrences[v], v)) if candidates else free[0]
+    # existence mode: scan gamma = 0 only where nothing reads it
+    blind = not find_all and all(target not in shapes[idx].reads_gamma for idx in rem)
+    # affine in target: its only unbound name, and blind to its gamma
+    affine = [idx for idx in rem
+              if target not in shapes[idx].reads_gamma and shapes[idx].names - bound == {target}]
+    rest = [idx for idx in rem if idx not in affine]
+    return _Plan(tuple(steps), target, blind, tuple(rem), tuple(affine), tuple(rest),
+                 frozenset(bound | {target}))
+
+
+def _level_plan(S: GroupSystem, rem: Tuple[int, ...], bound: frozenset, find_all: bool) -> _Plan:
+    """The plan of a level, made once per (rem, bound, find_all) and kept
+    on S; the cache is emptied at 1024 plans, so it never outgrows that."""
+    key = (rem, bound, find_all)
+    plan = S._plans.get(key)
+    if plan is None:
+        if len(S._plans) >= 1024:
+            S._plans.clear()
+        plan = S._plans[key] = _make_plan(S, rem, bound, find_all)
+    return plan
+
+
 def bounded_solve_group(
     S: GroupSystem,
     ambient: Ambient,
@@ -858,6 +962,15 @@ def bounded_solve_group(
     ambient, which must bind every constant of S (ValueError otherwise).
     Each equation is evaluated through its compiled Polynomial, so the search
     runs no multiply, inverse, power or commutator.
+
+    Each level of the search replays a plan (``_Plan``): the equations to
+    check and the variables to force, in order, and then the variable to
+    scan.  None of it depends on values, only on the equations to go and
+    the names bound, so S keeps the plans it has made (``_level_plan``) and
+    the searches of one verify grid, or the candidates of one scan, make
+    each only once.  A check of an equation that forced its variable
+    earlier in the level is charged 1 and not evaluated: x := w^e makes
+    u v^-1 the identity, which is trivial in every ambient.
 
     Before scanning a variable y, each remaining equation whose only
     unassigned name is y, with net exponent 0 in u v^-1, is affine in
@@ -926,11 +1039,7 @@ def bounded_solve_group(
             raise SearchSpaceError("evaluation limit exceeded")
 
     shapes = S._shapes
-
-    def residual(idx: int) -> MalcevElement:
-        spend()
-        return shapes[idx].residual(env, m)
-
+    is_trivial = ambient.is_trivial
     n_pairs = m * (m - 1) // 2
     solutions: List[Dict[str, MalcevElement]] = []
 
@@ -939,103 +1048,63 @@ def bounded_solve_group(
             raise SearchSpaceError(f"more than {MAX_FOUND_SOLUTIONS} solutions")
         solutions.append({v: env[v] for v in S.variables})
 
-    def affine_forms(target: str, rem: List[int]):
-        """(alpha, g0, L) of each equation in rem whose only unassigned
-        name is target and which is blind to target's gamma, and the list
-        of the other equations in rem.  One evaluation at target = 1 gives
-        alpha and g0; L is read off the polynomial, charged as the m probes
-        target = a_k that would give it."""
-        forms, rest = [], []
-        for idx in rem:
-            shape = shapes[idx]
-            if target in shape.reads_gamma or shape.names - env.keys() != {target}:
-                rest.append(idx)
-                continue
+    def affine_forms(target: str, affine: Tuple[int, ...]):
+        """(alpha, g0, L) of each equation in affine.  One evaluation at
+        target = 1 gives alpha and g0; L is read off the polynomial,
+        charged as the m probes target = a_k that would give it."""
+        forms = []
+        for idx in affine:
+            residual = shapes[idx].residual
             env[target] = identity(m)
-            r0 = residual(idx)
+            spend()
+            r0 = residual(env, m)
             del env[target]
             spend(m)
-            forms.append((r0.alpha, r0.gamma, shape.residual.slope(target, env, m)))
-        return forms, rest
+            forms.append((r0.alpha, r0.gamma, residual.slope(target, env, m)))
+        return forms
 
-    def recurse(remaining: Tuple[int, ...]) -> bool:
+    def recurse(plan: _Plan) -> bool:
         """Returns True if the search should stop (find_all=False and found)."""
         assigned_here: List[str] = []
         try:
-            # propagate: verify determined equations, assign forced variables
-            rem = list(remaining)
-            progress = True
-            while progress:
-                progress = False
-                next_rem = []
-                for idx in rem:
-                    shape = shapes[idx]
-                    if shape.names <= env.keys():
-                        if not ambient.is_trivial(residual(idx)):
-                            return False
-                        progress = True
-                        continue
-                    for name, form, w_names in shape.forced:
-                        if name not in env and w_names <= env.keys():
-                            val = form(env, m)
-                            spend()
-                            if not _element_in_box(val, boxes[name]):
-                                return False
-                            env[name] = val
-                            assigned_here.append(name)
-                            progress = True
-                            break
-                    next_rem.append(idx)
-                rem = next_rem
-            free = [v for v in S.variables if v not in env]
-            if not free:
+            for form, name in plan.steps:
+                if name is None:
+                    spend()
+                    if form is not None and not is_trivial(form(env, m)):
+                        return False
+                    continue
+                val = form(env, m)
+                spend()
+                if not _element_in_box(val, boxes[name]):
+                    return False
+                env[name] = val
+                assigned_here.append(name)
+            target = plan.target
+            if target is None:
                 record()
                 return not find_all
-            # scan one variable from an equation with the fewest unassigned
-            # names; among those prefer the variable shared by the most
-            # remaining equations, so contradictions surface before
-            # unrelated auxiliaries get enumerated.  Variables in no
-            # equation are scanned last.
-            best = None
-            candidates: set = set()
-            occurrences: Dict[str, int] = {}
-            for idx in rem:
-                missing = shapes[idx].names - env.keys()
-                if not missing:
-                    continue
-                for v in missing:
-                    occurrences[v] = occurrences.get(v, 0) + 1
-                if best is None or len(missing) < best:
-                    best = len(missing)
-                    candidates = set(missing)
-                elif len(missing) == best:
-                    candidates |= missing
-            if candidates:
-                target = min(candidates, key=lambda v: (-occurrences[v], v))
-            else:
-                target = free[0]
-            # existence mode: scan gamma = 0 only where nothing reads it
-            blind = not find_all and all(target not in shapes[idx].reads_gamma for idx in rem)
-            bounds = (boxes[target],) * m + (0 if blind else boxes[target],) * n_pairs
+            box = boxes[target]
+            bounds = (box,) * m + (0 if plan.blind else box,) * n_pairs
             # the affine forms see only alpha, so the walk visits only the
             # alphas they admit.  With no more alpha values than the m + 1
             # evaluations a form is charged, forms cannot pay.
-            if (2 * boxes[target] + 1) ** m > m + 1:
-                forms, rem = affine_forms(target, rem)
+            if (2 * box + 1) ** m > m + 1:
+                forms, rem = affine_forms(target, plan.affine), plan.rest
             else:
-                forms = []
+                forms, rem = [], plan.rem
+            below = _level_plan(S, rem, plan.bound, find_all)
             for value in _candidates(forms, ambient, bounds, spend):
                 env[target] = value
-                stop = recurse(tuple(rem))
+                stop = recurse(below)
                 del env[target]
                 if stop:
                     return True
             return False
         finally:
             for name in assigned_here:
-                env.pop(name, None)
+                del env[name]
 
-    recurse(tuple(range(len(S.equations))))
+    recurse(_level_plan(S, tuple(range(len(S.equations))), frozenset(env), find_all))
     return solutions
 
 

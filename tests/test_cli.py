@@ -676,6 +676,17 @@ def test_json_too_deep_to_read_is_a_usage_error_exit_2(capsys, tmp_path):
     code, out, err = _run(capsys, "solve-bounded", str(f), "--box", "1")
     assert code == 2 and out == ""
     assert err == f"error: {f} nests too deeply to read\n"
+    # an integer past Python's 4300-digit string limit is no JSON it reads
+    huge = "9" * 5000
+    f.write_text(f'{{"variables": ["x"], "equations": [[["var", "x"], ["const", {huge}]]]}}')
+    for cmd in (("solve-bounded", "--box", "1"), ("verify", "--box-ring", "1", "--box-group", "1")):
+        code, out, err = _run(capsys, cmd[0], str(f), *cmd[1:])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {f} is not valid JSON: Exceeds the limit")
+    f.write_text(f'{{"m": {huge}, "r": 1, "lengths": [4], "trials": 3, "seed": 1}}')
+    code, out, err = _run(capsys, "rank-exp", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {f} is not valid JSON: Exceeds the limit")
 
 
 def test_solve_bounded_rank_deficient_presentation(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Ring systems, the group-equation compiler, and the bounded solvers."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -798,3 +799,196 @@ def test_wide_box_scans_lazily():
     with pytest.raises(SearchSpaceError):
         bounded_solve_group(S, amb, 10**7, eval_limit=1000)
     assert time.perf_counter() - t0 < 1.0
+
+
+def _charge_corpus():
+    """(label, system, ambient, bound, pinned, find_all) of each search whose
+    charges are pinned: the benchmark's compiled ring shapes in existence
+    mode, with their ring variables pinned as verify's grid pins them, or
+    every subterm as its extension search does, or nothing; and find-all
+    searches over the gadgets; in the free rank-2 ambient and in a quotient,
+    over boxes of 0 and 1."""
+    edef = z_in_g_templates()
+    free = FreeNilpotentAmbient(2)
+    quotient = QuotientAmbient(normalize(parse_presentation("3 2\na1^2\n")))
+    x, y, z = V("x"), V("y"), V("z")
+    shapes = (
+        ("x+c=d", _ring(["x"], [(ADD(x, C(1)), C(0))]), (-1,), (1,)),
+        ("c*x=d", _ring(["x"], [(MUL(C(-1), x), C(1))]), (-1,), (1,)),
+        ("x*x=c", _ring(["x"], [(MUL(x, x), C(1))]), (-1,), (0,)),
+        ("x+y=c", _ring(["x", "y"], [(ADD(x, y), C(1))]), (1, 0), (1, 1)),
+        ("x+c=y", _ring(["x", "y"], [(ADD(x, C(1)), y)]), (0, 1), (-1, 1)),
+        ("x*y=c", _ring(["x", "y"], [(MUL(x, y), C(-1))]), (1, -1), (1, 1)),
+        ("x+y=c,x=d", _ring(["x", "y"], [(ADD(x, y), C(1)), (x, C(1))]), (1, 0), (0, 1)),
+        ("x+y=z", _ring(["x", "y", "z"], [(ADD(x, y), z)]), (1, -1, 0), (1, 1, 1)),
+        ("x+y+c=z", _ring(["x", "y", "z"], [(ADD(ADD(x, y), C(1)), z)]), (0, 0, 1), (1, 0, 1)),
+        ("x*c=y", _ring(["x", "y"], [(MUL(x, C(-1)), y)]), (1, -1), (-1, -1)),
+    )
+    searches = []
+    for label, ring, solution, other in shapes:
+        compiled = compile_system(edef, ring)
+        names = compiled.ring_variable_names()
+        for amb_label, amb in (("free", free), ("quotient", quotient)):
+            c = commutator(*amb.constants().values())
+            value = dict(zip(ring.variables, solution))
+            everything = {name: power(c, eval_term(t, value)) for t, name in compiled.term_names}
+            for pin_label, pin in (("extension", everything),
+                                   ("grid", {names[v]: power(c, t) for v, t in zip(ring.variables, solution)}),
+                                   ("grid-miss", {names[v]: power(c, t) for v, t in zip(ring.variables, other)})):
+                searches.append((f"{label} {amb_label} {pin_label}", compiled.system, amb, 1, pin, False))
+            searches.append((f"{label} {amb_label} unpinned", compiled.system, amb, 1, None, False))
+    mapping = {"x1": "x1", "x2": "x2", "x3": "x3", "p1": "p1", "p2": "p2"}
+    mul = GroupSystem(("x1", "x2", "x3", "p1", "p2"), ("a", "b"), instantiate_template(edef.mul, mapping))
+    domain = GroupSystem(("x", "y"), ("a", "b"), instantiate_template(edef.domain, {"x": "x", "y": "y"}))
+    centralizer = GroupSystem(("y",), ("a", "b"), (((comm((gen("a"),), (gen("y"),)),), ()),))
+    for amb_label, amb in (("free", free), ("quotient", quotient)):
+        c = commutator(*amb.constants().values())
+        pin = {"x1": c, "x2": power(c, -1)}
+        for box in (0, 1):
+            searches.append((f"mul {amb_label} box {box}", mul, amb, {"x3": 1, "*": box}, pin, True))
+            searches.append((f"domain {amb_label} box {box}", domain, amb, box, None, True))
+        searches.append((f"centralizer {amb_label}", centralizer, amb, 1, None, True))
+    return searches
+
+
+def _solutions_digest(sols):
+    return hashlib.sha256(repr([sorted((v, e.alpha, e.gamma) for v, e in s.items())
+                                for s in sols]).encode()).hexdigest()[:12]
+
+
+# (label, solutions, their digest, smallest eval_limit that lets the search
+# finish), found by bisection before level plans were cached
+_CHARGES = (
+    ("x+c=d free extension", 1, "bf709c15cbb9", 13),
+    ("x+c=d free grid", 1, "bf709c15cbb9", 16),
+    ("x+c=d free grid-miss", 0, "4f53cda18c2b", 2),
+    ("x+c=d free unpinned", 1, "bf709c15cbb9", 21),
+    ("x+c=d quotient extension", 1, "b57e43aa900c", 15),
+    ("x+c=d quotient grid", 1, "b57e43aa900c", 18),
+    ("x+c=d quotient grid-miss", 0, "4f53cda18c2b", 2),
+    ("x+c=d quotient unpinned", 1, "b57e43aa900c", 23),
+    ("c*x=d free extension", 1, "43cf527964ae", 37),
+    ("c*x=d free grid", 1, "43cf527964ae", 40),
+    ("c*x=d free grid-miss", 0, "4f53cda18c2b", 39),
+    ("c*x=d free unpinned", 1, "43cf527964ae", 39),
+    ("c*x=d quotient extension", 1, "15dde688ab79", 44),
+    ("c*x=d quotient grid", 1, "15dde688ab79", 47),
+    ("c*x=d quotient grid-miss", 0, "4f53cda18c2b", 80),
+    ("c*x=d quotient unpinned", 1, "15dde688ab79", 45),
+    ("x*x=c free extension", 1, "b9188e68bf62", 36),
+    ("x*x=c free grid", 1, "b9188e68bf62", 38),
+    ("x*x=c free grid-miss", 0, "4f53cda18c2b", 37),
+    ("x*x=c free unpinned", 1, "682338c50ab9", 52),
+    ("x*x=c quotient extension", 1, "833482e74702", 43),
+    ("x*x=c quotient grid", 1, "833482e74702", 45),
+    ("x*x=c quotient grid-miss", 0, "4f53cda18c2b", 78),
+    ("x*x=c quotient unpinned", 1, "c26ffcda61d1", 79),
+    ("x+y=c free extension", 1, "5d629d11c793", 18),
+    ("x+y=c free grid", 1, "5d629d11c793", 20),
+    ("x+y=c free grid-miss", 0, "4f53cda18c2b", 1),
+    ("x+y=c free unpinned", 1, "99ad0830488f", 22),
+    ("x+y=c quotient extension", 1, "00f17cf6473a", 22),
+    ("x+y=c quotient grid", 1, "00f17cf6473a", 24),
+    ("x+y=c quotient grid-miss", 0, "4f53cda18c2b", 1),
+    ("x+y=c quotient unpinned", 1, "a452cbd39031", 25),
+    ("x+c=y free extension", 1, "99ad0830488f", 18),
+    ("x+c=y free grid", 1, "99ad0830488f", 20),
+    ("x+c=y free grid-miss", 0, "4f53cda18c2b", 3),
+    ("x+c=y free unpinned", 1, "99ad0830488f", 20),
+    ("x+c=y quotient extension", 1, "a452cbd39031", 22),
+    ("x+c=y quotient grid", 1, "a452cbd39031", 24),
+    ("x+c=y quotient grid-miss", 0, "4f53cda18c2b", 3),
+    ("x+c=y quotient unpinned", 1, "a452cbd39031", 23),
+    ("x*y=c free extension", 1, "c6104c13f18a", 41),
+    ("x*y=c free grid", 1, "c6104c13f18a", 43),
+    ("x*y=c free grid-miss", 0, "4f53cda18c2b", 37),
+    ("x*y=c free unpinned", 1, "c6104c13f18a", 58),
+    ("x*y=c quotient extension", 1, "1113607eccc9", 50),
+    ("x*y=c quotient grid", 1, "1113607eccc9", 52),
+    ("x*y=c quotient grid-miss", 0, "4f53cda18c2b", 78),
+    ("x*y=c quotient unpinned", 1, "1113607eccc9", 85),
+    ("x+y=c,x=d free extension", 1, "5d629d11c793", 19),
+    ("x+y=c,x=d free grid", 1, "5d629d11c793", 21),
+    ("x+y=c,x=d free grid-miss", 0, "4f53cda18c2b", 4),
+    ("x+y=c,x=d free unpinned", 1, "5d629d11c793", 23),
+    ("x+y=c,x=d quotient extension", 1, "00f17cf6473a", 23),
+    ("x+y=c,x=d quotient grid", 1, "00f17cf6473a", 25),
+    ("x+y=c,x=d quotient grid-miss", 0, "4f53cda18c2b", 4),
+    ("x+y=c,x=d quotient unpinned", 1, "00f17cf6473a", 27),
+    ("x+y=z free extension", 1, "bcfb6ef9e0e4", 26),
+    ("x+y=z free grid", 1, "bcfb6ef9e0e4", 27),
+    ("x+y=z free grid-miss", 0, "4f53cda18c2b", 1),
+    ("x+y=z free unpinned", 1, "676c80c9bec8", 23),
+    ("x+y=z quotient extension", 1, "1ba4f8b4b965", 32),
+    ("x+y=z quotient grid", 1, "1ba4f8b4b965", 33),
+    ("x+y=z quotient grid-miss", 0, "4f53cda18c2b", 1),
+    ("x+y=z quotient unpinned", 1, "9e1b613f59e5", 27),
+    ("x+y+c=z free extension", 1, "c9ef71f3db57", 26),
+    ("x+y+c=z free grid", 1, "c9ef71f3db57", 29),
+    ("x+y+c=z free grid-miss", 0, "4f53cda18c2b", 3),
+    ("x+y+c=z free unpinned", 1, "c9ef71f3db57", 28),
+    ("x+y+c=z quotient extension", 1, "44d23def85de", 32),
+    ("x+y+c=z quotient grid", 1, "44d23def85de", 35),
+    ("x+y+c=z quotient grid-miss", 0, "4f53cda18c2b", 3),
+    ("x+y+c=z quotient unpinned", 1, "44d23def85de", 32),
+    ("x*c=y free extension", 1, "c6104c13f18a", 41),
+    ("x*c=y free grid", 1, "c6104c13f18a", 43),
+    ("x*c=y free grid-miss", 0, "4f53cda18c2b", 37),
+    ("x*c=y free unpinned", 1, "5df5be0b91c8", 35),
+    ("x*c=y quotient extension", 1, "1113607eccc9", 50),
+    ("x*c=y quotient grid", 1, "1113607eccc9", 52),
+    ("x*c=y quotient grid-miss", 0, "4f53cda18c2b", 78),
+    ("x*c=y quotient unpinned", 1, "256fece49bcb", 42),
+    ("mul free box 0", 0, "4f53cda18c2b", 2),
+    ("domain free box 0", 1, "79c6b7539c5c", 4),
+    ("mul free box 1", 9, "c2395b8fa42a", 150),
+    ("domain free box 1", 9, "45de0b910b21", 48),
+    ("centralizer free", 9, "fdd89c048ef5", 30),
+    ("mul quotient box 0", 0, "4f53cda18c2b", 2),
+    ("domain quotient box 0", 1, "5f5eca81737d", 4),
+    ("mul quotient box 1", 729, "603859c33f1e", 22094),
+    ("domain quotient box 1", 81, "e27492947fb3", 895),
+    ("centralizer quotient", 81, "c15dd0589e89", 733),
+)
+
+
+def test_solver_charges_are_pinned():
+    # the limit passes and one less raises, so every charge is pinned
+    corpus = _charge_corpus()
+    assert [search[0] for search in corpus] == [pin[0] for pin in _CHARGES]
+    for (label, S, amb, bound, pinned, find_all), (_, count, digest, limit) in zip(corpus, _CHARGES):
+        sols = bounded_solve_group(S, amb, bound, pinned=pinned, find_all=find_all, eval_limit=limit)
+        assert (len(sols), _solutions_digest(sols)) == (count, digest), label
+        with pytest.raises(SearchSpaceError):
+            bounded_solve_group(S, amb, bound, pinned=pinned, find_all=find_all, eval_limit=limit - 1)
+
+
+def test_cached_plans_replay_as_a_fresh_system_searches():
+    # one system searched warm, across pinned sets, both modes and a zero
+    # box, finds what an equal system with no plans yet finds
+    edef = z_in_g_templates()
+    compiled = compile_system(edef, _ring(["x", "y", "z"], [(ADD(MUL(V("x"), V("y")), C(1)), V("z"))]))
+    S, amb = compiled.system, FreeNilpotentAmbient(2)
+    c = commutator(generator(2, 1), generator(2, 2))
+    names = sorted(compiled.ring_variable_names().values())
+    rng = random.Random("plan-cache")
+    for _ in range(60):
+        pinned = {v: power(c, rng.randint(-1, 1)) for v in names if rng.random() < 0.6}
+        box, find_all = rng.choice((0, 1)), rng.random() < 0.5
+        fresh = dataclasses.replace(S)
+        assert "_plans" not in vars(fresh)
+        warm = bounded_solve_group(S, amb, box, pinned=pinned, find_all=find_all)
+        assert warm == bounded_solve_group(fresh, amb, box, pinned=pinned, find_all=find_all)
+    assert S._plans
+
+
+def test_plan_cache_stays_within_its_cap():
+    # every subset of the 11 variables pinned is a distinct top-level plan
+    compiled = compile_system(z_in_g_templates(), _ring(
+        ["x", "y", "z"], [(ADD(MUL(V("x"), V("y")), C(1)), V("z"))]))
+    S, amb = compiled.system, FreeNilpotentAmbient(2)
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(S.variables, k) for k in range(len(S.variables) + 1))
+    for pinned in itertools.islice(subsets, 2000):
+        bounded_solve_group(S, amb, 0, pinned=dict.fromkeys(pinned, identity(2)))
+        assert len(S._plans) <= 1024
