@@ -90,7 +90,7 @@ from .nilpotent2 import (
 )
 from .presentation import NormalizedPresentation, is_trivial_in_G
 from .words import check_rank, count_over_limit
-from .zmatrix import Echelon
+from .zmatrix import Echelon, hermite_normal_form
 
 
 class SearchSpaceError(Exception):
@@ -284,10 +284,10 @@ def _name_index(names) -> Tuple[Tuple[str, ...], Dict[str, int]]:
     return names, {x: k for k, x in enumerate(names, 1)}
 
 
-def compile_gword(w: GroupWord, e: int = 1) -> Polynomial:
-    """The class-2 polynomial of w^e, keyed by w's names."""
+def compile_gword(w: GroupWord) -> Polynomial:
+    """The class-2 polynomial of w, keyed by w's names."""
     names, index = _name_index(gword_names(w))
-    return Polynomial(power(_element(w, index, len(names)), e), names)
+    return Polynomial(_element(w, index, len(names)), names)
 
 
 def eval_gword(w: GroupWord, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
@@ -735,7 +735,7 @@ def _slope_echelon(slopes, ambient: Ambient):
     rows = [row + [int(i == k) for i in range(m)] for k, row in enumerate(slope_rows)]
     for offset, part in lattice_rows:
         rows.append([0] * offset + part + [0] * (len(columns) - offset - len(part) + m))
-    return tuple(columns), tuple(inside), Echelon.of(rows)
+    return tuple(columns), tuple(inside), hermite_normal_form(rows)
 
 
 def _admissible_coset(forms, ambient: Ambient):
@@ -774,19 +774,13 @@ def _admissible_coset(forms, ambient: Ambient):
     if echelon is None:
         return (0,) * m, ((1,),) * m
     width = len(columns)
-    resid = [full[f][c] for f, c in columns] + [0] * m
+    resid = echelon.residue([full[f][c] for f, c in columns] + [0] * m, width)
+    if resid is None or any(resid[:width]):
+        return None
     kernel = [None] * m
     for row, col in zip(echelon.rows, echelon.pivots):
         if col >= width:
             kernel[col - width] = row[col:]
-            continue
-        q, rem = divmod(resid[col], row[col])
-        if rem:
-            return None
-        if q:
-            resid = [a - q * b for a, b in zip(resid, row)]
-    if any(resid[:width]):
-        return None
     return tuple(resid[width:]), kernel
 
 
@@ -1086,9 +1080,9 @@ def bounded_solve_group(
             box = boxes[target]
             bounds = (box,) * m + (0 if plan.blind else box,) * n_pairs
             # the affine forms see only alpha, so the walk visits only the
-            # alphas they admit.  With no more alpha values than the m + 1
-            # evaluations a form is charged, forms cannot pay.
-            if (2 * box + 1) ** m > m + 1:
+            # alphas they admit.  Forms pay when (2 box + 1)^m alpha values
+            # outnumber the m + 1 evaluations each is charged: as m >= 2, box > 0.
+            if box:
                 forms, rem = affine_forms(target, plan.affine), plan.rest
             else:
                 forms, rem = [], plan.rem

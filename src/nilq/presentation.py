@@ -98,7 +98,8 @@ from typing import Iterator, Optional, Tuple
 
 from .nilpotent2 import MalcevElement, Polynomial, from_word, generator, pair_list
 from .words import MAX_RELATORS, RankLimitError, Word, WordSyntaxError, check_rank, parse_word
-from .zmatrix import Echelon, IntMatrix, SmithDecomposition, rank as zrank, smith_normal_form
+from .zmatrix import (Echelon, IntMatrix, SmithDecomposition, hermite_normal_form, rank as zrank,
+                      smith_normal_form)
 
 
 class InconclusiveError(Exception):
@@ -216,7 +217,7 @@ class NormalizedPresentation:
         tail = n * (n - 1) // 2
         rows = [row[len(row) - tail :] for row in self.echelon.rows[self.snf.rank :]]
         rows = [v for v in rows if any(v)]
-        return len(self.d_pq) - tail, Echelon.of(rows)
+        return len(self.d_pq) - tail, hermite_normal_form(rows)
 
     @cached_property
     def center_profile_dim(self) -> int:
@@ -224,8 +225,7 @@ class NormalizedPresentation:
         kernel of the map whose row c is the bracket residues of a_c.  Rows
         c <= rank are zero, as a_c has no free coordinate."""
         gens = [generator(self.m, c) for c in range(self.snf.rank + 1, self.m + 1)]
-        rows = [[x for res in _bracket_residues(self, g) for x in res] for g in gens]
-        return self.m - zrank(IntMatrix.from_rows(rows))
+        return self.m - zrank([x for res in _bracket_residues(self, g) for x in res] for g in gens)
 
 
 def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator[list]:
@@ -262,7 +262,7 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
         rows.append(g.alpha + tuple(g.gamma[t] % d[t] if d[t] else g.gamma[t] for t in kept))
     n = len(kept)
     rows += [(0,) * (m + c) + (d[t],) + (0,) * (n - c - 1) for c, t in enumerate(kept) if d[t]]
-    echelon = Echelon.of(rows)
+    echelon = hermite_normal_form(rows)
     if [row[:m] for row in echelon.rows if any(row[:m])] != [snf.D.row(i) for i in range(k)]:
         raise AssertionError("relator images do not span the Smith diagonal")
     return NormalizedPresentation(m, len(p.relators), p.s, snf, basis, d, kept, echelon)
@@ -340,7 +340,7 @@ def is_central_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> boo
 def _commuting_profile_dim(np_: NormalizedPresentation, g: MalcevElement) -> int:
     """Dimension over Q of {v : gamma([g, v]) lies in the Q-span of the
     closure lattice}; the alpha profiles commuting with g modulo torsion."""
-    return np_.m - zrank(IntMatrix.from_rows(_bracket_residues(np_, g)))
+    return np_.m - zrank(_bracket_residues(np_, g))
 
 
 def is_c_small(g: MalcevElement, np_: NormalizedPresentation) -> bool:

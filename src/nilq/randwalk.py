@@ -47,7 +47,7 @@ from .words import (
     check_rank,
     count_over_limit,
 )
-from .zmatrix import IntMatrix, minor_polynomial, rank as zrank
+from .zmatrix import minor_polynomial, rank as zrank
 
 if TYPE_CHECKING:
     import numpy as np
@@ -257,8 +257,7 @@ def rank_experiment(cfg: ExperimentConfig) -> list:
         full = 0
         for t in range(cfg.trials):
             rng = trial_rng(cfg.seed, length, t)
-            entries = [v for _ in range(cfg.r) for v in _random_exponent_sums(length, cfg.m, rng)]
-            M = IntMatrix(cfg.r, cfg.m, tuple(entries))
+            M = [_random_exponent_sums(length, cfg.m, rng) for _ in range(cfg.r)]
             is_full = zrank(M) == min(cfg.r, cfg.m)
             if is_full != (minor_polynomial(M) != 0):
                 raise AssertionError("rank routes disagree")
@@ -478,7 +477,7 @@ class DecayFit:
     points: Tuple[Tuple[int, float], ...]
 
 
-def decay_slope(m: int, n_range: Tuple[int, int], table: Optional[ReturnTable] = None) -> DecayFit:
+def decay_slope(m: int, n_range: Tuple[int, int]) -> DecayFit:
     """Least-squares slope of log(p_n(0)+p_{n+1}(0)) against log n over even n.
 
     The local limit theorem makes this approach -m/2.  Odd n are skipped
@@ -488,10 +487,7 @@ def decay_slope(m: int, n_range: Tuple[int, int], table: Optional[ReturnTable] =
     lo, hi = n_range
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
-    if table is None:
-        table = return_probability_exact(m, hi)
-    if table.m != m or table.n_max < hi:
-        raise ValueError("table does not cover the requested range")
+    table = return_probability_exact(m, hi)
     ns = [n for n in range(lo, hi + 1) if n % 2 == 0]
     if len(ns) < 2:
         raise ValueError("degenerate range: need at least two even points")
@@ -548,9 +544,9 @@ def schwartz_zippel_check(
         raise EnumerationLimitError(message)
     total = side ** (r * m)
     zero_count = 0
-    entries_range = range(-box_halfwidth, box_halfwidth + 1)
-    for tup in itertools.product(entries_range, repeat=r * m):
-        if minor_polynomial(IntMatrix(r, m, tup)) == 0:
+    box_rows = itertools.product(range(-box_halfwidth, box_halfwidth + 1), repeat=m)
+    for M in itertools.product(box_rows, repeat=r):
+        if minor_polynomial(M) == 0:
             zero_count += 1
     degree = 2 * min(r, m)
     bound = degree * side ** (r * m - 1)

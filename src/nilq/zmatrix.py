@@ -5,6 +5,11 @@ Everything works over arbitrary-precision Python ints.  Entries grow without
 bound during elimination, so none of this is allowed anywhere near fixed-width
 arithmetic; numpy stays out of this module on purpose.
 
+A matrix is its integer rows, all of one length: ``rank``, ``determinant``,
+``minor_polynomial`` and ``hermite_normal_form`` copy them once (ragged rows
+raise ValueError) and work on the copy in place.  ``hermite_normal_form``
+returns an ``Echelon``.  ``IntMatrix`` is the Smith form's type alone.
+
 The Smith routine records every elementary operation it performs, and that
 log is the only record of the reduction.  One routine, ``_apply``, applies
 an operation: the reduction applies each one as it records it, and
@@ -45,22 +50,12 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        data = [list(r) for r in rows]
-        n = len(data)
-        m = len(data[0]) if data else 0
-        for r in data:
-            if len(r) != m:
-                raise ValueError("ragged rows")
-        flat = tuple(int(v) for r in data for v in r)
-        return cls(n, m, flat)
+        A, m = _rows(rows)
+        return cls(len(A), m, tuple(v for r in A for v in r))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
 
     def __getitem__(self, key: Tuple[int, int]) -> int:
         i, j = key
@@ -223,6 +218,16 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
     )
 
 
+def _rows(M: Iterable[Iterable[int]]) -> Tuple[list, int]:
+    """The rows M as fresh lists, which the routines below work on in place,
+    and their one length."""
+    A = [list(row) for row in M]
+    m = len(A[0]) if A else 0
+    if any(len(row) != m for row in A):
+        raise ValueError("ragged rows")
+    return A, m
+
+
 def _bareiss(A: list, cols: int) -> Tuple[int, int]:
     """(rank, det) of the rows A, consumed, by fraction-free elimination with
     full pivoting.  Each step divides exactly by the previous pivot, so the
@@ -262,46 +267,46 @@ def _bareiss(A: list, cols: int) -> Tuple[int, int]:
     return t, sign * prev if t == r == cols else 0
 
 
-def rank(M: IntMatrix) -> int:
+def rank(M: Iterable[Iterable[int]]) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
     Deliberately independent of smith_normal_form so the two can check each
     other.
     """
-    return _bareiss(M.to_rows(), M.cols)[0]
+    return _bareiss(*_rows(M))[0]
 
 
-def determinant(M: IntMatrix) -> int:
+def determinant(M: Iterable[Iterable[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    if M.rows != M.cols:
+    A, m = _rows(M)
+    if len(A) != m:
         raise ValueError("determinant needs a square matrix")
-    return _bareiss(M.to_rows(), M.cols)[1]
+    return _bareiss(A, m)[1]
 
 
-def minor_polynomial(M: IntMatrix) -> int:
+def minor_polynomial(M: Iterable[Iterable[int]]) -> int:
     """Sum of squared maximal minors: det(M)^2, or by Cauchy-Binet
     det(M M^T) for a wide M and det(M^T M) for a tall one.
 
     Zero iff the matrix has less than full rank min(rows, cols).  For an
     empty matrix the single empty minor has determinant 1, so the value is 1.
     """
-    if M.rows == M.cols:
-        return determinant(M) ** 2
-    lines = M.to_rows() if M.rows < M.cols else list(zip(*M.to_rows()))
+    A, m = _rows(M)
+    if len(A) == m:
+        return _bareiss(A, m)[1] ** 2
+    lines = A if len(A) < m else list(zip(*A))
     gram = [[sum(a * b for a, b in zip(u, v)) for v in lines] for u in lines]
     return _bareiss(gram, len(gram))[1]
 
 
-def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, Tuple[int, ...]]:
-    """Row-style Hermite normal form.
-
-    Returns (H, pivot_cols): H = W M for some unimodular W, which is not
-    built (``lattice_membership`` recovers it from the form of [M | I]).
-    Pivots are positive, entries above each pivot reduced into [0, pivot),
-    and zero rows last.
+def hermite_normal_form(M: Iterable[Iterable[int]]) -> Echelon:
+    """Row-style Hermite normal form: the nonzero rows of W M for some
+    unimodular W, which is not built (``hermite_transform`` recovers it from
+    the form of [M | I]), and their pivots.  Pivots are positive, and
+    entries above each pivot reduced into [0, pivot).
     """
-    r, m = M.rows, M.cols
-    A = M.to_rows()
+    A, m = _rows(M)
+    r = len(A)
 
     def row_add(src, dst, mult):
         As, Ad = A[src], A[dst]
@@ -336,26 +341,27 @@ def hermite_normal_form(M: IntMatrix) -> Tuple[IntMatrix, Tuple[int, ...]]:
                 row_add(prow, i, -q)
         pivots.append(col)
         prow += 1
-    return IntMatrix(r, m, tuple(v for row in A for v in row)), tuple(pivots)
+    for i in range(prow):  # one row at a time, so the lists go as the tuples come
+        A[i] = tuple(A[i])
+    return Echelon(tuple(A[:prow]), tuple(pivots))
 
 
-def hermite_transform(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, Tuple[int, ...]]:
-    """(H, W, pivot_cols) with W unimodular and W M = H, H the Hermite
-    normal form of M.
+def hermite_transform(M: Iterable[Iterable[int]]) -> Tuple[Echelon, Tuple[Tuple[int, ...], ...]]:
+    """(E, W): E the Hermite normal form of M, and W unimodular, as rows,
+    with W M equal to E's rows and then zero rows.
 
-    Runs ``hermite_normal_form`` on [M | I]: its steps on the first M.cols
-    columns are those on M alone, and every later step adds, swaps or
-    negates rows whose M part is zero, so the left block is H and the right
-    block a unimodular W.  A test oracle: the production path needs no W.
+    Runs ``hermite_normal_form`` on [M | I], which has full row rank: its
+    steps on M's columns are those on M alone, and every later step adds,
+    swaps or negates rows whose M part is zero.  A test oracle: the
+    production path needs no W.
     """
-    r, m = M.rows, M.cols
-    eye = IntMatrix.identity(r)
-    HW, pivots = hermite_normal_form(
-        IntMatrix(r, m + r, tuple(v for i in range(r) for v in M.row(i) + eye.row(i)))
-    )
-    H = IntMatrix(r, m, tuple(v for i in range(r) for v in HW.row(i)[:m]))
-    W = IntMatrix(r, r, tuple(v for i in range(r) for v in HW.row(i)[m:]))
-    return H, W, tuple(c for c in pivots if c < m)
+    A, m = _rows(M)
+    for i, row in enumerate(A):
+        row += [int(i == j) for j in range(len(A))]
+    HW = hermite_normal_form(A)
+    k = sum(c < m for c in HW.pivots)
+    E = Echelon(tuple(row[:m] for row in HW.rows[:k]), HW.pivots[:k])
+    return E, tuple(row[m:] for row in HW.rows)
 
 
 @dataclass(frozen=True)
@@ -363,32 +369,36 @@ class Echelon:
     """A row-echelon basis and its pivot columns.
 
     Each row is zero left of its pivot, and the pivots increase strictly.
-    ``of`` takes the nonzero rows of a row Hermite normal form, but any such
-    basis will do.  Built once per basis, it decides span membership for
-    many vectors by reduction alone.  ``lattice_membership`` does the same
-    from scratch and serves as a test oracle.
+    ``hermite_normal_form`` returns one, but any such basis will do.  Built
+    once per basis, it decides span membership for many vectors by
+    reduction alone.  ``lattice_membership`` does the same from scratch and
+    serves as a test oracle.
     """
 
     rows: Tuple[Tuple[int, ...], ...]
     pivots: Tuple[int, ...]
 
-    @classmethod
-    def of(cls, basis: Sequence[Sequence[int]]) -> "Echelon":
-        H, pivots = hermite_normal_form(IntMatrix.from_rows(basis))
-        return cls(tuple(H.row(k) for k in range(len(pivots))), pivots)
-
-    def in_lattice(self, target: Sequence[int]) -> bool:
-        """True iff target lies in the Z-span of the rows: each pivot must
-        divide what is left in its column."""
+    def residue(self, target: Sequence[int], stop: int) -> Optional[list]:
+        """target less the multiple of each row that pivots before column
+        stop which clears target at that pivot, in order, or None if a pivot
+        does not divide what is left in its column."""
         resid = list(target)
         for row, col in zip(self.rows, self.pivots):
+            if col >= stop:
+                break
             q, rem = divmod(resid[col], row[col])
             if rem:
-                return False
+                return None
             if q:
                 for j in range(col, len(resid)):
                     resid[j] -= q * row[j]
-        return not any(resid)
+        return resid
+
+    def in_lattice(self, target: Sequence[int]) -> bool:
+        """True iff target lies in the Z-span of the rows: each pivot must
+        divide what is left in its column, and nothing may be left over."""
+        resid = self.residue(target, len(target))
+        return resid is not None and not any(resid)
 
     def rational_residue(self, target: Sequence[int]) -> list:
         """Fraction-free reduction of target modulo the Q-span of the rows.
@@ -423,21 +433,18 @@ def lattice_membership(
             raise ValueError("basis vector dimension mismatch")
     if not basis:
         return [] if all(v == 0 for v in target) else None
-    B = IntMatrix.from_rows(basis)
-    H, W, pivots = hermite_transform(B)
+    E, W = hermite_transform(basis)
     n = len(basis)
     resid = list(target)
     y = [0] * n
-    for k, col in enumerate(pivots):
-        p = H[k, col]
-        q, rem = divmod(resid[col], p)
+    for k, (row, col) in enumerate(zip(E.rows, E.pivots)):
+        q, rem = divmod(resid[col], row[col])
         if rem:
             return None
         if q:
             y[k] = q
-            hrow = H.row(k)
             for j in range(dim):
-                resid[j] -= q * hrow[j]
+                resid[j] -= q * row[j]
     if any(resid):
         return None
-    return [sum(y[k] * W[k, j] for k in range(n)) for j in range(n)]
+    return [sum(y[k] * W[k][j] for k in range(n)) for j in range(n)]

@@ -229,7 +229,7 @@ def rational_membership(basis, target) -> bool:
             raise ValueError("basis vector dimension mismatch")
     if not basis:
         return all(v == 0 for v in target)
-    return rank(IntMatrix.from_rows(basis + [target])) == rank(IntMatrix.from_rows(basis))
+    return rank(basis + [target]) == rank(basis)
 
 
 def apply_op(M: IntMatrix, op: ElementaryOp) -> IntMatrix:

@@ -116,7 +116,7 @@ def test_criterion_01_exact_algebra():
         if matmul(matmul(snf.U, M), snf.V) != snf.D:
             failures.append(f"trial {trial}: U*M*V != D")
             break
-        if abs(determinant(snf.U)) != 1 or abs(determinant(snf.V)) != 1:
+        if abs(determinant(snf.U.to_rows())) != 1 or abs(determinant(snf.V.to_rows())) != 1:
             failures.append(f"trial {trial}: transform not unimodular")
             break
         chain = snf.invariant_factors
@@ -441,7 +441,7 @@ def test_criterion_08_return_decay():
         if not table.exact:
             failures.append(f"m={m}: table not exact")
             continue
-        fit = decay_slope(m, (50, 200), table=table)
+        fit = decay_slope(m, (50, 200))
         if abs(fit.slope + m / 2.0) > 0.15:
             failures.append(f"m={m}: slope {fit.slope} outside +-0.15 of {-m/2}")
     # cross check against closed forms as independent evidence (odd-step

@@ -176,18 +176,16 @@ def _word_and_env(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_word_and_env(), st.sampled_from((1, -1, 2, -3)))
-@example(((), {n: identity(3) for n in _NAMES}, 3), -1)  # the empty word
+@given(_word_and_env())
+@example(((), {n: identity(3) for n in _NAMES}, 3))  # the empty word
 @example(  # a bracket of a bracket, names repeated, a large exponent
     ((gen("x", 10**12), comm((comm((gen("x"),), (gen("y"),)),), (gen("x"), gen("z")), -7),
       gen("x", -3), gen("z")),
      {n: MalcevElement(3, (k, -2 * k, 5), (k, 0, -k)) for k, n in enumerate(_NAMES, 1)}, 3),
-    -3,
 )
-def test_compiled_form_matches_word_walker(case, e):
+def test_compiled_form_matches_word_walker(case):
     w, env, m = case
     assert compile_gword(w)(env, m) == _walk_gword(w, env, m)
-    assert compile_gword(w, e)(env, m) == power(_walk_gword(w, env, m), e)
 
 
 def test_group_system_validation():

@@ -13,7 +13,6 @@ import pytest
 from nilq import randwalk
 from nilq.randwalk import (
     RETURN_N_MAX_LIMIT,
-    DecayFit,
     EnumerationLimitError,
     ExperimentConfig,
     ResourceLimitError,
@@ -374,13 +373,6 @@ def test_return_table_csv_rows():
 def test_decay_slope_near_theory():
     assert abs(decay_slope(1, (50, 120)).slope + 0.5) < 0.1
     assert abs(decay_slope(2, (50, 120)).slope + 1.0) < 0.1
-
-
-def test_decay_slope_reuses_table():
-    table = return_probability_exact(1, 60)
-    fit = decay_slope(1, (20, 60), table=table)
-    assert isinstance(fit, DecayFit)
-    assert len(fit.points) >= 2
 
 
 def test_decay_slope_degenerate_inputs():

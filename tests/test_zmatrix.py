@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilq.zmatrix import (
-    Echelon,
     IntMatrix,
     determinant,
     hermite_normal_form,
@@ -108,10 +107,10 @@ def test_apply_op_rejects_unknown_kind():
 )
 def test_rank_routes_agree(rows):
     M = IntMatrix.from_rows(rows)
-    r = rank(M)
+    r = rank(rows)
     assert r == _fraction_rank(M)
     # minor_polynomial is nonzero exactly when the rank is maximal
-    assert (minor_polynomial(M) != 0) == (r == min(M.rows, M.cols))
+    assert (minor_polynomial(rows) != 0) == (r == min(M.rows, M.cols))
 
 
 def test_determinant_against_cofactor_expansion():
@@ -119,15 +118,15 @@ def test_determinant_against_cofactor_expansion():
     for _ in range(80):
         n = rng.randrange(1, 5)
         rows = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
-        assert determinant(IntMatrix.from_rows(rows)) == _cofactor_det(rows)
+        assert determinant(rows) == _cofactor_det(rows)
 
 
 def test_minor_polynomial_edge_cases():
     # no maximal minors to sum: empty product convention
-    assert minor_polynomial(IntMatrix.from_rows([[3]])) == 9
-    wide = IntMatrix.from_rows([[1, 0, 2]])
+    assert minor_polynomial([[3]]) == 9
+    wide = [[1, 0, 2]]
     assert minor_polynomial(wide) == 1 + 0 + 4
-    assert minor_polynomial(IntMatrix.zeros(2, 3)) == 0
+    assert minor_polynomial([[0, 0, 0], [0, 0, 0]]) == 0
 
 
 def _squared_minor_sum(rows, r, m):
@@ -148,8 +147,7 @@ def test_minor_polynomial_matches_squared_minor_sum():
         rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(r)]
         if r >= 2 and rng.random() < 0.2:
             rows[-1] = list(rows[0])
-        M = IntMatrix(r, m, tuple(v for row in rows for v in row))
-        value = minor_polynomial(M)
+        value = minor_polynomial(rows)
         assert value == _squared_minor_sum(rows, r, m), rows
         shapes["empty" if min(r, m) == 0 else "square" if r == m else "wide" if r < m else "tall"] += 1
         shapes["deficient"] += value == 0
@@ -160,21 +158,43 @@ def test_hermite_form_properties():
     rng = random.Random(23)
     for _ in range(100):
         M = _random_matrix(rng)
-        H, pivots = hermite_normal_form(M)
-        H_aug, W, pivots_aug = hermite_transform(M)
-        assert (H_aug, pivots_aug) == (H, pivots)
-        assert matmul(W, M) == H
+        E = hermite_normal_form(M.to_rows())
+        E_aug, W = hermite_transform(M.to_rows())
+        assert E_aug == E
+        # the nonzero rows of H = W M, then its zero rows
+        H = IntMatrix.from_rows(E.rows + ((0,) * M.cols,) * (M.rows - len(E.rows)))
+        assert matmul(IntMatrix.from_rows(W), M) == H
         assert abs(determinant(W)) == 1
-        assert len(pivots) == rank(M)
+        assert len(E.pivots) == len(E.rows) == rank(M.to_rows())
         prev = -1
-        for k, pc in enumerate(pivots):
+        for k, pc in enumerate(E.pivots):
             assert pc > prev
             prev = pc
             assert H[k, pc] > 0
             for i in range(k):
                 assert 0 <= H[i, pc] < H[k, pc]
-        for i in range(len(pivots), H.rows):
+        for i in range(len(E.pivots), H.rows):
             assert all(H[i, j] == 0 for j in range(H.cols))
+
+
+_ROW_ROUTINES = pytest.mark.parametrize(
+    "routine", [rank, determinant, minor_polynomial, hermite_normal_form],
+    ids=lambda f: f.__name__)
+
+
+@_ROW_ROUTINES
+def test_row_routines_reject_ragged_rows(routine):
+    for rows in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="ragged rows"):
+            routine(rows)
+
+
+@_ROW_ROUTINES
+def test_row_routines_leave_their_input_alone(routine):
+    # Bareiss and the Hermite form eliminate in place, on a copy
+    rows = [[2, 4, 1], [6, 8, 3], [1, 5, 7]]
+    routine(rows)
+    assert rows == [[2, 4, 1], [6, 8, 3], [1, 5, 7]]
 
 
 def test_lattice_membership_roundtrip():
@@ -208,7 +228,7 @@ def test_echelon_reductions_match_membership_oracles():
         basis = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(rng.randrange(4))]
         if basis and rng.random() < 0.3:  # a dependent row
             basis.append([2 * a - b for a, b in zip(basis[0], basis[-1])])
-        ech = Echelon.of(basis)
+        ech = hermite_normal_form(basis)
         for _ in range(6):
             coeffs = [rng.randint(-3, 3) for _ in basis]
             target = [sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(dim)]
