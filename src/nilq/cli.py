@@ -235,7 +235,7 @@ def _ring_system(path: str) -> diophantine.RingSystem:
         raise _UsageError(f"bad ring system: {exc}") from exc
 
 
-def _ambient(args) -> diophantine.FreeNilpotentAmbient:
+def _ambient(args) -> diophantine.Ambient:
     if getattr(args, "presentation", None):
         return diophantine.QuotientAmbient(_load_presentation(args.presentation))
     return diophantine.FreeNilpotentAmbient(args.m)

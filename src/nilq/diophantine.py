@@ -88,7 +88,7 @@ from .nilpotent2 import (
     multiply,
     power,
 )
-from .presentation import NormalizedPresentation, is_trivial_in_G
+from .presentation import NormalizedPresentation
 from .words import check_rank, count_over_limit
 from .zmatrix import Echelon, hermite_normal_form
 
@@ -359,58 +359,50 @@ class GroupSystem:
 # ambients
 
 
-class FreeNilpotentAmbient:
-    """Free 2-step nilpotent group of rank m; constants a = a_1, b = a_2.
+class Ambient:
+    """The group the solver works in: N_{2,m}, or a quotient of it, with
+    constants a = a_a and b = a_b (generator indices).
 
-    Like every ambient it names the target lattice of ``is_trivial``: an
-    element is trivial iff its coordinates (alpha + gamma) at
-    ``coordinates`` lie in ``lattice``, an Echelon.  Here that is every
-    coordinate, and no rows.
+    An element is trivial iff its coordinates (alpha + gamma) at
+    ``coordinates`` lie in ``lattice``, an Echelon: ``is_trivial`` is that
+    test, and ``_admissible_coset`` solves against the same lattice.
+    ``FreeNilpotentAmbient`` and ``QuotientAmbient`` build the two kinds.
     """
 
-    def __init__(self, m: int):
-        check_rank(m)
+    def __init__(self, m: int, a: int, b: int, coordinates: Tuple[int, ...], lattice: Echelon):
         if m < 2:
             raise ValueError("need m >= 2 for non-commuting constants")
-        self.m = m
-        self.coordinates = tuple(range(m + m * (m - 1) // 2))
-        self.lattice = Echelon((), ())
+        self.m, self.a, self.b = m, a, b
+        self.coordinates = coordinates
+        self.lattice = lattice
         self.slope_echelons: Dict[tuple, tuple] = {}  # the group solver's, see _admissible_coset
 
     def constants(self) -> Dict[str, MalcevElement]:
-        return {"a": generator(self.m, 1), "b": generator(self.m, 2)}
+        return {"a": generator(self.m, self.a), "b": generator(self.m, self.b)}
 
     def is_trivial(self, el: MalcevElement) -> bool:
-        return el.is_identity()
+        v = el.alpha + el.gamma
+        return self.lattice.in_lattice([v[c] for c in self.coordinates])
 
 
-class QuotientAmbient:
+def FreeNilpotentAmbient(m: int) -> Ambient:
+    """Free 2-step nilpotent group of rank m; constants a = a_1, b = a_2.
+    Its lattice is every coordinate, and no rows."""
+    check_rank(m)
+    return Ambient(m, 1, 2, tuple(range(m + m * (m - 1) // 2)), Echelon((), ()))
+
+
+def QuotientAmbient(np_: NormalizedPresentation) -> Ambient:
     """Quotient of N_{2,m} by a normalized presentation of any rank.
 
     Constants pick the last two generators: in the regime r <= m - 2 they are
     asymptotically almost surely centralizer-small modulo torsion, which is
-    what the encoding needs.  The target lattice of ``is_trivial`` is that of
-    ``is_trivial_in_G``: alpha and the ``kept_pairs`` of gamma, in the
-    presentation's echelon.
+    what the encoding needs.  Its lattice is that of ``is_trivial_in_G``:
+    alpha and the ``kept_pairs`` of gamma, in the presentation's echelon.
     """
-
-    def __init__(self, np_: NormalizedPresentation):
-        if np_.m < 2:
-            raise ValueError("need m >= 2 for non-commuting constants")
-        self.np_ = np_
-        self.m = m = np_.m
-        self.coordinates = tuple(range(m)) + tuple(m + t for t in np_.kept_pairs)
-        self.lattice = np_.echelon
-        self.slope_echelons: Dict[tuple, tuple] = {}  # the group solver's, see _admissible_coset
-
-    def constants(self) -> Dict[str, MalcevElement]:
-        return {"a": generator(self.m, self.m - 1), "b": generator(self.m, self.m)}
-
-    def is_trivial(self, el: MalcevElement) -> bool:
-        return is_trivial_in_G(el, self.np_)
-
-
-Ambient = Union[FreeNilpotentAmbient, QuotientAmbient]
+    m = np_.m
+    coordinates = tuple(range(m)) + tuple(m + t for t in np_.kept_pairs)
+    return Ambient(m, m - 1, m, coordinates, np_.echelon)
 
 
 def ambient_constants(S: GroupSystem, ambient: Ambient) -> Dict[str, MalcevElement]:
@@ -705,7 +697,7 @@ def _lattice_blocks(width: int, lattice: Echelon) -> List[int]:
 
 def _slope_echelon(slopes, ambient: Ambient):
     """The Hermite form that solves affine forms with these slopes in the
-    ambient's target lattice (see ``_admissible_coset``).
+    ambient's lattice (see ``_admissible_coset``).
 
     The lattice's rows split its coordinates into blocks (each d_pq e_pq
     row of a torsion pair is a block of its own), and the Hermite form
@@ -739,9 +731,11 @@ def _slope_echelon(slopes, ambient: Ambient):
 
 
 def _admissible_coset(forms, ambient: Ambient):
-    """The alphas at which every affine form lies in the ambient's target
-    lattice, as (particular alpha, kernel), or None if there are none;
-    ``kernel`` as ``_coset_walk`` takes it.
+    """The alphas at which every affine form is trivial in the ambient, as
+    (particular alpha, kernel), or None if there are none; ``kernel`` as
+    ``_coset_walk`` takes it.  This is ``Ambient.is_trivial`` solved for
+    alpha: a form is trivial iff its coordinates at ``coordinates`` lie in
+    ``lattice``.
 
     A form (a0, g0, L) is the element with alpha a0 and gamma
     g0 + sum_k alpha[k] L_k.  One Hermite form over the rows (L_k at each
@@ -972,9 +966,9 @@ def bounded_solve_group(
     fixed alpha part a0 and gamma part g0 + sum_k alpha_y[k] L_k.  When y's
     box has more than m + 1 alpha values, one evaluation at y = 1 gives a0
     and g0, and ``Polynomial.slope`` reads L off the polynomial.  The alphas
-    whose forms all lie in the ambient's target lattice (the coordinates
-    and lattice that ``ambient.is_trivial`` decides by) are a coset of a
-    lattice in Z^m.  One Hermite form of the forms' slopes solves for it,
+    whose forms are all trivial (``Ambient.is_trivial``, a test of their
+    coordinates against the ambient's lattice) are a coset of a lattice in
+    Z^m.  One Hermite form of the forms' slopes solves for it,
     and one walk (``_coset_walk``) visits the points of that coset times
     the gamma box: an empty coset ends the scan at once, and every
     candidate it skips is one the plain scan would reject.  An admitted

@@ -53,11 +53,13 @@ combinations only when r exceeds the rank).
 A pair with d_pq = 1 has (0 | e_pq) in the lattice, so its coordinate says
 nothing and is dropped.  ``echelon`` is the Hermite form of the images and
 the rows d_pq e_pq, d_pq >= 2, over the alpha coordinates and the pairs
-left (``kept_pairs``), with each gamma reduced modulo its nonzero d_pq.  Its
-alpha block is diag(alpha_i) whatever the presentation, which ``normalize``
-checks, and its rows with a gamma pivot span L at the kept pairs.  At
-MAX_RANK generators and MAX_RELATORS relators of full rank nearly every
-d_pq is 1, and the form has no more columns than generators.
+left (``kept_pairs``), with each gamma reduced modulo its nonzero d_pq.
+``normalize`` keeps the images, and the form is built when a decider first
+reads it, so ``classify`` runs the Smith form alone.  Its alpha block is
+diag(alpha_i) whatever the presentation, which is checked as it is built,
+and its rows with a gamma pivot span L at the kept pairs.  At MAX_RANK
+generators and MAX_RELATORS relators of full rank nearly every d_pq is 1,
+and the form has no more columns than generators.
 
 So the paper's claims 1-3 hold exactly, in the new basis, whenever the
 exponent-sum matrix has full rank.  Modulo torsion every [a_i, a_k] with
@@ -81,17 +83,17 @@ columns, laid out as the gamma of N_{2,m-rank}.  Dropping the other pairs
 therefore maps Q^C(m,2) modulo the Q-span of L isomorphically onto the free
 pairs modulo those rows there, and every zero test and rank modulo L over Q
 can be read in the free block (``free_block``).  A bracket [g, a_c] with
-c <= rank has no free coordinate, and h is trivial modulo torsion iff its
-alpha vanishes beyond the rank and, once the echelon rows with an alpha
-pivot clear its alpha, its free coordinates lie in the span of the free
-block.
+c <= rank has no free coordinate.  The free block's echelon also carries
+the echelon rows with an alpha pivot, cut to the first rank alphas and the
+free pairs, so h is trivial modulo torsion iff its alpha vanishes beyond
+the rank and its first rank alphas, then its free coordinates, lie in the
+Q-span of that echelon: one rational reduction.
 
 The basis change acts on Malcev coordinates, never on words.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Tuple
@@ -170,9 +172,8 @@ class NormalizedPresentation:
     ``basis_images`` the original generators over the new basis: a_k is
     a_1^V_k1 ... a_m^V_km, the lift of V.  ``d_pq`` is d_pq at each pair in
     gamma order, and ``kept_pairs`` the gamma indices where it is not 1.
-    ``echelon`` is the Hermite form of the closure's coordinates at the alpha
-    columns, then those pairs (see the module docstring); its first rank rows
-    are (alpha_i e_i | c_i), the rest have zero alpha.
+    ``image_rows`` are the relators' images at the alpha columns, then those
+    pairs, each gamma reduced modulo its nonzero d_pq.
     """
 
     m: int
@@ -182,7 +183,7 @@ class NormalizedPresentation:
     basis_images: Tuple[MalcevElement, ...]
     d_pq: Tuple[int, ...]
     kept_pairs: Tuple[int, ...]
-    echelon: Echelon
+    image_rows: Tuple[Tuple[int, ...], ...]
 
     @property
     def rank_full(self) -> bool:
@@ -191,6 +192,22 @@ class NormalizedPresentation:
     @property
     def alphas(self) -> Tuple[int, ...]:
         return self.snf.invariant_factors
+
+    @cached_property
+    def echelon(self) -> Echelon:
+        """The Hermite form of the closure's coordinates at the alpha columns,
+        then the kept pairs (see the module docstring), built on first read:
+        of ``image_rows`` and the rows d_pq e_pq, d_pq >= 2.  Its first rank
+        rows are (alpha_i e_i | c_i), the rest have zero alpha."""
+        m, n, d = self.m, len(self.kept_pairs), self.d_pq
+        rows = list(self.image_rows)
+        rows += [(0,) * (m + c) + (d[t],) + (0,) * (n - c - 1)
+                 for c, t in enumerate(self.kept_pairs) if d[t]]
+        echelon = hermite_normal_form(rows)
+        diagonal = [self.snf.D.row(i) for i in range(self.snf.rank)]
+        if [row[:m] for row in echelon.rows if any(row[:m])] != diagonal:
+            raise AssertionError("relator images do not span the Smith diagonal")
+        return echelon
 
     @property
     def closure_lattice(self) -> Tuple[Tuple[int, ...], ...]:
@@ -210,14 +227,18 @@ class NormalizedPresentation:
     @cached_property
     def free_block(self) -> Tuple[int, Echelon]:
         """Where the free pairs (p, q), rank < p < q, start in gamma, of which
-        they are the tail, and the echelon form of the echelon rows with a
-        gamma pivot there, with no rows when those are all zero.  Over Q, L is
-        every pair with p <= rank plus these rows (see the module docstring)."""
-        n = self.m - self.snf.rank
+        they are the tail, and an echelon over the first rank alphas, then
+        those pairs: the echelon rows with an alpha pivot, cut to these
+        columns, above the echelon form of the rows with a gamma pivot, cut
+        likewise.  Over Q, L is every pair with p <= rank plus the latter
+        rows (see the module docstring)."""
+        k = self.snf.rank
+        n = self.m - k
         tail = n * (n - 1) // 2
-        rows = [row[len(row) - tail :] for row in self.echelon.rows[self.snf.rank :]]
-        rows = [v for v in rows if any(v)]
-        return len(self.d_pq) - tail, hermite_normal_form(rows)
+        rows = [row[:k] + row[len(row) - tail :] for row in self.echelon.rows]
+        free = hermite_normal_form(rows[k:])
+        rows = tuple(rows[:k]) + free.rows
+        return len(self.d_pq) - tail, Echelon(rows, tuple(range(k)) + free.pivots)
 
     @cached_property
     def center_profile_dim(self) -> int:
@@ -234,6 +255,7 @@ def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator
     map v -> [g, v] modulo torsion that can be nonzero.  For c <= rank the
     residue is 0, as [g, a_c] has no free coordinate."""
     _, echelon = np_.free_block
+    zeros = [0] * np_.snf.rank  # the bracket's alpha, in the free block's columns
     a = g.alpha[np_.snf.rank :]
     n = len(a)
     for c in range(n):
@@ -244,7 +266,7 @@ def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator
             v[p * (2 * n - p - 1) // 2 + c - p - 1] = a[p]
         t = c * (2 * n - c - 1) // 2
         v[t : t + n - c - 1] = [-x for x in a[c + 1 :]]
-        yield echelon.rational_residue(v)
+        yield echelon.rational_residue(zeros + v)
 
 
 def normalize(p: NilPresentation) -> NormalizedPresentation:
@@ -260,12 +282,7 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
     for h in p.relators:
         g = Polynomial(h)(basis, m)
         rows.append(g.alpha + tuple(g.gamma[t] % d[t] if d[t] else g.gamma[t] for t in kept))
-    n = len(kept)
-    rows += [(0,) * (m + c) + (d[t],) + (0,) * (n - c - 1) for c, t in enumerate(kept) if d[t]]
-    echelon = hermite_normal_form(rows)
-    if [row[:m] for row in echelon.rows if any(row[:m])] != [snf.D.row(i) for i in range(k)]:
-        raise AssertionError("relator images do not span the Smith diagonal")
-    return NormalizedPresentation(m, len(p.relators), p.s, snf, basis, d, kept, echelon)
+    return NormalizedPresentation(m, len(p.relators), p.s, snf, basis, d, kept, tuple(rows))
 
 
 def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevElement:
@@ -308,24 +325,17 @@ def is_trivial_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> boo
     module docstring).  The coordinates of h^n are n times those of h minus
     binom(n, 2) alpha_i alpha_j at each pair (i, j); once alpha lies in the
     span of the alpha_i e_i, that term lies in the Q-span of the closure
-    lattice.  So alpha must vanish beyond the rank.  Then N h, N the lcm of
-    the alphas, less N h_i / alpha_i times each echelon row with an alpha
-    pivot has zero alpha, and its free coordinates must lie in the span of
-    the free block.
+    lattice.  So alpha must vanish beyond the rank, and h's first rank
+    alphas, then its free coordinates, must lie in the Q-span of the free
+    block's rows: one rational reduction.
     """
     if h.m != np_.m:
         raise ValueError("rank mismatch")
-    if any(h.alpha[np_.snf.rank :]):
+    k = np_.snf.rank
+    if any(h.alpha[k:]):
         return False
     start, echelon = np_.free_block
-    tail = len(h.gamma) - start
-    scale = math.lcm(*np_.alphas)
-    rest = [scale * x for x in h.gamma[start:]]
-    for a, x, row in zip(np_.alphas, h.alpha, np_.echelon.rows):
-        if x:
-            f = scale // a * x
-            rest = [u - f * v for u, v in zip(rest, row[len(row) - tail :])]
-    return not any(echelon.rational_residue(rest))
+    return not any(echelon.rational_residue(h.alpha[:k] + h.gamma[start:]))
 
 
 def is_central_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> bool:

@@ -115,7 +115,9 @@ d_pq is not 1, with a row for each d_pq >= 2, so its size turns on the
 invariant factors.  ``is-trivial`` on m seeded two-letter relators, where
 nearly every d_pq is 1, took 0.2 s and a 28 MB peak of address space at
 m = 64; on the m relators a_i^2, where every d_pq is 2 and the form holds
-about m^4/4 integers, it took 1.9 s and 171 MB (2-vCPU VM, Python 3.11)."""
+about m^4/4 integers, it took 0.7-1.1 s and 90 MB, while ``classify``,
+which never builds the form, took 0.2-0.3 s and 24 MB (2-vCPU VM,
+Python 3.11)."""
 
 
 MAX_RELATORS = 128

@@ -36,7 +36,7 @@ from nilq.diophantine import (
     z_in_g_templates,
 )
 from nilq.nilpotent2 import MalcevElement, commutator, generator, identity, inverse, multiply, power
-from nilq.presentation import normalize, parse_presentation
+from nilq.presentation import is_trivial_in_G, normalize, parse_presentation
 from nilq.zmatrix import lattice_membership
 
 from naive_oracles import plain_candidates
@@ -631,11 +631,33 @@ _SCAN_PRESENTATIONS = (
 )
 
 
-def _scan_ambients():
-    yield FreeNilpotentAmbient(2)
-    yield FreeNilpotentAmbient(3)
+def _scan_cases():
+    """Each scanned ambient with the triviality test its lattice replaced:
+    the identity test in N_{2,m}, is_trivial_in_G in a quotient."""
+    for m in (2, 3):
+        yield FreeNilpotentAmbient(m), MalcevElement.is_identity
     for text in _SCAN_PRESENTATIONS:
-        yield QuotientAmbient(normalize(parse_presentation(text)))
+        np_ = normalize(parse_presentation(text))
+        yield QuotientAmbient(np_), lambda el, np_=np_: is_trivial_in_G(el, np_)
+
+
+_SCAN_CASES = list(_scan_cases())
+
+
+def _scan_ambients():
+    return [amb for amb, _ in _SCAN_CASES]
+
+
+def _scan_id(amb):
+    return f"m{amb.m}-{len(amb.lattice.rows)}rows"
+
+
+def test_ambients_refuse_one_generator():
+    # a and b must not commute, so neither ambient takes m = 1
+    with pytest.raises(ValueError, match="need m >= 2 for non-commuting constants"):
+        FreeNilpotentAmbient(1)
+    with pytest.raises(ValueError, match="need m >= 2 for non-commuting constants"):
+        QuotientAmbient(normalize(parse_presentation("1 2\na1^3\n")))
 
 
 def _element_at(amb, coords, rng):
@@ -648,8 +670,8 @@ def _element_at(amb, coords, rng):
     return MalcevElement(m, tuple(full[:m]), tuple(full[m:]))
 
 
-@pytest.mark.parametrize("amb", list(_scan_ambients()), ids=lambda a: f"m{a.m}-{len(a.lattice.rows)}rows")
-def test_ambient_lattice_decides_is_trivial(amb):
+@pytest.mark.parametrize("amb,replaced", _SCAN_CASES, ids=[_scan_id(amb) for amb in _scan_ambients()])
+def test_ambient_lattice_decides_is_trivial(amb, replaced):
     rng = random.Random(f"lattice-{amb.m}-{amb.lattice.rows}")
     trivial = 0
     for _ in range(300):
@@ -661,7 +683,7 @@ def test_ambient_lattice_decides_is_trivial(amb):
             coords[rng.randrange(len(coords))] += rng.choice((-1, 1, 2))
         el = _element_at(amb, coords, rng)
         member = lattice_membership(amb.lattice.rows, coords) is not None
-        assert amb.is_trivial(el) == member
+        assert amb.is_trivial(el) == member == replaced(el)
         trivial += member
     assert 0 < trivial < 300
 
@@ -713,7 +735,7 @@ def _drive(scan, limit):
     return out, limit - budget[0]
 
 
-@pytest.mark.parametrize("amb", list(_scan_ambients()), ids=lambda a: f"m{a.m}-{len(a.lattice.rows)}rows")
+@pytest.mark.parametrize("amb", _scan_ambients(), ids=_scan_id)
 def test_coset_walk_matches_the_plain_scan(amb):
     # the same candidates in the same order, the same budget, and the same
     # point of failure under every smaller limit; each gamma coordinate

@@ -667,7 +667,7 @@ def test_free_block_deciders_match_whole_lattice_oracles():
         np_ = normalize(p)
         normalized, lat = _replayed_closure(p, np_)
         m, k = np_.m, np_.snf.rank
-        seen["free echelon rows"] += bool(np_.free_block[1].rows)
+        seen["free echelon rows"] += len(np_.free_block[1].rows) > k
         seen["rank = m"] += k == m
         seen["m = 1"] += m == 1
         seen["rank-deficient"] += not np_.rank_full
@@ -786,13 +786,17 @@ def test_deciders_run_one_hnf_per_presentation(monkeypatch):
         return hnf(M)
 
     monkeypatch.setattr(presentation, "hermite_normal_form", counting_hnf)
-    # normalize runs one HNF, over the alpha columns and the pairs with
-    # d_pq != 1; every query together runs at most one more, the free block's
+    # normalize runs no HNF; the first decider runs the presentation's one,
+    # over the alpha columns and the pairs with d_pq != 1, and every query
+    # together runs at most one more, the free block's
     for text in ("4 2\na1^2 a2^3\na2^4 [a1,a3]^2\n[a3,a4]^2\n",
                  "3 2\na1^2 a2\na2^3 a3\na3^2 a1 [a1,a2]\n[a2,a3]^4\n"):
         calls.clear()
         np_ = _norm(text)
         m = np_.m
+        assert len(calls) == 0
+        h = from_word(parse_word("a1 a2", m))
+        is_trivial_in_G(h, np_)
         assert len(calls) == 1
         assert len(calls[0][0]) == m + len(np_.kept_pairs) < m + math.comb(m, 2)
         assert len(calls[0]) <= np_.r + len(np_.kept_pairs)
