@@ -279,9 +279,7 @@ def _cmd_solve_bounded(args) -> int:
             S = diophantine.RingSystem.from_jsonable(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"bad ring system: {exc}") from exc
-        ring_sols = diophantine.bounded_solve_ring(S, args.box, args.limit)
-        if args.first:
-            ring_sols = ring_sols[:1]
+        ring_sols = diophantine.bounded_solve_ring(S, args.box, args.limit, find_all=not args.first)
         payload = {"kind": "ring", "box": args.box, "solutions": ring_sols}
     _emit_json(payload, f"{len(payload['solutions'])} solutions within box {args.box}")
     return 0

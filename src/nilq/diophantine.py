@@ -41,12 +41,13 @@ box.  The work limit counts the work done as the plain scan of the box
 would, 1 per candidate, not the nominal volume of the whole search (that
 of the gadget systems is astronomically larger than the work the scheduler
 does).  Which equations a level checks, which variables they force and
-which variable it scans depend only on which names are bound, so each
-GroupSystem keeps a plan per (equations to go, bound names, mode) and a
-search replays it: the grid of one verify meets the same plans at every
-point.  An equation that forced its variable earlier in the level is
-settled: u v^-1 is the identity by construction, so its check is charged
-and not evaluated.
+which variable it scans depend only on which names are bound, and every
+candidate of a scan goes down into the same level below, so the levels of
+a search are a fixed chain: ``group_search`` lays it out once for the
+pinned names, boxes and mode, and each direction of a verify, or the gadget
+law, runs that one chain at every pin.  An equation that forced its
+variable earlier in the level is settled: u v^-1 is the identity by
+construction, so its check is charged and not evaluated.
 
 In class 2 every group word is a polynomial in its names' coordinates
 (Duchin, Liang & Shapiro, "Equations in nilpotent groups", Proc. AMS 2015),
@@ -75,7 +76,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .nilpotent2 import (
     MalcevElement,
@@ -98,8 +99,9 @@ class SearchSpaceError(Exception):
 
 
 MAX_FOUND_SOLUTIONS = 100_000
-"""Most solutions a find-all group search keeps: its eval_limit bounds the
-work but not the list, so one more raises SearchSpaceError."""
+"""Most solutions a find-all search keeps, over the ring or a group: its
+limit bounds the work but not the list, so one more raises
+SearchSpaceError."""
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +228,15 @@ def _check_box_size(side: int, n: int, limit: int, what: str) -> None:
         raise SearchSpaceError(message)
 
 
-def bounded_solve_ring(S: RingSystem, bound: int, limit: int = 2_000_000) -> List[Dict[str, int]]:
-    """All integer solutions with every variable in [-bound, bound]."""
+def bounded_solve_ring(S: RingSystem, bound: int, limit: int = 2_000_000, *,
+                       find_all: bool = True) -> List[Dict[str, int]]:
+    """The integer solutions with every variable in [-bound, bound], in
+    the order of the box scan; with find_all=False only the first.
+
+    A box of more than limit assignments raises SearchSpaceError before
+    the scan, and so does a find-all search that finds more than
+    MAX_FOUND_SOLUTIONS.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     _check_box_size(2 * bound + 1, len(S.variables), limit, "assignments")
@@ -235,7 +244,11 @@ def bounded_solve_ring(S: RingSystem, bound: int, limit: int = 2_000_000) -> Lis
     for combo in itertools.product(range(-bound, bound + 1), repeat=len(S.variables)):
         assignment = dict(zip(S.variables, combo))
         if ring_satisfies(S, assignment):
+            if len(out) == MAX_FOUND_SOLUTIONS:
+                raise SearchSpaceError(f"more than {MAX_FOUND_SOLUTIONS} solutions")
             out.append(assignment)
+            if not find_all:
+                break
     return out
 
 
@@ -348,11 +361,6 @@ class GroupSystem:
     def _shapes(self) -> Tuple["_EquationShape", ...]:
         variables = frozenset(self.variables)
         return tuple(_equation_shape(lhs, rhs, variables) for lhs, rhs in self.equations)
-
-    # the solver's level plans, see _level_plan
-    @cached_property
-    def _plans(self) -> Dict[tuple, "_Plan"]:
-        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -839,96 +847,207 @@ def _element_in_box(el: MalcevElement, bound: int) -> bool:
 
 
 @dataclass(frozen=True)
-class _Plan:
-    """One level of the group search, for a set of bound names.
+class _Level:
+    """One level of a prepared group search.
 
     ``steps`` in order, each (polynomial, name): (residual, None) checks an
     equation, (None, None) charges the check of an equation settled by a
     forced value earlier in the level (its u v^-1 is the identity by
     construction), and (w^e, x) forces x := w^e.  Then, if ``target`` is
-    None, every variable is bound; otherwise ``target`` is scanned, at
-    gamma = 0 only if ``blind``.  Of the remaining equations ``rem``, the
-    scan solves ``affine`` as affine forms when the box pays for them, and
-    the level below gets ``rest``; otherwise it gets all of ``rem``.  The
-    names bound below are ``bound``.
+    None, every variable is bound; otherwise ``target`` is scanned over the
+    box with half-widths ``bounds``, alpha then gamma (gamma 0 when the scan
+    is blind), solving the equations ``affine`` as affine forms, which the
+    levels below do not check again.
     """
 
     steps: Tuple[Tuple[Optional[Polynomial], Optional[str]], ...]
     target: Optional[str]
-    blind: bool
-    rem: Tuple[int, ...]
+    bounds: Tuple[int, ...]
     affine: Tuple[int, ...]
-    rest: Tuple[int, ...]
-    bound: frozenset
 
 
-def _make_plan(S: GroupSystem, rem: Sequence[int], bound: frozenset, find_all: bool) -> _Plan:
-    """The plan of a level that starts with equations rem to go and the
-    names in bound assigned: propagate, then choose the variable to scan."""
+def _levels(S: GroupSystem, bound: Iterable[str], boxes: Mapping[str, int], find_all: bool,
+            m: int) -> List[_Level]:
+    """The levels of a search of S that starts with the names in bound
+    assigned, top down: each propagates, then chooses the variable to scan,
+    and every candidate of that scan goes down into the next level."""
     shapes = S._shapes
     bound = set(bound)
-    steps: list = []
-    settled = set()
-    # propagate: check determined equations, assign forced variables
-    progress = True
-    while progress:
-        progress = False
-        next_rem = []
-        for idx in rem:
-            shape = shapes[idx]
-            if shape.names <= bound:
-                steps.append((None if idx in settled else shape.residual, None))
-                progress = True
-                continue
-            for name, form, w_names in shape.forced:
-                if name not in bound and w_names <= bound:
-                    steps.append((form, name))
-                    bound.add(name)
-                    settled.add(idx)
+    n_pairs = m * (m - 1) // 2
+    rem = list(range(len(S.equations)))
+    levels = []
+    while True:
+        steps: list = []
+        settled = set()
+        # propagate: check determined equations, assign forced variables
+        progress = True
+        while progress:
+            progress = False
+            next_rem = []
+            for idx in rem:
+                shape = shapes[idx]
+                if shape.names <= bound:
+                    steps.append((None if idx in settled else shape.residual, None))
                     progress = True
-                    break
-            next_rem.append(idx)
-        rem = next_rem
-    free = [v for v in S.variables if v not in bound]
-    if not free:
-        return _Plan(tuple(steps), None, False, (), (), (), frozenset(bound))
-    # scan one variable from an equation with the fewest unbound names;
-    # among those prefer the variable shared by the most remaining
-    # equations, so contradictions surface before unrelated auxiliaries
-    # get enumerated.  Variables in no equation are scanned last.
-    best = None
-    candidates: set = set()
-    occurrences: Dict[str, int] = {}
-    for idx in rem:
-        missing = shapes[idx].names - bound
-        for v in missing:
-            occurrences[v] = occurrences.get(v, 0) + 1
-        if best is None or len(missing) < best:
-            best = len(missing)
-            candidates = set(missing)
-        elif len(missing) == best:
-            candidates |= missing
-    target = min(candidates, key=lambda v: (-occurrences[v], v)) if candidates else free[0]
-    # existence mode: scan gamma = 0 only where nothing reads it
-    blind = not find_all and all(target not in shapes[idx].reads_gamma for idx in rem)
-    # affine in target: its only unbound name, and blind to its gamma
-    affine = [idx for idx in rem
-              if target not in shapes[idx].reads_gamma and shapes[idx].names - bound == {target}]
-    rest = [idx for idx in rem if idx not in affine]
-    return _Plan(tuple(steps), target, blind, tuple(rem), tuple(affine), tuple(rest),
-                 frozenset(bound | {target}))
+                    continue
+                for name, form, w_names in shape.forced:
+                    if name not in bound and w_names <= bound:
+                        steps.append((form, name))
+                        bound.add(name)
+                        settled.add(idx)
+                        progress = True
+                        break
+                next_rem.append(idx)
+            rem = next_rem
+        free = [v for v in S.variables if v not in bound]
+        if not free:
+            levels.append(_Level(tuple(steps), None, (), ()))
+            return levels
+        # scan one variable from an equation with the fewest unbound names;
+        # among those prefer the variable shared by the most remaining
+        # equations, so contradictions surface before unrelated auxiliaries
+        # get enumerated.  Variables in no equation are scanned last.
+        best = None
+        candidates: set = set()
+        occurrences: Dict[str, int] = {}
+        for idx in rem:
+            missing = shapes[idx].names - bound
+            for v in missing:
+                occurrences[v] = occurrences.get(v, 0) + 1
+            if best is None or len(missing) < best:
+                best = len(missing)
+                candidates = set(missing)
+            elif len(missing) == best:
+                candidates |= missing
+        target = min(candidates, key=lambda v: (-occurrences[v], v)) if candidates else free[0]
+        # existence mode: scan gamma = 0 only where nothing reads it
+        blind = not find_all and all(target not in shapes[idx].reads_gamma for idx in rem)
+        box = boxes[target]
+        # affine in target: its only unbound name, and blind to its gamma.
+        # The forms see only alpha, so the walk visits only the alphas they
+        # admit.  They pay when (2 box + 1)^m alpha values outnumber the
+        # m + 1 evaluations each is charged: as m >= 2, when box > 0.
+        affine = [idx for idx in rem if box and target not in shapes[idx].reads_gamma
+                  and shapes[idx].names - bound == {target}]
+        levels.append(_Level(tuple(steps), target, (box,) * m + (0 if blind else box,) * n_pairs,
+                             tuple(affine)))
+        rem = [idx for idx in rem if idx not in affine]
+        bound.add(target)
 
 
-def _level_plan(S: GroupSystem, rem: Tuple[int, ...], bound: frozenset, find_all: bool) -> _Plan:
-    """The plan of a level, made once per (rem, bound, find_all) and kept
-    on S; the cache is emptied at 1024 plans, so it never outgrows that."""
-    key = (rem, bound, find_all)
-    plan = S._plans.get(key)
-    if plan is None:
-        if len(S._plans) >= 1024:
-            S._plans.clear()
-        plan = S._plans[key] = _make_plan(S, rem, bound, find_all)
-    return plan
+def group_search(
+    S: GroupSystem,
+    ambient: Ambient,
+    bound: Union[int, Mapping[str, int]],
+    pinned_names: Iterable[str],
+    *,
+    find_all: bool,
+    eval_limit: int,
+) -> Callable[[Mapping[str, MalcevElement]], List[Dict[str, MalcevElement]]]:
+    """``bounded_solve_group`` prepared once for pins of the given names:
+    ``group_search(S, ambient, bound, pinned, find_all=f, eval_limit=n)(pinned)``
+    is ``bounded_solve_group(S, ambient, bound, pinned=pinned, find_all=f,
+    eval_limit=n)``, and one prepared search serves any number of pins.
+
+    The bound, the constants, the pinned names and the boxes are checked
+    here (ValueError, as ``bounded_solve_group`` raises it), and the levels
+    of the search are laid out (``_levels``).  The returned function
+    raises ValueError unless its pins are of exactly the prepared names and
+    every value has rank m, and gives each search a budget of eval_limit of
+    its own.
+    """
+    m = ambient.m
+    if isinstance(bound, int):
+        bound = {"*": bound}
+    if any(b < 0 for b in bound.values()):
+        raise ValueError("bound must be nonnegative")
+    consts = ambient_constants(S, ambient)
+    names = frozenset(pinned_names)
+    strays = sorted(names - set(S.variables))
+    if strays:
+        raise ValueError(f"pinned name {strays[0]!r} is not a variable")
+    boxes = {}
+    for v in S.variables:
+        if v in names:
+            continue
+        bv = bound.get(v, bound.get("*"))
+        if bv is None:
+            raise ValueError(f"no box for variable {v!r}")
+        boxes[v] = bv
+    levels = _levels(S, set(consts) | names, boxes, find_all, m)
+    shapes = S._shapes
+    is_trivial = ambient.is_trivial
+
+    def search(pinned: Mapping[str, MalcevElement]) -> List[Dict[str, MalcevElement]]:
+        if pinned.keys() != names:
+            raise ValueError(f"pinned names {sorted(pinned)} are not the prepared {sorted(names)}")
+        for name, val in pinned.items():
+            if val.m != m:
+                raise ValueError(f"pinned value of {name!r} has rank {val.m}, not {m}")
+        env = {**consts, **pinned}
+        budget = eval_limit
+        solutions: List[Dict[str, MalcevElement]] = []
+
+        def spend(k: int = 1):
+            nonlocal budget
+            budget -= k
+            if budget < 0:
+                raise SearchSpaceError("evaluation limit exceeded")
+
+        def affine_forms(target: str, affine: Tuple[int, ...]):
+            """(alpha, g0, L) of each equation in affine.  One evaluation at
+            target = 1 gives alpha and g0; L is read off the polynomial,
+            charged as the m probes target = a_k that would give it."""
+            forms = []
+            for idx in affine:
+                residual = shapes[idx].residual
+                env[target] = identity(m)
+                spend()
+                r0 = residual(env, m)
+                del env[target]
+                spend(m)
+                forms.append((r0.alpha, r0.gamma, residual.slope(target, env, m)))
+            return forms
+
+        def recurse(depth: int) -> bool:
+            """Returns True if the search should stop (find_all=False and found)."""
+            level = levels[depth]
+            assigned_here: List[str] = []
+            try:
+                for form, name in level.steps:
+                    if name is None:
+                        spend()
+                        if form is not None and not is_trivial(form(env, m)):
+                            return False
+                        continue
+                    val = form(env, m)
+                    spend()
+                    if not _element_in_box(val, boxes[name]):
+                        return False
+                    env[name] = val
+                    assigned_here.append(name)
+                target = level.target
+                if target is None:
+                    if len(solutions) == MAX_FOUND_SOLUTIONS:
+                        raise SearchSpaceError(f"more than {MAX_FOUND_SOLUTIONS} solutions")
+                    solutions.append({v: env[v] for v in S.variables})
+                    return not find_all
+                forms = affine_forms(target, level.affine)
+                for value in _candidates(forms, ambient, level.bounds, spend):
+                    env[target] = value
+                    stop = recurse(depth + 1)
+                    del env[target]
+                    if stop:
+                        return True
+                return False
+            finally:
+                for name in assigned_here:
+                    del env[name]
+
+        recurse(0)
+        return solutions
+
+    return search
 
 
 def bounded_solve_group(
@@ -951,14 +1070,15 @@ def bounded_solve_group(
     Each equation is evaluated through its compiled Polynomial, so the search
     runs no multiply, inverse, power or commutator.
 
-    Each level of the search replays a plan (``_Plan``): the equations to
-    check and the variables to force, in order, and then the variable to
-    scan.  None of it depends on values, only on the equations to go and
-    the names bound, so S keeps the plans it has made (``_level_plan``) and
-    the searches of one verify grid, or the candidates of one scan, make
-    each only once.  A check of an equation that forced its variable
-    earlier in the level is charged 1 and not evaluated: x := w^e makes
-    u v^-1 the identity, which is trivial in every ambient.
+    Each level of the search checks the equations it can and forces the
+    variables it can, in order, and then scans one variable (``_Level``).
+    None of it depends on values, only on the names bound, and every
+    candidate of a scan goes down into the same level below, so the levels
+    of a search are a fixed chain, laid out once before it starts
+    (``group_search``, which lays it out once for many pins of the same
+    names).  A check of an equation that forced its variable earlier in the
+    level is charged 1 and not evaluated: x := w^e makes u v^-1 the
+    identity, which is trivial in every ambient.
 
     Before scanning a variable y, each remaining equation whose only
     unassigned name is y, with net exponent 0 in u v^-1, is affine in
@@ -999,101 +1119,8 @@ def bounded_solve_group(
     the limit bounds memory too.  Exceeding it raises SearchSpaceError, and
     so does a find-all search that finds more than MAX_FOUND_SOLUTIONS.
     """
-    m = ambient.m
-    if isinstance(bound, int):
-        bound = {"*": bound}
-    if any(b < 0 for b in bound.values()):
-        raise ValueError("bound must be nonnegative")
-    env: Dict[str, MalcevElement] = ambient_constants(S, ambient)
-    for name, val in (pinned or {}).items():
-        if name not in S.variables:
-            raise ValueError(f"pinned name {name!r} is not a variable")
-        if val.m != m:
-            raise ValueError(f"pinned value of {name!r} has rank {val.m}, not {m}")
-        env[name] = val
-    boxes = {}
-    for v in S.variables:
-        if v in env:
-            continue
-        bv = bound.get(v, bound.get("*"))
-        if bv is None:
-            raise ValueError(f"no box for variable {v!r}")
-        boxes[v] = bv
-    budget = [eval_limit]
-
-    def spend(k: int = 1):
-        budget[0] -= k
-        if budget[0] < 0:
-            raise SearchSpaceError("evaluation limit exceeded")
-
-    shapes = S._shapes
-    is_trivial = ambient.is_trivial
-    n_pairs = m * (m - 1) // 2
-    solutions: List[Dict[str, MalcevElement]] = []
-
-    def record():
-        if len(solutions) == MAX_FOUND_SOLUTIONS:
-            raise SearchSpaceError(f"more than {MAX_FOUND_SOLUTIONS} solutions")
-        solutions.append({v: env[v] for v in S.variables})
-
-    def affine_forms(target: str, affine: Tuple[int, ...]):
-        """(alpha, g0, L) of each equation in affine.  One evaluation at
-        target = 1 gives alpha and g0; L is read off the polynomial,
-        charged as the m probes target = a_k that would give it."""
-        forms = []
-        for idx in affine:
-            residual = shapes[idx].residual
-            env[target] = identity(m)
-            spend()
-            r0 = residual(env, m)
-            del env[target]
-            spend(m)
-            forms.append((r0.alpha, r0.gamma, residual.slope(target, env, m)))
-        return forms
-
-    def recurse(plan: _Plan) -> bool:
-        """Returns True if the search should stop (find_all=False and found)."""
-        assigned_here: List[str] = []
-        try:
-            for form, name in plan.steps:
-                if name is None:
-                    spend()
-                    if form is not None and not is_trivial(form(env, m)):
-                        return False
-                    continue
-                val = form(env, m)
-                spend()
-                if not _element_in_box(val, boxes[name]):
-                    return False
-                env[name] = val
-                assigned_here.append(name)
-            target = plan.target
-            if target is None:
-                record()
-                return not find_all
-            box = boxes[target]
-            bounds = (box,) * m + (0 if plan.blind else box,) * n_pairs
-            # the affine forms see only alpha, so the walk visits only the
-            # alphas they admit.  Forms pay when (2 box + 1)^m alpha values
-            # outnumber the m + 1 evaluations each is charged: as m >= 2, box > 0.
-            if box:
-                forms, rem = affine_forms(target, plan.affine), plan.rest
-            else:
-                forms, rem = [], plan.rem
-            below = _level_plan(S, rem, plan.bound, find_all)
-            for value in _candidates(forms, ambient, bounds, spend):
-                env[target] = value
-                stop = recurse(below)
-                del env[target]
-                if stop:
-                    return True
-            return False
-        finally:
-            for name in assigned_here:
-                del env[name]
-
-    recurse(_level_plan(S, tuple(range(len(S.equations))), frozenset(env), find_all))
-    return solutions
+    pinned = pinned or {}
+    return group_search(S, ambient, bound, pinned, find_all=find_all, eval_limit=eval_limit)(pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -1148,9 +1175,12 @@ def verify_correspondence(
 
     A negative bound raises ValueError.  A grid of more than eval_limit points
     raises SearchSpaceError before any search, and so does a ring box of
-    more than eval_limit assignments.  The grid cap is a sanity cap on the
-    number of points, in the units of eval_limit, not a bound on the total
-    work: each point's search gets its own eval_limit budget.
+    more than eval_limit assignments, or a ring box with more than
+    MAX_FOUND_SOLUTIONS solutions, the find-all cap of ``bounded_solve_ring``.
+    The grid cap is a sanity cap on the number of points, in the units of
+    eval_limit, not a bound on the total work: each point's search gets its
+    own eval_limit budget.  Each direction lays out one search
+    (``group_search``) and runs it at every pin.
     """
     if min(bound_ring, bound_group) < 0:
         raise ValueError("bound must be nonnegative")
@@ -1160,22 +1190,20 @@ def verify_correspondence(
     c_power = _power_table(commutator(consts["a"], consts["b"]))
 
     ring_solutions = bounded_solve_ring(S, bound_ring, eval_limit)
+    extend = group_search(compiled.system, ambient, bound_group,
+                          [name for _, name in compiled.term_names],
+                          find_all=False, eval_limit=eval_limit)
     missing = []
     for sol in ring_solutions:
-        pin = {name: c_power(eval_term(t, sol)) for t, name in compiled.term_names}
-        found = bounded_solve_group(
-            compiled.system,
-            ambient,
-            bound_group,
-            pinned=pin,
-            find_all=False,
-            eval_limit=eval_limit,
-        )
+        found = extend({name: c_power(eval_term(t, sol)) for t, name in compiled.term_names})
         if not (found and _satisfied(compiled.system, {**consts, **found[0]}, ambient)):
             missing.append(sol)
 
     ring_vars = S.variables
     var_names = compiled.ring_variable_names()
+    project = group_search(compiled.system, ambient, bound_group,
+                           [var_names[v] for v in ring_vars],
+                           find_all=False, eval_limit=eval_limit)
     bad = []
     solvable = 0
     grid = 0
@@ -1183,15 +1211,7 @@ def verify_correspondence(
         range(-bound_group, bound_group + 1), repeat=len(ring_vars)
     ):
         grid += 1
-        pin = {var_names[v]: c_power(t) for v, t in zip(ring_vars, combo)}
-        found = bounded_solve_group(
-            compiled.system,
-            ambient,
-            bound_group,
-            pinned=pin,
-            find_all=False,
-            eval_limit=eval_limit,
-        )
+        found = project({var_names[v]: c_power(t) for v, t in zip(ring_vars, combo)})
         if found:
             solvable += 1
             assignment = dict(zip(ring_vars, combo))
@@ -1236,13 +1256,11 @@ def odot_law_failures(
         equations=instantiate_template(tpl, mapping),
     )
     failures = []
-    boxes = {"x3": t_max * t_max, "*": aux_bound}
+    search = group_search(system, ambient, {"x3": t_max * t_max, "*": aux_bound}, ("x1", "x2"),
+                          find_all=True, eval_limit=eval_limit)
     for t1 in range(-t_max, t_max + 1):
         for t2 in range(-t_max, t_max + 1):
-            pin = {"x1": c_power(t1), "x2": c_power(t2)}
-            sols = bounded_solve_group(
-                system, ambient, boxes, pinned=pin, find_all=True, eval_limit=eval_limit
-            )
+            sols = search({"x1": c_power(t1), "x2": c_power(t2)})
             undo = c_power(-t1 * t2)  # x3 must equal c^(t1*t2) in G
             if not sols or any(not ambient.is_trivial(multiply(s["x3"], undo)) for s in sols):
                 failures.append((t1, t2))

@@ -253,10 +253,14 @@ def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator
     """gamma([g, a_c]) modulo the Q-span of the closure lattice, read in the
     free block, for c = rank+1..m one at a time: the columns of the bracket
     map v -> [g, v] modulo torsion that can be nonzero.  For c <= rank the
-    residue is 0, as [g, a_c] has no free coordinate."""
-    _, echelon = np_.free_block
-    zeros = [0] * np_.snf.rank  # the bracket's alpha, in the free block's columns
-    a = g.alpha[np_.snf.rank :]
+    residue is 0, as [g, a_c] has no free coordinate.  The bracket has no
+    alpha, so the block's rank alpha rows would only scale it: it is
+    reduced by the free-pair rows alone."""
+    k = np_.snf.rank
+    _, block = np_.free_block
+    echelon = Echelon(block.rows[k:], block.pivots[k:])
+    zeros = [0] * k  # the bracket's alpha, in the free block's columns
+    a = g.alpha[k:]
     n = len(a)
     for c in range(n):
         # gamma_pq([g, a_c]) is a_p at q = c and -a_q at p = c (0-based, in

@@ -904,6 +904,25 @@ def test_find_all_past_the_solution_cap_exit_1(tmp_path):
         "error": "SearchSpaceError", "message": "more than 100000 solutions"}
 
 
+def test_ring_search_stops_at_first_or_past_the_solution_cap(tmp_path):
+    # the empty system in x, y holds at all 4471^2 points of box 2235, under
+    # the default limit; listing them all takes about 4 GB, so under this
+    # address-space cap only a search that stops can answer
+    ring = tmp_path / "empty.json"
+    ring.write_text(json.dumps({"variables": ["x", "y"], "equations": []}))
+    for first, code, expected in (
+            (True, 0, {"box": 2235, "kind": "ring", "solutions": [{"x": -2235, "y": -2235}]}),
+            (False, 1, {"error": "SearchSpaceError", "message": "more than 100000 solutions"})):
+        argv = ["solve-bounded", str(ring), "--box", "2235"] + ["--first"] * first
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (15 * 10**7, 15 * 10**7))\n"
+                  "from nilq.cli import main\n"
+                  f"sys.exit(main({argv!r}))\n")
+        proc = _run_process("-c", script)
+        assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+        assert json.loads(proc.stdout) == expected
+
+
 def test_wide_gamma_box_is_counted_not_listed(tmp_path):
     # at m = 12 a box-1 gamma block has 3^66 points; listing it ran out of
     # memory, counting it hits the work limit.  The address-space cap keeps a

@@ -132,6 +132,22 @@ def test_bounded_solve_ring_static_limit():
         bounded_solve_ring(S, 100, limit=1000)
 
 
+def test_ring_search_stops_at_first_and_keeps_at_most_the_solution_cap(monkeypatch):
+    # the empty system holds at all 9 points of box 1: the first is the
+    # scan's first, and find-all, verify's ring search too, keeps at most
+    # the cap
+    S = _ring(["x", "y"], [])
+    assert bounded_solve_ring(S, 1, find_all=False) == [{"x": -1, "y": -1}]
+    monkeypatch.setattr(diophantine, "MAX_FOUND_SOLUTIONS", 9)
+    assert len(bounded_solve_ring(S, 1)) == 9
+    monkeypatch.setattr(diophantine, "MAX_FOUND_SOLUTIONS", 8)
+    assert bounded_solve_ring(S, 1, find_all=False) == [{"x": -1, "y": -1}]
+    for search in (lambda: bounded_solve_ring(S, 1),
+                   lambda: verify_correspondence(S, z_in_g_templates(), FreeNilpotentAmbient(2), 1, 0)):
+        with pytest.raises(SearchSpaceError, match="more than 8 solutions"):
+            search()
+
+
 def test_gword_json_roundtrip():
     w = (gen("x", 2), comm((gen("a"),), (gen("b"),), -3))
     assert gword_from_json(_json_roundtrip(w)) == w
@@ -983,32 +999,67 @@ def test_solver_charges_are_pinned():
             bounded_solve_group(S, amb, bound, pinned=pinned, find_all=find_all, eval_limit=limit - 1)
 
 
-def test_cached_plans_replay_as_a_fresh_system_searches():
-    # one system searched warm, across pinned sets, both modes and a zero
-    # box, finds what an equal system with no plans yet finds
-    edef = z_in_g_templates()
-    compiled = compile_system(edef, _ring(["x", "y", "z"], [(ADD(MUL(V("x"), V("y")), C(1)), V("z"))]))
-    S, amb = compiled.system, FreeNilpotentAmbient(2)
-    c = commutator(generator(2, 1), generator(2, 2))
-    names = sorted(compiled.ring_variable_names().values())
-    rng = random.Random("plan-cache")
-    for _ in range(60):
-        pinned = {v: power(c, rng.randint(-1, 1)) for v in names if rng.random() < 0.6}
-        box, find_all = rng.choice((0, 1)), rng.random() < 0.5
-        fresh = dataclasses.replace(S)
-        assert "_plans" not in vars(fresh)
-        warm = bounded_solve_group(S, amb, box, pinned=pinned, find_all=find_all)
-        assert warm == bounded_solve_group(fresh, amb, box, pinned=pinned, find_all=find_all)
-    assert S._plans
+def _outcome(search):
+    """A search's solutions, or the message of the SearchSpaceError it raised."""
+    try:
+        return search()
+    except SearchSpaceError as exc:
+        return str(exc)
 
 
-def test_plan_cache_stays_within_its_cap():
-    # every subset of the 11 variables pinned is a distinct top-level plan
+def _smallest_limit(search):
+    """The smallest eval_limit at which search(eval_limit) finishes, by
+    doubling, then bisection."""
+    lo, hi = 0, 1
+    while isinstance(_outcome(lambda: search(hi)), str):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if isinstance(_outcome(lambda: search(mid)), str):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_prepared_search_replays_as_fresh_searches():
+    # one prepared search per ambient, box and mode, reused across seeded
+    # pins, finds what a fresh bounded_solve_group finds at the same limit,
+    # and raises where it raises: each call spends a budget of its own, so
+    # the first pin finishes at its smallest limit every time it is searched
     compiled = compile_system(z_in_g_templates(), _ring(
         ["x", "y", "z"], [(ADD(MUL(V("x"), V("y")), C(1)), V("z"))]))
-    S, amb = compiled.system, FreeNilpotentAmbient(2)
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(S.variables, k) for k in range(len(S.variables) + 1))
-    for pinned in itertools.islice(subsets, 2000):
-        bounded_solve_group(S, amb, 0, pinned=dict.fromkeys(pinned, identity(2)))
-        assert len(S._plans) <= 1024
+    S, ring_names = compiled.system, compiled.ring_variable_names()
+    names = sorted(ring_names.values())
+    quotient = QuotientAmbient(normalize(parse_presentation("3 2\na1^2\n")))
+    rng = random.Random("prepared-search")
+    for amb in (FreeNilpotentAmbient(2), quotient):
+        c = commutator(*amb.constants().values())
+        m = amb.m
+        for box, find_all in itertools.product((0, 1), (False, True)):
+            pins = []
+            for _ in range(8):
+                # half of them solve x*y + 1 = z, and some pin z off the powers of c
+                x, y = rng.randint(-1, 1), rng.randint(-1, 1)
+                z = x * y + 1 if rng.random() < 0.5 else rng.randint(-1, 1)
+                pin = {ring_names[v]: power(c, t) for v, t in zip("xyz", (x, y, z))}
+                if rng.random() < 0.2:
+                    pin[ring_names["z"]] = generator(m, 1)
+                pins.append(pin)
+            pins.append(pins[0])
+
+            def fresh(pin, limit):
+                return bounded_solve_group(S, amb, box, pinned=pin, find_all=find_all, eval_limit=limit)
+
+            limit = _smallest_limit(lambda lim: fresh(pins[0], lim))
+            for lim in (limit, limit - 1):
+                search = diophantine.group_search(S, amb, box, names, find_all=find_all, eval_limit=lim)
+                for pin in pins:
+                    assert _outcome(lambda: search(pin)) == _outcome(lambda: fresh(pin, lim))
+                assert isinstance(_outcome(lambda: search(pins[0])), str) == (lim < limit)
+            with pytest.raises(ValueError, match="pinned names"):
+                search({v: c for v in names[1:]})
+            with pytest.raises(ValueError, match="pinned name 'a' is not a variable"):
+                diophantine.group_search(S, amb, box, names + ["a"], find_all=find_all, eval_limit=1)
+            with pytest.raises(ValueError, match=f"has rank {m + 1}, not {m}"):
+                search({**pins[0], names[0]: generator(m + 1, 1)})
