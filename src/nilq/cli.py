@@ -85,8 +85,10 @@ def _element_jsonable(el: MalcevElement) -> dict:
 
 
 def _infer_m(text: str) -> int:
-    """Largest generator index a<k> in the word (exponents do not count)."""
-    return max([1] + [int(k) for k in re.findall(r"a(\d+)", text)])
+    """Largest generator index a<k> in the word (exponents do not count).
+    An index past int()'s digit limit does not count: parse_word refuses it."""
+    limit = sys.get_int_max_str_digits() or len(text)
+    return max([1] + [int(k) for k in re.findall(r"a(\d+)", text) if len(k) <= limit])
 
 
 def _cmd_classify(args) -> int:
@@ -227,8 +229,8 @@ def _cmd_sz_check(args) -> int:
     return 0
 
 
-def _ring_system(path: str) -> diophantine.RingSystem:
-    data = _read_json(path)
+def _ring_system(data) -> diophantine.RingSystem:
+    """The ring system of a parsed JSON file; a usage error if malformed."""
     try:
         return diophantine.RingSystem.from_jsonable(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -242,7 +244,7 @@ def _ambient(args) -> diophantine.Ambient:
 
 
 def _cmd_compile(args) -> int:
-    S = _ring_system(args.ring)
+    S = _ring_system(_read_json(args.ring))
     compiled = diophantine.compile_system(diophantine.z_in_g_templates(), S)
     _emit_json(
         compiled.system,
@@ -275,10 +277,7 @@ def _cmd_solve_bounded(args) -> int:
             ],
         }
     else:
-        try:
-            S = diophantine.RingSystem.from_jsonable(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _UsageError(f"bad ring system: {exc}") from exc
+        S = _ring_system(data)
         ring_sols = diophantine.bounded_solve_ring(S, args.box, args.limit, find_all=not args.first)
         payload = {"kind": "ring", "box": args.box, "solutions": ring_sols}
     _emit_json(payload, f"{len(payload['solutions'])} solutions within box {args.box}")
@@ -286,7 +285,7 @@ def _cmd_solve_bounded(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    S = _ring_system(args.ring)
+    S = _ring_system(_read_json(args.ring))
     ambient = _ambient(args)
     report = diophantine.verify_correspondence(
         S,

@@ -75,7 +75,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .nilpotent2 import (
@@ -87,7 +87,6 @@ from .nilpotent2 import (
     identity,
     inverse,
     multiply,
-    power,
 )
 from .presentation import NormalizedPresentation
 from .words import check_rank, count_over_limit
@@ -555,10 +554,10 @@ def compile_system(edef: EDefinition, S: RingSystem) -> CompiledSystem:
     identical outputs.
     """
     term_name: Dict[Term, str] = {}
-    order: List[Term] = []
     variables: List[str] = []
     equations: List[Tuple[GroupWord, GroupWord]] = []
     counters = {"t": 0, "w": 0}
+    gadgets = {"var": edef.domain, "+": edef.add, "-": edef.neg, "*": edef.mul}
 
     def fresh(prefix: str) -> str:
         name = f"{prefix}{counters[prefix]}"
@@ -574,33 +573,18 @@ def compile_system(edef: EDefinition, S: RingSystem) -> CompiledSystem:
         equations.extend(instantiate_template(tpl, mapping))
 
     def visit(t: Term) -> str:
-        if t in term_name:
-            return term_name[t]
-        kind = t[0]
-        if kind == "var":
-            name = "v_" + t[1]
-            term_name[t] = name
-            order.append(t)
+        if t not in term_name:
+            kind = t[0]
+            if kind != "const" and kind not in gadgets:
+                raise ValueError(f"unknown term kind {kind!r}")
+            args = [visit(s) for s in t[1:]] if kind not in ("var", "const") else []
+            name = term_name[t] = "v_" + t[1] if kind == "var" else fresh("t")
             variables.append(name)
-            emit(edef.domain, (name,))
-            return name
-        if kind == "const":
-            name = fresh("t")
-            term_name[t] = name
-            order.append(t)
-            variables.append(name)
-            equations.append(((gen(name),), edef.constant_word(t[1])))
-            return name
-        args = [visit(s) for s in t[1:]]
-        name = fresh("t")
-        term_name[t] = name
-        order.append(t)
-        variables.append(name)
-        gadget = {"+": edef.add, "-": edef.neg, "*": edef.mul}.get(kind)
-        if gadget is None:
-            raise ValueError(f"unknown term kind {kind!r}")
-        emit(gadget, (*args, name))
-        return name
+            if kind == "const":
+                equations.append(((gen(name),), edef.constant_word(t[1])))
+            else:
+                emit(gadgets[kind], (*args, name))
+        return term_name[t]
 
     for name in S.variables:
         visit(("var", name))
@@ -610,10 +594,7 @@ def compile_system(edef: EDefinition, S: RingSystem) -> CompiledSystem:
         emit(edef.equal, (ln, rn))
 
     system = GroupSystem(tuple(variables), edef.constants, tuple(equations))
-    return CompiledSystem(
-        system=system,
-        term_names=tuple((t, term_name[t]) for t in order),
-    )
+    return CompiledSystem(system=system, term_names=tuple(term_name.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -1147,9 +1128,12 @@ class CorrespondenceReport:
     ok: bool
 
 
-def _power_table(c: MalcevElement):
-    """t -> c^t, each power built once."""
-    return lru_cache(maxsize=None)(lambda t: power(c, t))
+def _c_powers(ambient: Ambient):
+    """The ambient's constants, and t -> c^t for c = [a, b].  In class 2, c
+    is central with zero alpha, so c^t is (0 | t gamma(c))."""
+    consts = ambient.constants()
+    m, gamma = ambient.m, commutator(consts["a"], consts["b"]).gamma
+    return consts, lambda t: MalcevElement(m, (0,) * m, tuple(t * g for g in gamma))
 
 
 def verify_correspondence(
@@ -1180,14 +1164,15 @@ def verify_correspondence(
     The grid cap is a sanity cap on the number of points, in the units of
     eval_limit, not a bound on the total work: each point's search gets its
     own eval_limit budget.  Each direction lays out one search
-    (``group_search``) and runs it at every pin.
+    (``group_search``) and runs it at every pin.  The pins c^t are read off
+    c in closed form (``_c_powers``), each grid value once, and the grid
+    holds (2 bound_group + 1)^k points, k the number of ring variables.
     """
     if min(bound_ring, bound_group) < 0:
         raise ValueError("bound must be nonnegative")
     _check_box_size(2 * bound_group + 1, len(S.variables), eval_limit, "grid points")
     compiled = compile_system(edef, S)
-    consts = ambient.constants()
-    c_power = _power_table(commutator(consts["a"], consts["b"]))
+    consts, c_power = _c_powers(ambient)
 
     ring_solutions = bounded_solve_ring(S, bound_ring, eval_limit)
     extend = group_search(compiled.system, ambient, bound_group,
@@ -1206,21 +1191,18 @@ def verify_correspondence(
                            find_all=False, eval_limit=eval_limit)
     bad = []
     solvable = 0
-    grid = 0
-    for combo in itertools.product(
-        range(-bound_group, bound_group + 1), repeat=len(ring_vars)
-    ):
-        grid += 1
-        found = project({var_names[v]: c_power(t) for v, t in zip(ring_vars, combo)})
+    axis = [(t, c_power(t)) for t in range(-bound_group, bound_group + 1)]
+    for combo in itertools.product(axis, repeat=len(ring_vars)):
+        found = project({var_names[v]: pin for v, (_, pin) in zip(ring_vars, combo)})
         if found:
             solvable += 1
-            assignment = dict(zip(ring_vars, combo))
+            assignment = {v: t for v, (t, _) in zip(ring_vars, combo)}
             if not ring_satisfies(S, assignment):
                 bad.append(assignment)
     return CorrespondenceReport(
         ring_solutions=len(ring_solutions),
         missing_extensions=tuple(missing),
-        grid_points=grid,
+        grid_points=(2 * bound_group + 1) ** len(ring_vars),
         solvable_points=solvable,
         bad_projections=tuple(bad),
         ok=not missing and not bad,
@@ -1242,26 +1224,21 @@ def odot_law_failures(
     (auxiliaries within aux_bound, x3 within t_max^2) are enumerated; a pair
     fails if no witness exists or some witness yields an x3 that differs
     from c^(t1*t2) in the ambient group, not merely as an element of N.
+    The system is the template's own equations, its slots and auxiliaries
+    the variables, and every c^t is read off c in closed form
+    (``_c_powers``).
     """
-    consts = ambient.constants()
-    c_power = _power_table(commutator(consts["a"], consts["b"]))
+    _, c_power = _c_powers(ambient)
     tpl = edef.mul
-    mapping = {"x1": "x1", "x2": "x2", "x3": "x3"}
-    for i, aux in enumerate(tpl.aux, start=1):
-        mapping[aux] = f"p{i}"
-    aux_names = tuple(mapping[aux] for aux in tpl.aux)
-    system = GroupSystem(
-        variables=("x1", "x2", "x3") + aux_names,
-        constants=edef.constants,
-        equations=instantiate_template(tpl, mapping),
-    )
+    x1, x2, x3 = tpl.slots
+    system = GroupSystem(tpl.slots + tpl.aux, edef.constants, tpl.equations)
     failures = []
-    search = group_search(system, ambient, {"x3": t_max * t_max, "*": aux_bound}, ("x1", "x2"),
+    search = group_search(system, ambient, {x3: t_max * t_max, "*": aux_bound}, (x1, x2),
                           find_all=True, eval_limit=eval_limit)
     for t1 in range(-t_max, t_max + 1):
         for t2 in range(-t_max, t_max + 1):
-            sols = search({"x1": c_power(t1), "x2": c_power(t2)})
+            sols = search({x1: c_power(t1), x2: c_power(t2)})
             undo = c_power(-t1 * t2)  # x3 must equal c^(t1*t2) in G
-            if not sols or any(not ambient.is_trivial(multiply(s["x3"], undo)) for s in sols):
+            if not sols or any(not ambient.is_trivial(multiply(s[x3], undo)) for s in sols):
                 failures.append((t1, t2))
     return failures

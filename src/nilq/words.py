@@ -172,6 +172,18 @@ _TOKEN = re.compile(
 single character (``char``, [ and , among them), or the end of the text."""
 
 
+def _token_int(digits: str, at: int) -> int:
+    """The integer a token's digits spell, with an optional sign; a
+    WordSyntaxError at ``at`` past int()'s digit limit
+    (``sys.get_int_max_str_digits``), the only ValueError int() raises on
+    them."""
+    try:
+        return int(digits)
+    except ValueError:
+        n = len(digits.lstrip("+-"))
+        raise WordSyntaxError(f"integer of {n} digits is too long", at) from None
+
+
 def _exponent(match: re.Match) -> int:
     """The exponent of an a<k> or ] token: 1 without a '^', else the nonzero
     integer after it."""
@@ -180,7 +192,7 @@ def _exponent(match: re.Match) -> int:
         return 1
     if not digits.lstrip("+-"):
         raise WordSyntaxError("expected integer", match.start("exponent"))
-    e = int(digits)
+    e = _token_int(digits, match.start("exponent"))
     if e == 0:
         raise WordSyntaxError("zero exponent not allowed", match.start("exponent"))
     return e
@@ -205,7 +217,8 @@ def parse_word(text: str, m: int) -> Word:
     most 4m syllables.  A bracket inside a bracket has zero exponent sums and
     adds nothing to them.  Letters are still counted as if every bracket
     were expanded: a text of more than MAX_WORD_LETTERS of them raises a
-    plain ValueError.  An m over MAX_RANK raises RankLimitError.
+    plain ValueError.  An m over MAX_RANK raises RankLimitError.  An index
+    or exponent past int()'s digit limit is a WordSyntaxError at its digits.
     """
     check_rank(m)
     syllables: List[Syllable] = []  # the innermost open sequence
@@ -228,7 +241,7 @@ def parse_word(text: str, m: int) -> Word:
                 at = match.start("index")
                 if not index:
                     raise WordSyntaxError("expected generator index after 'a'", at)
-                k = int(index)
+                k = _token_int(index, at)
                 if not 1 <= k <= m:
                     raise WordSyntaxError(f"generator index {k} out of range 1..{m}", at - 1)
                 e = _exponent(match)

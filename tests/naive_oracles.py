@@ -19,6 +19,7 @@ streamed CLT statistics).
 
 import itertools
 import math
+import sys
 from bisect import bisect_right
 from functools import lru_cache
 from typing import List, Tuple
@@ -122,6 +123,16 @@ def _check_word_length(n: int) -> None:
         raise ValueError(f"word expands to {n} letters, over the limit of {MAX_WORD_LETTERS}")
 
 
+def _token_int(digits: str, at: int) -> int:
+    """int(digits), except that more digits than int() converts (its sign
+    not counted) are a WordSyntaxError at ``at``."""
+    n = len(digits.lstrip("+-"))
+    limit = sys.get_int_max_str_digits()
+    if limit and n > limit:
+        raise WordSyntaxError(f"integer of {n} digits is too long", at)
+    return int(digits)
+
+
 def scanner_parse_word(text: str, m: int) -> Word:
     """``parse_word`` by a recursive-descent scan, one character at a time.
 
@@ -154,7 +165,7 @@ def scanner_parse_word(text: str, m: int) -> Word:
             pos += 1
         if not text[start:pos].lstrip("+-"):
             raise WordSyntaxError("expected integer", start)
-        e = int(text[start:pos])
+        e = _token_int(text[start:pos], start)
         if e == 0:
             raise WordSyntaxError("zero exponent not allowed", start)
         return e
@@ -183,7 +194,7 @@ def scanner_parse_word(text: str, m: int) -> Word:
                 pos += 1
             if pos == dstart:
                 raise WordSyntaxError("expected generator index after 'a'", dstart)
-            k = int(text[dstart:pos])
+            k = _token_int(text[dstart:pos], dstart)
             if not (1 <= k <= m):
                 raise WordSyntaxError(f"generator index {k} out of range 1..{m}", start)
             e = parse_exponent()

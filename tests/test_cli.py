@@ -822,6 +822,30 @@ def test_bad_word_argument_exit_2(capsys, pres):
     assert err == "error: word: expected generator index after 'a' (position 1)\n"
 
 
+# an index or exponent of 5000 digits, past int()'s digit limit, is a syntax
+# error at its digits, given as an argument or as a presentation line alike
+_LONG = "9" * 5000
+_TOO_LONG = "integer of 5000 digits is too long"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("word-eval", "--m", "2", f"a{_LONG}"), f"error: word: {_TOO_LONG} (position 1)\n"),
+    (("word-eval", "--m", "2", f"a1^{_LONG}"), f"error: word: {_TOO_LONG} (position 3)\n"),
+    (("is-trivial", "{quot.txt}", f"a1^{_LONG}"), f"error: word: {_TOO_LONG} (position 3)\n"),
+    (("word-eval", f"a{_LONG}"), f"error: word: {_TOO_LONG} (position 1)\n"),
+    (("classify", "{index.txt}"), f"error: {{index.txt}}: line 2: {_TOO_LONG} (position 1)\n"),
+    (("classify", "{exponent.txt}"), f"error: {{exponent.txt}}: line 2: {_TOO_LONG} (position 3)\n"),
+], ids=["word-eval index", "word-eval exponent", "is-trivial exponent", "word-eval inferred rank",
+        "presentation index", "presentation exponent"])
+def test_integer_past_the_digit_limit_exit_2(capsys, tmp_path, argv, err):
+    (tmp_path / "index.txt").write_text(f"2 2\na{_LONG}\n")
+    (tmp_path / "exponent.txt").write_text(f"2 2\na1^{_LONG}\n")
+    code, out, got = _run(capsys, *_with_system_files(tmp_path, argv))
+    assert code == 2 and out == ""
+    assert got == err.replace("{index.txt}", str(tmp_path / "index.txt")).replace(
+        "{exponent.txt}", str(tmp_path / "exponent.txt"))
+
+
 def test_word_argument_from_stdin_or_file(capsys, monkeypatch, pres, tmp_path):
     # '-' reads the word from stdin and @path from a file; the "word" field
     # echoes the argument as given

@@ -488,6 +488,21 @@ def test_quotient_ambient_solution():
         assert sols[0]["x"] == commutator(generator(3, 2), generator(3, 3))
 
 
+def test_c_powers_are_the_powers_of_c():
+    # c^t read off c = [a, b] in closed form is c^t by square and multiply,
+    # in free ambients and a seeded quotient
+    rng = random.Random(32)
+    relators = [" ".join(f"a{rng.randrange(1, 5)}^{rng.choice((-2, -1, 1, 3))}" for _ in range(6))
+                for _ in range(2)]
+    quotient = QuotientAmbient(normalize(parse_presentation("4 2\n" + "\n".join(relators) + "\n")))
+    for amb in [FreeNilpotentAmbient(m) for m in (2, 3, 4)] + [quotient]:
+        consts, c_power = diophantine._c_powers(amb)
+        assert consts == amb.constants()
+        c = commutator(consts["a"], consts["b"])
+        for t in range(-40, 41):
+            assert c_power(t) == power(c, t), (amb.m, t)
+
+
 def test_verify_correspondence_known_reports():
     edef = z_in_g_templates()
     amb = FreeNilpotentAmbient(2)

@@ -163,6 +163,28 @@ def test_parse_error_positions():
         assert ei.value.position == position, text
 
 
+def test_parse_refuses_integers_past_the_digit_limit():
+    # int() refuses more than 4300 digits, leading zeros included: such an
+    # index or exponent is a syntax error at its digits, in the scanner too
+    long = "0" * 4300 + "1"
+    cases = [
+        (f"a{long}", 1),
+        (f"a1 a{long}^2", 4),
+        (f"a1^{long}", 3),
+        (f"a2^-{long}", 3),
+        (f"[a1,a2]^+{long}", 8),
+    ]
+    for text, position in cases:
+        for parse in (parse_word, scanner_parse_word):
+            with pytest.raises(WordSyntaxError) as ei:
+                parse(text, 2)
+            assert str(ei.value) == f"integer of 4301 digits is too long (position {position})"
+            assert ei.value.position == position
+    # at the limit the integer is read
+    assert parse_word("a" + "0" * 4299 + "2", 2).syllables == ((2, 1),)
+    assert scanner_parse_word("a1^-" + "0" * 4299 + "3", 2).syllables == ((1, -3),)
+
+
 def test_deep_brackets_are_not_parsed_by_recursion():
     depth = 10**5
     with pytest.raises(WordSyntaxError) as ei:
