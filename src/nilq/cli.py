@@ -86,9 +86,15 @@ def _element_jsonable(el: MalcevElement) -> dict:
 
 def _infer_m(text: str) -> int:
     """Largest generator index a<k> in the word (exponents do not count).
-    An index past int()'s digit limit does not count: parse_word refuses it."""
-    limit = sys.get_int_max_str_digits() or len(text)
-    return max([1] + [int(k) for k in re.findall(r"a(\d+)", text) if len(k) <= limit])
+    An index int() refuses, past its digit limit, does not count: parse_word
+    refuses it too."""
+    indices = [1]
+    for k in re.findall(r"a(\d+)", text):
+        try:
+            indices.append(int(k))
+        except ValueError:
+            pass
+    return max(indices)
 
 
 def _cmd_classify(args) -> int:

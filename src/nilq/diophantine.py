@@ -573,18 +573,25 @@ def compile_system(edef: EDefinition, S: RingSystem) -> CompiledSystem:
         equations.extend(instantiate_template(tpl, mapping))
 
     def visit(t: Term) -> str:
-        if t not in term_name:
-            kind = t[0]
-            if kind != "const" and kind not in gadgets:
-                raise ValueError(f"unknown term kind {kind!r}")
-            args = [visit(s) for s in t[1:]] if kind not in ("var", "const") else []
-            name = term_name[t] = "v_" + t[1] if kind == "var" else fresh("t")
-            variables.append(name)
-            if kind == "const":
-                equations.append(((gen(name),), edef.constant_word(t[1])))
-            else:
-                emit(gadgets[kind], (*args, name))
-        return term_name[t]
+        if t in term_name:
+            return term_name[t]
+        kind, args = t[0], []
+        if kind == "var":
+            name = "v_" + t[1]
+        elif kind == "const":
+            name = fresh("t")
+        elif kind in gadgets:
+            args = [visit(s) for s in t[1:]]
+            name = fresh("t")
+        else:
+            raise ValueError(f"unknown term kind {kind!r}")
+        term_name[t] = name
+        variables.append(name)
+        if kind == "const":
+            equations.append(((gen(name),), edef.constant_word(t[1])))
+        else:
+            emit(gadgets[kind], (*args, name))
+        return name
 
     for name in S.variables:
         visit(("var", name))
@@ -1128,12 +1135,11 @@ class CorrespondenceReport:
     ok: bool
 
 
-def _c_powers(ambient: Ambient):
-    """The ambient's constants, and t -> c^t for c = [a, b].  In class 2, c
-    is central with zero alpha, so c^t is (0 | t gamma(c))."""
-    consts = ambient.constants()
-    m, gamma = ambient.m, commutator(consts["a"], consts["b"]).gamma
-    return consts, lambda t: MalcevElement(m, (0,) * m, tuple(t * g for g in gamma))
+def _c_powers(consts: Dict[str, MalcevElement]):
+    """t -> c^t for c = [a, b], a and b the ambient's constants.  In class 2,
+    c is central with zero alpha, so c^t is (0 | t gamma(c))."""
+    c = commutator(consts["a"], consts["b"])
+    return lambda t: MalcevElement(c.m, (0,) * c.m, tuple(t * g for g in c.gamma))
 
 
 def verify_correspondence(
@@ -1172,7 +1178,8 @@ def verify_correspondence(
         raise ValueError("bound must be nonnegative")
     _check_box_size(2 * bound_group + 1, len(S.variables), eval_limit, "grid points")
     compiled = compile_system(edef, S)
-    consts, c_power = _c_powers(ambient)
+    consts = ambient.constants()
+    c_power = _c_powers(consts)
 
     ring_solutions = bounded_solve_ring(S, bound_ring, eval_limit)
     extend = group_search(compiled.system, ambient, bound_group,
@@ -1228,7 +1235,7 @@ def odot_law_failures(
     the variables, and every c^t is read off c in closed form
     (``_c_powers``).
     """
-    _, c_power = _c_powers(ambient)
+    c_power = _c_powers(ambient.constants())
     tpl = edef.mul
     x1, x2, x3 = tpl.slots
     system = GroupSystem(tpl.slots + tpl.aux, edef.constants, tpl.equations)

@@ -19,7 +19,6 @@ streamed CLT statistics).
 
 import itertools
 import math
-import sys
 from bisect import bisect_right
 from functools import lru_cache
 from typing import List, Tuple
@@ -124,13 +123,15 @@ def _check_word_length(n: int) -> None:
 
 
 def _token_int(digits: str, at: int) -> int:
-    """int(digits), except that more digits than int() converts (its sign
-    not counted) are a WordSyntaxError at ``at``."""
-    n = len(digits.lstrip("+-"))
-    limit = sys.get_int_max_str_digits()
-    if limit and n > limit:
-        raise WordSyntaxError(f"integer of {n} digits is too long", at)
-    return int(digits)
+    """int(digits), except that ASCII digits int() refuses, which can only be
+    too many of them, are a WordSyntaxError at ``at``."""
+    try:
+        return int(digits)
+    except ValueError:
+        n = len(digits.lstrip("+-"))
+        if not digits.isascii():
+            raise
+        raise WordSyntaxError(f"integer of {n} digits is too long", at) from None
 
 
 def scanner_parse_word(text: str, m: int) -> Word:

@@ -828,6 +828,8 @@ _LONG = "9" * 5000
 _TOO_LONG = "integer of 5000 digits is too long"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit limit before Python 3.10.7")
 @pytest.mark.parametrize("argv,err", [
     (("word-eval", "--m", "2", f"a{_LONG}"), f"error: word: {_TOO_LONG} (position 1)\n"),
     (("word-eval", "--m", "2", f"a1^{_LONG}"), f"error: word: {_TOO_LONG} (position 3)\n"),

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -163,6 +164,8 @@ def test_parse_error_positions():
         assert ei.value.position == position, text
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit limit before Python 3.10.7")
 def test_parse_refuses_integers_past_the_digit_limit():
     # int() refuses more than 4300 digits, leading zeros included: such an
     # index or exponent is a syntax error at its digits, in the scanner too
