@@ -383,11 +383,16 @@ class Ambient:
         self.coordinates = coordinates
         self.lattice = lattice
         self.slope_echelons: Dict[tuple, tuple] = {}  # the group solver's, see _admissible_coset
+        # every coordinate and no rows, as in the free ambient: an element is
+        # trivial iff it is the identity, a test that copies nothing
+        self._free = not lattice.rows and coordinates == tuple(range(m + m * (m - 1) // 2))
 
     def constants(self) -> Dict[str, MalcevElement]:
         return {"a": generator(self.m, self.a), "b": generator(self.m, self.b)}
 
     def is_trivial(self, el: MalcevElement) -> bool:
+        if self._free:
+            return el.is_identity()
         v = el.alpha + el.gamma
         return self.lattice.in_lattice([v[c] for c in self.coordinates])
 

@@ -5,9 +5,13 @@ A word is a sequence of syllables a_k^e, stored as pairs ``(k, e)`` with
 tokens ``a<k>`` with an optional ``^<int>`` exponent (nonzero), plus
 ``[u, v]`` for the commutator ``u^-1 v^-1 u v``, with an optional exponent
 too; the empty string is the identity.  Digits are Unicode decimal digits
-(``str.isdecimal``) and whitespace is ``str.isspace``.  ``parse_word`` splits
-the text with one compiled pattern, ``_TOKEN``.  Each token a<k>^<e> is one
-syllable.  A commutator power [u, v]^E becomes a word equal to it in every
+(``str.isdecimal``) and whitespace is ``str.isspace``.  ``parse_word`` reads
+the text a block of up to 256 runs at a time, a run being what lies between
+whitespace.  A block of plain tokens a<k> or a<k>^<e> is split at once and
+each token read through a bounded process-wide memo, ``_plain_syllable``;
+any other block (brackets, glued tokens, errors, or over ``_BLOCK_CHARS``
+characters) goes through one compiled pattern, ``_TOKEN``, token by token.
+Each token a<k>^<e> is one syllable.  A commutator power [u, v]^E becomes a word equal to it in every
 2-step nilpotent group, at most 4m syllables whatever E is (see
 ``parse_word``).  A text may expand to at most ``MAX_WORD_LETTERS``
 letters, brackets written out, each syllable a_k^e counting |e|.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
 from .zmatrix import ElementaryOp, IntMatrix, SmithDecomposition, smith_normal_form
@@ -95,11 +100,12 @@ MAX_WORD_LETTERS = 10**6
 """Most letters in a word ``parse_word`` reads, counted with every bracket
 expanded and each a_k^e counting |e|, and checked from the counts before
 anything is built.  A power a_k^e is one syllable whatever e is, and a
-bracket power at most 4m; the costliest words at the cap are flat texts of
-a million syllables.  A text of a million tokens ``a1 a2 a1 ...`` took 0.9 s
-to parse with a 16 MB traced peak, and ``from_word`` on it 0.5 s at m = 2
-and 4 to 5 s at m = 64; ``[a1,a2]^250000`` parses to 4 syllables in under a
-millisecond with a 3 KB peak (2-vCPU VM, Python 3.11)."""
+bracket power at most 4m; the costliest words at the cap are texts of a
+million syllables.  A text of a million tokens ``a1 a2 a1 ...`` took 0.3 s
+to parse, the same tokens glued into one run ``a1a2a1...`` 0.5 s, each with
+a 16 MB traced peak, and ``from_word`` on either 0.5 s at m = 2 and 4 to 5 s
+at m = 64; ``[a1,a2]^250000`` parses to 4 syllables in under a millisecond
+with a 3 KB peak (2-vCPU VM, Python 3.11)."""
 
 
 def _check_word_length(n: int) -> None:
@@ -163,13 +169,46 @@ def count_over_limit(side: int, n: int, limit: int, what: str) -> Optional[str]:
     return f"{count} {what} exceed the limit {_int_text(limit)}"
 
 
+_BLOCK = re.compile(r"\S+(?:\s+\S+){0,255}")
+"""Up to 256 runs of the text, the whitespace (``str.isspace``) between
+them included; a run is one token or several glued ones."""
+
+_BLOCK_CHARS = 8192
+"""Longest block ``parse_word`` splits into runs and looks up in
+``_plain_syllable``; a longer one, such as a run of a million glued tokens,
+goes through ``_TOKEN`` without being copied."""
+
 _TOKEN = re.compile(
-    r"\s*(?:(?:a(?P<index>\d*)|(?P<close>\]))(?:\^(?P<exponent>[+-]?\d*))?|(?P<char>.)|\Z)",
+    r"\s*(?:(?:a(?P<index>\d*)|(?P<close>\]))(?:\^(?P<exponent>[+-]?\d*))?|(?P<char>.))",
     re.DOTALL,
 )
 """One token of the word grammar with the whitespace before it: a<k> (group
-``index``) or ] (``close``) with an optional ^<e> (``exponent``), any other
-single character (``char``, [ and , among them), or the end of the text."""
+``index``) or ] (``close``) with an optional ^<e> (``exponent``), or any
+other single character (``char``, [ and , among them)."""
+
+_PLAIN = re.compile(r"a(\d+)(?:\^([+-]?\d+))?")
+"""A run that is one plain token, a<k> or a<k>^<e>."""
+
+_PLAIN_CHARS = 24
+"""Longest run looked up in ``_plain_syllable``, so that the memo holds
+short texts only: a<k>^<e> at the caps, a64^-1000000, has 12 characters."""
+
+
+@lru_cache(maxsize=1024)
+def _plain_syllable(run: str) -> Optional[Syllable]:
+    """The syllable (k, e) of a run that is one plain token with k >= 1,
+    e != 0 and |e| <= MAX_WORD_LETTERS, else None.  It depends on the text
+    alone, so one bounded memo serves every call and every m: each use
+    checks k <= m and the letter count, and a block with a run that fails
+    goes through ``_TOKEN``, which raises the errors."""
+    match = _PLAIN.fullmatch(run)
+    if match is None:
+        return None
+    k = int(match[1])
+    e = 1 if match[2] is None else int(match[2])
+    if k < 1 or e == 0 or abs(e) > MAX_WORD_LETTERS:
+        return None
+    return k, e
 
 
 def _token_int(digits: str, at: int) -> int:
@@ -226,55 +265,75 @@ def parse_word(text: str, m: int) -> Word:
     # per open bracket: the enclosing sequence and its count, then the first
     # part and its count once the ',' is read
     brackets: List[list] = []
-    # token text -> (syllables, letters): a long text repeats few tokens, so
-    # each distinct one is converted once and the word holds one tuple per
-    # distinct syllable, 8 bytes a token instead of 64
+    # token text -> (syllables, letters) for the blocks read through _TOKEN:
+    # a long glued run repeats few tokens, so each distinct one is converted
+    # once and the word holds one tuple per distinct syllable, 8 bytes a
+    # token instead of 64
     known: dict = {}
-    # matches one at a time: a list of all tokens would cost some 60 bytes a
-    # token, 2 GB for a 100 MB line, before the length checks could refuse it
-    for match in _TOKEN.finditer(text):
-        token = match[0]
-        item = known.get(token)
-        if item is None:
-            index, char, close = match["index"], match["char"], match["close"]
-            if index is not None:
-                at = match.start("index")
-                if not index:
-                    raise WordSyntaxError("expected generator index after 'a'", at)
-                k = _token_int(index, at)
-                if not 1 <= k <= m:
-                    raise WordSyntaxError(f"generator index {k} out of range 1..{m}", at - 1)
-                e = _exponent(match)
-                _check_word_length(abs(e))
-                item = known[token] = ((k, e),), abs(e)
-            elif char == "[":
-                brackets.append([syllables, count, None, 0])
-                syllables, count = [], 0
-            elif char == "," and brackets and brackets[-1][2] is None:
-                brackets[-1][2:] = syllables, count
-                syllables, count = [], 0
-            elif close and brackets and brackets[-1][2] is not None:
-                outer, outer_count, u, u_count = brackets.pop()
-                n = 2 * (u_count + count)
-                _check_word_length(n)
-                e = _exponent(match)
-                _check_word_length(n * abs(e))
-                # in class 2, [u, v]^e = [u^e, v] = [u_e, w] with u_e and w
-                # the collected exponent sums of u^e and v
-                u_e, w = _collected(u, m, e), _collected(syllables, m, 1)
-                item = _inverted(u_e) + _inverted(w) + u_e + w, n * abs(e)
-                syllables, count = outer, outer_count
-            elif char or close:
-                at = match.start("char" if char else "close")
-                raise WordSyntaxError(f"unexpected character {char or close!r}", at)
-            elif brackets:
-                if brackets[-1][2] is None:
-                    raise WordSyntaxError("expected ',' in commutator", match.end())
-                raise WordSyntaxError("expected ']' closing commutator", match.end())
-        if item is not None:
-            syllables.extend(item[0])
-            count += item[1]
-            _check_word_length(count)
+    # blocks and tokens are matched one at a time: a list of all tokens
+    # would cost some 60 bytes a token, 2 GB for a 100 MB line, before the
+    # length checks could refuse it
+    for block in _BLOCK.finditer(text):
+        start, end = block.span()
+        if end - start <= _BLOCK_CHARS:
+            mark, before = len(syllables), count
+            for run in block[0].split():
+                syllable = _plain_syllable(run) if len(run) <= _PLAIN_CHARS else None
+                if syllable is None or syllable[0] > m:
+                    break
+                syllables.append(syllable)
+                count += abs(syllable[1])
+                if count > MAX_WORD_LETTERS:
+                    _check_word_length(count)
+            else:
+                continue
+            # a run that is not a plain token in range: the block is read
+            # again, token by token
+            del syllables[mark:]
+            count = before
+        for match in _TOKEN.finditer(text, start, end):
+            token = match[0]
+            item = known.get(token)
+            if item is None:
+                index, char, close = match["index"], match["char"], match["close"]
+                if index is not None:
+                    at = match.start("index")
+                    if not index:
+                        raise WordSyntaxError("expected generator index after 'a'", at)
+                    k = _token_int(index, at)
+                    if not 1 <= k <= m:
+                        raise WordSyntaxError(f"generator index {k} out of range 1..{m}", at - 1)
+                    e = _exponent(match)
+                    _check_word_length(abs(e))
+                    item = known[token] = ((k, e),), abs(e)
+                elif char == "[":
+                    brackets.append([syllables, count, None, 0])
+                    syllables, count = [], 0
+                elif char == "," and brackets and brackets[-1][2] is None:
+                    brackets[-1][2:] = syllables, count
+                    syllables, count = [], 0
+                elif close and brackets and brackets[-1][2] is not None:
+                    outer, outer_count, u, u_count = brackets.pop()
+                    n = 2 * (u_count + count)
+                    _check_word_length(n)
+                    e = _exponent(match)
+                    _check_word_length(n * abs(e))
+                    # in class 2, [u, v]^e = [u^e, v] = [u_e, w] with u_e and
+                    # w the collected exponent sums of u^e and v
+                    u_e, w = _collected(u, m, e), _collected(syllables, m, 1)
+                    item = _inverted(u_e) + _inverted(w) + u_e + w, n * abs(e)
+                    syllables, count = outer, outer_count
+                else:
+                    at = match.start("char" if char else "close")
+                    raise WordSyntaxError(f"unexpected character {char or close!r}", at)
+            if item is not None:
+                syllables.extend(item[0])
+                count += item[1]
+                _check_word_length(count)
+    if brackets:
+        if brackets[-1][2] is None:
+            raise WordSyntaxError("expected ',' in commutator", len(text))
+        raise WordSyntaxError("expected ']' closing commutator", len(text))
     return Word(tuple(syllables), m)
 
 

@@ -397,6 +397,8 @@ class Echelon:
     def in_lattice(self, target: Sequence[int]) -> bool:
         """True iff target lies in the Z-span of the rows: each pivot must
         divide what is left in its column, and nothing may be left over."""
+        if not self.rows:
+            return not any(target)
         resid = self.residue(target, len(target))
         return resid is not None and not any(resid)
 

@@ -17,6 +17,7 @@ from nilq.words import (
     RankLimitError,
     Word,
     WordSyntaxError,
+    _plain_syllable,
     apply_move_to_relators,
     concat,
     exponent_sum_matrix,
@@ -162,6 +163,54 @@ def test_parse_error_positions():
             parse_word(text, 2)
         assert str(ei.value) == f"{message} (position {position})", text
         assert ei.value.position == position, text
+
+
+def test_plain_token_memo_checks_every_use():
+    # the memo holds a token's (k, e) for every m: the range of k and the
+    # letter count are checked each time it is read
+    hits = _plain_syllable.cache_info().hits
+    assert parse_word("a5^2 a5^2", 5).syllables == ((5, 2), (5, 2))
+    assert _plain_syllable.cache_info().hits > hits
+    with pytest.raises(WordSyntaxError) as ei:
+        parse_word("a5^2", 3)
+    assert str(ei.value) == "generator index 5 out of range 1..3 (position 0)"
+    # a0 and a1^0 are not a1, and still raise the token machine's errors
+    assert parse_word("a1", 2).syllables == ((1, 1),)
+    for text, message in (("a0", "generator index 0 out of range 1..2 (position 0)"),
+                          ("a1^0", "zero exponent not allowed (position 3)")):
+        with pytest.raises(WordSyntaxError) as ei:
+            parse_word(text, 2)
+        assert str(ei.value) == message
+    n = MAX_WORD_LETTERS
+    assert parse_word(f"a1^{n}", 1).syllables == ((1, n),)
+    with pytest.raises(ValueError, match=f"word expands to {n + 1} letters"):
+        parse_word(f"a1^{n} a1", 1)
+
+
+def test_plain_token_memo_is_bounded():
+    maxsize = _plain_syllable.cache_info().maxsize
+    assert maxsize is not None
+    for e in range(1, maxsize + 100):
+        assert parse_word(f"a1^{e}", 1).syllables == ((1, e),)
+    assert _plain_syllable.cache_info().currsize <= maxsize
+
+
+def test_glued_text_at_the_cap_parses_in_bounded_memory():
+    # a million tokens in one run go through the token machine, which reads
+    # the run without copying it; the flat text's runs go through the memo
+    flat = " ".join(("a1", "a2")[i % 2] for i in range(MAX_WORD_LETTERS))
+    glued = flat.replace(" ", "")
+    words = []
+    for text in (flat, glued):
+        tracemalloc.start()
+        try:
+            words.append(parse_word(text, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 10**6, (text[:8], peak)
+    assert words[1].syllables == words[0].syllables
+    assert len(words[0].syllables) == MAX_WORD_LETTERS
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
