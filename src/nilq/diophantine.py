@@ -67,7 +67,15 @@ is, in its scanned variable), with a slope read off row and column n of X
 (``Polynomial.slope``).  Each equation u = v is compiled over its own
 names; its two sides are collected once, and the polynomial of u v^-1 and,
 for each forced assignment x^e = w, that of w^e are built from those two
-elements, once per GroupSystem.
+elements.  That compile is kept once per equation up to renaming (the
+gadget copies of one template share it), and each GroupSystem relabels its
+polynomials to its own names.
+
+A prepared search meets the same polynomial on the same values again and
+again: across the pins of a verify grid, the gadgets of the unpinned names
+see the same values.  Each prepared search keeps one memo of the
+evaluations and slopes it has made, keyed by the values they read, and
+charges each one as if it were made afresh.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .nilpotent2 import (
@@ -822,7 +830,22 @@ class _EquationShape:
     forced: Tuple[Tuple[str, Polynomial, frozenset], ...]
 
 
-def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _EquationShape:
+def _first_appearance(w: GroupWord, order: Dict[str, int]) -> Dict[str, int]:
+    """Number the names of w not yet in order, in order of first appearance."""
+    for f in w:
+        if f[0] == "comm":
+            _first_appearance(f[1], order)
+            _first_appearance(f[2], order)
+        else:
+            order.setdefault(f[0], len(order))
+    return order
+
+
+@lru_cache(maxsize=256)
+def _canonical_shape(lhs: GroupWord, rhs: GroupWord):
+    """The residual polynomial and the forced triples (x, polynomial of
+    w^e, names of w) of u = v, over the names of the equation as they stand,
+    uncapped by any set of variables."""
     names, index = _name_index(gword_names(lhs) | gword_names(rhs))
     u, v = (_element(w, index, len(names)) for w in (lhs, rhs))
     residual = Polynomial(multiply(u, inverse(v)), names)
@@ -831,8 +854,26 @@ def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _Eq
         for a, b, w in ((lhs, rhs, v), (rhs, lhs, u))
         if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1
     )
+    return residual, forced
+
+
+def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _EquationShape:
+    """The shape of u = v, compiled once per equation up to renaming.
+
+    The names are renamed 0, 1, ... in order of first appearance, so the
+    gadget copies of one template, or any equations equal up to renaming,
+    share one ``_canonical_shape``, whose polynomials are relabelled back.
+    In class 2 a word's value at given images does not depend on the order
+    of its generators, so every value and slope is that of a direct compile.
+    """
+    order = _first_appearance(rhs, _first_appearance(lhs, {}))
+    label = list(order)
+    residual, forced = _canonical_shape(_rename_word(lhs, order), _rename_word(rhs, order))
+    residual = residual.relabel(label)
+    forced = tuple((label[x], form.relabel(label), frozenset(label[n] for n in w_names))
+                   for x, form, w_names in forced)
     reads_gamma = frozenset(n for n, _ in residual.linear) & variables
-    return _EquationShape(frozenset(names) & variables, residual, reads_gamma, forced)
+    return _EquationShape(frozenset(label) & variables, residual, reads_gamma, forced)
 
 
 def _element_in_box(el: MalcevElement, bound: int) -> bool:
@@ -928,6 +969,22 @@ def _levels(S: GroupSystem, bound: Iterable[str], boxes: Mapping[str, int], find
         bound.add(target)
 
 
+_MEMO_CAP = 1024
+"""Most entries a prepared search's memo of evaluations and slopes holds
+before it is emptied (see ``group_search``).  The compiler benchmark's
+searches stay under 650 entries, and verify on x*y = z at box 15 under
+1200."""
+
+
+def _read_names(poly: Polynomial) -> Tuple[str, ...]:
+    """The names whose images a call of poly reads, sorted."""
+    names = {k for k, _ in poly.linear}
+    for k, row in poly.rows:
+        names.add(k)
+        names.update(row)
+    return tuple(sorted(names))
+
+
 def group_search(
     S: GroupSystem,
     ambient: Ambient,
@@ -948,6 +1005,15 @@ def group_search(
     raises ValueError unless its pins are of exactly the prepared names and
     every value has rank m, and gives each search a budget of eval_limit of
     its own.
+
+    One memo serves every pin: an evaluation is keyed by its polynomial and
+    the values of the names that polynomial reads (listed once, here), and
+    a slope by its polynomial, its target and the alphas of the other names
+    it reads, so a hit is the value the call would return.  The memo is
+    emptied when it holds ``_MEMO_CAP`` entries, which bounds its memory
+    however many pins it serves.  It saves arithmetic only: every charge
+    is made where it was, hit or miss, so the solutions, the errors and
+    the smallest passing eval_limit are those of a search without it.
     """
     m = ambient.m
     if isinstance(bound, int):
@@ -970,6 +1036,21 @@ def group_search(
     levels = _levels(S, set(consts) | names, boxes, find_all, m)
     shapes = S._shapes
     is_trivial = ambient.is_trivial
+    # the names each polynomial of the levels reads, for the memo's keys
+    reads = {}
+    for level in levels:
+        checked = [form for form, _ in level.steps if form is not None]
+        for poly in checked + [shapes[idx].residual for idx in level.affine]:
+            reads[poly] = _read_names(poly)
+    # the evaluations and slopes made at any pin; as elements and slopes are
+    # nonempty tuples, a miss is the only falsy get
+    memo: dict = {}
+
+    def remember(key, value):
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[key] = value
+        return value
 
     def search(pinned: Mapping[str, MalcevElement]) -> List[Dict[str, MalcevElement]]:
         if pinned.keys() != names:
@@ -987,6 +1068,10 @@ def group_search(
             if budget < 0:
                 raise SearchSpaceError("evaluation limit exceeded")
 
+        def evaluate(poly: Polynomial) -> MalcevElement:
+            key = (poly, tuple(map(env.__getitem__, reads[poly])))
+            return memo.get(key) or remember(key, poly(env, m))
+
         def affine_forms(target: str, affine: Tuple[int, ...]):
             """(alpha, g0, L) of each equation in affine.  One evaluation at
             target = 1 gives alpha and g0; L is read off the polynomial,
@@ -996,10 +1081,12 @@ def group_search(
                 residual = shapes[idx].residual
                 env[target] = identity(m)
                 spend()
-                r0 = residual(env, m)
+                r0 = evaluate(residual)
                 del env[target]
                 spend(m)
-                forms.append((r0.alpha, r0.gamma, residual.slope(target, env, m)))
+                key = (residual, target, tuple(env[n].alpha for n in reads[residual] if n != target))
+                slope = memo.get(key) or remember(key, residual.slope(target, env, m))
+                forms.append((r0.alpha, r0.gamma, slope))
             return forms
 
         def recurse(depth: int) -> bool:
@@ -1010,10 +1097,10 @@ def group_search(
                 for form, name in level.steps:
                     if name is None:
                         spend()
-                        if form is not None and not is_trivial(form(env, m)):
+                        if form is not None and not is_trivial(evaluate(form)):
                             return False
                         continue
-                    val = form(env, m)
+                    val = evaluate(form)
                     spend()
                     if not _element_in_box(val, boxes[name]):
                         return False
@@ -1061,7 +1148,9 @@ def bounded_solve_group(
     first solution.  An equation u = v holds when u v^-1 is trivial in the
     ambient, which must bind every constant of S (ValueError otherwise).
     Each equation is evaluated through its compiled Polynomial, so the search
-    runs no multiply, inverse, power or commutator.
+    runs no multiply, inverse, power or commutator, and an evaluation or
+    slope that the search has made before on the same values is read from
+    its memo (``group_search``), charged as before.
 
     Each level of the search checks the equations it can and forces the
     variables it can, in order, and then scans one variable (``_Level``).

@@ -6,7 +6,10 @@ Elements are Malcev normal forms
 
 with the commutator convention [g, h] = g^-1 h^-1 g h and basic commutators
 central.  The gamma block is indexed by pairs (i, j), i < j, row-major:
-(1,2), (1,3), ..., (1,m), (2,3), ...
+(1,2), (1,3), ..., (1,m), (2,3), ...  A ``MalcevElement`` is the named tuple
+(m, alpha, gamma), checked once when built: an immutable value whose hash
+and equality are the tuple's, so solver memos and caches key on elements
+at the cost of a tuple.
 
 The ground truth for the product is the collection identity
 
@@ -37,7 +40,7 @@ multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -50,17 +53,31 @@ def pair_list(m: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))
 
 
-@dataclass(frozen=True)
-class MalcevElement:
-    m: int
-    alpha: Tuple[int, ...]
-    gamma: Tuple[int, ...]
+class MalcevElement(namedtuple("MalcevElement", "m alpha gamma")):
+    """The element a_1^alpha_1 ... a_m^alpha_m prod_{i<j} [a_i, a_j]^gamma_ij
+    of N_{2,m}, gamma in ``pair_list(m)`` order.
 
-    def __post_init__(self):
-        if len(self.alpha) != self.m:
+    An immutable value: a named tuple (m, alpha, gamma) whose fields, hash
+    and equality run in C, so it can key a dict cheaply.  Being a tuple, it
+    iterates over m, alpha and gamma, has ``len`` 3, and equals the plain
+    tuple (m, alpha, gamma).  Construction checks both lengths (ValueError);
+    pickle and copy rebuild it through the same check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, alpha: Tuple[int, ...], gamma: Tuple[int, ...]):
+        if len(alpha) != m:
             raise ValueError("alpha length must equal m")
-        if len(self.gamma) != self.m * (self.m - 1) // 2:
+        if len(gamma) != m * (m - 1) // 2:
             raise ValueError("gamma length must equal m(m-1)/2")
+        return tuple.__new__(cls, (m, alpha, gamma))
+
+    @classmethod
+    def _make(cls, iterable):
+        """As for any named tuple, but through the length checks, which
+        ``_replace`` then passes too."""
+        return cls(*iterable)
 
     def is_identity(self) -> bool:
         return not any(self.alpha) and not any(self.gamma)
@@ -181,6 +198,14 @@ class Polynomial:
             rows = [{labels[l]: v for l, v in row.items()} for row in rows]
         self.linear = tuple((labels[k], ak) for k, ak in enumerate(a) if ak)
         self.rows = tuple((labels[k], row) for k, row in enumerate(rows) if row)
+
+    def relabel(self, mapping) -> "Polynomial":
+        """The same map with each label k read as mapping[k]; ``mapping``
+        must send distinct labels to distinct labels."""
+        out = Polynomial.__new__(Polynomial)
+        out.linear = tuple((mapping[k], ak) for k, ak in self.linear)
+        out.rows = tuple((mapping[k], {mapping[l]: v for l, v in row.items()}) for k, row in self.rows)
+        return out
 
     def __call__(self, images, m: int) -> MalcevElement:
         alpha = [0] * m

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -1022,15 +1023,24 @@ def _outcome(search):
         return str(exc)
 
 
-def _smallest_limit(search):
-    """The smallest eval_limit at which search(eval_limit) finishes, by
-    doubling, then bisection."""
+_OVER_LIMIT = "evaluation limit exceeded"
+
+
+def _smallest_limit(search, guesses=()):
+    """The smallest eval_limit at which search(eval_limit) does not run out
+    of budget: it then finishes, or stops at the solution cap.  A guess is
+    taken if it passes and one less runs out, as the charge of a search is
+    fixed; otherwise the limit is found by doubling, then bisection."""
+    for guess in guesses:
+        if (_outcome(lambda: search(guess)) != _OVER_LIMIT
+                and _outcome(lambda: search(guess - 1)) == _OVER_LIMIT):
+            return guess
     lo, hi = 0, 1
-    while isinstance(_outcome(lambda: search(hi)), str):
+    while _outcome(lambda: search(hi)) == _OVER_LIMIT:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if isinstance(_outcome(lambda: search(mid)), str):
+        if _outcome(lambda: search(mid)) == _OVER_LIMIT:
             lo = mid
         else:
             hi = mid
@@ -1078,3 +1088,125 @@ def test_prepared_search_replays_as_fresh_searches():
                 diophantine.group_search(S, amb, box, names + ["a"], find_all=find_all, eval_limit=1)
             with pytest.raises(ValueError, match=f"has rank {m + 1}, not {m}"):
                 search({**pins[0], names[0]: generator(m + 1, 1)})
+
+
+def test_prepared_search_memo_moves_no_outcome_and_no_charge(monkeypatch):
+    # a prepared search keeps one memo of evaluations and slopes for every
+    # pin it serves.  Over a grid of pins (x, y in {-1, 0, 1}, z in {0, 1}:
+    # 7 of the 18 solve x*y + 1 = z), in grid order and again shuffled, it
+    # gives each pin a fresh search's outcome, and each pin passes at its
+    # smallest limit and fails at one less, memo warm or not.
+    # The quotient's find-all searches at box 2 charge millions per pin, so
+    # that mode stops at box 1 there; a low solution cap keeps the solvable
+    # find-all pins cheap
+    monkeypatch.setattr(diophantine, "MAX_FOUND_SOLUTIONS", 200)
+    compiled = compile_system(z_in_g_templates(), _ring(
+        ["x", "y", "z"], [(ADD(MUL(V("x"), V("y")), C(1)), V("z"))]))
+    S, ring_names = compiled.system, compiled.ring_variable_names()
+    names = sorted(ring_names.values())
+    quotient = QuotientAmbient(normalize(parse_presentation("3 2\na1^2\n")))
+    rng = random.Random("memo")
+    for amb in (FreeNilpotentAmbient(2), quotient):
+        c = commutator(*amb.constants().values())
+        grid = [{ring_names[v]: power(c, t) for v, t in zip("xyz", ts)}
+                for ts in itertools.product((-1, 0, 1), (-1, 0, 1), (0, 1))]
+        order = list(range(len(grid))) + rng.sample(range(len(grid)), len(grid))
+        for box, find_all in itertools.product((0, 1, 2), (False, True)):
+            if find_all and box == 2 and amb is quotient:
+                continue
+
+            def fresh(pin, limit):
+                return bounded_solve_group(S, amb, box, pinned=pin, find_all=find_all, eval_limit=limit)
+
+            limits: list = []
+            for pin in grid:
+                limits.append(_smallest_limit(lambda lim: fresh(pin, lim), dict.fromkeys(limits[::-1])))
+            expected = [_outcome(lambda: fresh(pin, lim)) for pin, lim in zip(grid, limits)]
+            search = diophantine.group_search(S, amb, box, names, find_all=find_all,
+                                              eval_limit=max(limits))
+            assert [_outcome(lambda: search(grid[i])) for i in order] == [expected[i] for i in order]
+            at = {}
+            for i in order:
+                for lim in (limits[i], limits[i] - 1):
+                    if lim not in at:
+                        at[lim] = diophantine.group_search(S, amb, box, names, find_all=find_all,
+                                                           eval_limit=lim)
+                    want = expected[i] if lim == limits[i] else _OVER_LIMIT
+                    assert _outcome(lambda: at[lim](grid[i])) == want, (box, find_all, i, lim)
+
+
+def test_prepared_search_memo_is_capped(monkeypatch):
+    # a grid of 13^3 = 2197 pins, more than the memo's cap, runs through one
+    # prepared search within a traced peak of 2 MB (0.4 MB measured), and a
+    # memo emptied every 8 entries, mid-search too, finds the same pins
+    # solvable: those that solve x*y + 1 = z with auxiliaries in box 1
+    compiled = compile_system(z_in_g_templates(), _ring(
+        ["x", "y", "z"], [(ADD(MUL(V("x"), V("y")), C(1)), V("z"))]))
+    S, ring_names = compiled.system, compiled.ring_variable_names()
+    amb = FreeNilpotentAmbient(2)
+    c = commutator(*amb.constants().values())
+    grid = list(itertools.product(range(-6, 7), repeat=3))
+    pins = [{ring_names[v]: power(c, t) for v, t in zip("xyz", ts)} for ts in grid]
+    assert len(pins) > diophantine._MEMO_CAP
+
+    def solvable():
+        search = diophantine.group_search(S, amb, 1, sorted(ring_names.values()), find_all=False,
+                                          eval_limit=10**6)
+        return [ts for ts, pin in zip(grid, pins) if search(pin)]
+
+    tracemalloc.start()
+    try:
+        found = solvable()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert found and all(x * y + 1 == z for x, y, z in found)
+    monkeypatch.setattr(diophantine, "_MEMO_CAP", 8)
+    assert solvable() == found
+
+
+def _direct_shape(lhs, rhs, variables):
+    """(names, residual, reads_gamma, forced) of u = v compiled over its own
+    names, past the cache."""
+    residual, forced = diophantine._canonical_shape.__wrapped__(lhs, rhs)
+    names = frozenset(diophantine.gword_names(lhs) | diophantine.gword_names(rhs))
+    return names & variables, residual, frozenset(n for n, _ in residual.linear) & variables, forced
+
+
+def test_shapes_compiled_once_per_renaming_match_a_direct_compile():
+    # each template's equations and seeded random words, renamed at random,
+    # with a random part of the names as variables: the cached shape's
+    # residual, forced values and slopes equal a direct compile's at random
+    # elements of ranks 2-4, its names, reads_gamma and forced names are the
+    # same, and the cache keeps to its size over more shapes than it holds
+    rng = random.Random("shapes")
+    edef = z_in_g_templates()
+    equations = [eq for tpl in (edef.domain, edef.add, edef.neg, edef.mul, edef.equal)
+                 for eq in tpl.equations]
+    equations += [(_random_word(rng, ["x", "y", "z", "a", "b"]), _random_word(rng, ["x", "y", "a"]))
+                  for _ in range(400)]
+    pool = [f"n{k}" for k in range(10)] + ["a", "b"]
+    for lhs, rhs in equations:
+        old = sorted(diophantine.gword_names(lhs) | diophantine.gword_names(rhs))
+        for _ in range(2):
+            mapping = dict(zip(old, rng.sample(pool, len(old))))
+            lhs, rhs = (diophantine._rename_word(w, mapping) for w in (lhs, rhs))
+            old = [mapping[n] for n in old]
+            variables = frozenset(n for n in old if rng.random() < 0.7)
+            shape = diophantine._equation_shape(lhs, rhs, variables)
+            names, residual, reads_gamma, forced = _direct_shape(lhs, rhs, variables)
+            assert (shape.names, shape.reads_gamma) == (names, reads_gamma)
+            assert [(x, w) for x, _, w in shape.forced] == [(x, w) for x, _, w in forced]
+            linear = {n for n, _ in residual.linear}
+            for m in (2, 3, 4):
+                env = {n: MalcevElement(m, tuple(rng.randint(-4, 4) for _ in range(m)),
+                                        tuple(rng.randint(-4, 4) for _ in range(m * (m - 1) // 2)))
+                       for n in old}
+                assert shape.residual(env, m) == residual(env, m)
+                for (_, got, _), (_, want, _) in zip(shape.forced, forced):
+                    assert got(env, m) == want(env, m)
+                for n in set(old) - linear:
+                    assert shape.residual.slope(n, env, m) == residual.slope(n, env, m)
+    info = diophantine._canonical_shape.cache_info()
+    assert info.misses > info.maxsize and info.currsize <= info.maxsize

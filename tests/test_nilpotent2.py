@@ -1,6 +1,8 @@
 """Malcev coordinate arithmetic against the collection oracle."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -36,6 +38,36 @@ def test_pair_list_and_index():
     for m in (2, 3, 4):
         for idx, (i, j) in enumerate(pair_list(m)):
             assert pair_index(m, i, j) == idx
+
+
+def test_malcev_element_is_an_immutable_checked_value():
+    x = MalcevElement(2, (1, 0), (0,))
+    for field, value in (("m", 3), ("alpha", (0, 0)), ("gamma", (1,))):
+        with pytest.raises(AttributeError):
+            setattr(x, field, value)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    y = MalcevElement(2, (1, 0), (0,))
+    assert y is not x and y == x and hash(y) == hash(x)
+    assert x != MalcevElement(2, (1, 0), (1,)) and x != MalcevElement(2, (0, 1), (0,))
+    assert repr(x) == "MalcevElement(m=2, alpha=(1, 0), gamma=(0,))"
+    copies = [pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies + [copy.copy(x), copy.deepcopy(x)]:
+        assert type(c) is MalcevElement and c == x and c.alpha == (1, 0)
+    with pytest.raises(ValueError, match=r"^alpha length must equal m$"):
+        MalcevElement(2, (1,), (0,))
+    with pytest.raises(ValueError, match=r"^gamma length must equal m\(m-1\)/2$"):
+        MalcevElement(3, (1, 0, 0), (0,))
+    with pytest.raises(ValueError, match=r"^alpha length must equal m$"):
+        x._replace(alpha=(1, 0, 0))
+
+
+def test_malcev_element_is_the_tuple_of_its_fields():
+    x = MalcevElement(3, (1, -2, 3), (4, 0, -6))
+    m, alpha, gamma = x
+    assert (m, alpha, gamma) == (3, (1, -2, 3), (4, 0, -6)) and len(x) == 3
+    assert x == (3, (1, -2, 3), (4, 0, -6)) and hash(x) == hash((3, (1, -2, 3), (4, 0, -6)))
+    assert {x: "x"}[(3, (1, -2, 3), (4, 0, -6))] == "x"
 
 
 def test_generator_coordinates():
