@@ -25,10 +25,9 @@ from .presentation import (
     parse_presentation,
 )
 from .words import Word, format_word, parse_word
-from .zmatrix import IntMatrix, SmithDecomposition, smith_normal_form
+from .zmatrix import SmithDecomposition, smith_normal_form
 
 __all__ = [
-    "IntMatrix",
     "InconclusiveError",
     "MalcevElement",
     "NilPresentation",

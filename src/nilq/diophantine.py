@@ -877,7 +877,8 @@ def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _Eq
 
 
 def _element_in_box(el: MalcevElement, bound: int) -> bool:
-    return all(abs(v) <= bound for v in el.alpha + el.gamma)
+    """Every coordinate of el within [-bound, bound]; alpha is never empty."""
+    return max(map(abs, el.alpha + el.gamma)) <= bound
 
 
 @dataclass(frozen=True)

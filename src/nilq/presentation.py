@@ -100,7 +100,7 @@ from typing import Iterator, Optional, Tuple
 
 from .nilpotent2 import MalcevElement, Polynomial, from_word, generator, pair_list
 from .words import MAX_RELATORS, RankLimitError, Word, WordSyntaxError, check_rank, parse_word
-from .zmatrix import (Echelon, IntMatrix, SmithDecomposition, hermite_normal_form, rank as zrank,
+from .zmatrix import (Echelon, SmithDecomposition, diagonal, hermite_normal_form, rank as zrank,
                       smith_normal_form)
 
 
@@ -204,8 +204,7 @@ class NormalizedPresentation:
         rows += [(0,) * (m + c) + (d[t],) + (0,) * (n - c - 1)
                  for c, t in enumerate(self.kept_pairs) if d[t]]
         echelon = hermite_normal_form(rows)
-        diagonal = [self.snf.D.row(i) for i in range(self.snf.rank)]
-        if [row[:m] for row in echelon.rows if any(row[:m])] != diagonal:
+        if tuple(row[:m] for row in echelon.rows if any(row[:m])) != diagonal(self.alphas, self.snf.rank, m):
             raise AssertionError("relator images do not span the Smith diagonal")
         return echelon
 
@@ -274,9 +273,15 @@ def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator
 
 
 def normalize(p: NilPresentation) -> NormalizedPresentation:
+    """p over the basis of the Smith reduction of its relators' alphas.
+
+    Returns the ``NormalizedPresentation``: the reduction, the lift of V to
+    the new basis, d_pq and the relators' images over that basis.  The
+    echelon of the closure lattice, and the free block, are not built here
+    but on first read, so a caller that only classifies never pays for them.
+    """
     m = p.m
-    sums = IntMatrix(len(p.relators), m, tuple(a for h in p.relators for a in h.alpha))
-    snf = smith_normal_form(sums)
+    snf = smith_normal_form((h.alpha for h in p.relators), m)
     k = snf.rank
     d = tuple(snf.invariant_factors[i - 1] if i <= k else 0 for i, _ in pair_list(m))
     # the lift of V: a_k goes to a_1^V_k1 ... a_m^V_km, with no gamma part

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
-from .zmatrix import ElementaryOp, IntMatrix, SmithDecomposition, smith_normal_form
+from .zmatrix import ElementaryOp, SmithDecomposition, diagonal, smith_normal_form
 
 Syllable = Tuple[int, int]
 
@@ -350,11 +350,10 @@ def exponent_sums(w: Word) -> Tuple[int, ...]:
     return tuple(sums)
 
 
-def exponent_sum_matrix(words: Iterable[Word], m: int) -> IntMatrix:
-    """len(words) x m matrix of generator exponent sums; invariant under free
-    reduction.  ``words`` is read one word at a time."""
-    rows = [exponent_sums(w) for w in words]
-    return IntMatrix(len(rows), m, tuple(v for row in rows for v in row))
+def exponent_sum_matrix(words: Iterable[Word]) -> Tuple[Tuple[int, ...], ...]:
+    """The rows of generator exponent sums, one per word; invariant under
+    free reduction.  ``words`` is read one word at a time."""
+    return tuple(exponent_sums(w) for w in words)
 
 
 def random_word(length: int, m: int, rng) -> Word:
@@ -435,9 +434,9 @@ def nielsen_normalize(
     of the rewritten words equals the diagonal D exactly.
     """
     relators = list(words)
-    snf = smith_normal_form(exponent_sum_matrix(relators, m))
+    snf = smith_normal_form(exponent_sum_matrix(relators), m)
     for op in snf.ops:
         apply_move_to_relators(relators, op)
-    if exponent_sum_matrix(relators, m).entries != snf.D.entries:
+    if exponent_sum_matrix(relators) != diagonal(snf.invariant_factors, len(relators), m):
         raise AssertionError("Nielsen replay does not match Smith diagonal")
     return tuple(relators), snf

@@ -5,10 +5,11 @@ Everything works over arbitrary-precision Python ints.  Entries grow without
 bound during elimination, so none of this is allowed anywhere near fixed-width
 arithmetic; numpy stays out of this module on purpose.
 
-A matrix is its integer rows, all of one length: ``rank``, ``determinant``,
-``minor_polynomial`` and ``hermite_normal_form`` copy them once (ragged rows
-raise ValueError) and work on the copy in place.  ``hermite_normal_form``
-returns an ``Echelon``.  ``IntMatrix`` is the Smith form's type alone.
+A matrix is its integer rows, all of one length: ``smith_normal_form``,
+``rank``, ``determinant``, ``minor_polynomial`` and ``hermite_normal_form``
+copy them once (ragged rows raise ValueError) and work on the copy in place.
+``hermite_normal_form`` returns an ``Echelon``.  ``IntMatrix`` is only the
+type of the Smith form's views D, U and V, each built when first read.
 
 The Smith routine records every elementary operation it performs, and that
 log is the only record of the reduction.  One routine, ``_apply``, applies
@@ -36,7 +37,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix, entries stored row-major: the type of the
+    Smith form's views D, U and V, built when read."""
 
     rows: int
     cols: int
@@ -53,21 +55,8 @@ class IntMatrix:
         A, m = _rows(rows)
         return cls(len(A), m, tuple(v for r in A for v in r))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def __getitem__(self, key: Tuple[int, int]) -> int:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> Tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
 
 
 @dataclass(frozen=True)
@@ -90,25 +79,36 @@ class ElementaryOp:
 class SmithDecomposition:
     """U M V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    ``rank`` is the number of nonzero diagonal entries and
-    ``invariant_factors`` the nonzero diagonal, all positive.  ``ops`` is the
-    ordered elementary-operation log that transforms M into D.  U and V are
-    not kept during the reduction: each is rebuilt on first read by replaying
-    the row ops, or the column ops, on an identity matrix.
+    ``shape`` is M's (rows, columns), ``rank`` the number of nonzero diagonal
+    entries and ``invariant_factors`` the nonzero diagonal, all positive.
+    ``ops`` is the ordered elementary-operation log that transforms M into D.
+    Nothing else is kept: D, U and V are ``IntMatrix`` views built on first
+    read, D from the invariant factors, U and V by replaying the row ops, or
+    the column ops, on an identity matrix.
     """
 
-    D: IntMatrix
+    shape: Tuple[int, int]
     rank: int
     invariant_factors: Tuple[int, ...]
     ops: Tuple[ElementaryOp, ...]
 
     @cached_property
+    def D(self) -> IntMatrix:
+        r, m = self.shape
+        return IntMatrix(r, m, tuple(v for row in diagonal(self.invariant_factors, r, m) for v in row))
+
+    @cached_property
     def U(self) -> IntMatrix:
-        return _replayed_identity(self.D.rows, self.ops, "row")
+        return _replayed_identity(self.shape[0], self.ops, "row")
 
     @cached_property
     def V(self) -> IntMatrix:
-        return _replayed_identity(self.D.cols, self.ops, "col")
+        return _replayed_identity(self.shape[1], self.ops, "col")
+
+
+def diagonal(factors: Sequence[int], r: int, m: int) -> Tuple[Tuple[int, ...], ...]:
+    """The r rows of length m with factors down the diagonal, then zeros."""
+    return tuple(tuple(factors[i] if i == j and i < len(factors) else 0 for j in range(m)) for i in range(r))
 
 
 def _apply(A: list, op: ElementaryOp) -> None:
@@ -134,23 +134,27 @@ def _apply(A: list, op: ElementaryOp) -> None:
 def _replayed_identity(n: int, ops: Sequence[ElementaryOp], side: str) -> IntMatrix:
     """The n x n identity with the ops on one side, "row" or "col", applied
     in order."""
-    A = IntMatrix.identity(n).to_rows()
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
     for op in ops:
         if op.kind.startswith(side):
             _apply(A, op)
     return IntMatrix.from_rows(A)
 
 
-def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
-    """Smith normal form over the integers with recorded operations.
+def smith_normal_form(M: Iterable[Iterable[int]], width: int) -> SmithDecomposition:
+    """Smith normal form over the integers of the rows M, each of length
+    width, with recorded operations.
 
-    Pivot selection always takes a smallest-magnitude nonzero entry of the
-    working submatrix, which keeps intermediate growth modest.  Signs are
-    normalized with explicit negation ops so they land in the log and the
-    invariant factors come out positive.
+    The width is given because M may have no rows.  Ragged rows, or rows of
+    another length, raise ValueError.  Pivot selection always takes a
+    smallest-magnitude nonzero entry of the working submatrix, which keeps
+    intermediate growth modest.  Signs are normalized with explicit negation
+    ops so they land in the log and the invariant factors come out positive.
     """
-    r, m = M.rows, M.cols
-    A = M.to_rows()
+    A, m = _rows(M)
+    if A and m != width:
+        raise ValueError(f"rows of length {m}, not {width}")
+    r, m = len(A), width
     ops: list[ElementaryOp] = []
 
     def record(*args):
@@ -210,12 +214,7 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
     for a, b in zip(inv, inv[1:]):
         if b % a:
             raise AssertionError("invariant factor chain violated")
-    return SmithDecomposition(
-        D=IntMatrix.from_rows(A) if r else IntMatrix(0, m, ()),
-        rank=rank,
-        invariant_factors=inv,
-        ops=tuple(ops),
-    )
+    return SmithDecomposition((r, m), rank, inv, tuple(ops))
 
 
 def _rows(M: Iterable[Iterable[int]]) -> Tuple[list, int]:

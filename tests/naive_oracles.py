@@ -35,7 +35,7 @@ from nilq.nilpotent2 import (
 )
 from nilq.randwalk import _coordinate_sums, _normal_cdf, stream_seed
 from nilq.words import MAX_WORD_LETTERS, Word, WordSyntaxError, check_rank
-from nilq.zmatrix import ElementaryOp, IntMatrix, rank
+from nilq.zmatrix import ElementaryOp, rank
 
 
 @lru_cache(maxsize=None)
@@ -48,13 +48,18 @@ def pair_index(m: int, i: int, j: int) -> int:
     return _pair_index_map(m)[(i, j)]
 
 
-def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """The product A B, each entry summed row by column."""
-    if A.cols != B.rows:
+def matmul(A, B) -> tuple:
+    """The product of the rows A by the rows B, each entry summed row by
+    column, as row tuples."""
+    if any(len(row) != len(B) for row in A):
         raise ValueError("dimension mismatch")
-    columns = [B.entries[j :: B.cols] for j in range(B.cols)]
-    entries = (sum(a * b for a, b in zip(A.row(i), col)) for i in range(A.rows) for col in columns)
-    return IntMatrix(A.rows, B.cols, tuple(entries))
+    columns = list(zip(*B))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in columns) for row in A)
+
+
+def view_rows(M) -> tuple:
+    """The rows of one of the Smith form's views D, U and V, as tuples."""
+    return tuple(M.row(i) for i in range(M.rows))
 
 
 def letter_word(letters, m: int) -> Word:
@@ -244,12 +249,13 @@ def rational_membership(basis, target) -> bool:
     return rank(basis + [target]) == rank(basis)
 
 
-def apply_op(M: IntMatrix, op: ElementaryOp) -> IntMatrix:
-    """Apply one logged elementary operation to a fresh copy of M."""
-    A = M.to_rows()
+def apply_op(M, op: ElementaryOp) -> tuple:
+    """Apply one logged elementary operation to a fresh copy of the rows M,
+    returned as row tuples."""
+    A = [list(row) for row in M]
     k = op.kind
     if k == "row_add":
-        for j in range(M.cols):
+        for j in range(len(A[op.dst])):
             A[op.dst][j] += op.mult * A[op.src][j]
     elif k == "col_add":
         for row in A:
@@ -266,7 +272,7 @@ def apply_op(M: IntMatrix, op: ElementaryOp) -> IntMatrix:
             row[op.src] = -row[op.src]
     else:
         raise ValueError(f"unknown op kind {k!r}")
-    return IntMatrix.from_rows(A) if A else M
+    return tuple(map(tuple, A))
 
 
 def lift_basis(np_):
@@ -274,12 +280,12 @@ def lift_basis(np_):
     Smith log applied one at a time to the identity, then each a_k's image,
     the word a_1^V_k1 ... a_m^V_km, collected letter by letter."""
     m = np_.m
-    V = IntMatrix.identity(m)
+    V = [[int(i == j) for j in range(m)] for i in range(m)]
     for op in np_.snf.ops:
         if op.kind.startswith("col"):
             V = apply_op(V, op)
     return tuple(
-        collection_oracle(Word(tuple((c + 1, e) for c, e in enumerate(V.row(k)) if e), m))
+        collection_oracle(Word(tuple((c + 1, e) for c, e in enumerate(V[k]) if e), m))
         for k in range(m)
     )
 

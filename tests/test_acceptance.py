@@ -50,7 +50,7 @@ from nilq.words import (
     random_word,
     word_power,
 )
-from nilq.zmatrix import IntMatrix, determinant, smith_normal_form
+from nilq.zmatrix import determinant, smith_normal_form
 from nilq.diophantine import (
     FreeNilpotentAmbient,
     RingSystem,
@@ -59,7 +59,7 @@ from nilq.diophantine import (
     z_in_g_templates,
 )
 
-from naive_oracles import collection_oracle, letter_word, lift_basis, matmul, relator_replay
+from naive_oracles import collection_oracle, letter_word, lift_basis, matmul, relator_replay, view_rows
 
 
 SEED = 20260822
@@ -109,14 +109,13 @@ def test_criterion_01_exact_algebra():
     for trial in range(500):
         rows = rng.randrange(1, 7)
         cols = rng.randrange(1, 7)
-        M = IntMatrix.from_rows(
-            [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
-        )
-        snf = smith_normal_form(M)
-        if matmul(matmul(snf.U, M), snf.V) != snf.D:
+        M = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+        snf = smith_normal_form(M, cols)
+        U, V = view_rows(snf.U), view_rows(snf.V)
+        if matmul(matmul(U, M), V) != view_rows(snf.D):
             failures.append(f"trial {trial}: U*M*V != D")
             break
-        if abs(determinant(snf.U.to_rows())) != 1 or abs(determinant(snf.V.to_rows())) != 1:
+        if abs(determinant(U)) != 1 or abs(determinant(V)) != 1:
             failures.append(f"trial {trial}: transform not unimodular")
             break
         chain = snf.invariant_factors
@@ -217,10 +216,8 @@ def _snf_lattice_member(lattice, v):
     and w_i = 0 beyond the rank."""
     if not lattice:
         return not any(v)
-    L = IntMatrix.from_rows([list(row) for row in lattice])
-    snf = smith_normal_form(L)
-    w_mat = matmul(IntMatrix.from_rows([list(v)]), snf.V)
-    w = w_mat.row(0)
+    snf = smith_normal_form(lattice, len(v))
+    (w,) = matmul([v], view_rows(snf.V))
     for i, x in enumerate(w):
         if i < snf.rank:
             if x % snf.invariant_factors[i]:

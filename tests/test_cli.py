@@ -14,7 +14,7 @@ import nilq
 from nilq.cli import main
 from nilq.diophantine import MAX_NESTING
 from nilq.words import MAX_RELATORS, MAX_WORD_LETTERS, exponent_sums, parse_word
-from nilq.zmatrix import ElementaryOp, IntMatrix
+from nilq.zmatrix import ElementaryOp
 from nilq.randwalk import (
     RETURN_N_MAX_LIMIT,
     ExperimentConfig,
@@ -382,12 +382,12 @@ def test_normalize_smith_ops_reduce_the_relators(capsys, tmp_path, name):
     data = json.loads(out)
     m, *lines = _SYSTEM_FILES[name].splitlines()
     m = int(m.split()[0])
-    M = IntMatrix.from_rows(exponent_sums(parse_word(line, m)) for line in lines)
+    M = tuple(exponent_sums(parse_word(line, m)) for line in lines)
     for entry in data["smith_ops"]:
         M = apply_op(M, ElementaryOp(**entry))
     factors = data["invariant_factors"]
-    assert M.to_rows() == [[factors[i] if i == j and i < len(factors) else 0 for j in range(m)]
-                           for i in range(len(lines))]
+    assert M == tuple(tuple(factors[i] if i == j and i < len(factors) else 0 for j in range(m))
+                      for i in range(len(lines)))
     assert data["rank"] == len(factors)
 
 
@@ -731,9 +731,23 @@ def test_relator_syntax_error_names_its_line(capsys, tmp_path):
     assert err == f"error: {bad}: line 2: unexpected character '\u00b2' (position 2)\n"
 
 
-def _run_process(*args):
+def _run_process(*args, timeout=None):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nilq.__file__)))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def _run_capped(argv, address_space, timeout):
+    """The CLI on argv in a child process whose address space is capped at
+    address_space bytes, as (exit code, stdout).  A run past timeout seconds
+    raises TimeoutExpired, and a traceback fails the test."""
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n"
+              "from nilq.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    proc = _run_process("-c", script, timeout=timeout)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, proc.stdout
 
 
 def test_main_twice_in_one_process_matches_separate_processes(capsys, tmp_path):
@@ -919,15 +933,9 @@ def test_find_all_past_the_solution_cap_exit_1(tmp_path):
     group = tmp_path / "xx.json"
     group.write_text(json.dumps({"variables": ["x", "y", "z"], "constants": ["a", "b"],
                                  "equations": [[[["x", 1]], [["x", 1]]]]}))
-    argv = ["solve-bounded", str(group), "--box", "2", "--m", "2"]
-    script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (4 * 10**8, 4 * 10**8))\n"
-              "from nilq.cli import main\n"
-              f"sys.exit(main({argv!r}))\n")
-    proc = _run_process("-c", script)
-    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "error": "SearchSpaceError", "message": "more than 100000 solutions"}
+    code, out = _run_capped(["solve-bounded", str(group), "--box", "2", "--m", "2"], 4 * 10**8, 60)
+    assert code == 1
+    assert json.loads(out) == {"error": "SearchSpaceError", "message": "more than 100000 solutions"}
 
 
 def test_ring_search_stops_at_first_or_past_the_solution_cap(tmp_path):
@@ -940,13 +948,8 @@ def test_ring_search_stops_at_first_or_past_the_solution_cap(tmp_path):
             (True, 0, {"box": 2235, "kind": "ring", "solutions": [{"x": -2235, "y": -2235}]}),
             (False, 1, {"error": "SearchSpaceError", "message": "more than 100000 solutions"})):
         argv = ["solve-bounded", str(ring), "--box", "2235"] + ["--first"] * first
-        script = ("import resource, sys\n"
-                  "resource.setrlimit(resource.RLIMIT_AS, (15 * 10**7, 15 * 10**7))\n"
-                  "from nilq.cli import main\n"
-                  f"sys.exit(main({argv!r}))\n")
-        proc = _run_process("-c", script)
-        assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
-        assert json.loads(proc.stdout) == expected
+        status, out = _run_capped(argv, 15 * 10**7, 15)
+        assert (status, json.loads(out)) == (code, expected)
 
 
 def test_wide_gamma_box_is_counted_not_listed(tmp_path):
@@ -957,11 +960,6 @@ def test_wide_gamma_box_is_counted_not_listed(tmp_path):
     group.write_text(json.dumps({"variables": ["x", "y"], "constants": ["a", "b"],
                                  "equations": [[[["x", 1], ["y", 1]], [["a", 1]]]]}))
     argv = ["solve-bounded", str(group), "--box", "1", "--m", "12", "--limit", "1000"]
-    script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))\n"
-              "from nilq.cli import main\n"
-              f"sys.exit(main({argv!r}))\n")
-    proc = _run_process("-c", script)
-    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "error": "SearchSpaceError", "message": "evaluation limit exceeded"}
+    code, out = _run_capped(argv, 2 * 10**9, 60)
+    assert code == 1
+    assert json.loads(out) == {"error": "SearchSpaceError", "message": "evaluation limit exceeded"}

@@ -439,6 +439,21 @@ def test_negative_boxes_rejected():
             verify_correspondence(R, z_in_g_templates(), amb, *boxes)
 
 
+def test_element_in_box_matches_the_per_coordinate_test():
+    rng = random.Random(41)
+    seen = set()
+    for m in range(1, 5):
+        n = m * (m - 1) // 2
+        for _ in range(200):
+            el = MalcevElement(m, tuple(rng.randint(-4, 4) for _ in range(m)),
+                               tuple(rng.randint(-4, 4) for _ in range(n)))
+            for bound in range(4):
+                verdict = diophantine._element_in_box(el, bound)
+                assert verdict == all(abs(v) <= bound for v in el.alpha + el.gamma), (el, bound)
+                seen.add((m, verdict))
+    assert len(seen) == 8  # both verdicts at every rank
+
+
 def test_box_size_limit_decided_before_the_count():
     # 3^10000 points have more decimal digits than int-to-str converts: the
     # count is refused from its exponent and written as a power

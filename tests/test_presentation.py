@@ -58,6 +58,21 @@ def _presentation(rels, m):
     return NilPresentation(m, 2, tuple(from_word(w) for w in rels))
 
 
+def test_public_api_is_pinned():
+    # a change to the package's names shows up here as a diff
+    import nilq
+
+    assert sorted(nilq.__all__) == [
+        "InconclusiveError", "MalcevElement", "NilPresentation", "NormalizedPresentation",
+        "RegimeReport", "SmithDecomposition", "Word", "classify", "commutator",
+        "express_in_normalized_basis", "format_word", "from_word", "identity", "inverse",
+        "is_c_small", "is_central_mod_torsion", "is_trivial_in_G", "is_trivial_mod_torsion",
+        "multiply", "normalize", "parse_presentation", "parse_word", "power",
+        "smith_normal_form",
+    ]
+    assert all(hasattr(nilq, name) for name in nilq.__all__)
+
+
 def test_parse_presentation():
     p = parse_presentation("# demo\n2 2\na1^2\n\na2^2  # inline\n")
     assert p.m == 2 and p.s == 2
@@ -79,6 +94,19 @@ def test_normalize_reads_elements_without_from_word(monkeypatch):
     monkeypatch.setattr(presentation, "from_word", refuse)
     np_ = normalize(p)
     assert np_.snf.rank == 3 and np_.r == 4
+
+
+@pytest.mark.parametrize("text", ["3 2\na1^2 a2 [a1,a3]\na2^4 a1^-2\n[a2,a3]^6\n", "3 2\n"])
+def test_deciders_read_v_and_build_neither_d_nor_u(text):
+    # the Smith form's D and U are views no decider needs, so none is built
+    np_ = _norm(text)
+    classify(np_)
+    for word in ("a1^2 a2", "a3 a2^-1 a3^-1 a2", "a1^4"):
+        h = express_in_normalized_basis(parse_word(word, 3), np_)
+        is_trivial_in_G(h, np_)
+        is_trivial_mod_torsion(h, np_)
+    assert "V" in vars(np_.snf) and not {"D", "U"} & set(vars(np_.snf))
+    assert np_.snf.shape == (np_.r, 3)
 
 
 def test_parse_presentation_errors():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilq.zmatrix import (
-    IntMatrix,
+    ElementaryOp,
     determinant,
     hermite_normal_form,
     hermite_transform,
@@ -19,27 +19,25 @@ from nilq.zmatrix import (
     smith_normal_form,
 )
 
-from naive_oracles import apply_op, matmul, rational_membership
+from naive_oracles import apply_op, matmul, rational_membership, view_rows
 
 
 def _random_matrix(rng, max_dim=5, lo=-9, hi=9):
     rows = rng.randrange(1, max_dim + 1)
     cols = rng.randrange(1, max_dim + 1)
-    return IntMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
-    )
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
-def _fraction_rank(M: IntMatrix) -> int:
+def _fraction_rank(M) -> int:
     # Gaussian elimination over Q, the slow obvious way.
-    a = [[Fraction(x) for x in row] for row in M.to_rows()]
+    a = [[Fraction(x) for x in row] for row in M]
     r = 0
-    for c in range(M.cols):
-        piv = next((i for i in range(r, M.rows) if a[i][c] != 0), None)
+    for c in range(len(M[0])):
+        piv = next((i for i in range(r, len(M)) if a[i][c] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        for i in range(M.rows):
+        for i in range(len(M)):
             if i != r and a[i][c] != 0:
                 f = a[i][c] / a[r][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
@@ -62,39 +60,62 @@ def test_smith_form_identities_and_replay():
     rng = random.Random(11)
     for _ in range(120):
         M = _random_matrix(rng)
-        snf = smith_normal_form(M)
-        assert matmul(matmul(snf.U, M), snf.V) == snf.D
+        snf = smith_normal_form(M, len(M[0]))
+        assert snf.shape == (len(M), len(M[0]))
+        U, D, V = view_rows(snf.U), view_rows(snf.D), view_rows(snf.V)
+        assert matmul(matmul(U, M), V) == D
+        assert abs(determinant(U)) == abs(determinant(V)) == 1
         for a, b in zip(snf.invariant_factors, snf.invariant_factors[1:]):
             assert a > 0 and b % a == 0
         assert snf.rank == len(snf.invariant_factors) == _fraction_rank(M)
         # off-diagonal of D is zero
-        for i in range(snf.D.rows):
-            for j in range(snf.D.cols):
+        for i, row in enumerate(D):
+            for j, v in enumerate(row):
                 if i != j:
-                    assert snf.D[i, j] == 0
+                    assert v == 0
         # the op log, replayed from scratch, reproduces D
-        R = M
+        R = tuple(map(tuple, M))
         for op in snf.ops:
             R = apply_op(R, op)
-        assert R == snf.D
+        assert R == D
 
 
 def test_smith_form_known_values():
-    snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    snf = smith_normal_form([[2, 0], [0, 3]], 2)
     assert snf.invariant_factors == (1, 6)
-    snf = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    snf = smith_normal_form([[2, 4], [6, 8]], 2)
     assert snf.invariant_factors == (2, 4)
-    snf = smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))
+    snf = smith_normal_form([[0, 0], [0, 0]], 2)
     assert snf.invariant_factors == ()
     assert snf.rank == 0
 
 
-def test_apply_op_rejects_unknown_kind():
-    from nilq.zmatrix import ElementaryOp
+def test_smith_form_of_no_rows_is_the_identity_on_its_width():
+    for m in range(1, 5):
+        snf = smith_normal_form([], m)
+        assert (snf.shape, snf.rank, snf.invariant_factors, snf.ops) == ((0, m), 0, (), ())
+        assert (snf.U.rows, snf.U.cols) == (0, 0)
+        assert view_rows(snf.V) == tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        assert (snf.D.rows, snf.D.cols, snf.D.entries) == (0, m, ())
 
-    M = IntMatrix.identity(2)
+
+def test_smith_form_rejects_ragged_rows_and_another_width():
+    with pytest.raises(ValueError, match="ragged"):
+        smith_normal_form([[1, 2], [3]], 2)
+    with pytest.raises(ValueError, match="rows of length 2, not 3"):
+        smith_normal_form([[1, 2], [3, 4]], 3)
+
+
+def test_smith_form_builds_d_u_and_v_only_when_read():
+    snf = smith_normal_form([[2, 4, 4], [-6, 6, 12]], 3)
+    assert not {"D", "U", "V"} & set(vars(snf))
+    assert view_rows(snf.D) == ((2, 0, 0), (0, 6, 0))
+    assert set(vars(snf)) >= {"D"} and not {"U", "V"} & set(vars(snf))
+
+
+def test_apply_op_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        apply_op(M, ElementaryOp("row_scale", 0, 0, 5))
+        apply_op([[1, 0], [0, 1]], ElementaryOp("row_scale", 0, 0, 5))
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,11 +127,10 @@ def test_apply_op_rejects_unknown_kind():
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_rank_routes_agree(rows):
-    M = IntMatrix.from_rows(rows)
     r = rank(rows)
-    assert r == _fraction_rank(M)
+    assert r == _fraction_rank(rows)
     # minor_polynomial is nonzero exactly when the rank is maximal
-    assert (minor_polynomial(rows) != 0) == (r == min(M.rows, M.cols))
+    assert (minor_polynomial(rows) != 0) == (r == min(len(rows), len(rows[0])))
 
 
 def test_determinant_against_cofactor_expansion():
@@ -158,23 +178,23 @@ def test_hermite_form_properties():
     rng = random.Random(23)
     for _ in range(100):
         M = _random_matrix(rng)
-        E = hermite_normal_form(M.to_rows())
-        E_aug, W = hermite_transform(M.to_rows())
+        E = hermite_normal_form(M)
+        E_aug, W = hermite_transform(M)
         assert E_aug == E
         # the nonzero rows of H = W M, then its zero rows
-        H = IntMatrix.from_rows(E.rows + ((0,) * M.cols,) * (M.rows - len(E.rows)))
-        assert matmul(IntMatrix.from_rows(W), M) == H
+        H = E.rows + ((0,) * len(M[0]),) * (len(M) - len(E.rows))
+        assert matmul(W, M) == H
         assert abs(determinant(W)) == 1
-        assert len(E.pivots) == len(E.rows) == rank(M.to_rows())
+        assert len(E.pivots) == len(E.rows) == rank(M)
         prev = -1
         for k, pc in enumerate(E.pivots):
             assert pc > prev
             prev = pc
-            assert H[k, pc] > 0
+            assert H[k][pc] > 0
             for i in range(k):
-                assert 0 <= H[i, pc] < H[k, pc]
-        for i in range(len(E.pivots), H.rows):
-            assert all(H[i, j] == 0 for j in range(H.cols))
+                assert 0 <= H[i][pc] < H[k][pc]
+        for row in H[len(E.pivots):]:
+            assert not any(row)
 
 
 _ROW_ROUTINES = pytest.mark.parametrize(
