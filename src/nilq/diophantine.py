@@ -67,9 +67,9 @@ is, in its scanned variable), with a slope read off row and column n of X
 (``Polynomial.slope``).  Each equation u = v is compiled over its own
 names; its two sides are collected once, and the polynomial of u v^-1 and,
 for each forced assignment x^e = w, that of w^e are built from those two
-elements.  That compile is kept once per equation up to renaming (the
-gadget copies of one template share it), and each GroupSystem relabels its
-polynomials to its own names.
+elements.  That compile is cached on the equation as written (at most 256
+equations), so the systems ``compile_system`` builds again from one ring
+system share it.
 
 A prepared search meets the same polynomial on the same values again and
 again: across the pins of a verify grid, the gadgets of the unpinned names
@@ -830,22 +830,11 @@ class _EquationShape:
     forced: Tuple[Tuple[str, Polynomial, frozenset], ...]
 
 
-def _first_appearance(w: GroupWord, order: Dict[str, int]) -> Dict[str, int]:
-    """Number the names of w not yet in order, in order of first appearance."""
-    for f in w:
-        if f[0] == "comm":
-            _first_appearance(f[1], order)
-            _first_appearance(f[2], order)
-        else:
-            order.setdefault(f[0], len(order))
-    return order
-
-
 @lru_cache(maxsize=256)
-def _canonical_shape(lhs: GroupWord, rhs: GroupWord):
-    """The residual polynomial and the forced triples (x, polynomial of
-    w^e, names of w) of u = v, over the names of the equation as they stand,
-    uncapped by any set of variables."""
+def _compile_equation(lhs: GroupWord, rhs: GroupWord):
+    """u = v compiled over its own sorted names, as written: the names, the
+    residual polynomial and the forced triples (x, polynomial of w^e, names
+    of w), uncapped by any set of variables."""
     names, index = _name_index(gword_names(lhs) | gword_names(rhs))
     u, v = (_element(w, index, len(names)) for w in (lhs, rhs))
     residual = Polynomial(multiply(u, inverse(v)), names)
@@ -854,26 +843,19 @@ def _canonical_shape(lhs: GroupWord, rhs: GroupWord):
         for a, b, w in ((lhs, rhs, v), (rhs, lhs, u))
         if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1
     )
-    return residual, forced
+    return frozenset(names), residual, forced
 
 
 def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _EquationShape:
-    """The shape of u = v, compiled once per equation up to renaming.
+    """The shape of u = v within the given variables.
 
-    The names are renamed 0, 1, ... in order of first appearance, so the
-    gadget copies of one template, or any equations equal up to renaming,
-    share one ``_canonical_shape``, whose polynomials are relabelled back.
-    In class 2 a word's value at given images does not depend on the order
-    of its generators, so every value and slope is that of a direct compile.
+    The compile is cached on the equation as written: ``compile_system``
+    names its fresh variables deterministically, so the systems it builds
+    from one ring system repeat their equations and share one compile.
     """
-    order = _first_appearance(rhs, _first_appearance(lhs, {}))
-    label = list(order)
-    residual, forced = _canonical_shape(_rename_word(lhs, order), _rename_word(rhs, order))
-    residual = residual.relabel(label)
-    forced = tuple((label[x], form.relabel(label), frozenset(label[n] for n in w_names))
-                   for x, form, w_names in forced)
+    names, residual, forced = _compile_equation(lhs, rhs)
     reads_gamma = frozenset(n for n, _ in residual.linear) & variables
-    return _EquationShape(frozenset(label) & variables, residual, reads_gamma, forced)
+    return _EquationShape(names & variables, residual, reads_gamma, forced)
 
 
 def _element_in_box(el: MalcevElement, bound: int) -> bool:

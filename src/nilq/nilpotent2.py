@@ -199,14 +199,6 @@ class Polynomial:
         self.linear = tuple((labels[k], ak) for k, ak in enumerate(a) if ak)
         self.rows = tuple((labels[k], row) for k, row in enumerate(rows) if row)
 
-    def relabel(self, mapping) -> "Polynomial":
-        """The same map with each label k read as mapping[k]; ``mapping``
-        must send distinct labels to distinct labels."""
-        out = Polynomial.__new__(Polynomial)
-        out.linear = tuple((mapping[k], ak) for k, ak in self.linear)
-        out.rows = tuple((mapping[k], {mapping[l]: v for l, v in row.items()}) for k, row in self.rows)
-        return out
-
     def __call__(self, images, m: int) -> MalcevElement:
         alpha = [0] * m
         gamma = [0] * (m * (m - 1) // 2)

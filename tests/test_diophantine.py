@@ -1181,47 +1181,86 @@ def test_prepared_search_memo_is_capped(monkeypatch):
     assert solvable() == found
 
 
-def _direct_shape(lhs, rhs, variables):
-    """(names, residual, reads_gamma, forced) of u = v compiled over its own
-    names, past the cache."""
-    residual, forced = diophantine._canonical_shape.__wrapped__(lhs, rhs)
-    names = frozenset(diophantine.gword_names(lhs) | diophantine.gword_names(rhs))
-    return names & variables, residual, frozenset(n for n, _ in residual.linear) & variables, forced
+def _net_exponents(w):
+    """Each name's net exponent in w outside its brackets."""
+    net = {}
+    for f in w:
+        if f[0] != "comm":
+            net[f[0]] = net.get(f[0], 0) + f[1]
+    return net
 
 
-def test_shapes_compiled_once_per_renaming_match_a_direct_compile():
-    # each template's equations and seeded random words, renamed at random,
-    # with a random part of the names as variables: the cached shape's
-    # residual, forced values and slopes equal a direct compile's at random
-    # elements of ranks 2-4, its names, reads_gamma and forced names are the
-    # same, and the cache keeps to its size over more shapes than it holds
+def test_equation_shapes_match_group_arithmetic_and_the_cache_is_bounded():
+    # each template's equations and seeded random words, with a random part
+    # of the names as variables: the shape's names, reads_gamma and forced
+    # names are those read off the words, its residual and forced values are
+    # those of group arithmetic at random elements of ranks 2-4, its slopes
+    # are the differences of those values, and the cache keeps to its size
+    # over more equations than it holds
     rng = random.Random("shapes")
     edef = z_in_g_templates()
     equations = [eq for tpl in (edef.domain, edef.add, edef.neg, edef.mul, edef.equal)
                  for eq in tpl.equations]
     equations += [(_random_word(rng, ["x", "y", "z", "a", "b"]), _random_word(rng, ["x", "y", "a"]))
                   for _ in range(400)]
-    pool = [f"n{k}" for k in range(10)] + ["a", "b"]
     for lhs, rhs in equations:
-        old = sorted(diophantine.gword_names(lhs) | diophantine.gword_names(rhs))
-        for _ in range(2):
-            mapping = dict(zip(old, rng.sample(pool, len(old))))
-            lhs, rhs = (diophantine._rename_word(w, mapping) for w in (lhs, rhs))
-            old = [mapping[n] for n in old]
-            variables = frozenset(n for n in old if rng.random() < 0.7)
-            shape = diophantine._equation_shape(lhs, rhs, variables)
-            names, residual, reads_gamma, forced = _direct_shape(lhs, rhs, variables)
-            assert (shape.names, shape.reads_gamma) == (names, reads_gamma)
-            assert [(x, w) for x, _, w in shape.forced] == [(x, w) for x, _, w in forced]
-            linear = {n for n, _ in residual.linear}
-            for m in (2, 3, 4):
-                env = {n: MalcevElement(m, tuple(rng.randint(-4, 4) for _ in range(m)),
-                                        tuple(rng.randint(-4, 4) for _ in range(m * (m - 1) // 2)))
-                       for n in old}
-                assert shape.residual(env, m) == residual(env, m)
-                for (_, got, _), (_, want, _) in zip(shape.forced, forced):
-                    assert got(env, m) == want(env, m)
-                for n in set(old) - linear:
-                    assert shape.residual.slope(n, env, m) == residual.slope(n, env, m)
-    info = diophantine._canonical_shape.cache_info()
+        names = diophantine.gword_names(lhs) | diophantine.gword_names(rhs)
+        variables = frozenset(n for n in sorted(names) if rng.random() < 0.7)
+        shape = diophantine._equation_shape(lhs, rhs, variables)
+        net = _net_exponents(lhs)
+        for n, e in _net_exponents(rhs).items():
+            net[n] = net.get(n, 0) - e
+        assert shape.names == names & variables
+        assert shape.reads_gamma == {n for n, e in net.items() if e} & variables
+        forced = [(a, b) for a, b in ((lhs, rhs), (rhs, lhs))
+                  if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1]
+        assert [(x, w) for x, _, w in shape.forced] == [
+            (a[0][0], diophantine.gword_names(b)) for a, b in forced]
+        for m in (2, 3, 4):
+            env = {n: MalcevElement(m, tuple(rng.randint(-4, 4) for _ in range(m)),
+                                    tuple(rng.randint(-4, 4) for _ in range(m * (m - 1) // 2)))
+                   for n in names}
+
+            def residual(at):
+                return multiply(_walk_gword(lhs, at, m), inverse(_walk_gword(rhs, at, m)))
+
+            assert shape.residual(env, m) == residual(env)
+            for (_, form, _), (a, b) in zip(shape.forced, forced):
+                assert form(env, m) == power(_walk_gword(b, env, m), a[0][1])
+            for n in names - {n for n, _ in shape.residual.linear}:
+                g0 = residual({**env, n: identity(m)}).gamma
+                probes = tuple(
+                    tuple(g - h for g, h in zip(residual({**env, n: generator(m, k)}).gamma, g0))
+                    for k in range(1, m + 1))
+                assert shape.residual.slope(n, env, m) == probes
+    info = diophantine._compile_equation.cache_info()
     assert info.misses > info.maxsize and info.currsize <= info.maxsize
+
+
+def test_equation_shapes_are_shared_as_written_and_compiled_per_renaming():
+    # two systems compiled from one ring system share each compiled
+    # residual; a renamed copy of an equation is compiled on its own and
+    # evaluates the same at the renamed images
+    ring = _ring(["x", "y", "z"], [(ADD(MUL(V("x"), V("y")), C(1)), V("z"))])
+    first, second = (compile_system(z_in_g_templates(), ring).system for _ in range(2))
+    assert first.equations == second.equations
+    assert all(a.residual is b.residual and a.forced is b.forced
+               for a, b in zip(first._shapes, second._shapes))
+    rng = random.Random("renamed")
+    lhs, rhs = _random_word(rng, ["x", "y", "a"]), (gen("x", 1), gen("z", -1))
+    names = sorted(diophantine.gword_names(lhs) | diophantine.gword_names(rhs))
+    mapping = {n: f"copy_{n}" for n in names}
+    copy = tuple(diophantine._rename_word(w, mapping) for w in (lhs, rhs))
+    variables = frozenset(names) | frozenset(mapping.values())
+    shape = diophantine._equation_shape(lhs, rhs, variables)
+    misses = diophantine._compile_equation.cache_info().misses
+    renamed = diophantine._equation_shape(*copy, variables)
+    assert diophantine._compile_equation.cache_info().misses == misses + 1
+    assert renamed.residual is not shape.residual
+    assert renamed.names == {mapping[n] for n in shape.names}
+    for m in (2, 3):
+        env = {n: MalcevElement(m, tuple(rng.randint(-4, 4) for _ in range(m)),
+                                tuple(rng.randint(-4, 4) for _ in range(m * (m - 1) // 2)))
+               for n in names}
+        moved = {mapping[n]: y for n, y in env.items()}
+        assert renamed.residual(moved, m) == shape.residual(env, m)

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from nilq.zmatrix import ElementaryOp
 from nilq.nilpotent2 import commutator, from_word, power
 
 from naive_oracles import apply_op, collection_oracle, scanner_parse_word, view_rows
+from test_cli import _run_capped
 
 
 # words over a1..a3 of up to 12 syllables (k, e), 1 <= |e| <= 4
@@ -195,22 +197,32 @@ def test_plain_token_memo_is_bounded():
     assert _plain_syllable.cache_info().currsize <= maxsize
 
 
-def test_glued_text_at_the_cap_parses_in_bounded_memory():
+def test_glued_text_at_the_cap_parses_in_bounded_memory(tmp_path):
     # a million tokens in one run go through the token machine, which reads
-    # the run without copying it; the flat text's runs go through the memo
+    # the run without copying it; the flat text's runs go through the memo.
+    # word-eval reads each text, and a bracket power of as many letters, in
+    # a child capped at 100 MiB of address space: holding the flat text's
+    # tokens split whole, or the glued run's matches listed, dies there
     flat = " ".join(("a1", "a2")[i % 2] for i in range(MAX_WORD_LETTERS))
     glued = flat.replace(" ", "")
-    words = []
-    for text in (flat, glued):
-        tracemalloc.start()
-        try:
-            words.append(parse_word(text, 2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 10**6, (text[:8], peak)
-    assert words[1].syllables == words[0].syllables
-    assert len(words[0].syllables) == MAX_WORD_LETTERS
+    # gamma of both texts is -C(500000, 2)
+    text_value = {"m": 2, "alpha": [500000, 500000], "gamma": [-124999750000],
+                  "normal_form": "a1^500000 a2^500000 [a1,a2]^-124999750000"}
+    runs = []
+    for name, text in (("flat", flat), ("glued", glued)):
+        (tmp_path / name).write_text(text)
+        runs.append((f"@{tmp_path / name}", text_value))
+    runs.append(("[a1,a2]^250000", {"m": 2, "alpha": [0, 0], "gamma": [250000],
+                                    "normal_form": "[a1,a2]^250000"}))
+    # the children run side by side while this process parses both texts
+    with ThreadPoolExecutor(len(runs)) as pool:
+        results = pool.map(lambda run: _run_capped(["word-eval", "--m", "2", run[0]], 100 * 2**20, 60),
+                           runs)
+        words = [parse_word(text, 2) for text in (flat, glued)]
+        assert words[1].syllables == words[0].syllables
+        assert len(words[0].syllables) == MAX_WORD_LETTERS
+        for (word, value), (code, out) in zip(runs, results):
+            assert code == 0 and json.loads(out) == value, word
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
