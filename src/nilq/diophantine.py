@@ -64,18 +64,20 @@ quadratic terms are the matrix X of ``nilpotent2`` with diagonal
 X[n][n] = -C(a_n, 2).  Hence the blindness rule: a word reads n's gamma iff
 a_n != 0, and when a_n = 0 it is affine in alpha_n (every gadget equation
 is, in its scanned variable), with a slope read off row and column n of X
-(``Polynomial.slope``).  Each equation u = v is compiled over its own
-names; its two sides are collected once, and the polynomial of u v^-1 and,
-for each forced assignment x^e = w, that of w^e are built from those two
-elements.  That compile is cached on the equation as written (at most 256
-equations), so the systems ``compile_system`` builds again from one ring
-system share it.
+(``Polynomial.slope``).  Each equation u = v is compiled once, over its
+own names, into the one record the solver reads (``_Equation``): its two
+sides are collected once, the polynomial of u v^-1 and, for each forced
+assignment x^e = w, that of w^e are built from those two elements, and
+each polynomial comes with the names it reads.  That record is cached on
+the equation as written (at most 256 equations), so the systems
+``compile_system`` builds again from one ring system share it.
 
 A prepared search meets the same polynomial on the same values again and
 again: across the pins of a verify grid, the gadgets of the unpinned names
-see the same values.  Each prepared search keeps one memo of the
-evaluations and slopes it has made, keyed by the values they read, and
-charges each one as if it were made afresh.
+see the same values, and the scans meet the same slopes.  Each prepared
+search keeps one memo of the evaluations, slopes and slope echelons it has
+made, keyed by the values they read, and charges each one as if it were
+made afresh; the ambient keeps no state of its own.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .nilpotent2 import (
     MalcevElement,
@@ -365,9 +368,8 @@ class GroupSystem:
 
     # the solver's per-system analysis, computed on first use
     @cached_property
-    def _shapes(self) -> Tuple["_EquationShape", ...]:
-        variables = frozenset(self.variables)
-        return tuple(_equation_shape(lhs, rhs, variables) for lhs, rhs in self.equations)
+    def _shapes(self) -> Tuple["_Equation", ...]:
+        return tuple(_compile_equation(lhs, rhs) for lhs, rhs in self.equations)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,6 @@ class Ambient:
         self.m, self.a, self.b = m, a, b
         self.coordinates = coordinates
         self.lattice = lattice
-        self.slope_echelons: Dict[tuple, tuple] = {}  # the group solver's, see _admissible_coset
         # every coordinate and no rows, as in the free ambient: an element is
         # trivial iff it is the identity, a test that copies nothing
         self._free = not lattice.rows and coordinates == tuple(range(m + m * (m - 1) // 2))
@@ -739,10 +740,11 @@ def _slope_echelon(slopes, ambient: Ambient):
     return tuple(columns), tuple(inside), hermite_normal_form(rows)
 
 
-def _admissible_coset(forms, ambient: Ambient):
+def _admissible_coset(forms, slope_echelon, ambient: Ambient):
     """The alphas at which every affine form is trivial in the ambient, as
     (particular alpha, kernel), or None if there are none; ``kernel`` as
-    ``_coset_walk`` takes it.  This is ``Ambient.is_trivial`` solved for
+    ``_coset_walk`` takes it, and ``slope_echelon`` is ``_slope_echelon``
+    of the forms' slopes.  This is ``Ambient.is_trivial`` solved for
     alpha: a form is trivial iff its coordinates at ``coordinates`` lie in
     ``lattice``.
 
@@ -757,18 +759,11 @@ def _admissible_coset(forms, ambient: Ambient):
     the Hermite form: there a0 + g0 must lie in the lattice by itself.
 
     The Hermite form depends on the slopes alone, not on the constant
-    parts, and the searches of one verify grid meet the same slopes again
-    and again: each ambient keeps the ones it has built in
-    ``slope_echelons``.
+    parts, so a caller that meets the same slopes again hands in the one it
+    has built (``group_search`` keeps them in its memo).
     """
     m = ambient.m
-    slopes = tuple(slope for _, _, slope in forms)
-    built = ambient.slope_echelons.get(slopes)
-    if built is None:
-        if len(ambient.slope_echelons) >= 1024:
-            ambient.slope_echelons.clear()
-        built = ambient.slope_echelons[slopes] = _slope_echelon(slopes, ambient)
-    columns, inside, echelon = built
+    columns, inside, echelon = slope_echelon
     full = [a0 + g0 for a0, g0, _ in forms]
     for values, reached in zip(full, inside):
         rest = [0 if j in reached else values[c] for j, c in enumerate(ambient.coordinates)]
@@ -787,11 +782,12 @@ def _admissible_coset(forms, ambient: Ambient):
     return tuple(resid[width:]), kernel
 
 
-def _candidates(forms, ambient: Ambient, bounds: Sequence[int], spend):
+def _candidates(forms, slope_echelon, ambient: Ambient, bounds: Sequence[int], spend):
     """The candidate elements of the box with half-width bounds[j] in
     coordinate j, alpha then gamma, whose alpha every affine form admits,
     lazily, in the plain scan's order: one walk of the admissible alpha
-    coset times the gamma box.
+    coset (``_admissible_coset``, with the ``_slope_echelon`` of the forms'
+    slopes) times the gamma box.
 
     Charges 1 for every point of the box through ``spend``: the points
     before a candidate with the candidate, just before it is yielded, a
@@ -799,7 +795,7 @@ def _candidates(forms, ambient: Ambient, bounds: Sequence[int], spend):
     runs out.  A caller that stops early charges no more.
     """
     m, n = ambient.m, len(bounds) - ambient.m
-    coset = _admissible_coset(forms, ambient)
+    coset = _admissible_coset(forms, slope_echelon, ambient)
     passed = 0
     if coset is not None:
         alpha, kernel = coset
@@ -812,50 +808,50 @@ def _candidates(forms, ambient: Ambient, bounds: Sequence[int], spend):
     spend(math.prod(2 * b + 1 for b in bounds) - passed)
 
 
-@dataclass(frozen=True)
-class _EquationShape:
-    """What the solver needs to know about one equation u = v.
+def _read_names(poly: Polynomial) -> Tuple[str, ...]:
+    """The names whose images a call of poly reads, sorted."""
+    names = {k for k, _ in poly.linear}
+    for k, row in poly.rows:
+        names.add(k)
+        names.update(row)
+    return tuple(sorted(names))
 
-    ``names``: the variables in it.  ``residual``: the polynomial of
-    u v^-1.  ``reads_gamma``: the variables with a nonzero net exponent in
-    the residual, the only ones whose gamma coordinates it reads.
-    ``forced``: one (x, polynomial of w^e, names of w) per side that is a
-    single factor x^e, e = +-1, with w the other side; once w is
-    determined, x = w^e.
+
+class _Equation(NamedTuple):
+    """One equation u = v as the solver reads it, compiled over its own
+    sorted names.
+
+    ``names``: every name in it, constants included.  ``residual``: the
+    polynomial of u v^-1, and ``reads``: the names a call of it reads.
+    ``reads_gamma``: the names with a nonzero net exponent in the residual,
+    the only ones whose gamma coordinates it reads.  ``forced``: one
+    (x, polynomial of w^e, the names that polynomial reads, names of w) per
+    side that is a single factor x^e, e = +-1, with w the other side; once
+    w is determined, x = w^e.
     """
 
     names: frozenset
     residual: Polynomial
+    reads: Tuple[str, ...]
     reads_gamma: frozenset
-    forced: Tuple[Tuple[str, Polynomial, frozenset], ...]
+    forced: Tuple[Tuple[str, Polynomial, Tuple[str, ...], frozenset], ...]
 
 
 @lru_cache(maxsize=256)
-def _compile_equation(lhs: GroupWord, rhs: GroupWord):
-    """u = v compiled over its own sorted names, as written: the names, the
-    residual polynomial and the forced triples (x, polynomial of w^e, names
-    of w), uncapped by any set of variables."""
+def _compile_equation(lhs: GroupWord, rhs: GroupWord) -> _Equation:
+    """u = v compiled as written.  ``compile_system`` names its fresh
+    variables deterministically, so the systems it builds from one ring
+    system repeat their equations and share one compile."""
     names, index = _name_index(gword_names(lhs) | gword_names(rhs))
     u, v = (_element(w, index, len(names)) for w in (lhs, rhs))
     residual = Polynomial(multiply(u, inverse(v)), names)
-    forced = tuple(
-        (a[0][0], Polynomial(w if a[0][1] == 1 else inverse(w), names), frozenset(gword_names(b)))
-        for a, b, w in ((lhs, rhs, v), (rhs, lhs, u))
-        if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1
-    )
-    return frozenset(names), residual, forced
-
-
-def _equation_shape(lhs: GroupWord, rhs: GroupWord, variables: frozenset) -> _EquationShape:
-    """The shape of u = v within the given variables.
-
-    The compile is cached on the equation as written: ``compile_system``
-    names its fresh variables deterministically, so the systems it builds
-    from one ring system repeat their equations and share one compile.
-    """
-    names, residual, forced = _compile_equation(lhs, rhs)
-    reads_gamma = frozenset(n for n, _ in residual.linear) & variables
-    return _EquationShape(names & variables, residual, reads_gamma, forced)
+    forced = []
+    for a, b, w in ((lhs, rhs, v), (rhs, lhs, u)):
+        if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1:
+            form = Polynomial(w if a[0][1] == 1 else inverse(w), names)
+            forced.append((a[0][0], form, _read_names(form), frozenset(gword_names(b))))
+    return _Equation(frozenset(names), residual, _read_names(residual),
+                     frozenset(n for n, _ in residual.linear), tuple(forced))
 
 
 def _element_in_box(el: MalcevElement, bound: int) -> bool:
@@ -867,17 +863,18 @@ def _element_in_box(el: MalcevElement, bound: int) -> bool:
 class _Level:
     """One level of a prepared group search.
 
-    ``steps`` in order, each (polynomial, name): (residual, None) checks an
-    equation, (None, None) charges the check of an equation settled by a
-    forced value earlier in the level (its u v^-1 is the identity by
-    construction), and (w^e, x) forces x := w^e.  Then, if ``target`` is
-    None, every variable is bound; otherwise ``target`` is scanned over the
-    box with half-widths ``bounds``, alpha then gamma (gamma 0 when the scan
-    is blind), solving the equations ``affine`` as affine forms, which the
-    levels below do not check again.
+    ``steps`` in order, each (polynomial, the names it reads, name):
+    (residual, reads, None) checks an equation, (None, (), None) charges
+    the check of an equation settled by a forced value earlier in the level
+    (its u v^-1 is the identity by construction), and (w^e, reads, x)
+    forces x := w^e.  Then, if ``target`` is None, every variable is bound;
+    otherwise ``target`` is scanned over the box with half-widths
+    ``bounds``, alpha then gamma (gamma 0 when the scan is blind), solving
+    the equations ``affine`` (indices into ``GroupSystem._shapes``) as
+    affine forms, which the levels below do not check again.
     """
 
-    steps: Tuple[Tuple[Optional[Polynomial], Optional[str]], ...]
+    steps: Tuple[Tuple[Optional[Polynomial], Tuple[str, ...], Optional[str]], ...]
     target: Optional[str]
     bounds: Tuple[int, ...]
     affine: Tuple[int, ...]
@@ -904,12 +901,13 @@ def _levels(S: GroupSystem, bound: Iterable[str], boxes: Mapping[str, int], find
             for idx in rem:
                 shape = shapes[idx]
                 if shape.names <= bound:
-                    steps.append((None if idx in settled else shape.residual, None))
+                    steps.append((None, (), None) if idx in settled
+                                 else (shape.residual, shape.reads, None))
                     progress = True
                     continue
-                for name, form, w_names in shape.forced:
+                for name, form, reads, w_names in shape.forced:
                     if name not in bound and w_names <= bound:
-                        steps.append((form, name))
+                        steps.append((form, reads, name))
                         bound.add(name)
                         settled.add(idx)
                         progress = True
@@ -953,19 +951,10 @@ def _levels(S: GroupSystem, bound: Iterable[str], boxes: Mapping[str, int], find
 
 
 _MEMO_CAP = 1024
-"""Most entries a prepared search's memo of evaluations and slopes holds
-before it is emptied (see ``group_search``).  The compiler benchmark's
-searches stay under 650 entries, and verify on x*y = z at box 15 under
-1200."""
-
-
-def _read_names(poly: Polynomial) -> Tuple[str, ...]:
-    """The names whose images a call of poly reads, sorted."""
-    names = {k for k, _ in poly.linear}
-    for k, row in poly.rows:
-        names.add(k)
-        names.update(row)
-    return tuple(sorted(names))
+"""Most entries a prepared search's memo of evaluations, slopes and slope
+echelons holds before it is emptied (see ``group_search``).  The compiler
+benchmark's searches stay under 650 entries, and verify on x*y = z at box
+15 would reach 1226."""
 
 
 def group_search(
@@ -990,13 +979,15 @@ def group_search(
     its own.
 
     One memo serves every pin: an evaluation is keyed by its polynomial and
-    the values of the names that polynomial reads (listed once, here), and
-    a slope by its polynomial, its target and the alphas of the other names
-    it reads, so a hit is the value the call would return.  The memo is
-    emptied when it holds ``_MEMO_CAP`` entries, which bounds its memory
-    however many pins it serves.  It saves arithmetic only: every charge
-    is made where it was, hit or miss, so the solutions, the errors and
-    the smallest passing eval_limit are those of a search without it.
+    the values of the names that polynomial reads (listed once, when the
+    equation is compiled), a slope by its polynomial, its target and the
+    alphas of the other names it reads, and the Hermite form of a scan's
+    affine forms (``_slope_echelon``) by their slopes, so a hit is the value
+    the call would return.  The memo is emptied when it holds
+    ``_MEMO_CAP`` entries, which bounds its memory however many pins it
+    serves.  It saves arithmetic only: every charge is made where it was,
+    hit or miss, so the solutions, the errors and the smallest passing
+    eval_limit are those of a search without it.
     """
     m = ambient.m
     if isinstance(bound, int):
@@ -1019,14 +1010,8 @@ def group_search(
     levels = _levels(S, set(consts) | names, boxes, find_all, m)
     shapes = S._shapes
     is_trivial = ambient.is_trivial
-    # the names each polynomial of the levels reads, for the memo's keys
-    reads = {}
-    for level in levels:
-        checked = [form for form, _ in level.steps if form is not None]
-        for poly in checked + [shapes[idx].residual for idx in level.affine]:
-            reads[poly] = _read_names(poly)
-    # the evaluations and slopes made at any pin; as elements and slopes are
-    # nonempty tuples, a miss is the only falsy get
+    # the evaluations, slopes and slope echelons made at any pin; as they
+    # are all nonempty tuples, a miss is the only falsy get
     memo: dict = {}
 
     def remember(key, value):
@@ -1051,8 +1036,8 @@ def group_search(
             if budget < 0:
                 raise SearchSpaceError("evaluation limit exceeded")
 
-        def evaluate(poly: Polynomial) -> MalcevElement:
-            key = (poly, tuple(map(env.__getitem__, reads[poly])))
+        def evaluate(poly: Polynomial, reads: Tuple[str, ...]) -> MalcevElement:
+            key = (poly, tuple(map(env.__getitem__, reads)))
             return memo.get(key) or remember(key, poly(env, m))
 
         def affine_forms(target: str, affine: Tuple[int, ...]):
@@ -1061,13 +1046,13 @@ def group_search(
             charged as the m probes target = a_k that would give it."""
             forms = []
             for idx in affine:
-                residual = shapes[idx].residual
+                residual, reads = shapes[idx].residual, shapes[idx].reads
                 env[target] = identity(m)
                 spend()
-                r0 = evaluate(residual)
+                r0 = evaluate(residual, reads)
                 del env[target]
                 spend(m)
-                key = (residual, target, tuple(env[n].alpha for n in reads[residual] if n != target))
+                key = (residual, target, tuple(env[n].alpha for n in reads if n != target))
                 slope = memo.get(key) or remember(key, residual.slope(target, env, m))
                 forms.append((r0.alpha, r0.gamma, slope))
             return forms
@@ -1077,13 +1062,13 @@ def group_search(
             level = levels[depth]
             assigned_here: List[str] = []
             try:
-                for form, name in level.steps:
+                for form, reads, name in level.steps:
                     if name is None:
                         spend()
-                        if form is not None and not is_trivial(evaluate(form)):
+                        if form is not None and not is_trivial(evaluate(form, reads)):
                             return False
                         continue
-                    val = evaluate(form)
+                    val = evaluate(form, reads)
                     spend()
                     if not _element_in_box(val, boxes[name]):
                         return False
@@ -1096,7 +1081,9 @@ def group_search(
                     solutions.append({v: env[v] for v in S.variables})
                     return not find_all
                 forms = affine_forms(target, level.affine)
-                for value in _candidates(forms, ambient, level.bounds, spend):
+                slopes = tuple(slope for _, _, slope in forms)
+                built = memo.get(slopes) or remember(slopes, _slope_echelon(slopes, ambient))
+                for value in _candidates(forms, built, ambient, level.bounds, spend):
                     env[target] = value
                     stop = recurse(depth + 1)
                     del env[target]
@@ -1131,9 +1118,9 @@ def bounded_solve_group(
     first solution.  An equation u = v holds when u v^-1 is trivial in the
     ambient, which must bind every constant of S (ValueError otherwise).
     Each equation is evaluated through its compiled Polynomial, so the search
-    runs no multiply, inverse, power or commutator, and an evaluation or
-    slope that the search has made before on the same values is read from
-    its memo (``group_search``), charged as before.
+    runs no multiply, inverse, power or commutator, and an evaluation,
+    slope or slope echelon that the search has made before on the same
+    values is read from its memo (``group_search``), charged as before.
 
     Each level of the search checks the equations it can and forces the
     variables it can, in order, and then scans one variable (``_Level``).
@@ -1153,11 +1140,11 @@ def bounded_solve_group(
     and g0, and ``Polynomial.slope`` reads L off the polynomial.  The alphas
     whose forms are all trivial (``Ambient.is_trivial``, a test of their
     coordinates against the ambient's lattice) are a coset of a lattice in
-    Z^m.  One Hermite form of the forms' slopes solves for it,
-    and one walk (``_coset_walk``) visits the points of that coset times
-    the gamma box: an empty coset ends the scan at once, and every
-    candidate it skips is one the plain scan would reject.  An admitted
-    alpha settles those
+    Z^m.  One Hermite form of the forms' slopes (``_slope_echelon``, made
+    once per slopes in the memo) solves for it, and one walk
+    (``_coset_walk``) visits the points of that coset times the gamma box:
+    an empty coset ends the scan at once, and every candidate it skips is
+    one the plain scan would reject.  An admitted alpha settles those
     equations, which the search below y does not check again.  The
     candidate order, the solutions and their order are those of the plain
     scan.  With find_all=False, a y whose net exponent is 0 in every

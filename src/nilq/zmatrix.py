@@ -6,8 +6,8 @@ bound during elimination, so none of this is allowed anywhere near fixed-width
 arithmetic; numpy stays out of this module on purpose.
 
 A matrix is its integer rows, all of one length: ``smith_normal_form``,
-``rank``, ``determinant``, ``minor_polynomial`` and ``hermite_normal_form``
-copy them once (ragged rows raise ValueError) and work on the copy in place.
+``rank``, ``minor_polynomial`` and ``hermite_normal_form`` copy them once
+(ragged rows raise ValueError) and work on the copy in place.
 ``hermite_normal_form`` returns an ``Echelon``.  ``IntMatrix`` is only the
 type of the Smith form's views D, U and V, each built when first read.
 
@@ -273,14 +273,6 @@ def rank(M: Iterable[Iterable[int]]) -> int:
     other.
     """
     return _bareiss(*_rows(M))[0]
-
-
-def determinant(M: Iterable[Iterable[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    A, m = _rows(M)
-    if len(A) != m:
-        raise ValueError("determinant needs a square matrix")
-    return _bareiss(A, m)[1]
 
 
 def minor_polynomial(M: Iterable[Iterable[int]]) -> int:

@@ -5,20 +5,23 @@ with the routine it checks: collection of a letter sequence by adjacent
 swaps (for ``from_word``, ``from_syllables`` and ``multiply``), a
 character-by-character scanner of the word grammar (for ``parse_word``),
 Q-span membership by a rank comparison (for ``Echelon.rational_residue``),
-the elementary operations of a Smith log applied one at a time and the
-schoolbook matrix product (for ``smith_normal_form`` and the Hermite
-transform), substitution into a word and collection of the result (for
+the elementary operations of a Smith log applied one at a time, the
+schoolbook matrix product and the determinant by cofactor expansion (for
+``smith_normal_form``, the Hermite transform and ``minor_polynomial``),
+substitution into a word and collection of the result (for
 ``express_in_normalized_basis``), the lift of V collected letter by letter
 and the Nielsen replay of a whole Smith log on relator elements by group
 multiplication (for ``normalize``), the probe-and-test scan of a box of
 alphas and gammas (for the group solver's candidate walk), numpy's own
 PCG64 seeded one trial at a time (for the samplers' block seeding), and the
 empirical CDF read off every trial's sums, kept and sorted (for the
-streamed CLT statistics).
+streamed CLT statistics).  ``traced_peak`` measures the memory a call
+allocates, for the tests that bound it.
 """
 
 import itertools
 import math
+import tracemalloc
 from bisect import bisect_right
 from functools import lru_cache
 from typing import List, Tuple
@@ -60,6 +63,15 @@ def matmul(A, B) -> tuple:
 def view_rows(M) -> tuple:
     """The rows of one of the Smith form's views D, U and V, as tuples."""
     return tuple(M.row(i) for i in range(M.rows))
+
+
+def cofactor_det(rows) -> int:
+    """The determinant of the square rows by cofactor expansion along the
+    first row, skipping its zero entries; 1 for no rows."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
 
 
 def letter_word(letters, m: int) -> Word:
@@ -382,3 +394,12 @@ def sorted_sample_sup_distances(m: int, n: int, trials: int, seed: int) -> Tuple
             worst = max(worst, abs(bisect_right(xs, x * sqrt_n) / trials - _normal_cdf(x, m)))
         sups.append(worst)
     return tuple(sups)
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

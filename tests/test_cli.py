@@ -533,9 +533,13 @@ def test_verify_grid_over_limit_exit_1(capsys, tmp_path):
     (("sz-check", "--r", "300", "--m", "300", "--b", "1"), "EnumerationLimitError"),
     (("clt", "--m", "2", "--n", str(2**63), "--trials", "1", "--seed", "1"), "ValueError"),
     (("escape", "--m", "2", "--n", str(2**63), "--trials", "1", "--seed", "1"), "ValueError"),
+    # a count of 3^(9 * 10^7) matrices is refused from its exponent
+    (("sz-check", "--r", "3000", "--m", "30000", "--b", "1"), "EnumerationLimitError"),
 ])
 def test_sizes_past_the_engines_exit_1(capsys, argv, error):
+    t0 = time.perf_counter()
     code, out, _ = _run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert json.loads(out)["error"] == error
 

@@ -1,12 +1,12 @@
 """Ring systems, the group-equation compiler, and the bounded solvers."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
 import random
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,7 +40,7 @@ from nilq.nilpotent2 import MalcevElement, commutator, generator, identity, inve
 from nilq.presentation import is_trivial_in_G, normalize, parse_presentation
 from nilq.zmatrix import lattice_membership
 
-from naive_oracles import plain_candidates
+from naive_oracles import plain_candidates, traced_peak
 
 
 def _walk_gword(w, env, m):
@@ -794,7 +794,8 @@ def test_coset_walk_matches_the_plain_scan(amb):
         bound = rng.randrange(3 if amb.m == 2 else 2)
         bounds = (bound,) * amb.m + tuple(int(rng.random() < 3 / (n + 3)) for _ in range(n))
         forms = _seeded_forms(rng, amb, bound)
-        walk = lambda spend: diophantine._candidates(forms, amb, bounds, spend)
+        echelon = diophantine._slope_echelon(tuple(f[2] for f in forms), amb)
+        walk = lambda spend: diophantine._candidates(forms, echelon, amb, bounds, spend)
         plain = lambda spend: plain_candidates(forms, amb, bounds, spend)
         full = _drive(plain, 10**9)
         assert _drive(walk, 10**9) == full
@@ -817,8 +818,9 @@ def test_admissible_coset_in_a_wide_quotient():
     admitted_total = empty = 0
     for _ in range(20):
         forms = _seeded_forms(rng, amb, 3, density=0.05)
-        coset = diophantine._admissible_coset(forms, amb)
-        columns, _, _ = diophantine._slope_echelon(tuple(f[2] for f in forms), amb)
+        echelon = diophantine._slope_echelon(tuple(f[2] for f in forms), amb)
+        coset = diophantine._admissible_coset(forms, echelon, amb)
+        columns, _, _ = echelon
         assert len(columns) < len(forms) * len(amb.coordinates) or not forms
         kernel = [row for row in coset[1] if row is not None] if coset else []
         pivots = [j for j, row in enumerate(coset[1]) if row is not None] if coset else []
@@ -849,7 +851,8 @@ def test_coset_walk_charges_the_stretches_it_passes():
     # a stretch the walk passes: charged as passed, a small limit stops it
     amb = FreeNilpotentAmbient(2)
     forms = [((0, 0), (-10**7,), ((-1,), (1,)))]
-    scan = lambda bounds: lambda spend: diophantine._candidates(forms, amb, bounds, spend)
+    echelon = diophantine._slope_echelon((forms[0][2],), amb)
+    scan = lambda bounds: lambda spend: diophantine._candidates(forms, echelon, amb, bounds, spend)
     t0 = time.perf_counter()
     assert _drive(scan((10**6, 10**6, 0)), 10**4) == ([], None)
     assert time.perf_counter() - t0 < 1.0
@@ -1169,12 +1172,7 @@ def test_prepared_search_memo_is_capped(monkeypatch):
                                           eval_limit=10**6)
         return [ts for ts, pin in zip(grid, pins) if search(pin)]
 
-    tracemalloc.start()
-    try:
-        found = solvable()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    found, peak = traced_peak(solvable)
     assert peak < 2 * 2**20
     assert found and all(x * y + 1 == z for x, y, z in found)
     monkeypatch.setattr(diophantine, "_MEMO_CAP", 8)
@@ -1190,31 +1188,34 @@ def _net_exponents(w):
     return net
 
 
-def test_equation_shapes_match_group_arithmetic_and_the_cache_is_bounded():
-    # each template's equations and seeded random words, with a random part
-    # of the names as variables: the shape's names, reads_gamma and forced
-    # names are those read off the words, its residual and forced values are
-    # those of group arithmetic at random elements of ranks 2-4, its slopes
-    # are the differences of those values, and the cache keeps to its size
-    # over more equations than it holds
-    rng = random.Random("shapes")
+def _compiled_equations(rng):
+    """Each template's equations and 400 seeded random ones."""
     edef = z_in_g_templates()
     equations = [eq for tpl in (edef.domain, edef.add, edef.neg, edef.mul, edef.equal)
                  for eq in tpl.equations]
-    equations += [(_random_word(rng, ["x", "y", "z", "a", "b"]), _random_word(rng, ["x", "y", "a"]))
-                  for _ in range(400)]
-    for lhs, rhs in equations:
+    return equations + [(_random_word(rng, ["x", "y", "z", "a", "b"]),
+                         _random_word(rng, ["x", "y", "a"])) for _ in range(400)]
+
+
+def test_equation_shapes_match_group_arithmetic_and_the_cache_is_bounded():
+    # each template's equations and seeded random words: the compiled
+    # record's names, reads_gamma and forced names are those read off the
+    # words, constants included, its residual and forced values are those
+    # of group arithmetic at random elements of ranks 2-4, its slopes are
+    # the differences of those values, and the cache keeps to its size over
+    # more equations than it holds
+    rng = random.Random("shapes")
+    for lhs, rhs in _compiled_equations(rng):
         names = diophantine.gword_names(lhs) | diophantine.gword_names(rhs)
-        variables = frozenset(n for n in sorted(names) if rng.random() < 0.7)
-        shape = diophantine._equation_shape(lhs, rhs, variables)
+        shape = diophantine._compile_equation(lhs, rhs)
         net = _net_exponents(lhs)
         for n, e in _net_exponents(rhs).items():
             net[n] = net.get(n, 0) - e
-        assert shape.names == names & variables
-        assert shape.reads_gamma == {n for n, e in net.items() if e} & variables
+        assert shape.names == names
+        assert shape.reads_gamma == {n for n, e in net.items() if e}
         forced = [(a, b) for a, b in ((lhs, rhs), (rhs, lhs))
                   if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1]
-        assert [(x, w) for x, _, w in shape.forced] == [
+        assert [(x, w) for x, _, _, w in shape.forced] == [
             (a[0][0], diophantine.gword_names(b)) for a, b in forced]
         for m in (2, 3, 4):
             env = {n: MalcevElement(m, tuple(rng.randint(-4, 4) for _ in range(m)),
@@ -1225,7 +1226,7 @@ def test_equation_shapes_match_group_arithmetic_and_the_cache_is_bounded():
                 return multiply(_walk_gword(lhs, at, m), inverse(_walk_gword(rhs, at, m)))
 
             assert shape.residual(env, m) == residual(env)
-            for (_, form, _), (a, b) in zip(shape.forced, forced):
+            for (_, form, _, _), (a, b) in zip(shape.forced, forced):
                 assert form(env, m) == power(_walk_gword(b, env, m), a[0][1])
             for n in names - {n for n, _ in shape.residual.linear}:
                 g0 = residual({**env, n: identity(m)}).gamma
@@ -1237,24 +1238,48 @@ def test_equation_shapes_match_group_arithmetic_and_the_cache_is_bounded():
     assert info.misses > info.maxsize and info.currsize <= info.maxsize
 
 
+class _Reads(dict):
+    """A dict that records every key read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_compiled_equations_list_the_names_each_polynomial_reads():
+    # the reads of the residual and of each forced polynomial are
+    # _read_names of it, and exactly the names a call of it reads
+    rng = random.Random("reads")
+    for lhs, rhs in _compiled_equations(rng):
+        shape = diophantine._compile_equation(lhs, rhs)
+        for poly, reads in [(shape.residual, shape.reads)] + [f[1:3] for f in shape.forced]:
+            assert reads == diophantine._read_names(poly)
+            images = _Reads({n: MalcevElement(3, tuple(rng.randint(-4, 4) for _ in range(3)),
+                                              (rng.randint(-4, 4),) * 3) for n in shape.names})
+            poly(images, 3)
+            assert tuple(sorted(images.read)) == reads
+
+
 def test_equation_shapes_are_shared_as_written_and_compiled_per_renaming():
     # two systems compiled from one ring system share each compiled
-    # residual; a renamed copy of an equation is compiled on its own and
+    # record; a renamed copy of an equation is compiled on its own and
     # evaluates the same at the renamed images
     ring = _ring(["x", "y", "z"], [(ADD(MUL(V("x"), V("y")), C(1)), V("z"))])
     first, second = (compile_system(z_in_g_templates(), ring).system for _ in range(2))
     assert first.equations == second.equations
-    assert all(a.residual is b.residual and a.forced is b.forced
-               for a, b in zip(first._shapes, second._shapes))
+    assert all(a is b for a, b in zip(first._shapes, second._shapes))
     rng = random.Random("renamed")
     lhs, rhs = _random_word(rng, ["x", "y", "a"]), (gen("x", 1), gen("z", -1))
     names = sorted(diophantine.gword_names(lhs) | diophantine.gword_names(rhs))
     mapping = {n: f"copy_{n}" for n in names}
-    copy = tuple(diophantine._rename_word(w, mapping) for w in (lhs, rhs))
-    variables = frozenset(names) | frozenset(mapping.values())
-    shape = diophantine._equation_shape(lhs, rhs, variables)
+    copied = tuple(diophantine._rename_word(w, mapping) for w in (lhs, rhs))
+    shape = diophantine._compile_equation(lhs, rhs)
     misses = diophantine._compile_equation.cache_info().misses
-    renamed = diophantine._equation_shape(*copy, variables)
+    renamed = diophantine._compile_equation(*copied)
     assert diophantine._compile_equation.cache_info().misses == misses + 1
     assert renamed.residual is not shape.residual
     assert renamed.names == {mapping[n] for n in shape.names}
@@ -1264,3 +1289,14 @@ def test_equation_shapes_are_shared_as_written_and_compiled_per_renaming():
                for n in names}
         moved = {mapping[n]: y for n, y in env.items()}
         assert renamed.residual(moved, m) == shape.residual(env, m)
+
+
+def test_verify_leaves_the_ambient_as_it_found_it():
+    # each search keeps its memo, slope echelons included, to itself: a
+    # verify, free and over a quotient, changes no attribute of the ambient
+    ring = _ring(["x", "y", "z"], [(MUL(V("x"), V("y")), V("z"))])
+    quotient = QuotientAmbient(normalize(parse_presentation("3 2\na1^2\n")))
+    for amb in (FreeNilpotentAmbient(2), quotient):
+        before = copy.deepcopy(vars(amb))
+        assert verify_correspondence(ring, z_in_g_templates(), amb, 1, 1).ok
+        assert vars(amb) == before

@@ -4,7 +4,6 @@ import dataclasses
 import math
 import random
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +30,7 @@ from nilq.randwalk import (
 )
 from nilq.words import Word, exponent_sums, random_word
 
-from naive_oracles import np_trial_rng, sorted_sample_sup_distances
+from naive_oracles import np_trial_rng, sorted_sample_sup_distances, traced_peak
 
 
 def _binom(n, k):
@@ -99,12 +98,8 @@ def test_rank_experiment_tallies_the_draws_of_random_word(monkeypatch):
 
     # a trial holds one word's letter indices at a time
     def peak(r):
-        tracemalloc.start()
-        try:
-            rank_experiment(ExperimentConfig(m=2, r=r, lengths=(20_000,), trials=1, seed=1))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: rank_experiment(
+            ExperimentConfig(m=2, r=r, lengths=(20_000,), trials=1, seed=1)))[1]
 
     assert peak(8) < 1.5 * peak(1)
 
@@ -250,12 +245,7 @@ def test_escape_memory_is_per_block():
     # --trials has no cap: the seeding holds one block, not every trial
     def peak(trials):
         escape_probability(2, 10, trials, 1)
-        tracemalloc.start()
-        try:
-            escape_probability(2, 10, trials, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: escape_probability(2, 10, trials, 1))[1]
 
     assert peak(8 * _B) < 1.5 * peak(_B)
 
@@ -265,12 +255,7 @@ def test_clt_memory_does_not_grow_with_trials():
     # every trial's sum
     def peak(trials):
         coordinate_clt_stats(2, 10, trials, 1)
-        tracemalloc.start()
-        try:
-            coordinate_clt_stats(2, 10, trials, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: coordinate_clt_stats(2, 10, trials, 1))[1]
 
     assert peak(8 * _B) < 1.5 * peak(_B)
 

@@ -4,7 +4,6 @@ import json
 import random
 import re
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -34,7 +33,7 @@ from nilq.cli import _jsonable
 from nilq.zmatrix import ElementaryOp
 from nilq.nilpotent2 import commutator, from_word, power
 
-from naive_oracles import apply_op, collection_oracle, scanner_parse_word, view_rows
+from naive_oracles import apply_op, collection_oracle, scanner_parse_word, traced_peak, view_rows
 from test_cli import _run_capped
 
 
@@ -101,24 +100,13 @@ def test_rank_over_limit_refused_before_allocating():
         lambda: FreeNilpotentAmbient(m),
         lambda: parse_word("a1", MAX_RANK + 1),
     ):
-        tracemalloc.start()
-        try:
-            with pytest.raises(RankLimitError):
-                make()
-            assert tracemalloc.get_traced_memory()[1] < 10**6
-        finally:
-            tracemalloc.stop()
+        assert traced_peak(lambda: pytest.raises(RankLimitError, make))[1] < 10**6
 
 
 def test_parse_rejects_oversized_expansion_before_expanding():
     n = MAX_WORD_LETTERS
     # a power at the cap is one syllable
-    tracemalloc.start()
-    try:
-        w = parse_word(f"a1^{n}", 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    w, peak = traced_peak(lambda: parse_word(f"a1^{n}", 1))
     assert w.syllables == ((1, n),) and len(w) == n
     assert peak < 10**6, peak
     # an expansion past the limit is refused from the letter counts, before
@@ -131,13 +119,8 @@ def test_parse_rejects_oversized_expansion_before_expanding():
         f"a1^{n} a2",
     )
     for text in cases:
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="over the limit") as ei:
-                parse_word(text, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ei, peak = traced_peak(lambda: pytest.raises(ValueError, parse_word, text, 2))
+        ei.match("over the limit")
         # a domain error, not a syntax error: the text itself is well formed
         assert not isinstance(ei.value, WordSyntaxError)
         assert peak < 10**6, (text, peak)

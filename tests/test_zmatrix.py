@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from nilq.zmatrix import (
     ElementaryOp,
-    determinant,
     hermite_normal_form,
     hermite_transform,
     lattice_membership,
@@ -19,7 +18,7 @@ from nilq.zmatrix import (
     smith_normal_form,
 )
 
-from naive_oracles import apply_op, matmul, rational_membership, view_rows
+from naive_oracles import apply_op, cofactor_det, matmul, rational_membership, view_rows
 
 
 def _random_matrix(rng, max_dim=5, lo=-9, hi=9):
@@ -45,17 +44,6 @@ def _fraction_rank(M) -> int:
     return r
 
 
-def _cofactor_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _cofactor_det(minor)
-    return total
-
-
 def test_smith_form_identities_and_replay():
     rng = random.Random(11)
     for _ in range(120):
@@ -64,7 +52,7 @@ def test_smith_form_identities_and_replay():
         assert snf.shape == (len(M), len(M[0]))
         U, D, V = view_rows(snf.U), view_rows(snf.D), view_rows(snf.V)
         assert matmul(matmul(U, M), V) == D
-        assert abs(determinant(U)) == abs(determinant(V)) == 1
+        assert abs(cofactor_det(U)) == abs(cofactor_det(V)) == 1
         for a, b in zip(snf.invariant_factors, snf.invariant_factors[1:]):
             assert a > 0 and b % a == 0
         assert snf.rank == len(snf.invariant_factors) == _fraction_rank(M)
@@ -133,14 +121,6 @@ def test_rank_routes_agree(rows):
     assert (minor_polynomial(rows) != 0) == (r == min(len(rows), len(rows[0])))
 
 
-def test_determinant_against_cofactor_expansion():
-    rng = random.Random(5)
-    for _ in range(80):
-        n = rng.randrange(1, 5)
-        rows = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
-        assert determinant(rows) == _cofactor_det(rows)
-
-
 def test_minor_polynomial_edge_cases():
     # no maximal minors to sum: empty product convention
     assert minor_polynomial([[3]]) == 9
@@ -154,9 +134,9 @@ def _squared_minor_sum(rows, r, m):
     if min(r, m) == 0:
         return 1
     if r <= m:
-        return sum(_cofactor_det([[row[j] for j in cols] for row in rows]) ** 2
+        return sum(cofactor_det([[row[j] for j in cols] for row in rows]) ** 2
                    for cols in combinations(range(m), r))
-    return sum(_cofactor_det([rows[i] for i in rws]) ** 2 for rws in combinations(range(r), m))
+    return sum(cofactor_det([rows[i] for i in rws]) ** 2 for rws in combinations(range(r), m))
 
 
 def test_minor_polynomial_matches_squared_minor_sum():
@@ -184,7 +164,7 @@ def test_hermite_form_properties():
         # the nonzero rows of H = W M, then its zero rows
         H = E.rows + ((0,) * len(M[0]),) * (len(M) - len(E.rows))
         assert matmul(W, M) == H
-        assert abs(determinant(W)) == 1
+        assert abs(cofactor_det(W)) == 1
         assert len(E.pivots) == len(E.rows) == rank(M)
         prev = -1
         for k, pc in enumerate(E.pivots):
@@ -198,7 +178,7 @@ def test_hermite_form_properties():
 
 
 _ROW_ROUTINES = pytest.mark.parametrize(
-    "routine", [rank, determinant, minor_polynomial, hermite_normal_form],
+    "routine", [rank, minor_polynomial, hermite_normal_form],
     ids=lambda f: f.__name__)
 
 
