@@ -32,10 +32,10 @@ where X[k][l] = g_kl above the diagonal, X[l][k] = -g_kl - a_k a_l below it
 and X[k][k] = -C(a_k, 2).  The a_k beta_k and diagonal terms are the powers
 y_k^(a_k), the terms below the diagonal collect those powers in order, and
 g_kl (A_pk A_ql - A_pl A_qk) is [y_k, y_l]^(g_kl).  ``Polynomial`` holds x as
-this map, and it is the one evaluator of a word at given elements: the
-relator images and the word-problem queries of ``presentation`` and the
-group-system words of ``diophantine`` all run through it, with no group
-multiplication.
+this map, the evaluator of a fixed word at varying elements: the
+group-system words of ``diophantine`` run through it, with no group
+multiplication.  ``presentation`` applies the same formula the other way
+round, one fixed set of images (its basis change) at varying x.
 """
 
 from __future__ import annotations

@@ -20,10 +20,13 @@ goes to a_1^V_k1 ... a_m^V_km, with no commutator part, and
 ``basis_images`` holds those images.  phi acts as V on the abelianization,
 so it is onto there, hence onto N_{2,m}; a finitely generated nilpotent
 group is Hopfian (Segal, *Polycyclic Groups*, ch. 1), so phi is an
-automorphism.  Mapped through phi, the relators have alpha rows S V, whose
-Z-span is that of D: the rows alpha_i e_i, i <= rank, with alpha_i the
-invariant factors.  The row operations, which only combine relators, are
-not carried out at all.
+automorphism.  ``normalize`` builds phi once, from the sparse rows of V,
+and maps each relator through it, as ``express_in_normalized_basis`` maps
+each query: a closed form on Malcev coordinates (``_BasisChange``), with no
+word and no ``Polynomial`` built per element.  Mapped through phi, the
+relators have alpha rows S V, whose Z-span is that of D: the rows
+alpha_i e_i, i <= rank, with alpha_i the invariant factors.  The row
+operations, which only combine relators, are not carried out at all.
 
 Any other lift of V, such as the Smith log's column operations replayed
 as generator moves, is phi followed by a central automorphism
@@ -94,11 +97,11 @@ The basis change acts on Malcev coordinates, never on words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
-from .nilpotent2 import MalcevElement, Polynomial, from_word, generator, pair_list
+from .nilpotent2 import MalcevElement, from_word, generator, pair_list
 from .words import MAX_RELATORS, RankLimitError, Word, WordSyntaxError, check_rank, parse_word
 from .zmatrix import (Echelon, SmithDecomposition, diagonal, hermite_normal_form, rank as zrank,
                       smith_normal_form)
@@ -184,6 +187,7 @@ class NormalizedPresentation:
     d_pq: Tuple[int, ...]
     kept_pairs: Tuple[int, ...]
     image_rows: Tuple[Tuple[int, ...], ...]
+    _phi: _BasisChange = field(repr=False, compare=False)
 
     @property
     def rank_full(self) -> bool:
@@ -272,26 +276,92 @@ def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator
         yield echelon.rational_residue(zeros + v)
 
 
+class _BasisChange:
+    """phi on Malcev coordinates, built once from the rows of V.
+
+    phi sends x = (a | g) to alpha' = sum_k a_k V_k and gamma' the p < q
+    part of V^T X V, with X read off x as in ``nilpotent2``: X_kk =
+    -C(a_k, 2), and for k < l, X_kl = g_kl and X_lk = -g_kl - a_k a_l.  That
+    is the class-2 substitution of the basis images, whose gammas are zero,
+    for the generators.  ``rows[k]`` holds the nonzero (p, V_kp) of row k,
+    and ``spans[k]`` a (t, V_kp, q) for each of them and each q > p, t the
+    gamma index of the pair (p, q): O(nnz(V) m) state, whatever x.
+    """
+
+    __slots__ = ("m", "rows", "spans")
+
+    def __init__(self, V: Sequence[Sequence[int]]):
+        m = self.m = len(V)
+        self.rows = tuple(tuple((p, v) for p, v in enumerate(row) if v) for row in V)
+        # the pair (p, q), 0-based, sits at gamma index p (2m - p - 3) / 2 + q - 1
+        self.spans = tuple(tuple((p * (2 * m - p - 3) // 2 + q - 1, v, q) for p, v in row
+                                 for q in range(p + 1, m)) for row in self.rows)
+
+    def __call__(self, x: MalcevElement) -> MalcevElement:
+        m, rows, a, g = self.m, self.rows, x.alpha, x.gamma
+        alpha = [0] * m
+        # W[k] = sum_l X_kl V_l over the nonzero X_kl; None where row k of X is 0
+        W = [None] * m
+        t = 0
+        for k, ak in enumerate(a):
+            if ak:
+                for p, v in rows[k]:
+                    alpha[p] += ak * v
+                if ak != 1:
+                    w = W[k]
+                    if w is None:
+                        w = W[k] = [0] * m
+                    c = -(ak * (ak - 1) // 2)
+                    for q, v in rows[k]:
+                        w[q] += c * v
+            for l in range(k + 1, m):
+                c = g[t]
+                t += 1
+                if c:
+                    w = W[k]
+                    if w is None:
+                        w = W[k] = [0] * m
+                    for q, v in rows[l]:
+                        w[q] += c * v
+                c = -c - ak * a[l]
+                if c:
+                    w = W[l]
+                    if w is None:
+                        w = W[l] = [0] * m
+                    for q, v in rows[k]:
+                        w[q] += c * v
+        gamma = [0] * len(g)
+        for w, spans in zip(W, self.spans):
+            if w is not None:
+                for t, v, q in spans:
+                    gamma[t] += v * w[q]
+        return MalcevElement(m, tuple(alpha), tuple(gamma))
+
+
 def normalize(p: NilPresentation) -> NormalizedPresentation:
     """p over the basis of the Smith reduction of its relators' alphas.
 
     Returns the ``NormalizedPresentation``: the reduction, the lift of V to
-    the new basis, d_pq and the relators' images over that basis.  The
-    echelon of the closure lattice, and the free block, are not built here
-    but on first read, so a caller that only classifies never pays for them.
+    the new basis, d_pq and the relators' images over that basis.  phi is
+    built here once, from the rows of V; each relator is mapped through it,
+    and it is kept for the queries.  The echelon of the closure lattice,
+    and the free block, are not built here but on first read, so a caller
+    that only classifies never pays for them.
     """
     m = p.m
     snf = smith_normal_form((h.alpha for h in p.relators), m)
     k = snf.rank
     d = tuple(snf.invariant_factors[i - 1] if i <= k else 0 for i, _ in pair_list(m))
     # the lift of V: a_k goes to a_1^V_k1 ... a_m^V_km, with no gamma part
-    basis = tuple(MalcevElement(m, snf.V.row(c), (0,) * len(d)) for c in range(m))
+    V = [snf.V.row(c) for c in range(m)]
+    basis = tuple(MalcevElement(m, row, (0,) * len(d)) for row in V)
+    phi = _BasisChange(V)
     kept = tuple(t for t, x in enumerate(d) if x != 1)
     rows = []
     for h in p.relators:
-        g = Polynomial(h)(basis, m)
+        g = phi(h)
         rows.append(g.alpha + tuple(g.gamma[t] % d[t] if d[t] else g.gamma[t] for t in kept))
-    return NormalizedPresentation(m, len(p.relators), p.s, snf, basis, d, kept, tuple(rows))
+    return NormalizedPresentation(m, len(p.relators), p.s, snf, basis, d, kept, tuple(rows), phi)
 
 
 def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevElement:
@@ -303,13 +373,14 @@ def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevE
     a_k becomes basis_images[k-1], a_1^V_k1 ... a_m^V_km.  Words already
     phrased in the new basis can skip this and call from_word directly.
 
-    The substitution is the class-2 polynomial map of ``nilpotent2``: the
-    word's element as a ``Polynomial``, evaluated at basis_images.  No group
-    multiplication runs.
+    The substitution is the class-2 polynomial map of ``nilpotent2`` at
+    basis_images, applied in closed form to the word's Malcev coordinates
+    through the sparse rows of V that ``normalize`` kept: no ``Polynomial``
+    is built and no group multiplication runs.
     """
     if w.m != np_.m:
         raise ValueError("rank mismatch")
-    return Polynomial(from_word(w))(np_.basis_images, np_.m)
+    return np_._phi(from_word(w))
 
 
 def is_trivial_in_G(h: MalcevElement, np_: NormalizedPresentation) -> bool:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 import nilq
 from nilq.cli import main
 from nilq.diophantine import MAX_NESTING
-from nilq.words import MAX_RELATORS, MAX_WORD_LETTERS, exponent_sums, parse_word
+from nilq.words import MAX_RANK, MAX_RELATORS, MAX_WORD_LETTERS, exponent_sums, parse_word
 from nilq.zmatrix import ElementaryOp
 from nilq.randwalk import (
     RETURN_N_MAX_LIMIT,
@@ -954,6 +955,25 @@ def test_ring_search_stops_at_first_or_past_the_solution_cap(tmp_path):
         argv = ["solve-bounded", str(ring), "--box", "2235"] + ["--first"] * first
         status, out = _run_capped(argv, 15 * 10**7, 15)
         assert (status, json.loads(out)) == (code, expected)
+
+
+def test_word_problem_at_the_caps_prints_pinned_bytes(tmp_path):
+    # the CI file of MAX_RELATORS seeded four-letter relators over MAX_RANK
+    # generators, whose V is far from the identity (921 nonzero entries):
+    # normalize, and is-trivial on the first relator, under the CI limits of
+    # 150 MB of address space and 15 seconds print the same bytes as before
+    # the basis change ran on the sparse rows of V
+    g = random.Random(64)
+    lines = [f"{MAX_RANK} 2"] + [" ".join("a%d^%d" % (g.randint(1, MAX_RANK), g.choice((1, -1)))
+                                          for _ in range(4)) for _ in range(MAX_RELATORS)]
+    caps = tmp_path / "caps.txt"
+    caps.write_text("\n".join(lines) + "\n")
+    for argv, digest in (
+            (["normalize", str(caps)], "a23e644496c0d858bdccf3026e84cb1423abec07830d9fd90844f384fcc3f4bd"),
+            (["is-trivial", str(caps), lines[1]],
+             "cc6ee2d8af60704cf3aa7c7e242394d69797508c8c0a3bb7fd279f43aeab6009")):
+        code, out = _run_capped(argv, 15 * 10**7, 15)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, out[:200]
 
 
 def test_wide_gamma_box_is_counted_not_listed(tmp_path):

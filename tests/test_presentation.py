@@ -38,6 +38,7 @@ from nilq.words import (
     RankLimitError,
     Word,
     concat,
+    format_word,
     free_reduce,
     nielsen_normalize,
     parse_word,
@@ -281,6 +282,77 @@ def test_cached_map_query_runs_no_group_arithmetic(monkeypatch):
         h = express_in_normalized_basis(w, np_)
         assert h == want and h.alpha == moved.alpha
         assert is_trivial_in_G(h, np_) == is_trivial_mod_torsion(h, np_) == (w in rels)
+
+
+def _basis_change_draws(rng):
+    """600 seeded presentations, m 1-8 and r 0..m+1, each with 5 query
+    words.  A relator is a random word, a proper power of one (invariant
+    factors above 1, so pairs with d_pq >= 2) or a bracket power; a query is
+    a random word, one syllable a_k^e with |e| up to 10^6, or a bracket
+    power of two random words."""
+    def bracket(m):
+        u, v = (format_word(random_word(rng.randrange(1, 5), m, rng)) for _ in range(2))
+        return parse_word(f"[{u},{v}]^{rng.choice((-3, -1, 1, 2, 7))}", m)
+
+    for i in range(600):
+        m = i % 8 + 1
+        rels = []
+        for _ in range(rng.randrange(0, m + 2)):
+            shape = rng.random()
+            if m >= 2 and shape < 0.15:
+                rels.append(bracket(m))
+            elif shape < 0.4:
+                rels.append(word_power(random_word(rng.randrange(1, 6), m, rng), rng.randint(2, 5)))
+            else:
+                rels.append(random_word(rng.randrange(1, 12), m, rng))
+        queries = []
+        for _ in range(5):
+            shape = rng.random()
+            if shape < 0.3:
+                e = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+                queries.append(parse_word(f"a{rng.randint(1, m)}^{e}", m))
+            elif m >= 2 and shape < 0.5:
+                queries.append(bracket(m))
+            else:
+                queries.append(random_word(rng.randrange(0, 20), m, rng))
+        yield _presentation(rels, m), queries
+
+
+def test_basis_change_matches_the_polynomial_route():
+    # the sparse rows of V map every query and relator as the word's
+    # Polynomial evaluated at the basis images does, on 3000 (presentation,
+    # word) pairs
+    rng = random.Random(39)
+    seen = {"no relators": 0, "moved basis": 0, "torsion pair": 0, "r > m": 0}
+    pairs = 0
+    for p, queries in _basis_change_draws(rng):
+        np_ = normalize(p)
+        m, d = np_.m, np_.d_pq
+        identity_basis = np_.basis_images == tuple(generator(m, k) for k in range(1, m + 1))
+        seen["no relators"] += not p.relators and identity_basis
+        seen["moved basis"] += not identity_basis
+        seen["torsion pair"] += any(x >= 2 for x in d)
+        seen["r > m"] += np_.r > m
+        for h, row in zip(p.relators, np_.image_rows, strict=True):
+            g = Polynomial(h)(np_.basis_images, m)
+            assert row == g.alpha + tuple(g.gamma[t] % d[t] if d[t] else g.gamma[t] for t in np_.kept_pairs)
+        for w in queries:
+            assert express_in_normalized_basis(w, np_) == Polynomial(from_word(w))(np_.basis_images, m)
+            pairs += 1
+    assert pairs >= 3000 and all(seen.values()), seen
+
+
+def test_basis_change_builds_no_polynomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Polynomial was built")
+
+    assert not hasattr(presentation, "Polynomial")
+    monkeypatch.setattr(nilpotent2, "Polynomial", refuse)
+    np_ = _norm("3 2\na1^2 a2 [a1,a3]\na2^4 a1^-2\n[a2,a3]^6\n")
+    assert np_.basis_images != tuple(generator(3, k) for k in range(1, 4))
+    for word in ("a1^2 a2", "a3 a2^-1 a3^-1 a2", "a2^-999999", "[a1 a2,a3]^5"):
+        h = express_in_normalized_basis(parse_word(word, 3), np_)
+        is_trivial_in_G(h, np_)
 
 
 def test_normalize_long_relators():

@@ -1,0 +1,122 @@
+"""Run the benchmark on a parent commit and on this checkout in alternating
+pairs, and print how each end-to-end metric moved.
+
+    python tools/bench_pairs.py --parent HEAD~1 --workload wordproblem --pairs 10
+
+The parent ref is extracted with ``git archive`` into a temporary directory.
+Each pair runs ``python3 perfbench/run.py --workload W --seconds S`` once in
+each tree, one after the other, the parent first in even pairs and the
+change first in odd ones.  A run whose final line does not report
+``"correct": true`` with 0 failed jobs stops the tool with exit code 1.
+
+For each end-to-end metric of ``BENCHMARK.json`` (its name, ``better`` and
+``bound``) the report gives the parent's median and quartiles, the change's
+median, the pairs the change won, whether a claimed gain would hold (at
+least 10 pairs, 9 in 10 of them won, and the gap between the medians wider
+than the parent's interquartile range) and whether the change stays within the
+bound.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Sequence
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Verdict(NamedTuple):
+    parent_q1: float
+    parent_median: float
+    parent_q3: float
+    change_median: float
+    won: int
+    pairs: int
+    claim_holds: bool
+    within_bound: bool
+
+
+def quartiles(xs: Sequence[float]) -> tuple:
+    """(first quartile, median, third quartile); a single value is all three."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(metric: dict, parent: Sequence[float], change: Sequence[float]) -> Verdict:
+    """The verdict on one metric from its values in each pair, parent[i]
+    and change[i] measured in pair i.  ``metric`` is a ``BENCHMARK.json``
+    end-to-end entry: ``name``, ``better`` ("lower" or "higher") and
+    ``bound``, the largest relative move for the worse that is allowed."""
+    sign = 1 if metric["better"] == "higher" else -1
+    q1, median, q3 = quartiles(parent)
+    change_median = statistics.median(change)
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change, strict=True))
+    gain = sign * (change_median - median)
+    claim = len(parent) >= 10 and 10 * won >= 9 * len(parent) and gain > q3 - q1
+    within = gain >= -metric["bound"] * abs(median)
+    return Verdict(q1, median, q3, change_median, won, len(parent), claim, within)
+
+
+def extract(ref: str, into: Path) -> None:
+    git = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref], capture_output=True)
+    if git.returncode:
+        sys.exit(f"error: git archive {ref}: {git.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(git.stdout)) as archive:
+        archive.extractall(into, filter="data")
+
+
+def run_once(tree: Path, workload: str, seconds: float) -> dict:
+    """The final JSON line of one benchmark run in tree; exits 1 unless it
+    reports correct outputs and no failed job."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    if not result or result.get("correct") is not True or result.get("failed") != 0:
+        sys.exit(f"error: run in {tree} not correct with 0 failed jobs:\n"
+                 f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, help="git ref of the parent tree")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=25.0)
+    args = ap.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {"parent": Path(tmp), "change": ROOT}
+        extract(args.parent, trees["parent"])
+        for i in range(args.pairs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                values = run_once(trees[side], args.workload, args.seconds)
+                runs[side].append(values)
+                print(f"pair {i + 1} {side}: " + " ".join(f"{k}={v:.6g}" for k, v in values.items()),
+                      flush=True)
+    print(f"\n{args.workload}, {args.pairs} pairs: parent median [quartiles] -> change median")
+    for metric in metrics:
+        name = metric["name"]
+        v = summarize(metric, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]])
+        move = (v.change_median / v.parent_median - 1) * 100
+        print(f"  {name:12} {v.parent_median:.6g} [{v.parent_q1:.6g}-{v.parent_q3:.6g}] -> "
+              f"{v.change_median:.6g} ({move:+.1f}%), won {v.won}/{v.pairs}, "
+              f"claim {'holds' if v.claim_holds else 'fails'}, "
+              f"{'within' if v.within_bound else 'PAST'} the {metric['bound']:.0%} bound")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
