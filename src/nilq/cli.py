@@ -388,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2, help="rank of the free ambient (group systems)")
     p.add_argument("--presentation", default=None, help="quotient ambient presentation file")
     p.add_argument("--first", action="store_true", help="stop at the first solution")
-    p.add_argument("--limit", type=int, default=20_000_000)
+    p.add_argument("--limit", type=int, default=diophantine.EVAL_LIMIT)
     p.set_defaults(fn=_cmd_solve_bounded)
 
     p = sub.add_parser("verify", help="two-directional compiler correspondence check")
@@ -397,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box-group", type=int, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--presentation", default=None)
-    p.add_argument("--limit", type=int, default=20_000_000)
+    p.add_argument("--limit", type=int, default=diophantine.EVAL_LIMIT)
     p.set_defaults(fn=_cmd_verify)
 
     return ap

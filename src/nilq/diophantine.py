@@ -56,9 +56,9 @@ sorted names is an element x = (a | g) of N_{2,n}, the k-th name standing for
 a_k: its generator factors collect by ``nilpotent2.from_syllables``, and a
 bracket [s, t]^e adds e times the gamma of ``commutator(s, t)``, which is
 central.  Evaluating the word at env is substituting env for the names, the
-class-2 polynomial map of ``nilpotent2``: ``compile_gword`` turns a word into
-the ``nilpotent2.Polynomial`` of x keyed by the names, which is evaluated on
-env as it stands, reading only the names the word uses.  The polynomial's
+class-2 polynomial map of ``nilpotent2``: ``eval_gword`` builds the
+``nilpotent2.Polynomial`` of x keyed by the names and evaluates it on env as
+it stands, reading only the names the word uses.  The polynomial's
 linear terms are a, a_n being n's net exponent outside brackets, and its
 quadratic terms are the matrix X of ``nilpotent2`` with diagonal
 X[n][n] = -C(a_n, 2).  Hence the blindness rule: a word reads n's gamma iff
@@ -68,9 +68,9 @@ is, in its scanned variable), with a slope read off row and column n of X
 own names, into the one record the solver reads (``_Equation``): its two
 sides are collected once, the polynomial of u v^-1 and, for each forced
 assignment x^e = w, that of w^e are built from those two elements, and
-each polynomial comes with the names it reads.  That record is cached on
-the equation as written (at most 256 equations), so the systems
-``compile_system`` builds again from one ring system share it.
+each polynomial lists the names it reads (``Polynomial.reads``).  That
+record is cached on the equation as written (at most 256 equations), so
+the systems ``compile_system`` builds again from one ring system share it.
 
 A prepared search meets the same polynomial on the same values again and
 again: across the pins of a verify grid, the gadgets of the unpinned names
@@ -112,6 +112,14 @@ MAX_FOUND_SOLUTIONS = 100_000
 """Most solutions a find-all search keeps, over the ring or a group: its
 limit bounds the work but not the list, so one more raises
 SearchSpaceError."""
+
+
+EVAL_LIMIT = 20_000_000
+"""The default work limit of a group search, of verify and of the gadget
+law, and of the CLI's ``--limit``.  It takes minutes to run out: find-all
+``solve-bounded --box 1`` on x = y z, [x, a] = [b, z^2] over the
+presentation ``3 2 / a1^2 / [a2,a3]^3`` ran 213 s on a 2-vCPU VM before it
+exited 1 at this limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +315,11 @@ def _name_index(names) -> Tuple[Tuple[str, ...], Dict[str, int]]:
     return names, {x: k for k, x in enumerate(names, 1)}
 
 
-def compile_gword(w: GroupWord) -> Polynomial:
-    """The class-2 polynomial of w, keyed by w's names."""
-    names, index = _name_index(gword_names(w))
-    return Polynomial(_element(w, index, len(names)), names)
-
-
 def eval_gword(w: GroupWord, env: Mapping[str, MalcevElement], m: int) -> MalcevElement:
-    """The value of w: compiled, then evaluated on env."""
-    return compile_gword(w)(env, m)
+    """The value of w: its class-2 polynomial, keyed by w's names, evaluated
+    on env."""
+    names, index = _name_index(gword_names(w))
+    return Polynomial(_element(w, index, len(names)), names)(env, m)
 
 
 def gword_from_json(nodes) -> GroupWord:
@@ -808,33 +812,22 @@ def _candidates(forms, slope_echelon, ambient: Ambient, bounds: Sequence[int], s
     spend(math.prod(2 * b + 1 for b in bounds) - passed)
 
 
-def _read_names(poly: Polynomial) -> Tuple[str, ...]:
-    """The names whose images a call of poly reads, sorted."""
-    names = {k for k, _ in poly.linear}
-    for k, row in poly.rows:
-        names.add(k)
-        names.update(row)
-    return tuple(sorted(names))
-
-
 class _Equation(NamedTuple):
     """One equation u = v as the solver reads it, compiled over its own
     sorted names.
 
     ``names``: every name in it, constants included.  ``residual``: the
-    polynomial of u v^-1, and ``reads``: the names a call of it reads.
-    ``reads_gamma``: the names with a nonzero net exponent in the residual,
-    the only ones whose gamma coordinates it reads.  ``forced``: one
-    (x, polynomial of w^e, the names that polynomial reads, names of w) per
-    side that is a single factor x^e, e = +-1, with w the other side; once
-    w is determined, x = w^e.
+    polynomial of u v^-1.  ``reads_gamma``: the names with a nonzero net
+    exponent in the residual, the only ones whose gamma coordinates it
+    reads.  ``forced``: one (x, polynomial of w^e, names of w) per side that
+    is a single factor x^e, e = +-1, with w the other side; once w is
+    determined, x = w^e.
     """
 
     names: frozenset
     residual: Polynomial
-    reads: Tuple[str, ...]
     reads_gamma: frozenset
-    forced: Tuple[Tuple[str, Polynomial, Tuple[str, ...], frozenset], ...]
+    forced: Tuple[Tuple[str, Polynomial, frozenset], ...]
 
 
 @lru_cache(maxsize=256)
@@ -849,9 +842,9 @@ def _compile_equation(lhs: GroupWord, rhs: GroupWord) -> _Equation:
     for a, b, w in ((lhs, rhs, v), (rhs, lhs, u)):
         if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1:
             form = Polynomial(w if a[0][1] == 1 else inverse(w), names)
-            forced.append((a[0][0], form, _read_names(form), frozenset(gword_names(b))))
-    return _Equation(frozenset(names), residual, _read_names(residual),
-                     frozenset(n for n, _ in residual.linear), tuple(forced))
+            forced.append((a[0][0], form, frozenset(gword_names(b))))
+    return _Equation(frozenset(names), residual, frozenset(n for n, _ in residual.linear),
+                     tuple(forced))
 
 
 def _element_in_box(el: MalcevElement, bound: int) -> bool:
@@ -863,18 +856,18 @@ def _element_in_box(el: MalcevElement, bound: int) -> bool:
 class _Level:
     """One level of a prepared group search.
 
-    ``steps`` in order, each (polynomial, the names it reads, name):
-    (residual, reads, None) checks an equation, (None, (), None) charges
-    the check of an equation settled by a forced value earlier in the level
-    (its u v^-1 is the identity by construction), and (w^e, reads, x)
-    forces x := w^e.  Then, if ``target`` is None, every variable is bound;
-    otherwise ``target`` is scanned over the box with half-widths
-    ``bounds``, alpha then gamma (gamma 0 when the scan is blind), solving
-    the equations ``affine`` (indices into ``GroupSystem._shapes``) as
-    affine forms, which the levels below do not check again.
+    ``steps`` in order, each (polynomial, name): (residual, None) checks an
+    equation, (None, None) charges the check of an equation settled by a
+    forced value earlier in the level (its u v^-1 is the identity by
+    construction), and (w^e, x) forces x := w^e.  Then, if ``target`` is
+    None, every variable is bound; otherwise ``target`` is scanned over the
+    box with half-widths ``bounds``, alpha then gamma (gamma 0 when the scan
+    is blind), solving the equations ``affine`` (indices into
+    ``GroupSystem._shapes``) as affine forms, which the levels below do not
+    check again.
     """
 
-    steps: Tuple[Tuple[Optional[Polynomial], Tuple[str, ...], Optional[str]], ...]
+    steps: Tuple[Tuple[Optional[Polynomial], Optional[str]], ...]
     target: Optional[str]
     bounds: Tuple[int, ...]
     affine: Tuple[int, ...]
@@ -901,13 +894,12 @@ def _levels(S: GroupSystem, bound: Iterable[str], boxes: Mapping[str, int], find
             for idx in rem:
                 shape = shapes[idx]
                 if shape.names <= bound:
-                    steps.append((None, (), None) if idx in settled
-                                 else (shape.residual, shape.reads, None))
+                    steps.append((None if idx in settled else shape.residual, None))
                     progress = True
                     continue
-                for name, form, reads, w_names in shape.forced:
+                for name, form, w_names in shape.forced:
                     if name not in bound and w_names <= bound:
-                        steps.append((form, reads, name))
+                        steps.append((form, name))
                         bound.add(name)
                         settled.add(idx)
                         progress = True
@@ -979,11 +971,11 @@ def group_search(
     its own.
 
     One memo serves every pin: an evaluation is keyed by its polynomial and
-    the values of the names that polynomial reads (listed once, when the
-    equation is compiled), a slope by its polynomial, its target and the
-    alphas of the other names it reads, and the Hermite form of a scan's
-    affine forms (``_slope_echelon``) by their slopes, so a hit is the value
-    the call would return.  The memo is emptied when it holds
+    the values of the names that polynomial reads (``Polynomial.reads``,
+    listed once, when the polynomial is built), a slope by its polynomial,
+    its target and the alphas of the other names it reads, and the Hermite
+    form of a scan's affine forms (``_slope_echelon``) by their slopes, so a
+    hit is the value the call would return.  The memo is emptied when it holds
     ``_MEMO_CAP`` entries, which bounds its memory however many pins it
     serves.  It saves arithmetic only: every charge is made where it was,
     hit or miss, so the solutions, the errors and the smallest passing
@@ -1036,8 +1028,8 @@ def group_search(
             if budget < 0:
                 raise SearchSpaceError("evaluation limit exceeded")
 
-        def evaluate(poly: Polynomial, reads: Tuple[str, ...]) -> MalcevElement:
-            key = (poly, tuple(map(env.__getitem__, reads)))
+        def evaluate(poly: Polynomial) -> MalcevElement:
+            key = (poly, tuple(map(env.__getitem__, poly.reads)))
             return memo.get(key) or remember(key, poly(env, m))
 
         def affine_forms(target: str, affine: Tuple[int, ...]):
@@ -1046,13 +1038,13 @@ def group_search(
             charged as the m probes target = a_k that would give it."""
             forms = []
             for idx in affine:
-                residual, reads = shapes[idx].residual, shapes[idx].reads
+                residual = shapes[idx].residual
                 env[target] = identity(m)
                 spend()
-                r0 = evaluate(residual, reads)
+                r0 = evaluate(residual)
                 del env[target]
                 spend(m)
-                key = (residual, target, tuple(env[n].alpha for n in reads if n != target))
+                key = (residual, target, tuple(env[n].alpha for n in residual.reads if n != target))
                 slope = memo.get(key) or remember(key, residual.slope(target, env, m))
                 forms.append((r0.alpha, r0.gamma, slope))
             return forms
@@ -1062,13 +1054,13 @@ def group_search(
             level = levels[depth]
             assigned_here: List[str] = []
             try:
-                for form, reads, name in level.steps:
+                for form, name in level.steps:
                     if name is None:
                         spend()
-                        if form is not None and not is_trivial(evaluate(form, reads)):
+                        if form is not None and not is_trivial(evaluate(form)):
                             return False
                         continue
-                    val = evaluate(form, reads)
+                    val = evaluate(form)
                     spend()
                     if not _element_in_box(val, boxes[name]):
                         return False
@@ -1107,7 +1099,7 @@ def bounded_solve_group(
     *,
     pinned: Optional[Mapping[str, MalcevElement]] = None,
     find_all: bool = True,
-    eval_limit: int = 20_000_000,
+    eval_limit: int = EVAL_LIMIT,
 ) -> List[Dict[str, MalcevElement]]:
     """Solutions with every variable's Malcev coordinates inside its box.
 
@@ -1213,7 +1205,7 @@ def verify_correspondence(
     bound_ring: int,
     bound_group: int,
     *,
-    eval_limit: int = 20_000_000,
+    eval_limit: int = EVAL_LIMIT,
 ) -> CorrespondenceReport:
     """Two-directional bounded check of the ring-to-group compilation.
 
@@ -1286,7 +1278,7 @@ def odot_law_failures(
     t_max: int = 4,
     aux_bound: int = 4,
     *,
-    eval_limit: int = 20_000_000,
+    eval_limit: int = EVAL_LIMIT,
 ) -> List[Tuple[int, int]]:
     """Check x3 = c^(t1*t2) across all witnesses of the instantiated
     multiplication gadget, for |t1|, |t2| <= t_max.

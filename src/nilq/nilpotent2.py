@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .words import Word
 
@@ -167,16 +167,16 @@ class Polynomial:
     docstring).
 
     Built once from x, it keeps x's nonzero a_k and the nonzero entries of
-    the rows of X, each keyed by its generator's label: labels[k - 1] for
-    a_k, or the 0-based position k - 1 when no labels are given.  A call
-    takes ``images``, indexed by those labels, and their rank m; it reads an
-    image only where x uses that generator and runs no multiply, power or
-    commutator.
+    the rows of X, each keyed by its generator's label, labels[k - 1] for
+    a_k, and ``reads``, the sorted labels of the images a call reads.  A
+    call takes ``images``, indexed by those labels, and their rank m; it
+    reads an image only where x uses that generator and runs no multiply,
+    power or commutator.
     """
 
-    __slots__ = ("linear", "rows")
+    __slots__ = ("linear", "rows", "reads")
 
-    def __init__(self, x: MalcevElement, labels: Optional[Sequence] = None):
+    def __init__(self, x: MalcevElement, labels: Sequence):
         n, a, g = x.m, x.alpha, x.gamma
         # row k maps l to X[k][l]: X[k][k] = -C(a_k, 2), and for k < l,
         # X[k][l] = g_kl and X[l][k] = -g_kl - a_k a_l (indices 0-based)
@@ -192,12 +192,11 @@ class Polynomial:
                 v = -gkl - ak * a[l]
                 if v:
                     rows[l][k] = v
-        if labels is None:
-            labels = range(n)
-        else:
-            rows = [{labels[l]: v for l, v in row.items()} for row in rows]
         self.linear = tuple((labels[k], ak) for k, ak in enumerate(a) if ak)
-        self.rows = tuple((labels[k], row) for k, row in enumerate(rows) if row)
+        self.rows = tuple((labels[k], {labels[l]: v for l, v in row.items()})
+                          for k, row in enumerate(rows) if row)
+        reads = {k for k, _ in self.linear}.union(*(row.keys() | {k} for k, row in self.rows))
+        self.reads = tuple(sorted(reads))
 
     def __call__(self, images, m: int) -> MalcevElement:
         alpha = [0] * m

@@ -16,24 +16,24 @@ a ``NilPresentation`` holds those elements, not words.
 
 ``normalize`` reduces the exponent-sum matrix (the relators' alpha rows)
 to Smith form D = U S V, and its basis change phi is the lift of V: a_k
-goes to a_1^V_k1 ... a_m^V_km, with no commutator part, and
-``basis_images`` holds those images.  phi acts as V on the abelianization,
-so it is onto there, hence onto N_{2,m}; a finitely generated nilpotent
-group is Hopfian (Segal, *Polycyclic Groups*, ch. 1), so phi is an
-automorphism.  ``normalize`` builds phi once, from the sparse rows of V,
-and maps each relator through it, as ``express_in_normalized_basis`` maps
-each query: a closed form on Malcev coordinates (``_BasisChange``), with no
-word and no ``Polynomial`` built per element.  Mapped through phi, the
-relators have alpha rows S V, whose Z-span is that of D: the rows
-alpha_i e_i, i <= rank, with alpha_i the invariant factors.  The row
-operations, which only combine relators, are not carried out at all.
+goes to a_1^V_k1 ... a_m^V_km, with no commutator part.  phi acts as V on
+the abelianization, so it is onto there, hence onto N_{2,m}; a finitely
+generated nilpotent group is Hopfian (Segal, *Polycyclic Groups*, ch. 1),
+so phi is an automorphism.  ``normalize`` builds phi once, from the sparse
+rows of V, and maps each relator through it, as
+``express_in_normalized_basis`` maps each query: a closed form on Malcev
+coordinates (``_BasisChange``), with no word and no ``Polynomial`` built
+per element.  Mapped through phi, the relators have alpha rows S V, whose
+Z-span is that of D: the rows alpha_i e_i, i <= rank, with alpha_i the
+invariant factors.  The row operations, which only combine relators, are
+not carried out at all.
 
 Any other lift of V, such as the Smith log's column operations replayed
 as generator moves, is phi followed by a central automorphism
 x -> x z(x's alpha), which fixes every central element.  So the closure
-lattice L below and every decision are the same for each lift; only
-``basis_images`` and the gammas of the echelon rows with an alpha pivot
-depend on the choice.
+lattice L below and every decision are the same for each lift; only the
+images of the generators and the gammas of the echelon rows with an alpha
+pivot depend on the choice.
 
 The normal closure of the relators is generated, modulo the relators
 themselves, by the central elements [g, a_k]: conjugation in a 2-step group
@@ -171,10 +171,10 @@ def parse_presentation(text: str) -> NilPresentation:
 class NormalizedPresentation:
     """A presentation over the basis of its Smith reduction.
 
-    ``snf`` is the Smith reduction D = U S V of the exponent-sum matrix, and
-    ``basis_images`` the original generators over the new basis: a_k is
-    a_1^V_k1 ... a_m^V_km, the lift of V.  ``d_pq`` is d_pq at each pair in
-    gamma order, and ``kept_pairs`` the gamma indices where it is not 1.
+    ``snf`` is the Smith reduction D = U S V of the exponent-sum matrix; the
+    original generators over the new basis are the lift of V, a_k being
+    a_1^V_k1 ... a_m^V_km.  ``d_pq`` is d_pq at each pair in gamma order,
+    and ``kept_pairs`` the gamma indices where it is not 1.
     ``image_rows`` are the relators' images at the alpha columns, then those
     pairs, each gamma reduced modulo its nonzero d_pq.
     """
@@ -183,7 +183,6 @@ class NormalizedPresentation:
     r: int
     s: int
     snf: SmithDecomposition
-    basis_images: Tuple[MalcevElement, ...]
     d_pq: Tuple[int, ...]
     kept_pairs: Tuple[int, ...]
     image_rows: Tuple[Tuple[int, ...], ...]
@@ -341,8 +340,8 @@ class _BasisChange:
 def normalize(p: NilPresentation) -> NormalizedPresentation:
     """p over the basis of the Smith reduction of its relators' alphas.
 
-    Returns the ``NormalizedPresentation``: the reduction, the lift of V to
-    the new basis, d_pq and the relators' images over that basis.  phi is
+    Returns the ``NormalizedPresentation``: the reduction, d_pq and the
+    relators' images over the new basis, the lift of V.  phi is
     built here once, from the rows of V; each relator is mapped through it,
     and it is kept for the queries.  The echelon of the closure lattice,
     and the free block, are not built here but on first read, so a caller
@@ -353,15 +352,13 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
     k = snf.rank
     d = tuple(snf.invariant_factors[i - 1] if i <= k else 0 for i, _ in pair_list(m))
     # the lift of V: a_k goes to a_1^V_k1 ... a_m^V_km, with no gamma part
-    V = [snf.V.row(c) for c in range(m)]
-    basis = tuple(MalcevElement(m, row, (0,) * len(d)) for row in V)
-    phi = _BasisChange(V)
+    phi = _BasisChange([snf.V.row(c) for c in range(m)])
     kept = tuple(t for t, x in enumerate(d) if x != 1)
     rows = []
     for h in p.relators:
         g = phi(h)
         rows.append(g.alpha + tuple(g.gamma[t] % d[t] if d[t] else g.gamma[t] for t in kept))
-    return NormalizedPresentation(m, len(p.relators), p.s, snf, basis, d, kept, tuple(rows), phi)
+    return NormalizedPresentation(m, len(p.relators), p.s, snf, d, kept, tuple(rows), phi)
 
 
 def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevElement:
@@ -370,11 +367,11 @@ def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevE
     Normalization changes the basis by the lift of the Smith form's V, so a
     word meant relative to the input presentation has to be mapped through
     it before the coordinate-level deciders see it: each original generator
-    a_k becomes basis_images[k-1], a_1^V_k1 ... a_m^V_km.  Words already
-    phrased in the new basis can skip this and call from_word directly.
+    a_k becomes a_1^V_k1 ... a_m^V_km.  Words already phrased in the new
+    basis can skip this and call from_word directly.
 
     The substitution is the class-2 polynomial map of ``nilpotent2`` at
-    basis_images, applied in closed form to the word's Malcev coordinates
+    those images, applied in closed form to the word's Malcev coordinates
     through the sparse rows of V that ``normalize`` kept: no ``Polynomial``
     is built and no group multiplication runs.
     """

@@ -50,11 +50,6 @@ class IntMatrix:
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        A, m = _rows(rows)
-        return cls(len(A), m, tuple(v for r in A for v in r))
-
     def row(self, i: int) -> Tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -138,7 +133,7 @@ def _replayed_identity(n: int, ops: Sequence[ElementaryOp], side: str) -> IntMat
     for op in ops:
         if op.kind.startswith(side):
             _apply(A, op)
-    return IntMatrix.from_rows(A)
+    return IntMatrix(n, n, tuple(v for row in A for v in row))
 
 
 def smith_normal_form(M: Iterable[Iterable[int]], width: int) -> SmithDecomposition:

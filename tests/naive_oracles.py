@@ -288,9 +288,10 @@ def apply_op(M, op: ElementaryOp) -> tuple:
 
 
 def lift_basis(np_):
-    """normalize's basis images, recomputed: V as the column ops of np_'s
-    Smith log applied one at a time to the identity, then each a_k's image,
-    the word a_1^V_k1 ... a_m^V_km, collected letter by letter."""
+    """The generators' images under normalize's basis change, recomputed: V
+    as the column ops of np_'s Smith log applied one at a time to the
+    identity, then each a_k's image, the word a_1^V_k1 ... a_m^V_km,
+    collected letter by letter."""
     m = np_.m
     V = [[int(i == j) for j in range(m)] for i in range(m)]
     for op in np_.snf.ops:
@@ -333,7 +334,7 @@ def relator_replay(p, np_, basis=None):
                 basis[op.src], basis[op.dst] = basis[op.dst], basis[op.src]
             elif op.kind == "col_negate":
                 basis[op.src] = inverse(basis[op.src])
-    rewritten = tuple(Polynomial(h)(basis, m) for h in relators)
+    rewritten = tuple(Polynomial(h, range(m))(basis, m) for h in relators)
     lattice = tuple(
         commutator(h, generator(m, g)).gamma
         for i, h in enumerate(rewritten[:k])

@@ -204,9 +204,10 @@ def _closure_generators(rels, np_):
     """The normalized relators and the closure lattice of the relator words
     rels, from the Nielsen replay oracle over normalize's basis, the lift of
     V."""
-    p = NilPresentation(np_.m, 2, tuple(from_word(w) for w in rels))
+    m = np_.m
+    p = NilPresentation(m, 2, tuple(from_word(w) for w in rels))
     basis = lift_basis(np_)
-    assert np_.basis_images == basis
+    assert tuple(express_in_normalized_basis(Word(((k, 1),), m), np_) for k in range(1, m + 1)) == basis
     _, rewritten, lattice = relator_replay(p, np_, basis)
     return rewritten[: np_.snf.rank], lattice
 

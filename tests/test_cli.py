@@ -958,10 +958,10 @@ def test_ring_search_stops_at_first_or_past_the_solution_cap(tmp_path):
 
 
 def test_word_problem_at_the_caps_prints_pinned_bytes(tmp_path):
-    # the CI file of MAX_RELATORS seeded four-letter relators over MAX_RANK
-    # generators, whose V is far from the identity (921 nonzero entries):
-    # normalize, and is-trivial on the first relator, under the CI limits of
-    # 150 MB of address space and 15 seconds print the same bytes as before
+    # MAX_RELATORS seeded four-letter relators over MAX_RANK generators,
+    # whose V is far from the identity (921 nonzero entries): normalize,
+    # is-trivial on the first relator and is-trivial on [a1, a2], each within
+    # 150 MB of address space and 15 seconds, print the same bytes as before
     # the basis change ran on the sparse rows of V
     g = random.Random(64)
     lines = [f"{MAX_RANK} 2"] + [" ".join("a%d^%d" % (g.randint(1, MAX_RANK), g.choice((1, -1)))
@@ -971,7 +971,9 @@ def test_word_problem_at_the_caps_prints_pinned_bytes(tmp_path):
     for argv, digest in (
             (["normalize", str(caps)], "a23e644496c0d858bdccf3026e84cb1423abec07830d9fd90844f384fcc3f4bd"),
             (["is-trivial", str(caps), lines[1]],
-             "cc6ee2d8af60704cf3aa7c7e242394d69797508c8c0a3bb7fd279f43aeab6009")):
+             "cc6ee2d8af60704cf3aa7c7e242394d69797508c8c0a3bb7fd279f43aeab6009"),
+            (["is-trivial", str(caps), "a1 a2 a1^-1 a2^-1"],
+             "5be93d99f8b5eb9456a3b360ffe54359e7545a15fea30f2bdc9a7e60b6152372")):
         code, out = _run_capped(argv, 15 * 10**7, 15)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, out[:200]
 

@@ -23,7 +23,6 @@ from nilq.diophantine import (
     bounded_solve_group,
     bounded_solve_ring,
     comm,
-    compile_gword,
     compile_system,
     eval_gword,
     eval_term,
@@ -202,7 +201,7 @@ def _word_and_env(draw):
 )
 def test_compiled_form_matches_word_walker(case):
     w, env, m = case
-    assert compile_gword(w)(env, m) == _walk_gword(w, env, m)
+    assert eval_gword(w, env, m) == _walk_gword(w, env, m)
 
 
 def test_group_system_validation():
@@ -1215,7 +1214,7 @@ def test_equation_shapes_match_group_arithmetic_and_the_cache_is_bounded():
         assert shape.reads_gamma == {n for n, e in net.items() if e}
         forced = [(a, b) for a, b in ((lhs, rhs), (rhs, lhs))
                   if len(a) == 1 and a[0][0] != "comm" and abs(a[0][1]) == 1]
-        assert [(x, w) for x, _, _, w in shape.forced] == [
+        assert [(x, w) for x, _, w in shape.forced] == [
             (a[0][0], diophantine.gword_names(b)) for a, b in forced]
         for m in (2, 3, 4):
             env = {n: MalcevElement(m, tuple(rng.randint(-4, 4) for _ in range(m)),
@@ -1226,7 +1225,7 @@ def test_equation_shapes_match_group_arithmetic_and_the_cache_is_bounded():
                 return multiply(_walk_gword(lhs, at, m), inverse(_walk_gword(rhs, at, m)))
 
             assert shape.residual(env, m) == residual(env)
-            for (_, form, _, _), (a, b) in zip(shape.forced, forced):
+            for (_, form, _), (a, b) in zip(shape.forced, forced):
                 assert form(env, m) == power(_walk_gword(b, env, m), a[0][1])
             for n in names - {n for n, _ in shape.residual.linear}:
                 g0 = residual({**env, n: identity(m)}).gamma
@@ -1251,17 +1250,16 @@ class _Reads(dict):
 
 
 def test_compiled_equations_list_the_names_each_polynomial_reads():
-    # the reads of the residual and of each forced polynomial are
-    # _read_names of it, and exactly the names a call of it reads
+    # the reads the residual and each forced polynomial record when built
+    # are exactly the names a call of it looks up, sorted
     rng = random.Random("reads")
     for lhs, rhs in _compiled_equations(rng):
         shape = diophantine._compile_equation(lhs, rhs)
-        for poly, reads in [(shape.residual, shape.reads)] + [f[1:3] for f in shape.forced]:
-            assert reads == diophantine._read_names(poly)
+        for poly in [shape.residual] + [form for _, form, _ in shape.forced]:
             images = _Reads({n: MalcevElement(3, tuple(rng.randint(-4, 4) for _ in range(3)),
                                               (rng.randint(-4, 4),) * 3) for n in shape.names})
             poly(images, 3)
-            assert tuple(sorted(images.read)) == reads
+            assert poly.reads == tuple(sorted(images.read))
 
 
 def test_equation_shapes_are_shared_as_written_and_compiled_per_renaming():

@@ -247,7 +247,7 @@ def _map_inputs(n, m):
 def test_polynomial_matches_group_arithmetic(inputs):
     x, images = inputs
     m = images[0].m
-    assert Polynomial(x)(images, m) == apply_hom(x, images, m)
+    assert Polynomial(x, range(x.m))(images, m) == apply_hom(x, images, m)
     # keyed by labels, it reads the images from a mapping just the same
     labels = [f"y{k}" for k in range(x.m)]
     assert Polynomial(x, labels)(dict(zip(labels, images)), m) == apply_hom(x, images, m)
