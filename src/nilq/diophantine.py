@@ -101,7 +101,7 @@ from .nilpotent2 import (
 )
 from .presentation import NormalizedPresentation
 from .words import check_rank, count_over_limit
-from .zmatrix import Echelon, hermite_normal_form
+from .zmatrix import Echelon, solve_affine, solver_form
 
 
 class SearchSpaceError(Exception):
@@ -386,7 +386,8 @@ class Ambient:
 
     An element is trivial iff its coordinates (alpha + gamma) at
     ``coordinates`` lie in ``lattice``, an Echelon: ``is_trivial`` is that
-    test, and ``_admissible_coset`` solves against the same lattice.
+    test, and ``_admissible_coset`` solves it for alpha with
+    ``zmatrix.solve_affine``, the lattice's rows as its L.
     ``FreeNilpotentAmbient`` and ``QuotientAmbient`` build the two kinds.
     """
 
@@ -710,15 +711,17 @@ def _lattice_blocks(width: int, lattice: Echelon) -> List[int]:
 
 
 def _slope_echelon(slopes, ambient: Ambient):
-    """The Hermite form that solves affine forms with these slopes in the
-    ambient's lattice (see ``_admissible_coset``).
+    """The ``zmatrix.solver_form`` that solves affine forms with these
+    slopes in the ambient's lattice (see ``_admissible_coset``).
 
     The lattice's rows split its coordinates into blocks (each d_pq e_pq
-    row of a torsion pair is a block of its own), and the Hermite form
-    takes, per form, only the blocks that its slope reaches.  Returns the
-    (form, coordinate) pairs of its columns, each form's set of positions
-    in those blocks, and the Hermite form as an Echelon, or None if no
-    slope reaches any coordinate.
+    row of a torsion pair is a block of its own), and the form takes, per
+    affine form, only the blocks that its slope reaches: S has a row per
+    alpha coordinate k, L_k at each form's reached coordinates, and L has
+    the lattice's rows in the reached blocks, padded to S's length.
+    Returns the (form, coordinate) pairs of its columns, each form's set of
+    positions in those blocks, and the solver form, or None if no slope
+    reaches any coordinate.
     """
     m, coordinates, lattice = ambient.m, ambient.coordinates, ambient.lattice
     width = len(coordinates)
@@ -738,10 +741,9 @@ def _slope_echelon(slopes, ambient: Ambient):
         inside.append(frozenset(reached))
     if not columns:
         return (), tuple(inside), None
-    rows = [row + [int(i == k) for i in range(m)] for k, row in enumerate(slope_rows)]
-    for offset, part in lattice_rows:
-        rows.append([0] * offset + part + [0] * (len(columns) - offset - len(part) + m))
-    return tuple(columns), tuple(inside), hermite_normal_form(rows)
+    padded = ([0] * offset + part + [0] * (len(columns) - offset - len(part))
+              for offset, part in lattice_rows)
+    return tuple(columns), tuple(inside), solver_form(slope_rows, padded)
 
 
 def _admissible_coset(forms, slope_echelon, ambient: Ambient):
@@ -753,14 +755,13 @@ def _admissible_coset(forms, slope_echelon, ambient: Ambient):
     ``lattice``.
 
     A form (a0, g0, L) is the element with alpha a0 and gamma
-    g0 + sum_k alpha[k] L_k.  One Hermite form over the rows (L_k at each
-    form's target coordinates | e_k), k = 1..m, plus the lattice basis in
-    each form's block, solves all forms at once.  Reducing (a0 + g0 at the
-    target coordinates | 0) by its rows that pivot in the coordinate part
-    must leave (0 | alpha): then alpha is a solution, and the rows that
-    pivot in the e-part are an echelon basis of the kernel.  Coordinates
-    that no slope reaches, even through the lattice's rows, are left out of
-    the Hermite form: there a0 + g0 must lie in the lattice by itself.
+    g0 + sum_k alpha[k] L_k.  So alpha solves every form at once iff
+    alpha S + b lies in the span of the lattice's rows, with S and those
+    rows as ``_slope_echelon`` lays them out and b the a0 + g0 at its
+    columns: ``zmatrix.solve_affine`` gives alpha and the kernel.
+    Coordinates that no slope reaches, even through the lattice's rows, are
+    left out of the Hermite form: there a0 + g0 must lie in the lattice by
+    itself.
 
     The Hermite form depends on the slopes alone, not on the constant
     parts, so a caller that meets the same slopes again hands in the one it
@@ -775,15 +776,7 @@ def _admissible_coset(forms, slope_echelon, ambient: Ambient):
             return None
     if echelon is None:
         return (0,) * m, ((1,),) * m
-    width = len(columns)
-    resid = echelon.residue([full[f][c] for f, c in columns] + [0] * m, width)
-    if resid is None or any(resid[:width]):
-        return None
-    kernel = [None] * m
-    for row, col in zip(echelon.rows, echelon.pivots):
-        if col >= width:
-            kernel[col - width] = row[col:]
-    return tuple(resid[width:]), kernel
+    return solve_affine(echelon, len(columns), [full[f][c] for f, c in columns])
 
 
 def _candidates(forms, slope_echelon, ambient: Ambient, bounds: Sequence[int], spend):

@@ -1,5 +1,6 @@
 """Exact integer matrix algebra: Smith and Hermite normal forms, rank,
-the maximal-minor polynomial, and lattice and Q-span membership.
+the maximal-minor polynomial, lattice and Q-span membership, and the
+affine lattice solve.
 
 Everything works over arbitrary-precision Python ints.  Entries grow without
 bound during elimination, so none of this is allowed anywhere near fixed-width
@@ -10,6 +11,12 @@ A matrix is its integer rows, all of one length: ``smith_normal_form``,
 (ragged rows raise ValueError) and work on the copy in place.
 ``hermite_normal_form`` returns an ``Echelon``.  ``IntMatrix`` is only the
 type of the Smith form's views D, U and V, each built when first read.
+
+One Hermite form answers "which integer x put x S + b in span_Z(L)?":
+``solver_form`` builds the form of [S | I] on [L | 0], and
+``solve_affine`` reads a particular x and an echelon basis of the kernel
+off it for each b.  The group solver (``diophantine._admissible_coset``)
+and ``lattice_membership`` both go through the pair.
 
 The Smith routine records every elementary operation it performs, and that
 log is the only record of the reduction.  One routine, ``_apply``, applies
@@ -287,8 +294,8 @@ def minor_polynomial(M: Iterable[Iterable[int]]) -> int:
 
 def hermite_normal_form(M: Iterable[Iterable[int]]) -> Echelon:
     """Row-style Hermite normal form: the nonzero rows of W M for some
-    unimodular W, which is not built (``hermite_transform`` recovers it from
-    the form of [M | I]), and their pivots.  Pivots are positive, and
+    unimodular W, which is not built (the form of [M | I] from
+    ``solver_form`` carries it), and their pivots.  Pivots are positive, and
     entries above each pivot reduced into [0, pivot).
     """
     A, m = _rows(M)
@@ -332,24 +339,6 @@ def hermite_normal_form(M: Iterable[Iterable[int]]) -> Echelon:
     return Echelon(tuple(A[:prow]), tuple(pivots))
 
 
-def hermite_transform(M: Iterable[Iterable[int]]) -> Tuple[Echelon, Tuple[Tuple[int, ...], ...]]:
-    """(E, W): E the Hermite normal form of M, and W unimodular, as rows,
-    with W M equal to E's rows and then zero rows.
-
-    Runs ``hermite_normal_form`` on [M | I], which has full row rank: its
-    steps on M's columns are those on M alone, and every later step adds,
-    swaps or negates rows whose M part is zero.  A test oracle: the
-    production path needs no W.
-    """
-    A, m = _rows(M)
-    for i, row in enumerate(A):
-        row += [int(i == j) for j in range(len(A))]
-    HW = hermite_normal_form(A)
-    k = sum(c < m for c in HW.pivots)
-    E = Echelon(tuple(row[:m] for row in HW.rows[:k]), HW.pivots[:k])
-    return E, tuple(row[m:] for row in HW.rows)
-
-
 @dataclass(frozen=True)
 class Echelon:
     """A row-echelon basis and its pivot columns.
@@ -357,8 +346,8 @@ class Echelon:
     Each row is zero left of its pivot, and the pivots increase strictly.
     ``hermite_normal_form`` returns one, but any such basis will do.  Built
     once per basis, it decides span membership for many vectors by
-    reduction alone.  ``lattice_membership`` does the same from scratch and
-    serves as a test oracle.
+    reduction alone; built by ``solver_form``, it solves x S + b in a
+    lattice for many b (``solve_affine``).
     """
 
     rows: Tuple[Tuple[int, ...], ...]
@@ -383,8 +372,6 @@ class Echelon:
     def in_lattice(self, target: Sequence[int]) -> bool:
         """True iff target lies in the Z-span of the rows: each pivot must
         divide what is left in its column, and nothing may be left over."""
-        if not self.rows:
-            return not any(target)
         resid = self.residue(target, len(target))
         return resid is not None and not any(resid)
 
@@ -404,14 +391,47 @@ class Echelon:
         return resid
 
 
+def solver_form(S: Sequence[Sequence[int]], L: Iterable[Iterable[int]] = ()) -> Echelon:
+    """The Hermite form of [S | I_k] stacked on [L | 0], k = len(S), off
+    which ``solve_affine`` reads the x with x S + b in span_Z(L).
+
+    S must not be empty, and L's rows have S's length; ragged rows raise
+    ValueError.  The rows that pivot in S's columns span what the rows of S
+    and L span there.  The others are (0 | u), the u an echelon basis of
+    those with u S in span_Z(L).
+    """
+    k = len(S)
+    rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(S)]
+    return hermite_normal_form(rows + [list(row) + [0] * k for row in L])
+
+
+def solve_affine(form: Echelon, width: int, b: Sequence[int]) -> Optional[Tuple[tuple, list]]:
+    """(x, kernel) with x S + b in span_Z(L), for the ``solver_form`` of an
+    S of this width and L, or None if no integer x has it.
+
+    Reducing (b | 0) by the rows that pivot in S's columns leaves (0 | x)
+    when x exists.  ``kernel`` is the form's other rows as an echelon basis
+    of the x with x S in span_Z(L), in ``diophantine._coset_walk``'s
+    format: ``kernel[j]`` is None, or the entries from column j on of the
+    identity part of the row that pivots at column width + j.
+    """
+    resid = form.residue(list(b) + [0] * (len(form.rows[0]) - width), width)
+    if resid is None or any(resid[:width]):
+        return None
+    kernel = [None] * (len(resid) - width)
+    for row, col in zip(form.rows, form.pivots):
+        if col >= width:
+            kernel[col - width] = row[col:]
+    return tuple(resid[width:]), kernel
+
+
 def lattice_membership(
     basis: Sequence[Sequence[int]], target: Sequence[int]
 ) -> Optional[list]:
     """Integer coefficients expressing target in the Z-span of basis, or None.
 
-    Decided via the Hermite normal form of the basis matrix; coefficients are
-    pulled back through its unimodular transform (``hermite_transform``), so
-    the returned x satisfies sum_i x[i] * basis[i] == target exactly.
+    The x of ``solve_affine`` with S the basis and b = -target, so the
+    returned x satisfies sum_i x[i] * basis[i] == target exactly.
     """
     basis = [list(v) for v in basis]
     target = list(target)
@@ -421,18 +441,5 @@ def lattice_membership(
             raise ValueError("basis vector dimension mismatch")
     if not basis:
         return [] if all(v == 0 for v in target) else None
-    E, W = hermite_transform(basis)
-    n = len(basis)
-    resid = list(target)
-    y = [0] * n
-    for k, (row, col) in enumerate(zip(E.rows, E.pivots)):
-        q, rem = divmod(resid[col], row[col])
-        if rem:
-            return None
-        if q:
-            y[k] = q
-            for j in range(dim):
-                resid[j] -= q * row[j]
-    if any(resid):
-        return None
-    return [sum(y[k] * W[k][j] for k in range(n)) for j in range(n)]
+    found = solve_affine(solver_form(basis), dim, [-v for v in target])
+    return None if found is None else list(found[0])

@@ -53,3 +53,20 @@ def test_fewer_than_ten_pairs_hold_no_claim():
     assert (v.won, v.pairs, v.claim_holds, v.within_bound) == (1, 1, False, True)
     v = bench_pairs.summarize(P50, PARENT[:9], [x * 0.8 for x in PARENT[:9]])
     assert (v.won, v.claim_holds) == (9, False)
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # quartiles 0.1 and 0.2 about a median of 0.15: the spread is 67% of it
+    wide = [0.1, 0.2] * 5
+    v = bench_pairs.summarize(P50, wide, list(wide))
+    assert (v.within_bound, v.resolved) == (True, False)
+    # past the bound stays past, whatever the spread
+    v = bench_pairs.summarize(P50, wide, [x * 2 for x in wide])
+    assert (v.within_bound, v.resolved) == (False, False)
+    # unless every run of the change beats every run of the parent
+    v = bench_pairs.summarize(P50, wide, [0.09] * 10)
+    assert (v.won, v.within_bound, v.resolved) == (10, True, True)
+    v = bench_pairs.summarize(RATE, wide, [0.21] * 10)
+    assert (v.won, v.within_bound, v.resolved) == (10, True, True)
+    # the narrow parent runs of the other cases are resolved
+    assert bench_pairs.summarize(P50, PARENT, list(PARENT)).resolved

@@ -978,6 +978,26 @@ def test_word_problem_at_the_caps_prints_pinned_bytes(tmp_path):
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, out[:200]
 
 
+def test_solver_on_the_widest_quotient_at_the_caps_prints_pinned_bytes(tmp_path):
+    # the relators a_i^2 over MAX_RANK generators make every d_pq 2, so the
+    # solver's lattice splits into 2016 one-pair blocks: [a, y] = [b, a] at
+    # box 1, first solution and find-all, each within 150 MB of address
+    # space and 15 seconds, prints the same bytes as before the solver went
+    # through zmatrix.solve_affine
+    squares = tmp_path / "squares.txt"
+    squares.write_text("\n".join([f"{MAX_RANK} 2"] + [f"a{i}^2" for i in range(1, MAX_RANK + 1)]) + "\n")
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"variables": ["y"], "constants": ["a", "b"], "equations": [
+        [[["comm", [["a", 1]], [["y", 1]]]], [["comm", [["b", 1]], [["a", 1]]]]]]}))
+    argv = ["solve-bounded", str(group), "--box", "1", "--presentation", str(squares)]
+    for extra, status, digest in (
+            (["--first"], 0, "231a840394aa43bd8863f3efa8fb83951bdeb840d1c390ed21c8635212bc56e5"),
+            (["--limit", "1000000"], 1,
+             "9a5dd112fc4bc5ad4595ed83f84649e9c3f174af071c659b4518ff17e91f2c7a")):
+        code, out = _run_capped(argv + extra, 15 * 10**7, 15)
+        assert code == status and hashlib.sha256(out.encode()).hexdigest() == digest, out[:200]
+
+
 def test_wide_gamma_box_is_counted_not_listed(tmp_path):
     # at m = 12 a box-1 gamma block has 3^66 points; listing it ran out of
     # memory, counting it hits the work limit.  The address-space cap keeps a

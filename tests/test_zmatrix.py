@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 from nilq.zmatrix import (
     ElementaryOp,
     hermite_normal_form,
-    hermite_transform,
     lattice_membership,
     minor_polynomial,
     rank,
     smith_normal_form,
+    solve_affine,
+    solver_form,
 )
 
 from naive_oracles import apply_op, cofactor_det, matmul, rational_membership, view_rows
@@ -159,10 +160,14 @@ def test_hermite_form_properties():
     for _ in range(100):
         M = _random_matrix(rng)
         E = hermite_normal_form(M)
-        E_aug, W = hermite_transform(M)
-        assert E_aug == E
+        # the form of [M | I]: E is its rows that pivot in M's columns, cut
+        # to them, and W every row's identity part
+        HW, m = solver_form(M), len(M[0])
+        k = sum(c < m for c in HW.pivots)
+        assert (tuple(row[:m] for row in HW.rows[:k]), HW.pivots[:k]) == (E.rows, E.pivots)
+        W = tuple(row[m:] for row in HW.rows)
         # the nonzero rows of H = W M, then its zero rows
-        H = E.rows + ((0,) * len(M[0]),) * (len(M) - len(E.rows))
+        H = E.rows + ((0,) * m,) * (len(M) - len(E.rows))
         assert matmul(W, M) == H
         assert abs(cofactor_det(W)) == 1
         assert len(E.pivots) == len(E.rows) == rank(M)
@@ -178,7 +183,7 @@ def test_hermite_form_properties():
 
 
 _ROW_ROUTINES = pytest.mark.parametrize(
-    "routine", [rank, minor_polynomial, hermite_normal_form],
+    "routine", [rank, minor_polynomial, hermite_normal_form, solver_form],
     ids=lambda f: f.__name__)
 
 
@@ -223,6 +228,7 @@ def test_lattice_membership_rejects():
 
 def test_echelon_reductions_match_membership_oracles():
     rng = random.Random(41)
+    seen = {"combination": 0, "outside the Q-span": 0}
     for _ in range(300):
         dim = rng.randrange(1, 6)
         basis = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(rng.randrange(4))]
@@ -232,13 +238,24 @@ def test_echelon_reductions_match_membership_oracles():
         for _ in range(6):
             coeffs = [rng.randint(-3, 3) for _ in basis]
             target = [sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(dim)]
-            if rng.random() < 0.5:
+            moved = rng.random() < 0.5
+            if moved:
                 target[rng.randrange(dim)] += rng.randint(-2, 2)
-            if any(target) and rng.random() < 0.3:  # in the Q-span, maybe not the lattice
+            scaled = any(target) and rng.random() < 0.3
+            if scaled:  # in the Q-span, maybe not the lattice
                 g = math.gcd(*target)
                 target = [v // g for v in target]
+            in_span = rational_membership(basis, target)
+            # lattice_membership reduces through Echelon.residue too, so the
+            # way the target was built is the ground truth for both
+            if not (moved or scaled):
+                assert ech.in_lattice(target)
+                seen["combination"] += 1
+            if not in_span:
+                assert not ech.in_lattice(target)
+                seen["outside the Q-span"] += 1
             assert ech.in_lattice(target) == (lattice_membership(basis, target) is not None)
-            assert (not any(ech.rational_residue(target))) == rational_membership(basis, target)
+            assert (not any(ech.rational_residue(target))) == in_span
             # one scale for every vector: the residue map is linear, so ranks
             # of residues (stacked blocks included) are ranks modulo the span
             other = [rng.randint(-3, 3) for _ in range(dim)]
@@ -247,6 +264,50 @@ def test_echelon_reductions_match_membership_oracles():
             expected = [a + k * b for a, b in zip(ech.rational_residue(target),
                                                   ech.rational_residue(other))]
             assert combined == expected
+    assert all(seen.values()), seen
+
+
+def test_solve_affine_matches_divisibility_over_a_box():
+    # L = rows d_j e_j, so x S + b lies in span_Z(L) iff d_j divides its
+    # j-th entry (which is 0 when d_j is): no lattice reduction is needed
+    # to know the answer at every point of the box [-6, 6]^k
+    rng = random.Random(43)
+    seen = {"none": 0, "kernel": 0, "single": 0}
+    for _ in range(200):
+        k, w = rng.randint(1, 3), rng.randint(1, 3)
+        S = [[rng.randint(-4, 4) for _ in range(w)] for _ in range(k)]
+        d = [rng.randint(0, 4) for _ in range(w)]
+        b = [rng.randint(-5, 5) for _ in range(w)]
+
+        def holds(x, b):
+            return all((v % dj == 0) if dj else v == 0
+                       for v, dj in zip((sum(xi * r[j] for xi, r in zip(x, S)) + b[j]
+                                         for j in range(w)), d))
+
+        L = [[dj * (i == j) for i in range(w)] for j, dj in enumerate(d)]
+        box = [p for p in product(range(-6, 7), repeat=k) if holds(p, b)]
+        found = solve_affine(solver_form(S, L), w, b)
+        if found is None:
+            assert not box, (S, d, b)
+            seen["none"] += 1
+            continue
+        x, kernel = found
+        assert len(x) == len(kernel) == k and holds(x, b)
+        for j, tail in enumerate(kernel):
+            if tail is not None:
+                assert tail[0] > 0 and holds((0,) * j + tuple(tail), (0,) * w)
+        seen["kernel" if any(t is not None for t in kernel) else "single"] += 1
+        for p in box:  # p - x read off the kernel rows, pivot by pivot
+            diff = [a - c for a, c in zip(p, x)]
+            for j, tail in enumerate(kernel):
+                if tail is None:
+                    assert diff[j] == 0, (S, d, b, p)
+                    continue
+                q, rem = divmod(diff[j], tail[0])
+                assert rem == 0, (S, d, b, p)
+                for i, v in enumerate(tail, j):
+                    diff[i] -= q * v
+    assert all(seen.values()), seen
 
 
 def test_rational_membership():

@@ -14,7 +14,9 @@ For each end-to-end metric of ``BENCHMARK.json`` (its name, ``better`` and
 median, the pairs the change won, whether a claimed gain would hold (at
 least 10 pairs, 9 in 10 of them won, and the gap between the medians wider
 than the parent's interquartile range) and whether the change stays within the
-bound.
+bound.  A metric within the bound is reported as unresolved when the parent's
+interquartile range is wider than the bound, unless every run of the change
+beats every run of the parent: the spread then hides a move of the bound's size.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class Verdict(NamedTuple):
     pairs: int
     claim_holds: bool
     within_bound: bool
+    resolved: bool
 
 
 def quartiles(xs: Sequence[float]) -> tuple:
@@ -64,7 +67,9 @@ def summarize(metric: dict, parent: Sequence[float], change: Sequence[float]) ->
     gain = sign * (change_median - median)
     claim = len(parent) >= 10 and 10 * won >= 9 * len(parent) and gain > q3 - q1
     within = gain >= -metric["bound"] * abs(median)
-    return Verdict(q1, median, q3, change_median, won, len(parent), claim, within)
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    resolved = q3 - q1 <= metric["bound"] * abs(median) or beats_all
+    return Verdict(q1, median, q3, change_median, won, len(parent), claim, within, resolved)
 
 
 def extract(ref: str, into: Path) -> None:
@@ -114,7 +119,8 @@ def main(argv=None) -> int:
         print(f"  {name:12} {v.parent_median:.6g} [{v.parent_q1:.6g}-{v.parent_q3:.6g}] -> "
               f"{v.change_median:.6g} ({move:+.1f}%), won {v.won}/{v.pairs}, "
               f"claim {'holds' if v.claim_holds else 'fails'}, "
-              f"{'within' if v.within_bound else 'PAST'} the {metric['bound']:.0%} bound")
+              f"{'PAST' if not v.within_bound else 'within' if v.resolved else 'unresolved at'} "
+              f"the {metric['bound']:.0%} bound")
     return 0
 
 
