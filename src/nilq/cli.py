@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -58,18 +59,26 @@ def _emit(text: str, summary: str):
     print(summary, file=sys.stderr)
 
 
+def _finite(value):
+    """value with each non-finite float in it, at any depth of lists and
+    tuples, as None: JSON has no infinity."""
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _jsonable(obj):
-    """json.dumps fallback: a dataclass by its fields, a Fraction as
-    [numerator, denominator]."""
+    """json.dumps fallback: a dataclass by its fields, a non-finite float
+    among them as null, and a Fraction as [numerator, denominator]."""
     if isinstance(obj, Fraction):
         return [obj.numerator, obj.denominator]
     if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
+        return dataclasses.asdict(obj, dict_factory=lambda fields: {k: _finite(v) for k, v in fields})
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(obj, summary: str):
-    _emit(json.dumps(obj, sort_keys=True, indent=2, default=_jsonable), summary)
+    _emit(json.dumps(obj, sort_keys=True, indent=2, default=_jsonable, allow_nan=False), summary)
 
 
 def _emit_format(args, obj, csv, summary: str):
@@ -106,9 +115,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_normalize(args) -> int:
     np_ = _load_presentation(args.file)
-    pairs = pair_list(np_.m)
-    columns = [f"a{k}" for k in range(1, np_.m + 1)]
-    columns += ["[a%d,a%d]" % pairs[t] for t in np_.kept_pairs]
+    names = [f"a{k}" for k in range(1, np_.m + 1)] + ["[a%d,a%d]" % pq for pq in pair_list(np_.m)]
     out = {
         "m": np_.m,
         "s": np_.s,
@@ -119,7 +126,7 @@ def _cmd_normalize(args) -> int:
         "invariant_factors": list(np_.snf.invariant_factors),
         "d_pq": list(np_.d_pq),
         "echelon": {
-            "columns": columns,
+            "columns": [names[c] for c in np_.coordinates],
             "rows": [list(row) for row in np_.echelon.rows],
             "pivots": list(np_.echelon.pivots),
         },

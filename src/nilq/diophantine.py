@@ -78,6 +78,14 @@ see the same values, and the scans meet the same slopes.  Each prepared
 search keeps one memo of the evaluations, slopes and slope echelons it has
 made, keyed by the values they read, and charges each one as if it were
 made afresh; the ambient keeps no state of its own.
+
+The solver decides equality in the G = N_{2,m} / <<R>> that
+``presentation.normalize`` presents (the paper's claim 1 reduces systems
+over Z to systems over G).  An ``Ambient`` is that normalized presentation
+plus the indices of the two constants, and its triviality test is the
+presentation's own, ``is_trivial_in_G``: one floor reduction in its
+echelon.  N_{2,m} itself is the presentation with no relators
+(``FreeNilpotentAmbient``), where the test is the identity test.
 """
 
 from __future__ import annotations
@@ -99,7 +107,7 @@ from .nilpotent2 import (
     inverse,
     multiply,
 )
-from .presentation import NormalizedPresentation
+from .presentation import NilPresentation, NormalizedPresentation, is_trivial_in_G, normalize
 from .words import check_rank, count_over_limit
 from .zmatrix import Echelon, solve_affine, solver_form
 
@@ -381,41 +389,47 @@ class GroupSystem:
 
 
 class Ambient:
-    """The group the solver works in: N_{2,m}, or a quotient of it, with
-    constants a = a_a and b = a_b (generator indices).
+    """The group the solver works in: the G = N_{2,m} / <<R>> that a
+    normalized presentation presents, with constants a = a_a and b = a_b
+    (generator indices).
 
-    An element is trivial iff its coordinates (alpha + gamma) at
-    ``coordinates`` lie in ``lattice``, an Echelon: ``is_trivial`` is that
-    test, and ``_admissible_coset`` solves it for alpha with
-    ``zmatrix.solve_affine``, the lattice's rows as its L.
+    ``coordinates`` and ``lattice`` are the presentation's own columns and
+    echelon: an element is trivial iff its coordinates there lie in the
+    lattice, so ``is_trivial`` is ``presentation.is_trivial_in_G``, or the
+    identity test when the lattice has no rows and keeps every pair.
+    ``_admissible_coset`` solves that test for alpha with
+    ``zmatrix.solve_affine``, the lattice's rows as its L, over the blocks
+    of coordinates that the rows join, found once here (``_lattice_blocks``).
     ``FreeNilpotentAmbient`` and ``QuotientAmbient`` build the two kinds.
     """
 
-    def __init__(self, m: int, a: int, b: int, coordinates: Tuple[int, ...], lattice: Echelon):
-        if m < 2:
+    coordinates = property(lambda self: self.presentation.coordinates)
+    lattice = property(lambda self: self.presentation.echelon)
+
+    def __init__(self, presentation: NormalizedPresentation, a: int, b: int):
+        if presentation.m < 2:
             raise ValueError("need m >= 2 for non-commuting constants")
-        self.m, self.a, self.b = m, a, b
-        self.coordinates = coordinates
-        self.lattice = lattice
-        # every coordinate and no rows, as in the free ambient: an element is
+        self.presentation, self.m, self.a, self.b = presentation, presentation.m, a, b
+        # no rows and every pair kept, as in the free ambient: an element is
         # trivial iff it is the identity, a test that copies nothing
-        self._free = not lattice.rows and coordinates == tuple(range(m + m * (m - 1) // 2))
+        self._free = not self.lattice.rows and len(presentation.kept_pairs) == len(presentation.d_pq)
+        self._blocks = _lattice_blocks(len(self.coordinates), self.lattice)
 
     def constants(self) -> Dict[str, MalcevElement]:
         return {"a": generator(self.m, self.a), "b": generator(self.m, self.b)}
 
     def is_trivial(self, el: MalcevElement) -> bool:
-        if self._free:
-            return el.is_identity()
-        v = el.alpha + el.gamma
-        return self.lattice.in_lattice([v[c] for c in self.coordinates])
+        return el.is_identity() if self._free else is_trivial_in_G(el, self.presentation)
 
 
+@lru_cache(maxsize=None)
 def FreeNilpotentAmbient(m: int) -> Ambient:
-    """Free 2-step nilpotent group of rank m; constants a = a_1, b = a_2.
-    Its lattice is every coordinate, and no rows."""
+    """Free 2-step nilpotent group of rank m, the presentation with no
+    relators; constants a = a_1, b = a_2.  Built once per m."""
     check_rank(m)
-    return Ambient(m, 1, 2, tuple(range(m + m * (m - 1) // 2)), Echelon((), ()))
+    if m < 2:  # before NilPresentation refuses m <= 0 in its own words
+        raise ValueError("need m >= 2 for non-commuting constants")
+    return Ambient(normalize(NilPresentation(m, 2, ())), 1, 2)
 
 
 def QuotientAmbient(np_: NormalizedPresentation) -> Ambient:
@@ -423,12 +437,9 @@ def QuotientAmbient(np_: NormalizedPresentation) -> Ambient:
 
     Constants pick the last two generators: in the regime r <= m - 2 they are
     asymptotically almost surely centralizer-small modulo torsion, which is
-    what the encoding needs.  Its lattice is that of ``is_trivial_in_G``:
-    alpha and the ``kept_pairs`` of gamma, in the presentation's echelon.
+    what the encoding needs.
     """
-    m = np_.m
-    coordinates = tuple(range(m)) + tuple(m + t for t in np_.kept_pairs)
-    return Ambient(m, m - 1, m, coordinates, np_.echelon)
+    return Ambient(np_, np_.m - 1, np_.m)
 
 
 def ambient_constants(S: GroupSystem, ambient: Ambient) -> Dict[str, MalcevElement]:
@@ -692,7 +703,7 @@ def _coset_walk(point: Sequence[int], kernel: Sequence, bounds: Sequence[int]):
             return
 
 
-def _lattice_blocks(width: int, lattice: Echelon) -> List[int]:
+def _lattice_blocks(width: int, lattice: Echelon) -> Tuple[int, ...]:
     """Each coordinate's block, by union-find: two coordinates share a
     block when some lattice row is nonzero at both, so every row lies
     within one block."""
@@ -707,7 +718,7 @@ def _lattice_blocks(width: int, lattice: Echelon) -> List[int]:
     for row, pivot in zip(lattice.rows, lattice.pivots):
         for j in itertools.compress(range(pivot + 1, width), row[pivot + 1 :]):
             root[find(j)] = find(pivot)
-    return [find(j) for j in range(width)]
+    return tuple(find(j) for j in range(width))
 
 
 def _slope_echelon(slopes, ambient: Ambient):
@@ -715,17 +726,17 @@ def _slope_echelon(slopes, ambient: Ambient):
     slopes in the ambient's lattice (see ``_admissible_coset``).
 
     The lattice's rows split its coordinates into blocks (each d_pq e_pq
-    row of a torsion pair is a block of its own), and the form takes, per
-    affine form, only the blocks that its slope reaches: S has a row per
-    alpha coordinate k, L_k at each form's reached coordinates, and L has
-    the lattice's rows in the reached blocks, padded to S's length.
+    row of a torsion pair is a block of its own), which the ambient finds
+    when it is built, and the form takes, per affine form, only the blocks
+    that its slope reaches: S has a row per alpha coordinate k, L_k at each
+    form's reached coordinates, and L has the lattice's rows in the reached
+    blocks, padded to S's length.
     Returns the (form, coordinate) pairs of its columns, each form's set of
     positions in those blocks, and the solver form, or None if no slope
     reaches any coordinate.
     """
-    m, coordinates, lattice = ambient.m, ambient.coordinates, ambient.lattice
+    m, coordinates, lattice, block = ambient.m, ambient.coordinates, ambient.lattice, ambient._blocks
     width = len(coordinates)
-    block = _lattice_blocks(width, lattice)
     columns, inside, lattice_rows = [], [], []
     slope_rows: List[list] = [[] for _ in range(m)]
     for f, slope in enumerate(slopes):

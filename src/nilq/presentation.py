@@ -176,7 +176,8 @@ class NormalizedPresentation:
     a_1^V_k1 ... a_m^V_km.  ``d_pq`` is d_pq at each pair in gamma order,
     and ``kept_pairs`` the gamma indices where it is not 1.
     ``image_rows`` are the relators' images at the alpha columns, then those
-    pairs, each gamma reduced modulo its nonzero d_pq.
+    pairs, each gamma reduced modulo its nonzero d_pq: the columns that
+    ``coordinates`` names in an element's alpha + gamma.
     """
 
     m: int
@@ -195,6 +196,12 @@ class NormalizedPresentation:
     @property
     def alphas(self) -> Tuple[int, ...]:
         return self.snf.invariant_factors
+
+    @cached_property
+    def coordinates(self) -> Tuple[int, ...]:
+        """The columns of ``echelon`` as indices into an element's alpha +
+        gamma: every alpha, then the ``kept_pairs`` of gamma."""
+        return tuple(range(self.m)) + tuple(self.m + t for t in self.kept_pairs)
 
     @cached_property
     def echelon(self) -> Echelon:
@@ -386,12 +393,12 @@ def is_trivial_in_G(h: MalcevElement, np_: NormalizedPresentation) -> bool:
     h is taken in the rewritten basis; use express_in_normalized_basis for
     words over the original generators.  The closure's Malcev coordinates
     are exactly the lattice of ``echelon`` and the unit pairs it drops, so
-    this is one membership test of h's coordinates at the kept pairs.
+    this is one membership test of h's coordinates at ``coordinates``.
     """
     if h.m != np_.m:
         raise ValueError("rank mismatch")
-    g = h.gamma
-    return np_.echelon.in_lattice(h.alpha + tuple(g[t] for t in np_.kept_pairs))
+    v = h.alpha + h.gamma
+    return np_.echelon.in_lattice([v[c] for c in np_.coordinates])
 
 
 def is_trivial_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> bool:

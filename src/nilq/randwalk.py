@@ -412,6 +412,9 @@ def escape_csv(estimates: Sequence[EscapeEstimate]) -> str:
 # Largest n_max that return_probability_exact accepts.
 RETURN_N_MAX_LIMIT = 1000
 
+# Most matrices that schwartz_zippel_check enumerates.
+SCHWARTZ_ZIPPEL_LIMIT = 4_000_000
+
 
 @dataclass(frozen=True)
 class ReturnTable:
@@ -526,20 +529,19 @@ class SchwartzZippelResult:
     holds: bool
 
 
-def schwartz_zippel_check(
-    r: int, m: int, box_halfwidth: int, limit: int = 4_000_000
-) -> SchwartzZippelResult:
+def schwartz_zippel_check(r: int, m: int, box_halfwidth: int) -> SchwartzZippelResult:
     """Exhaustive zero count of the sum-of-squared-minors polynomial.
 
     Enumerates every r x m integer matrix with entries in [-b, b], counts
     those of non-maximal rank (the polynomial's zeros), and compares with the
-    bound d * |I|^(rm-1) for d = 2*min(r, m), the polynomial's degree.
+    bound d * |I|^(rm-1) for d = 2*min(r, m), the polynomial's degree.  More
+    than SCHWARTZ_ZIPPEL_LIMIT matrices raise EnumerationLimitError.
     """
     if r < 1 or m < 1 or box_halfwidth < 1:
         raise ValueError("r, m, box_halfwidth must be positive")
     side = 2 * box_halfwidth + 1
     # decided before a count of perhaps millions of digits is built
-    message = count_over_limit(side, r * m, limit, "matrices")
+    message = count_over_limit(side, r * m, SCHWARTZ_ZIPPEL_LIMIT, "matrices")
     if message:
         raise EnumerationLimitError(message)
     total = side ** (r * m)

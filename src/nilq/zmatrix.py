@@ -12,11 +12,16 @@ A matrix is its integer rows, all of one length: ``smith_normal_form``,
 ``hermite_normal_form`` returns an ``Echelon``.  ``IntMatrix`` is only the
 type of the Smith form's views D, U and V, each built when first read.
 
-One Hermite form answers "which integer x put x S + b in span_Z(L)?":
-``solver_form`` builds the form of [S | I] on [L | 0], and
-``solve_affine`` reads a particular x and an echelon basis of the kernel
-off it for each b.  The group solver (``diophantine._admissible_coset``)
-and ``lattice_membership`` both go through the pair.
+Every membership test is one floor reduction (Cohen, *A Course in
+Computational Algebraic Number Theory*, GTM 138, section 2.4):
+``Echelon.reduce`` subtracts floor(left / pivot) times each row, which
+leaves every pivot's column in [0, pivot), a normal form modulo the rows'
+Z-span, and ``Echelon.in_lattice`` asks that nothing be left.  One Hermite
+form answers "which integer x put x S + b in span_Z(L)?": ``solver_form``
+builds the form of [S | I] on [L | 0], and ``solve_affine`` reduces (b | 0)
+by it for each b, reading off a particular x and an echelon basis of the
+kernel.  The group solver (``diophantine._admissible_coset``) and
+``lattice_membership`` both go through the pair.
 
 The Smith routine records every elementary operation it performs, and that
 log is the only record of the reduction.  One routine, ``_apply``, applies
@@ -353,27 +358,27 @@ class Echelon:
     rows: Tuple[Tuple[int, ...], ...]
     pivots: Tuple[int, ...]
 
-    def residue(self, target: Sequence[int], stop: int) -> Optional[list]:
-        """target less the multiple of each row that pivots before column
-        stop which clears target at that pivot, in order, or None if a pivot
-        does not divide what is left in its column."""
+    def reduce(self, target: Sequence[int], stop: Optional[int] = None) -> list:
+        """target less floor(left / pivot) times each row that pivots before
+        column stop (every row by default), in order, where left is what is
+        left of target at that pivot: each such column is left in [0, pivot)
+        for a positive pivot.  Targets that differ by a Z-combination of
+        those rows reduce to the same list."""
         resid = list(target)
+        stop = len(resid) if stop is None else stop
         for row, col in zip(self.rows, self.pivots):
             if col >= stop:
                 break
-            q, rem = divmod(resid[col], row[col])
-            if rem:
-                return None
+            q = resid[col] // row[col]
             if q:
                 for j in range(col, len(resid)):
                     resid[j] -= q * row[j]
         return resid
 
     def in_lattice(self, target: Sequence[int]) -> bool:
-        """True iff target lies in the Z-span of the rows: each pivot must
-        divide what is left in its column, and nothing may be left over."""
-        resid = self.residue(target, len(target))
-        return resid is not None and not any(resid)
+        """True iff target lies in the Z-span of the rows: nothing is left
+        of it after ``reduce``."""
+        return not any(self.reduce(target))
 
     def rational_residue(self, target: Sequence[int]) -> list:
         """Fraction-free reduction of target modulo the Q-span of the rows.
@@ -415,8 +420,8 @@ def solve_affine(form: Echelon, width: int, b: Sequence[int]) -> Optional[Tuple[
     format: ``kernel[j]`` is None, or the entries from column j on of the
     identity part of the row that pivots at column width + j.
     """
-    resid = form.residue(list(b) + [0] * (len(form.rows[0]) - width), width)
-    if resid is None or any(resid[:width]):
+    resid = form.reduce(list(b) + [0] * (len(form.rows[0]) - width), width)
+    if any(resid[:width]):
         return None
     kernel = [None] * (len(resid) - width)
     for row, col in zip(form.rows, form.pivots):
@@ -436,9 +441,8 @@ def lattice_membership(
     basis = [list(v) for v in basis]
     target = list(target)
     dim = len(target)
-    for v in basis:
-        if len(v) != dim:
-            raise ValueError("basis vector dimension mismatch")
+    if any(len(v) != dim for v in basis):
+        raise ValueError("basis vector dimension mismatch")
     if not basis:
         return [] if all(v == 0 for v in target) else None
     found = solve_affine(solver_form(basis), dim, [-v for v in target])

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -70,3 +72,17 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert (v.won, v.within_bound, v.resolved) == (10, True, True)
     # the narrow parent runs of the other cases are resolved
     assert bench_pairs.summarize(P50, PARENT, list(PARENT)).resolved
+
+
+@pytest.mark.parametrize("workload", ["all", "compilr"])
+def test_a_workload_not_in_the_benchmark_is_a_usage_error(monkeypatch, capsys, workload):
+    # refused by argparse before the parent is extracted or anything runs
+    def never(*args):
+        raise AssertionError("ran")
+
+    monkeypatch.setattr(bench_pairs, "extract", never)
+    monkeypatch.setattr(bench_pairs, "run_once", never)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", "HEAD", "--workload", workload, "--pairs", "1", "--seconds", "1"])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

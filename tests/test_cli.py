@@ -179,11 +179,12 @@ _PINNED_OUTPUTS = [
      "e03d61912393149d2cd846bc3a0ac3980b085919799029445a08082c25902d24"),
     (("clt", "--m", "3", "--n", "40", "--trials", "30", "--seed", "6", "--format", "json"),
      "4b2a4f6b29a09f945e43ae6a9a88945783b32f0455ce93e2f52013d7a021e8bf"),
-    # one trial: the variance standard errors are infinite
+    # one trial: the variance standard errors are infinite, inf in CSV and
+    # null in JSON, which has no infinity
     (("clt", "--m", "2", "--n", "10", "--trials", "1", "--seed", "3", "--format", "csv"),
      "3ef8aa1c3553dbe06069e335f9adffcb5f37acf4ab0be147c10adbabe3dfdc9d"),
     (("clt", "--m", "2", "--n", "10", "--trials", "1", "--seed", "3", "--format", "json"),
-     "179b1e811c8a5e1be6c630b6750244ac832bfea9483cf165ec35f72cf99f1396"),
+     "d66038a0cff719e8ba045e72133baf7b068cd93a5fc6016d47a1aaa7430317ed"),
     (("escape", "--m", "2", "--n", "30", "--n", "60", "--trials", "20", "--seed", "4",
       "--format", "csv"),
      "e2894913a075efd3151ae1cc0a732487f87c12ed7fe702d478ffc052bd2790ac"),
@@ -218,6 +219,35 @@ def test_experiment_output_bytes_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = _run(capsys, *(a.replace("{cfg}", str(cfg)) for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def _strict_json(text):
+    """text parsed as JSON, which has no Infinity, -Infinity or NaN."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in _PINNED_OUTPUTS if a[-2:] == ("--format", "json")] + [
+    ("clt", "--m", "2", "--n", "10", "--trials", "1", "--seed", "1", "--format", "json"),
+    ("escape", "--m", "2", "--n", "10", "--trials", "3", "--seed", "1", "--epsilon", "inf",
+     "--format", "json")])
+def test_json_output_is_strict_json(capsys, tmp_path, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 2, "r": 2, "lengths": [4, 9], "trials": 25, "seed": 12}))
+    code, out, _ = _run(capsys, *(a.replace("{cfg}", str(cfg)) for a in argv))
+    assert code == 0
+    _strict_json(out)
+
+
+def test_non_finite_floats_are_null_in_json(capsys):
+    code, out, _ = _run(capsys, "clt", "--m", "2", "--n", "10", "--trials", "1", "--seed", "1",
+                        "--format", "json")
+    assert code == 0 and _strict_json(out)["variance_stderrs"] == [None, None]
+    code, out, _ = _run(capsys, "escape", "--m", "2", "--n", "10", "--trials", "3", "--seed", "1",
+                        "--epsilon", "inf", "--format", "json")
+    assert code == 0 and [e["epsilon"] for e in _strict_json(out)] == [None]
 
 
 # sha256 of the exact stdout of the equation and classifier commands; the
@@ -976,6 +1006,62 @@ def test_word_problem_at_the_caps_prints_pinned_bytes(tmp_path):
              "5be93d99f8b5eb9456a3b360ffe54359e7545a15fea30f2bdc9a7e60b6152372")):
         code, out = _run_capped(argv, 15 * 10**7, 15)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, out[:200]
+
+
+def _cap_file_lines(name):
+    """The lines of a presentation at the caps, over MAX_RANK generators:
+    "powers", MAX_RELATORS relators a_i^(MAX_WORD_LETTERS - 1) a_j, each
+    power one syllable; "squares", the relators a_i^2, so every d_pq is 2
+    and normalize's Hermite form keeps all C(64, 2) pairs, its largest;
+    "brackets", MAX_RELATORS relators [a_i ... a_(i+7), a64 a63]^49999 a_k,
+    about 10^6 letters each, a bracket power read from the exponent sums of
+    its arguments."""
+    m = MAX_RANK
+    if name == "powers":
+        return [f"{m} 2"] + [f"a{i % m + 1}^{MAX_WORD_LETTERS - 1} a{(7 * i + 1) % m + 1}"
+                             for i in range(MAX_RELATORS)]
+    if name == "squares":
+        return [f"{m} 2"] + [f"a{i}^2" for i in range(1, m + 1)]
+    brackets = []
+    for t in range(MAX_RELATORS):
+        i = t % (m - 7) + 1
+        u = " ".join("a%d" % j for j in range(i, i + 8))
+        brackets.append("[%s, a%d a%d]^49999 a%d" % (u, m, m - 1, (7 * t + 1) % m + 1))
+    return [f"{m} 2"] + brackets
+
+
+_SQUARES_REGIME = {
+    "corank": None, "diophantine": "DECIDABLE", "invariant_factors": [2] * MAX_RANK,
+    "notes": "full-rank square regime: the abelianization is finite and the derived subgroup "
+             "has finite exponent, so the group is finite; everything is decidable by enumeration.",
+    "rank": MAX_RANK, "regime": "FINITE"}
+
+
+def _verdict(word, in_G, mod_torsion=True):
+    return {"trivial_in_G": in_G, "trivial_mod_torsion": mod_torsion, "word": word}
+
+
+_FIRST_BRACKET = "[a1 a2 a3 a4 a5 a6 a7 a8, a64 a63]^49999 a2"
+
+
+@pytest.mark.parametrize("name,argv,address_space,timeout,expected", [
+    ("powers", ["is-trivial", "a1^999999 a2"], 15 * 10**7, 15, _verdict("a1^999999 a2", True)),
+    ("squares", ["is-trivial", "[a1,a2]"], 15 * 10**7, 15, _verdict("[a1,a2]", False)),
+    ("squares", ["is-trivial", "[a1,a2]^2"], 15 * 10**7, 15, _verdict("[a1,a2]^2", True)),
+    ("brackets", ["is-trivial", _FIRST_BRACKET], 15 * 10**7, 15, _verdict(_FIRST_BRACKET, True)),
+    # classify reads the Smith form alone and never builds the Hermite form
+    ("squares", ["classify"], 6 * 10**7, 5, _SQUARES_REGIME),
+], ids=["powers", "squares", "squares-squared", "brackets", "squares-classify"])
+def test_cap_files_are_decided_within_their_caps(tmp_path, name, argv, address_space, timeout,
+                                                 expected):
+    # the word problem on each presentation at the caps, and classify, are
+    # decided within the address space and seconds given
+    lines = _cap_file_lines(name)
+    assert lines[1] == _FIRST_BRACKET or name != "brackets"
+    path = tmp_path / f"{name}.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = _run_capped([argv[0], str(path), *argv[1:]], address_space, timeout)
+    assert code == 0 and json.loads(out) == expected, out[:200]
 
 
 def test_solver_on_the_widest_quotient_at_the_caps_prints_pinned_bytes(tmp_path):

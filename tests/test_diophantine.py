@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilq import diophantine, nilpotent2, zmatrix
+from nilq import presentation as presentation_module
 from nilq.diophantine import (
     FreeNilpotentAmbient,
     GroupSystem,
@@ -699,11 +700,44 @@ def _scan_id(amb):
 
 
 def test_ambients_refuse_one_generator():
-    # a and b must not commute, so neither ambient takes m = 1
-    with pytest.raises(ValueError, match="need m >= 2 for non-commuting constants"):
-        FreeNilpotentAmbient(1)
+    # a and b must not commute, so neither ambient takes m = 1, nor m <= 0
+    for m in (1, 0, -1):
+        with pytest.raises(ValueError, match="need m >= 2 for non-commuting constants"):
+            FreeNilpotentAmbient(m)
     with pytest.raises(ValueError, match="need m >= 2 for non-commuting constants"):
         QuotientAmbient(normalize(parse_presentation("1 2\na1^3\n")))
+
+
+def test_an_ambient_is_its_presentation_and_two_constants(monkeypatch):
+    # the free ambient is the presentation with no relators, built once per
+    # m; a quotient's ambient reads its presentation's own columns and echelon
+    free = FreeNilpotentAmbient(3)
+    assert free.presentation == normalize(presentation_module.NilPresentation(3, 2, ()))
+    assert (free.a, free.b, free.coordinates, free.lattice.rows) == (1, 2, tuple(range(6)), ())
+    monkeypatch.setattr(presentation_module, "smith_normal_form", None)  # a rebuild would fail
+    assert FreeNilpotentAmbient(3) is free
+    monkeypatch.undo()
+    np_ = normalize(parse_presentation(_SCAN_PRESENTATIONS[-1]))
+    amb = QuotientAmbient(np_)
+    assert (amb.presentation, amb.m, amb.a, amb.b) == (np_, 4, 3, 4)
+    assert amb.coordinates is np_.coordinates and amb.lattice is np_.echelon
+
+
+def test_lattice_blocks_are_found_once_per_ambient(monkeypatch):
+    # two searches on one quotient ambient meet different slope sets; the
+    # blocks of its lattice are found when the ambient is built, never again
+    calls, slope_sets = [], set()
+    blocks, slope_echelon = diophantine._lattice_blocks, diophantine._slope_echelon
+    monkeypatch.setattr(diophantine, "_lattice_blocks", lambda *a: calls.append(a) or blocks(*a))
+    monkeypatch.setattr(diophantine, "_slope_echelon",
+                        lambda slopes, amb: slope_sets.add(slopes) or slope_echelon(slopes, amb))
+    amb = QuotientAmbient(normalize(parse_presentation(_SCAN_PRESENTATIONS[-1])))
+    assert len(calls) == 1
+    y = (("y", 1),)
+    for equations in ([((comm((gen("a"),), y),), ())],
+                      [((comm((gen("b"),), y),), (comm((gen("b"),), (gen("a"),)),))]):
+        bounded_solve_group(GroupSystem(("y",), ("a", "b"), tuple(equations)), amb, 1)
+    assert len(slope_sets) >= 2 and len(calls) == 1
 
 
 def _element_at(amb, coords, rng):

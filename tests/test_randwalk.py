@@ -379,8 +379,10 @@ def test_schwartz_zippel_frozen_counts():
 
 
 def test_schwartz_zippel_enumeration_limit():
+    # 9^8 matrices, over the limit
+    assert 9**8 > randwalk.SCHWARTZ_ZIPPEL_LIMIT
     with pytest.raises(EnumerationLimitError):
-        schwartz_zippel_check(2, 3, 4, limit=1000)
+        schwartz_zippel_check(2, 4, 4)
 
 
 def test_schwartz_zippel_limit_decided_before_the_count():

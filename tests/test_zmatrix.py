@@ -228,6 +228,7 @@ def test_lattice_membership_rejects():
 
 def test_echelon_reductions_match_membership_oracles():
     rng = random.Random(41)
+    shifts = random.Random(42)  # its own stream, so rng draws what it did
     seen = {"combination": 0, "outside the Q-span": 0}
     for _ in range(300):
         dim = rng.randrange(1, 6)
@@ -246,7 +247,18 @@ def test_echelon_reductions_match_membership_oracles():
                 g = math.gcd(*target)
                 target = [v // g for v in target]
             in_span = rational_membership(basis, target)
-            # lattice_membership reduces through Echelon.residue too, so the
+            # reduce leaves each pivot's column in [0, pivot), takes a
+            # lattice vector off target, and is the same on target plus any
+            # lattice vector: a normal form modulo the lattice
+            left = ech.reduce(target)
+            assert all(0 <= left[c] < row[c] for row, c in zip(ech.rows, ech.pivots))
+            taken = [a - b for a, b in zip(target, left)]
+            assert lattice_membership(basis, taken) is not None
+            shift = [shifts.randint(-3, 3) for _ in ech.rows]
+            shifted = [a + sum(c * row[j] for c, row in zip(shift, ech.rows))
+                       for j, a in enumerate(target)]
+            assert ech.reduce(shifted) == left
+            # lattice_membership reduces through Echelon.reduce too, so the
             # way the target was built is the ground truth for both
             if not (moved or scaled):
                 assert ech.in_lattice(target)

@@ -3,11 +3,14 @@ pairs, and print how each end-to-end metric moved.
 
     python tools/bench_pairs.py --parent HEAD~1 --workload wordproblem --pairs 10
 
-The parent ref is extracted with ``git archive`` into a temporary directory.
-Each pair runs ``python3 perfbench/run.py --workload W --seconds S`` once in
-each tree, one after the other, the parent first in even pairs and the
-change first in odd ones.  A run whose final line does not report
-``"correct": true`` with 0 failed jobs stops the tool with exit code 1.
+The workload is one of the names in ``BENCHMARK.json``; any other name,
+``all`` included, is a usage error (exit code 2) before anything runs.
+The parent ref is extracted with ``git archive`` into a temporary
+directory.  Each pair runs ``python3 perfbench/run.py --workload W
+--seconds S`` once in each tree, one after the other, the parent first in
+even pairs and the change first in odd ones.  A run whose final line does
+not report ``"correct": true`` with 0 failed jobs stops the tool with exit
+code 1.
 
 For each end-to-end metric of ``BENCHMARK.json`` (its name, ``better`` and
 ``bound``) the report gives the parent's median and quartiles, the change's
@@ -94,13 +97,14 @@ def run_once(tree: Path, workload: str, seconds: float) -> dict:
 
 
 def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent tree")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, choices=[w["name"] for w in benchmark["workloads"]])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25.0)
     args = ap.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = benchmark["end_to_end"]
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
