@@ -44,7 +44,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .words import Word
+from .words import MAX_RANK, Word
 
 
 @lru_cache(maxsize=None)
@@ -259,24 +259,32 @@ def from_word(w: Word) -> MalcevElement:
     return from_syllables(w.m, w.syllables)
 
 
+@lru_cache(maxsize=MAX_RANK)
+def _row_offsets(m: int) -> Tuple[int, ...]:
+    """For each 0-based k, the offset t - j of gamma's pairs (k, j), j > k,
+    0-based: row k of gamma starts at the pair (k, k + 1)."""
+    return tuple(k * (2 * m - k - 1) // 2 - k - 1 for k in range(m))
+
+
 def from_syllables(m: int, syllables) -> MalcevElement:
     """The product of the runs a_k^e, given as (k, e) pairs with k 1-based,
     in one step per run.
 
     Appending a_k^e moves it left past the a_j blocks with j > k, which adds
-    -e * alpha_j to gamma_(k,j); then alpha_k gains e.
+    -e * alpha_j to gamma_(k,j); then alpha_k gains e.  The pair (k, j) sits
+    at ``_row_offsets(m)[k] + j``, and an alpha_j of 0 adds nothing.
     """
     alpha = [0] * m
     gamma = [0] * (m * (m - 1) // 2)
+    offsets = _row_offsets(m)
     for k, e in syllables:
         if not (1 <= k <= m):
             raise ValueError(f"generator index {k} out of range 1..{m}")
-        k -= 1
-        t = k * (2 * m - k - 1) // 2  # index of the pair (k, k + 1), 0-based
-        for j in range(k + 1, m):
-            gamma[t] -= e * alpha[j]
-            t += 1
-        alpha[k] += e
+        t = offsets[k - 1]
+        for j in range(k, m):
+            if alpha[j]:
+                gamma[t + j] -= e * alpha[j]
+        alpha[k - 1] += e
     return MalcevElement(m, tuple(alpha), tuple(gamma))
 
 

@@ -6,12 +6,14 @@ tokens ``a<k>`` with an optional ``^<int>`` exponent (nonzero), plus
 ``[u, v]`` for the commutator ``u^-1 v^-1 u v``, with an optional exponent
 too; the empty string is the identity.  Digits are Unicode decimal digits
 (``str.isdecimal``) and whitespace is ``str.isspace``.  ``parse_word`` reads
-the text a block of up to 256 runs at a time, a run being what lies between
-whitespace.  A block of plain tokens a<k> or a<k>^<e> is split at once and
-each token read through a bounded process-wide memo, ``_plain_syllable``;
-any other block (brackets, glued tokens, errors, or over ``_BLOCK_CHARS``
-characters) goes through one compiled pattern, ``_TOKEN``, token by token.
-Each token a<k>^<e> is one syllable.  A commutator power [u, v]^E becomes a word equal to it in every
+a text of at most ``_BLOCK_CHARS`` (8192) characters as one block, and a
+longer one a block of up to 256 runs at a time, a run being what lies
+between whitespace.  A block of plain tokens a<k> or a<k>^<e> is split at
+once and each token read through a bounded process-wide memo,
+``_plain_syllable``; any other block (brackets, glued tokens, errors, or
+over ``_BLOCK_CHARS`` characters) goes through one compiled pattern,
+``_TOKEN``, token by token.  Each token a<k>^<e> is one syllable.  A
+commutator power [u, v]^E becomes a word equal to it in every
 2-step nilpotent group, at most 4m syllables whatever E is (see
 ``parse_word``).  A text may expand to at most ``MAX_WORD_LETTERS``
 letters, brackets written out, each syllable a_k^e counting |e|.
@@ -49,7 +51,13 @@ class WordSyntaxError(ValueError):
 @dataclass(frozen=True)
 class Word:
     """The word a_k1^e1 ... a_kn^en as its syllables (k, e); not reduced on
-    construction.  ``len`` counts letters, the sum of |e|."""
+    construction.  ``len`` counts letters, the sum of |e|.
+
+    Construction checks m >= 1 and every syllable, 1 <= k <= m and e != 0.
+    ``parse_word`` alone builds its Word unchecked (``_unchecked_word``): it
+    checks each syllable as it reads it, k in range and e != 0 for a token,
+    and a bracket's collected sums drop the zeros, so the check would only
+    repeat it."""
 
     syllables: Tuple[Syllable, ...]
     m: int
@@ -66,6 +74,14 @@ class Word:
 
     def inverse(self) -> "Word":
         return Word(_inverted(self.syllables), self.m)
+
+
+def _unchecked_word(syllables: Tuple[Syllable, ...], m: int) -> Word:
+    """The Word of syllables already checked as they were read, built
+    without ``__post_init__``; m >= 1 is the caller's to check."""
+    w = object.__new__(Word)
+    w.__dict__.update(syllables=syllables, m=m)
+    return w
 
 
 def _inverted(syllables) -> Tuple[Syllable, ...]:
@@ -170,13 +186,31 @@ def count_over_limit(side: int, n: int, limit: int, what: str) -> Optional[str]:
 
 
 _BLOCK = re.compile(r"\S+(?:\s+\S+){0,255}")
-"""Up to 256 runs of the text, the whitespace (``str.isspace``) between
-them included; a run is one token or several glued ones."""
+"""Up to 256 runs of a text over ``_BLOCK_CHARS`` characters, the
+whitespace (``str.isspace``) between them included; a run is one token or
+several glued ones."""
 
 _BLOCK_CHARS = 8192
-"""Longest block ``parse_word`` splits into runs and looks up in
-``_plain_syllable``; a longer one, such as a run of a million glued tokens,
-goes through ``_TOKEN`` without being copied."""
+"""Longest text ``parse_word`` reads as one block, and longest block of a
+longer text that it splits into runs and looks up in ``_plain_syllable``;
+a longer block, such as a run of a million glued tokens, goes through
+``_TOKEN`` without being copied."""
+
+
+def _blocks(text: str):
+    """(runs, start, end) for each block of the text: its runs, or None for
+    a block over ``_BLOCK_CHARS`` characters, and the span from its first to
+    its last non-whitespace character.  A text of at most ``_BLOCK_CHARS``
+    characters is one block, split at once; a longer one is read 256 runs at
+    a time through ``_BLOCK``, so that a huge line is never split whole.
+    ``split``, ``strip`` and the regex agree on whitespace, ``str.isspace``."""
+    if len(text) <= _BLOCK_CHARS:
+        yield text.split(), len(text) - len(text.lstrip()), len(text.rstrip())
+        return
+    for block in _BLOCK.finditer(text):
+        start, end = block.span()
+        yield block[0].split() if end - start <= _BLOCK_CHARS else None, start, end
+
 
 _TOKEN = re.compile(
     r"\s*(?:(?:a(?P<index>\d*)|(?P<close>\]))(?:\^(?P<exponent>[+-]?\d*))?|(?P<char>.))",
@@ -256,8 +290,13 @@ def parse_word(text: str, m: int) -> Word:
     most 4m syllables.  A bracket inside a bracket has zero exponent sums and
     adds nothing to them.  Letters are still counted as if every bracket
     were expanded: a text of more than MAX_WORD_LETTERS of them raises a
-    plain ValueError.  An m over MAX_RANK raises RankLimitError.  An index
-    or exponent past int()'s digit limit is a WordSyntaxError at its digits.
+    plain ValueError.  An m over MAX_RANK raises RankLimitError, and an m
+    below 1 a ValueError once the text is read.  An index or exponent past
+    int()'s digit limit is a WordSyntaxError at its digits.
+
+    A text of at most ``_BLOCK_CHARS`` characters is one block; a longer one
+    is read 256 runs at a time (``_blocks``).  The Word is built unchecked,
+    each syllable having been checked as it was read.
     """
     check_rank(m)
     syllables: List[Syllable] = []  # the innermost open sequence
@@ -273,11 +312,10 @@ def parse_word(text: str, m: int) -> Word:
     # blocks and tokens are matched one at a time: a list of all tokens
     # would cost some 60 bytes a token, 2 GB for a 100 MB line, before the
     # length checks could refuse it
-    for block in _BLOCK.finditer(text):
-        start, end = block.span()
-        if end - start <= _BLOCK_CHARS:
+    for runs, start, end in _blocks(text):
+        if runs is not None:
             mark, before = len(syllables), count
-            for run in block[0].split():
+            for run in runs:
                 syllable = _plain_syllable(run) if len(run) <= _PLAIN_CHARS else None
                 if syllable is None or syllable[0] > m:
                     break
@@ -334,7 +372,9 @@ def parse_word(text: str, m: int) -> Word:
         if brackets[-1][2] is None:
             raise WordSyntaxError("expected ',' in commutator", len(text))
         raise WordSyntaxError("expected ']' closing commutator", len(text))
-    return Word(tuple(syllables), m)
+    if m < 1:
+        raise ValueError("alphabet size must be at least 1")
+    return _unchecked_word(tuple(syllables), m)
 
 
 def format_word(w: Word) -> str:

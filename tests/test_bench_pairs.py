@@ -1,12 +1,16 @@
-"""The pair runner's verdict on fixed numbers (tools/bench_pairs.py)."""
+"""The pair runner's verdict on fixed numbers, and the shape of its records
+(tools/bench_pairs.py)."""
 
+import copy
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
 
-spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
@@ -86,3 +90,66 @@ def test_a_workload_not_in_the_benchmark_is_a_usage_error(monkeypatch, capsys, w
         bench_pairs.main(["--parent", "HEAD", "--workload", workload, "--pairs", "1", "--seconds", "1"])
     assert exit_.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+RUN = {"setup_s": 0.2, "jobs_per_s": 10000.0, "job_p50_ms": 0.08, "job_p90_ms": 0.16, "peak_rss_mb": 23.5}
+EXAMPLE = {
+    "workload": "wordproblem", "pairs": 1, "seconds": 25.0,
+    "parent": {"ref": "HEAD~1", "commit": "0" * 40},
+    "change": {"commit": "1" * 40, "dirty": False},
+    "python": "3.11.7", "cpu_count": 2,
+    "runs": {"parent": [RUN], "change": [dict(RUN, jobs_per_s=11000.0)]},
+    "verdicts": {"jobs_per_s": bench_pairs.summarize(RATE, [10000.0], [11000.0])._asdict()},
+}
+
+
+def test_committed_records_have_the_record_shape():
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        bench_pairs.check_record(json.loads(path.read_text()))
+
+
+def test_check_record_checks_keys_and_types_not_values():
+    bench_pairs.check_record(EXAMPLE)
+    # any value of the right type passes: a lost claim, an empty run list
+    other = copy.deepcopy(EXAMPLE)
+    other["verdicts"]["jobs_per_s"]["claim_holds"] = True
+    other["runs"]["change"] = []
+    bench_pairs.check_record(other)
+    breakages = [
+        (lambda r: r.pop("cpu_count"), "record: keys"),
+        (lambda r: r.update(extra=1), "record: keys"),
+        (lambda r: r["change"].update(dirty=0), "record.change.dirty: int"),
+        (lambda r: r.update(pairs=True), "record.pairs: bool"),
+        (lambda r: r.update(seconds="25"), "record.seconds: str"),
+        (lambda r: r["runs"]["parent"][0].update(setup_s=None), "record.runs.parent[0].setup_s"),
+        (lambda r: r["runs"].update(change={}), "record.runs.change: expected a list"),
+        (lambda r: r["verdicts"]["jobs_per_s"].pop("won"), "record.verdicts.jobs_per_s: keys"),
+    ]
+    for breakage, message in breakages:
+        broken = copy.deepcopy(EXAMPLE)
+        breakage(broken)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bench_pairs.check_record(broken)
+
+
+def test_record_holds_every_run_and_verdict(monkeypatch, tmp_path):
+    values = iter([1.0, 2.0, 3.0, 4.0])  # pair 1: parent, change; pair 2: change, parent
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "f" * 40)
+    monkeypatch.setattr(bench_pairs, "extract", lambda ref, into: None)
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda tree, workload, seconds: dict(RUN, jobs_per_s=next(values)))
+    path = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "compiler", "--pairs", "2",
+                             "--seconds", "1", "--record", str(path)]) == 0
+    record = json.loads(path.read_text())
+    bench_pairs.check_record(record)
+    assert (record["workload"], record["pairs"], record["seconds"]) == ("compiler", 2, 1.0)
+    assert record["parent"] == {"ref": "HEAD", "commit": "f" * 40}
+    assert record["change"] == {"commit": "f" * 40, "dirty": False}
+    assert [r["jobs_per_s"] for r in record["runs"]["parent"]] == [1.0, 4.0]
+    assert [r["jobs_per_s"] for r in record["runs"]["change"]] == [2.0, 3.0]
+    assert list(record["verdicts"]) == [m["name"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert record["verdicts"]["jobs_per_s"]["won"] == 1

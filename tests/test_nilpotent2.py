@@ -127,11 +127,27 @@ def test_from_syllables_matches_products_of_powers(case):
     assert from_syllables(m, runs) == expected
 
 
+def test_from_syllables_matches_collection_across_ranks():
+    # the gamma row offsets are a table per m: check ranks 1 and 64 too, on
+    # words whose exponent sums cancel and on syllables with |e| >= 2
+    rng = random.Random(43)
+    for m in (1, 2, 5, 64):
+        for _ in range(20):
+            runs = [(rng.randint(1, m), rng.choice((-1, 1)) * rng.randint(1, 4)) for _ in range(6)]
+            # runs, their inverse, then three runs and their negatives in order
+            cancelling = runs + [(k, -e) for k, e in runs[::-1]]
+            cancelling += runs[:3] + [(k, -e) for k, e in runs[:3]]
+            for syllables in (runs, cancelling):
+                assert from_syllables(m, syllables) == collection_oracle(Word(tuple(syllables), m))
+        assert from_syllables(m, cancelling[:len(runs) * 2]) == identity(m)
+
+
 def test_from_syllables_rejects_an_index_out_of_range():
-    with pytest.raises(ValueError):
-        from_syllables(2, [(3, 1)])
-    with pytest.raises(ValueError):
-        from_syllables(2, [(0, 1)])
+    for m in (1, 2, 5, 64):
+        for k in (0, m + 1):
+            with pytest.raises(ValueError) as ei:
+                from_syllables(m, [(1, 1), (k, 2)])
+            assert str(ei.value) == f"generator index {k} out of range 1..{m}"
 
 
 def test_commutator_word_pinned_sign():

@@ -17,6 +17,7 @@ from nilq.words import (
     RankLimitError,
     Word,
     WordSyntaxError,
+    _BLOCK_CHARS,
     _plain_syllable,
     apply_move_to_relators,
     concat,
@@ -89,6 +90,22 @@ def test_word_rejects_syllables_outside_the_alphabet():
     for syllables in (((4, 1),), ((0, 1),), ((1, 0),), ((1, 2), (2, 0))):
         with pytest.raises(ValueError):
             Word(syllables, 3)
+
+
+def test_parsed_word_is_a_checked_word():
+    # parse_word builds its Word without the check, which it has done as it read
+    w = parse_word("a1^-3 [a1,a2]^2 a2", 2)
+    assert Word(w.syllables, w.m) == w and hash(Word(w.syllables, w.m)) == hash(w)
+    assert len(w) == 3 + 6 + 1
+    # an alphabet below size 1 is refused once the text is read
+    for text, m in (("", 0), (" ", -1), ("[,]", 0)):
+        with pytest.raises(ValueError) as ei:
+            parse_word(text, m)
+        assert type(ei.value) is ValueError
+        assert str(ei.value) == "alphabet size must be at least 1"
+    with pytest.raises(WordSyntaxError) as ei:
+        parse_word("a1", 0)
+    assert str(ei.value) == "generator index 1 out of range 1..0 (position 0)"
 
 
 def test_rank_over_limit_refused_before_allocating():
@@ -275,10 +292,41 @@ def _corrupt(rng: random.Random, text: str) -> str:
     return text
 
 
+def _parse_against_scanner(text: str, m: int):
+    """Check parse_word on text against the character scanner, which expands
+    brackets: the same element, no more letters and, without brackets, the
+    same syllables; or the same exception type, message and position.  A
+    parsed Word is also a checked one.  Returns the outcome, "word" or the
+    message without its numbers, or None where the scanner itself crashes
+    on superscript digits."""
+    try:
+        expected = scanner_parse_word(text, m)
+    except WordSyntaxError as exc:
+        expected = exc
+    except ValueError as exc:
+        if str(exc).startswith("invalid literal for int()"):
+            return None  # the scanner's crash on superscript digits
+        expected = exc
+    try:
+        got = parse_word(text, m)
+    except ValueError as exc:
+        got = exc
+    if isinstance(expected, Word):
+        assert isinstance(got, Word), text
+        assert Word(got.syllables, got.m) == got, text
+        assert from_word(got) == from_word(expected), text
+        assert len(got) <= len(expected), text
+        if "[" not in text:
+            assert got == expected, text
+        return "word"
+    assert type(got) is type(expected), text
+    assert str(got) == str(expected), text
+    assert getattr(got, "position", None) == getattr(expected, "position", None), text
+    return re.sub(r"\d+|'.*'", "", str(got))
+
+
 def test_parse_matches_scanner_oracle():
-    """parse_word against the character scanner, which expands brackets: the
-    same element, no more letters and, without brackets, the same syllables;
-    or the same exception type, message and position."""
+    """parse_word against the character scanner on 4000 fuzzed texts."""
     rng = random.Random(2016)
     outcomes = set()
     for case in range(4000):
@@ -286,30 +334,9 @@ def test_parse_matches_scanner_oracle():
         text = _fuzz_text(rng, m)
         if case % 2:
             text = _corrupt(rng, text)
-        try:
-            expected = scanner_parse_word(text, m)
-        except WordSyntaxError as exc:
-            expected = exc
-        except ValueError as exc:
-            if str(exc).startswith("invalid literal for int()"):
-                continue  # the scanner's crash on superscript digits
-            expected = exc
-        try:
-            got = parse_word(text, m)
-        except ValueError as exc:
-            got = exc
-        if isinstance(expected, Word):
-            assert isinstance(got, Word), text
-            assert from_word(got) == from_word(expected), text
-            assert len(got) <= len(expected), text
-            if "[" not in text:
-                assert got == expected, text
-            outcomes.add("word")
-        else:
-            assert type(got) is type(expected), text
-            assert str(got) == str(expected), text
-            assert getattr(got, "position", None) == getattr(expected, "position", None), text
-            outcomes.add(re.sub(r"\d+|'.*'", "", str(got)))
+        outcome = _parse_against_scanner(text, m)
+        if outcome is not None:
+            outcomes.add(outcome)
     # every kind of outcome occurred
     assert outcomes == {
         "word",
@@ -320,6 +347,46 @@ def test_parse_matches_scanner_oracle():
         "expected  in commutator (position )",
         "expected  closing commutator (position )",
         "unexpected character  (position )",
+        "word expands to  letters, over the limit of ",
+    }
+
+
+def _plain_text(length: int, tail: str = "") -> str:
+    """A text of exactly ``length`` characters: plain tokens over a1..a3,
+    the last one zero-padded to fit, then ``tail`` as its last run."""
+    tokens = ("a1", "a2^-3", "a3^12", "a2")
+    tail = f" {tail}" if tail else ""
+    head, i = "a1", 0
+    while len(head) + len(tail) + 16 < length:
+        head += " " + tokens[i % 4]
+        i += 1
+    text = f"{head} a1^{'0' * (length - len(head) - len(tail) - 5)}5{tail}"
+    assert len(text) == length
+    return text
+
+
+def test_parse_matches_scanner_oracle_at_the_block_boundary():
+    # a text of at most _BLOCK_CHARS characters is one block, a longer one
+    # is read 256 runs at a time: both sides of the boundary read the same
+    n = _BLOCK_CHARS
+    texts = [_plain_text(length) for length in (n - 1, n, n + 1)]
+    texts.append("a1 a2^2 " * 200)  # 400 runs in one short block
+    # whitespace that is str.isspace but not ASCII, at the ends
+    for space in ("\x1c", "\x85", "\u3000"):
+        texts += [f"{space}a1 a2{space}", f"{space}[a1,a2]{space}", f"{space}a1 b1{space}",
+                  f"{space}{_plain_text(n + 1)}{space}"]
+    texts += ["\x1c\x85\u3000 \t", "\u3000" * (n + 1)]
+    # a bracket or an error as the last run of a long text, on each side
+    for tail in ("[a1,a2]^2", "b1", "a", "a1^", "a4", "a1^0", "a1^1000001"):
+        for length in (n - 100, n + 100):
+            texts.append(_plain_text(length, tail))
+    assert {_parse_against_scanner(text, 3) for text in texts} == {
+        "word",
+        "unexpected character  (position )",
+        "expected generator index after  (position )",
+        "expected integer (position )",
+        "generator index  out of range .. (position )",
+        "zero exponent not allowed (position )",
         "word expands to  letters, over the limit of ",
     }
 

@@ -20,6 +20,12 @@ than the parent's interquartile range) and whether the change stays within the
 bound.  A metric within the bound is reported as unresolved when the parent's
 interquartile range is wider than the bound, unless every run of the change
 beats every run of the parent: the spread then hides a move of the bound's size.
+
+``--record PATH`` also writes the pairs as JSON: every run's end-to-end
+values per side, each metric's ``Verdict``, the workload, pairs and seconds,
+the parent ref and commit, the change commit and whether its tree was dirty,
+the Python version and the CPU count.  ``check_record`` checks that a record
+has this shape, its keys and types, not its values.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -75,11 +83,62 @@ def summarize(metric: dict, parent: Sequence[float], change: Sequence[float]) ->
     return Verdict(q1, median, q3, change_median, won, len(parent), claim, within, resolved)
 
 
+NUMBER = (int, float)
+RECORD = {
+    "workload": str,
+    "pairs": int,
+    "seconds": NUMBER,
+    "parent": {"ref": str, "commit": str},
+    "change": {"commit": str, "dirty": bool},
+    "python": str,
+    "cpu_count": int,
+    "runs": {"parent": [{str: NUMBER}], "change": [{str: NUMBER}]},
+    "verdicts": {str: {"parent_q1": NUMBER, "parent_median": NUMBER, "parent_q3": NUMBER,
+                       "change_median": NUMBER, "won": int, "pairs": int, "claim_holds": bool,
+                       "within_bound": bool, "resolved": bool}},
+}
+"""The shape of a ``--record`` file: a dict with exactly the keys shown, a
+list whose items all have the one shape shown, a dict keyed ``str`` whose
+values all have the shape shown, or a type (a tuple of them for numbers)."""
+
+
+def check_record(data, shape=RECORD, where: str = "record") -> None:
+    """Raise ValueError naming the first place where data is not of the
+    shape of a ``--record`` file; types and keys are checked, not values."""
+    if isinstance(shape, list):
+        if not isinstance(data, list):
+            raise ValueError(f"{where}: expected a list")
+        for i, item in enumerate(data):
+            check_record(item, shape[0], f"{where}[{i}]")
+    elif isinstance(shape, dict):
+        if not isinstance(data, dict):
+            raise ValueError(f"{where}: expected an object")
+        if str in shape:
+            for key, value in data.items():
+                check_record(key, str, f"{where} key")
+                check_record(value, shape[str], f"{where}.{key}")
+        elif data.keys() != shape.keys():
+            raise ValueError(f"{where}: keys {sorted(data)}, expected {sorted(shape)}")
+        else:
+            for key, value in data.items():
+                check_record(value, shape[key], f"{where}.{key}")
+    elif isinstance(data, bool) and shape is not bool or not isinstance(data, shape):
+        raise ValueError(f"{where}: {type(data).__name__}, expected {shape}")
+
+
+def git(*args: str) -> str:
+    """The output of a git command in this checkout; exits 1 if it fails."""
+    proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"error: git {' '.join(args)}: {proc.stderr.strip()}")
+    return proc.stdout.strip()
+
+
 def extract(ref: str, into: Path) -> None:
-    git = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref], capture_output=True)
-    if git.returncode:
-        sys.exit(f"error: git archive {ref}: {git.stderr.decode().strip()}")
-    with tarfile.open(fileobj=io.BytesIO(git.stdout)) as archive:
+    proc = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref], capture_output=True)
+    if proc.returncode:
+        sys.exit(f"error: git archive {ref}: {proc.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as archive:
         archive.extractall(into, filter="data")
 
 
@@ -103,9 +162,15 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=[w["name"] for w in benchmark["workloads"]])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--record", type=Path, help="write the runs and verdicts to this JSON file")
     args = ap.parse_args(argv)
     metrics = benchmark["end_to_end"]
     runs = {"parent": [], "change": []}
+    record = {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
+              "parent": {"ref": args.parent, "commit": git("rev-parse", f"{args.parent}^{{commit}}")},
+              "change": {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+              "python": platform.python_version(), "cpu_count": os.cpu_count(),
+              "runs": runs, "verdicts": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         extract(args.parent, trees["parent"])
@@ -119,12 +184,16 @@ def main(argv=None) -> int:
     for metric in metrics:
         name = metric["name"]
         v = summarize(metric, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]])
+        record["verdicts"][name] = v._asdict()
         move = (v.change_median / v.parent_median - 1) * 100
         print(f"  {name:12} {v.parent_median:.6g} [{v.parent_q1:.6g}-{v.parent_q3:.6g}] -> "
               f"{v.change_median:.6g} ({move:+.1f}%), won {v.won}/{v.pairs}, "
               f"claim {'holds' if v.claim_holds else 'fails'}, "
               f"{'PAST' if not v.within_bound else 'within' if v.resolved else 'unresolved at'} "
               f"the {metric['bound']:.0%} bound")
+    if args.record:
+        check_record(record)
+        args.record.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
