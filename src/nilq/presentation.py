@@ -57,8 +57,9 @@ A pair with d_pq = 1 has (0 | e_pq) in the lattice, so its coordinate says
 nothing and is dropped.  ``echelon`` is the Hermite form of the images and
 the rows d_pq e_pq, d_pq >= 2, over the alpha coordinates and the pairs
 left (``kept_pairs``), with each gamma reduced modulo its nonzero d_pq.
-``normalize`` keeps the images, and the form is built when a decider first
-reads it, so ``classify`` runs the Smith form alone.  Its alpha block is
+``normalize`` keeps the images, and the form is built when it is first
+read: by ``is_trivial_in_G``, ``closure_lattice`` or the solver's ambient,
+never by ``classify`` or the torsion-free deciders.  Its alpha block is
 diag(alpha_i) whatever the presentation, which is checked as it is built,
 and its rows with a gamma pivot span L at the kept pairs.  At MAX_RANK
 generators and MAX_RELATORS relators of full rank nearly every d_pq is 1,
@@ -79,18 +80,16 @@ exist only for r > m:
   trivial modulo torsion.
 
 Over Q the free block is enough.  Every d_pq with p <= rank is nonzero, so
-the Q-span of L holds each such pair, and the rest of it is the span of the
-echelon rows with a gamma pivot at the free pairs rank < p < q.  These
-pairs, all with d_pq = 0, are the tail of gamma and of the echelon's
-columns, laid out as the gamma of N_{2,m-rank}.  Dropping the other pairs
-therefore maps Q^C(m,2) modulo the Q-span of L isomorphically onto the free
-pairs modulo those rows there, and every zero test and rank modulo L over Q
-can be read in the free block (``free_block``).  A bracket [g, a_c] with
-c <= rank has no free coordinate.  The free block's echelon also carries
-the echelon rows with an alpha pivot, cut to the first rank alphas and the
-free pairs, so h is trivial modulo torsion iff its alpha vanishes beyond
-the rank and its first rank alphas, then its free coordinates, lie in the
-Q-span of that echelon: one rational reduction.
+the Q-span of the closure's coordinates holds each such pair, and modulo
+them it is the span of the images alone.  So every zero test and rank
+modulo it over Q reads only the images at the first rank alphas (they are
+zero beyond) and at the free pairs rank < p < q, the tail of gamma laid out
+as the gamma of N_{2,m-rank}: their Hermite form is ``free_block``, whose
+rows past the first rank have zero alpha and span L there over Q.  A
+bracket [g, a_c] with c <= rank has no free coordinate, and h is trivial
+modulo torsion iff its alpha vanishes beyond the rank and its first rank
+alphas, then its free coordinates, lie in the Q-span of the block: one
+rational reduction.
 
 The basis change acts on Malcev coordinates, never on words.
 """
@@ -101,7 +100,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .nilpotent2 import MalcevElement, from_word, generator, pair_list
+from .nilpotent2 import MalcevElement, _row_offsets, from_word, generator, pair_list
 from .words import MAX_RELATORS, RankLimitError, Word, WordSyntaxError, check_rank, parse_word
 from .zmatrix import (Echelon, SmithDecomposition, diagonal, hermite_normal_form, rank as zrank,
                       smith_normal_form)
@@ -236,18 +235,17 @@ class NormalizedPresentation:
     @cached_property
     def free_block(self) -> Tuple[int, Echelon]:
         """Where the free pairs (p, q), rank < p < q, start in gamma, of which
-        they are the tail, and an echelon over the first rank alphas, then
-        those pairs: the echelon rows with an alpha pivot, cut to these
-        columns, above the echelon form of the rows with a gamma pivot, cut
-        likewise.  Over Q, L is every pair with p <= rank plus the latter
-        rows (see the module docstring)."""
+        they are the tail, and the Hermite form of ``image_rows`` cut to the
+        first rank alphas and those pairs, built on first read.  Its first
+        rank rows are (alpha_i e_i | c_i), which is checked as it is built,
+        and the rest have zero alpha.  Over Q, L is every pair with
+        p <= rank plus the latter rows (see the module docstring)."""
         k = self.snf.rank
-        n = self.m - k
-        tail = n * (n - 1) // 2
-        rows = [row[:k] + row[len(row) - tail :] for row in self.echelon.rows]
-        free = hermite_normal_form(rows[k:])
-        rows = tuple(rows[:k]) + free.rows
-        return len(self.d_pq) - tail, Echelon(rows, tuple(range(k)) + free.pivots)
+        tail = (self.m - k) * (self.m - k - 1) // 2
+        block = hermite_normal_form([row[:k] + row[len(row) - tail :] for row in self.image_rows])
+        if tuple(row[:k] for row in block.rows if any(row[:k])) != diagonal(self.alphas, k, k):
+            raise AssertionError("relator images do not span the Smith diagonal")
+        return len(self.d_pq) - tail, block
 
     @cached_property
     def center_profile_dim(self) -> int:
@@ -271,14 +269,14 @@ def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator
     zeros = [0] * k  # the bracket's alpha, in the free block's columns
     a = g.alpha[k:]
     n = len(a)
+    offsets = _row_offsets(n)
     for c in range(n):
         # gamma_pq([g, a_c]) is a_p at q = c and -a_q at p = c (0-based, in
-        # N_{2,n}); the pair (p, q) sits at p (2n - p - 1) / 2 + q - p - 1
+        # N_{2,n}), the pair (p, q) sitting at offsets[p] + q
         v = [0] * (n * (n - 1) // 2)
         for p in range(c):
-            v[p * (2 * n - p - 1) // 2 + c - p - 1] = a[p]
-        t = c * (2 * n - c - 1) // 2
-        v[t : t + n - c - 1] = [-x for x in a[c + 1 :]]
+            v[offsets[p] + c] = a[p]
+        v[offsets[c] + c + 1 : offsets[c] + n] = [-x for x in a[c + 1 :]]
         yield echelon.rational_residue(zeros + v)
 
 
@@ -299,9 +297,9 @@ class _BasisChange:
     def __init__(self, V: Sequence[Sequence[int]]):
         m = self.m = len(V)
         self.rows = tuple(tuple((p, v) for p, v in enumerate(row) if v) for row in V)
-        # the pair (p, q), 0-based, sits at gamma index p (2m - p - 3) / 2 + q - 1
-        self.spans = tuple(tuple((p * (2 * m - p - 3) // 2 + q - 1, v, q) for p, v in row
-                                 for q in range(p + 1, m)) for row in self.rows)
+        offsets = _row_offsets(m)  # the pair (p, q), 0-based, sits at offsets[p] + q
+        self.spans = tuple(tuple((offsets[p] + q, v, q) for p, v in row for q in range(p + 1, m))
+                           for row in self.rows)
 
     def __call__(self, x: MalcevElement) -> MalcevElement:
         m, rows, a, g = self.m, self.rows, x.alpha, x.gamma

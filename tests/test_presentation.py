@@ -34,6 +34,7 @@ from nilq.presentation import (
     parse_presentation,
 )
 from nilq.words import (
+    MAX_RANK,
     MAX_RELATORS,
     RankLimitError,
     Word,
@@ -47,7 +48,8 @@ from nilq.words import (
     word_power,
 )
 
-from naive_oracles import lift_basis, rational_membership, relator_replay, substituted_collection
+from naive_oracles import (lift_basis, rational_membership, relator_replay, substituted_collection,
+                           traced_peak)
 
 
 def _norm(text):
@@ -810,6 +812,35 @@ def test_free_block_deciders_match_whole_lattice_oracles():
     assert all(seen.values()), seen
 
 
+def test_torsion_free_deciders_never_build_the_echelon():
+    # the free block is the Hermite form of the relator images alone, so no
+    # decider modulo torsion builds the closure echelon and its rows d_pq e_pq
+    rng = random.Random(31)
+    squares = _presentation([parse_word(f"a{i}^2", MAX_RANK) for i in range(1, MAX_RANK + 1)], MAX_RANK)
+    seen = {"torsion pairs": 0, "c-small": 0, "inconclusive": 0}
+    for p in [*_seeded_presentations(rng), squares]:
+        np_ = normalize(p)
+        m = np_.m
+        seen["torsion pairs"] += any(d >= 2 for d in np_.d_pq)
+        assert np_.center_profile_dim <= m
+        for h in [from_word(random_word(6, m, rng)) for _ in range(3)] + [generator(m, c) for c in (1, m)]:
+            is_trivial_mod_torsion(h, np_)
+            is_central_mod_torsion(h, np_)
+            if np_.snf.rank <= m - 2:
+                seen["c-small"] += is_c_small(h, np_)
+            else:
+                seen["inconclusive"] += 1
+        assert "echelon" not in vars(np_)
+    assert all(seen.values()), seen
+    # on a_i^2 over MAX_RANK generators every d_pq is 2: the echelon has a
+    # row for each of the 2016 pairs and a traced peak of about 65 MB
+    np_ = normalize(squares)
+    h = from_word(parse_word("a1^2 a2^4 [a3,a4]", MAX_RANK))
+    trivial, peak = traced_peak(lambda: is_trivial_mod_torsion(h, np_))
+    assert trivial and peak < 10**6, peak
+    assert "echelon" not in vars(np_)
+
+
 def _differential_presentations(rng, count):
     """count seeded presentations: m 1-6 and r 0..m+3 random relators, some
     with a repeated relator, a bracket relator [a_i, a_j]^e or a power of
@@ -895,9 +926,9 @@ def test_deciders_run_one_hnf_per_presentation(monkeypatch):
         return hnf(M)
 
     monkeypatch.setattr(presentation, "hermite_normal_form", counting_hnf)
-    # normalize runs no HNF; the first decider runs the presentation's one,
+    # normalize runs no HNF; is_trivial_in_G runs the presentation's one,
     # over the alpha columns and the pairs with d_pq != 1, and every query
-    # together runs at most one more, the free block's
+    # together runs one more, the free block's, of the r relator images alone
     for text in ("4 2\na1^2 a2^3\na2^4 [a1,a3]^2\n[a3,a4]^2\n",
                  "3 2\na1^2 a2\na2^3 a3\na3^2 a1 [a1,a2]\n[a2,a3]^4\n"):
         calls.clear()
@@ -919,8 +950,7 @@ def test_deciders_run_one_hnf_per_presentation(monkeypatch):
             is_trivial_in_G(h, np_)
             is_trivial_mod_torsion(h, np_)
             is_central_mod_torsion(h, np_)
-        assert len(calls) <= 2
-        assert all(len(M) <= np_.r + len(np_.kept_pairs) for M in calls)
+        assert len(calls) == 2 and len(calls[1]) <= np_.r
 
 
 def test_normalize_runs_no_commutator(monkeypatch):

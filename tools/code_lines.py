@@ -1,11 +1,12 @@
-"""Count the code lines of the Python files under each directory given
-(default: src/nilq), and print the count per directory.
+"""Count the code lines of each Python file given, or of the Python files
+under each directory given (default: src/nilq), and print the count per
+argument.
 
 A line counts unless it is blank, holds only a comment, or lies within a
 string standing alone as a statement (a docstring, or the string after a
 module constant).  Run from anywhere:
 
-    python tools/code_lines.py [DIRECTORY ...]
+    python tools/code_lines.py [FILE | DIRECTORY ...]
 """
 
 import ast
@@ -33,5 +34,7 @@ def code_lines(path: Path) -> int:
 
 
 if __name__ == "__main__":
-    for directory in sys.argv[1:] or [str(Path(__file__).resolve().parents[1] / "src" / "nilq")]:
-        print(sum(code_lines(p) for p in sorted(Path(directory).rglob("*.py"))), directory)
+    for arg in sys.argv[1:] or [str(Path(__file__).resolve().parents[1] / "src" / "nilq")]:
+        path = Path(arg)
+        files = [path] if path.is_file() else sorted(path.rglob("*.py"))
+        print(sum(code_lines(p) for p in files), arg)
