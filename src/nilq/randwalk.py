@@ -21,10 +21,12 @@ numpy's own per-trial PCG64 is the oracle the tests hold it to.
 Walk convention: one step multiplies by a uniformly chosen generator or
 inverse (2m choices, probability 1/2m each); the abelianized position after n
 steps has per-coordinate step mean 0 and variance 1/m.  rank_experiment
-draws each word's letter sequence, as ``words.random_word`` would, and
-tallies its exponent sums; experiments that only need the per-coordinate
-sums draw the 2m letter counts from a multinomial instead, which is the same
-distribution at a fraction of the cost.
+draws each word's letters from the stream ``words.random_word`` reads, a
+block of letters per numpy pass, and tallies their exponent sums;
+experiments that only need the per-coordinate sums draw the 2m letter
+counts from a multinomial instead, which is the same distribution at a
+fraction of the cost, and tally a block of trials' sums per numpy pass.
+numpy is imported by the engines that use it, never at module import.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
@@ -85,6 +86,21 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = (1 << 32) - 1
 
 
+def _hash_constants(init: int, mult: int, calls: int) -> list:
+    """The hash constant before each of a hasher's calls and after the last:
+    call j xors with entry j and multiplies by entry j + 1."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+# pool setup hashes 4 entropy words, 12 pool words and 16 more entropy words
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 32)
+# generate_state(4, uint64) draws 8 words
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
 def _seed_words(words: np.ndarray) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, np.uint64)`` for each row e of a
     (B, 8) uint32 array of entropy words, least significant first, as a
@@ -92,24 +108,24 @@ def _seed_words(words: np.ndarray) -> np.ndarray:
 
     This is numpy's SeedSequence run on all rows at once: hash the first 4
     words into the pool, mix every pool word into every other, mix in words
-    4 to 7, then draw 8 state words, read as 4 little-endian uint64s.  A row
-    is the entropy of an integer only when its top word is nonzero: numpy
-    drops leading zero words, which changes the mixing."""
+    4 to 7, then draw 8 state words, read as 4 little-endian uint64s.  Each
+    step works on every pool word it may at once: the hash constants follow
+    a fixed sequence, so a step's calls are rows of one array operation.  A
+    row is the entropy of an integer only when its top word is nonzero:
+    numpy drops leading zero words, which changes the mixing."""
     import numpy as np
 
     columns = np.ascontiguousarray(words.T, dtype=np.uint32)
     shift = np.uint32(16)
+    hash_a = np.array(_HASH_A, dtype=np.uint32)[:, None]
+    hash_b = np.array(_HASH_B, dtype=np.uint32)[:, None]
 
-    def hasher(hash_const: int, mult: int):
-        def hashmix(value):
-            nonlocal hash_const
-            value = value ^ np.uint32(hash_const)
-            hash_const = hash_const * mult & _MASK32
-            value *= np.uint32(hash_const)
-            value ^= value >> shift
-            return value
-
-        return hashmix
+    def hashmix(values, consts, first, calls):
+        # calls first, ..., first + calls - 1 of a hasher, on the rows of values
+        values = values ^ consts[first : first + calls]
+        values *= consts[first + 1 : first + calls + 1]
+        values ^= values >> shift
+        return values
 
     def mix(x, y):
         result = np.uint32(_MIX_MULT_L) * x
@@ -117,21 +133,16 @@ def _seed_words(words: np.ndarray) -> np.ndarray:
         result ^= result >> shift
         return result
 
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(columns[i]) for i in range(4)]
+    pool = hashmix(columns[:4], hash_a, 0, 4)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, 8):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(columns[src]))
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], hash_a, 4 + 3 * src, 3))
+    hashed = hashmix(np.repeat(columns[4:], 4, axis=0), hash_a, 16, 16)
+    for src in range(4):
+        pool = mix(pool, hashed[4 * src : 4 * src + 4])
     # generate_state(4, uint64): 8 words, read as little-endian uint64 pairs
-    draw = hasher(_INIT_B, _MULT_B)
-    state = np.empty((len(words), 8), dtype="<u4")
-    for i in range(8):
-        state[:, i] = draw(pool[i % 4])
-    return state.view("<u8").astype(np.uint64, copy=False)
+    state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], hash_b, 0, 8)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 def _digest_rngs(digests: Iterable[bytes]) -> Iterator[np.random.Generator]:
@@ -142,7 +153,7 @@ def _digest_rngs(digests: Iterable[bytes]) -> Iterator[np.random.Generator]:
     SeedSequence stand-in that hands PCG64 its trial's 4 state words, and
     numpy's PCG64 seeds itself from them.  A digest whose top 32-bit word
     is 0 (probability 2^-32) is seeded by numpy itself."""
-    # importing numpy costs more than most commands; only clt and escape sample with it
+    # importing numpy costs more than most commands; only the walk engines import it
     import numpy as np
 
     class StateWords(np.random.bit_generator.ISeedSequence):
@@ -233,13 +244,85 @@ class RankExperimentRow:
     stderr: float
 
 
-def _random_exponent_sums(length: int, m: int, rng: random.Random) -> list:
-    """The exponent sums of the word ``random_word(length, m, rng)`` draws,
-    from the same single rng.choices call and so the same stream use, with
-    no Word built: index k < m is the letter a_(k+1), index m + k its
-    inverse."""
-    counts = Counter(rng.choices(range(2 * m), k=length))
-    return [counts[k] - counts[m + k] for k in range(m)]
+_LETTER_BLOCK = 2**14
+"""Most letters ``_exponent_sum_matrices`` draws and tallies in one numpy
+pass, whatever the word length and r: a block spans trial and word
+boundaries and splits a long word."""
+
+
+def _letters(block: bytes, n: int) -> np.ndarray:
+    """The letter indices ``rng.choices(range(n), k=k)`` returns, from the
+    8k bytes of ``rng.getrandbits(64 * k)`` on the same stream, little-endian.
+
+    That reads the 2k Mersenne Twister words k ``random()`` calls would, in
+    order, and each pair (w0, w1) is one ``random()``: ((w0 >> 5) 2^26 +
+    (w1 >> 6)) 2^-53, an exact float64.  Unweighted ``choices`` picks index
+    floor(random() n) with a float64 product, as this does."""
+    import numpy as np
+
+    words = np.frombuffer(block, dtype="<u4").reshape(-1, 2)
+    x = (words[:, 0] >> 5).astype(np.float64)
+    x *= 2.0**26
+    x += words[:, 1] >> 6
+    x *= 2.0**-53
+    x *= n
+    return x.astype(np.int64)
+
+
+def _exponent_sum_matrices(m: int, r: int, length: int, seed: int, trials: int) -> Iterator[list]:
+    """For t in range(trials), the r x m exponent-sum matrix of the r words
+    that ``random_word(length, m, rng)`` draws in turn from
+    ``trial_rng(seed, length, t)``: index k < m counts the letter a_(k+1)
+    up, index m + k its inverse down.
+
+    The trials' letters are read as one sequence, ``_LETTER_BLOCK`` at a
+    time, each trial's from its own stream (``_letters``).  One
+    ``np.bincount`` over (word in the block, letter) gives each word's
+    letter counts in the block; a word split between blocks carries its
+    partial row into the next one."""
+    if r == 0:
+        yield from ([] for _ in range(trials))
+        return
+    import numpy as np
+
+    n = 2 * m
+    per_trial = r * length
+    t, left, rng = 0, per_trial, trial_rng(seed, length, 0)
+    offset = 0  # letters of the first word in the block that earlier blocks drew
+    carry, matrix = [0] * m, []
+    while True:
+        parts, k = [], 0
+        while k < _LETTER_BLOCK:
+            if not left:
+                if t + 1 == trials:
+                    break
+                t += 1
+                left, rng = per_trial, trial_rng(seed, length, t)
+            take = min(left, _LETTER_BLOCK - k)
+            parts.append(rng.getrandbits(64 * take).to_bytes(8 * take, "little"))
+            k += take
+            left -= take
+        if not k:
+            return
+        # the block's k letters fill `words` words, the first of which lost
+        # offset letters to earlier blocks and the last of which may go on
+        end = offset + k
+        words = -(-end // length)
+        runs = np.full(words, length)
+        runs[0] -= offset
+        runs[-1] -= words * length - end
+        keys = np.repeat(np.arange(0, words * n, n), runs)
+        keys += _letters(b"".join(parts), n)
+        counts = np.bincount(keys, minlength=words * n).reshape(words, n)
+        rows = (counts[:, :m] - counts[:, m:]).tolist()
+        rows[0] = [a + b for a, b in zip(carry, rows[0])]
+        offset = end % length
+        carry = rows.pop() if offset else [0] * m
+        for row in rows:
+            matrix.append(row)
+            if len(matrix) == r:
+                yield matrix
+                matrix = []
 
 
 def rank_experiment(cfg: ExperimentConfig) -> list:
@@ -248,16 +331,15 @@ def rank_experiment(cfg: ExperimentConfig) -> list:
 
     Each trial checks the rank two independent ways (fraction-free
     elimination, and the sum of squared maximal minors, which is the
-    determinant of the Gram matrix) and insists they agree.  Each word is
-    tallied into its exponent-sum row as it is drawn, so a trial holds one
-    word's letter indices at a time.
+    determinant of the Gram matrix) and insists they agree.  The words are
+    drawn and tallied a block of letters at a time
+    (``_exponent_sum_matrices``), so memory does not grow with r, the
+    length or the trials.
     """
     rows = []
     for length in cfg.lengths:
         full = 0
-        for t in range(cfg.trials):
-            rng = trial_rng(cfg.seed, length, t)
-            M = [_random_exponent_sums(length, cfg.m, rng) for _ in range(cfg.r)]
+        for M in _exponent_sum_matrices(cfg.m, cfg.r, length, cfg.seed, cfg.trials):
             is_full = zrank(M) == min(cfg.r, cfg.m)
             if is_full != (minor_polynomial(M) != 0):
                 raise AssertionError("rank routes disagree")
@@ -284,14 +366,20 @@ def rank_experiment_csv(cfg: ExperimentConfig, rows: Sequence[RankExperimentRow]
     return csv_table(asdict(cfg), columns, map(astuple, rows))
 
 
-def _coordinate_sums(m: int, n: int, seed: int, trials: int) -> Iterator[list]:
-    """Each trial's coordinate sums: the letter counts over the 2m signed
-    generators, drawn from a multinomial on the trial's stream; coordinate i
-    sums count(+i) - count(-i)."""
-    pvals = [1.0 / (2 * m)] * (2 * m)
-    for rng in _trial_rngs(seed, n, trials):
-        counts = rng.multinomial(n, pvals).tolist()
-        yield [counts[2 * i] - counts[2 * i + 1] for i in range(m)]
+def _coordinate_sum_blocks(m: int, n: int, seed: int, trials: int) -> Iterator[np.ndarray]:
+    """The trials' coordinate sums, one (B, m) int64 array per block of
+    ``_SEED_BLOCK`` trials: each trial's letter counts over the 2m signed
+    generators are one multinomial draw on its stream, and coordinate i sums
+    count(+i) - count(-i)."""
+    import numpy as np
+
+    pvals = np.full(2 * m, 1.0 / (2 * m))
+    rngs = _trial_rngs(seed, n, trials)
+    while True:
+        counts = np.array([rng.multinomial(n, pvals) for rng in itertools.islice(rngs, _SEED_BLOCK)])
+        if not len(counts):
+            return
+        yield counts[:, 0::2] - counts[:, 1::2]
 
 
 @dataclass(frozen=True)
@@ -325,19 +413,26 @@ def coordinate_clt_stats(m: int, n: int, trials: int, seed: int) -> CltSummary:
     one over MAX_RANK RankLimitError.
     """
     _check_sampled_walk(m, n, trials)
+    import numpy as np
+
     sqrt_n = math.sqrt(n)
     sigma = 1.0 / math.sqrt(m)
     grid = [(-4.0 + 8.0 * j / 40.0) * sigma for j in range(41)]
     thresholds = [x * sqrt_n for x in grid]
+    cuts = np.array([math.floor(t) + 1 for t in thresholds])
+    bins = len(cuts) + 1
     sums = [0] * m
     squares = [0] * m
-    # between[i][k]: coordinate i's sums above thresholds[k - 1], at most thresholds[k]
-    between = [[0] * (len(grid) + 1) for _ in range(m)]
-    for s in _coordinate_sums(m, n, seed, trials):
-        for i, v in enumerate(s):
-            sums[i] += v
-            squares[i] += v * v
-            between[i][bisect_left(thresholds, v)] += 1
+    # between[i * bins + k]: coordinate i's sums above thresholds[k - 1], at
+    # most thresholds[k]; an integer v is above t exactly when v >= floor(t) + 1
+    between = np.zeros(m * bins, dtype=np.int64)
+    offsets = np.arange(0, m * bins, bins)
+    for block in _coordinate_sum_blocks(m, n, seed, trials):
+        for i, column in enumerate(block.T.tolist()):
+            sums[i] += sum(column)
+            squares[i] += sum(map(operator.mul, column, column))
+        bin_of = np.searchsorted(cuts, block, side="right") + offsets
+        between += np.bincount(bin_of.ravel(), minlength=m * bins)
     means = tuple(float(Fraction(sums[i], trials)) / sqrt_n for i in range(m))
     variances = []
     for i in range(m):
@@ -351,7 +446,7 @@ def coordinate_clt_stats(m: int, n: int, trials: int, seed: int) -> CltSummary:
     sups = tuple(
         max(abs(at_most / trials - _normal_cdf(x, m))
             for at_most, x in zip(itertools.accumulate(counts), grid))
-        for counts in between
+        for counts in between.reshape(m, bins).tolist()
     )
     return CltSummary(m, n, trials, seed, means, tuple(variances), var_se, sups)
 
@@ -393,9 +488,11 @@ def escape_probability(
         raise ValueError("epsilon must not be NaN")
     threshold = eps * math.sqrt(n)
     count = 0
-    for s in _coordinate_sums(m, n, seed, trials):
-        if abs(s[0]) >= threshold:
-            count += 1
+    if threshold <= n:
+        # an integer |s| is at least threshold exactly when it is at least its ceiling
+        cut = math.ceil(max(threshold, 0.0))
+        for block in _coordinate_sum_blocks(m, n, seed, trials):
+            count += int((abs(block[:, 0]) >= cut).sum())
     p = Fraction(count, trials)
     return EscapeEstimate(m, n, trials, seed, eps, count, p, _binomial_stderr(p, trials))
 

@@ -12,17 +12,22 @@ substitution into a word and collection of the result (for
 ``express_in_normalized_basis``), the lift of V collected letter by letter
 and the Nielsen replay of a whole Smith log on relator elements by group
 multiplication (for ``normalize``), the probe-and-test scan of a box of
-alphas and gammas (for the group solver's candidate walk), numpy's own
-PCG64 seeded one trial at a time (for the samplers' block seeding), and the
-empirical CDF read off every trial's sums, kept and sorted (for the
+alphas and gammas (for the group solver's candidate walk), the letters of
+one ``rng.choices`` call counted by a ``Counter`` (for ``rank_experiment``'s
+block draw), numpy's own PCG64 seeded one trial at a time with one
+multinomial per trial (for the samplers' block seeding and block tallies),
+and the empirical CDF read off every trial's sums, kept and sorted (for the
 streamed CLT statistics).  ``traced_peak`` measures the memory a call
 allocates, for the tests that bound it.
 """
 
 import itertools
 import math
+import random
 import tracemalloc
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -36,7 +41,7 @@ from nilq.nilpotent2 import (
     pair_list,
     power,
 )
-from nilq.randwalk import _coordinate_sums, _normal_cdf, stream_seed
+from nilq.randwalk import CltSummary, _normal_cdf, stream_seed
 from nilq.words import MAX_WORD_LETTERS, Word, WordSyntaxError, check_rank
 from nilq.zmatrix import ElementaryOp, rank
 
@@ -377,6 +382,53 @@ def np_trial_rng(seed: int, scale: int, trial: int):
     return np.random.Generator(np.random.PCG64(stream_seed(seed, scale, trial)))
 
 
+def per_trial_coordinate_sums(m: int, n: int, seed: int, trials: int):
+    """Each trial's coordinate sums, a list per trial: one multinomial draw
+    of the 2m letter counts on ``np_trial_rng``, coordinate i summing
+    count(+i) - count(-i)."""
+    pvals = [1.0 / (2 * m)] * (2 * m)
+    for t in range(trials):
+        counts = np_trial_rng(seed, n, t).multinomial(n, pvals).tolist()
+        yield [counts[2 * i] - counts[2 * i + 1] for i in range(m)]
+
+
+def per_trial_clt_stats(m: int, n: int, seed: int, rows) -> CltSummary:
+    """``coordinate_clt_stats`` over the sums rows, one list per trial,
+    tallied a trial at a time: exact integer sums and squares, and each sum's
+    bin among the float thresholds by ``bisect_left``."""
+    trials = len(rows)
+    sqrt_n = math.sqrt(n)
+    sigma = 1.0 / math.sqrt(m)
+    grid = [(-4.0 + 8.0 * j / 40.0) * sigma for j in range(41)]
+    thresholds = [x * sqrt_n for x in grid]
+    sums, squares = [0] * m, [0] * m
+    between = [[0] * 42 for _ in range(m)]
+    for s in rows:
+        for i, v in enumerate(s):
+            sums[i] += v
+            squares[i] += v * v
+            between[i][bisect_left(thresholds, v)] += 1
+    means = tuple(float(Fraction(sums[i], trials)) / sqrt_n for i in range(m))
+    variances = tuple(
+        float((Fraction(squares[i]) - Fraction(sums[i] ** 2, trials)) / ((trials - 1) * n))
+        if trials > 1 else 0.0 for i in range(m))
+    var_se = tuple(v * math.sqrt(2.0 / (trials - 1)) if trials > 1 else float("inf")
+                   for v in variances)
+    sups = tuple(
+        max(abs(at_most / trials - _normal_cdf(x, m))
+            for at_most, x in zip(itertools.accumulate(counts), grid))
+        for counts in between)
+    return CltSummary(m, n, trials, seed, means, variances, var_se, sups)
+
+
+def random_exponent_sums(length: int, m: int, rng: random.Random) -> list:
+    """The exponent sums of the word ``random_word(length, m, rng)`` draws,
+    from the same single rng.choices call, counted by a Counter: index k < m
+    is the letter a_(k+1), index m + k its inverse."""
+    counts = Counter(rng.choices(range(2 * m), k=length))
+    return [counts[k] - counts[m + k] for k in range(m)]
+
+
 def sorted_sample_sup_distances(m: int, n: int, trials: int, seed: int) -> Tuple[float, ...]:
     """``coordinate_clt_stats``' sup_distances from every trial's sums, kept
     and sorted per coordinate: at each of the 41 grid points x, the share
@@ -385,7 +437,7 @@ def sorted_sample_sup_distances(m: int, n: int, trials: int, seed: int) -> Tuple
     sigma = 1.0 / math.sqrt(m)
     grid = [(-4.0 + 8.0 * j / 40.0) * sigma for j in range(41)]
     samples = [[] for _ in range(m)]
-    for s in _coordinate_sums(m, n, seed, trials):
+    for s in per_trial_coordinate_sums(m, n, seed, trials):
         for i, v in enumerate(s):
             samples[i].append(v)
     sups = []

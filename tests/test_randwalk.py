@@ -30,7 +30,14 @@ from nilq.randwalk import (
 )
 from nilq.words import Word, exponent_sums, random_word
 
-from naive_oracles import np_trial_rng, sorted_sample_sup_distances, traced_peak
+from naive_oracles import (
+    np_trial_rng,
+    per_trial_clt_stats,
+    per_trial_coordinate_sums,
+    random_exponent_sums,
+    sorted_sample_sup_distances,
+    traced_peak,
+)
 
 
 def _binom(n, k):
@@ -83,7 +90,7 @@ def test_rank_experiment_tallies_the_draws_of_random_word(monkeypatch):
     for m, length, seed in ((1, 0, 1), (2, 7, 2), (3, 50, 3), (5, 301, 4)):
         rng, oracle = random.Random(seed), random.Random(seed)
         for _ in range(3):
-            sums = randwalk._random_exponent_sums(length, m, rng)
+            sums = random_exponent_sums(length, m, rng)
             assert tuple(sums) == exponent_sums(random_word(length, m, oracle))
         assert rng.random() == oracle.random()
 
@@ -102,6 +109,55 @@ def test_rank_experiment_tallies_the_draws_of_random_word(monkeypatch):
             ExperimentConfig(m=2, r=r, lengths=(20_000,), trials=1, seed=1)))[1]
 
     assert peak(8) < 1.5 * peak(1)
+
+
+def test_cpython_draws_that_the_block_draw_reads():
+    # a release that changes any of these changes every rank-exp output
+    for seed in (1, 2**200 + 3):
+        rng, words = random.Random(seed), random.Random(seed)
+        # random() is two 32-bit Mersenne Twister words
+        for _ in range(5):
+            w0, w1 = words.getrandbits(32), words.getrandbits(32)
+            assert rng.random() == ((w0 >> 5) * 2**26 + (w1 >> 6)) * 2.0**-53
+        # getrandbits(64 k) reads the same 2k words, least significant first
+        for k in (1, 3, 64):
+            big = rng.getrandbits(64 * k)
+            assert big == sum(words.getrandbits(32) << 32 * i for i in range(2 * k))
+        assert rng.getstate() == words.getstate()
+        # unweighted choices is floor(random() n), one random() per letter
+        for n in (2, 6, 10, 128):
+            picks = rng.choices(range(n), k=50)
+            assert picks == [math.floor(words.random() * n) for _ in range(50)]
+        assert rng.getstate() == words.getstate()
+
+
+def _choices_matrices(m, r, length, seed, trials):
+    for t in range(trials):
+        rng = trial_rng(seed, length, t)
+        yield [random_exponent_sums(length, m, rng) for _ in range(r)]
+
+
+_L = randwalk._LETTER_BLOCK
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 64])
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_block_draw_matches_the_choices_route(m, r):
+    # lengths at the block size, where a word fills a block or splits over
+    # two; at the short lengths a trial straddles a block
+    for length in (3, 7, _L - 1, _L, _L + 1):
+        trials = _L // (r * length) + 2 if r and length < 8 else 2
+        expected = list(_choices_matrices(m, r, length, 11, trials))
+        assert list(randwalk._exponent_sum_matrices(m, r, length, 11, trials)) == expected
+
+
+@pytest.mark.parametrize("block", [1, 5, 12])
+def test_block_draw_carries_words_across_small_blocks(monkeypatch, block):
+    # a word of 12 letters over blocks of 5 spans three blocks
+    monkeypatch.setattr(randwalk, "_LETTER_BLOCK", block)
+    for m, r, length, trials in ((2, 3, 12, 4), (3, 2, 5, 3), (1, 4, 1, 5), (4, 1, 13, 2)):
+        expected = list(_choices_matrices(m, r, length, 3, trials))
+        assert list(randwalk._exponent_sum_matrices(m, r, length, 3, trials)) == expected
 
 
 def test_rank_experiment_csv_shape():
@@ -168,6 +224,56 @@ def test_escape_epsilon_nan_raises_and_infinities_are_exact():
         escape_probability(2, 1, 1, 1, epsilon=math.nan)
     assert escape_probability(2, 50, 40, 3, epsilon=math.inf).p_hat == 0
     assert escape_probability(2, 50, 40, 3, epsilon=-math.inf).p_hat == 1
+
+
+@pytest.mark.parametrize("m, n, trials", [
+    (1, 16, 300), (4, 16, 300), (2, 2**53 + 1, 40), (3, randwalk.MAX_SAMPLED_STEPS, 40)])
+def test_clt_matches_the_per_trial_oracle(m, n, trials):
+    rows = list(per_trial_coordinate_sums(m, n, 8, trials))
+    assert coordinate_clt_stats(m, n, trials, 8) == per_trial_clt_stats(m, n, 8, rows)
+
+
+def _thresholds(m, n):
+    sigma = 1.0 / math.sqrt(m)
+    return [(-4.0 + 8.0 * j / 40.0) * sigma * math.sqrt(n) for j in range(41)]
+
+
+@pytest.mark.parametrize("m, n", [(1, 16), (4, 16), (1, 2**53 + 1), (2, 2**53 + 1),
+                                  (1, randwalk.MAX_SAMPLED_STEPS), (3, randwalk.MAX_SAMPLED_STEPS)])
+def test_clt_integer_cuts_bin_sums_at_the_thresholds(monkeypatch, m, n):
+    # at n = 16 and m in (1, 4) some thresholds are integral floats; every
+    # threshold t is met by the sums floor(t) - 1, floor(t), floor(t) + 1
+    values = sorted({v for t in _thresholds(m, n) for v in (math.floor(t) - 1, math.floor(t),
+                                                              math.floor(t) + 1, -n, n)
+                     if -n <= v <= n})
+    rows = [[values[(k + i) % len(values)] for i in range(m)] for k in range(len(values))]
+    monkeypatch.setattr(randwalk, "_coordinate_sum_blocks",
+                        lambda *args: iter([np.array(rows[:9]), np.array(rows[9:])]))
+    assert coordinate_clt_stats(m, n, len(rows), 4) == per_trial_clt_stats(m, n, 4, rows)
+
+
+@pytest.mark.parametrize("m, n, epsilon", [
+    (1, 16, 0.0), (1, 16, -1.5), (1, 16, math.inf), (1, 16, 1e400), (1, 16, -math.inf),
+    # eps sqrt(n) = 4.0 and 2.0, which sums at even n meet, and 16.0 = n
+    (1, 16, 1.0), (2, 16, 0.5), (1, 16, 4.0), (1, 16, 4.25),
+    (2, 2**53 + 1, 1e-8), (1, randwalk.MAX_SAMPLED_STEPS, 1e-9), (2, randwalk.MAX_SAMPLED_STEPS, 1e10)])
+def test_escape_matches_the_per_trial_oracle(m, n, epsilon):
+    trials = 300 if n == 16 else 40
+    threshold = epsilon * math.sqrt(n)
+    count = sum(abs(s[0]) >= threshold for s in per_trial_coordinate_sums(m, n, 6, trials))
+    assert escape_probability(m, n, trials, 6, epsilon=epsilon).count == count
+
+
+@pytest.mark.parametrize("n, epsilon", [(16, 1.0), (16, 0.75), (16, 4.0), (2**53 + 1, 0.5),
+                                        (randwalk.MAX_SAMPLED_STEPS, 1.0)])
+def test_escape_integer_cut_counts_sums_at_the_threshold(monkeypatch, n, epsilon):
+    threshold = epsilon * math.sqrt(n)
+    values = [v for c in (math.floor(threshold), math.ceil(threshold))
+              for v in (c - 1, c, c + 1, -c + 1, -c, -c - 1) if -n <= v <= n]
+    monkeypatch.setattr(randwalk, "_coordinate_sum_blocks",
+                        lambda *args: iter([np.array([[v, 0] for v in values])]))
+    count = sum(abs(v) >= threshold for v in values)
+    assert escape_probability(2, n, len(values), 1, epsilon=epsilon).count == count
 
 
 _B = randwalk._SEED_BLOCK
