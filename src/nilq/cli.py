@@ -4,13 +4,19 @@ Thin adapters only: every subcommand parses arguments, calls one library
 function, and serializes the result.  Machine-readable output (JSON or CSV)
 goes to stdout; one-line human summaries go to stderr.  Exit codes: 0 on
 success, 1 on a domain error (reported as a JSON object on stdout), 2 on
-usage or input-syntax errors.  Stochastic commands require an explicit seed
-(no wall-clock default) and all outputs echo the resolved configuration.
+usage or input errors: a file or stdin that cannot be read or decoded as
+UTF-8, malformed JSON, word or presentation text, or a malformed system or
+config.  Handlers return nothing; ``main`` alone maps their outcome to an
+exit code.  Options shared by several subcommands (``--format``, and the
+solver's ``--m``, ``--presentation`` and ``--limit``) are declared once, in
+parent parsers.  Stochastic commands require an explicit seed (no wall-clock
+default) and all outputs echo the resolved configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -28,12 +34,24 @@ class _UsageError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
+@contextlib.contextmanager
+def _usage_error(label: str, errors=(KeyError, TypeError, ValueError)):
+    """Re-raise any of errors raised in the block as the usage error
+    'label: message' (exit 2)."""
     try:
+        yield
+    except errors as exc:
+        raise _UsageError(f"{label}: {exc}") from exc
+
+
+def _read_text(path: str, stream=None) -> str:
+    """The text of stream if given, else of the file at path; text that
+    cannot be read or decoded is a usage error."""
+    with _usage_error(f"cannot read {path}", (OSError, UnicodeDecodeError)):
+        if stream is not None:
+            return stream.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_json(path: str):
@@ -47,10 +65,9 @@ def _read_json(path: str):
 
 
 def _load_presentation(path: str) -> presentation.NormalizedPresentation:
-    try:
-        p = presentation.parse_presentation(_read_text(path))
-    except (ValueError, WordSyntaxError) as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
+    text = _read_text(path)
+    with _usage_error(path, ValueError):
+        p = presentation.parse_presentation(text)
     return presentation.normalize(p)
 
 
@@ -90,7 +107,7 @@ def _emit_format(args, obj, csv, summary: str):
 
 
 def _element_jsonable(el: MalcevElement) -> dict:
-    return {"alpha": list(el.alpha), "gamma": list(el.gamma)}
+    return {"alpha": el.alpha, "gamma": el.gamma}
 
 
 def _infer_m(text: str) -> int:
@@ -106,14 +123,13 @@ def _infer_m(text: str) -> int:
     return max(indices)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     np_ = _load_presentation(args.file)
     report = presentation.classify(np_)
     _emit_json(report, f"regime {report.regime} (rank {report.rank})")
-    return 0
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args):
     np_ = _load_presentation(args.file)
     names = [f"a{k}" for k in range(1, np_.m + 1)] + ["[a%d,a%d]" % pq for pq in pair_list(np_.m)]
     out = {
@@ -122,36 +138,39 @@ def _cmd_normalize(args) -> int:
         "r": np_.r,
         "rank": np_.snf.rank,
         "rank_full": np_.rank_full,
-        "alphas": list(np_.alphas),
-        "invariant_factors": list(np_.snf.invariant_factors),
-        "d_pq": list(np_.d_pq),
+        "alphas": np_.alphas,
+        "invariant_factors": np_.snf.invariant_factors,
+        "d_pq": np_.d_pq,
         "echelon": {
             "columns": [names[c] for c in np_.coordinates],
-            "rows": [list(row) for row in np_.echelon.rows],
-            "pivots": list(np_.echelon.pivots),
+            "rows": np_.echelon.rows,
+            "pivots": np_.echelon.pivots,
         },
         "smith_ops": np_.snf.ops,
     }
     _emit_json(out, f"normalized {np_.r} relators over m={np_.m}, rank {np_.snf.rank}")
-    return 0
 
 
 def _word_text(arg: str) -> str:
     """A word argument's text: stdin for '-', the file's text for '@path',
     else the argument itself (neither is valid word text)."""
     if arg == "-":
-        return sys.stdin.read()
+        return _read_text("stdin", sys.stdin)
     if arg.startswith("@"):
         return _read_text(arg[1:])
     return arg
 
 
-def _cmd_is_trivial(args) -> int:
+def _parse_word(text: str, m: int):
+    """parse_word(text, m); a syntax error is a usage error, while a word
+    too long to hold stays a domain error (exit 1)."""
+    with _usage_error("word", WordSyntaxError):
+        return parse_word(text, m)
+
+
+def _cmd_is_trivial(args):
     np_ = _load_presentation(args.file)
-    try:
-        w = parse_word(_word_text(args.word), np_.m)
-    except WordSyntaxError as exc:
-        raise _UsageError(f"word: {exc}") from exc
+    w = _parse_word(_word_text(args.word), np_.m)
     # the word is over the original generators; the deciders work in the
     # rewritten basis
     h = presentation.express_in_normalized_basis(w, np_)
@@ -161,102 +180,77 @@ def _cmd_is_trivial(args) -> int:
         "trivial_mod_torsion": presentation.is_trivial_mod_torsion(h, np_),
     }
     _emit_json(out, f"trivial_in_G={out['trivial_in_G']}")
-    return 0
 
 
-def _cmd_word_eval(args) -> int:
+def _cmd_word_eval(args):
     text = _word_text(args.word)
     m = args.m if args.m is not None else _infer_m(text)
-    try:
-        w = parse_word(text, m)
-    except WordSyntaxError as exc:
-        raise _UsageError(f"word: {exc}") from exc
-    el = from_word(w)
-    out = {
-        "m": m,
-        "alpha": list(el.alpha),
-        "gamma": list(el.gamma),
-        "normal_form": format_element(el),
-    }
+    el = from_word(_parse_word(text, m))
+    out = {"m": m, **_element_jsonable(el), "normal_form": format_element(el)}
     _emit_json(out, f"normal form: {out['normal_form']}")
-    return 0
 
 
-def _experiment_config(path: str) -> randwalk.ExperimentConfig:
-    data = _read_json(path)
-    try:
-        return randwalk.ExperimentConfig(
+def _cmd_rank_exp(args):
+    data = _read_json(args.config)
+    with _usage_error("bad experiment config"):
+        cfg = randwalk.ExperimentConfig(
             m=data["m"],
             r=data["r"],
             lengths=tuple(data["lengths"]),
             trials=data["trials"],
             seed=data["seed"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"bad experiment config: {exc}") from exc
-
-
-def _cmd_rank_exp(args) -> int:
-    cfg = _experiment_config(args.config)
     rows = randwalk.rank_experiment(cfg)
     _emit_format(args, {"config": cfg, "rows": rows},
                  lambda d: randwalk.rank_experiment_csv(d["config"], d["rows"]),
                  f"{len(rows)} lengths, seed {cfg.seed}")
-    return 0
 
 
-def _cmd_clt(args) -> int:
+def _cmd_clt(args):
     summary = randwalk.coordinate_clt_stats(args.m, args.n, args.trials, args.seed)
     _emit_format(args, summary, randwalk.clt_csv, f"variances {summary.variances}")
-    return 0
 
 
-def _cmd_escape(args) -> int:
+def _cmd_escape(args):
     estimates = [
         randwalk.escape_probability(args.m, n, args.trials, args.seed, args.epsilon)
         for n in args.n
     ]
     _emit_format(args, estimates, randwalk.escape_csv, f"{len(estimates)} grid points")
-    return 0
 
 
-def _cmd_return_prob(args) -> int:
+def _cmd_return_prob(args):
     table = randwalk.return_probability_exact(args.m, args.n_max)
     _emit(
         randwalk.return_table_csv(table),
         f"m={table.m} n_max={table.n_max} exact={table.exact}",
     )
-    return 0
 
 
-def _cmd_slope(args) -> int:
+def _cmd_slope(args):
     fit = randwalk.decay_slope(args.m, (args.n_lo, args.n_hi))
     _emit_format(args, fit, randwalk.decay_fit_csv, f"slope {fit.slope:.4f}")
-    return 0
 
 
-def _cmd_sz_check(args) -> int:
+def _cmd_sz_check(args):
     res = randwalk.schwartz_zippel_check(args.r, args.m, args.b)
     _emit_format(args, res, randwalk.schwartz_zippel_csv,
                  f"zeros {res.zero_count} <= bound {res.bound}")
-    return 0
 
 
 def _ring_system(data) -> diophantine.RingSystem:
     """The ring system of a parsed JSON file; a usage error if malformed."""
-    try:
+    with _usage_error("bad ring system"):
         return diophantine.RingSystem.from_jsonable(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"bad ring system: {exc}") from exc
 
 
 def _ambient(args) -> diophantine.Ambient:
-    if getattr(args, "presentation", None):
+    if args.presentation:
         return diophantine.QuotientAmbient(_load_presentation(args.presentation))
     return diophantine.FreeNilpotentAmbient(args.m)
 
 
-def _cmd_compile(args) -> int:
+def _cmd_compile(args):
     S = _ring_system(_read_json(args.ring))
     compiled = diophantine.compile_system(diophantine.z_in_g_templates(), S)
     _emit_json(
@@ -264,21 +258,16 @@ def _cmd_compile(args) -> int:
         f"{len(compiled.system.variables)} group variables, "
         f"{len(compiled.system.equations)} equations",
     )
-    return 0
 
 
-def _cmd_solve_bounded(args) -> int:
+def _cmd_solve_bounded(args):
     data = _read_json(args.system)
     if isinstance(data, dict) and "constants" in data:
-        try:
+        with _usage_error("bad group system"):
             S = diophantine.GroupSystem.from_jsonable(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _UsageError(f"bad group system: {exc}") from exc
         ambient = _ambient(args)
-        try:
+        with _usage_error("bad group system"):
             diophantine.ambient_constants(S, ambient)
-        except ValueError as exc:
-            raise _UsageError(f"bad group system: {exc}") from exc
         sols = diophantine.bounded_solve_group(
             S, ambient, args.box, find_all=not args.first, eval_limit=args.limit
         )
@@ -294,10 +283,9 @@ def _cmd_solve_bounded(args) -> int:
         ring_sols = diophantine.bounded_solve_ring(S, args.box, args.limit, find_all=not args.first)
         payload = {"kind": "ring", "box": args.box, "solutions": ring_sols}
     _emit_json(payload, f"{len(payload['solutions'])} solutions within box {args.box}")
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     S = _ring_system(_read_json(args.ring))
     ambient = _ambient(args)
     report = diophantine.verify_correspondence(
@@ -309,7 +297,6 @@ def _cmd_verify(args) -> int:
         eval_limit=args.limit,
     )
     _emit_json(report, "correspondence ok" if report.ok else "COUNTEREXAMPLES")
-    return 0
 
 
 _WORD_HELP = "word text, or - to read it from stdin, or @path to read it from a file"
@@ -323,98 +310,85 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="regime report for a presentation file")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_classify)
+    def command(name, fn, help, parents=()):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("normalize", help="Smith form and its ops, closure echelon")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_normalize)
+    # options shared by several subcommands, each declared once
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--m", type=int, default=2, help="rank of the free ambient")
+    solver.add_argument("--presentation", default=None, help="quotient ambient presentation file")
+    solver.add_argument("--limit", type=int, default=diophantine.EVAL_LIMIT)
 
-    p = sub.add_parser("is-trivial", help="word-problem query against a presentation")
+    command("classify", _cmd_classify, "regime report for a presentation file").add_argument("file")
+    command("normalize", _cmd_normalize, "Smith form and its ops, closure echelon").add_argument("file")
+
+    p = command("is-trivial", _cmd_is_trivial, "word-problem query against a presentation")
     p.add_argument("file")
     p.add_argument("word", help=_WORD_HELP)
-    p.set_defaults(fn=_cmd_is_trivial)
 
-    p = sub.add_parser("word-eval", help="Malcev coordinates and normal form of a word")
+    p = command("word-eval", _cmd_word_eval, "Malcev coordinates and normal form of a word")
     p.add_argument("word", help=_WORD_HELP)
     p.add_argument("--m", type=int, default=None, help="rank (default: inferred from the word)")
-    p.set_defaults(fn=_cmd_word_eval)
 
-    p = sub.add_parser("rank-exp", help="full-rank frequency experiment (CSV)")
+    p = command("rank-exp", _cmd_rank_exp, "full-rank frequency experiment (CSV)", [fmt])
     p.add_argument("config", help="JSON file with m, r, lengths, trials, seed")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=_cmd_rank_exp)
 
-    p = sub.add_parser("clt", help="coordinate CLT statistics (CSV)")
+    p = command("clt", _cmd_clt, "coordinate CLT statistics (CSV)", [fmt])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=_cmd_clt)
 
-    p = sub.add_parser("escape", help="escape-probability estimates (CSV)")
+    p = command("escape", _cmd_escape, "escape-probability estimates (CSV)", [fmt])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, action="append", required=True, help="repeatable")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=None, help="threshold override (default ln n)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=_cmd_escape)
 
-    p = sub.add_parser(
-        "return-prob",
-        help=f"exact return-probability table (CSV), n_max <= {randwalk.RETURN_N_MAX_LIMIT}",
-    )
+    p = command("return-prob", _cmd_return_prob,
+                f"exact return-probability table (CSV), n_max <= {randwalk.RETURN_N_MAX_LIMIT}")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(fn=_cmd_return_prob)
 
-    p = sub.add_parser("slope", help="log-log decay slope of the return probability")
+    p = command("slope", _cmd_slope, "log-log decay slope of the return probability", [fmt])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n-lo", type=int, required=True)
     p.add_argument("--n-hi", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=_cmd_slope)
 
-    p = sub.add_parser("sz-check", help="exhaustive Schwartz-Zippel zero count")
+    p = command("sz-check", _cmd_sz_check, "exhaustive Schwartz-Zippel zero count", [fmt])
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=_cmd_sz_check)
 
-    p = sub.add_parser("compile", help="compile a ring system to a group system")
-    p.add_argument("ring", help="ring system JSON file")
-    p.set_defaults(fn=_cmd_compile)
+    command("compile", _cmd_compile, "compile a ring system to a group system").add_argument(
+        "ring", help="ring system JSON file")
 
-    p = sub.add_parser("solve-bounded", help="exhaustive bounded solving (ring or group JSON)")
+    p = command("solve-bounded", _cmd_solve_bounded,
+                "exhaustive bounded solving (ring or group JSON)", [solver])
     p.add_argument("system", help="system JSON file")
     p.add_argument("--box", type=int, required=True)
-    p.add_argument("--m", type=int, default=2, help="rank of the free ambient (group systems)")
-    p.add_argument("--presentation", default=None, help="quotient ambient presentation file")
     p.add_argument("--first", action="store_true", help="stop at the first solution")
-    p.add_argument("--limit", type=int, default=diophantine.EVAL_LIMIT)
-    p.set_defaults(fn=_cmd_solve_bounded)
 
-    p = sub.add_parser("verify", help="two-directional compiler correspondence check")
+    p = command("verify", _cmd_verify, "two-directional compiler correspondence check", [solver])
     p.add_argument("ring", help="ring system JSON file")
     p.add_argument("--box-ring", type=int, required=True)
     p.add_argument("--box-group", type=int, required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--presentation", default=None)
-    p.add_argument("--limit", type=int, default=diophantine.EVAL_LIMIT)
-    p.set_defaults(fn=_cmd_verify)
 
     return ap
 
 
+# exit 1 with the error JSON, named by the exception's class
 _DOMAIN_ERRORS = (
     randwalk.ResourceLimitError,
     randwalk.EnumerationLimitError,
     diophantine.SearchSpaceError,
     RankLimitError,
+    ValueError,
 )
 
 
@@ -422,19 +396,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse: --help, or a usage error
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args)
+        args.fn(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _DOMAIN_ERRORS as exc:
         _emit_json({"error": type(exc).__name__, "message": str(exc)}, f"domain error: {exc}")
         return 1
-    except ValueError as exc:
-        _emit_json({"error": "ValueError", "message": str(exc)}, f"domain error: {exc}")
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

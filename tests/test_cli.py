@@ -918,6 +918,63 @@ def test_word_argument_from_stdin_or_file(capsys, monkeypatch, pres, tmp_path):
     assert code == 2 and err.startswith("error: cannot read")
 
 
+# JSON-shaped bytes that are no UTF-8: every file argument fails to decode
+# before its JSON, word or presentation syntax is looked at
+_UNDECODABLE = b'{"m": "a1 \xff"}'
+_CANNOT_DECODE = "'utf-8' codec can't decode byte 0xff"
+
+
+@pytest.mark.parametrize("argv", [
+    ("compile", "{bad}"),
+    ("verify", "{bad}", "--box-ring", "1", "--box-group", "1"),
+    ("solve-bounded", "{bad}", "--box", "1"),
+    ("rank-exp", "{bad}"),
+    ("word-eval", "@{bad}"),
+    ("is-trivial", "{pres}", "@{bad}"),
+    ("classify", "{bad}"),
+    ("normalize", "{bad}"),
+], ids=lambda argv: " ".join(argv))
+def test_undecodable_file_is_a_usage_error_exit_2(capsys, tmp_path, pres, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(_UNDECODABLE)
+    code, out, err = _run(capsys, *(a.replace("{bad}", str(bad)).replace("{pres}", pres)
+                                    for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: {_CANNOT_DECODE}")
+
+
+@pytest.mark.parametrize("argv", [("word-eval", "-"), ("is-trivial", "{pres}", "-")],
+                         ids=lambda argv: " ".join(argv))
+def test_undecodable_stdin_is_a_usage_error_exit_2(capsys, monkeypatch, pres, argv):
+    stdin = io.TextIOWrapper(io.BytesIO(b"a1 \xff"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = _run(capsys, *(a.replace("{pres}", pres) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read stdin: {_CANNOT_DECODE}")
+
+
+_COMMANDS = ("classify", "normalize", "is-trivial", "word-eval", "rank-exp", "clt", "escape",
+             "return-prob", "slope", "sz-check", "compile", "solve-bounded", "verify")
+# options that several subcommands share, by the subcommands that take them
+_SHARED_OPTIONS = {
+    **dict.fromkeys(("rank-exp", "clt", "escape", "slope", "sz-check"), ("--format",)),
+    **dict.fromkeys(("solve-bounded", "verify"), ("--m", "--presentation", "--limit")),
+}
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    code, out, _ = _run(capsys, "--help")
+    assert code == 0 and "{" + ",".join(_COMMANDS) + "}" in out
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_every_subcommand_answers_help_exit_0(capsys, command):
+    code, out, _ = _run(capsys, command, "--help")
+    assert code == 0 and out.startswith(f"usage: nilq {command} ")
+    for option in _SHARED_OPTIONS.get(command, ()):
+        assert f"{option} " in out
+
+
 def test_word_over_the_argv_limit_reaches_the_console(tmp_path):
     # one argv string is capped at 128 KiB on Linux; 60,000 tokens (360 KB)
     # reach word-eval through stdin and through a file

@@ -559,6 +559,25 @@ def test_verify_correspondence_reports_a_broken_encoding():
     assert rep.ok is False
 
 
+def test_verify_correspondence_reports_a_missing_extension():
+    # 2 * x = 2 holds at x = 1, but the mul gadget's x1 = c^2 = [p1, b] needs
+    # p1 with an alpha coordinate of absolute value 2, outside group box 1
+    S = _ring(["x"], [(MUL(C(2), V("x")), C(2))])
+    rep = verify_correspondence(S, z_in_g_templates(), FreeNilpotentAmbient(2), 1, 1)
+    assert rep.missing_extensions == ({"x": 1},)
+    assert rep.ok is False
+
+
+def test_odot_law_reports_a_gadget_without_its_product():
+    # dropping x3 = [p1, p2] leaves x3 free in its box: every pair fails
+    edef = z_in_g_templates()
+    edef = dataclasses.replace(edef, mul=dataclasses.replace(
+        edef.mul, equations=tuple(eq for eq in edef.mul.equations if eq[0] != (gen("x3"),))))
+    assert len(edef.mul.equations) == 4
+    assert odot_law_failures(edef, FreeNilpotentAmbient(2), t_max=1, aux_bound=1) == [
+        (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
 def test_odot_law_small_range():
     edef = z_in_g_templates()
     amb = FreeNilpotentAmbient(2)

@@ -160,6 +160,29 @@ def test_block_draw_carries_words_across_small_blocks(monkeypatch, block):
         assert list(randwalk._exponent_sum_matrices(m, r, length, 3, trials)) == expected
 
 
+# the acceptance seed and one more; k, the standard errors allowed, was fixed
+# before the first run
+_EXACT_LAW_SEEDS = (20260822, 1)
+_EXACT_LAW_K = 4
+
+
+@pytest.mark.parametrize("seed", _EXACT_LAW_SEEDS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rank_experiment_at_one_relator_meets_its_exact_law(m, seed):
+    # a 1 x m exponent-sum matrix is deficient iff the walk is back at 0, so
+    # p_full = 1 - p_l(0): that is 1 - values[l] at even l (values[l] adds
+    # p_(l+1)(0), which is 0 there) and exactly 1 at odd l
+    lengths, trials = (10, 11, 40, 100), 2000
+    table = return_probability_exact(m, max(lengths))
+    for row in rank_experiment(ExperimentConfig(m=m, r=1, lengths=lengths, trials=trials,
+                                                seed=seed)):
+        if row.length % 2:
+            assert row.p_hat == 1, row
+            continue
+        p = 1 - table.values[row.length]
+        assert abs(row.p_hat - p) <= _EXACT_LAW_K * math.sqrt(p * (1 - p) / trials), (row, float(p))
+
+
 def test_rank_experiment_csv_shape():
     cfg = ExperimentConfig(m=2, r=1, lengths=(4,), trials=8, seed=99)
     text = rank_experiment_csv(cfg, rank_experiment(cfg))
