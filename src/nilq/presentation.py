@@ -100,7 +100,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .nilpotent2 import MalcevElement, _row_offsets, from_word, generator, pair_list
+from .nilpotent2 import MalcevElement, _row_offsets, commutator, from_word, generator, pair_list
 from .words import MAX_RELATORS, RankLimitError, Word, WordSyntaxError, check_rank, parse_word
 from .zmatrix import (Echelon, SmithDecomposition, diagonal, hermite_normal_form, rank as zrank,
                       smith_normal_form)
@@ -212,10 +212,7 @@ class NormalizedPresentation:
         rows = list(self.image_rows)
         rows += [(0,) * (m + c) + (d[t],) + (0,) * (n - c - 1)
                  for c, t in enumerate(self.kept_pairs) if d[t]]
-        echelon = hermite_normal_form(rows)
-        if tuple(row[:m] for row in echelon.rows if any(row[:m])) != diagonal(self.alphas, self.snf.rank, m):
-            raise AssertionError("relator images do not span the Smith diagonal")
-        return echelon
+        return self._hermite(rows, m)
 
     @property
     def closure_lattice(self) -> Tuple[Tuple[int, ...], ...]:
@@ -242,42 +239,52 @@ class NormalizedPresentation:
         p <= rank plus the latter rows (see the module docstring)."""
         k = self.snf.rank
         tail = (self.m - k) * (self.m - k - 1) // 2
-        block = hermite_normal_form([row[:k] + row[len(row) - tail :] for row in self.image_rows])
-        if tuple(row[:k] for row in block.rows if any(row[:k])) != diagonal(self.alphas, k, k):
+        rows = [row[:k] + row[len(row) - tail :] for row in self.image_rows]
+        return len(self.d_pq) - tail, self._hermite(rows, k)
+
+    def _hermite(self, rows, cols: int) -> Echelon:
+        """The Hermite form of rows whose first cols columns are alphas,
+        checked to be diag(alpha_i) there: the one check that the relators
+        were mapped through phi as their Smith form says."""
+        form = hermite_normal_form(rows)
+        if diagonal(self.alphas, self.snf.rank, cols) != tuple(r[:cols] for r in form.rows if any(r[:cols])):
             raise AssertionError("relator images do not span the Smith diagonal")
-        return len(self.d_pq) - tail, block
+        return form
 
     @cached_property
     def center_profile_dim(self) -> int:
         """Dimension over Q of the alpha profiles central modulo torsion: the
         kernel of the map whose row c is the bracket residues of a_c.  Rows
         c <= rank are zero, as a_c has no free coordinate."""
-        gens = [generator(self.m, c) for c in range(self.snf.rank + 1, self.m + 1)]
-        return self.m - zrank([x for res in _bracket_residues(self, g) for x in res] for g in gens)
+        gens = (generator(self.m, c) for c in range(self.snf.rank + 1, self.m + 1))
+        return _corank(self, ([x for res in _bracket_residues(self, g) for x in res] for g in gens))
+
+
+def _corank(np_: NormalizedPresentation, rows) -> int:
+    """m less the rank of rows, taken over their nonzero columns: a bracket
+    map's rows are zero at most pairs, and the rank of the few columns left
+    costs far less than that of the long rows."""
+    return np_.m - zrank(c for c in zip(*rows) if any(c))
 
 
 def _bracket_residues(np_: NormalizedPresentation, g: MalcevElement) -> Iterator[list]:
     """gamma([g, a_c]) modulo the Q-span of the closure lattice, read in the
     free block, for c = rank+1..m one at a time: the columns of the bracket
     map v -> [g, v] modulo torsion that can be nonzero.  For c <= rank the
-    residue is 0, as [g, a_c] has no free coordinate.  The bracket has no
+    residue is 0, as [g, a_c] has no free coordinate.
+
+    Killing a_1 ... a_rank maps N_{2,m} onto N_{2,n}, n = m - rank, and
+    sends the free pairs to all of gamma there, so each bracket is
+    ``commutator`` in N_{2,n} of g's image with a generator.  It has no
     alpha, so the block's rank alpha rows would only scale it: it is
     reduced by the free-pair rows alone."""
     k = np_.snf.rank
-    _, block = np_.free_block
+    start, block = np_.free_block
     echelon = Echelon(block.rows[k:], block.pivots[k:])
-    zeros = [0] * k  # the bracket's alpha, in the free block's columns
-    a = g.alpha[k:]
-    n = len(a)
-    offsets = _row_offsets(n)
-    for c in range(n):
-        # gamma_pq([g, a_c]) is a_p at q = c and -a_q at p = c (0-based, in
-        # N_{2,n}), the pair (p, q) sitting at offsets[p] + q
-        v = [0] * (n * (n - 1) // 2)
-        for p in range(c):
-            v[offsets[p] + c] = a[p]
-        v[offsets[c] + c + 1 : offsets[c] + n] = [-x for x in a[c + 1 :]]
-        yield echelon.rational_residue(zeros + v)
+    free = MalcevElement(np_.m - k, g.alpha[k:], g.gamma[start:])
+    for c in range(1, free.m + 1):
+        # the bracket's alpha is zero in the free block's first k columns
+        yield echelon.rational_residue((0,) * k + commutator(free, generator(free.m, c)).gamma)
 
 
 class _BasisChange:
@@ -366,6 +373,12 @@ def normalize(p: NilPresentation) -> NormalizedPresentation:
     return NormalizedPresentation(m, len(p.relators), p.s, snf, d, kept, tuple(rows), phi)
 
 
+def _require_m(x, np_: NormalizedPresentation) -> None:
+    """The one guard of every query: x, a word or an element, has np_'s m."""
+    if x.m != np_.m:
+        raise ValueError("rank mismatch")
+
+
 def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevElement:
     """Evaluate a word written over the original presentation's generators.
 
@@ -380,8 +393,7 @@ def express_in_normalized_basis(w: Word, np_: NormalizedPresentation) -> MalcevE
     through the sparse rows of V that ``normalize`` kept: no ``Polynomial``
     is built and no group multiplication runs.
     """
-    if w.m != np_.m:
-        raise ValueError("rank mismatch")
+    _require_m(w, np_)
     return np_._phi(from_word(w))
 
 
@@ -393,8 +405,7 @@ def is_trivial_in_G(h: MalcevElement, np_: NormalizedPresentation) -> bool:
     are exactly the lattice of ``echelon`` and the unit pairs it drops, so
     this is one membership test of h's coordinates at ``coordinates``.
     """
-    if h.m != np_.m:
-        raise ValueError("rank mismatch")
+    _require_m(h, np_)
     v = h.alpha + h.gamma
     return np_.echelon.in_lattice([v[c] for c in np_.coordinates])
 
@@ -411,8 +422,7 @@ def is_trivial_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> boo
     alphas, then its free coordinates, must lie in the Q-span of the free
     block's rows: one rational reduction.
     """
-    if h.m != np_.m:
-        raise ValueError("rank mismatch")
+    _require_m(h, np_)
     k = np_.snf.rank
     if any(h.alpha[k:]):
         return False
@@ -424,15 +434,14 @@ def is_central_mod_torsion(h: MalcevElement, np_: NormalizedPresentation) -> boo
     """True iff h commutes with every generator modulo torsion, i.e. h is
     central in the quotient by the torsion subgroup; stops at the first
     generator that h does not commute with."""
-    if h.m != np_.m:
-        raise ValueError("rank mismatch")
+    _require_m(h, np_)
     return not any(any(res) for res in _bracket_residues(np_, h))
 
 
 def _commuting_profile_dim(np_: NormalizedPresentation, g: MalcevElement) -> int:
     """Dimension over Q of {v : gamma([g, v]) lies in the Q-span of the
     closure lattice}; the alpha profiles commuting with g modulo torsion."""
-    return np_.m - zrank(_bracket_residues(np_, g))
+    return _corank(np_, _bracket_residues(np_, g))
 
 
 def is_c_small(g: MalcevElement, np_: NormalizedPresentation) -> bool:
@@ -449,8 +458,7 @@ def is_c_small(g: MalcevElement, np_: NormalizedPresentation) -> bool:
     <= m - 2, so a redundant relator leaves the answer as it was; raises
     InconclusiveError otherwise.
     """
-    if g.m != np_.m:
-        raise ValueError("rank mismatch")
+    _require_m(g, np_)
     if np_.snf.rank > np_.m - 2:
         raise InconclusiveError(
             "centralizer-smallness is only decided for relator rank <= m - 2"

@@ -305,13 +305,12 @@ def _exponent_sum_matrices(m: int, r: int, length: int, seed: int, trials: int) 
         if not k:
             return
         # the block's k letters fill `words` words, the first of which lost
-        # offset letters to earlier blocks and the last of which may go on
+        # offset letters to earlier blocks and the last of which may go on;
+        # every trial holds r whole words, so a letter's word is its index,
+        # counted from the first word's start, divided by length
         end = offset + k
         words = -(-end // length)
-        runs = np.full(words, length)
-        runs[0] -= offset
-        runs[-1] -= words * length - end
-        keys = np.repeat(np.arange(0, words * n, n), runs)
+        keys = np.arange(offset, end) // length * n
         keys += _letters(b"".join(parts), n)
         counts = np.bincount(keys, minlength=words * n).reshape(words, n)
         rows = (counts[:, :m] - counts[:, m:]).tolist()

@@ -16,8 +16,9 @@ alphas and gammas (for the group solver's candidate walk), the letters of
 one ``rng.choices`` call counted by a ``Counter`` (for ``rank_experiment``'s
 block draw), numpy's own PCG64 seeded one trial at a time with one
 multinomial per trial (for the samplers' block seeding and block tallies),
-and the empirical CDF read off every trial's sums, kept and sorted (for the
-streamed CLT statistics).  ``traced_peak`` measures the memory a call
+the empirical CDF read off every trial's sums, kept and sorted (for the
+streamed CLT statistics), and the exact law of the first coordinate by a
+sum over binomial counts (for ``escape_probability``).  ``traced_peak`` measures the memory a call
 allocates, for the tests that bound it.
 """
 
@@ -447,6 +448,22 @@ def sorted_sample_sup_distances(m: int, n: int, trials: int, seed: int) -> Tuple
             worst = max(worst, abs(bisect_right(xs, x * sqrt_n) / trials - _normal_cdf(x, m)))
         sups.append(worst)
     return tuple(sups)
+
+
+@lru_cache(maxsize=None)
+def _far_sequences(t: int, cut: int) -> int:
+    """How many of the 2^t sequences of t steps +-1 end at least cut from 0:
+    the C(t, u) with u steps up, for each u with |2u - t| >= cut."""
+    return sum(math.comb(t, u) for u in range(t + 1) if abs(2 * u - t) >= cut)
+
+
+def escape_law(m: int, n: int, cut: int) -> Fraction:
+    """P(|s_1| >= cut) after n steps of the 2m-choice walk, exactly: t of
+    the steps move coordinate 1, in C(n, t) (2m - 2)^(n - t) of the (2m)^n
+    walks, and ``_far_sequences(t, cut)`` of the 2^t ways those t go end at
+    least cut from 0."""
+    total = sum(math.comb(n, t) * (2 * m - 2) ** (n - t) * _far_sequences(t, cut) for t in range(n + 1))
+    return Fraction(total, (2 * m) ** n)
 
 
 def traced_peak(fn):

@@ -1044,6 +1044,19 @@ def test_paper_claims_1_to_3_hold_for_every_full_rank_draw(regime):
             assert all(is_trivial_mod_torsion(x, np_) for x in a)
 
 
+def test_profiles_at_max_rank_are_ranked_by_their_nonzero_columns():
+    # two seeded 8-letter relators over MAX_RANK generators, of full rank:
+    # by the module docstring's argument for r <= m - 2 the central profiles
+    # are those zero beyond the rank, and a_m is c-small.  The profile map is
+    # 62 x 117,242 here, nearly all zero; ranking its rows took 12 s, its
+    # nonzero columns take about 1 s
+    rng = random.Random(20260822)
+    np_ = normalize(_presentation([random_word(8, MAX_RANK, rng) for _ in range(2)], MAX_RANK))
+    assert np_.rank_full
+    assert np_.center_profile_dim == np_.snf.rank == 2
+    assert is_c_small(generator(MAX_RANK, MAX_RANK), np_)
+
+
 def test_central_mod_torsion_matches_commutator_loop():
     # the loop the bracket residues replaced: h is central modulo torsion iff
     # [h, a_g] is trivial modulo torsion for every generator a_g

@@ -31,6 +31,7 @@ from nilq.randwalk import (
 from nilq.words import Word, exponent_sums, random_word
 
 from naive_oracles import (
+    escape_law,
     np_trial_rng,
     per_trial_clt_stats,
     per_trial_coordinate_sums,
@@ -181,6 +182,20 @@ def test_rank_experiment_at_one_relator_meets_its_exact_law(m, seed):
             continue
         p = 1 - table.values[row.length]
         assert abs(row.p_hat - p) <= _EXACT_LAW_K * math.sqrt(p * (1 - p) / trials), (row, float(p))
+
+
+@pytest.mark.parametrize("seed", _EXACT_LAW_SEEDS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_escape_probability_meets_its_exact_law(m, seed):
+    # |s_1| >= eps sqrt(n) exactly when |s_1| >= ceil(eps sqrt(n)), s_1 being
+    # an integer; the default eps = ln n is left out, as its p falls to 1e-25
+    # at these n, where a normal z score says nothing
+    trials = 2000
+    for n in (10, 11, 100, 401):
+        for eps in (0.5, 1.0):
+            est = escape_probability(m, n, trials, seed, eps)
+            p = escape_law(m, n, math.ceil(eps * math.sqrt(n)))
+            assert abs(est.p_hat - p) <= _EXACT_LAW_K * math.sqrt(p * (1 - p) / trials), (est, float(p))
 
 
 def test_rank_experiment_csv_shape():
