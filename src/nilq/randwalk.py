@@ -11,12 +11,16 @@ trial as sha256("<seed>:<scale>:<trial>") over the decimal strings, so results
 are independent of execution order and identical configs give byte-identical
 CSV tables.  Trials never share stream state and all aggregation is
 commutative integer accumulation, so a parallel runner would reproduce the
-same counts; the built-in runner is sequential.  rank_experiment's stream is
-random.Random seeded with the digest as an integer (``trial_rng``).  The
-samplers' stream is numpy's Generator(PCG64(that integer)); ``_trial_rngs``
-realizes it by running numpy's SeedSequence mixing for a block of trials at
-once and letting numpy's PCG64 seed each trial from its state words, and
-numpy's own per-trial PCG64 is the oracle the tests hold it to.
+same counts; the built-in runner is sequential.  An engine hashes the
+"seed:scale:" prefix once and takes each trial's digest from a copy of that
+hash (``_stream_digests``).  rank_experiment's stream is random.Random seeded
+with the digest as an integer (``trial_rng``); the engine reseeds one Random
+per length for each trial, which leaves the Mersenne Twister in the state a
+new Random would have.  The samplers' stream is numpy's
+Generator(PCG64(that integer)); ``_trial_rngs`` realizes it by running
+numpy's SeedSequence mixing for a block of trials at once and handing each
+trial's PCG64 its 4 state words in a holder of its own, and numpy's own
+per-trial PCG64 is the oracle the tests hold it to.
 
 Walk convention: one step multiplies by a uniformly chosen generator or
 inverse (2m choices, probability 1/2m each); the abelianized position after n
@@ -48,7 +52,8 @@ from .words import (
     check_rank,
     count_over_limit,
 )
-from .zmatrix import minor_polynomial, rank as zrank
+from .zmatrix import _bareiss, _minor_polynomial, minor_polynomial
+from .zmatrix import rank as zrank  # noqa: F401  (an alias perfbench's tracer patches)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -149,19 +154,23 @@ def _digest_rngs(digests: Iterable[bytes]) -> Iterator[np.random.Generator]:
     """For each 32-byte digest d, a new ``Generator(PCG64(s))`` on the stream
     of ``Generator(PCG64(int.from_bytes(d, "big")))``.
 
-    Mixes ``_SEED_BLOCK`` digests per numpy pass (``_seed_words``); s is a
-    SeedSequence stand-in that hands PCG64 its trial's 4 state words, and
-    numpy's PCG64 seeds itself from them.  A digest whose top 32-bit word
-    is 0 (probability 2^-32) is seeded by numpy itself."""
+    Mixes ``_SEED_BLOCK`` digests per numpy pass (``_seed_words``).  s, a
+    SeedSequence stand-in made for that digest alone, hands PCG64 its 4
+    state words, and numpy's PCG64 seeds itself from them.  Each generator
+    keeps its own s as ``bit_generator.seed_seq``, so no two share one.  A
+    digest whose top 32-bit word is 0 (probability 2^-32) is seeded by
+    numpy itself."""
     # importing numpy costs more than most commands; only the walk engines import it
     import numpy as np
+
+    generator, pcg64, uint64, short = np.random.Generator, np.random.PCG64, np.uint64, bytes(4)
 
     class StateWords(np.random.bit_generator.ISeedSequence):
         def __init__(self, row):
             self.row = row
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
+            if n_words != 4 or dtype is not uint64:
                 raise ValueError("holds exactly 4 uint64 state words")
             return self.row
 
@@ -172,14 +181,26 @@ def _digest_rngs(digests: Iterable[bytes]) -> Iterator[np.random.Generator]:
             return
         words = np.frombuffer(b"".join(block), dtype=">u4").reshape(-1, 8)[:, ::-1]
         for digest, row in zip(block, _seed_words(words)):
-            seed = int.from_bytes(digest, "big") if digest[:4] == bytes(4) else StateWords(row)
-            yield np.random.Generator(np.random.PCG64(seed))
+            seed = int.from_bytes(digest, "big") if digest[:4] == short else StateWords(row)
+            yield generator(pcg64(seed))
+
+
+def _stream_digests(seed: int, scale: int, trials: int) -> Iterator[bytes]:
+    """``_stream_digest(seed, scale, t)`` for t in range(trials): the
+    "seed:scale:" prefix is hashed once, and each trial's digest is a copy
+    of that hash fed the trial's decimal index."""
+    prefix = hashlib.sha256(f"{seed}:{scale}:".encode("ascii"))
+    for t in range(trials):
+        digest = prefix.copy()
+        digest.update(b"%d" % t)
+        yield digest.digest()
 
 
 def _trial_rngs(seed: int, scale: int, trials: int) -> Iterator[np.random.Generator]:
     """For t in range(trials), a Generator on the stream of
-    ``Generator(PCG64(stream_seed(seed, scale, t)))``, as ``_digest_rngs``."""
-    return _digest_rngs(_stream_digest(seed, scale, t) for t in range(trials))
+    ``Generator(PCG64(stream_seed(seed, scale, t)))``: ``_digest_rngs`` of
+    the ``_stream_digests``."""
+    return _digest_rngs(_stream_digests(seed, scale, trials))
 
 
 def _binomial_stderr(p: Fraction, trials: int) -> float:
@@ -275,8 +296,10 @@ def _exponent_sum_matrices(m: int, r: int, length: int, seed: int, trials: int) 
     ``trial_rng(seed, length, t)``: index k < m counts the letter a_(k+1)
     up, index m + k its inverse down.
 
-    The trials' letters are read as one sequence, ``_LETTER_BLOCK`` at a
-    time, each trial's from its own stream (``_letters``).  One
+    One random.Random draws every trial: it is reseeded with each trial's
+    ``stream_seed``, as ``trial_rng`` seeds a new one.  The trials' letters
+    are read as one sequence, ``_LETTER_BLOCK`` at a time, each trial's
+    from its own stream (``_letters``).  One
     ``np.bincount`` over (word in the block, letter) gives each word's
     letter counts in the block; a word split between blocks carries its
     partial row into the next one."""
@@ -287,7 +310,8 @@ def _exponent_sum_matrices(m: int, r: int, length: int, seed: int, trials: int) 
 
     n = 2 * m
     per_trial = r * length
-    t, left, rng = 0, per_trial, trial_rng(seed, length, 0)
+    seeds = (int.from_bytes(d, "big") for d in _stream_digests(seed, length, trials))
+    t, left, rng = 0, per_trial, random.Random(next(seeds))
     offset = 0  # letters of the first word in the block that earlier blocks drew
     carry, matrix = [0] * m, []
     while True:
@@ -297,7 +321,8 @@ def _exponent_sum_matrices(m: int, r: int, length: int, seed: int, trials: int) 
                 if t + 1 == trials:
                     break
                 t += 1
-                left, rng = per_trial, trial_rng(seed, length, t)
+                left = per_trial
+                rng.seed(next(seeds))
             take = min(left, _LETTER_BLOCK - k)
             parts.append(rng.getrandbits(64 * take).to_bytes(8 * take, "little"))
             k += take
@@ -328,9 +353,11 @@ def rank_experiment(cfg: ExperimentConfig) -> list:
     """Full-rank frequency of the r x m exponent-sum matrix of r independent
     random words, per length.
 
-    Each trial checks the rank two independent ways (fraction-free
-    elimination, and the sum of squared maximal minors, which is the
-    determinant of the Gram matrix) and insists they agree.  The words are
+    Each trial computes the rank two ways (fraction-free elimination, and
+    the sum of squared maximal minors, which is the determinant of the Gram
+    matrix) and insists they agree.  The two are independent only when r
+    differs from m: for a square M the minor sum is det(M)^2 from the same
+    Bareiss elimination, so there the check cannot fail.  The words are
     drawn and tallied a block of letters at a time
     (``_exponent_sum_matrices``), so memory does not grow with r, the
     length or the trials.
@@ -339,8 +366,9 @@ def rank_experiment(cfg: ExperimentConfig) -> list:
     for length in cfg.lengths:
         full = 0
         for M in _exponent_sum_matrices(cfg.m, cfg.r, length, cfg.seed, cfg.trials):
-            is_full = zrank(M) == min(cfg.r, cfg.m)
-            if is_full != (minor_polynomial(M) != 0):
+            # M's rows are fresh lists: one copy for the first route, which consumes it
+            is_full = _bareiss([row[:] for row in M], cfg.m)[0] == min(cfg.r, cfg.m)
+            if is_full != (_minor_polynomial(M, cfg.m) != 0):
                 raise AssertionError("rank routes disagree")
             full += is_full
         p = Fraction(full, cfg.trials)
@@ -553,12 +581,11 @@ def return_probability_exact(m: int, n_max: int) -> ReturnTable:
                 c = c * (n - k) // (k + 1)
             convolved.append(total)
         counts = convolved
-    denom = 1
-    values = []
-    for n in range(n_max + 1):
-        values.append(Fraction(counts[n], denom) + Fraction(counts[n + 1], denom * 2 * m))
-        denom *= 2 * m
-    return ReturnTable(m, n_max, True, tuple(values))
+    # p_n(0) + p_{n+1}(0) = (2m N_n + N_{n+1}) / (2m)^(n+1), one gcd per value
+    two_m = 2 * m
+    powers = itertools.accumulate(itertools.repeat(two_m, n_max + 1), operator.mul)
+    values = tuple(Fraction(two_m * a + b, d) for a, b, d in zip(counts, counts[1:], powers))
+    return ReturnTable(m, n_max, True, values)
 
 
 def return_table_csv(table: ReturnTable) -> str:

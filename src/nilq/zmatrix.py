@@ -8,7 +8,10 @@ arithmetic; numpy stays out of this module on purpose.
 
 A matrix is its integer rows, all of one length: ``smith_normal_form``,
 ``rank``, ``minor_polynomial`` and ``hermite_normal_form`` copy them once
-(ragged rows raise ValueError) and work on the copy in place.
+(ragged rows raise ValueError) and work on the copy in place.  The
+private forms of ``rank`` and ``minor_polynomial``, ``_bareiss`` and
+``_minor_polynomial``, take rows their caller built and may consume,
+unchecked.
 ``hermite_normal_form`` returns an ``Echelon``.  ``IntMatrix`` is only the
 type of the Smith form's views D, U and V, each built when first read.
 
@@ -42,6 +45,7 @@ repetitions of the unit operation; replay code may apply it in one step.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
@@ -289,11 +293,15 @@ def minor_polynomial(M: Iterable[Iterable[int]]) -> int:
     Zero iff the matrix has less than full rank min(rows, cols).  For an
     empty matrix the single empty minor has determinant 1, so the value is 1.
     """
-    A, m = _rows(M)
-    if len(A) == m:
-        return _bareiss(A, m)[1] ** 2
-    lines = A if len(A) < m else list(zip(*A))
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in lines] for u in lines]
+    return _minor_polynomial(*_rows(M))
+
+
+def _minor_polynomial(A: list, cols: int) -> int:
+    """``minor_polynomial`` of the rows A, of length cols, which it may consume."""
+    if len(A) == cols:
+        return _bareiss(A, cols)[1] ** 2
+    lines = A if len(A) < cols else list(zip(*A))
+    gram = [[sum(map(operator.mul, u, v)) for v in lines] for u in lines]
     return _bareiss(gram, len(gram))[1]
 
 

@@ -18,7 +18,8 @@ block draw), numpy's own PCG64 seeded one trial at a time with one
 multinomial per trial (for the samplers' block seeding and block tallies),
 the empirical CDF read off every trial's sums, kept and sorted (for the
 streamed CLT statistics), and the exact law of the first coordinate by a
-sum over binomial counts (for ``escape_probability``).  ``traced_peak`` measures the memory a call
+sum over binomial counts (for ``escape_probability``, and its CDF for
+``coordinate_clt_stats``).  ``traced_peak`` measures the memory a call
 allocates, for the tests that bound it.
 """
 
@@ -451,19 +452,28 @@ def sorted_sample_sup_distances(m: int, n: int, trials: int, seed: int) -> Tuple
 
 
 @lru_cache(maxsize=None)
-def _far_sequences(t: int, cut: int) -> int:
-    """How many of the 2^t sequences of t steps +-1 end at least cut from 0:
-    the C(t, u) with u steps up, for each u with |2u - t| >= cut."""
-    return sum(math.comb(t, u) for u in range(t + 1) if abs(2 * u - t) >= cut)
+def _coordinate_counts(m: int, n: int) -> Tuple[int, ...]:
+    """Entry s + n: how many of the (2m)^n walks of n steps end with s_1 = s.
+    t of the steps move coordinate 1, in C(n, t) (2m - 2)^(n - t) ways, and
+    the C(t, u) ways with u of those t up end at 2u - t."""
+    counts = [0] * (2 * n + 1)
+    for t in range(n + 1):
+        ways = math.comb(n, t) * (2 * m - 2) ** (n - t)
+        for u in range(t + 1):
+            counts[2 * u - t + n] += ways * math.comb(t, u)
+    return tuple(counts)
 
 
 def escape_law(m: int, n: int, cut: int) -> Fraction:
-    """P(|s_1| >= cut) after n steps of the 2m-choice walk, exactly: t of
-    the steps move coordinate 1, in C(n, t) (2m - 2)^(n - t) of the (2m)^n
-    walks, and ``_far_sequences(t, cut)`` of the 2^t ways those t go end at
-    least cut from 0."""
-    total = sum(math.comb(n, t) * (2 * m - 2) ** (n - t) * _far_sequences(t, cut) for t in range(n + 1))
-    return Fraction(total, (2 * m) ** n)
+    """P(|s_1| >= cut) after n steps of the 2m-choice walk, exactly."""
+    counts = _coordinate_counts(m, n)
+    return Fraction(sum(c for s, c in enumerate(counts, -n) if abs(s) >= cut), (2 * m) ** n)
+
+
+def coordinate_cdf(m: int, n: int, c: int) -> Fraction:
+    """P(s_1 <= c) after n steps of the 2m-choice walk, exactly."""
+    counts = _coordinate_counts(m, n)
+    return Fraction(sum(counts[: max(0, c + n + 1)]), (2 * m) ** n)
 
 
 def traced_peak(fn):

@@ -31,6 +31,7 @@ from nilq.randwalk import (
 from nilq.words import Word, exponent_sums, random_word
 
 from naive_oracles import (
+    coordinate_cdf,
     escape_law,
     np_trial_rng,
     per_trial_clt_stats,
@@ -317,6 +318,29 @@ def test_escape_integer_cut_counts_sums_at_the_threshold(monkeypatch, n, epsilon
 _B = randwalk._SEED_BLOCK
 
 
+# the chance that the DKW bound lets one comparison miss, fixed before the
+# first run
+_DKW_DELTA = 1e-6
+
+
+@pytest.mark.parametrize("seed", _EXACT_LAW_SEEDS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_clt_sup_distances_meet_their_exact_law(m, seed):
+    # every coordinate has the law of s_1, with CDF F.  By the DKW inequality
+    # with Massart's constant, the empirical CDF is within eps of F at every
+    # grid point but for a chance of delta, so each reported sup distance to
+    # the normal CDF is within eps of F's own distance to it on the grid
+    trials = 2000
+    eps = math.sqrt(math.log(2 / _DKW_DELTA) / (2 * trials))
+    sigma = 1.0 / math.sqrt(m)
+    grid = [(-4.0 + 8.0 * j / 40.0) * sigma for j in range(41)]
+    for n in (10, 11, 100, 401):
+        exact = max(abs(coordinate_cdf(m, n, math.floor(x * math.sqrt(n))) - randwalk._normal_cdf(x, m))
+                    for x in grid)
+        for sup in coordinate_clt_stats(m, n, trials, seed).sup_distances:
+            assert abs(sup - exact) <= eps, (n, sup, float(exact))
+
+
 def _draws(rng):
     # a few kinds of draw, so the whole bit generator state is compared
     return (rng.integers(0, 2**64, 3, dtype=np.uint64).tolist(), rng.random(),
@@ -368,6 +392,47 @@ def test_trial_seed_hands_out_only_pcg64_state_words():
     for n_words, dtype in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
         with pytest.raises(ValueError):
             seed.generate_state(n_words, dtype)
+
+
+def test_trial_seeds_keep_their_own_words_after_the_iterator_moves_on():
+    # each generator keeps a holder of its own: read after the iterator has
+    # gone past it, into the next block, it still hands out its trial's words
+    rngs = randwalk._trial_rngs(5, 9, _B + 3)
+    kept = {t: rng for t, rng in enumerate(rngs) if t in (0, 1, _B - 1, _B, _B + 1)}
+    for t, rng in kept.items():
+        words = rng.bit_generator.seed_seq.generate_state(4, np.uint64).tolist()
+        assert words == np.random.SeedSequence(stream_seed(5, 9, t)).generate_state(4, np.uint64).tolist(), t
+
+
+@pytest.mark.parametrize("seed", [0, -5, 2**70 + 3])
+@pytest.mark.parametrize("scale", [1, 2**63 - 1])
+def test_prefix_copied_digests_are_the_stream_digests(seed, scale):
+    # past each change of the index's decimal width (9/10, 99/100,
+    # 999/1000) and at the seed block's edge (1023/1024/1025)
+    digests = list(randwalk._stream_digests(seed, scale, _B + 2))
+    for t in (0, 9, 10, 99, 100, 999, 1000, _B - 1, _B, _B + 1):
+        assert digests[t] == randwalk._stream_digest(seed, scale, t), t
+
+
+def test_rank_draw_reseeds_one_twister_as_trial_rng_seeds_each(monkeypatch):
+    # one Random for all the trials, in trial_rng's state at each trial's start
+    seed, length, trials = 3, 5, 4
+    expected = [trial_rng(seed, length, t).getstate() for t in range(trials)]
+    made, states = [], []
+
+    class Recording(random.Random):
+        def __init__(self, x):
+            made.append(x)
+            super().__init__(x)
+
+        def seed(self, a=None, version=2):
+            super().seed(a, version)
+            states.append(self.getstate())
+
+    monkeypatch.setattr(randwalk.random, "Random", Recording)
+    list(randwalk._exponent_sum_matrices(2, 3, length, seed, trials))
+    assert len(made) == 1
+    assert states == expected
 
 
 def _per_trial_rngs(seed, scale, trials):
