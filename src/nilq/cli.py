@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import diophantine, presentation, randwalk
-from .nilpotent2 import MalcevElement, format_element, from_word, pair_list
+from .nilpotent2 import MalcevElement, coordinate_names, format_element, from_word
 from .words import RankLimitError, WordSyntaxError, parse_word
 
 
@@ -131,7 +131,7 @@ def _cmd_classify(args):
 
 def _cmd_normalize(args):
     np_ = _load_presentation(args.file)
-    names = [f"a{k}" for k in range(1, np_.m + 1)] + ["[a%d,a%d]" % pq for pq in pair_list(np_.m)]
+    names = coordinate_names(np_.m)
     out = {
         "m": np_.m,
         "s": np_.s,

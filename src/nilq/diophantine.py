@@ -85,7 +85,8 @@ over Z to systems over G).  An ``Ambient`` is that normalized presentation
 plus the indices of the two constants, and its triviality test is the
 presentation's own, ``is_trivial_in_G``: one floor reduction in its
 echelon.  N_{2,m} itself is the presentation with no relators
-(``FreeNilpotentAmbient``), where the test is the identity test.
+(``FreeNilpotentAmbient``): its echelon has no rows, so the same test
+asks that every coordinate be 0.
 """
 
 from __future__ import annotations
@@ -395,8 +396,8 @@ class Ambient:
 
     ``coordinates`` and ``lattice`` are the presentation's own columns and
     echelon: an element is trivial iff its coordinates there lie in the
-    lattice, so ``is_trivial`` is ``presentation.is_trivial_in_G``, or the
-    identity test when the lattice has no rows and keeps every pair.
+    lattice, so ``is_trivial`` is ``presentation.is_trivial_in_G`` for every
+    ambient, the free one, whose lattice has no rows, included.
     ``_admissible_coset`` solves that test for alpha with
     ``zmatrix.solve_affine``, the lattice's rows as its L, over the blocks
     of coordinates that the rows join, found once here (``_lattice_blocks``).
@@ -410,16 +411,13 @@ class Ambient:
         if presentation.m < 2:
             raise ValueError("need m >= 2 for non-commuting constants")
         self.presentation, self.m, self.a, self.b = presentation, presentation.m, a, b
-        # no rows and every pair kept, as in the free ambient: an element is
-        # trivial iff it is the identity, a test that copies nothing
-        self._free = not self.lattice.rows and len(presentation.kept_pairs) == len(presentation.d_pq)
         self._blocks = _lattice_blocks(len(self.coordinates), self.lattice)
 
     def constants(self) -> Dict[str, MalcevElement]:
         return {"a": generator(self.m, self.a), "b": generator(self.m, self.b)}
 
     def is_trivial(self, el: MalcevElement) -> bool:
-        return el.is_identity() if self._free else is_trivial_in_G(el, self.presentation)
+        return is_trivial_in_G(el, self.presentation)
 
 
 @lru_cache(maxsize=None)

@@ -29,20 +29,23 @@ the image x(y) is
     gamma'_pq = sum_k a_k beta_k[pq] + (A X A^T)_pq        (p < q)
 
 where X[k][l] = g_kl above the diagonal, X[l][k] = -g_kl - a_k a_l below it
-and X[k][k] = -C(a_k, 2).  The a_k beta_k and diagonal terms are the powers
-y_k^(a_k), the terms below the diagonal collect those powers in order, and
-g_kl (A_pk A_ql - A_pl A_qk) is [y_k, y_l]^(g_kl).  ``Polynomial`` holds x as
+and X[k][k] = -C(a_k, 2): ``quadratic_form`` lists these entries, and every
+reader of X takes them from it.  The a_k beta_k and diagonal terms are the
+powers y_k^(a_k), the terms below the diagonal collect those powers in
+order, and g_kl (A_pk A_ql - A_pl A_qk) is [y_k, y_l]^(g_kl).  ``Polynomial`` holds x as
 this map, the evaluator of a fixed word at varying elements: the
 group-system words of ``diophantine`` run through it, with no group
 multiplication.  ``presentation`` applies the same formula the other way
 round, one fixed set of images (its basis change) at varying x.
+``coordinate_names`` names the coordinates, alpha then gamma, for
+``format_element`` and the CLI.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .words import MAX_RANK, Word
 
@@ -161,6 +164,26 @@ def power(x: MalcevElement, k: int) -> MalcevElement:
     return acc
 
 
+def quadratic_form(x: MalcevElement) -> Iterator[Tuple[int, int, int]]:
+    """The nonzero entries (k, l, X[k][l]) of x's matrix X (see the module
+    docstring), 0-based: X[k][k] = -C(a_k, 2), and for k < l, X[k][l] =
+    g_kl and X[l][k] = -g_kl - a_k a_l.  The one statement of X, which
+    ``Polynomial`` and ``presentation``'s basis change both read."""
+    a, g = x.alpha, x.gamma
+    t = 0
+    for k, ak in enumerate(a):
+        if ak not in (0, 1):
+            yield k, k, -(ak * (ak - 1) // 2)
+        for l in range(k + 1, x.m):
+            gkl = g[t]
+            t += 1
+            if gkl:
+                yield k, l, gkl
+            v = -gkl - ak * a[l]
+            if v:
+                yield l, k, v
+
+
 class Polynomial:
     """An element x of N_{2,n} as the class-2 polynomial map
     (y_1 ... y_n) -> x(y), the image of x under a_k -> y_k (see the module
@@ -177,24 +200,11 @@ class Polynomial:
     __slots__ = ("linear", "rows", "reads")
 
     def __init__(self, x: MalcevElement, labels: Sequence):
-        n, a, g = x.m, x.alpha, x.gamma
-        # row k maps l to X[k][l]: X[k][k] = -C(a_k, 2), and for k < l,
-        # X[k][l] = g_kl and X[l][k] = -g_kl - a_k a_l (indices 0-based)
-        rows = [{k: -(ak * (ak - 1) // 2)} if ak not in (0, 1) else {} for k, ak in enumerate(a)]
-        t = 0
-        for k in range(n):
-            ak, row_k = a[k], rows[k]
-            for l in range(k + 1, n):
-                gkl = g[t]
-                t += 1
-                if gkl:
-                    row_k[l] = gkl
-                v = -gkl - ak * a[l]
-                if v:
-                    rows[l][k] = v
-        self.linear = tuple((labels[k], ak) for k, ak in enumerate(a) if ak)
-        self.rows = tuple((labels[k], {labels[l]: v for l, v in row.items()})
-                          for k, row in enumerate(rows) if row)
+        rows = [{} for _ in x.alpha]  # row k maps labels[l] to X[k][l]
+        for k, l, v in quadratic_form(x):
+            rows[k][labels[l]] = v
+        self.linear = tuple((labels[k], ak) for k, ak in enumerate(x.alpha) if ak)
+        self.rows = tuple((labels[k], row) for k, row in enumerate(rows) if row)
         reads = {k for k, _ in self.linear}.union(*(row.keys() | {k} for k, row in self.rows))
         self.reads = tuple(sorted(reads))
 
@@ -288,18 +298,16 @@ def from_syllables(m: int, syllables) -> MalcevElement:
     return MalcevElement(m, tuple(alpha), tuple(gamma))
 
 
+@lru_cache(maxsize=MAX_RANK)
+def coordinate_names(m: int) -> Tuple[str, ...]:
+    """The names of the Malcev coordinates of N_{2,m}, alpha then gamma:
+    a<i> for each generator, then [a<i>,a<j>] in ``pair_list`` order."""
+    return tuple(f"a{i}" for i in range(1, m + 1)) + tuple(f"[a{i},a{j}]" for i, j in pair_list(m))
+
+
 def format_element(x: MalcevElement) -> str:
     """Render as a1^e ... [ai,aj]^g, omitting zero exponents and exponent 1;
     the identity renders as '1'."""
-    parts = []
-    for i, e in enumerate(x.alpha, start=1):
-        if e == 1:
-            parts.append(f"a{i}")
-        elif e:
-            parts.append(f"a{i}^{e}")
-    for (i, j), g in zip(pair_list(x.m), x.gamma):
-        if g == 1:
-            parts.append(f"[a{i},a{j}]")
-        elif g:
-            parts.append(f"[a{i},a{j}]^{g}")
+    parts = [name if e == 1 else f"{name}^{e}"
+             for name, e in zip(coordinate_names(x.m), x.alpha + x.gamma) if e]
     return " ".join(parts) if parts else "1"

@@ -100,7 +100,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .nilpotent2 import MalcevElement, _row_offsets, commutator, from_word, generator, pair_list
+from .nilpotent2 import (MalcevElement, _row_offsets, commutator, from_word, generator, pair_list,
+                         quadratic_form)
 from .words import MAX_RELATORS, RankLimitError, Word, WordSyntaxError, check_rank, parse_word
 from .zmatrix import (Echelon, SmithDecomposition, diagonal, hermite_normal_form, rank as zrank,
                       smith_normal_form)
@@ -291,8 +292,8 @@ class _BasisChange:
     """phi on Malcev coordinates, built once from the rows of V.
 
     phi sends x = (a | g) to alpha' = sum_k a_k V_k and gamma' the p < q
-    part of V^T X V, with X read off x as in ``nilpotent2``: X_kk =
-    -C(a_k, 2), and for k < l, X_kl = g_kl and X_lk = -g_kl - a_k a_l.  That
+    part of V^T X V, with X the matrix of x's nonzero entries that
+    ``nilpotent2.quadratic_form`` lists; W = X V is summed from them.  That
     is the class-2 substitution of the basis images, whose gammas are zero,
     for the generators.  ``rows[k]`` holds the nonzero (p, V_kp) of row k,
     and ``spans[k]`` a (t, V_kp, q) for each of them and each q > p, t the
@@ -309,39 +310,21 @@ class _BasisChange:
                            for row in self.rows)
 
     def __call__(self, x: MalcevElement) -> MalcevElement:
-        m, rows, a, g = self.m, self.rows, x.alpha, x.gamma
+        m, rows = self.m, self.rows
         alpha = [0] * m
-        # W[k] = sum_l X_kl V_l over the nonzero X_kl; None where row k of X is 0
-        W = [None] * m
-        t = 0
-        for k, ak in enumerate(a):
+        for k, ak in enumerate(x.alpha):
             if ak:
                 for p, v in rows[k]:
                     alpha[p] += ak * v
-                if ak != 1:
-                    w = W[k]
-                    if w is None:
-                        w = W[k] = [0] * m
-                    c = -(ak * (ak - 1) // 2)
-                    for q, v in rows[k]:
-                        w[q] += c * v
-            for l in range(k + 1, m):
-                c = g[t]
-                t += 1
-                if c:
-                    w = W[k]
-                    if w is None:
-                        w = W[k] = [0] * m
-                    for q, v in rows[l]:
-                        w[q] += c * v
-                c = -c - ak * a[l]
-                if c:
-                    w = W[l]
-                    if w is None:
-                        w = W[l] = [0] * m
-                    for q, v in rows[k]:
-                        w[q] += c * v
-        gamma = [0] * len(g)
+        # W[k] = sum_l X_kl V_l over the nonzero X_kl; None where row k of X is 0
+        W = [None] * m
+        for k, l, c in quadratic_form(x):
+            w = W[k]
+            if w is None:
+                w = W[k] = [0] * m
+            for q, v in rows[l]:
+                w[q] += c * v
+        gamma = [0] * len(x.gamma)
         for w, spans in zip(W, self.spans):
             if w is not None:
                 for t, v, q in spans:

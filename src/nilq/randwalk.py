@@ -353,11 +353,11 @@ def rank_experiment(cfg: ExperimentConfig) -> list:
     """Full-rank frequency of the r x m exponent-sum matrix of r independent
     random words, per length.
 
-    Each trial computes the rank two ways (fraction-free elimination, and
-    the sum of squared maximal minors, which is the determinant of the Gram
-    matrix) and insists they agree.  The two are independent only when r
-    differs from m: for a square M the minor sum is det(M)^2 from the same
-    Bareiss elimination, so there the check cannot fail.  The words are
+    Each trial computes the rank two ways and insists they agree: by the
+    sum of squared maximal minors, the determinant of the Gram matrix M M^T
+    or M^T M, and by fraction-free elimination of M itself.  The two
+    eliminate different matrices at every shape, the square one included.
+    The words are
     drawn and tallied a block of letters at a time
     (``_exponent_sum_matrices``), so memory does not grow with r, the
     length or the trials.
@@ -366,9 +366,9 @@ def rank_experiment(cfg: ExperimentConfig) -> list:
     for length in cfg.lengths:
         full = 0
         for M in _exponent_sum_matrices(cfg.m, cfg.r, length, cfg.seed, cfg.trials):
-            # M's rows are fresh lists: one copy for the first route, which consumes it
-            is_full = _bareiss([row[:] for row in M], cfg.m)[0] == min(cfg.r, cfg.m)
-            if is_full != (_minor_polynomial(M, cfg.m) != 0):
+            # the Gram route only reads M's fresh rows; the elimination then consumes them
+            is_full = _minor_polynomial(M, cfg.m) != 0
+            if is_full != (_bareiss(M, cfg.m)[0] == min(cfg.r, cfg.m)):
                 raise AssertionError("rank routes disagree")
             full += is_full
         p = Fraction(full, cfg.trials)

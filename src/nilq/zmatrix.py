@@ -10,8 +10,8 @@ A matrix is its integer rows, all of one length: ``smith_normal_form``,
 ``rank``, ``minor_polynomial`` and ``hermite_normal_form`` copy them once
 (ragged rows raise ValueError) and work on the copy in place.  The
 private forms of ``rank`` and ``minor_polynomial``, ``_bareiss`` and
-``_minor_polynomial``, take rows their caller built and may consume,
-unchecked.
+``_minor_polynomial``, take rows their caller built, unchecked:
+``_bareiss`` consumes them, and ``_minor_polynomial`` only reads them.
 ``hermite_normal_form`` returns an ``Echelon``.  ``IntMatrix`` is only the
 type of the Smith form's views D, U and V, each built when first read.
 
@@ -287,8 +287,9 @@ def rank(M: Iterable[Iterable[int]]) -> int:
 
 
 def minor_polynomial(M: Iterable[Iterable[int]]) -> int:
-    """Sum of squared maximal minors: det(M)^2, or by Cauchy-Binet
-    det(M M^T) for a wide M and det(M^T M) for a tall one.
+    """Sum of squared maximal minors: by Cauchy-Binet the determinant of the
+    smaller Gram matrix, det(M M^T) for a wide or square M (for a square
+    one that is det(M)^2) and det(M^T M) for a tall one.
 
     Zero iff the matrix has less than full rank min(rows, cols).  For an
     empty matrix the single empty minor has determinant 1, so the value is 1.
@@ -297,10 +298,9 @@ def minor_polynomial(M: Iterable[Iterable[int]]) -> int:
 
 
 def _minor_polynomial(A: list, cols: int) -> int:
-    """``minor_polynomial`` of the rows A, of length cols, which it may consume."""
-    if len(A) == cols:
-        return _bareiss(A, cols)[1] ** 2
-    lines = A if len(A) < cols else list(zip(*A))
+    """``minor_polynomial`` of the rows A, of length cols, which it only
+    reads: the elimination runs on their Gram matrix."""
+    lines = A if len(A) <= cols else list(zip(*A))
     gram = [[sum(map(operator.mul, u, v)) for v in lines] for u in lines]
     return _bareiss(gram, len(gram))[1]
 

@@ -19,7 +19,9 @@ multinomial per trial (for the samplers' block seeding and block tallies),
 the empirical CDF read off every trial's sums, kept and sorted (for the
 streamed CLT statistics), and the exact law of the first coordinate by a
 sum over binomial counts (for ``escape_probability``, and its CDF for
-``coordinate_clt_stats``).  ``traced_peak`` measures the memory a call
+``coordinate_clt_stats``), and the exact law of two walk endpoints
+grouped by the line through 0 they lie on (for ``rank_experiment`` at two
+relators).  ``traced_peak`` measures the memory a call
 allocates, for the tests that bound it.
 """
 
@@ -474,6 +476,48 @@ def coordinate_cdf(m: int, n: int, c: int) -> Fraction:
     """P(s_1 <= c) after n steps of the 2m-choice walk, exactly."""
     counts = _coordinate_counts(m, n)
     return Fraction(sum(counts[: max(0, c + n + 1)]), (2 * m) ** n)
+
+
+def endpoint_counts(m: int, n: int) -> Counter:
+    """s -> how many of the (2m)^n walks of n steps on Z^m end at s, built an
+    axis at a time as ``return_probability_exact`` builds its counts: with k
+    of t steps on the axes so far and t - k on the next, in C(t, k) ways,
+    the next axis ends at 2u - (t - k) in C(t - k, u) ways.  Every length
+    t <= n is needed for all but the last axis."""
+    one = [{2 * u - k: math.comb(k, u) for u in range(k + 1)} for k in range(n + 1)]
+    tables = [Counter({(s,): c for s, c in row.items()}) for row in one]
+    for axis in range(1, m):
+        added = [Counter() for _ in range(n + 1)]
+        for t in range(n + 1) if axis < m - 1 else (n,):
+            for k in range(t + 1):
+                ways = math.comb(t, k)
+                for s, a in tables[k].items():
+                    for x, b in one[t - k].items():
+                        added[t][s + (x,)] += ways * a * b
+        tables = added
+    return tables[n]
+
+
+@lru_cache(maxsize=None)
+def two_relator_full_rank_law(m: int, n: int) -> Fraction:
+    """P(the 2 x m exponent-sum matrix of two random words of n letters has
+    rank 2), exactly, for m >= 2.
+
+    The two rows are independent walk endpoints.  The matrix is deficient
+    iff either endpoint is 0 or both are nonzero on one line L through 0:
+    P(deficient) = 2 p0 - p0^2 + sum_L P(L)^2, with p0 the endpoint mass at
+    0 and P(L) the mass of the nonzero endpoints on L, L keyed by its
+    primitive direction with a positive first nonzero entry."""
+    counts = endpoint_counts(m, n)
+    total = (2 * m) ** n
+    zero = counts.get((0,) * m, 0)
+    lines = Counter()
+    for s, c in counts.items():
+        if any(s):
+            g = math.gcd(*s) * (1 if next(v for v in s if v) > 0 else -1)
+            lines[tuple(v // g for v in s)] += c
+    deficient = 2 * zero * total - zero * zero + sum(c * c for c in lines.values())
+    return 1 - Fraction(deficient, total * total)
 
 
 def traced_peak(fn):

@@ -153,3 +153,16 @@ def test_record_holds_every_run_and_verdict(monkeypatch, tmp_path):
     assert list(record["verdicts"]) == [m["name"] for m in json.loads(
         (ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     assert record["verdicts"]["jobs_per_s"]["won"] == 1
+
+
+def test_a_peak_rss_move_under_one_percent_is_noted_as_layout():
+    rss = {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}
+    parent = [23.80 + 0.01 * (i % 3) for i in range(10)]
+    small = bench_pairs.summarize(rss, parent, [x * 0.995 for x in parent])
+    large = bench_pairs.summarize(rss, parent, [x * 0.95 for x in parent])
+    assert small.won == large.won == 10
+    assert bench_pairs.LAYOUT_NOTE in bench_pairs.report_line(rss, small)
+    assert bench_pairs.LAYOUT_NOTE not in bench_pairs.report_line(rss, large)
+    # other metrics carry no note, however small their move
+    assert bench_pairs.LAYOUT_NOTE not in bench_pairs.report_line(P50, bench_pairs.summarize(
+        P50, PARENT, [x * 0.995 for x in PARENT]))

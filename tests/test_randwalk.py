@@ -1,6 +1,7 @@
 """Random walk experiments: determinism, exact tables, frozen oracle values."""
 
 import dataclasses
+import inspect
 import math
 import random
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilq import randwalk
+from nilq import randwalk, zmatrix
 from nilq.randwalk import (
     RETURN_N_MAX_LIMIT,
     EnumerationLimitError,
@@ -39,6 +40,7 @@ from naive_oracles import (
     random_exponent_sums,
     sorted_sample_sup_distances,
     traced_peak,
+    two_relator_full_rank_law,
 )
 
 
@@ -197,6 +199,46 @@ def test_escape_probability_meets_its_exact_law(m, seed):
             est = escape_probability(m, n, trials, seed, eps)
             p = escape_law(m, n, math.ceil(eps * math.sqrt(n)))
             assert abs(est.p_hat - p) <= _EXACT_LAW_K * math.sqrt(p * (1 - p) / trials), (est, float(p))
+
+
+def test_two_relator_law_reproduces_the_probe():
+    # the exact values a dict DP over endpoints gave at the ROADMAP's probe
+    for (m, length), p in {(2, 10): 0.77502, (2, 100): 0.96292, (3, 10): 0.94091}.items():
+        assert round(float(two_relator_full_rank_law(m, length)), 5) == p
+
+
+@pytest.mark.parametrize("seed", _EXACT_LAW_SEEDS)
+@pytest.mark.parametrize("m, lengths", [(2, (10, 11, 40, 100)), (3, (10, 11, 40))])
+def test_rank_experiment_at_two_relators_meets_its_exact_law(m, lengths, seed):
+    # m = 2 is the square case; (3, 2, 100) is left out, as its law takes
+    # about 9 s to build
+    trials = 2000
+    for row in rank_experiment(ExperimentConfig(m=m, r=2, lengths=lengths, trials=trials,
+                                                seed=seed)):
+        p = two_relator_full_rank_law(m, row.length)
+        assert abs(row.p_hat - p) <= _EXACT_LAW_K * math.sqrt(p * (1 - p) / trials), (row, float(p))
+
+
+def _positive_pivot_bareiss():
+    """``zmatrix._bareiss`` with one fault: it pivots only on positive
+    entries, so it stops early, and reads det 0, where every entry left is
+    negative or zero."""
+    source = inspect.getsource(zmatrix._bareiss)
+    assert source.count("if A[i][j]:") == 1
+    namespace = {}
+    exec(source.replace("if A[i][j]:", "if A[i][j] > 0:"), vars(zmatrix).copy(), namespace)
+    return namespace["_bareiss"]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_rank_routes_disagree_on_a_faulty_square_elimination(monkeypatch, m):
+    # at r = m the Gram route eliminates M M^T, not M, so the check sees an
+    # elimination fault that shows on M alone
+    mutant = _positive_pivot_bareiss()
+    monkeypatch.setattr(zmatrix, "_bareiss", mutant)
+    monkeypatch.setattr(randwalk, "_bareiss", mutant)
+    with pytest.raises(AssertionError, match="rank routes disagree"):
+        rank_experiment(ExperimentConfig(m=m, r=m, lengths=(12,), trials=200, seed=20260822))
 
 
 def test_rank_experiment_csv_shape():

@@ -22,7 +22,8 @@ relators, with [x, y] = x^-1 y^-1 x y:
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
-from nilq.presentation import REGIME_FINITE, REGIME_INCONCLUSIVE, REGIME_UNDECIDABLE
+from nilq.presentation import (REGIME_FINITE, REGIME_INCONCLUSIVE, REGIME_UNDECIDABLE,
+                               REGIME_VIRTUALLY_ABELIAN)
 
 
 @dataclass(frozen=True)
@@ -137,4 +138,81 @@ def squares() -> Family:
     )
 
 
-FAMILIES = (free_n23(), cubes(), commutator_fourth_power(), squares())
+def cyclic_by_a_product() -> Family:
+    """<a1, a2 | a1 a2>, which is Z.
+
+    The exponent-sum matrix is (1 1): rank 1 = min(r, m), and r = m - 1,
+    the virtually abelian regime, with invariant factors (1).  Its Smith
+    form needs a column operation, so the basis change is not the
+    identity and every query runs through it.  The closure holds a1 a2 =
+    (1, 1 | 0) and [a1 a2, a1] = [a2, a1] = (0, 0 | -1).  The coordinates
+    (x, x | z) are a subgroup, as a product of two of them has gamma
+    z + z' - x' x, and they are the kernel of (x, y | z) -> x - y, a
+    homomorphism onto Z that kills a1 a2: so the closure is exactly that
+    kernel and G is Z, torsion-free, through x - y.  A word is trivial iff
+    its exponent sums are equal, and trivial modulo torsion iff trivial:
+    [a1,a2], a1^2 a2^2 and a2 a1 are, a1 and a1 a2^-1 (x - y = 1 and 2)
+    are not.  Its rank 1 is over m - 2 = 0: no profile is decided.
+    """
+    return Family(
+        "<a1, a2 | a1 a2>", "2 2\na1 a2\n", REGIME_VIRTUALLY_ABELIAN, (1,),
+        {"[a1,a2]": (True, True), "a1^2 a2^2": (True, True), "a2 a1": (True, True),
+         "a1": (False, False), "a1 a2^-1": (False, False)},
+    )
+
+
+def dihedral_eight() -> Family:
+    """<a1, a2 | a1^2, a2^2>, of order 8.
+
+    The exponent-sum matrix is diag(2, 2): rank 2 = r = m, the finite
+    regime, invariant factors (2, 2).  As for the cubes, the closure is
+    generated by a1^2, a2^2 and [a1^2, a2] = [a1,a2]^2, and the
+    coordinates (2x, 2y | 2z) are a subgroup holding them (a product
+    changes gamma by an even alpha times an even alpha), which they
+    generate: the closure is exactly those, and |G| = 2^3.  [a1,a2] =
+    (0, 0 | 1) is nontrivial and [a1,a2]^2 trivial.  By (xy)^n = x^n y^n
+    [y, x]^C(n, 2), (a1 a2)^2 = (2, 2 | -1) is nontrivial and (a1 a2)^4 =
+    (4, 4 | -6) trivial, so a1 a2 has order 4 (G is the dihedral group of
+    order 8).  G is finite, so every word is trivial modulo torsion.  Its
+    rank 2 is over m - 2 = 0: no profile is decided.
+    """
+    return Family(
+        "<a1, a2 | a1^2, a2^2>", "2 2\na1^2\na2^2\n", REGIME_FINITE, (2, 2),
+        {"[a1,a2]": (False, True), "[a1,a2]^2": (True, True), "a1": (False, True),
+         "a1 a2 a1 a2": (False, True), "a1 a2 a1 a2 a1 a2 a1 a2": (True, True)},
+    )
+
+
+def heisenberg_squared() -> Family:
+    """H x H, H the Heisenberg group N_{2,2}: m = 4 with relators [a1,a3],
+    [a1,a4], [a2,a3] and [a2,a4].
+
+    Every relator has exponent sums 0: the 4 x 4 matrix has rank 0 <
+    min(r, m) = 4, so it is rank-deficient and the regime INCONCLUSIVE,
+    with no invariant factors.  The relators are central, so the closure is
+    the group they generate, the coordinates (0 | g) with g zero at the
+    pairs (1,2) and (3,4); G is H x H, on a1, a2 and on a3, a4, and is
+    torsion-free, so a word is trivial modulo torsion iff it is trivial.
+    [a1,a3] and a1 a3 a1^-1 a3^-1 = [a1^-1, a3^-1] = [a1,a3] are trivial;
+    [a1,a2] is not, nor is [a1 a3, a2 a4], which is [a1,a2] [a3,a4] times
+    closure elements by bilinearity.
+
+    Rank 0 <= m - 2 = 2 decides profiles.  [h, a_k] has gamma
+    alpha(h) wedge e_k, and modulo the closure only the pairs (1,2) and
+    (3,4) count: for a profile v, k = 1, 2, 3, 4 give -v2, v1, -v4 and v3
+    there, so only v = 0 is central and the dimension is 0.  v commutes
+    with a1 iff v2 = 0, a dimension of 3, and with a1 a3 iff v2 = v4 = 0,
+    a dimension of 2: neither is the 0 + 1 of a c-small element.
+    [a1,a2] is central while G0 = G is not abelian, so it is not c-small.
+    """
+    return Family(
+        "H x H", "4 2\n[a1,a3]\n[a1,a4]\n[a2,a3]\n[a2,a4]\n", REGIME_INCONCLUSIVE, (),
+        {"[a1,a3]": (True, True), "a1 a3 a1^-1 a3^-1": (True, True), "[a1,a2]": (False, False),
+         "[a1 a3,a2 a4]": (False, False)},
+        center_profile_dim=0,
+        c_small={"a1": False, "a1 a3": False, "[a1,a2]": False},
+    )
+
+
+FAMILIES = (free_n23(), cubes(), commutator_fourth_power(), squares(), cyclic_by_a_product(),
+            dihedral_eight(), heisenberg_squared())

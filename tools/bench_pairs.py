@@ -20,6 +20,8 @@ than the parent's interquartile range) and whether the change stays within the
 bound.  A metric within the bound is reported as unresolved when the parent's
 interquartile range is wider than the bound, unless every run of the change
 beats every run of the parent: the spread then hides a move of the bound's size.
+A ``peak_rss_mb`` move of less than 1% is noted as one that code layout
+alone makes.
 
 ``--record PATH`` also writes the pairs as JSON: every run's end-to-end
 values per side, each metric's ``Verdict``, the workload, pairs and seconds,
@@ -81,6 +83,27 @@ def summarize(metric: dict, parent: Sequence[float], change: Sequence[float]) ->
     beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
     resolved = q3 - q1 <= metric["bound"] * abs(median) or beats_all
     return Verdict(q1, median, q3, change_median, won, len(parent), claim, within, resolved)
+
+
+LAYOUT_NOTE = "a move under 1%, which code layout alone makes"
+
+
+def report_line(metric: dict, v: Verdict) -> str:
+    """The printed line of one metric's verdict.  A ``peak_rss_mb`` median
+    that moves by less than 1% gets a note: code layout alone moves it
+    that much (0.2-0.9 MB, and in the same direction in every pair, between
+    trees that differ in no memory use), so such a move, won pairs and all,
+    says nothing about the change."""
+    name = metric["name"]
+    move = (v.change_median / v.parent_median - 1) * 100
+    line = (f"  {name:12} {v.parent_median:.6g} [{v.parent_q1:.6g}-{v.parent_q3:.6g}] -> "
+            f"{v.change_median:.6g} ({move:+.1f}%), won {v.won}/{v.pairs}, "
+            f"claim {'holds' if v.claim_holds else 'fails'}, "
+            f"{'PAST' if not v.within_bound else 'within' if v.resolved else 'unresolved at'} "
+            f"the {metric['bound']:.0%} bound")
+    if name == "peak_rss_mb" and abs(move) < 1:
+        line += f"; {LAYOUT_NOTE}"
+    return line
 
 
 NUMBER = (int, float)
@@ -185,12 +208,7 @@ def main(argv=None) -> int:
         name = metric["name"]
         v = summarize(metric, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]])
         record["verdicts"][name] = v._asdict()
-        move = (v.change_median / v.parent_median - 1) * 100
-        print(f"  {name:12} {v.parent_median:.6g} [{v.parent_q1:.6g}-{v.parent_q3:.6g}] -> "
-              f"{v.change_median:.6g} ({move:+.1f}%), won {v.won}/{v.pairs}, "
-              f"claim {'holds' if v.claim_holds else 'fails'}, "
-              f"{'PAST' if not v.within_bound else 'within' if v.resolved else 'unresolved at'} "
-              f"the {metric['bound']:.0%} bound")
+        print(report_line(metric, v))
     if args.record:
         check_record(record)
         args.record.write_text(json.dumps(record, indent=1) + "\n")
